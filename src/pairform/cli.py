@@ -160,10 +160,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_args(args):
+    """Reject inputs that would crash, run a vacuous check or silently
+    run a different scenario; main turns the ValueError into exit code 2."""
+    for flag, value in (("--max-freq", args.max_freq), ("--trials", args.trials),
+                        ("--dim", args.dim)):
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
+    for flag, value in (("--field", args.field), ("--map", args.map), ("--eta", args.eta)):
+        if value is not None and not value.strip():
+            raise ValueError(f"{flag} must not be empty")
+    if args.field is not None and args.eta is not None:
+        raise ValueError("--eta cannot be combined with --field: the twisted complex "
+                         "runs over the suite's own fields")
+
+
 def scenario_from_args(args) -> dict:
+    _check_args(args)
     bands = tuple(range(1, min(2, args.max_freq) + 1))
     name = args.kind if not args.chart else f"{args.kind}/{args.chart}"
-    if args.dim:
+    if args.dim is not None:
         name += f"/T{args.dim}"
     scenario = {
         "name": name,
@@ -172,13 +188,13 @@ def scenario_from_args(args) -> dict:
         "trials": args.trials,
         "bands": list(bands),
     }
-    if args.dim:
+    if args.dim is not None:
         scenario["dim"] = args.dim
-    if args.field:
+    if args.field is not None:
         scenario["field"] = args.field
-    if args.map:
+    if args.map is not None:
         scenario["map"] = args.map
-    if args.eta:
+    if args.eta is not None:
         scenario["eta"] = args.eta
     if args.chart:
         scenario["charts"] = [args.chart]

@@ -478,11 +478,6 @@ def _render_vector(model: _PairModel, degree: int, basis, vec) -> str:
     return str(total)
 
 
-def pair_laplacian_matrix(chart: Chart, u: VectorField, degree: int, max_freq: int):
-    model = _PairModel(chart, u, max_freq)
-    return _operator_matrix(model, degree, degree, lambda a: pair_laplacian(u, a))
-
-
 def corrected_laplacian_kernel_dim(chart: Chart, u: VectorField, degree: int,
                                    max_freq: int) -> int:
     """Kernel dimension of the pair Laplacian built from the sign-corrected

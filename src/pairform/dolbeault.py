@@ -184,10 +184,6 @@ class PairBigradedForm:
         return f"({self.first} | {self.second})"
 
 
-def zero_pair_bigraded(chart: Chart, p: int, q: int) -> PairBigradedForm:
-    return PairBigradedForm(zero_bigraded(chart, p, q), zero_bigraded(chart, p, q - 1))
-
-
 def dbar_pair(x: VectorField, a: PairBigradedForm) -> PairBigradedForm:
     """(dbar phi, L_X phi - dbar psi); raises q by one and squares to zero."""
     require_same_chart(x, a.first.form)

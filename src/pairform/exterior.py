@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .charts import Chart, ChartKind, ChartMismatchError, require_same_chart
 from .linalg import invert_dense
-from .rationals import I, ZERO, GaussianRational, gq
+from .rationals import ZERO, GaussianRational, gq
 from .scalar import ChartMap, ScalarExpr, const, parse_scalar
 from .scalar import zero as scalar_zero
 
@@ -300,10 +300,10 @@ def _coframe_pullback(cmap: ChartMap, slot: int) -> Form:
     # then re-expressed in the source dz/dzb coframe.
     nt, ns = tgt.dim, src.dim
     t, conjugated = slot % nt, slot >= nt
-    half = gq("1/2")
+    half, minus_half_i, half_i = gq("1/2"), gq(0, "-1/2"), gq(0, "1/2")
     acc: dict = {}
     for k in range(2 * ns):
-        c = gq(cmap.matrix[t][k]) + I * cmap.matrix[nt + t][k]
+        c = gq(cmap.matrix[t][k], cmap.matrix[nt + t][k])
         if conjugated:
             c = c.conjugate()
         if not c:
@@ -313,8 +313,8 @@ def _coframe_pullback(cmap: ChartMap, slot: int) -> Form:
                 acc[s_idx] = acc.get(s_idx, ZERO) + c * half
         else:  # dy_k = -(i/2)(dw_k - dwb_k)
             j = k - ns
-            acc[j] = acc.get(j, ZERO) + c * (I * gq("-1/2"))
-            acc[ns + j] = acc.get(ns + j, ZERO) + c * (I * half)
+            acc[j] = acc.get(j, ZERO) + c * minus_half_i
+            acc[ns + j] = acc.get(ns + j, ZERO) + c * half_i
     comps = {(j,): const(src, v) for j, v in acc.items() if v}
     return Form(src, 1, tuple(comps.items()))
 
@@ -363,7 +363,7 @@ def pushforward(cmap: ChartMap, x: VectorField) -> VectorField:
             t, conjugated = slot % nt, slot >= nt
             total = scalar_zero(src)
             for k in range(ns):
-                c = gq(cmap.matrix[t][k]) + I * cmap.matrix[nt + t][k]
+                c = gq(cmap.matrix[t][k], cmap.matrix[nt + t][k])
                 if conjugated:
                     c = c.conjugate()
                 xc = x.components[ns + k] if conjugated else x.components[k]

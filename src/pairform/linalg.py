@@ -2,6 +2,8 @@
 
 Ranks and kernels are computed by fraction-free Bareiss elimination with
 deterministic pivoting (first nonzero entry, columns scanned left to right).
+Each block is scaled to a Gaussian-integer matrix held as int pairs
+(real part, imaginary part), and every Bareiss division is exact over Z[i].
 Matrices arising from band-limited complexes split into many small blocks of
 columns that share no rows; blocks are eliminated independently, which keeps
 the elimination cheap without changing any result.
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .rationals import ONE, ZERO, GaussianRational
+from .rationals import ONE, ZERO, GaussianRational, from_parts
 
 
 @dataclass
@@ -71,7 +73,12 @@ class RationalMatrix:
         return m
 
     def _blocks(self):
-        """Partition columns into groups connected through shared rows."""
+        """Partition columns into groups connected through shared rows.
+
+        Returns one (rows, cols, entries) triple per group, groups ordered by
+        their smallest column, rows and cols ascending and `entries` the
+        group's ((row, col), value) items; every entry is visited once.
+        """
         parent = list(range(self.ncols))
 
         def find(a):
@@ -88,37 +95,33 @@ class RationalMatrix:
                     parent[max(ra, rb)] = min(ra, rb)
             else:
                 row_col[r] = c
-        groups: dict[int, list[int]] = {}
+        groups: dict[int, tuple] = {}
         for c in range(self.ncols):
-            groups.setdefault(find(c), []).append(c)
-        cols_by_root = [groups[root] for root in sorted(groups)]
-        rows_of: dict[int, set] = {find(c): set() for c in range(self.ncols)}
-        for (r, c) in self.entries:
-            rows_of[find(c)].add(r)
-        return [(sorted(rows_of[find(cols[0])]), cols) for cols in cols_by_root]
-
-    def _dense_block(self, rows: list[int], cols: list[int]):
-        block = [[ZERO] * len(cols) for _ in rows]
-        rindex = {r: i for i, r in enumerate(rows)}
-        cindex = {c: j for j, c in enumerate(cols)}
+            root = find(c)
+            if root not in groups:
+                groups[root] = (set(), [], [])
+            groups[root][1].append(c)
         for (r, c), v in self.entries.items():
-            if r in rindex and c in cindex:
-                block[rindex[r]][cindex[c]] = v
-        return block
+            rows, _cols, entries = groups[find(c)]
+            rows.add(r)
+            entries.append(((r, c), v))
+        return [(sorted(rows), cols, entries)
+                for rows, cols, entries in (groups[root] for root in sorted(groups))]
 
     def rank(self) -> int:
-        return sum(len(_bareiss(self._dense_block(rows, cols))[0])
-                   for rows, cols in self._blocks() if rows)
+        return sum(len(_bareiss(*_integer_block(rows, cols, entries))[0])
+                   for rows, cols, entries in self._blocks() if rows)
 
     def kernel_basis(self) -> "list[dict[int, GaussianRational]]":
         """Deterministic basis of the right kernel, one dict per vector."""
         vectors = []
-        for rows, cols in self._blocks():
+        for rows, cols, entries in self._blocks():
             if not rows:
                 vectors.extend([{c: ONE} for c in cols])
                 continue
-            block = self._dense_block(rows, cols)
-            pivots, echelon = _bareiss(block)
+            pivots, re_rows, im_rows = _bareiss(*_integer_block(rows, cols, entries))
+            echelon = {r: [from_parts(a, b) for a, b in zip(re_rows[r], im_rows[r])]
+                       for r, _ in pivots}
             pivot_cols = {c for _, c in pivots}
             for j in range(len(cols)):
                 if j in pivot_cols:
@@ -138,44 +141,73 @@ class RationalMatrix:
         return self.ncols - self.rank()
 
 
-def _bareiss(rows: "list[list[GaussianRational]]"):
-    """Fraction-free row echelon reduction; returns (pivots, echelon rows).
+def _integer_block(rows: list[int], cols: list[int], entries):
+    """Dense block of `entries` scaled by the lcm of their denominators.
 
-    Entries are rescaled to Gaussian integers first so every interior
-    division in the Bareiss recurrence is exact over Z[i].
+    Returns the real and imaginary parts as two lists of int rows, so the
+    block is a Gaussian-integer matrix with the same rank and kernel.
     """
-    if not rows:
-        return [], rows
-    nr, nc = len(rows), len(rows[0])
     denom = 1
-    for row in rows:
-        for v in row:
-            denom = math.lcm(denom, v.re.denominator, v.im.denominator)
-    if denom != 1:
-        rows = [[v * denom for v in row] for row in rows]
-    else:
-        rows = [list(row) for row in rows]
+    for _, v in entries:
+        denom = math.lcm(denom, v.d)
+    rindex = {r: i for i, r in enumerate(rows)}
+    cindex = {c: j for j, c in enumerate(cols)}
+    re_rows = [[0] * len(cols) for _ in rows]
+    im_rows = [[0] * len(cols) for _ in rows]
+    for (r, c), v in entries:
+        i, j, scale = rindex[r], cindex[c], denom // v.d
+        re_rows[i][j] = v.a * scale
+        im_rows[i][j] = v.b * scale
+    return re_rows, im_rows
+
+
+def _bareiss(re_rows: "list[list[int]]", im_rows: "list[list[int]]"):
+    """Fraction-free row echelon reduction over Z[i].
+
+    The matrix is given as its real and imaginary int parts (reduced in
+    place).  Every interior division of the Bareiss recurrence is by the
+    previous pivot, a minor of the matrix, and is exact over Z[i]; a nonzero
+    remainder fails an assertion.  Returns (pivots, re_rows, im_rows) with
+    pivots as (row, col) pairs.
+    """
+    nr = len(re_rows)
+    nc = len(re_rows[0]) if nr else 0
     pivots = []
-    prev = ONE
+    qa, qb = 1, 0                      # previous pivot
     r = 0
     for c in range(nc):
-        pr = next((i for i in range(r, nr) if rows[i][c]), None)
+        pr = next((i for i in range(r, nr) if re_rows[i][c] or im_rows[i][c]), None)
         if pr is None:
             continue
         if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
+            re_rows[r], re_rows[pr] = re_rows[pr], re_rows[r]
+            im_rows[r], im_rows[pr] = im_rows[pr], im_rows[r]
+        pre, pim = re_rows[r], im_rows[r]
+        pa, pb = pre[c], pim[c]
+        # divide by q as t*conj(q) / |q|^2, or by qa alone when q is real
+        div = qa * qa + qb * qb if qb else qa
         for i in range(r + 1, nr):
-            head = rows[i][c]
+            xre, xim = re_rows[i], im_rows[i]
+            ha, hb = xre[c], xim[c]
             for j in range(c + 1, nc):
-                rows[i][j] = (piv * rows[i][j] - head * rows[r][j]) / prev
-            rows[i][c] = ZERO
-        prev = piv
+                xa, xb, ya, yb = xre[j], xim[j], pre[j], pim[j]
+                # (p*x - h*y) / q with p = pa+pb*i, h = ha+hb*i, q = qa+qb*i
+                ta = pa * xa - pb * xb - ha * ya + hb * yb
+                tb = pa * xb + pb * xa - ha * yb - hb * ya
+                if qb:
+                    ta, tb = ta * qa + tb * qb, tb * qa - ta * qb
+                if div != 1:
+                    ta, ra = divmod(ta, div)
+                    tb, rb = divmod(tb, div)
+                    assert not (ra or rb), "inexact Bareiss division over Z[i]"
+                xre[j], xim[j] = ta, tb
+            xre[c] = xim[c] = 0
+        qa, qb = pa, pb
         pivots.append((r, c))
         r += 1
         if r == nr:
             break
-    return pivots, rows
+    return pivots, re_rows, im_rows
 
 
 def invert_dense(rows: "list[list[GaussianRational]]"):

@@ -57,10 +57,6 @@ def random_pair(rng: random.Random, chart: Chart, degree: int, **kw) -> PairForm
                     random_form(rng, chart, degree - 1, **kw))
 
 
-def random_degree(rng: random.Random, chart: Chart) -> int:
-    return rng.randint(0, min(chart.nslots, 3))
-
-
 def random_field(rng: random.Random, chart: Chart, constant: bool = False) -> VectorField:
     comps = []
     for _ in range(chart.nslots):

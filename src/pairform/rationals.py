@@ -2,14 +2,209 @@
 
 Every coefficient in this package is a Gaussian rational, so equality of
 expressions is decidable and matrix ranks are exact integers.
+
+A value is stored as three Python ints ``(a, b, d)`` meaning ``(a + b*i)/d``,
+always in canonical form: ``d > 0`` and ``gcd(a, b, d) == 1`` (zero is
+``(0, 0, 1)``).  Canonical form makes equality a comparison of three ints.
+Sums and products take one int operation per component and one ``math.gcd``,
+skipped when the denominator is 1; integer and ``Fraction`` operands never
+build a Fraction.  ``.re`` and ``.im`` return the parts as ``Fraction``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-RationalLike = "int | Fraction | str"
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _make(a: int, b: int, d: int) -> "GaussianRational":
+    """Wrap parts that are already canonical."""
+    z = _new(GaussianRational)
+    _set(z, "a", a)
+    _set(z, "b", b)
+    _set(z, "d", d)
+    return z
+
+
+def from_parts(a: int, b: int, d: int = 1) -> "GaussianRational":
+    """The value (a + b*i)/d for ints a, b and d != 0, brought to canonical form."""
+    if d < 0:
+        a, b, d = -a, -b, -d
+    elif not d:
+        raise ZeroDivisionError("division by zero in Q(i)")
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _make(a, b, d)
+
+
+def _coerce(other):
+    """An int or Fraction operand as a Gaussian rational (no Fraction built), else None."""
+    if isinstance(other, int):
+        return _make(int(other), 0, 1)
+    if isinstance(other, Fraction):
+        return _make(other.numerator, 0, other.denominator)
+    return None
+
+
+def _add(a1, b1, d1, a2, b2, d2) -> "GaussianRational":
+    """Canonical sum of two canonical values (Knuth's reduced-fraction sum)."""
+    if d1 == d2:
+        a, b = a1 + a2, b1 + b2
+        if d1 == 1:
+            return _make(a, b, 1)
+        g = gcd(a, b, d1)
+        if g == 1:
+            return _make(a, b, d1)
+        return _make(a // g, b // g, d1 // g)
+    g = gcd(d1, d2)
+    if g == 1:
+        return _make(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+    s, t = d1 // g, d2 // g
+    a, b = a1 * t + a2 * s, b1 * t + b2 * s
+    g2 = gcd(a, b, g)
+    if g2 == 1:
+        return _make(a, b, s * d2)
+    return _make(a // g2, b // g2, s * (d2 // g2))
+
+
+def _mul(a1, b1, d1, a2, b2, d2) -> "GaussianRational":
+    a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+    if d == 1:
+        return _make(a, b, 1)
+    g = gcd(a, b, d)
+    if g == 1:
+        return _make(a, b, d)
+    return _make(a // g, b // g, d // g)
+
+
+def _div(a1, b1, d1, a2, b2, d2) -> "GaussianRational":
+    n = a2 * a2 + b2 * b2
+    if not n:
+        raise ZeroDivisionError("division by zero in Q(i)")
+    return from_parts((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, d1 * n)
+
+
+class GaussianRational:
+    """The immutable value (a + b*i)/d; see the module docstring."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __new__(cls, re=0, im=0):
+        return gq(re, im)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return gq, (self.re, self.im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
+    def __eq__(self, other):
+        if type(other) is not GaussianRational:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.d))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
+
+    def __bool__(self) -> bool:
+        return bool(self.a or self.b)
+
+    def conjugate(self) -> "GaussianRational":
+        return _make(self.a, -self.b, self.d)
+
+    def norm2(self) -> Fraction:
+        """Squared modulus re^2 + im^2 (an exact rational)."""
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
+
+    @property
+    def is_real(self) -> bool:
+        return not self.b
+
+    def __add__(self, other):
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return _add(self.a, self.b, self.d, other.a, other.b, other.d)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "GaussianRational":
+        return _make(-self.a, -self.b, self.d)
+
+    def __sub__(self, other):
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return _add(self.a, self.b, self.d, -other.a, -other.b, other.d)
+
+    def __rsub__(self, other):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return _add(other.a, other.b, other.d, -self.a, -self.b, self.d)
+
+    def __mul__(self, other):
+        if type(other) is int:
+            # gcd(a*n, b*n, d) == gcd(n, d) because gcd(a, b, d) == 1
+            d = self.d
+            if d != 1:
+                g = gcd(other, d)
+                if g != 1:
+                    other, d = other // g, d // g
+            return _make(self.a * other, self.b * other, d)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return _mul(self.a, self.b, self.d, other.a, other.b, other.d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return _div(self.a, self.b, self.d, other.a, other.b, other.d)
+
+    def __rtruediv__(self, other):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return _div(other.a, other.b, other.d, self.a, self.b, self.d)
+
+    def __str__(self) -> str:
+        if not self:
+            return "0"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        imag = "i" if im == 1 else ("-i" if im == -1 else f"{im}i")
+        if not re:
+            return imag
+        sign = "+" if im > 0 else ""
+        return f"({re}{sign}{imag})"
 
 
 def _fraction(value) -> Fraction:
@@ -20,99 +215,15 @@ def _fraction(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """A value re + im*i with both parts exact rationals."""
-
-    re: Fraction
-    im: Fraction
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm2(self) -> Fraction:
-        """Squared modulus re^2 + im^2 (an exact rational)."""
-        return self.re * self.re + self.im * self.im
-
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(_fraction(other), Fraction(0))
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        n = other.norm2()
-        if not n:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        num = self * other.conjugate()
-        return GaussianRational(num.re / n, num.im / n)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __str__(self) -> str:
-        if not self:
-            return "0"
-        if not self.im:
-            return str(self.re)
-        imag = "i" if self.im == 1 else ("-i" if self.im == -1 else f"{self.im}i")
-        if not self.re:
-            return imag
-        sign = "+" if self.im > 0 else ""
-        return f"({self.re}{sign}{imag})"
-
-
 def gq(re=0, im=0) -> GaussianRational:
     """Shorthand constructor accepting ints, Fractions or fraction strings."""
-    return GaussianRational(_fraction(re), _fraction(im))
+    if type(re) is int and type(im) is int:
+        return _make(re, im, 1)
+    re, im = _fraction(re), _fraction(im)
+    # the lcm of two reduced denominators leaves gcd(a, b, d) == 1
+    d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
+    return _make(re.numerator * (d // re.denominator),
+                 im.numerator * (d // im.denominator), d)
 
 
 ZERO = gq(0)

@@ -75,17 +75,6 @@ class RelPairForm:
         return f"({self.first} | {self.second})"
 
 
-def rel_pair(cmap: ChartMap, first: Form, second: Form, primed: bool = False) -> RelPairForm:
-    return RelPairForm(cmap, first, second, primed)
-
-
-def zero_rel_pair(cmap: ChartMap, degree: int, primed: bool = False) -> RelPairForm:
-    first_chart = cmap.source if primed else cmap.target
-    second_chart = cmap.target if primed else cmap.source
-    return RelPairForm(cmap, zero_form(first_chart, degree),
-                       zero_form(second_chart, degree - 1), primed)
-
-
 # -- the unprimed complex -----------------------------------------------------
 
 

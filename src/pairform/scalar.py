@@ -25,7 +25,7 @@ from .charts import (
     ChartMismatchError,
 )
 from .linalg import invert_dense
-from .rationals import I, ONE, ZERO, GaussianRational, gq
+from .rationals import I, ONE, ZERO, GaussianRational, from_parts, gq
 
 Term = "tuple[tuple[int, ...], tuple[int, ...], GaussianRational]"
 
@@ -153,7 +153,8 @@ class ScalarExpr:
                 down = alpha[:axis] + (alpha[axis] - 1,) + alpha[axis + 1:]
                 out.append((down, k, c * alpha[axis]))
             if k[axis]:
-                out.append((alpha, k, c * I * k[axis]))
+                # c * i * k as a component swap
+                out.append((alpha, k, from_parts(-c.b * k[axis], c.a * k[axis], c.d)))
         return ScalarExpr(self.chart, tuple(out))
 
     def wirtinger(self, slot: int) -> "ScalarExpr":
@@ -175,8 +176,9 @@ class ScalarExpr:
         out = []
         for alpha, k, c in self.terms:
             kx, ky = k[j], k[n + j]
-            mult = _HALF_I * kx + (_HALF * (-ky if conjugated else ky))
-            if mult:
+            if kx or ky:
+                # (i*kx + ky)/2, or (i*kx - ky)/2 on the conjugate slot
+                mult = from_parts(-ky if conjugated else ky, kx, 2)
                 out.append((alpha, k, c * mult))
         return ScalarExpr(self.chart, tuple(out))
 

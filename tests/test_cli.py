@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pairform.cli import build_parser, main, run, scenario_from_args
 
 
@@ -106,3 +108,21 @@ def test_nonconstant_custom_field_reported_unsupported(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "skip" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cohomology", "--max-freq", "0"], "--max-freq must be at least 1, got 0"),
+    (["harmonic", "--max-freq", "0"], "--max-freq must be at least 1, got 0"),
+    (["dolbeault", "--max-freq", "0"], "--max-freq must be at least 1, got 0"),
+    (["identities", "--trials", "0"], "--trials must be at least 1, got 0"),
+    (["identities", "--trials", "-1"], "--trials must be at least 1, got -1"),
+    (["cohomology", "--dim", "0"], "--dim must be at least 1, got 0"),
+    (["relative", "--map", ""], "--map must not be empty"),
+    (["cohomology", "--dim", "2", "--field", "1; 0", "--eta", "3*dx[1]"],
+     "--eta cannot be combined with --field"),
+])
+def test_rejected_input_is_usage_error(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err

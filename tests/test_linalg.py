@@ -1,7 +1,8 @@
 import random
+from fractions import Fraction
 
-from pairform.linalg import RationalMatrix, det_dense, invert_dense
-from pairform.rationals import gq
+from pairform.linalg import RationalMatrix, _bareiss, det_dense, invert_dense
+from pairform.rationals import ZERO, gq
 
 from oracles import gauss_rank
 
@@ -79,3 +80,68 @@ def test_det_dense():
     assert det_dense([[gq(2), gq(1)], [gq(1), gq(1)]]) == gq(1)
     assert det_dense([[gq(1), gq(2)], [gq(2), gq(4)]]) == gq(0)
     assert det_dense([[gq(0, 1)]]) == gq(0, 1)
+
+
+def _random_entry(rng):
+    if rng.random() < 0.45:
+        return ZERO
+    return gq(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+              Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+
+
+def _random_block_matrix(rng):
+    """Random Q(i) matrix made of a few blocks with shuffled rows and columns;
+    some rows are combinations of others, so many blocks are rank deficient."""
+    rows, ncols = [], 0
+    for _ in range(rng.randint(1, 3)):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        block = [[_random_entry(rng) for _ in range(nc)] for _ in range(nr)]
+        for i in range(1, nr):
+            if rng.random() < 0.4:
+                f, g = _random_entry(rng), _random_entry(rng)
+                block[i] = [f * v + g * w for v, w in zip(block[0], block[i - 1])]
+        rows += [[ZERO] * ncols + row for row in block]
+        ncols += nc
+    rows = [row + [ZERO] * (ncols - len(row)) for row in rows]
+    col_order = list(range(ncols))
+    rng.shuffle(col_order)
+    rng.shuffle(rows)
+    return RationalMatrix.from_rows([[row[c] for c in col_order] for row in rows])
+
+
+def test_rank_and_kernel_match_oracle_on_random_block_matrices():
+    rng = random.Random(19680101)
+    for _ in range(150):
+        m = _random_block_matrix(rng)
+        rank = m.rank()
+        assert rank == gauss_rank(m)
+        basis = m.kernel_basis()
+        assert len(basis) == m.ncols - rank == m.kernel_dim()
+        for vec in basis:
+            for r in range(m.nrows):
+                total = ZERO
+                for c, v in vec.items():
+                    total = total + m.entries.get((r, c), ZERO) * v
+                assert not total
+        vectors = RationalMatrix.from_rows(
+            [[vec.get(c, ZERO) for c in range(m.ncols)] for vec in basis])
+        assert gauss_rank(vectors) == len(basis)
+
+
+def test_bareiss_last_pivot_is_the_determinant():
+    # Gaussian-integer matrices, so most Bareiss divisions are by a non-real
+    # pivot and must still be exact
+    rng = random.Random(5)
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        rows = [[gq(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(n)]
+                for _ in range(n)]
+        det = det_dense(rows)
+        pivots, re_rows, im_rows = _bareiss([[v.a for v in row] for row in rows],
+                                            [[v.b for v in row] for row in rows])
+        if not det:
+            assert len(pivots) < n
+            continue
+        assert pivots == [(i, i) for i in range(n)]
+        last = gq(re_rows[n - 1][n - 1], im_rows[n - 1][n - 1])
+        assert last in (det, -det)

@@ -185,6 +185,28 @@ def test_wirtinger_on_complex_torus():
     assert mixed.wirtinger(1) == mixed * gq("-1/2", "1/2")
 
 
+def test_torus_derivatives_match_q_i_products():
+    """partial and wirtinger multiply by c*i*k and (i*kx +- ky)/2 straight from
+    the coefficient's ints; the slow path takes the Q(i) products."""
+    rng = random.Random(37)
+    half, half_i = gq("1/2"), gq(0, "1/2")
+    for chart in (T2, TC1, torus_complex(2)):
+        for _ in range(60):
+            a = random_scalar(rng, chart, max_terms=3, max_freq=3) * gq(
+                rng.randint(-9, 9), rng.randint(-9, 9)) * gq(1, rng.randint(1, 12))
+            for axis in range(chart.nvars):
+                slow = [(al, k, c * gq(0, 1) * k[axis]) for al, k, c in a.terms]
+                assert a.partial(axis) == ScalarExpr(chart, tuple(slow))
+            if not chart.is_complex:
+                continue
+            n = chart.dim
+            for slot in range(2 * n):
+                j, sign = slot % n, (-1 if slot >= n else 1)
+                slow = [(al, k, c * (half_i * k[j] + half * (sign * k[n + j])))
+                        for al, k, c in a.terms]
+                assert a.wirtinger(slot) == ScalarExpr(chart, tuple(slow))
+
+
 # -- integration -----------------------------------------------------------
 
 
