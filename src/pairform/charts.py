@@ -30,30 +30,28 @@ class ChartCompatibilityError(ValueError):
 
 @dataclass(frozen=True)
 class Chart:
+    """A model chart.  Besides the fields, `__post_init__` sets the derived
+    shape once, since it is read on every term of every expression:
+    `is_complex`, `is_torus`, `nvars` (length of exponent/frequency vectors,
+    2n on complex charts), `nslots` (coframe slots: dx1..dxn, or dz1..dzn,
+    dzb1..dzbn) and `zeros` (the zero vector of length `nvars`).  They are
+    plain attributes, not fields, so ==, hash and repr see only (kind, dim).
+    """
+
     kind: ChartKind
     dim: int
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("chart dimension must be >= 1")
-
-    @property
-    def is_complex(self) -> bool:
-        return self.kind in (ChartKind.AFFINE_COMPLEX, ChartKind.TORUS_COMPLEX)
-
-    @property
-    def is_torus(self) -> bool:
-        return self.kind in (ChartKind.TORUS, ChartKind.TORUS_COMPLEX)
-
-    @property
-    def nvars(self) -> int:
-        """Length of exponent/frequency vectors (2n on complex charts)."""
-        return 2 * self.dim if self.is_complex else self.dim
-
-    @property
-    def nslots(self) -> int:
-        """Number of coframe slots: dx1..dxn, or dz1..dzn, dzb1..dzbn."""
-        return self.nvars
+        is_complex = self.kind in (ChartKind.AFFINE_COMPLEX, ChartKind.TORUS_COMPLEX)
+        is_torus = self.kind in (ChartKind.TORUS, ChartKind.TORUS_COMPLEX)
+        nvars = 2 * self.dim if is_complex else self.dim
+        object.__setattr__(self, "is_complex", is_complex)
+        object.__setattr__(self, "is_torus", is_torus)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "nslots", nvars)
+        object.__setattr__(self, "zeros", (0,) * nvars)
 
     def var_name(self, j: int) -> str:
         if self.kind is ChartKind.AFFINE_COMPLEX:

@@ -2,9 +2,12 @@
 cohomology suites and emits deterministic reports.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
-configuration error.  Unsupported scenarios (for example a twisted complex
-over a non-closed 1-form, which would mix frequencies past any band) are
-reported but do not fail the run.
+configuration error, 3 an internal invariant failed (d∘d ≠ 0, a negative
+cohomology dimension, a Laplacian closed form, the Hamiltonian
+verification, an inexact Bareiss division): a defect of pairform itself,
+reported as ``internal invariant failed: <message>``.  Unsupported
+scenarios (for example a twisted complex over a non-closed 1-form, which
+would mix frequencies past any band) are reported but do not fail the run.
 
 Note: the harmonic suite intentionally contains two documented-discrepancy
 checks whose raw verdict is `fail` (adjointness in its original form, and
@@ -147,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-freq", type=int, default=2,
                        help="band limit N (bands 1..min(2,N) are compared)")
         p.add_argument("--field", type=str, default=None,
-                       help="vector field components, ';'-separated scalars")
+                       help="vector field components, ';'-separated scalars "
+                            "(relative and all: only with --map)")
         p.add_argument("--map", type=str, default=None,
                        help="integer torus matrix, rows ';'-separated")
         p.add_argument("--eta", type=str, default=None,
@@ -173,6 +177,17 @@ def _check_args(args):
     if args.field is not None and args.eta is not None:
         raise ValueError("--eta cannot be combined with --field: the twisted complex "
                          "runs over the suite's own fields")
+    # the kinds whose suites read each option; any other kind would ignore it
+    map_kinds = ("relative", "all") if args.map is not None else ()
+    for flag, value, kinds in (("--chart", args.chart, ("identities", "all")),
+                               ("--dim", args.dim, ("cohomology", "all")),
+                               ("--eta", args.eta, ("cohomology", "all")),
+                               ("--map", args.map, ("relative", "all")),
+                               ("--field", args.field, ("cohomology",) + map_kinds)):
+        if value is not None and args.kind not in kinds:
+            applies = ("cohomology, or relative and all with --map" if flag == "--field"
+                       else ", ".join(kinds))
+            raise ValueError(f"{flag} is not used by '{args.kind}'; it applies to: {applies}")
 
 
 def scenario_from_args(args) -> dict:
@@ -209,6 +224,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal invariant failed: {exc}", file=sys.stderr)
+        return 3
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(report.to_json() + "\n")

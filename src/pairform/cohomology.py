@@ -17,10 +17,6 @@ import itertools
 from dataclasses import dataclass, field
 from math import comb as _math_comb
 
-
-def _binom(n: int, k: int) -> int:
-    return _math_comb(n, k) if 0 <= k <= n else 0
-
 from .charts import Chart, ChartKind
 from .dolbeault import BigradedForm, PairBigradedForm, dbar_pair
 from .exterior import Form, VectorField, ext_d, zero_form
@@ -33,7 +29,12 @@ from .pair import (
     pair_laplacian,
     zero_pair,
 )
+from .rationals import ZERO
 from .scalar import ChartMap, wave
+
+
+def _binom(n: int, k: int) -> int:
+    return _math_comb(n, k) if 0 <= k <= n else 0
 
 
 class UnsupportedScenarioError(Exception):
@@ -91,16 +92,16 @@ class _Model:
         raise NotImplementedError
 
     def decompose_form(self, prefix, form: Form, out: dict, index: dict):
-        zero_alpha = (0,) * form.chart.nvars
+        zeros = form.chart.zeros
         for idx, s in form.components:
             for alpha, k, c in s.terms:
-                if alpha != zero_alpha:
+                if alpha != zeros:
                     raise UnsupportedScenarioError("polynomial coefficient escaped the torus basis")
                 tag = (prefix, k, idx)
                 if tag not in index:
                     raise UnsupportedScenarioError(
                         f"band-closure violation: mode {k} leaves the band")
-                out[index[tag]] = out.get(index[tag], c * 0) + c
+                out[index[tag]] = out.get(index[tag], ZERO) + c
 
     def assemble(self, shuffle=None) -> BandComplex:
         out = BandComplex(self.label, tuple(self.degrees))
@@ -116,7 +117,7 @@ class _Model:
                 image = self.apply(d, self.materialize(d, tag))
                 col: dict = {}
                 self.decompose(d + 1, image, col, index[d + 1])
-                cols.append({r: c for r, c in col.items() if c})
+                cols.append(col)
             out.matrices[d] = RationalMatrix.from_columns(len(out.basis[d + 1]), cols)
         for d in self.degrees[:-2]:
             if not out.matrices[d + 1].matmul(out.matrices[d]).is_zero():
@@ -440,7 +441,7 @@ def _operator_matrix(model: _PairModel, src_degree: int, dst_degree: int, op):
     for tag in src:
         col: dict = {}
         model.decompose(dst_degree, op(model.materialize(src_degree, tag)), col, index)
-        cols.append({r: c for r, c in col.items() if c})
+        cols.append(col)
     return RationalMatrix.from_columns(len(dst), cols), src
 
 

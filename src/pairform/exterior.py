@@ -3,9 +3,11 @@ pullback/pushforward, and flat-metric Hodge theory on tori.
 
 Forms are stored over the chart's coframe slots (dx1..dxn on real charts,
 dz1..dzn, dzb1..dzbn on complex ones) with strictly increasing index tuples
-and scalar coefficients.  The Lie derivative is computed by the homotopy
-formula d i_X + i_X d; the coordinate formula is kept out of the library and
-used only as an independent oracle in the tests.
+and scalar coefficients.  The `Form` constructor verifies components that
+are already canonical in one pass and keeps them as given; any other input
+is merged, sorted and checked.  The Lie derivative is computed by the
+homotopy formula d i_X + i_X d; the coordinate formula is kept out of the
+library and used only as an independent oracle in the tests.
 """
 
 from __future__ import annotations
@@ -20,6 +22,31 @@ from .scalar import ChartMap, ScalarExpr, const, parse_scalar
 from .scalar import zero as scalar_zero
 
 
+def _is_canonical(components: tuple, chart: Chart, degree: int) -> bool:
+    """One pass: True iff `components` is already canonical and meets every
+    condition the `Form` constructor checks.  A component whose index set
+    has `degree` strictly increasing entries in [0, nslots) also proves
+    0 <= degree <= nslots."""
+    n = chart.nslots
+    prev = None
+    for comp in components:
+        if type(comp) is not tuple or len(comp) != 2:
+            return False
+        idx, s = comp
+        if type(idx) is not tuple or len(idx) != degree or type(s) is not ScalarExpr \
+                or not s.terms or not (s.chart is chart or s.chart == chart):
+            return False
+        last = -1
+        for j in idx:
+            if j <= last or not 0 <= j < n:
+                return False
+            last = j
+        if prev is not None and idx <= prev:
+            return False
+        prev = idx
+    return True
+
+
 @dataclass(frozen=True)
 class Form:
     """A homogeneous differential form; `degree` is meaningful even when zero."""
@@ -29,6 +56,9 @@ class Form:
     components: tuple
 
     def __post_init__(self):
+        if type(self.components) is tuple and \
+                _is_canonical(self.components, self.chart, self.degree):
+            return
         merged: dict = {}
         for idx, s in self.components:
             idx = tuple(idx)

@@ -199,7 +199,8 @@ def _bareiss(re_rows: "list[list[int]]", im_rows: "list[list[int]]"):
                 if div != 1:
                     ta, ra = divmod(ta, div)
                     tb, rb = divmod(tb, div)
-                    assert not (ra or rb), "inexact Bareiss division over Z[i]"
+                    if ra or rb:
+                        raise AssertionError("inexact Bareiss division over Z[i]")
                 xre[j], xim[j] = ta, tb
             xre[c] = xim[c] = 0
         qa, qb = pa, pb

@@ -61,8 +61,7 @@ def random_field(rng: random.Random, chart: Chart, constant: bool = False) -> Ve
     comps = []
     for _ in range(chart.nslots):
         if constant:
-            comps.append(ScalarExpr(chart, (((0,) * chart.nvars, (0,) * chart.nvars,
-                                             random_coeff(rng)),)))
+            comps.append(ScalarExpr(chart, ((chart.zeros, chart.zeros, random_coeff(rng)),)))
         else:
             comps.append(random_scalar(rng, chart, max_terms=1, max_degree=1))
     return VectorField(chart, tuple(comps))
@@ -74,13 +73,11 @@ def random_holomorphic_field(rng: random.Random, chart: Chart) -> VectorField:
     comps = []
     for _ in range(n):
         if chart.is_torus:
-            comps.append(ScalarExpr(chart, (((0,) * chart.nvars, (0,) * chart.nvars,
-                                             random_coeff(rng)),)))
+            comps.append(ScalarExpr(chart, ((chart.zeros, chart.zeros, random_coeff(rng)),)))
         else:
             alpha = [0] * chart.nvars
             alpha[rng.randrange(n)] = rng.randint(0, 1)
-            comps.append(ScalarExpr(chart, ((tuple(alpha), (0,) * chart.nvars,
-                                             random_coeff(rng)),)))
+            comps.append(ScalarExpr(chart, ((tuple(alpha), chart.zeros, random_coeff(rng)),)))
     return holomorphic_field(chart, tuple(comps))
 
 

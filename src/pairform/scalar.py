@@ -9,7 +9,9 @@ or frequencies over the underlying real axes.
 
 Expressions are kept in canonical form at all times: terms sorted by
 (alpha, k), no duplicate keys, no zero coefficients.  Two expressions are
-semantically equal iff their term tuples are identical.
+semantically equal iff their term tuples are identical.  The constructor
+verifies input that is already canonical and fits the chart in one pass and
+keeps it as given; any other input is merged, sorted and validated.
 """
 
 from __future__ import annotations
@@ -33,12 +35,42 @@ _HALF = gq(Fraction(1, 2))
 _HALF_I = gq(0, Fraction(1, 2))
 
 
+def _is_canonical(terms: tuple, chart: Chart) -> bool:
+    """One pass: True iff `terms` is already canonical and meets every
+    condition `ScalarExpr._validate` checks on `chart`."""
+    zeros, nvars, torus = chart.zeros, chart.nvars, chart.is_torus
+    prev = None
+    for term in terms:
+        if type(term) is not tuple or len(term) != 3:
+            return False
+        alpha, k, c = term
+        if type(alpha) is not tuple or type(k) is not tuple or \
+                type(c) is not GaussianRational or not c:
+            return False
+        # the other half of the (alpha, k) key is the zero vector, so the
+        # varying half alone decides the order
+        if torus:
+            if alpha != zeros or len(k) != nvars:
+                return False
+            key = k
+        else:
+            if k != zeros or len(alpha) != nvars or min(alpha) < 0:
+                return False
+            key = alpha
+        if prev is not None and key <= prev:
+            return False
+        prev = key
+    return True
+
+
 @dataclass(frozen=True)
 class ScalarExpr:
     chart: Chart
     terms: tuple
 
     def __post_init__(self):
+        if type(self.terms) is tuple and _is_canonical(self.terms, self.chart):
+            return
         merged: dict = {}
         for alpha, k, coeff in self.terms:
             alpha, k = tuple(alpha), tuple(k)
@@ -186,9 +218,8 @@ class ScalarExpr:
         """Integral over the torus with volume normalised to 1."""
         if not self.chart.is_torus:
             raise ChartCompatibilityError(f"torus integral on {self.chart}")
-        zero = (0,) * self.chart.nvars
         for alpha, k, c in self.terms:
-            if k == zero:
+            if k == self.chart.zeros:
                 return c
         return ZERO
 
@@ -199,8 +230,8 @@ class ScalarExpr:
                 f"expression on {self.chart} cannot pull back through map into {cmap.target}")
         if cmap.matrix is not None:
             at = _transpose(cmap.matrix)
-            zero_alpha = (0,) * cmap.source.nvars
-            out = [(zero_alpha, _matvec(at, k), c) for _a, k, c in self.terms]
+            zeros = cmap.source.zeros
+            out = [(zeros, _matvec(at, k), c) for _a, k, c in self.terms]
             return ScalarExpr(cmap.source, tuple(out))
         images = cmap.variable_images()
         result = ScalarExpr(cmap.source, ())
@@ -246,8 +277,7 @@ class ScalarExpr:
 
 def const(chart: Chart, value) -> ScalarExpr:
     c = value if isinstance(value, GaussianRational) else gq(value)
-    zero = (0,) * chart.nvars
-    return ScalarExpr(chart, ((zero, zero, c),) if c else ())
+    return ScalarExpr(chart, ((chart.zeros, chart.zeros, c),) if c else ())
 
 
 def zero(chart: Chart) -> ScalarExpr:
@@ -260,9 +290,8 @@ def coordinate(chart: Chart, j: int) -> ScalarExpr:
         raise ChartCompatibilityError("torus coordinates are not global scalars")
     if not 0 <= j < chart.nvars:
         raise ValueError(f"coordinate {j} out of range")
-    zerov = (0,) * chart.nvars
     alpha = tuple(1 if s == j else 0 for s in range(chart.nvars))
-    return ScalarExpr(chart, ((alpha, zerov, ONE),))
+    return ScalarExpr(chart, ((alpha, chart.zeros, ONE),))
 
 
 def wave(chart: Chart, k, coeff=ONE) -> ScalarExpr:
@@ -273,8 +302,7 @@ def wave(chart: Chart, k, coeff=ONE) -> ScalarExpr:
     if len(k) != chart.nvars:
         raise ValueError("frequency vector has wrong length")
     c = coeff if isinstance(coeff, GaussianRational) else gq(coeff)
-    zerov = (0,) * chart.nvars
-    return ScalarExpr(chart, ((zerov, k, c),) if c else ())
+    return ScalarExpr(chart, ((chart.zeros, k, c),) if c else ())
 
 
 def sin_wave(chart: Chart, k) -> ScalarExpr:

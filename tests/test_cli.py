@@ -3,6 +3,8 @@ import json
 import pytest
 
 from pairform.cli import build_parser, main, run, scenario_from_args
+from pairform.linalg import RationalMatrix
+from pairform.rationals import ONE
 
 
 def _scenario(argv):
@@ -126,3 +128,75 @@ def test_rejected_input_is_usage_error(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+_IGNORED = "it applies to: "
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--chart", "t2"],
+    ["relative", "--chart", "t2"],
+    ["dolbeault", "--chart", "t2"],
+    ["symplectic", "--chart", "t2"],
+    ["harmonic", "--chart", "t2"],
+    ["identities", "--dim", "2"],
+    ["relative", "--dim", "2"],
+    ["dolbeault", "--dim", "5"],
+    ["symplectic", "--dim", "7"],
+    ["harmonic", "--dim", "2"],
+    ["identities", "--eta", "dx[1]"],
+    ["relative", "--eta", "dx[1]"],
+    ["dolbeault", "--eta", "dx[1]"],
+    ["symplectic", "--eta", "dx[1]"],
+    ["harmonic", "--eta", "dx[1]"],
+    ["identities", "--map", "1,0;0,1"],
+    ["cohomology", "--map", "1,0;0,1"],
+    ["dolbeault", "--map", "1,0;0,1"],
+    ["symplectic", "--map", "1,0;0,1"],
+    ["harmonic", "--map", "1,0;0,1"],
+    ["identities", "--field", "1; 0"],
+    ["dolbeault", "--field", "1; 0"],
+    ["symplectic", "--field", "1; 0"],
+    ["harmonic", "--field", "1; 0"],
+    ["relative", "--field", "1; 0"],
+    ["all", "--field", "1; 0"],
+])
+def test_option_ignored_by_kind_is_usage_error(argv, capsys):
+    kind, flag = argv[0], argv[1]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} is not used by '{kind}'; {_IGNORED}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["identities", "--chart", "t2", "--trials", "1"],
+    ["all", "--chart", "t2", "--dim", "1", "--trials", "1", "--max-freq", "1"],
+    ["cohomology", "--dim", "1", "--max-freq", "1"],
+    ["all", "--dim", "1", "--trials", "1", "--max-freq", "1"],
+    ["cohomology", "--dim", "2", "--eta", "3*dx[1]", "--max-freq", "1"],
+    ["all", "--dim", "2", "--eta", "3*dx[1]", "--trials", "1", "--max-freq", "1"],
+    ["relative", "--map", "2", "--max-freq", "1"],
+    ["all", "--map", "2", "--dim", "1", "--trials", "1", "--max-freq", "1"],
+    ["cohomology", "--dim", "1", "--field", "1", "--max-freq", "1"],
+    ["relative", "--map", "2", "--field", "1", "--max-freq", "1"],
+    ["all", "--map", "2", "--field", "1", "--dim", "1", "--trials", "1", "--max-freq", "1"],
+])
+def test_option_used_by_kind_still_runs(argv, capsys):
+    # `all` exits 1 on the harmonic suite's two documented-discrepancy checks
+    assert main(argv) == (1 if argv[0] == "all" else 0)
+    assert capsys.readouterr().err == ""
+
+
+def test_internal_invariant_failure_exits_3(monkeypatch, capsys):
+    def nonzero_matmul(self, other):
+        out = RationalMatrix(self.nrows, other.ncols)
+        out.entries[(0, 0)] = ONE
+        return out
+
+    monkeypatch.setattr(RationalMatrix, "matmul", nonzero_matmul)
+    assert main(["cohomology", "--dim", "1", "--max-freq", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal invariant failed: ")
+    assert "compose to zero" in captured.err

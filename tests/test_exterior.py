@@ -2,8 +2,16 @@ import random
 
 import pytest
 
-from pairform.charts import ChartMismatchError, affine, affine_complex, torus
+from pairform.charts import (
+    Chart,
+    ChartMismatchError,
+    affine,
+    affine_complex,
+    torus,
+    torus_complex,
+)
 from pairform.exterior import (
+    Form,
     VectorField,
     bracket,
     codiff,
@@ -40,6 +48,7 @@ from pairform.randgen import (
 from pairform.rationals import gq
 from pairform.scalar import (
     ChartMap,
+    ScalarExpr,
     const,
     coordinate,
     cos_wave,
@@ -60,6 +69,108 @@ CHARTS = (R2, T2, T3)
 
 def dx(chart, j):
     return coframe(chart, j)
+
+
+# -- canonical form: the constructor against a reference canonicaliser ------
+
+
+def _reference_components(raw):
+    """Merge equal index sets, drop zero scalars, sort by index set."""
+    merged = {}
+    for idx, s in raw:
+        idx = tuple(idx)
+        merged[idx] = merged[idx] + s if idx in merged else s
+    return tuple((idx, merged[idx]) for idx in sorted(merged) if not merged[idx].is_zero)
+
+
+def _shuffled(rng, comps):
+    out = list(comps)
+    rng.shuffle(out)
+    return out
+
+
+def _duplicated(rng, comps):
+    # every index set twice, in sorted order
+    out = []
+    for idx, s in comps:
+        part = random_scalar(rng, s.chart)
+        out += [(idx, s - part), (idx, part)]
+    return tuple(out)
+
+
+def _zero_scalar(rng, comps):
+    # sorted distinct index sets, one scalar zero
+    return tuple((idx, scalar_zero(s.chart) if i == 0 else s)
+                 for i, (idx, s) in enumerate(comps))
+
+
+def _cancelling(rng, comps):
+    out = list(comps)
+    for idx, s in comps[:2]:
+        out += [(idx, -s), (idx, s)]
+    return _shuffled(rng, out)
+
+
+def _equal_chart(rng, comps):
+    # scalars on a chart equal to, but not the same object as, the form's chart
+    return tuple((idx, ScalarExpr(Chart(s.chart.kind, s.chart.dim), s.terms))
+                 for idx, s in comps)
+
+
+_RAW_VARIANTS = {
+    "canonical": lambda rng, comps: comps,
+    "shuffled": _shuffled,
+    "duplicated": _duplicated,
+    "zero-scalar": _zero_scalar,
+    "cancelling": _cancelling,
+    "lists": lambda rng, comps: tuple((list(idx), s) for idx, s in comps),
+    "list-container": lambda rng, comps: list(comps),
+    "equal-chart": _equal_chart,
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_RAW_VARIANTS))
+def test_form_constructor_matches_reference_canonicaliser(variant):
+    rng = random.Random(37)
+    for chart in (R2, T2, T3, C1, torus_complex(1)):
+        for degree in range(chart.nslots + 1):
+            for _ in range(12):
+                comps = random_form(rng, chart, degree, max_components=3).components
+                raw = _RAW_VARIANTS[variant](rng, comps)
+                out = Form(chart, degree, raw)
+                assert out.components == _reference_components(raw)
+                assert type(out.components) is tuple
+                assert all(type(idx) is tuple for idx, _ in out.components)
+                if variant == "canonical":
+                    assert out.components is raw  # verified and kept as given
+
+
+@pytest.mark.parametrize("chart, degree, comps, error, message", [
+    (T2, 2, (((1, 0), const(T2, 1)),), ValueError, "bad index set (1, 0) for degree 2"),
+    (T2, 2, (((0, 0), const(T2, 1)),), ValueError, "bad index set (0, 0) for degree 2"),
+    (T2, 1, (((2,), const(T2, 1)),), ValueError, "bad index set (2,) for degree 1"),
+    (T2, 1, (((-1,), const(T2, 1)),), ValueError, "bad index set (-1,) for degree 1"),
+    (T2, 1, (((0,), const(T2, 1)), ((0, 1), const(T2, 1))), ValueError,
+     "bad index set (0, 1) for degree 1"),
+    (T2, 2, (((0,), const(T2, 1)),), ValueError, "bad index set (0,) for degree 2"),
+    (T2, 1, (((0,), const(T2, 1)), ((1,), const(T1, 1))), ChartMismatchError,
+     "component scalar on wrong chart"),
+    (T1, 2, (((0, 1), const(T1, 1)),), ValueError, "degree 2 form must be zero on torus(1)"),
+    (T1, -1, (((), const(T1, 1)),), ValueError, "degree -1 form must be zero on torus(1)"),
+])
+def test_invalid_components_raise_whatever_their_order(chart, degree, comps, error, message):
+    rng = random.Random(5)
+    for raw in (comps, _shuffled(rng, comps), tuple((list(i), s) for i, s in comps)):
+        with pytest.raises(error) as info:
+            Form(chart, degree, raw)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
+def test_zero_form_of_any_degree_is_accepted():
+    for degree in (-1, 3, 5):
+        assert Form(T1, degree, ()).is_zero
+        assert Form(T1, degree, (((0,) * degree, scalar_zero(T1)),)).is_zero
 
 
 # -- wedge -------------------------------------------------------------------

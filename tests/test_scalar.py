@@ -1,17 +1,21 @@
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from pairform.charts import (
+    Chart,
     ChartCompatibilityError,
+    ChartKind,
     ChartMismatchError,
     affine,
     affine_complex,
     torus,
     torus_complex,
 )
-from pairform.rationals import gq
+from pairform.rationals import ONE, GaussianRational, gq
 from pairform.randgen import random_scalar
 from pairform.scalar import (
     ChartMap,
@@ -67,6 +71,147 @@ def test_chart_compatibility_enforced():
         ScalarExpr(T1, (((1,), (0,), gq(1)),))
     with pytest.raises(ChartCompatibilityError):
         ScalarExpr(R1, (((0,), (1,), gq(1)),))
+
+
+# -- canonical form: the constructor against a reference canonicaliser ------
+
+
+def _reference_terms(raw):
+    """Merge equal keys, drop zero coefficients, sort by (alpha, k)."""
+    merged = {}
+    for alpha, k, c in raw:
+        key = (tuple(alpha), tuple(k))
+        merged[key] = merged.get(key, gq(0)) + c
+    return tuple((a, k, c) for (a, k), c in sorted(merged.items()) if c)
+
+
+def _canonical_terms(rng, chart, count):
+    """Distinct keys in sorted order with nonzero Gaussian rational coefficients."""
+    zeros = (0,) * chart.nvars
+    low = -2 if chart.is_torus else 0
+    keys = set()
+    while len(keys) < count:
+        v = tuple(rng.randint(low, 3) for _ in range(chart.nvars))
+        keys.add((zeros, v) if chart.is_torus else (v, zeros))
+    out = []
+    for alpha, k in sorted(keys):
+        c = gq(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-2, 2))
+        out.append((alpha, k, c if c else gq(1)))
+    return tuple(out)
+
+
+def _shuffled(rng, terms):
+    out = list(terms)
+    rng.shuffle(out)
+    return out
+
+
+def _duplicated(rng, terms):
+    # every key twice, in sorted order
+    out = []
+    for alpha, k, c in terms:
+        part = gq(rng.randint(-3, 3), rng.randint(-3, 3))
+        out += [(alpha, k, c - part), (alpha, k, part)]
+    return tuple(out)
+
+
+def _zero_coefficient(rng, terms):
+    # sorted distinct keys, one coefficient zero
+    return tuple((alpha, k, gq(0) if i == 0 else c) for i, (alpha, k, c) in enumerate(terms))
+
+
+def _cancelling(rng, terms):
+    out = list(terms)
+    for alpha, k, c in terms[:2]:
+        out += [(alpha, k, -c), (alpha, k, c)]
+    return _shuffled(rng, out)
+
+
+def _real_coefficients(rng, terms):
+    # int and Fraction coefficients, kept in canonical order
+    return tuple((alpha, k, rng.choice([rng.randint(1, 9), Fraction(rng.randint(1, 9), 7)]))
+                 for alpha, k, _ in terms)
+
+
+def _list_alpha(rng, terms):
+    return tuple((list(alpha), k, c) for alpha, k, c in terms)
+
+
+def _list_k(rng, terms):
+    return tuple((alpha, list(k), c) for alpha, k, c in terms)
+
+
+_RAW_VARIANTS = {
+    "canonical": lambda rng, terms: terms,
+    "shuffled": _shuffled,
+    "duplicated": _duplicated,
+    "zero-coefficient": _zero_coefficient,
+    "cancelling": _cancelling,
+    "int-or-fraction": _real_coefficients,
+    "list-alpha": _list_alpha,
+    "list-k": _list_k,
+    "list-container": lambda rng, terms: list(terms),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_RAW_VARIANTS))
+def test_constructor_matches_reference_canonicaliser(variant):
+    rng = random.Random(31)
+    charts = [make(n) for make in (affine, torus, affine_complex, torus_complex)
+              for n in (1, 2)]
+    for chart in charts:
+        for _ in range(40):
+            raw = _RAW_VARIANTS[variant](rng, _canonical_terms(rng, chart, rng.randint(0, 4)))
+            expr = ScalarExpr(chart, raw)
+            assert expr.terms == _reference_terms(raw)
+            assert type(expr.terms) is tuple
+            for alpha, k, c in expr.terms:
+                assert (type(alpha), type(k), type(c)) == (tuple, tuple, GaussianRational)
+            if variant == "canonical":
+                assert expr.terms is raw  # verified and kept as given
+
+
+@pytest.mark.parametrize("chart, terms, message", [
+    (T2, (((0, 0), (1,), ONE),), "term shape 2/1 does not fit chart torus(2)"),
+    (R2, (((1,), (0, 0), ONE),), "term shape 1/2 does not fit chart affine-real(2)"),
+    (TC1, (((0, 0), (1, 0, 0), ONE),), "term shape 2/3 does not fit chart torus-complex(1)"),
+    (R2, (((-1, 0), (0, 0), ONE),), "negative polynomial exponent"),
+    (C1, (((0, 0), (0, 0), ONE), ((0, -1), (0, 0), ONE)), "negative polynomial exponent"),
+    (T2, (((1, 0), (0, 0), ONE),), "polynomial term on torus chart torus(2)"),
+    (T2, (((0, 0), (0, 1), ONE), ((0, 1), (0, 0), ONE)),
+     "polynomial term on torus chart torus(2)"),
+    (R2, (((0, 0), (1, 0), ONE),), "frequency term on affine chart affine-real(2)"),
+    (C1, (((1, 0), (0, 0), ONE), ((1, 0), (0, 1), ONE)),
+     "frequency term on affine chart affine-complex(1)"),
+])
+def test_invalid_terms_raise_whatever_their_order(chart, terms, message):
+    rng = random.Random(5)
+    for raw in (terms, _shuffled(rng, terms), _list_alpha(rng, terms), _list_k(rng, terms)):
+        with pytest.raises(ChartCompatibilityError) as info:
+            ScalarExpr(chart, raw)
+        assert type(info.value) is ChartCompatibilityError
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("make", [affine, torus, affine_complex, torus_complex])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chart_shape_attributes(make, n):
+    chart = make(n)
+    is_complex = chart.kind in (ChartKind.AFFINE_COMPLEX, ChartKind.TORUS_COMPLEX)
+    assert chart.is_complex == is_complex
+    assert chart.is_torus == (chart.kind in (ChartKind.TORUS, ChartKind.TORUS_COMPLEX))
+    assert chart.nvars == chart.nslots == (2 * n if is_complex else n)
+    assert chart.zeros == (0,) * chart.nvars
+    assert [f.name for f in dataclasses.fields(Chart)] == ["kind", "dim"]
+    assert repr(chart) == f"Chart(kind={chart.kind!r}, dim={n})"
+    assert chart == Chart(chart.kind, n) and hash(chart) == hash((chart.kind, n))
+    assert chart != Chart(chart.kind, n + 1)
+    copy = pickle.loads(pickle.dumps(chart))
+    assert copy == chart and hash(copy) == hash(chart) and repr(copy) == repr(chart)
+    for name in ("is_complex", "is_torus", "nvars", "nslots", "zeros"):
+        assert getattr(copy, name) == getattr(chart, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        chart.nvars = 7
 
 
 # -- ring operations -------------------------------------------------------
