@@ -86,6 +86,11 @@ def torus_complex(n: int) -> Chart:
 
 
 def require_same_chart(*objs) -> Chart:
+    # operands nearly always share one chart object; only others need hashing
+    if objs:
+        first = objs[0].chart
+        if all(o.chart is first for o in objs):
+            return first
     charts = {o.chart for o in objs}
     if len(charts) != 1:
         raise ChartMismatchError(f"expected one chart, got {sorted(map(str, charts))}")

@@ -134,6 +134,11 @@ def _custom_relative(scenario: dict):
     return checks, tables
 
 
+# defaults filled in by scenario_from_args, so that _check_args can tell an
+# option given on the command line from one left out
+DEFAULT_SEED, DEFAULT_TRIALS, DEFAULT_MAX_FREQ = 42, 100, 2
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pairform",
@@ -143,12 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
              "symplectic", "harmonic", "all")
     for kind in kinds:
         p = sub.add_parser(kind)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--trials", type=int, default=100)
+        p.add_argument("--seed", type=int, default=None,
+                       help=f"random seed (default {DEFAULT_SEED})")
+        p.add_argument("--trials", type=int, default=None,
+                       help=f"trials per check (default {DEFAULT_TRIALS})")
         p.add_argument("--dim", type=int, default=None,
                        help="restrict to one torus dimension")
-        p.add_argument("--max-freq", type=int, default=2,
-                       help="band limit N (bands 1..min(2,N) are compared)")
+        p.add_argument("--max-freq", type=int, default=None,
+                       help=f"band limit N (default {DEFAULT_MAX_FREQ}; bands "
+                            "1..min(2,N) are compared)")
         p.add_argument("--field", type=str, default=None,
                        help="vector field components, ';'-separated scalars "
                             "(relative and all: only with --map)")
@@ -179,7 +187,12 @@ def _check_args(args):
                          "runs over the suite's own fields")
     # the kinds whose suites read each option; any other kind would ignore it
     map_kinds = ("relative", "all") if args.map is not None else ()
-    for flag, value, kinds in (("--chart", args.chart, ("identities", "all")),
+    for flag, value, kinds in (("--seed", args.seed,
+                                ("identities", "symplectic", "harmonic", "all")),
+                               ("--trials", args.trials, ("identities", "harmonic", "all")),
+                               ("--max-freq", args.max_freq,
+                                ("cohomology", "relative", "dolbeault", "harmonic", "all")),
+                               ("--chart", args.chart, ("identities", "all")),
                                ("--dim", args.dim, ("cohomology", "all")),
                                ("--eta", args.eta, ("cohomology", "all")),
                                ("--map", args.map, ("relative", "all")),
@@ -188,19 +201,26 @@ def _check_args(args):
             applies = ("cohomology, or relative and all with --map" if flag == "--field"
                        else ", ".join(kinds))
             raise ValueError(f"{flag} is not used by '{args.kind}'; it applies to: {applies}")
+    # the Dolbeault suite, and the relative suite without --map, run N=1 only
+    one_band = args.kind == "dolbeault" or (args.kind == "relative" and args.map is None)
+    if one_band and args.max_freq not in (None, 1):
+        where = "'relative' without --map" if args.kind == "relative" else "'dolbeault'"
+        raise ValueError(f"--max-freq is not used by {where} beyond 1: it runs the band "
+                         f"N=1 only, got {args.max_freq}")
 
 
 def scenario_from_args(args) -> dict:
     _check_args(args)
-    bands = tuple(range(1, min(2, args.max_freq) + 1))
+    max_freq = DEFAULT_MAX_FREQ if args.max_freq is None else args.max_freq
+    bands = tuple(range(1, min(2, max_freq) + 1))
     name = args.kind if not args.chart else f"{args.kind}/{args.chart}"
     if args.dim is not None:
         name += f"/T{args.dim}"
     scenario = {
         "name": name,
         "kind": args.kind,
-        "seed": args.seed,
-        "trials": args.trials,
+        "seed": DEFAULT_SEED if args.seed is None else args.seed,
+        "trials": DEFAULT_TRIALS if args.trials is None else args.trials,
         "bands": list(bands),
     }
     if args.dim is not None:

@@ -19,14 +19,14 @@ from math import comb as _math_comb
 
 from .charts import Chart, ChartKind
 from .dolbeault import BigradedForm, PairBigradedForm, dbar_pair
-from .exterior import Form, VectorField, ext_d, zero_form
+from .exterior import Form, VectorField, codiff, ext_d, lie, zero_form
 from .linalg import RationalMatrix
 from .pair import (
     PairForm,
     pair_codiff,
+    pair_codiff_skew,
     pair_d,
     pair_d_lichnerowicz,
-    pair_laplacian,
     zero_pair,
 )
 from .rationals import ZERO
@@ -433,7 +433,7 @@ class HarmonicKernel:
         return self.dim_laplacian == self.dim_joint
 
 
-def _operator_matrix(model: _PairModel, src_degree: int, dst_degree: int, op):
+def _operator_matrix(model: _Model, src_degree: int, dst_degree: int, op):
     src = model.basis(src_degree)
     dst = model.basis(dst_degree)
     index = {tag: i for i, tag in enumerate(dst)}
@@ -445,18 +445,67 @@ def _operator_matrix(model: _PairModel, src_degree: int, dst_degree: int, op):
     return RationalMatrix.from_columns(len(dst), cols), src
 
 
+def _closed_form_matrix(model: _PairModel, degree: int, sign: int) -> RationalMatrix:
+    """The pair Laplacian's closed form on the degree-p band: blockdiag over
+    the slot degrees q = p, p-1 of delta_(q+1) d_q + d_(q-1) delta_q
+    + sign * L_q L_q, from single-form matrices of ext_d, codiff and lie."""
+    derham = _DeRhamModel(model.chart, model.max_freq)
+    u = model.x
+    index = {tag: i for i, tag in enumerate(model.basis(degree))}
+    entries = {}
+
+    def mat(src, dst, op):
+        return _operator_matrix(derham, src, dst, op)[0]
+
+    for side, q in (("F", degree), ("S", degree - 1)):
+        lie_q = mat(q, q, lambda a: lie(u, a))
+        signed_lie = lie_q if sign > 0 else mat(q, q, lambda a: -lie(u, a))
+        block = mat(q + 1, q, codiff).matmul(mat(q, q + 1, ext_d)).add(
+            mat(q - 1, q, ext_d).matmul(mat(q, q - 1, codiff))).add(
+            lie_q.matmul(signed_lie))
+        pos = [index[(side, k, idx)] for _, k, idx in derham.basis(q)]
+        for (r, c), v in block.entries.items():
+            entries[(pos[r], pos[c])] = v
+    return RationalMatrix(len(index), len(index), entries)
+
+
+def _laplacian_matrices(model: _PairModel, degree: int, cod, sign: int, message: str):
+    """Lap = Cod_(p+1) D_p + D_(p-1) Cod_p by exact sparse matmul, from the
+    first-order band matrices of pair_d (D) and the codifferential `cod`
+    (Cod).  Lap is compared entry for entry with its closed form, once per
+    matrix; a mismatch raises AssertionError(message).  Returns (Lap, D_p,
+    Cod_p, basis of degree p)."""
+    u = model.x
+
+    def d(a):
+        return pair_d(u, a)
+
+    def c(a):
+        return cod(u, a)
+
+    d_mat, basis = _operator_matrix(model, degree, degree + 1, d)
+    cod_mat, _ = _operator_matrix(model, degree, degree - 1, c)
+    lap = _operator_matrix(model, degree + 1, degree, c)[0].matmul(d_mat).add(
+        _operator_matrix(model, degree - 1, degree, d)[0].matmul(cod_mat))
+    if lap != _closed_form_matrix(model, degree, sign):
+        raise AssertionError(message)
+    return lap, d_mat, cod_mat, basis
+
+
 def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) -> HarmonicKernel:
     """Compute ker of the pair Laplacian and ker pair_d  intersect  ker pair_codiff.
 
-    The two kernels agree exactly when no nonzero band mode k satisfies
-    |k|^2 = <k, U>^2; the comparison verdict is part of the result rather
-    than an assumption.
+    The Laplacian matrix is pair_codiff . pair_d + pair_d . pair_codiff,
+    multiplied out from the band matrices of the two first-order operators
+    and checked once against the closed form (componentwise Laplacian plus
+    the squared Lie derivative).  The two kernels agree exactly when no
+    nonzero band mode k satisfies |k|^2 = <k, U>^2; the comparison verdict
+    is part of the result rather than an assumption.
     """
     model = _PairModel(chart, u, max_freq)
-    lap, basis = _operator_matrix(model, degree, degree,
-                                  lambda a: pair_laplacian(u, a))
-    d_mat, _ = _operator_matrix(model, degree, degree + 1, lambda a: pair_d(u, a))
-    cod_mat, _ = _operator_matrix(model, degree, degree - 1, lambda a: pair_codiff(u, a))
+    lap, d_mat, cod_mat, basis = _laplacian_matrices(
+        model, degree, pair_codiff, 1,
+        "pair Laplacian composite disagrees with its closed form")
     lap_kernel = lap.kernel_basis()
     joint_kernel = d_mat.stack(cod_mat).kernel_basis()
     witness = None
@@ -482,13 +531,13 @@ def _render_vector(model: _PairModel, degree: int, basis, vec) -> str:
 def corrected_laplacian_kernel_dim(chart: Chart, u: VectorField, degree: int,
                                    max_freq: int) -> int:
     """Kernel dimension of the pair Laplacian built from the sign-corrected
-    adjoint; equals the cohomology dimension in each degree."""
-    from .pair import pair_laplacian_corrected
-
+    adjoint pair_codiff_skew (closed form: Laplacian minus the squared Lie
+    derivative); equals the cohomology dimension in each degree."""
     model = _PairModel(chart, u, max_freq)
-    matrix, _basis = _operator_matrix(model, degree, degree,
-                                      lambda a: pair_laplacian_corrected(u, a))
-    return matrix.kernel_dim()
+    lap = _laplacian_matrices(
+        model, degree, pair_codiff_skew, -1,
+        "corrected pair Laplacian disagrees with its closed form")[0]
+    return lap.kernel_dim()
 
 
 def lichnerowicz_kernel_dim(chart: Chart, w: Form, degree: int, max_freq: int) -> int:

@@ -5,9 +5,12 @@ Forms are stored over the chart's coframe slots (dx1..dxn on real charts,
 dz1..dzn, dzb1..dzbn on complex ones) with strictly increasing index tuples
 and scalar coefficients.  The `Form` constructor verifies components that
 are already canonical in one pass and keeps them as given; any other input
-is merged, sorted and checked.  The Lie derivative is computed by the
-homotopy formula d i_X + i_X d; the coordinate formula is kept out of the
-library and used only as an independent oracle in the tests.
+is merged, sorted and checked.  The Lie derivative of a constant field
+acts on coefficients only (L_X dx^j = d(X^j) = 0); any other field goes
+through the homotopy formula d i_X + i_X d.  The coordinate formula is kept
+out of the library and used only as an independent oracle in the tests.
+The flat codifferential is applied by its coordinate formula; the
+composite of Hodge stars serves as its reference in the tests.
 """
 
 from __future__ import annotations
@@ -152,7 +155,11 @@ class Form:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Components over the chart frame (d/dx, or d/dz and d/dzb)."""
+    """Components over the chart frame (d/dx, or d/dz and d/dzb).
+
+    `__post_init__` decides once whether every component is constant and
+    keeps the answer as a plain attribute, not a field, so ==, hash and repr
+    see only (chart, components)."""
 
     chart: Chart
     components: tuple
@@ -165,9 +172,10 @@ class VectorField:
         for c in comps:
             if c.chart != self.chart:
                 raise ChartMismatchError("vector field component on wrong chart")
+        object.__setattr__(self, "_constant", all(c.is_constant() for c in comps))
 
     def is_constant(self) -> bool:
-        return all(c.is_zero or c.is_constant() for c in self.components)
+        return self._constant
 
     def is_holomorphic(self) -> bool:
         """True when the dzb half vanishes and the dz half has no zb dependence."""
@@ -303,7 +311,12 @@ def interior(x: VectorField, a: Form) -> Form:
 
 
 def lie(x: VectorField, a: Form) -> Form:
-    """Lie derivative by the homotopy formula d i_X + i_X d."""
+    """Lie derivative.  For a constant field, L_X(s dx^I) = X(s) dx^I, since
+    L_X dx^j = d(X^j) = 0 in the slot frame of every chart kind; any other
+    field goes through the homotopy formula d i_X + i_X d."""
+    if x.is_constant():
+        require_same_chart(x, a)
+        return Form(a.chart, a.degree, tuple((idx, x.apply(s)) for idx, s in a.components))
     return ext_d(interior(x, a)) + interior(x, ext_d(a))
 
 
@@ -426,10 +439,17 @@ def hodge_star(a: Form) -> Form:
 
 
 def codiff(a: Form) -> Form:
+    """Flat codifferential -sum_j i_(d/dx_j) d/dx_j, the formal adjoint of d:
+    delta(s dx^I) = sum_r (-1)^(r+1) (d s/dx_(i_r)) dx^(I minus i_r), r from 0.
+    It equals (-1)^(n(p+1)+1) * d * on p-forms."""
     _require_real_torus(a)
-    n, p = a.chart.nslots, a.degree
-    sign = -1 if (n * p + n + 1) % 2 else 1
-    return hodge_star(ext_d(hodge_star(a))) * sign
+    out = []
+    for idx, s in a.components:
+        for r, j in enumerate(idx):
+            ds = s.partial(j)
+            if not ds.is_zero:
+                out.append((idx[:r] + idx[r + 1:], ds if r % 2 else -ds))
+    return Form(a.chart, a.degree - 1, tuple(out))
 
 
 def laplacian(a: Form) -> Form:

@@ -63,6 +63,19 @@ class RationalMatrix:
                     del acc[key]
         return RationalMatrix(self.nrows, other.ncols, acc)
 
+    def add(self, other: "RationalMatrix") -> "RationalMatrix":
+        """Entrywise sum; entries that cancel are dropped, as in matmul."""
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch in matrix sum")
+        acc = dict(self.entries)
+        for key, w in other.entries.items():
+            cur = acc.get(key, ZERO) + w
+            if cur:
+                acc[key] = cur
+            else:
+                acc.pop(key, None)
+        return RationalMatrix(self.nrows, self.ncols, acc)
+
     def stack(self, other: "RationalMatrix") -> "RationalMatrix":
         """Vertical stack; kernel of the result is the kernel intersection."""
         if self.ncols != other.ncols:

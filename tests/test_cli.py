@@ -160,6 +160,15 @@ _IGNORED = "it applies to: "
     ["harmonic", "--field", "1; 0"],
     ["relative", "--field", "1; 0"],
     ["all", "--field", "1; 0"],
+    ["cohomology", "--seed", "9"],
+    ["relative", "--seed", "9"],
+    ["dolbeault", "--seed", "9"],
+    ["cohomology", "--trials", "5"],
+    ["relative", "--trials", "5"],
+    ["dolbeault", "--trials", "5"],
+    ["symplectic", "--trials", "5"],
+    ["identities", "--max-freq", "1"],
+    ["symplectic", "--max-freq", "1"],
 ])
 def test_option_ignored_by_kind_is_usage_error(argv, capsys):
     kind, flag = argv[0], argv[1]
@@ -167,6 +176,34 @@ def test_option_ignored_by_kind_is_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag} is not used by '{kind}'; {_IGNORED}")
+
+
+def test_recorded_but_unused_options_are_rejected(capsys):
+    argv = ["cohomology", "--dim", "1", "--max-freq", "1", "--trials", "5", "--seed", "9",
+            "--json"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --seed is not used by 'cohomology'; ")
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["dolbeault", "--max-freq", "2"], "'dolbeault'"),
+    (["relative", "--max-freq", "2"], "'relative' without --map"),
+])
+def test_max_freq_beyond_a_one_band_suite_is_usage_error(argv, where, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --max-freq is not used by {where} beyond 1: "
+                            "it runs the band N=1 only, got 2\n")
+
+
+@pytest.mark.parametrize("kind", ["identities", "cohomology", "relative", "dolbeault",
+                                  "symplectic", "harmonic", "all"])
+def test_defaults_fill_the_scenario(kind):
+    scenario = _scenario([kind])
+    assert (scenario["seed"], scenario["trials"], scenario["bands"]) == (42, 100, [1, 2])
 
 
 @pytest.mark.parametrize("argv", [
@@ -181,10 +218,13 @@ def test_option_ignored_by_kind_is_usage_error(argv, capsys):
     ["cohomology", "--dim", "1", "--field", "1", "--max-freq", "1"],
     ["relative", "--map", "2", "--field", "1", "--max-freq", "1"],
     ["all", "--map", "2", "--field", "1", "--dim", "1", "--trials", "1", "--max-freq", "1"],
+    ["dolbeault", "--max-freq", "1"],
+    ["symplectic", "--seed", "3"],
+    ["harmonic", "--seed", "3", "--trials", "2", "--max-freq", "1"],
 ])
 def test_option_used_by_kind_still_runs(argv, capsys):
-    # `all` exits 1 on the harmonic suite's two documented-discrepancy checks
-    assert main(argv) == (1 if argv[0] == "all" else 0)
+    # `all` and `harmonic` exit 1 on the harmonic suite's documented-discrepancy checks
+    assert main(argv) == (1 if argv[0] in ("all", "harmonic") else 0)
     assert capsys.readouterr().err == ""
 
 
@@ -200,3 +240,19 @@ def test_internal_invariant_failure_exits_3(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("internal invariant failed: ")
     assert "compose to zero" in captured.err
+
+
+def test_flipped_codifferential_sign_exits_3(monkeypatch, capsys):
+    from pairform import cohomology
+    from pairform.exterior import codiff, lie
+    from pairform.pair import PairForm
+
+    def flipped(u, a):  # pair_codiff with the sign of L_U psi flipped
+        return PairForm(codiff(a.first) - lie(u, a.second), -codiff(a.second))
+
+    monkeypatch.setattr(cohomology, "pair_codiff", flipped)
+    assert main(["harmonic", "--max-freq", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal invariant failed: "
+                            "pair Laplacian composite disagrees with its closed form\n")

@@ -362,3 +362,99 @@ def test_joint_kernel_contained_in_laplacian_kernel():
     for vec in joint_cols:
         grown = RationalMatrix.from_columns(10 ** 6, list(out.laplacian_vectors) + [vec])
         assert grown.rank() == base  # no joint vector leaves the span
+
+
+# -- matrix-built Laplacians against the per-column symbolic reference --------
+
+
+def _reference_harmonic(chart, u, degree, max_freq):
+    """Laplacian matrix, kernels and witness as built column by column from
+    pair_laplacian, the symbolic path with its per-call closed-form check."""
+    from pairform.cohomology import _operator_matrix, _PairModel, _render_vector
+    from pairform.linalg import RationalMatrix
+    from pairform.pair import pair_codiff, pair_d, pair_laplacian
+
+    model = _PairModel(chart, u, max_freq)
+    lap, basis = _operator_matrix(model, degree, degree, lambda a: pair_laplacian(u, a))
+    d_mat, _ = _operator_matrix(model, degree, degree + 1, lambda a: pair_d(u, a))
+    cod_mat, _ = _operator_matrix(model, degree, degree - 1, lambda a: pair_codiff(u, a))
+    lap_kernel = lap.kernel_basis()
+    joint_kernel = d_mat.stack(cod_mat).kernel_basis()
+    witness = None
+    if len(lap_kernel) != len(joint_kernel):
+        base_rank = RationalMatrix.from_columns(len(basis), list(joint_kernel)).rank()
+        for vec in lap_kernel:
+            trial = RationalMatrix.from_columns(len(basis), list(joint_kernel) + [vec])
+            if trial.rank() > base_rank:
+                witness = _render_vector(model, degree, basis, vec)
+                break
+    return lap, lap_kernel, joint_kernel, witness
+
+
+# resonant fields (some nonzero mode has |k|^2 = <k, U>^2) and quiet ones
+_LAPLACIAN_CASES = [
+    (T1, (1,), 2), (T1, (-2,), 2),
+    (T2, (1, 0), 2), (T2, (-1, 2), 2), (T2, (2, -2), 2),
+    (T3, (1, 0, 0), 1), (T3, (0, 2, -2), 1), (T3, (1, 0, 0), 2),
+]
+
+
+@pytest.mark.parametrize("chart, coeffs, max_freq", _LAPLACIAN_CASES)
+def test_matrix_built_laplacians_match_symbolic_reference(chart, coeffs, max_freq):
+    from pairform.cohomology import (
+        _laplacian_matrices,
+        _operator_matrix,
+        _PairModel,
+        corrected_laplacian_kernel_dim,
+    )
+    from pairform.pair import pair_codiff, pair_codiff_skew, pair_laplacian_corrected
+
+    u = constant_field(chart, coeffs)
+    model = _PairModel(chart, u, max_freq)
+    for degree in range(chart.dim + 3):
+        lap, lap_kernel, joint_kernel, witness = _reference_harmonic(
+            chart, u, degree, max_freq)
+        built = _laplacian_matrices(model, degree, pair_codiff, 1, "closed form")[0]
+        assert built == lap
+        out = harmonic_kernel(chart, u, degree, max_freq)
+        assert out.laplacian_vectors == lap_kernel
+        assert out.joint_vectors == joint_kernel
+        assert out.witness == witness
+        assert (out.dim_laplacian, out.dim_joint) == (len(lap_kernel), len(joint_kernel))
+        if chart.dim == 3 and max_freq == 2:
+            continue  # the corrected operator is covered on the smaller bands
+        corrected, _ = _operator_matrix(model, degree, degree,
+                                        lambda a: pair_laplacian_corrected(u, a))
+        built = _laplacian_matrices(model, degree, pair_codiff_skew, -1, "closed form")[0]
+        assert built == corrected
+        assert corrected_laplacian_kernel_dim(chart, u, degree, max_freq) == \
+            corrected.kernel_dim()
+
+
+def _flipped_pair_codiff(u, a):
+    """pair_codiff with the sign of its L_U psi term flipped."""
+    from pairform.exterior import codiff, lie
+    from pairform.pair import PairForm
+
+    return PairForm(codiff(a.first) - lie(u, a.second), -codiff(a.second))
+
+
+def test_harmonic_kernel_checks_closed_form_once_per_matrix(monkeypatch):
+    from pairform import cohomology
+
+    monkeypatch.setattr(cohomology, "pair_codiff", _flipped_pair_codiff)
+    with pytest.raises(AssertionError) as info:
+        harmonic_kernel(T2, constant_field(T2, (1, 2)), 1, 1)
+    assert str(info.value) == "pair Laplacian composite disagrees with its closed form"
+
+
+def test_corrected_laplacian_checks_closed_form(monkeypatch):
+    from pairform import cohomology
+    from pairform.cohomology import corrected_laplacian_kernel_dim
+    from pairform.pair import pair_codiff
+
+    # the uncorrected sign makes the corrected closed form fail
+    monkeypatch.setattr(cohomology, "pair_codiff_skew", pair_codiff)
+    with pytest.raises(AssertionError) as info:
+        corrected_laplacian_kernel_dim(T2, constant_field(T2, (1, 2)), 1, 1)
+    assert str(info.value) == "corrected pair Laplacian disagrees with its closed form"

@@ -1,9 +1,12 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
 
 from pairform.charts import (
     Chart,
+    ChartKind,
     ChartMismatchError,
     affine,
     affine_complex,
@@ -320,6 +323,72 @@ def test_lie_commutes_with_d_and_brackets():
             assert lhs2 == interior(bracket(x, y), a)
 
 
+ALL_KINDS = (affine, torus, affine_complex, torus_complex)
+
+
+def _homotopy_lie(x, a):
+    return ext_d(interior(x, a)) + interior(x, ext_d(a))
+
+
+def _fields_with_zeros(rng, chart):
+    """Constant fields with some components zero, and the zero field."""
+    zero_field = constant_field(chart, [0] * chart.nslots)
+    coeffs = [rng.choice((0, 1, -2, gq(0, 1), gq("1/3", -1))) for _ in range(chart.nslots)]
+    return [zero_field, constant_field(chart, coeffs)]
+
+
+def test_constant_field_lie_matches_homotopy_formula():
+    rng = random.Random(211)
+    for make in ALL_KINDS:
+        for n in (1, 2, 3):
+            chart = make(n)
+            for degree in range(-1, chart.nslots + 2):
+                for _ in range(3):
+                    a = random_form(rng, chart, degree, max_components=3)
+                    for x in [random_field(rng, chart, constant=True)] + \
+                            _fields_with_zeros(rng, chart):
+                        assert x.is_constant()
+                        assert lie(x, a) == _homotopy_lie(x, a)
+
+
+def test_constant_field_lie_chart_mismatch():
+    twin = Chart(ChartKind.TORUS, 2)
+    x, a = constant_field(T2, (1, 2)), scalar_form(sin_wave(twin, (1, 0)))
+    assert lie(x, a) == _homotopy_lie(x, a)  # equal charts, not the same object
+    for x, a in ((constant_field(T2, (1, 2)), dx(R2, 0)),
+                 (constant_field(R2, (1, 2)), dx(T2, 1)),
+                 (constant_field(C1, (1, 0)), dx(torus_complex(1), 0))):
+        with pytest.raises(ChartMismatchError) as fast:
+            lie(x, a)
+        with pytest.raises(ChartMismatchError) as slow:
+            _homotopy_lie(x, a)
+        assert str(fast.value) == str(slow.value)
+        assert str(fast.value).startswith("expected one chart, got [")
+
+
+@pytest.mark.parametrize("make", ALL_KINDS)
+def test_vector_field_constancy_flag(make):
+    rng = random.Random(227)
+    for n in (1, 2):
+        chart = make(n)
+        fields = [random_field(rng, chart, constant=rng.random() < 0.5) for _ in range(40)]
+        fields += _fields_with_zeros(rng, chart)
+        assert {x.is_constant() for x in fields} == {True, False}
+        for x in fields:
+            assert x.is_constant() is all(c.is_zero or c.is_constant()
+                                          for c in x.components)
+            assert [f.name for f in dataclasses.fields(x)] == ["chart", "components"]
+            assert repr(x) == f"VectorField(chart={chart!r}, components={x.components!r})"
+            twin = VectorField(Chart(chart.kind, n), list(x.components))
+            assert twin == x and hash(twin) == hash(x) and repr(twin) == repr(x)
+            assert twin.is_constant() is x.is_constant()
+            copy = pickle.loads(pickle.dumps(x))
+            assert copy == x and hash(copy) == hash(x) and repr(copy) == repr(x)
+            assert copy.is_constant() is x.is_constant()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                x.components = ()
+
+
 # -- pullback and pushforward -----------------------------------------------------
 
 
@@ -439,6 +508,30 @@ def test_codiff_frozen_examples():
     # T^1, p = 1: delta(f dx) = -f'
     f = sin_wave(T1, (1,))
     assert codiff(wedge(scalar_form(f), dx(T1, 0))) == scalar_form(-f.partial(0))
+
+
+def _codiff_by_stars(a):
+    """The codifferential as (-1)^(n(p+1)+1) * d *, the composite of Hodge stars."""
+    n, p = a.chart.nslots, a.degree
+    sign = -1 if (n * p + n + 1) % 2 else 1
+    return hodge_star(ext_d(hodge_star(a))) * sign
+
+
+def test_codiff_matches_hodge_star_composite():
+    rng = random.Random(223)
+    for n in (1, 2, 3, 4):
+        chart = torus(n)
+        for degree in range(-1, n + 2):
+            for _ in range(8):
+                a = random_form(rng, chart, degree, max_components=3)
+                assert codiff(a) == _codiff_by_stars(a)
+
+
+@pytest.mark.parametrize("chart", [R2, C1, torus_complex(1), affine(3)])
+def test_codiff_requires_real_torus(chart):
+    with pytest.raises(ChartMismatchError) as info:
+        codiff(dx(chart, 0))
+    assert str(info.value) == f"flat Hodge operators require a real torus, got {chart}"
 
 
 def test_codiff_squared_zero():

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from pairform.linalg import RationalMatrix, _bareiss, det_dense, invert_dense
 from pairform.rationals import ZERO, gq
 
@@ -66,6 +68,25 @@ def test_matmul_zero_detection():
     d1 = _matrix([[0, -1, 1]])
     assert d1.matmul(d0).is_zero()
     assert not d1.matmul(_matrix([[1, 0], [0, 1], [1, 1]])).is_zero()
+
+
+def test_add_matches_dense_sum_and_drops_cancelled_entries():
+    rng = random.Random(61)
+    for _ in range(200):
+        nr, nc = rng.randint(0, 5), rng.randint(0, 5)
+        left = [[_random_entry(rng) for _ in range(nc)] for _ in range(nr)]
+        right = [[-v if rng.random() < 0.3 else _random_entry(rng) for v in row]
+                 for row in left]
+        total = RationalMatrix(nr, nc, RationalMatrix.from_rows(left).entries).add(
+            RationalMatrix(nr, nc, RationalMatrix.from_rows(right).entries))
+        assert (total.nrows, total.ncols) == (nr, nc)
+        assert total.entries == {(r, c): left[r][c] + right[r][c]
+                                 for r in range(nr) for c in range(nc)
+                                 if left[r][c] + right[r][c]}
+    a = _matrix([[1, 2], [0, 3]])
+    assert a.add(_matrix([[-1, -2], [0, -3]])).is_zero()
+    with pytest.raises(ValueError, match="shape mismatch in matrix sum"):
+        a.add(_matrix([[1, 2]]))
 
 
 def test_invert_dense_round_trip():

@@ -12,6 +12,7 @@ from pairform.charts import (
     ChartMismatchError,
     affine,
     affine_complex,
+    require_same_chart,
     torus,
     torus_complex,
 )
@@ -212,6 +213,25 @@ def test_chart_shape_attributes(make, n):
         assert getattr(copy, name) == getattr(chart, name)
     with pytest.raises(dataclasses.FrozenInstanceError):
         chart.nvars = 7
+
+
+def test_require_same_chart_on_identical_and_equal_charts():
+    twin = Chart(ChartKind.TORUS, 2)
+    assert twin == T2 and twin is not T2
+    a, b = const(T2, 1), const(twin, 2)
+    assert require_same_chart(a) is T2
+    assert require_same_chart(a, a, a) is T2
+    # equal but not identical charts pass too; the first operand's chart is returned
+    assert require_same_chart(a, b) is T2
+    assert require_same_chart(b, a, a) is twin
+
+
+def test_require_same_chart_mismatch_message():
+    for objs in ((const(T2, 1), const(R2, 1)), (const(R2, 1), const(T2, 1), const(R2, 1)),
+                 (const(T2, 1), const(Chart(ChartKind.TORUS, 2), 1), const(R2, 1))):
+        with pytest.raises(ChartMismatchError) as info:
+            require_same_chart(*objs)
+        assert str(info.value) == "expected one chart, got ['affine-real(2)', 'torus(2)']"
 
 
 # -- ring operations -------------------------------------------------------
