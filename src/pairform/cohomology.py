@@ -459,10 +459,11 @@ def _closed_form_matrix(model: _PairModel, degree: int, sign: int) -> RationalMa
 
     for side, q in (("F", degree), ("S", degree - 1)):
         lie_q = mat(q, q, lambda a: lie(u, a))
-        signed_lie = lie_q if sign > 0 else mat(q, q, lambda a: -lie(u, a))
+        lie_sq = lie_q.matmul(lie_q)
+        if sign < 0:
+            lie_sq.entries = {key: -v for key, v in lie_sq.entries.items()}
         block = mat(q + 1, q, codiff).matmul(mat(q, q + 1, ext_d)).add(
-            mat(q - 1, q, ext_d).matmul(mat(q, q - 1, codiff))).add(
-            lie_q.matmul(signed_lie))
+            mat(q - 1, q, ext_d).matmul(mat(q, q - 1, codiff))).add(lie_sq)
         pos = [index[(side, k, idx)] for _, k, idx in derham.basis(q)]
         for (r, c), v in block.entries.items():
             entries[(pos[r], pos[c])] = v
