@@ -155,8 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dim", type=int, default=None,
                        help="restrict to one torus dimension")
         p.add_argument("--max-freq", type=int, default=None,
-                       help=f"band limit N (default {DEFAULT_MAX_FREQ}; bands "
-                            "1..min(2,N) are compared)")
+                       help=f"band limit N (default {DEFAULT_MAX_FREQ}): bands "
+                            "1..N are compared; harmonic compares N=1 and N")
         p.add_argument("--field", type=str, default=None,
                        help="vector field components, ';'-separated scalars "
                             "(relative and all: only with --map)")
@@ -212,7 +212,7 @@ def _check_args(args):
 def scenario_from_args(args) -> dict:
     _check_args(args)
     max_freq = DEFAULT_MAX_FREQ if args.max_freq is None else args.max_freq
-    bands = tuple(range(1, min(2, max_freq) + 1))
+    bands = tuple(range(1, max_freq + 1))
     name = args.kind if not args.chart else f"{args.kind}/{args.chart}"
     if args.dim is not None:
         name += f"/T{args.dim}"

@@ -6,6 +6,15 @@ finite-dimensional subcomplex that splits off as a direct summand.  Its
 cohomology therefore equals the full answer in every degree, and all ranks
 are computed exactly over Q(i).
 
+Band matrices are assembled from per-mode symbols.  Every band operator
+sends a basis form e(k) dx^I to e(k') sum_J c_J(k) dx^J, where k' is k or,
+through a torus map with integer matrix A, A^T k, and c_J(k) is a closed
+form in the integers k and I: i k_j for d, i<k, X> for L_X, a minor of A for
+the pullback.  `_symbol` writes one column down from those integers.  The
+symbolic operators applied to materialized basis forms and decomposed again
+(`_operator_matrix`) remain the reference that tests compare against; the
+Lichnerowicz kernel and the rendering of witnesses still use them.
+
 Operators that mix frequencies (a pair differential twisted by a non-closed
 1-form) escape every finite band; such scenarios are rejected rather than
 approximated.
@@ -14,22 +23,16 @@ approximated.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import comb as _math_comb
 
 from .charts import Chart, ChartKind
 from .dolbeault import BigradedForm, PairBigradedForm, dbar_pair
-from .exterior import Form, VectorField, codiff, ext_d, lie, zero_form
+from .exterior import Form, VectorField, ext_d, zero_form
 from .linalg import RationalMatrix
-from .pair import (
-    PairForm,
-    pair_codiff,
-    pair_codiff_skew,
-    pair_d,
-    pair_d_lichnerowicz,
-    zero_pair,
-)
-from .rationals import ZERO
+from .pair import PairForm, pair_d, pair_d_lichnerowicz, zero_pair
+from .rationals import ZERO, from_parts
 from .scalar import ChartMap, wave
 
 
@@ -55,10 +58,121 @@ def _wave_form(chart: Chart, k, idx) -> Form:
     return Form(chart, len(idx), ((tuple(idx), wave(chart, k)),))
 
 
-def _check_constant(x: VectorField):
+def _constant_coeffs(x: VectorField) -> tuple:
+    """Frame coefficients of a constant field; any other field mixes modes."""
     if not x.is_constant():
         raise UnsupportedScenarioError(
             "band scenarios require constant vector fields (modes must not mix)")
+    return tuple(c.constant_value() for c in x.components)
+
+
+def _det(rows) -> int:
+    """Determinant of a small square integer matrix (Laplace expansion)."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * v * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, v in enumerate(rows[0]) if v)
+
+
+# -- per-mode symbols ----------------------------------------------------------
+
+# An operator is a tuple of symbol blocks (source side, target side, sign,
+# kind).  Side "F" holds the degree-p part of a basis element, side "S" the
+# degree-(p-1) part; each block reads like the operator's formula.  The blocks
+# leaving one side go to distinct sides, so no two blocks meet in one entry.
+_DE_RHAM_D = (("F", "F", 1, "d"),)
+_PAIR_D = (("F", "F", 1, "d"), ("F", "S", 1, "lie"), ("S", "S", -1, "d"))
+_UNCOUPLED_D = (("F", "F", 1, "d"), ("S", "S", -1, "d"))   # closed twisting form
+_REL_D = (("F", "F", 1, "d"), ("F", "S", 1, "pullback"), ("S", "S", -1, "d"))
+_DBAR_PAIR = (("F", "F", 1, "dbar"), ("F", "S", 1, "lie"), ("S", "S", -1, "dbar"))
+# pair_codiff (delta phi + L_U psi, -delta psi) and its sign-corrected adjoint
+_PAIR_CODIFF = (("F", "F", 1, "codiff"), ("S", "F", 1, "lie"), ("S", "S", -1, "codiff"))
+_PAIR_CODIFF_SKEW = (("F", "F", 1, "codiff"), ("S", "F", -1, "lie"),
+                     ("S", "S", -1, "codiff"))
+
+
+def _sigma(chart: Chart, k, j: int, sign: int = 1):
+    """sign * sigma_j(k), where wave(k).wirtinger(j) = sigma_j(k) * wave(k):
+    i*k_j on a real torus; (i*k_x + k_y)/2 on a dz slot and (i*k_x - k_y)/2
+    on a dzb slot of a complex torus."""
+    if not chart.is_complex:
+        return from_parts(0, sign * k[j])
+    n = chart.dim
+    kx, ky = k[j % n], k[n + j % n]
+    return from_parts(sign * (-ky if j >= n else ky), sign * kx, 2)
+
+
+def _lie_symbol(coeffs, chart: Chart, k, sign: int = 1):
+    """sign * lambda(k), where L_X e(k) = lambda(k) e(k) and lambda(k) =
+    sum_j X_j sigma_j(k) for the constant field with frame coefficients
+    `coeffs`."""
+    total = ZERO
+    for j, x in enumerate(coeffs):
+        if x:
+            total = total + x * _sigma(chart, k, j, sign)
+    return total
+
+
+def _symbol(model: "_Model", op, tag) -> list:
+    """The column of operator `op` at basis tag (side, k, idx), as (row tag,
+    coefficient) pairs computed from the integers k and idx alone.
+
+    A block (src, dst, sign, kind) whose source is the tag's side sends
+    e(k) dx^I on the source slot to `sign` times
+      d        sum over slots j not in I of +-sigma_j(k) e(k) dx^(I + j),
+               the sign that of moving dx_j to its place in dx^I;
+      dbar     the same over the antiholomorphic slots j only;
+      codiff   sum_r (-1)^(r+1) sigma_(i_r)(k) e(k) dx^(I - i_r) (real torus);
+      lie      lambda(k) e(k) dx^I on the target slot;
+      pullback L_X f^*: sum_J minor(A; I, J) lambda(A^T k) e(A^T k) dx^J on
+               the map's source, A the map's matrix.
+    Zero coefficients are left out, as decomposing a symbolic image would.
+    """
+    side, k, idx = tag
+    out = []
+    for src, dst, sign, kind in op:
+        if src != side:
+            continue
+        chart = model.charts[src]
+        if kind == "lie":
+            lam = _lie_symbol(model.coeffs, chart, k, sign)
+            if lam:
+                out.append(((dst, k, idx), lam))
+        elif kind == "pullback":
+            pulled = model.pull(k)
+            lam = _lie_symbol(model.coeffs, model.charts[dst], pulled, sign)
+            if lam:
+                out += [((dst, pulled, j), lam * minor)
+                        for j, minor in model.minors[idx]]
+        elif kind == "codiff":
+            for r, j in enumerate(idx):
+                c = _sigma(chart, k, j, sign if r % 2 else -sign)
+                if c:
+                    out.append(((dst, k, idx[:r] + idx[r + 1:]), c))
+        else:
+            for j in range(chart.dim if kind == "dbar" else 0, chart.nslots):
+                pos = bisect_left(idx, j)
+                if pos < len(idx) and idx[pos] == j:
+                    continue
+                c = _sigma(chart, k, j, -sign if pos % 2 else sign)
+                if c:
+                    out.append(((dst, k, idx[:pos] + (j,) + idx[pos:]), c))
+    return out
+
+
+def _symbol_matrix(model: "_Model", op, src_basis, dst_index: dict) -> RationalMatrix:
+    """Matrix of `op` from the basis `src_basis` into the basis indexed by
+    `dst_index`, one `_symbol` column per basis tag."""
+    cols = []
+    for tag in src_basis:
+        col = {}
+        for row, c in _symbol(model, op, tag):
+            if row not in dst_index:
+                raise UnsupportedScenarioError(
+                    f"band-closure violation: mode {row[1]} leaves the band")
+            col[dst_index[row]] = c
+        cols.append(col)
+    return RationalMatrix.from_columns(len(dst_index), cols)
 
 
 @dataclass
@@ -76,32 +190,58 @@ class BandComplex:
         return [self.dims[d] for d in self.degrees]
 
 
+_SHIFT = {"F": 0, "S": 1}
+
+
 class _Model:
-    """Degree-indexed basis plus a symbolic operator; subclasses fill hooks."""
+    """A band complex on one or two slots.  A basis tag (side, k, idx) is the
+    form e(k) dx^idx on the chart `charts[side]`, with k in `modes[side]`:
+    side "F" in the complex's degree p, side "S" in degree p-1.  Subclasses
+    set `label`, `degrees`, `charts`, `modes`, `op` (the differential as
+    symbol blocks) and, when a block needs them, the constant field's frame
+    coefficients `coeffs`; `assemble` builds every matrix from `_symbol`.
+    `wrap`, `unwrap` and `apply` are the symbolic reference: the slot forms
+    wrapped into the complex's own value type and the differential applied
+    to it symbolically."""
 
     label = "complex"
     degrees: tuple
+    charts: dict
+    modes: dict
+    op: tuple
+    offset = 0          # form degree of the "F" slot minus the complex's degree
+
+    def sets(self, side, degree):
+        """The slot-index tuples of the side's forms of this degree."""
+        return _index_sets(self.charts[side].nslots, degree)
 
     def basis(self, degree):
-        raise NotImplementedError
+        return [(side, k, idx) for side in self.charts for k in self.modes[side]
+                for idx in self.sets(side, degree - _SHIFT[side])]
 
     def materialize(self, degree, tag):
-        raise NotImplementedError
+        side, k, idx = tag
+        return self.wrap(degree, *(
+            _wave_form(chart, k, idx) if s == side
+            else zero_form(chart, degree + self.offset - _SHIFT[s])
+            for s, chart in self.charts.items()))
 
-    def apply(self, degree, value):
-        raise NotImplementedError
+    def decompose(self, degree, value, col: dict, index: dict):
+        for side, form in zip(self.charts, self.unwrap(value)):
+            zeros = form.chart.zeros
+            for idx, s in form.components:
+                for alpha, k, c in s.terms:
+                    if alpha != zeros:
+                        raise UnsupportedScenarioError(
+                            "polynomial coefficient escaped the torus basis")
+                    tag = (side, k, idx)
+                    if tag not in index:
+                        raise UnsupportedScenarioError(
+                            f"band-closure violation: mode {k} leaves the band")
+                    col[index[tag]] = col.get(index[tag], ZERO) + c
 
-    def decompose_form(self, prefix, form: Form, out: dict, index: dict):
-        zeros = form.chart.zeros
-        for idx, s in form.components:
-            for alpha, k, c in s.terms:
-                if alpha != zeros:
-                    raise UnsupportedScenarioError("polynomial coefficient escaped the torus basis")
-                tag = (prefix, k, idx)
-                if tag not in index:
-                    raise UnsupportedScenarioError(
-                        f"band-closure violation: mode {k} leaves the band")
-                out[index[tag]] = out.get(index[tag], ZERO) + c
+    def unwrap(self, value):
+        return value.first, value.second
 
     def assemble(self, shuffle=None) -> BandComplex:
         out = BandComplex(self.label, tuple(self.degrees))
@@ -112,13 +252,7 @@ class _Model:
             out.basis[d] = tuple(basis)
         index = {d: {tag: i for i, tag in enumerate(out.basis[d])} for d in self.degrees}
         for d in self.degrees[:-1]:
-            cols = []
-            for tag in out.basis[d]:
-                image = self.apply(d, self.materialize(d, tag))
-                col: dict = {}
-                self.decompose(d + 1, image, col, index[d + 1])
-                cols.append(col)
-            out.matrices[d] = RationalMatrix.from_columns(len(out.basis[d + 1]), cols)
+            out.matrices[d] = _symbol_matrix(self, self.op, out.basis[d], index[d + 1])
         for d in self.degrees[:-2]:
             if not out.matrices[d + 1].matmul(out.matrices[d]).is_zero():
                 raise AssertionError(f"differentials fail to compose to zero at degree {d}")
@@ -133,73 +267,56 @@ class _Model:
                 raise AssertionError("negative cohomology dimension")
         return out
 
-    def decompose(self, degree, value, col, index):
-        raise NotImplementedError
-
 
 class _DeRhamModel(_Model):
+    op = _DE_RHAM_D
+
     def __init__(self, chart: Chart, max_freq: int):
         if chart.kind is not ChartKind.TORUS:
             raise UnsupportedScenarioError("de Rham band model requires a real torus")
-        self.chart = chart
-        self.max_freq = max_freq
         self.label = f"de-rham/{chart}"
         self.degrees = tuple(range(chart.nslots + 2))
-        self._modes = _modes(chart.nvars, max_freq)
+        self.charts = {"F": chart}
+        self.modes = {"F": _modes(chart.nvars, max_freq)}
 
-    def basis(self, degree):
-        return [("F", k, idx) for k in self._modes
-                for idx in _index_sets(self.chart.nslots, degree)]
+    def wrap(self, degree, form):
+        return form
 
-    def materialize(self, degree, tag):
-        _, k, idx = tag
-        return _wave_form(self.chart, k, idx)
+    def unwrap(self, value):
+        return (value,)
 
     def apply(self, degree, value):
         return ext_d(value)
-
-    def decompose(self, degree, value, col, index):
-        self.decompose_form("F", value, col, index)
 
 
 class _PairModel(_Model):
     """Pair complex for the differential induced by a constant field."""
 
+    op = _PAIR_D
+
     def __init__(self, chart: Chart, x: VectorField, max_freq: int):
         if chart.kind is not ChartKind.TORUS:
             raise UnsupportedScenarioError("pair band model requires a real torus")
-        _check_constant(x)
-        self.chart = chart
+        self.coeffs = _constant_coeffs(x)
         self.x = x
-        self.max_freq = max_freq
         self.label = f"pair/{chart}"
         self.degrees = tuple(range(chart.nslots + 3))
-        self._modes = _modes(chart.nvars, max_freq)
+        self.charts = {"F": chart, "S": chart}
+        modes = _modes(chart.nvars, max_freq)
+        self.modes = {"F": modes, "S": modes}
 
-    def basis(self, degree):
-        first = [("F", k, idx) for k in self._modes
-                 for idx in _index_sets(self.chart.nslots, degree)]
-        second = [("S", k, idx) for k in self._modes
-                  for idx in _index_sets(self.chart.nslots, degree - 1)]
-        return first + second
-
-    def materialize(self, degree, tag):
-        side, k, idx = tag
-        base = zero_pair(self.chart, degree)
-        if side == "F":
-            return PairForm(_wave_form(self.chart, k, idx), base.second)
-        return PairForm(base.first, _wave_form(self.chart, k, idx))
+    def wrap(self, degree, first, second):
+        return PairForm(first, second)
 
     def apply(self, degree, value):
         return pair_d(self.x, value)
 
-    def decompose(self, degree, value, col, index):
-        self.decompose_form("F", value.first, col, index)
-        self.decompose_form("S", value.second, col, index)
-
 
 class _PairEtaModel(_PairModel):
-    """Pair complex for the differential twisted by a closed 1-form."""
+    """Pair complex for the differential twisted by a closed 1-form; with
+    d eta = 0 the differential is (d phi, -d psi)."""
+
+    op = _UNCOUPLED_D
 
     def __init__(self, chart: Chart, eta: Form, max_freq: int):
         if not ext_d(eta).is_zero:
@@ -218,48 +335,45 @@ class _PairEtaModel(_PairModel):
 class _RelativeModel(_Model):
     """Relative pair complex over an integer-linear torus map."""
 
+    op = _REL_D
+
     def __init__(self, cmap: ChartMap, x: VectorField, max_freq: int):
         if cmap.matrix is None or cmap.source.kind is not ChartKind.TORUS:
             raise UnsupportedScenarioError("relative band model requires a torus map")
-        _check_constant(x)
+        self.coeffs = _constant_coeffs(x)
         if x.chart != cmap.source:
             raise UnsupportedScenarioError("the vector field must live on the map's source")
         self.cmap = cmap
         self.x = x
-        self.max_freq = max_freq
         self.label = f"relative/{cmap.source}->{cmap.target}"
         top = max(cmap.source.nslots, cmap.target.nslots)
         self.degrees = tuple(range(top + 3))
-        self._target_modes = _modes(cmap.target.nvars, max_freq)
-        transpose = list(zip(*cmap.matrix))
-        pulled = {tuple(sum(r * v for r, v in zip(row, k)) for row in transpose)
-                  for k in self._target_modes}
-        source_modes = set(_modes(cmap.source.nvars, max_freq)) | pulled
-        self._source_modes = sorted(source_modes)
+        target_modes = _modes(cmap.target.nvars, max_freq)
+        self._transpose = list(zip(*cmap.matrix))
+        source_modes = set(_modes(cmap.source.nvars, max_freq))
+        source_modes |= {self.pull(k) for k in target_modes}
+        self.charts = {"F": cmap.target, "S": cmap.source}
+        self.modes = {"F": target_modes, "S": sorted(source_modes)}
+        # target index set I -> [(J, det A[I, J])] over the source index sets
+        # J of the same size with a nonzero minor
+        self.minors = {}
+        for p in range(cmap.target.nslots + 1):
+            for tgt in _index_sets(cmap.target.nslots, p):
+                minors = ((src, _det([[cmap.matrix[t][s] for s in src] for t in tgt]))
+                          for src in _index_sets(cmap.source.nslots, p))
+                self.minors[tgt] = [(src, m) for src, m in minors if m]
 
-    def basis(self, degree):
-        first = [("F", k, idx) for k in self._target_modes
-                 for idx in _index_sets(self.cmap.target.nslots, degree)]
-        second = [("S", k, idx) for k in self._source_modes
-                  for idx in _index_sets(self.cmap.source.nslots, degree - 1)]
-        return first + second
+    def pull(self, k) -> tuple:
+        """The source mode A^T k of the target mode k."""
+        return tuple(sum(r * v for r, v in zip(row, k)) for row in self._transpose)
 
-    def materialize(self, degree, tag):
+    def wrap(self, degree, first, second):
         from .relative import RelPairForm
-        side, k, idx = tag
-        if side == "F":
-            return RelPairForm(self.cmap, _wave_form(self.cmap.target, k, idx),
-                               zero_form(self.cmap.source, degree - 1))
-        return RelPairForm(self.cmap, zero_form(self.cmap.target, degree),
-                           _wave_form(self.cmap.source, k, idx))
+        return RelPairForm(self.cmap, first, second)
 
     def apply(self, degree, value):
         from .relative import rel_d
         return rel_d(self.x, value)
-
-    def decompose(self, degree, value, col, index):
-        self.decompose_form("F", value.first, col, index)
-        self.decompose_form("S", value.second, col, index)
 
 
 class _PrimedEtaModel(_Model):
@@ -269,6 +383,8 @@ class _PrimedEtaModel(_Model):
     a closed twisting form the differential decouples into (d, -d), which is
     the only case that stays inside a band.
     """
+
+    op = _UNCOUPLED_D
 
     def __init__(self, cmap: ChartMap, eta: Form, max_freq: int):
         if cmap.matrix is None or cmap.source.kind is not ChartKind.TORUS:
@@ -281,85 +397,58 @@ class _PrimedEtaModel(_Model):
                 "1-form is closed; refusing to report approximate dimensions")
         self.cmap = cmap
         self.eta = eta
-        self.max_freq = max_freq
         self.label = f"primed/{cmap.source}->{cmap.target}"
         top = max(cmap.source.nslots, cmap.target.nslots)
         self.degrees = tuple(range(top + 3))
-        self._first_modes = _modes(cmap.source.nvars, max_freq)
-        self._second_modes = _modes(cmap.target.nvars, max_freq)
+        self.charts = {"F": cmap.source, "S": cmap.target}
+        self.modes = {side: _modes(chart.nvars, max_freq)
+                      for side, chart in self.charts.items()}
 
-    def basis(self, degree):
-        first = [("F", k, idx) for k in self._first_modes
-                 for idx in _index_sets(self.cmap.source.nslots, degree)]
-        second = [("S", k, idx) for k in self._second_modes
-                  for idx in _index_sets(self.cmap.target.nslots, degree - 1)]
-        return first + second
-
-    def materialize(self, degree, tag):
+    def wrap(self, degree, first, second):
         from .relative import RelPairForm
-        side, k, idx = tag
-        if side == "F":
-            return RelPairForm(self.cmap, _wave_form(self.cmap.source, k, idx),
-                               zero_form(self.cmap.target, degree - 1), primed=True)
-        return RelPairForm(self.cmap, zero_form(self.cmap.source, degree),
-                           _wave_form(self.cmap.target, k, idx), primed=True)
+        return RelPairForm(self.cmap, first, second, primed=True)
 
     def apply(self, degree, value):
         from .relative import rel_d_lichnerowicz
         return rel_d_lichnerowicz(self.eta, value)
 
-    def decompose(self, degree, value, col, index):
-        self.decompose_form("F", value.first, col, index)
-        self.decompose_form("S", value.second, col, index)
-
 
 class _DolbeaultModel(_Model):
     """Fixed-p pair complex for the dbar operator on a flat complex torus."""
 
+    op = _DBAR_PAIR
+
     def __init__(self, chart: Chart, x: VectorField, p: int, max_freq: int):
         if chart.kind is not ChartKind.TORUS_COMPLEX:
             raise UnsupportedScenarioError("dbar band model requires a complex torus")
-        _check_constant(x)
+        self.coeffs = _constant_coeffs(x)
         if not x.is_holomorphic():
             raise UnsupportedScenarioError("dbar band model requires a holomorphic field")
-        self.chart = chart
         self.x = x
-        self.p = p
-        self.max_freq = max_freq
+        self.p = self.offset = p
         self.label = f"dolbeault/{chart}/p={p}"
         self.degrees = tuple(range(chart.dim + 3))
-        self._modes = _modes(chart.nvars, max_freq)
+        self.charts = {"F": chart, "S": chart}
+        modes = _modes(chart.nvars, max_freq)
+        self.modes = {"F": modes, "S": modes}
 
-    def _sets(self, q):
-        n = self.chart.dim
+    def sets(self, side, q):
+        n = self.charts[side].dim
         if q < 0 or self.p > n or q > n:
             return []
         holo = itertools.combinations(range(n), self.p)
         anti = list(itertools.combinations(range(n, 2 * n), q))
         return [h + a for h in holo for a in anti]
 
-    def basis(self, q):
-        first = [("F", k, idx) for k in self._modes for idx in self._sets(q)]
-        second = [("S", k, idx) for k in self._modes for idx in self._sets(q - 1)]
-        return first + second
+    def wrap(self, q, first, second):
+        return PairBigradedForm(BigradedForm(first, self.p, q),
+                                BigradedForm(second, self.p, q - 1))
 
-    def materialize(self, q, tag):
-        side, k, idx = tag
-        form = _wave_form(self.chart, k, idx)
-        if side == "F":
-            return PairBigradedForm(
-                BigradedForm(form, self.p, q),
-                BigradedForm(zero_form(self.chart, self.p + q - 1), self.p, q - 1))
-        return PairBigradedForm(
-            BigradedForm(zero_form(self.chart, self.p + q), self.p, q),
-            BigradedForm(form, self.p, q - 1))
+    def unwrap(self, value):
+        return value.first.form, value.second.form
 
     def apply(self, q, value):
         return dbar_pair(self.x, value)
-
-    def decompose(self, q, value, col, index):
-        self.decompose_form("F", value.first.form, col, index)
-        self.decompose_form("S", value.second.form, col, index)
 
 
 # -- public builders ---------------------------------------------------------
@@ -434,6 +523,8 @@ class HarmonicKernel:
 
 
 def _operator_matrix(model: _Model, src_degree: int, dst_degree: int, op):
+    """Reference matrix of the symbolic operator `op`: each basis form is
+    materialized, `op` is applied to it and the image decomposed again."""
     src = model.basis(src_degree)
     dst = model.basis(dst_degree)
     index = {tag: i for i, tag in enumerate(dst)}
@@ -448,23 +539,26 @@ def _operator_matrix(model: _Model, src_degree: int, dst_degree: int, op):
 def _closed_form_matrix(model: _PairModel, degree: int, sign: int) -> RationalMatrix:
     """The pair Laplacian's closed form on the degree-p band: blockdiag over
     the slot degrees q = p, p-1 of delta_(q+1) d_q + d_(q-1) delta_q
-    + sign * L_q L_q, from single-form matrices of ext_d, codiff and lie."""
-    derham = _DeRhamModel(model.chart, model.max_freq)
-    u = model.x
+    + sign * L_q L_q, each factor a single-form matrix built from the
+    symbols of d, codiff and lie on the first slot."""
     index = {tag: i for i, tag in enumerate(model.basis(degree))}
     entries = {}
 
-    def mat(src, dst, op):
-        return _operator_matrix(derham, src, dst, op)[0]
+    def single(q):
+        return [("F", k, idx) for k in model.modes["F"] for idx in model.sets("F", q)]
+
+    def mat(src, dst, kind):
+        dst_index = {tag: i for i, tag in enumerate(single(dst))}
+        return _symbol_matrix(model, (("F", "F", 1, kind),), single(src), dst_index)
 
     for side, q in (("F", degree), ("S", degree - 1)):
-        lie_q = mat(q, q, lambda a: lie(u, a))
+        lie_q = mat(q, q, "lie")
         lie_sq = lie_q.matmul(lie_q)
         if sign < 0:
             lie_sq.entries = {key: -v for key, v in lie_sq.entries.items()}
-        block = mat(q + 1, q, codiff).matmul(mat(q, q + 1, ext_d)).add(
-            mat(q - 1, q, ext_d).matmul(mat(q, q - 1, codiff))).add(lie_sq)
-        pos = [index[(side, k, idx)] for _, k, idx in derham.basis(q)]
+        block = mat(q + 1, q, "codiff").matmul(mat(q, q + 1, "d")).add(
+            mat(q - 1, q, "d").matmul(mat(q, q - 1, "codiff"))).add(lie_sq)
+        pos = [index[(side, k, idx)] for _, k, idx in single(q)]
         for (r, c), v in block.entries.items():
             entries[(pos[r], pos[c])] = v
     return RationalMatrix(len(index), len(index), entries)
@@ -472,25 +566,24 @@ def _closed_form_matrix(model: _PairModel, degree: int, sign: int) -> RationalMa
 
 def _laplacian_matrices(model: _PairModel, degree: int, cod, sign: int, message: str):
     """Lap = Cod_(p+1) D_p + D_(p-1) Cod_p by exact sparse matmul, from the
-    first-order band matrices of pair_d (D) and the codifferential `cod`
-    (Cod).  Lap is compared entry for entry with its closed form, once per
-    matrix; a mismatch raises AssertionError(message).  Returns (Lap, D_p,
-    Cod_p, basis of degree p)."""
-    u = model.x
+    first-order band matrices of pair_d (D) and of the codifferential whose
+    symbol blocks are `cod` (Cod), all assembled by `_symbol`.  Lap is
+    compared entry for entry with its closed form, once per matrix; a
+    mismatch raises AssertionError(message).  Returns (Lap, D_p, Cod_p,
+    basis of degree p)."""
+    basis = {p: model.basis(p) for p in (degree - 1, degree, degree + 1)}
+    index = {p: {tag: i for i, tag in enumerate(b)} for p, b in basis.items()}
 
-    def d(a):
-        return pair_d(u, a)
+    def mat(src, dst, op):
+        return _symbol_matrix(model, op, basis[src], index[dst])
 
-    def c(a):
-        return cod(u, a)
-
-    d_mat, basis = _operator_matrix(model, degree, degree + 1, d)
-    cod_mat, _ = _operator_matrix(model, degree, degree - 1, c)
-    lap = _operator_matrix(model, degree + 1, degree, c)[0].matmul(d_mat).add(
-        _operator_matrix(model, degree - 1, degree, d)[0].matmul(cod_mat))
+    d_mat = mat(degree, degree + 1, model.op)
+    cod_mat = mat(degree, degree - 1, cod)
+    lap = mat(degree + 1, degree, cod).matmul(d_mat).add(
+        mat(degree - 1, degree, model.op).matmul(cod_mat))
     if lap != _closed_form_matrix(model, degree, sign):
         raise AssertionError(message)
-    return lap, d_mat, cod_mat, basis
+    return lap, d_mat, cod_mat, basis[degree]
 
 
 def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) -> HarmonicKernel:
@@ -505,7 +598,7 @@ def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) ->
     """
     model = _PairModel(chart, u, max_freq)
     lap, d_mat, cod_mat, basis = _laplacian_matrices(
-        model, degree, pair_codiff, 1,
+        model, degree, _PAIR_CODIFF, 1,
         "pair Laplacian composite disagrees with its closed form")
     lap_kernel = lap.kernel_basis()
     joint_kernel = d_mat.stack(cod_mat).kernel_basis()
@@ -523,7 +616,7 @@ def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) ->
 
 
 def _render_vector(model: _PairModel, degree: int, basis, vec) -> str:
-    total = zero_pair(model.chart, degree)
+    total = zero_pair(model.charts["F"], degree)
     for col, coeff in vec.items():
         total = total + model.materialize(degree, basis[col]) * coeff
     return str(total)
@@ -536,7 +629,7 @@ def corrected_laplacian_kernel_dim(chart: Chart, u: VectorField, degree: int,
     derivative); equals the cohomology dimension in each degree."""
     model = _PairModel(chart, u, max_freq)
     lap = _laplacian_matrices(
-        model, degree, pair_codiff_skew, -1,
+        model, degree, _PAIR_CODIFF_SKEW, -1,
         "corrected pair Laplacian disagrees with its closed form")[0]
     return lap.kernel_dim()
 

@@ -586,7 +586,7 @@ def harmonic_suite(seed: int, trials: int, max_freq: int = 2):
     for chart, coeffs, degrees in scenarios:
         u = constant_field(chart, coeffs)
         for degree in degrees:
-            for n_band in sorted({1, min(2, max_freq)}):
+            for n_band in sorted({1, max_freq}):
                 result = harmonic_kernel(chart, u, degree, n_band)
                 label = f"T{chart.dim}-U={coeffs}-p={degree}-N={n_band}"
                 resonant = _resonant_count(chart.dim, coeffs, n_band)

@@ -199,6 +199,25 @@ def test_max_freq_beyond_a_one_band_suite_is_usage_error(argv, where, capsys):
                             "it runs the band N=1 only, got 2\n")
 
 
+def test_max_freq_means_bands_one_to_n(capsys):
+    assert main(["cohomology", "--dim", "1", "--max-freq", "3", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["scenario"]["bands"] == [1, 2, 3]
+    n3 = [t for t in payload["tables"] if t["name"].endswith("/N=3")]
+    assert [t["name"] for t in n3] == ["pair/T1/X=(1,)/N=3"]
+    assert n3[0]["dims"] == n3[0]["predicted"] == [1, 2, 1, 0]
+
+
+def test_harmonic_suite_receives_max_freq(monkeypatch):
+    from pairform import cli
+
+    received = []
+    monkeypatch.setattr(cli, "harmonic_suite",
+                        lambda seed, trials, max_freq: received.append(max_freq) or ([], []))
+    assert main(["harmonic", "--max-freq", "3"]) == 0
+    assert received == [3]
+
+
 @pytest.mark.parametrize("kind", ["identities", "cohomology", "relative", "dolbeault",
                                   "symplectic", "harmonic", "all"])
 def test_defaults_fill_the_scenario(kind):
@@ -244,13 +263,10 @@ def test_internal_invariant_failure_exits_3(monkeypatch, capsys):
 
 def test_flipped_codifferential_sign_exits_3(monkeypatch, capsys):
     from pairform import cohomology
-    from pairform.exterior import codiff, lie
-    from pairform.pair import PairForm
 
-    def flipped(u, a):  # pair_codiff with the sign of L_U psi flipped
-        return PairForm(codiff(a.first) - lie(u, a.second), -codiff(a.second))
-
-    monkeypatch.setattr(cohomology, "pair_codiff", flipped)
+    # pair_codiff's symbol blocks with the sign of L_U psi flipped
+    flipped = (("F", "F", 1, "codiff"), ("S", "F", -1, "lie"), ("S", "S", -1, "codiff"))
+    monkeypatch.setattr(cohomology, "_PAIR_CODIFF", flipped)
     assert main(["harmonic", "--max-freq", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -10,6 +10,7 @@ import pytest
 from pairform.charts import torus, torus_complex
 from pairform.cohomology import (
     UnsupportedScenarioError,
+    _PairEtaModel,
     de_rham_complex,
     dolbeault_complex,
     dolbeault_predicted_dims,
@@ -402,19 +403,21 @@ _LAPLACIAN_CASES = [
 @pytest.mark.parametrize("chart, coeffs, max_freq", _LAPLACIAN_CASES)
 def test_matrix_built_laplacians_match_symbolic_reference(chart, coeffs, max_freq):
     from pairform.cohomology import (
+        _PAIR_CODIFF,
+        _PAIR_CODIFF_SKEW,
         _laplacian_matrices,
         _operator_matrix,
         _PairModel,
         corrected_laplacian_kernel_dim,
     )
-    from pairform.pair import pair_codiff, pair_codiff_skew, pair_laplacian_corrected
+    from pairform.pair import pair_laplacian_corrected
 
     u = constant_field(chart, coeffs)
     model = _PairModel(chart, u, max_freq)
     for degree in range(chart.dim + 3):
         lap, lap_kernel, joint_kernel, witness = _reference_harmonic(
             chart, u, degree, max_freq)
-        built = _laplacian_matrices(model, degree, pair_codiff, 1, "closed form")[0]
+        built = _laplacian_matrices(model, degree, _PAIR_CODIFF, 1, "closed form")[0]
         assert built == lap
         out = harmonic_kernel(chart, u, degree, max_freq)
         assert out.laplacian_vectors == lap_kernel
@@ -425,24 +428,21 @@ def test_matrix_built_laplacians_match_symbolic_reference(chart, coeffs, max_fre
             continue  # the corrected operator is covered on the smaller bands
         corrected, _ = _operator_matrix(model, degree, degree,
                                         lambda a: pair_laplacian_corrected(u, a))
-        built = _laplacian_matrices(model, degree, pair_codiff_skew, -1, "closed form")[0]
+        built = _laplacian_matrices(model, degree, _PAIR_CODIFF_SKEW, -1, "closed form")[0]
         assert built == corrected
         assert corrected_laplacian_kernel_dim(chart, u, degree, max_freq) == \
             corrected.kernel_dim()
 
 
-def _flipped_pair_codiff(u, a):
-    """pair_codiff with the sign of its L_U psi term flipped."""
-    from pairform.exterior import codiff, lie
-    from pairform.pair import PairForm
-
-    return PairForm(codiff(a.first) - lie(u, a.second), -codiff(a.second))
+# pair_codiff's symbol blocks with the sign of its L_U psi term flipped
+FLIPPED_PAIR_CODIFF = (("F", "F", 1, "codiff"), ("S", "F", -1, "lie"),
+                       ("S", "S", -1, "codiff"))
 
 
 def test_harmonic_kernel_checks_closed_form_once_per_matrix(monkeypatch):
     from pairform import cohomology
 
-    monkeypatch.setattr(cohomology, "pair_codiff", _flipped_pair_codiff)
+    monkeypatch.setattr(cohomology, "_PAIR_CODIFF", FLIPPED_PAIR_CODIFF)
     with pytest.raises(AssertionError) as info:
         harmonic_kernel(T2, constant_field(T2, (1, 2)), 1, 1)
     assert str(info.value) == "pair Laplacian composite disagrees with its closed form"
@@ -451,10 +451,118 @@ def test_harmonic_kernel_checks_closed_form_once_per_matrix(monkeypatch):
 def test_corrected_laplacian_checks_closed_form(monkeypatch):
     from pairform import cohomology
     from pairform.cohomology import corrected_laplacian_kernel_dim
-    from pairform.pair import pair_codiff
 
     # the uncorrected sign makes the corrected closed form fail
-    monkeypatch.setattr(cohomology, "pair_codiff_skew", pair_codiff)
+    monkeypatch.setattr(cohomology, "_PAIR_CODIFF_SKEW", cohomology._PAIR_CODIFF)
     with pytest.raises(AssertionError) as info:
         corrected_laplacian_kernel_dim(T2, constant_field(T2, (1, 2)), 1, 1)
     assert str(info.value) == "corrected pair Laplacian disagrees with its closed form"
+
+
+# -- symbol-built matrices against the symbolic reference ---------------------
+
+
+def _by_tag(matrix, rows, cols):
+    return {(rows[r], cols[c]): v for (r, c), v in matrix.entries.items()}
+
+
+def _assert_matches_reference(model):
+    """Every band matrix of `model`, assembled from symbols in basis order
+    and on a shuffled basis, equals entry for entry the matrix of the
+    symbolic differential applied to materialized basis forms."""
+    from pairform.cohomology import _operator_matrix
+
+    out = model.assemble()
+    shuffled = model.assemble(random.Random(5).shuffle)
+    for d in model.degrees[:-1]:
+        ref, cols = _operator_matrix(model, d, d + 1, lambda v, d=d: model.apply(d, v))
+        rows = model.basis(d + 1)
+        assert (out.basis[d], out.basis[d + 1]) == (tuple(cols), tuple(rows))
+        assert out.matrices[d] == ref
+        assert _by_tag(shuffled.matrices[d], shuffled.basis[d + 1], shuffled.basis[d]) \
+            == _by_tag(ref, rows, cols)
+
+
+_SYMBOL_FIELDS = [(T1, (1,)), (T1, (-2,)), (T2, (1, 2)), (T2, (0, -1)), (T3, (1, 0, -2))]
+
+
+@pytest.mark.parametrize("max_freq", [1, 2])
+@pytest.mark.parametrize("chart, coeffs", _SYMBOL_FIELDS)
+def test_pair_symbols_match_symbolic_reference(chart, coeffs, max_freq):
+    from pairform.cohomology import _PairModel
+    from pairform.exterior import zero_form
+
+    _assert_matches_reference(_PairModel(chart, constant_field(chart, coeffs), max_freq))
+    eta = zero_form(chart, 1)
+    for j, c in enumerate(coeffs):
+        eta = eta + coframe(chart, j) * (c + 1)
+    closed = [eta]
+    if chart is T2:
+        closed.append(wedge(scalar_form(sin_wave(T2, (1, 0))), coframe(T2, 0)))
+    for eta in closed:
+        _assert_matches_reference(_PairEtaModel(chart, eta, max_freq))
+
+
+@pytest.mark.parametrize("max_freq", [1, 2])
+@pytest.mark.parametrize("chart, coeffs", _SYMBOL_FIELDS)
+def test_de_rham_and_codiff_symbols_match_symbolic_reference(chart, coeffs, max_freq):
+    """Single-form d, codiff and lie, and the pair codifferentials."""
+    from pairform.cohomology import (
+        _PAIR_CODIFF,
+        _PAIR_CODIFF_SKEW,
+        _DeRhamModel,
+        _operator_matrix,
+        _PairModel,
+        _symbol_matrix,
+    )
+    from pairform.exterior import codiff, ext_d, lie
+    from pairform.pair import pair_codiff, pair_codiff_skew
+
+    u = constant_field(chart, coeffs)
+    model = _PairModel(chart, u, max_freq)
+    derham = _DeRhamModel(chart, max_freq)
+    _assert_matches_reference(derham)
+    for q in range(-1, chart.dim + 2):
+        for step, kind, op in ((1, "d", ext_d), (-1, "codiff", codiff),
+                               (0, "lie", lambda a: lie(u, a))):
+            ref, cols = _operator_matrix(derham, q, q + step, op)
+            index = {tag: i for i, tag in enumerate(derham.basis(q + step))}
+            assert _symbol_matrix(model, (("F", "F", 1, kind),), cols, index) == ref
+        for blocks, op in ((_PAIR_CODIFF, pair_codiff), (_PAIR_CODIFF_SKEW, pair_codiff_skew)):
+            ref, cols = _operator_matrix(model, q, q - 1, lambda a: op(u, a))
+            index = {tag: i for i, tag in enumerate(model.basis(q - 1))}
+            assert _symbol_matrix(model, blocks, cols, index) == ref
+
+
+@pytest.mark.parametrize("chart", [TC1, torus_complex(2)])
+def test_dolbeault_symbols_match_symbolic_reference(chart):
+    from pairform.cohomology import _DolbeaultModel
+    from pairform.rationals import gq
+
+    units = (gq(1), gq(0, -1), gq(2, 1))
+    x = holomorphic_field(chart, tuple(const(chart, units[j]) for j in range(chart.dim)))
+    for p in range(chart.dim + 1):
+        _assert_matches_reference(_DolbeaultModel(chart, x, p, 1))
+
+
+_SYMBOL_MAPS = [
+    ChartMap(T2, T2, matrix=((1, 1), (0, 1))),
+    ChartMap(T2, T2, matrix=((-1, 0), (2, -1))),
+    ChartMap(T1, T1, matrix=((2,),)),
+    ChartMap(T1, T2, matrix=((1,), (0,))),
+    ChartMap(T2, T1, matrix=((0, 1),)),
+    ChartMap(T2, T1, matrix=((0, 0),)),
+]
+
+
+@pytest.mark.parametrize("max_freq", [1, 2])
+@pytest.mark.parametrize("cmap", _SYMBOL_MAPS, ids=lambda m: str(m.matrix))
+def test_relative_symbols_match_symbolic_reference(cmap, max_freq):
+    from pairform.cohomology import _PrimedEtaModel, _RelativeModel
+
+    n = cmap.source.dim
+    for coeffs in ([1] + [0] * (n - 1), [2, -1][:n]):
+        _assert_matches_reference(
+            _RelativeModel(cmap, constant_field(cmap.source, coeffs), max_freq))
+    eta = coframe(cmap.target, 0) * 3
+    _assert_matches_reference(_PrimedEtaModel(cmap, eta, max_freq))
