@@ -10,10 +10,12 @@ Band matrices are assembled from per-mode symbols.  Every band operator
 sends a basis form e(k) dx^I to e(k') sum_J c_J(k) dx^J, where k' is k or,
 through a torus map with integer matrix A, A^T k, and c_J(k) is a closed
 form in the integers k and I: i k_j for d, i<k, X> for L_X, a minor of A for
-the pullback.  `_symbol` writes one column down from those integers.  The
-symbolic operators applied to materialized basis forms and decomposed again
-(`_operator_matrix`) remain the reference that tests compare against; the
-Lichnerowicz kernel and the rendering of witnesses still use them.
+the pullback, the coefficients w_j of a parallel 1-form for w^ and i_(w#).
+`_symbol` writes one column down from those integers, so no operator is
+applied symbolically here: the harmonic and Lichnerowicz Laplacians are
+products of first-order band matrices, and witnesses are written from their
+basis tags.  The symbolic reference that the tests compare every matrix
+against lives in the test suite.
 
 Operators that mix frequencies (a pair differential twisted by a non-closed
 1-form) escape every finite band; such scenarios are rejected rather than
@@ -27,11 +29,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import comb as _math_comb
 
-from .charts import Chart, ChartKind
-from .dolbeault import BigradedForm, PairBigradedForm, dbar_pair
-from .exterior import Form, VectorField, ext_d, zero_form
+from .charts import Chart, ChartKind, ChartMismatchError
+from .exterior import Form, VectorField, ext_d, require_parallel_one_form, zero_form
 from .linalg import RationalMatrix
-from .pair import PairForm, pair_d, pair_d_lichnerowicz, zero_pair
+from .pair import PairForm
+from .pair import pair_d  # noqa: F401  unused; perfbench/selftest.py checks its tracer binding
 from .rationals import ZERO, from_parts
 from .scalar import ChartMap, wave
 
@@ -81,6 +83,8 @@ def _det(rows) -> int:
 # degree-(p-1) part; each block reads like the operator's formula.  The blocks
 # leaving one side go to distinct sides, so no two blocks meet in one entry.
 _DE_RHAM_D = (("F", "F", 1, "d"),)
+_WEDGE, _CODIFF, _INTERIOR = ((("F", "F", 1, kind),)
+                               for kind in ("wedge", "codiff", "interior"))
 _PAIR_D = (("F", "F", 1, "d"), ("F", "S", 1, "lie"), ("S", "S", -1, "d"))
 _UNCOUPLED_D = (("F", "F", 1, "d"), ("S", "S", -1, "d"))   # closed twisting form
 _REL_D = (("F", "F", 1, "d"), ("F", "S", 1, "pullback"), ("S", "S", -1, "d"))
@@ -122,11 +126,14 @@ def _symbol(model: "_Model", op, tag) -> list:
       d        sum over slots j not in I of +-sigma_j(k) e(k) dx^(I + j),
                the sign that of moving dx_j to its place in dx^I;
       dbar     the same over the antiholomorphic slots j only;
+      wedge    the same with w_j in place of sigma_j(k) (w^, w = sum w_j dx_j);
       codiff   sum_r (-1)^(r+1) sigma_(i_r)(k) e(k) dx^(I - i_r) (real torus);
+      interior sum_r (-1)^r w_(i_r) e(k) dx^(I - i_r) (i_(w#), real torus);
       lie      lambda(k) e(k) dx^I on the target slot;
       pullback L_X f^*: sum_J minor(A; I, J) lambda(A^T k) e(A^T k) dx^J on
                the map's source, A the map's matrix.
-    Zero coefficients are left out, as decomposing a symbolic image would.
+    Here X or w has the constant frame coefficients `model.coeffs`.  Zero
+    coefficients are left out, as decomposing a symbolic image would.
     """
     side, k, idx = tag
     out = []
@@ -149,6 +156,18 @@ def _symbol(model: "_Model", op, tag) -> list:
                 c = _sigma(chart, k, j, sign if r % 2 else -sign)
                 if c:
                     out.append(((dst, k, idx[:r] + idx[r + 1:]), c))
+        elif kind == "interior":
+            for r, j in enumerate(idx):
+                w = model.coeffs[j]
+                if w:
+                    out.append(((dst, k, idx[:r] + idx[r + 1:]),
+                                w * (-sign if r % 2 else sign)))
+        elif kind == "wedge":
+            for j, w in enumerate(model.coeffs):
+                pos = bisect_left(idx, j)
+                if w and not (pos < len(idx) and idx[pos] == j):
+                    out.append(((dst, k, idx[:pos] + (j,) + idx[pos:]),
+                                w * (-sign if pos % 2 else sign)))
         else:
             for j in range(chart.dim if kind == "dbar" else 0, chart.nslots):
                 pos = bisect_left(idx, j)
@@ -194,22 +213,20 @@ _SHIFT = {"F": 0, "S": 1}
 
 
 class _Model:
-    """A band complex on one or two slots.  A basis tag (side, k, idx) is the
-    form e(k) dx^idx on the chart `charts[side]`, with k in `modes[side]`:
-    side "F" in the complex's degree p, side "S" in degree p-1.  Subclasses
-    set `label`, `degrees`, `charts`, `modes`, `op` (the differential as
-    symbol blocks) and, when a block needs them, the constant field's frame
-    coefficients `coeffs`; `assemble` builds every matrix from `_symbol`.
-    `wrap`, `unwrap` and `apply` are the symbolic reference: the slot forms
-    wrapped into the complex's own value type and the differential applied
-    to it symbolically."""
+    """A band complex on one or two slots, as the data `_symbol` reads.
 
-    label = "complex"
+    A basis tag (side, k, idx) is the form e(k) dx^idx on the chart
+    `charts[side]`, with k in `modes[side]`: side "F" in the complex's
+    degree p, side "S" in degree p-1.  Each subclass checks its inputs in
+    `__init__` and sets `label`, `degrees`, `charts`, `modes`, `op` (the
+    differential as symbol blocks) and, when a block needs them, the constant
+    frame coefficients `coeffs` of the field or 1-form, and for a pullback
+    `minors` and `pull`; `assemble` builds every matrix from `_symbol`."""
+
     degrees: tuple
     charts: dict
     modes: dict
     op: tuple
-    offset = 0          # form degree of the "F" slot minus the complex's degree
 
     def sets(self, side, degree):
         """The slot-index tuples of the side's forms of this degree."""
@@ -218,30 +235,6 @@ class _Model:
     def basis(self, degree):
         return [(side, k, idx) for side in self.charts for k in self.modes[side]
                 for idx in self.sets(side, degree - _SHIFT[side])]
-
-    def materialize(self, degree, tag):
-        side, k, idx = tag
-        return self.wrap(degree, *(
-            _wave_form(chart, k, idx) if s == side
-            else zero_form(chart, degree + self.offset - _SHIFT[s])
-            for s, chart in self.charts.items()))
-
-    def decompose(self, degree, value, col: dict, index: dict):
-        for side, form in zip(self.charts, self.unwrap(value)):
-            zeros = form.chart.zeros
-            for idx, s in form.components:
-                for alpha, k, c in s.terms:
-                    if alpha != zeros:
-                        raise UnsupportedScenarioError(
-                            "polynomial coefficient escaped the torus basis")
-                    tag = (side, k, idx)
-                    if tag not in index:
-                        raise UnsupportedScenarioError(
-                            f"band-closure violation: mode {k} leaves the band")
-                    col[index[tag]] = col.get(index[tag], ZERO) + c
-
-    def unwrap(self, value):
-        return value.first, value.second
 
     def assemble(self, shuffle=None) -> BandComplex:
         out = BandComplex(self.label, tuple(self.degrees))
@@ -269,73 +262,61 @@ class _Model:
 
 
 class _DeRhamModel(_Model):
-    op = _DE_RHAM_D
+    """The de Rham complex of a real torus; with a 1-form `w`, also the
+    coefficients of w for the wedge and interior symbols."""
 
-    def __init__(self, chart: Chart, max_freq: int):
+    def __init__(self, chart: Chart, max_freq: int, w: Form = None):
         if chart.kind is not ChartKind.TORUS:
             raise UnsupportedScenarioError("de Rham band model requires a real torus")
+        if w is not None:
+            if w.chart != chart:
+                raise ChartMismatchError(f"the 1-form lives on {w.chart}, not on {chart}")
+            require_parallel_one_form(w)
+            self.coeffs = tuple(w.component((j,)).constant_value()
+                                for j in range(chart.nslots))
         self.label = f"de-rham/{chart}"
+        self.op = _DE_RHAM_D
         self.degrees = tuple(range(chart.nslots + 2))
         self.charts = {"F": chart}
         self.modes = {"F": _modes(chart.nvars, max_freq)}
-
-    def wrap(self, degree, form):
-        return form
-
-    def unwrap(self, value):
-        return (value,)
-
-    def apply(self, degree, value):
-        return ext_d(value)
 
 
 class _PairModel(_Model):
     """Pair complex for the differential induced by a constant field."""
 
-    op = _PAIR_D
-
     def __init__(self, chart: Chart, x: VectorField, max_freq: int):
         if chart.kind is not ChartKind.TORUS:
             raise UnsupportedScenarioError("pair band model requires a real torus")
         self.coeffs = _constant_coeffs(x)
-        self.x = x
         self.label = f"pair/{chart}"
+        self.op = _PAIR_D
         self.degrees = tuple(range(chart.nslots + 3))
         self.charts = {"F": chart, "S": chart}
         modes = _modes(chart.nvars, max_freq)
         self.modes = {"F": modes, "S": modes}
 
-    def wrap(self, degree, first, second):
-        return PairForm(first, second)
 
-    def apply(self, degree, value):
-        return pair_d(self.x, value)
-
-
-class _PairEtaModel(_PairModel):
+class _PairEtaModel(_Model):
     """Pair complex for the differential twisted by a closed 1-form; with
     d eta = 0 the differential is (d phi, -d psi)."""
-
-    op = _UNCOUPLED_D
 
     def __init__(self, chart: Chart, eta: Form, max_freq: int):
         if not ext_d(eta).is_zero:
             raise UnsupportedScenarioError(
                 "the twisted pair differential mixes frequencies unless the "
                 "1-form is closed; refusing to report approximate dimensions")
-        from .exterior import constant_field
-        super().__init__(chart, constant_field(chart, [0] * chart.nslots), max_freq)
-        self.eta = eta
+        if chart.kind is not ChartKind.TORUS:
+            raise UnsupportedScenarioError("pair band model requires a real torus")
         self.label = f"pair-eta/{chart}"
-
-    def apply(self, degree, value):
-        return pair_d_lichnerowicz(self.eta, value)
+        self.op = _UNCOUPLED_D
+        self.degrees = tuple(range(chart.nslots + 3))
+        self.charts = {"F": chart, "S": chart}
+        modes = _modes(chart.nvars, max_freq)
+        self.modes = {"F": modes, "S": modes}
 
 
 class _RelativeModel(_Model):
     """Relative pair complex over an integer-linear torus map."""
-
-    op = _REL_D
 
     def __init__(self, cmap: ChartMap, x: VectorField, max_freq: int):
         if cmap.matrix is None or cmap.source.kind is not ChartKind.TORUS:
@@ -343,9 +324,8 @@ class _RelativeModel(_Model):
         self.coeffs = _constant_coeffs(x)
         if x.chart != cmap.source:
             raise UnsupportedScenarioError("the vector field must live on the map's source")
-        self.cmap = cmap
-        self.x = x
         self.label = f"relative/{cmap.source}->{cmap.target}"
+        self.op = _REL_D
         top = max(cmap.source.nslots, cmap.target.nslots)
         self.degrees = tuple(range(top + 3))
         target_modes = _modes(cmap.target.nvars, max_freq)
@@ -367,14 +347,6 @@ class _RelativeModel(_Model):
         """The source mode A^T k of the target mode k."""
         return tuple(sum(r * v for r, v in zip(row, k)) for row in self._transpose)
 
-    def wrap(self, degree, first, second):
-        from .relative import RelPairForm
-        return RelPairForm(self.cmap, first, second)
-
-    def apply(self, degree, value):
-        from .relative import rel_d
-        return rel_d(self.x, value)
-
 
 class _PrimedEtaModel(_Model):
     """Primed relative complex over a torus map, twisted by a closed 1-form.
@@ -383,8 +355,6 @@ class _PrimedEtaModel(_Model):
     a closed twisting form the differential decouples into (d, -d), which is
     the only case that stays inside a band.
     """
-
-    op = _UNCOUPLED_D
 
     def __init__(self, cmap: ChartMap, eta: Form, max_freq: int):
         if cmap.matrix is None or cmap.source.kind is not ChartKind.TORUS:
@@ -395,28 +365,17 @@ class _PrimedEtaModel(_Model):
             raise UnsupportedScenarioError(
                 "the twisted relative differential mixes frequencies unless the "
                 "1-form is closed; refusing to report approximate dimensions")
-        self.cmap = cmap
-        self.eta = eta
         self.label = f"primed/{cmap.source}->{cmap.target}"
+        self.op = _UNCOUPLED_D
         top = max(cmap.source.nslots, cmap.target.nslots)
         self.degrees = tuple(range(top + 3))
         self.charts = {"F": cmap.source, "S": cmap.target}
         self.modes = {side: _modes(chart.nvars, max_freq)
                       for side, chart in self.charts.items()}
 
-    def wrap(self, degree, first, second):
-        from .relative import RelPairForm
-        return RelPairForm(self.cmap, first, second, primed=True)
-
-    def apply(self, degree, value):
-        from .relative import rel_d_lichnerowicz
-        return rel_d_lichnerowicz(self.eta, value)
-
 
 class _DolbeaultModel(_Model):
     """Fixed-p pair complex for the dbar operator on a flat complex torus."""
-
-    op = _DBAR_PAIR
 
     def __init__(self, chart: Chart, x: VectorField, p: int, max_freq: int):
         if chart.kind is not ChartKind.TORUS_COMPLEX:
@@ -424,9 +383,9 @@ class _DolbeaultModel(_Model):
         self.coeffs = _constant_coeffs(x)
         if not x.is_holomorphic():
             raise UnsupportedScenarioError("dbar band model requires a holomorphic field")
-        self.x = x
-        self.p = self.offset = p
+        self.p = p
         self.label = f"dolbeault/{chart}/p={p}"
+        self.op = _DBAR_PAIR
         self.degrees = tuple(range(chart.dim + 3))
         self.charts = {"F": chart, "S": chart}
         modes = _modes(chart.nvars, max_freq)
@@ -439,16 +398,6 @@ class _DolbeaultModel(_Model):
         holo = itertools.combinations(range(n), self.p)
         anti = list(itertools.combinations(range(n, 2 * n), q))
         return [h + a for h in holo for a in anti]
-
-    def wrap(self, q, first, second):
-        return PairBigradedForm(BigradedForm(first, self.p, q),
-                                BigradedForm(second, self.p, q - 1))
-
-    def unwrap(self, value):
-        return value.first.form, value.second.form
-
-    def apply(self, q, value):
-        return dbar_pair(self.x, value)
 
 
 # -- public builders ---------------------------------------------------------
@@ -522,20 +471,6 @@ class HarmonicKernel:
         return self.dim_laplacian == self.dim_joint
 
 
-def _operator_matrix(model: _Model, src_degree: int, dst_degree: int, op):
-    """Reference matrix of the symbolic operator `op`: each basis form is
-    materialized, `op` is applied to it and the image decomposed again."""
-    src = model.basis(src_degree)
-    dst = model.basis(dst_degree)
-    index = {tag: i for i, tag in enumerate(dst)}
-    cols = []
-    for tag in src:
-        col: dict = {}
-        model.decompose(dst_degree, op(model.materialize(src_degree, tag)), col, index)
-        cols.append(col)
-    return RationalMatrix.from_columns(len(dst), cols), src
-
-
 def _closed_form_matrix(model: _PairModel, degree: int, sign: int) -> RationalMatrix:
     """The pair Laplacian's closed form on the degree-p band: blockdiag over
     the slot degrees q = p, p-1 of delta_(q+1) d_q + d_(q-1) delta_q
@@ -564,26 +499,36 @@ def _closed_form_matrix(model: _PairModel, degree: int, sign: int) -> RationalMa
     return RationalMatrix(len(index), len(index), entries)
 
 
-def _laplacian_matrices(model: _PairModel, degree: int, cod, sign: int, message: str):
-    """Lap = Cod_(p+1) D_p + D_(p-1) Cod_p by exact sparse matmul, from the
-    first-order band matrices of pair_d (D) and of the codifferential whose
-    symbol blocks are `cod` (Cod), all assembled by `_symbol`.  Lap is
-    compared entry for entry with its closed form, once per matrix; a
-    mismatch raises AssertionError(message).  Returns (Lap, D_p, Cod_p,
-    basis of degree p)."""
+def _anticommutator(model: _Model, degree: int, d_ops, cod_ops):
+    """Lap = Cod_(p+1) D_p + D_(p-1) Cod_p by exact sparse matmul.  D and Cod
+    are first-order band matrices, each the sum of one `_symbol` matrix per
+    operator in `d_ops` or `cod_ops` (`_symbol_matrix` assigns entries, so
+    operators whose blocks meet in one entry are built apart and added).
+    Returns (Lap, D_p, Cod_p, basis of degree p)."""
     basis = {p: model.basis(p) for p in (degree - 1, degree, degree + 1)}
     index = {p: {tag: i for i, tag in enumerate(b)} for p, b in basis.items()}
 
-    def mat(src, dst, op):
-        return _symbol_matrix(model, op, basis[src], index[dst])
+    def mat(src, dst, ops):
+        out, *rest = (_symbol_matrix(model, op, basis[src], index[dst]) for op in ops)
+        for other in rest:
+            out = out.add(other)
+        return out
 
-    d_mat = mat(degree, degree + 1, model.op)
-    cod_mat = mat(degree, degree - 1, cod)
-    lap = mat(degree + 1, degree, cod).matmul(d_mat).add(
-        mat(degree - 1, degree, model.op).matmul(cod_mat))
-    if lap != _closed_form_matrix(model, degree, sign):
-        raise AssertionError(message)
+    d_mat = mat(degree, degree + 1, d_ops)
+    cod_mat = mat(degree, degree - 1, cod_ops)
+    lap = mat(degree + 1, degree, cod_ops).matmul(d_mat).add(
+        mat(degree - 1, degree, d_ops).matmul(cod_mat))
     return lap, d_mat, cod_mat, basis[degree]
+
+
+def _laplacian_matrices(model: _PairModel, degree: int, cod, sign: int, message: str):
+    """The anticommutator of pair_d and the codifferential whose symbol
+    blocks are `cod`, compared entry for entry with its closed form, once
+    per matrix; a mismatch raises AssertionError(message)."""
+    out = _anticommutator(model, degree, (model.op,), (cod,))
+    if out[0] != _closed_form_matrix(model, degree, sign):
+        raise AssertionError(message)
+    return out
 
 
 def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) -> HarmonicKernel:
@@ -616,10 +561,13 @@ def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) ->
 
 
 def _render_vector(model: _PairModel, degree: int, basis, vec) -> str:
-    total = zero_pair(model.charts["F"], degree)
+    """The pair form sum_i vec[i] * basis[i], written down from the tags."""
+    chart = model.charts["F"]
+    slots = {"F": zero_form(chart, degree), "S": zero_form(chart, degree - 1)}
     for col, coeff in vec.items():
-        total = total + model.materialize(degree, basis[col]) * coeff
-    return str(total)
+        side, k, idx = basis[col]
+        slots[side] = slots[side] + _wave_form(chart, k, idx) * coeff
+    return str(PairForm(slots["F"], slots["S"]))
 
 
 def corrected_laplacian_kernel_dim(chart: Chart, u: VectorField, degree: int,
@@ -634,13 +582,15 @@ def corrected_laplacian_kernel_dim(chart: Chart, u: VectorField, degree: int,
     return lap.kernel_dim()
 
 
+def _lichnerowicz_matrix(chart: Chart, w: Form, degree: int, max_freq: int) -> RationalMatrix:
+    """The twisted Laplacian C_w D_w + D_w C_w on the degree-p band of single
+    forms, D_w = d + w^ and C_w = delta + i_(w#); `w` is checked first."""
+    model = _DeRhamModel(chart, max_freq, w)
+    return _anticommutator(model, degree, (_DE_RHAM_D, _WEDGE), (_CODIFF, _INTERIOR))[0]
+
+
 def lichnerowicz_kernel_dim(chart: Chart, w: Form, degree: int, max_freq: int) -> int:
     """Kernel dimension of the twisted Laplacian d_w delta_w + delta_w d_w
     on the band of single forms; empty for a unit parallel 1-form since the
     operator shifts every Laplacian eigenvalue up by |w|^2 > 0."""
-    from .exterior import lichnerowicz_lap
-
-    model = _DeRhamModel(chart, max_freq)
-    matrix, _basis = _operator_matrix(model, degree, degree,
-                                      lambda a: lichnerowicz_lap(w, a))
-    return matrix.kernel_dim()
+    return _lichnerowicz_matrix(chart, w, degree, max_freq).kernel_dim()

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .charts import Chart, ChartMismatchError, require_same_chart
 from .exterior import Form, VectorField, ext_d, interior, lie, pullback, wedge, zero_form
+from .pair import PairContainer
 from .scalar import ChartMap, zero as scalar_zero
 
 
@@ -132,13 +133,11 @@ def lie_bigraded(x: VectorField, a: BigradedForm) -> BigradedForm:
     """Lie derivative along the (1,0)-field; preserves bidegree."""
     require_same_chart(x, a.form)
     _require_holomorphic(x)
-    out = lie(x, a.form)
-    result = BigradedForm(out, a.p, a.q)
-    return result
+    return BigradedForm(lie(x, a.form), a.p, a.q)
 
 
 @dataclass(frozen=True)
-class PairBigradedForm:
+class PairBigradedForm(PairContainer):
     """A pair of bidegrees (p, q) and (p, q-1) on one complex chart."""
 
     first: BigradedForm
@@ -157,31 +156,6 @@ class PairBigradedForm:
     @property
     def bidegree(self) -> tuple:
         return (self.first.p, self.first.q)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.first.is_zero and self.second.is_zero
-
-    def __add__(self, other):
-        if not isinstance(other, PairBigradedForm):
-            return NotImplemented
-        return PairBigradedForm(self.first + other.first, self.second + other.second)
-
-    def __sub__(self, other):
-        if not isinstance(other, PairBigradedForm):
-            return NotImplemented
-        return PairBigradedForm(self.first - other.first, self.second - other.second)
-
-    def __neg__(self):
-        return PairBigradedForm(-self.first, -self.second)
-
-    def __mul__(self, other):
-        return PairBigradedForm(self.first * other, self.second * other)
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        return f"({self.first} | {self.second})"
 
 
 def dbar_pair(x: VectorField, a: PairBigradedForm) -> PairBigradedForm:
@@ -216,7 +190,7 @@ def dbar_pair_pullback(cmap: ChartMap, a: PairBigradedForm) -> PairBigradedForm:
 
 
 @dataclass(frozen=True)
-class RelPairBigradedForm:
+class RelPairBigradedForm(PairContainer):
     """Relative bigraded pair: first on the map's target, second on its source."""
 
     cmap: ChartMap
@@ -228,10 +202,6 @@ class RelPairBigradedForm:
             raise ChartMismatchError("relative pair components on wrong charts")
         if (self.second.p, self.second.q) != (self.first.p, self.first.q - 1):
             raise ValueError("second component must have bidegree (p, q-1)")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.first.is_zero and self.second.is_zero
 
 
 def dbar_pair_rel(x: VectorField, a: RelPairBigradedForm) -> RelPairBigradedForm:

@@ -522,7 +522,8 @@ def _linear_combo(chart, coeffs, scalars):
 # -- Lichnerowicz operators for a parallel 1-form ---------------------------
 
 
-def _require_parallel_one_form(w: Form):
+def require_parallel_one_form(w: Form):
+    """Reject anything but a constant-coefficient 1-form on a real torus."""
     _require_real_torus(w)
     if w.degree != 1:
         raise ValueError("expected a 1-form")
@@ -533,7 +534,7 @@ def _require_parallel_one_form(w: Form):
 
 def one_form_norm2(w: Form) -> GaussianRational:
     """<w, w> for a constant-coefficient 1-form (bilinear, not hermitian)."""
-    _require_parallel_one_form(w)
+    require_parallel_one_form(w)
     total = ZERO
     for _, s in w.components:
         c = s.constant_value()
@@ -542,17 +543,17 @@ def one_form_norm2(w: Form) -> GaussianRational:
 
 
 def lichnerowicz_d(w: Form, a: Form) -> Form:
-    _require_parallel_one_form(w)
+    require_parallel_one_form(w)
     return ext_d(a) + wedge(w, a)
 
 
 def lichnerowicz_delta(w: Form, a: Form) -> Form:
-    _require_parallel_one_form(w)
+    require_parallel_one_form(w)
     return codiff(a) + interior(sharp(w), a)
 
 
 def lichnerowicz_lap(w: Form, a: Form) -> Form:
-    _require_parallel_one_form(w)
+    require_parallel_one_form(w)
     return lichnerowicz_d(w, lichnerowicz_delta(w, a)) + \
         lichnerowicz_delta(w, lichnerowicz_d(w, a))
 

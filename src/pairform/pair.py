@@ -11,7 +11,7 @@ Laplacian complete the picture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .charts import Chart, ChartKind, ChartMismatchError, require_same_chart
 from .exterior import (
@@ -31,8 +31,51 @@ from .rationals import GaussianRational
 from .scalar import ChartMap
 
 
+class PairContainer:
+    """Slotwise arithmetic of the pair dataclasses: each result is the same
+    class with new `first` and `second` slots and every other field (a chart
+    map, the primed flag) carried over, so the class's own checks run on it.
+    Operands of two classes do not mix; operands whose other fields differ
+    are relative pairs over different maps."""
+
+    def _with(self, first, second):
+        return replace(self, first=first, second=second)
+
+    def _require_compatible(self, other):
+        if any(v != getattr(other, k) for k, v in vars(self).items()
+               if k not in ("first", "second")):
+            raise ChartMismatchError("relative pairs over different maps")
+
+    @property
+    def is_zero(self) -> bool:
+        return self.first.is_zero and self.second.is_zero
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._require_compatible(other)
+        return self._with(self.first + other.first, self.second + other.second)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._require_compatible(other)
+        return self._with(self.first - other.first, self.second - other.second)
+
+    def __neg__(self):
+        return self._with(-self.first, -self.second)
+
+    def __mul__(self, other):
+        return self._with(self.first * other, self.second * other)
+
+    __rmul__ = __mul__
+
+    def __str__(self) -> str:
+        return f"({self.first} | {self.second})"
+
+
 @dataclass(frozen=True)
-class PairForm:
+class PairForm(PairContainer):
     first: Form
     second: Form
 
@@ -51,31 +94,6 @@ class PairForm:
     @property
     def degree(self) -> int:
         return self.first.degree
-
-    @property
-    def is_zero(self) -> bool:
-        return self.first.is_zero and self.second.is_zero
-
-    def __add__(self, other):
-        if not isinstance(other, PairForm):
-            return NotImplemented
-        return PairForm(self.first + other.first, self.second + other.second)
-
-    def __sub__(self, other):
-        if not isinstance(other, PairForm):
-            return NotImplemented
-        return PairForm(self.first - other.first, self.second - other.second)
-
-    def __neg__(self):
-        return PairForm(-self.first, -self.second)
-
-    def __mul__(self, other):
-        return PairForm(self.first * other, self.second * other)
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        return f"({self.first} | {self.second})"
 
 
 def pair(first: Form, second: Form) -> PairForm:
@@ -184,11 +202,34 @@ def _require_killing(u: VectorField):
         raise ValueError("the vector field must be constant (Killing)")
 
 
-def pair_codiff(u: VectorField, a: PairForm) -> PairForm:
-    """(delta phi + L_U psi, -delta psi); squares to zero for constant U."""
+def _pair_codiff(u: VectorField, a: PairForm, sign: int) -> PairForm:
+    """(delta phi + sign * L_U psi, -delta psi)."""
     require_same_chart(u, a)
     _require_killing(u)
-    return PairForm(codiff(a.first) + lie(u, a.second), -codiff(a.second))
+    first, lie_psi = codiff(a.first), lie(u, a.second)
+    return PairForm(first + lie_psi if sign > 0 else first - lie_psi, -codiff(a.second))
+
+
+def _pair_laplacian(u: VectorField, a: PairForm, cod, sign: int, message: str) -> PairForm:
+    """cod . pair_d + pair_d . cod, asserted against its closed form: the
+    componentwise Laplacian plus `sign` times the squared Lie derivative."""
+    require_same_chart(u, a)
+    _require_killing(u)
+    out = cod(u, pair_d(u, a)) + pair_d(u, cod(u, a))
+
+    def closed(f):
+        lap, lie_sq = laplacian(f), lie(u, lie(u, f))
+        return lap + lie_sq if sign > 0 else lap - lie_sq
+
+    expected = PairForm(closed(a.first), closed(a.second))
+    if out.first != expected.first or out.second != expected.second:
+        raise AssertionError(message)
+    return out
+
+
+def pair_codiff(u: VectorField, a: PairForm) -> PairForm:
+    """(delta phi + L_U psi, -delta psi); squares to zero for constant U."""
+    return _pair_codiff(u, a, 1)
 
 
 def pair_laplacian(u: VectorField, a: PairForm) -> PairForm:
@@ -197,16 +238,8 @@ def pair_laplacian(u: VectorField, a: PairForm) -> PairForm:
     The closed form (componentwise Laplacian plus the squared Lie
     derivative) is asserted against the composite on every call.
     """
-    require_same_chart(u, a)
-    _require_killing(u)
-    out = pair_codiff(u, pair_d(u, a)) + pair_d(u, pair_codiff(u, a))
-    expected = PairForm(
-        laplacian(a.first) + lie(u, lie(u, a.first)),
-        laplacian(a.second) + lie(u, lie(u, a.second)),
-    )
-    if out.first != expected.first or out.second != expected.second:
-        raise AssertionError("pair Laplacian composite disagrees with its closed form")
-    return out
+    return _pair_laplacian(u, a, pair_codiff, 1,
+                           "pair Laplacian composite disagrees with its closed form")
 
 
 def pair_codiff_skew(u: VectorField, a: PairForm) -> PairForm:
@@ -217,9 +250,7 @@ def pair_codiff_skew(u: VectorField, a: PairForm) -> PairForm:
     field it is skew-adjoint, so the sign here is flipped.  Both versions
     are exercised and reported by the check suites.
     """
-    require_same_chart(u, a)
-    _require_killing(u)
-    return PairForm(codiff(a.first) - lie(u, a.second), -codiff(a.second))
+    return _pair_codiff(u, a, -1)
 
 
 def pair_laplacian_corrected(u: VectorField, a: PairForm) -> PairForm:
@@ -229,16 +260,8 @@ def pair_laplacian_corrected(u: VectorField, a: PairForm) -> PairForm:
     nonnegative operator whose kernel has the cohomology dimensions - the
     harmonic theory the sign-corrected adjoint buys back.
     """
-    require_same_chart(u, a)
-    _require_killing(u)
-    out = pair_codiff_skew(u, pair_d(u, a)) + pair_d(u, pair_codiff_skew(u, a))
-    expected = PairForm(
-        laplacian(a.first) - lie(u, lie(u, a.first)),
-        laplacian(a.second) - lie(u, lie(u, a.second)),
-    )
-    if out.first != expected.first or out.second != expected.second:
-        raise AssertionError("corrected pair Laplacian disagrees with its closed form")
-    return out
+    return _pair_laplacian(u, a, pair_codiff_skew, -1,
+                           "corrected pair Laplacian disagrees with its closed form")
 
 
 def pair_inner(a: PairForm, b: PairForm) -> GaussianRational:

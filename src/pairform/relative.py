@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 from .charts import ChartMismatchError
 from .exterior import Form, VectorField, ext_d, interior, lie, pullback, wedge, zero_form
+from .pair import PairContainer
 from .scalar import ChartMap
 
 
 @dataclass(frozen=True)
-class RelPairForm:
+class RelPairForm(PairContainer):
     """A pair over a chart map; `primed` swaps which side carries the p-form."""
 
     cmap: ChartMap
@@ -39,40 +40,6 @@ class RelPairForm:
     @property
     def degree(self) -> int:
         return self.first.degree
-
-    @property
-    def is_zero(self) -> bool:
-        return self.first.is_zero and self.second.is_zero
-
-    def _require_compatible(self, other: "RelPairForm"):
-        if self.cmap != other.cmap or self.primed != other.primed:
-            raise ChartMismatchError("relative pairs over different maps")
-
-    def __add__(self, other):
-        if not isinstance(other, RelPairForm):
-            return NotImplemented
-        self._require_compatible(other)
-        return RelPairForm(self.cmap, self.first + other.first,
-                           self.second + other.second, self.primed)
-
-    def __sub__(self, other):
-        if not isinstance(other, RelPairForm):
-            return NotImplemented
-        self._require_compatible(other)
-        return RelPairForm(self.cmap, self.first - other.first,
-                           self.second - other.second, self.primed)
-
-    def __neg__(self):
-        return RelPairForm(self.cmap, -self.first, -self.second, self.primed)
-
-    def __mul__(self, other):
-        return RelPairForm(self.cmap, self.first * other, self.second * other,
-                           self.primed)
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        return f"({self.first} | {self.second})"
 
 
 # -- the unprimed complex -----------------------------------------------------

@@ -251,9 +251,6 @@ class ScalarExpr:
     def max_frequency(self) -> int:
         return max((max(map(abs, k), default=0) for _, k, _ in self.terms), default=0)
 
-    def depends_on_var(self, j: int) -> bool:
-        return any(a[j] or k[j] for a, k, _ in self.terms)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

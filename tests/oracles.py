@@ -4,16 +4,37 @@ Nothing here shares a code path with the library operators: scalars are
 evaluated numerically, permutation signs are counted directly, the Lie
 derivative uses the coordinate formula instead of the homotopy formula, and
 ranks are recomputed with plain Gauss-Jordan elimination over the field.
+
+The band reference (`SymbolicBand`) is the other side of the band matrices:
+it applies the library's symbolic operators to materialized basis forms and
+decomposes the images again, and shares no code with the per-mode symbols
+(`cohomology._symbol`) that the library assembles its matrices from.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+from dataclasses import dataclass
+from typing import Callable
 
 from pairform.charts import ChartKind
-from pairform.exterior import Form, VectorField
-from pairform.rationals import GaussianRational
+from pairform.cohomology import (
+    UnsupportedScenarioError,
+    _DeRhamModel,
+    _DolbeaultModel,
+    _PairEtaModel,
+    _PairModel,
+    _PrimedEtaModel,
+    _RelativeModel,
+)
+from pairform.dolbeault import BigradedForm, PairBigradedForm, dbar_pair
+from pairform.exterior import Form, VectorField, ext_d, zero_form
+from pairform.linalg import RationalMatrix
+from pairform.pair import PairForm, pair_d, pair_d_lichnerowicz, zero_pair
+from pairform.rationals import ZERO, GaussianRational
+from pairform.relative import RelPairForm, rel_d, rel_d_lichnerowicz
+from pairform.scalar import wave
 
 
 def to_complex(c: GaussianRational) -> complex:
@@ -119,3 +140,109 @@ def gauss_rank(matrix) -> int:
 def laplace_eigenvalue(k) -> int:
     """|k|^2, the flat-torus Laplacian eigenvalue of the mode e^{i<k,x>}."""
     return sum(v * v for v in k)
+
+
+# -- symbolic band reference -------------------------------------------------
+
+_SHIFT = {"F": 0, "S": 1}
+
+
+@dataclass
+class SymbolicBand:
+    """A band model's complex applied symbolically.  A basis tag (side, k,
+    idx) is materialized as e(k) dx^idx on its side's slot and zero forms on
+    the others, wrapped into the complex's own value type; `apply` is the
+    library's symbolic differential on that type, and `unwrap` returns the
+    slot forms, in the order of `model.charts`, for decomposing an image."""
+
+    model: object
+    wrap: Callable      # (degree, *slot forms) -> value
+    unwrap: Callable    # value -> slot forms
+    apply: Callable     # value -> its differential
+    offset: int = 0     # form degree of the "F" slot minus the complex's degree
+
+    def materialize(self, degree, tag):
+        side, k, idx = tag
+        return self.wrap(degree, *(
+            Form(chart, len(idx), ((idx, wave(chart, k)),)) if s == side
+            else zero_form(chart, degree + self.offset - _SHIFT[s])
+            for s, chart in self.model.charts.items()))
+
+    def decompose(self, value, col: dict, index: dict):
+        for side, form in zip(self.model.charts, self.unwrap(value)):
+            zeros = form.chart.zeros
+            for idx, s in form.components:
+                for alpha, k, c in s.terms:
+                    if alpha != zeros:
+                        raise UnsupportedScenarioError(
+                            "polynomial coefficient escaped the torus basis")
+                    tag = (side, k, idx)
+                    if tag not in index:
+                        raise UnsupportedScenarioError(
+                            f"band-closure violation: mode {k} leaves the band")
+                    col[index[tag]] = col.get(index[tag], ZERO) + c
+
+
+def _slots(value):
+    return value.first, value.second
+
+
+def de_rham_band(chart, max_freq, w=None):
+    return SymbolicBand(_DeRhamModel(chart, max_freq, w), lambda d, form: form,
+                        lambda value: (value,), ext_d)
+
+
+def pair_band(chart, x, max_freq):
+    return SymbolicBand(_PairModel(chart, x, max_freq), lambda d, a, b: PairForm(a, b),
+                        _slots, lambda value: pair_d(x, value))
+
+
+def pair_eta_band(chart, eta, max_freq):
+    return SymbolicBand(_PairEtaModel(chart, eta, max_freq),
+                        lambda d, a, b: PairForm(a, b), _slots,
+                        lambda value: pair_d_lichnerowicz(eta, value))
+
+
+def relative_band(cmap, x, max_freq):
+    return SymbolicBand(_RelativeModel(cmap, x, max_freq),
+                        lambda d, a, b: RelPairForm(cmap, a, b), _slots,
+                        lambda value: rel_d(x, value))
+
+
+def primed_band(cmap, eta, max_freq):
+    return SymbolicBand(_PrimedEtaModel(cmap, eta, max_freq),
+                        lambda d, a, b: RelPairForm(cmap, a, b, primed=True), _slots,
+                        lambda value: rel_d_lichnerowicz(eta, value))
+
+
+def dolbeault_band(chart, x, p, max_freq):
+    def wrap(q, first, second):
+        return PairBigradedForm(BigradedForm(first, p, q), BigradedForm(second, p, q - 1))
+
+    return SymbolicBand(_DolbeaultModel(chart, x, p, max_freq), wrap,
+                        lambda value: (value.first.form, value.second.form),
+                        lambda value: dbar_pair(x, value), offset=p)
+
+
+def operator_matrix(band: SymbolicBand, src_degree: int, dst_degree: int, op=None):
+    """Reference matrix of the symbolic operator `op` (the band's
+    differential by default) and the source basis: each basis form is
+    materialized, `op` is applied to it and the image decomposed again."""
+    op = op or band.apply
+    src = band.model.basis(src_degree)
+    dst = band.model.basis(dst_degree)
+    index = {tag: i for i, tag in enumerate(dst)}
+    cols = []
+    for tag in src:
+        col: dict = {}
+        band.decompose(op(band.materialize(src_degree, tag)), col, index)
+        cols.append(col)
+    return RationalMatrix.from_columns(len(dst), cols), src
+
+
+def render_vector(band: SymbolicBand, degree: int, basis, vec) -> str:
+    """The pair form sum_i vec[i] * basis[i], built from materialized forms."""
+    total = zero_pair(band.model.charts["F"], degree)
+    for col, coeff in vec.items():
+        total = total + band.materialize(degree, basis[col]) * coeff
+    return str(total)

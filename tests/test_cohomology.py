@@ -10,7 +10,6 @@ import pytest
 from pairform.charts import torus, torus_complex
 from pairform.cohomology import (
     UnsupportedScenarioError,
-    _PairEtaModel,
     de_rham_complex,
     dolbeault_complex,
     dolbeault_predicted_dims,
@@ -25,7 +24,17 @@ from pairform.dolbeault import holomorphic_field
 from pairform.exterior import coframe, constant_field, scalar_form, wedge
 from pairform.scalar import ChartMap, const, identity_map, sin_wave
 
-from oracles import laplace_eigenvalue
+from oracles import (
+    de_rham_band,
+    dolbeault_band,
+    laplace_eigenvalue,
+    operator_matrix,
+    pair_band,
+    pair_eta_band,
+    primed_band,
+    relative_band,
+    render_vector,
+)
 
 T1, T2, T3 = torus(1), torus(2), torus(3)
 TC1 = torus_complex(1)
@@ -352,6 +361,61 @@ def test_lichnerowicz_kernel_empty_for_unit_form():
     assert lichnerowicz_kernel_dim(T2, unit_mixed, 1, 1) == 0
 
 
+def _twisting_forms(chart):
+    """w = i*v, dx, and a complex unit form, each with constant coefficients."""
+    from pairform.rationals import gq
+
+    n = chart.dim
+    i_v = coframe(chart, 0) * gq(0, 1)
+    for j, v in enumerate((2, -1)[:n - 1]):
+        i_v = i_v + coframe(chart, j + 1) * gq(0, v)
+    unit = coframe(chart, n - 1) * gq("3/5", "4/5")
+    return [i_v, coframe(chart, 0), unit]
+
+
+@pytest.mark.parametrize("chart, max_freq",
+                         [(T1, 1), (T1, 2), (T2, 1), (T2, 2), (T3, 1), (T3, 2)])
+def test_lichnerowicz_symbols_match_symbolic_reference(chart, max_freq):
+    from pairform.cohomology import _lichnerowicz_matrix
+    from pairform.exterior import lichnerowicz_lap
+
+    for w in _twisting_forms(chart):
+        band = de_rham_band(chart, max_freq, w)
+        for degree in range(-1, chart.dim + 2):
+            ref, _ = operator_matrix(band, degree, degree, lambda a: lichnerowicz_lap(w, a))
+            assert _lichnerowicz_matrix(chart, w, degree, max_freq) == ref
+
+
+def test_lichnerowicz_kernel_on_the_sphere_of_i_v():
+    from pairform.cohomology import lichnerowicz_kernel_dim
+    from pairform.rationals import gq
+
+    # <w, w> = -|v|^2 for w = i v: the kernel is spanned by the modes with
+    # |k|^2 = 5, the eight k = (+-1, +-2), (+-2, +-1) of the N=2 band
+    w = coframe(T2, 0) * gq(0, 1) + coframe(T2, 1) * gq(0, 2)
+    for degree in range(4):
+        assert lichnerowicz_kernel_dim(T2, w, degree, 2) == 8 * comb(2, degree)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 5])
+def test_lichnerowicz_rejects_bad_inputs_at_every_degree(degree):
+    from pairform.charts import ChartMismatchError, affine
+    from pairform.cohomology import lichnerowicz_kernel_dim
+
+    with pytest.raises(UnsupportedScenarioError) as info:
+        lichnerowicz_kernel_dim(affine(2), coframe(affine(2), 0), degree, 1)
+    assert str(info.value) == "de Rham band model requires a real torus"
+    with pytest.raises(ChartMismatchError) as info:
+        lichnerowicz_kernel_dim(T2, coframe(T3, 0), degree, 1)
+    assert str(info.value) == "the 1-form lives on torus(3), not on torus(2)"
+    with pytest.raises(ValueError) as info:
+        lichnerowicz_kernel_dim(T2, wedge(coframe(T2, 0), coframe(T2, 1)), degree, 1)
+    assert str(info.value) == "expected a 1-form"
+    with pytest.raises(ValueError) as info:
+        lichnerowicz_kernel_dim(T2, coframe(T2, 0) * sin_wave(T2, (1, 0)), degree, 1)
+    assert str(info.value) == "the twisting 1-form must have constant coefficients"
+
+
 def test_joint_kernel_contained_in_laplacian_kernel():
     # containment is structural: the Laplacian is the anticommutator
     from pairform.linalg import RationalMatrix
@@ -371,14 +435,13 @@ def test_joint_kernel_contained_in_laplacian_kernel():
 def _reference_harmonic(chart, u, degree, max_freq):
     """Laplacian matrix, kernels and witness as built column by column from
     pair_laplacian, the symbolic path with its per-call closed-form check."""
-    from pairform.cohomology import _operator_matrix, _PairModel, _render_vector
     from pairform.linalg import RationalMatrix
     from pairform.pair import pair_codiff, pair_d, pair_laplacian
 
-    model = _PairModel(chart, u, max_freq)
-    lap, basis = _operator_matrix(model, degree, degree, lambda a: pair_laplacian(u, a))
-    d_mat, _ = _operator_matrix(model, degree, degree + 1, lambda a: pair_d(u, a))
-    cod_mat, _ = _operator_matrix(model, degree, degree - 1, lambda a: pair_codiff(u, a))
+    band = pair_band(chart, u, max_freq)
+    lap, basis = operator_matrix(band, degree, degree, lambda a: pair_laplacian(u, a))
+    d_mat, _ = operator_matrix(band, degree, degree + 1, lambda a: pair_d(u, a))
+    cod_mat, _ = operator_matrix(band, degree, degree - 1, lambda a: pair_codiff(u, a))
     lap_kernel = lap.kernel_basis()
     joint_kernel = d_mat.stack(cod_mat).kernel_basis()
     witness = None
@@ -387,7 +450,7 @@ def _reference_harmonic(chart, u, degree, max_freq):
         for vec in lap_kernel:
             trial = RationalMatrix.from_columns(len(basis), list(joint_kernel) + [vec])
             if trial.rank() > base_rank:
-                witness = _render_vector(model, degree, basis, vec)
+                witness = render_vector(band, degree, basis, vec)
                 break
     return lap, lap_kernel, joint_kernel, witness
 
@@ -406,14 +469,13 @@ def test_matrix_built_laplacians_match_symbolic_reference(chart, coeffs, max_fre
         _PAIR_CODIFF,
         _PAIR_CODIFF_SKEW,
         _laplacian_matrices,
-        _operator_matrix,
-        _PairModel,
         corrected_laplacian_kernel_dim,
     )
     from pairform.pair import pair_laplacian_corrected
 
     u = constant_field(chart, coeffs)
-    model = _PairModel(chart, u, max_freq)
+    band = pair_band(chart, u, max_freq)
+    model = band.model
     for degree in range(chart.dim + 3):
         lap, lap_kernel, joint_kernel, witness = _reference_harmonic(
             chart, u, degree, max_freq)
@@ -426,8 +488,8 @@ def test_matrix_built_laplacians_match_symbolic_reference(chart, coeffs, max_fre
         assert (out.dim_laplacian, out.dim_joint) == (len(lap_kernel), len(joint_kernel))
         if chart.dim == 3 and max_freq == 2:
             continue  # the corrected operator is covered on the smaller bands
-        corrected, _ = _operator_matrix(model, degree, degree,
-                                        lambda a: pair_laplacian_corrected(u, a))
+        corrected, _ = operator_matrix(band, degree, degree,
+                                       lambda a: pair_laplacian_corrected(u, a))
         built = _laplacian_matrices(model, degree, _PAIR_CODIFF_SKEW, -1, "closed form")[0]
         assert built == corrected
         assert corrected_laplacian_kernel_dim(chart, u, degree, max_freq) == \
@@ -466,16 +528,15 @@ def _by_tag(matrix, rows, cols):
     return {(rows[r], cols[c]): v for (r, c), v in matrix.entries.items()}
 
 
-def _assert_matches_reference(model):
-    """Every band matrix of `model`, assembled from symbols in basis order
-    and on a shuffled basis, equals entry for entry the matrix of the
+def _assert_matches_reference(band):
+    """Every band matrix of `band.model`, assembled from symbols in basis
+    order and on a shuffled basis, equals entry for entry the matrix of the
     symbolic differential applied to materialized basis forms."""
-    from pairform.cohomology import _operator_matrix
-
+    model = band.model
     out = model.assemble()
     shuffled = model.assemble(random.Random(5).shuffle)
     for d in model.degrees[:-1]:
-        ref, cols = _operator_matrix(model, d, d + 1, lambda v, d=d: model.apply(d, v))
+        ref, cols = operator_matrix(band, d, d + 1)
         rows = model.basis(d + 1)
         assert (out.basis[d], out.basis[d + 1]) == (tuple(cols), tuple(rows))
         assert out.matrices[d] == ref
@@ -489,10 +550,9 @@ _SYMBOL_FIELDS = [(T1, (1,)), (T1, (-2,)), (T2, (1, 2)), (T2, (0, -1)), (T3, (1,
 @pytest.mark.parametrize("max_freq", [1, 2])
 @pytest.mark.parametrize("chart, coeffs", _SYMBOL_FIELDS)
 def test_pair_symbols_match_symbolic_reference(chart, coeffs, max_freq):
-    from pairform.cohomology import _PairModel
     from pairform.exterior import zero_form
 
-    _assert_matches_reference(_PairModel(chart, constant_field(chart, coeffs), max_freq))
+    _assert_matches_reference(pair_band(chart, constant_field(chart, coeffs), max_freq))
     eta = zero_form(chart, 1)
     for j, c in enumerate(coeffs):
         eta = eta + coframe(chart, j) * (c + 1)
@@ -500,7 +560,7 @@ def test_pair_symbols_match_symbolic_reference(chart, coeffs, max_freq):
     if chart is T2:
         closed.append(wedge(scalar_form(sin_wave(T2, (1, 0))), coframe(T2, 0)))
     for eta in closed:
-        _assert_matches_reference(_PairEtaModel(chart, eta, max_freq))
+        _assert_matches_reference(pair_eta_band(chart, eta, max_freq))
 
 
 @pytest.mark.parametrize("max_freq", [1, 2])
@@ -510,39 +570,36 @@ def test_de_rham_and_codiff_symbols_match_symbolic_reference(chart, coeffs, max_
     from pairform.cohomology import (
         _PAIR_CODIFF,
         _PAIR_CODIFF_SKEW,
-        _DeRhamModel,
-        _operator_matrix,
-        _PairModel,
         _symbol_matrix,
     )
     from pairform.exterior import codiff, ext_d, lie
     from pairform.pair import pair_codiff, pair_codiff_skew
 
     u = constant_field(chart, coeffs)
-    model = _PairModel(chart, u, max_freq)
-    derham = _DeRhamModel(chart, max_freq)
+    band = pair_band(chart, u, max_freq)
+    model = band.model
+    derham = de_rham_band(chart, max_freq)
     _assert_matches_reference(derham)
     for q in range(-1, chart.dim + 2):
         for step, kind, op in ((1, "d", ext_d), (-1, "codiff", codiff),
                                (0, "lie", lambda a: lie(u, a))):
-            ref, cols = _operator_matrix(derham, q, q + step, op)
-            index = {tag: i for i, tag in enumerate(derham.basis(q + step))}
+            ref, cols = operator_matrix(derham, q, q + step, op)
+            index = {tag: i for i, tag in enumerate(derham.model.basis(q + step))}
             assert _symbol_matrix(model, (("F", "F", 1, kind),), cols, index) == ref
         for blocks, op in ((_PAIR_CODIFF, pair_codiff), (_PAIR_CODIFF_SKEW, pair_codiff_skew)):
-            ref, cols = _operator_matrix(model, q, q - 1, lambda a: op(u, a))
+            ref, cols = operator_matrix(band, q, q - 1, lambda a: op(u, a))
             index = {tag: i for i, tag in enumerate(model.basis(q - 1))}
             assert _symbol_matrix(model, blocks, cols, index) == ref
 
 
 @pytest.mark.parametrize("chart", [TC1, torus_complex(2)])
 def test_dolbeault_symbols_match_symbolic_reference(chart):
-    from pairform.cohomology import _DolbeaultModel
     from pairform.rationals import gq
 
     units = (gq(1), gq(0, -1), gq(2, 1))
     x = holomorphic_field(chart, tuple(const(chart, units[j]) for j in range(chart.dim)))
     for p in range(chart.dim + 1):
-        _assert_matches_reference(_DolbeaultModel(chart, x, p, 1))
+        _assert_matches_reference(dolbeault_band(chart, x, p, 1))
 
 
 _SYMBOL_MAPS = [
@@ -558,11 +615,9 @@ _SYMBOL_MAPS = [
 @pytest.mark.parametrize("max_freq", [1, 2])
 @pytest.mark.parametrize("cmap", _SYMBOL_MAPS, ids=lambda m: str(m.matrix))
 def test_relative_symbols_match_symbolic_reference(cmap, max_freq):
-    from pairform.cohomology import _PrimedEtaModel, _RelativeModel
-
     n = cmap.source.dim
     for coeffs in ([1] + [0] * (n - 1), [2, -1][:n]):
         _assert_matches_reference(
-            _RelativeModel(cmap, constant_field(cmap.source, coeffs), max_freq))
+            relative_band(cmap, constant_field(cmap.source, coeffs), max_freq))
     eta = coframe(cmap.target, 0) * 3
-    _assert_matches_reference(_PrimedEtaModel(cmap, eta, max_freq))
+    _assert_matches_reference(primed_band(cmap, eta, max_freq))

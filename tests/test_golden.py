@@ -27,6 +27,18 @@ def test_cohomology_report_matches_golden_file():
     assert report.to_dict() == expected
 
 
+def test_harmonic_report_matches_golden_file():
+    """Pins the two documented-discrepancy witnesses, the rendered
+    "Laplacian-harmonic but not jointly closed" witnesses and the
+    Lichnerowicz checks of the default harmonic scenario."""
+    from pairform.cli import build_parser, scenario_from_args
+
+    scenario = scenario_from_args(build_parser().parse_args(["harmonic"]))
+    report = run(scenario, clock=_fake_clock())
+    expected = json.loads((GOLDEN / "harmonic.json").read_text())
+    assert report.to_dict() == expected
+
+
 def test_scalar_rendering_golden():
     r2, t2, c1 = affine(2), torus(2), affine_complex(1)
     cases = [
