@@ -23,12 +23,18 @@ import time
 
 from . import __version__
 from .charts import torus
-from .cohomology import UnsupportedScenarioError, pair_complex, pair_predicted_dims
-from .exterior import parse_field, parse_form
-from .report import PASS, UNSUPPORTED, Check, Report, Table, passed
+from .cohomology import (
+    pair_complex,
+    pair_predicted_dims,
+    relative_complex,
+    relative_predicted_dims,
+)
+from .exterior import constant_field, parse_field, parse_form
+from .report import PASS, Report
 from .scalar import ChartMap
 from .suites import (
     CHART_KEYS,
+    band_tables,
     cohomology_suite,
     dolbeault_suite,
     harmonic_suite,
@@ -50,19 +56,10 @@ def _parse_matrix(text: str):
 def _custom_cohomology(dim: int, field_text: str, bands):
     chart = torus(dim)
     x = parse_field(chart, field_text)
-    checks, tables = [], []
-    predicted = pair_predicted_dims(dim)
-    for max_freq in bands:
-        name = f"pair/T{dim}/X=[{field_text}]/N={max_freq}"
-        try:
-            out = pair_complex(chart, x, max_freq)
-        except UnsupportedScenarioError as exc:
-            checks.append(Check(f"cohomology/custom-field/N={max_freq}",
-                                "pair-cohomology-dimensions", UNSUPPORTED, str(exc)))
-            continue
-        tables.append(Table(name, list(out.degrees), out.dim_vector(), predicted,
-                            passed(out.dim_vector() == predicted)))
-    return checks, tables
+    return band_tables("cohomology/custom-field", "pair-cohomology-dimensions",
+                       f"pair/T{dim}/X=[{field_text}]",
+                       lambda max_freq: pair_complex(chart, x, max_freq), bands,
+                       pair_predicted_dims(dim))
 
 
 def run(scenario: dict, clock=time.perf_counter) -> Report:
@@ -108,30 +105,19 @@ def run(scenario: dict, clock=time.perf_counter) -> Report:
 
 
 def _custom_relative(scenario: dict):
-    from .cohomology import relative_complex, relative_predicted_dims
-    from .exterior import constant_field
-
     rows = _parse_matrix(scenario["map"])
     n = len(rows[0])
     chart = torus(n)
-    cmap = ChartMap(torus(n), torus(len(rows)), matrix=rows)
+    cmap = ChartMap(chart, torus(len(rows)), matrix=rows)
     if scenario.get("field"):
         x = parse_field(chart, scenario["field"])
     else:
         x = constant_field(chart, [1] + [0] * (n - 1))
-    checks, tables = [], []
-    predicted = relative_predicted_dims(cmap.target.dim, cmap.source.dim)
-    for max_freq in scenario["bands"]:
-        try:
-            out = relative_complex(cmap, x, max_freq)
-        except UnsupportedScenarioError as exc:
-            checks.append(Check(f"relative/custom-map/N={max_freq}",
-                                "relative-cohomology-dimensions", UNSUPPORTED, str(exc)))
-            continue
-        name = f"relative/custom[{scenario['map']}]/N={max_freq}"
-        tables.append(Table(name, list(out.degrees), out.dim_vector(), predicted,
-                            passed(out.dim_vector() == predicted)))
-    return checks, tables
+    return band_tables("relative/custom-map", "relative-cohomology-dimensions",
+                       f"relative/custom[{scenario['map']}]",
+                       lambda max_freq: relative_complex(cmap, x, max_freq),
+                       scenario["bands"],
+                       relative_predicted_dims(cmap.target.dim, cmap.source.dim))
 
 
 # defaults filled in by scenario_from_args, so that _check_args can tell an

@@ -301,6 +301,10 @@ class _PairEtaModel(_Model):
     d eta = 0 the differential is (d phi, -d psi)."""
 
     def __init__(self, chart: Chart, eta: Form, max_freq: int):
+        if eta.chart != chart:
+            raise ChartMismatchError(f"the twisting form lives on {eta.chart}, not {chart}")
+        if eta.degree != 1:
+            raise ValueError("twisting form must be a 1-form")
         if not ext_d(eta).is_zero:
             raise UnsupportedScenarioError(
                 "the twisted pair differential mixes frequencies unless the "
@@ -361,6 +365,8 @@ class _PrimedEtaModel(_Model):
             raise UnsupportedScenarioError("primed band model requires a torus map")
         if eta.chart != cmap.target:
             raise UnsupportedScenarioError("the twisting form must live on the target")
+        if eta.degree != 1:
+            raise ChartMismatchError("eta must be a 1-form on the map's target")
         if not ext_d(eta).is_zero:
             raise UnsupportedScenarioError(
                 "the twisted relative differential mixes frequencies unless the "

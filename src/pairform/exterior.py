@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .charts import Chart, ChartKind, ChartMismatchError, require_same_chart
 from .linalg import invert_dense
 from .rationals import ZERO, GaussianRational, gq
-from .scalar import ChartMap, ScalarExpr, const, parse_scalar
+from .scalar import ChartMap, ScalarExpr, _split_top, const, parse_scalar
 from .scalar import zero as scalar_zero
 
 
@@ -136,9 +136,6 @@ class Form:
             sign, sorted_idx = _sort_with_sign(swapped)
             out.append((sorted_idx, s.conjugate() * sign))
         return Form(self.chart, self.degree, tuple(out))
-
-    def max_frequency(self) -> int:
-        return max((s.max_frequency() for _, s in self.components), default=0)
 
     def __str__(self) -> str:
         if not self.components:
@@ -583,19 +580,8 @@ def parse_form(chart: Chart, text: str) -> Form:
     text = text.replace(" ", "")
     if not text or text == "0":
         return zero_form(chart, 0)
-    summands, degree, comps = [], None, []
-    depth, cur = 0, []
-    for ch in text:
-        depth += ch == "("
-        depth -= ch == ")"
-        if ch == "+" and depth == 0 and cur:
-            summands.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        summands.append("".join(cur))
-    for summand in summands:
+    degree, comps = None, []
+    for summand in _split_top(text, "+"):
         m = re.search(r"(d(?:x|zb?)\[\d+\](?:\^d(?:x|zb?)\[\d+\])*)$", summand)
         if not m:
             comps.append(((), parse_scalar(chart, summand)))

@@ -248,9 +248,6 @@ class ScalarExpr:
     def total_degree(self) -> int:
         return max((sum(a) for a, _, _ in self.terms), default=0)
 
-    def max_frequency(self) -> int:
-        return max((max(map(abs, k), default=0) for _, k, _ in self.terms), default=0)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

@@ -105,11 +105,16 @@ def test_out_writes_report(tmp_path, capsys):
 
 
 def test_nonconstant_custom_field_reported_unsupported(capsys):
-    code = main(["cohomology", "--dim", "2", "--field", "e(1,0); 0",
-                 "--max-freq", "1"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "skip" in out
+    for argv, skipped in (
+            (["cohomology", "--dim", "2", "--field", "e(1,0); 0", "--max-freq", "1"],
+             ["cohomology/custom-field/N=1"]),
+            (["relative", "--map", "2", "--field", "e(1)", "--max-freq", "2"],
+             ["relative/custom-map/N=1", "relative/custom-map/N=2"])):
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0
+        assert [line.split()[1] for line in out.splitlines()
+                if line.startswith("[skip]")] == skipped
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -122,6 +127,8 @@ def test_nonconstant_custom_field_reported_unsupported(capsys):
     (["relative", "--map", ""], "--map must not be empty"),
     (["cohomology", "--dim", "2", "--field", "1; 0", "--eta", "3*dx[1]"],
      "--eta cannot be combined with --field"),
+    (["cohomology", "--dim", "2", "--eta", "dx[1]^dx[2]"], "twisting form must be a 1-form"),
+    (["cohomology", "--dim", "2", "--eta", "3"], "twisting form must be a 1-form"),
 ])
 def test_rejected_input_is_usage_error(argv, message, capsys):
     assert main(argv) == 2

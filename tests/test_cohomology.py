@@ -7,7 +7,7 @@ def comb(n, k):
 
 import pytest
 
-from pairform.charts import torus, torus_complex
+from pairform.charts import ChartMismatchError, affine, torus, torus_complex
 from pairform.cohomology import (
     UnsupportedScenarioError,
     de_rham_complex,
@@ -21,7 +21,7 @@ from pairform.cohomology import (
     relative_predicted_dims,
 )
 from pairform.dolbeault import holomorphic_field
-from pairform.exterior import coframe, constant_field, scalar_form, wedge
+from pairform.exterior import coframe, constant_field, parse_form, scalar_form, wedge
 from pairform.scalar import ChartMap, const, identity_map, sin_wave
 
 from oracles import (
@@ -115,6 +115,25 @@ def test_eta_complex_rejects_non_closed():
         pair_eta_complex(T2, eta, 1)
 
 
+@pytest.mark.parametrize("eta, message", [
+    (coframe(T3, 0), "the twisting form lives on torus(3), not torus(2)"),
+    (coframe(affine(2), 0), "the twisting form lives on affine-real(2), not torus(2)"),
+])
+def test_eta_complex_rejects_a_form_on_another_chart(eta, message):
+    with pytest.raises(ChartMismatchError) as exc_info:
+        pair_eta_complex(T2, eta, 1)
+    assert str(exc_info.value) == message
+
+
+@pytest.mark.parametrize("text", ["dx[1]^dx[2]", "3"])
+def test_eta_complex_rejects_a_form_of_other_degree(text):
+    # closed forms of degree 2 and 0 would otherwise pass as a twisted table
+    with pytest.raises(ValueError) as exc_info:
+        pair_eta_complex(T2, parse_form(T2, text), 1)
+    assert exc_info.type is ValueError
+    assert str(exc_info.value) == "twisting form must be a 1-form"
+
+
 def test_relative_identity_matches_pair_table():
     x = constant_field(T2, (1, 0))
     rel = relative_complex(identity_map(T2), x, 1)
@@ -165,6 +184,14 @@ def test_primed_complex_rejects_non_closed_eta():
     eta = wedge(scalar_form(sin_wave(T2, (1, 0))), coframe(T2, 1))
     with pytest.raises(UnsupportedScenarioError):
         primed_eta_complex(identity_map(T2), eta, 1)
+
+
+def test_primed_complex_rejects_eta_of_other_degree():
+    from pairform.cohomology import primed_eta_complex
+    shear = ChartMap(T2, T2, matrix=((1, 1), (0, 1)))
+    with pytest.raises(ChartMismatchError) as exc_info:
+        primed_eta_complex(shear.inverse(), parse_form(T2, "dx[1]^dx[2]"), 1)
+    assert str(exc_info.value) == "eta must be a 1-form on the map's target"
 
 
 def test_dolbeault_dimensions_and_serre_symmetry():
