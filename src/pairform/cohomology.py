@@ -11,11 +11,22 @@ sends a basis form e(k) dx^I to e(k') sum_J c_J(k) dx^J, where k' is k or,
 through a torus map with integer matrix A, A^T k, and c_J(k) is a closed
 form in the integers k and I: i k_j for d, i<k, X> for L_X, a minor of A for
 the pullback, the coefficients w_j of a parallel 1-form for w^ and i_(w#).
-`_symbol` writes one column down from those integers, so no operator is
-applied symbolically here: the harmonic and Lichnerowicz Laplacians are
-products of first-order band matrices, and witnesses are written from their
-basis tags.  The symbolic reference that the tests compare every matrix
-against lives in the test suite.
+`_symbol` writes the part of a column that does not depend on k down from
+the index set, `_Block.matrix` evaluates it at each mode, and no operator is
+applied symbolically here.  The symbolic reference that the tests compare
+every matrix against lives in the test suite.
+
+So every band matrix is block-diagonal, and the engine works one block at a
+time.  A block (`_Block`) is one mode k, with its forms on both slots; over
+a torus map it is one source mode together with every target mode k whose
+A^T k equals it.  A block's matrices are Z[i] column matrices (see `linalg`)
+written straight from the symbols' integers, every entry times the model's
+one denominator `scale`; lambda(k) is computed once per mode, in Q(i).  On
+each block the builders check d.d = 0 and add up ranks; the harmonic and
+Lichnerowicz Laplacians are products of first-order block matrices, the pair
+Laplacians are compared with their closed form block by block, and kernel
+vectors are put back in the order of the global basis.  No global matrix is
+built, and witnesses are written from their basis tags.
 
 Operators that mix frequencies (a pair differential twisted by a non-closed
 1-form) escape every finite band; such scenarios are rejected rather than
@@ -25,16 +36,18 @@ approximated.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb as _math_comb
 
 from .charts import Chart, ChartKind, ChartMismatchError
 from .exterior import Form, VectorField, ext_d, require_parallel_one_form, zero_form
-from .linalg import RationalMatrix
+from .linalg import RationalMatrix, det_dense, zi_kernel, zi_matmul, zi_rank
 from .pair import PairForm
 from .pair import pair_d  # noqa: F401  unused; perfbench/selftest.py checks its tracer binding
-from .rationals import ZERO, from_parts
+from .rationals import ZERO, from_parts, gq
 from .scalar import ChartMap, wave
 
 
@@ -47,7 +60,9 @@ class UnsupportedScenarioError(Exception):
 
 
 def _modes(nvars: int, max_freq: int):
-    return [k for k in itertools.product(range(-max_freq, max_freq + 1), repeat=nvars)]
+    if max_freq < 0:
+        raise ValueError(f"max_freq must be non-negative, got {max_freq}")
+    return list(itertools.product(range(-max_freq, max_freq + 1), repeat=nvars))
 
 
 def _index_sets(nslots: int, size: int):
@@ -68,23 +83,17 @@ def _constant_coeffs(x: VectorField) -> tuple:
     return tuple(c.constant_value() for c in x.components)
 
 
-def _det(rows) -> int:
-    """Determinant of a small square integer matrix (Laplace expansion)."""
-    if not rows:
-        return 1
-    return sum((-1) ** j * v * _det([r[:j] + r[j + 1:] for r in rows[1:]])
-               for j, v in enumerate(rows[0]) if v)
-
-
 # -- per-mode symbols ----------------------------------------------------------
 
 # An operator is a tuple of symbol blocks (source side, target side, sign,
 # kind).  Side "F" holds the degree-p part of a basis element, side "S" the
-# degree-(p-1) part; each block reads like the operator's formula.  The blocks
-# leaving one side go to distinct sides, so no two blocks meet in one entry.
+# degree-(p-1) part; each block reads like the operator's formula.  Entries
+# that two symbol blocks of one operator write to are added.
 _DE_RHAM_D = (("F", "F", 1, "d"),)
 _WEDGE, _CODIFF, _INTERIOR = ((("F", "F", 1, kind),)
                                for kind in ("wedge", "codiff", "interior"))
+_TWISTED_D = _DE_RHAM_D + _WEDGE                 # d + w^
+_TWISTED_CODIFF = _CODIFF + _INTERIOR            # delta + i_(w#)
 _PAIR_D = (("F", "F", 1, "d"), ("F", "S", 1, "lie"), ("S", "S", -1, "d"))
 _UNCOUPLED_D = (("F", "F", 1, "d"), ("S", "S", -1, "d"))   # closed twisting form
 _REL_D = (("F", "F", 1, "d"), ("F", "S", 1, "pullback"), ("S", "S", -1, "d"))
@@ -95,113 +104,75 @@ _PAIR_CODIFF_SKEW = (("F", "F", 1, "codiff"), ("S", "F", -1, "lie"),
                      ("S", "S", -1, "codiff"))
 
 
-def _sigma(chart: Chart, k, j: int, sign: int = 1):
-    """sign * sigma_j(k), where wave(k).wirtinger(j) = sigma_j(k) * wave(k):
-    i*k_j on a real torus; (i*k_x + k_y)/2 on a dz slot and (i*k_x - k_y)/2
-    on a dzb slot of a complex torus."""
+def _sigma(chart: Chart, k, j: int):
+    """sigma_j(k) as an int pair, doubled on a complex torus, where
+    wave(k).wirtinger(j) = sigma_j(k) * wave(k): i*k_j on a real torus;
+    (i*k_x + k_y)/2 on a dz slot and (i*k_x - k_y)/2 on a dzb slot of a
+    complex torus."""
     if not chart.is_complex:
-        return from_parts(0, sign * k[j])
+        return 0, k[j]
     n = chart.dim
     kx, ky = k[j % n], k[n + j % n]
-    return from_parts(sign * (-ky if j >= n else ky), sign * kx, 2)
+    return (-ky if j >= n else ky), kx
 
 
-def _lie_symbol(coeffs, chart: Chart, k, sign: int = 1):
-    """sign * lambda(k), where L_X e(k) = lambda(k) e(k) and lambda(k) =
-    sum_j X_j sigma_j(k) for the constant field with frame coefficients
-    `coeffs`."""
-    total = ZERO
-    for j, x in enumerate(coeffs):
-        if x:
-            total = total + x * _sigma(chart, k, j, sign)
-    return total
+# the form degree a symbol block of each kind adds to its source's
+_STEP = {"d": 1, "dbar": 1, "wedge": 1, "codiff": -1, "interior": -1, "lie": 0, "pullback": 0}
 
 
-def _symbol(model: "_Model", op, tag) -> list:
-    """The column of operator `op` at basis tag (side, k, idx), as (row tag,
-    coefficient) pairs computed from the integers k and idx alone.
-
-    A block (src, dst, sign, kind) whose source is the tag's side sends
-    e(k) dx^I on the source slot to `sign` times
-      d        sum over slots j not in I of +-sigma_j(k) e(k) dx^(I + j),
-               the sign that of moving dx_j to its place in dx^I;
+def _symbol(model: "_Model", op, side, idx) -> list:
+    """The symbol of operator `op` at the basis forms e(k) dx^idx of `side`,
+    for every mode k at once: a list of terms per symbol block (src, dst,
+    sign, kind) of `op` whose source is `side`.  The block sends
+    e(k) dx^I on the source slot to the sum over (J, s, j) in `terms` of
+    s * c e(k') dx^J on the target slot dst, where k' is k, and (j is 0
+    where c does not depend on it)
+      d        J = I + j over the slots j not in I, c = sigma_j(k), s =
+               `sign` times the sign of moving dx_j to its place in dx^I;
       dbar     the same over the antiholomorphic slots j only;
-      wedge    the same with w_j in place of sigma_j(k) (w^, w = sum w_j dx_j);
-      codiff   sum_r (-1)^(r+1) sigma_(i_r)(k) e(k) dx^(I - i_r) (real torus);
-      interior sum_r (-1)^r w_(i_r) e(k) dx^(I - i_r) (i_(w#), real torus);
-      lie      lambda(k) e(k) dx^I on the target slot;
-      pullback L_X f^*: sum_J minor(A; I, J) lambda(A^T k) e(A^T k) dx^J on
-               the map's source, A the map's matrix.
-    Here X or w has the constant frame coefficients `model.coeffs`.  Zero
-    coefficients are left out, as decomposing a symbolic image would.
+      wedge    the same with c = w_j (w^, w = sum w_j dx_j);
+      codiff   J = I - i_r, s = (-1)^(r+1) `sign`, c = sigma_(i_r)(k) and
+               j = i_r (real torus);
+      interior J = I - i_r, s = (-1)^r `sign`, c = w_(i_r) (i_(w#), real torus);
+      lie      J = I, s = `sign`, c = lambda(k);
+      pullback L_X f^*: J over the source index sets, s = `sign` times
+               minor(A; I, J), c = lambda(A^T k) and k' = A^T k, A the
+               map's matrix.
+    Here X or w has the constant frame coefficients `model.coeffs`.  Terms
+    with w_j = 0 or a zero minor are left out, as decomposing a symbolic
+    image would; `_Block.matrix` drops the terms whose c(k) vanishes.
     """
-    side, k, idx = tag
     out = []
     for src, dst, sign, kind in op:
         if src != side:
             continue
         chart = model.charts[src]
         if kind == "lie":
-            lam = _lie_symbol(model.coeffs, chart, k, sign)
-            if lam:
-                out.append(((dst, k, idx), lam))
+            terms = [(idx, sign, 0)]
         elif kind == "pullback":
-            pulled = model.pull(k)
-            lam = _lie_symbol(model.coeffs, model.charts[dst], pulled, sign)
-            if lam:
-                out += [((dst, pulled, j), lam * minor)
-                        for j, minor in model.minors[idx]]
-        elif kind == "codiff":
-            for r, j in enumerate(idx):
-                c = _sigma(chart, k, j, sign if r % 2 else -sign)
-                if c:
-                    out.append(((dst, k, idx[:r] + idx[r + 1:]), c))
-        elif kind == "interior":
-            for r, j in enumerate(idx):
-                w = model.coeffs[j]
-                if w:
-                    out.append(((dst, k, idx[:r] + idx[r + 1:]),
-                                w * (-sign if r % 2 else sign)))
-        elif kind == "wedge":
-            for j, w in enumerate(model.coeffs):
-                pos = bisect_left(idx, j)
-                if w and not (pos < len(idx) and idx[pos] == j):
-                    out.append(((dst, k, idx[:pos] + (j,) + idx[pos:]),
-                                w * (-sign if pos % 2 else sign)))
+            terms = [(j, sign * minor, 0) for j, minor in model.minors[idx]]
+        elif kind in ("codiff", "interior"):
+            terms = [(idx[:r] + idx[r + 1:], sign if (r % 2) == (kind == "codiff") else -sign, j)
+                     for r, j in enumerate(idx)]
         else:
+            terms = []
             for j in range(chart.dim if kind == "dbar" else 0, chart.nslots):
                 pos = bisect_left(idx, j)
-                if pos < len(idx) and idx[pos] == j:
-                    continue
-                c = _sigma(chart, k, j, -sign if pos % 2 else sign)
-                if c:
-                    out.append(((dst, k, idx[:pos] + (j,) + idx[pos:]), c))
+                if not (pos < len(idx) and idx[pos] == j):
+                    terms.append((idx[:pos] + (j,) + idx[pos:], -sign if pos % 2 else sign, j))
+        if kind in ("wedge", "interior"):
+            terms = [t for t in terms if model.coeffs[t[2]]]
+        out.append(terms)
     return out
-
-
-def _symbol_matrix(model: "_Model", op, src_basis, dst_index: dict) -> RationalMatrix:
-    """Matrix of `op` from the basis `src_basis` into the basis indexed by
-    `dst_index`, one `_symbol` column per basis tag."""
-    cols = []
-    for tag in src_basis:
-        col = {}
-        for row, c in _symbol(model, op, tag):
-            if row not in dst_index:
-                raise UnsupportedScenarioError(
-                    f"band-closure violation: mode {row[1]} leaves the band")
-            col[dst_index[row]] = c
-        cols.append(col)
-    return RationalMatrix.from_columns(len(dst_index), cols)
 
 
 @dataclass
 class BandComplex:
-    """Exact matrices of a differential on an ordered monomial basis."""
+    """Exact dimensions of a band complex on an ordered monomial basis."""
 
     label: str
     degrees: tuple
     basis: dict = field(default_factory=dict)
-    matrices: dict = field(default_factory=dict)
     ranks: dict = field(default_factory=dict)
     dims: dict = field(default_factory=dict)
 
@@ -210,6 +181,75 @@ class BandComplex:
 
 
 _SHIFT = {"F": 0, "S": 1}
+
+
+class _Block:
+    """One block of a band model: the basis tags whose modes are listed, per
+    side in the model's side order, in `modes`."""
+
+    def __init__(self, model: "_Model", modes: dict):
+        self.model = model
+        self.modes = modes
+        self._tags = {}
+        self._index = {}
+
+    def tags(self, degree) -> list:
+        """The block's basis tags of this degree, in the global basis order."""
+        if degree not in self._tags:
+            sets = self.model.index_sets
+            self._tags[degree] = [(side, k, idx) for side, modes in self.modes.items()
+                                  for k in modes for idx in sets(side, degree - _SHIFT[side])]
+        return self._tags[degree]
+
+    def index(self, degree) -> dict:
+        """The position in `tags(degree)` of the first tag of each (side, k)."""
+        if degree not in self._index:
+            index = self._index[degree] = {}
+            for i, (side, k, _) in enumerate(self.tags(degree)):
+                index.setdefault((side, k), i)
+        return self._index[degree]
+
+    def matrix(self, op, src: int, dst: int) -> list:
+        """The block of operator `op` from degree `src` to degree `dst`, as a
+        Z[i] column matrix with entries times `model.scale`: one column per
+        tag, evaluated from the mode and the tag's `_symbol`."""
+        model = self.model
+        index = self.index(dst)
+        cols = []
+        for side, modes in self.modes.items():
+            kinds, symbols = model.symbols(op, side, src - _SHIFT[side])
+            if not symbols:
+                continue
+            for k in modes:
+                # per symbol block: its first row, its coefficients c indexed
+                # by j, and its target mode
+                blocks = []
+                for dst_side, kind in kinds:
+                    row_k = k
+                    if kind == "pullback":
+                        row_k = model.pull(k)
+                        coefs = (model.lam(row_k),)
+                    elif kind == "lie":
+                        coefs = (model.lam(k),)
+                    elif kind in ("wedge", "interior"):
+                        coefs = model.scaled_coeffs
+                    else:
+                        coefs = model.sigma(side, k)
+                    blocks.append((index.get((dst_side, row_k)), coefs, row_k))
+                for terms in symbols:
+                    col = {}
+                    for (start, coefs, row_k), block_terms in zip(blocks, terms):
+                        for pos, s, j in block_terms:
+                            a, b = coefs[j]
+                            if a or b:
+                                if start is None or pos is None:
+                                    raise UnsupportedScenarioError(
+                                        f"band-closure violation: mode {row_k} leaves the band")
+                                c, e = col.pop(start + pos, (0, 0))
+                                if c + s * a or e + s * b:
+                                    col[start + pos] = c + s * a, e + s * b
+                    cols.append(col)
+        return cols
 
 
 class _Model:
@@ -221,20 +261,110 @@ class _Model:
     `__init__` and sets `label`, `degrees`, `charts`, `modes`, `op` (the
     differential as symbol blocks) and, when a block needs them, the constant
     frame coefficients `coeffs` of the field or 1-form, and for a pullback
-    `minors` and `pull`; `assemble` builds every matrix from `_symbol`."""
+    `minors` and `pull`; `assemble` builds every matrix from `_symbol`, one
+    `_Block` at a time."""
 
     degrees: tuple
     charts: dict
     modes: dict
     op: tuple
+    coeffs: tuple = ()
 
     def sets(self, side, degree):
         """The slot-index tuples of the side's forms of this degree."""
         return _index_sets(self.charts[side].nslots, degree)
 
+    @cached_property
+    def _cache(self) -> dict:
+        """Per-model memos of `index_sets`, `symbols`, `sigma` and `lam`."""
+        return {"sets": {}, "symbols": {}, "sigmas": {}, "lams": {}}
+
+    def index_sets(self, side, degree):
+        """`sets`, computed once per side and degree."""
+        cache = self._cache["sets"]
+        key = side, degree
+        if key not in cache:
+            cache[key] = self.sets(side, degree)
+        return cache[key]
+
+    def symbols(self, op, side, q) -> tuple:
+        """`_symbol` of `op` at every index set of `side` in form degree q,
+        computed once per model: ([(dst, kind)] of the symbol blocks leaving
+        `side`, and per index set the terms of each block), with each target
+        index set J replaced by its position in the target's index sets
+        (None if it has none)."""
+        cache = self._cache["symbols"]
+        key = op, side, q
+        if key not in cache:
+            kinds = [(dst, kind) for src, dst, _, kind in op if src == side]
+            positions = [{J: i for i, J in enumerate(self.index_sets(dst, q + _STEP[kind]))}
+                         for dst, kind in kinds]
+            terms = [[[(at.get(J), s, j) for J, s, j in block_terms]
+                      for at, block_terms in zip(positions, _symbol(self, op, side, idx))]
+                     for idx in self.index_sets(side, q)]
+            cache[key] = kinds, terms
+        return cache[key]
+
     def basis(self, degree):
         return [(side, k, idx) for side in self.charts for k in self.modes[side]
-                for idx in self.sets(side, degree - _SHIFT[side])]
+                for idx in self.index_sets(side, degree - _SHIFT[side])]
+
+    def block_key(self, side, k):
+        """The block of mode k on `side`: operators that keep modes give one
+        block per mode."""
+        return k
+
+    def blocks(self) -> list:
+        """The model's blocks, in the order of their first mode in the basis."""
+        groups = {}
+        for side in self.charts:
+            for k in self.modes[side]:
+                groups.setdefault(self.block_key(side, k), {}).setdefault(side, []).append(k)
+        return [_Block(self, modes) for modes in groups.values()]
+
+    @cached_property
+    def unit(self) -> int:
+        """The lcm of the denominators of `coeffs`, so unit * coeffs is in Z[i]."""
+        return math.lcm(*(x.d for x in self.coeffs))
+
+    @cached_property
+    def scale(self) -> int:
+        """The one denominator of the model: block entries are the band
+        matrices' entries times `scale`, which is `unit`, doubled on a
+        complex torus for the 1/2 of sigma_j."""
+        return self.unit * (2 if self.charts["F"].is_complex else 1)
+
+    @cached_property
+    def scaled_coeffs(self) -> tuple:
+        """`coeffs` times `scale`, as Z[i] int pairs."""
+        return tuple((x.a * (self.scale // x.d), x.b * (self.scale // x.d))
+                     for x in self.coeffs)
+
+    def sigma(self, side, k) -> list:
+        """sigma_j(k) times `scale` over the slots j of the side's chart (the
+        doubled sigma_j times `unit`), as int pairs, computed once per side
+        and mode."""
+        cache = self._cache["sigmas"]
+        key = side, k
+        if key not in cache:
+            chart = self.charts[side]
+            unit = self.unit
+            cache[key] = [(a * unit, b * unit) for a, b in
+                          (_sigma(chart, k, j) for j in range(chart.nslots))]
+        return cache[key]
+
+    def lam(self, k):
+        """lambda(k) times `scale` as an int pair, where L_X e(k) = lambda(k)
+        e(k) and lambda(k) = sum_j X_j sigma_j(k) for the constant field with
+        frame coefficients `coeffs`; computed once per mode, in Q(i).  The
+        field lives on the chart of side "S" in every model with a Lie
+        symbol."""
+        cache = self._cache["lams"]
+        if k not in cache:
+            lam = sum((x * from_parts(a, b) for x, (a, b) in zip(self.coeffs, self.sigma("S", k))
+                       if x and (a or b)), ZERO)
+            cache[k] = lam.a, lam.b
+        return cache[k]
 
     def assemble(self, shuffle=None) -> BandComplex:
         out = BandComplex(self.label, tuple(self.degrees))
@@ -243,18 +373,22 @@ class _Model:
             if shuffle is not None:
                 shuffle(basis)
             out.basis[d] = tuple(basis)
-        index = {d: {tag: i for i, tag in enumerate(out.basis[d])} for d in self.degrees}
-        for d in self.degrees[:-1]:
-            out.matrices[d] = _symbol_matrix(self, self.op, out.basis[d], index[d + 1])
-        for d in self.degrees[:-2]:
-            if not out.matrices[d + 1].matmul(out.matrices[d]).is_zero():
-                raise AssertionError(f"differentials fail to compose to zero at degree {d}")
-        for d in self.degrees:
-            mat = out.matrices.get(d)
-            out.ranks[d] = mat.rank() if mat is not None else 0
+        ranks = dict.fromkeys(self.degrees, 0)
+        failed = None                  # the lowest degree with d.d != 0 in some block
+        for block in self.blocks():
+            mats = {d: block.matrix(self.op, d, d + 1) for d in self.degrees[:-1]}
+            for d in self.degrees[:-2]:
+                if (failed is None or d < failed) and any(zi_matmul(mats[d + 1], mats[d])):
+                    failed = d
+            if failed is None:
+                for d, mat in mats.items():
+                    ranks[d] += zi_rank(mat)
+        if failed is not None:
+            raise AssertionError(f"differentials fail to compose to zero at degree {failed}")
         for i, d in enumerate(self.degrees):
-            below = out.ranks[self.degrees[i - 1]] if i else 0
-            kernel = len(out.basis[d]) - out.ranks[d]
+            out.ranks[d] = ranks[d]
+            below = ranks[self.degrees[i - 1]] if i else 0
+            kernel = len(out.basis[d]) - ranks[d]
             out.dims[d] = kernel - below
             if out.dims[d] < 0:
                 raise AssertionError("negative cohomology dimension")
@@ -287,6 +421,8 @@ class _PairModel(_Model):
     def __init__(self, chart: Chart, x: VectorField, max_freq: int):
         if chart.kind is not ChartKind.TORUS:
             raise UnsupportedScenarioError("pair band model requires a real torus")
+        if x.chart != chart:
+            raise ChartMismatchError(f"the vector field lives on {x.chart}, not {chart}")
         self.coeffs = _constant_coeffs(x)
         self.label = f"pair/{chart}"
         self.op = _PAIR_D
@@ -319,15 +455,32 @@ class _PairEtaModel(_Model):
         self.modes = {"F": modes, "S": modes}
 
 
-class _RelativeModel(_Model):
+class _MapModel(_Model):
+    """A band model over an integer-linear torus map: a block is one mode of
+    the map's source together with every mode k of its target, on side
+    `target_side`, whose A^T k equals it."""
+
+    target_side: str
+
+    def pull(self, k) -> tuple:
+        """The source mode A^T k of the target mode k."""
+        return tuple(sum(r * v for r, v in zip(row, k)) for row in self._transpose)
+
+    def block_key(self, side, k):
+        return self.pull(k) if side == self.target_side else k
+
+
+class _RelativeModel(_MapModel):
     """Relative pair complex over an integer-linear torus map."""
+
+    target_side = "F"
 
     def __init__(self, cmap: ChartMap, x: VectorField, max_freq: int):
         if cmap.matrix is None or cmap.source.kind is not ChartKind.TORUS:
             raise UnsupportedScenarioError("relative band model requires a torus map")
         self.coeffs = _constant_coeffs(x)
         if x.chart != cmap.source:
-            raise UnsupportedScenarioError("the vector field must live on the map's source")
+            raise ChartMismatchError(f"the vector field lives on {x.chart}, not {cmap.source}")
         self.label = f"relative/{cmap.source}->{cmap.target}"
         self.op = _REL_D
         top = max(cmap.source.nslots, cmap.target.nslots)
@@ -343,16 +496,12 @@ class _RelativeModel(_Model):
         self.minors = {}
         for p in range(cmap.target.nslots + 1):
             for tgt in _index_sets(cmap.target.nslots, p):
-                minors = ((src, _det([[cmap.matrix[t][s] for s in src] for t in tgt]))
+                minors = ((src, det_dense([[gq(cmap.matrix[t][s]) for s in src] for t in tgt]).a)
                           for src in _index_sets(cmap.source.nslots, p))
                 self.minors[tgt] = [(src, m) for src, m in minors if m]
 
-    def pull(self, k) -> tuple:
-        """The source mode A^T k of the target mode k."""
-        return tuple(sum(r * v for r, v in zip(row, k)) for row in self._transpose)
 
-
-class _PrimedEtaModel(_Model):
+class _PrimedEtaModel(_MapModel):
     """Primed relative complex over a torus map, twisted by a closed 1-form.
 
     The first slot lives on the map's source, the second on its target; with
@@ -360,11 +509,14 @@ class _PrimedEtaModel(_Model):
     the only case that stays inside a band.
     """
 
+    target_side = "S"
+
     def __init__(self, cmap: ChartMap, eta: Form, max_freq: int):
         if cmap.matrix is None or cmap.source.kind is not ChartKind.TORUS:
             raise UnsupportedScenarioError("primed band model requires a torus map")
         if eta.chart != cmap.target:
-            raise UnsupportedScenarioError("the twisting form must live on the target")
+            raise ChartMismatchError(
+                f"the twisting form lives on {eta.chart}, not {cmap.target}")
         if eta.degree != 1:
             raise ChartMismatchError("eta must be a 1-form on the map's target")
         if not ext_d(eta).is_zero:
@@ -375,6 +527,7 @@ class _PrimedEtaModel(_Model):
         self.op = _UNCOUPLED_D
         top = max(cmap.source.nslots, cmap.target.nslots)
         self.degrees = tuple(range(top + 3))
+        self._transpose = list(zip(*cmap.matrix))
         self.charts = {"F": cmap.source, "S": cmap.target}
         self.modes = {side: _modes(chart.nvars, max_freq)
                       for side, chart in self.charts.items()}
@@ -384,8 +537,12 @@ class _DolbeaultModel(_Model):
     """Fixed-p pair complex for the dbar operator on a flat complex torus."""
 
     def __init__(self, chart: Chart, x: VectorField, p: int, max_freq: int):
+        if p < 0:
+            raise ValueError(f"p must be non-negative, got {p}")
         if chart.kind is not ChartKind.TORUS_COMPLEX:
             raise UnsupportedScenarioError("dbar band model requires a complex torus")
+        if x.chart != chart:
+            raise ChartMismatchError(f"the vector field lives on {x.chart}, not {chart}")
         self.coeffs = _constant_coeffs(x)
         if not x.is_holomorphic():
             raise UnsupportedScenarioError("dbar band model requires a holomorphic field")
@@ -477,93 +634,82 @@ class HarmonicKernel:
         return self.dim_laplacian == self.dim_joint
 
 
-def _closed_form_matrix(model: _PairModel, degree: int, sign: int) -> RationalMatrix:
-    """The pair Laplacian's closed form on the degree-p band: blockdiag over
-    the slot degrees q = p, p-1 of delta_(q+1) d_q + d_(q-1) delta_q
-    + sign * L_q L_q, each factor a single-form matrix built from the
-    symbols of d, codiff and lie on the first slot."""
-    index = {tag: i for i, tag in enumerate(model.basis(degree))}
-    entries = {}
-
-    def single(q):
-        return [("F", k, idx) for k in model.modes["F"] for idx in model.sets("F", q)]
-
-    def mat(src, dst, kind):
-        dst_index = {tag: i for i, tag in enumerate(single(dst))}
-        return _symbol_matrix(model, (("F", "F", 1, kind),), single(src), dst_index)
-
-    for side, q in (("F", degree), ("S", degree - 1)):
-        lie_q = mat(q, q, "lie")
-        lie_sq = lie_q.matmul(lie_q)
-        if sign < 0:
-            lie_sq.entries = {key: -v for key, v in lie_sq.entries.items()}
-        block = mat(q + 1, q, "codiff").matmul(mat(q, q + 1, "d")).add(
-            mat(q - 1, q, "d").matmul(mat(q, q - 1, "codiff"))).add(lie_sq)
-        pos = [index[(side, k, idx)] for _, k, idx in single(q)]
-        for (r, c), v in block.entries.items():
-            entries[(pos[r], pos[c])] = v
-    return RationalMatrix(len(index), len(index), entries)
+def _closed_form(model: _PairModel, block: _Block, degree: int, sign: int) -> list:
+    """The pair Laplacian's closed form on one mode block, entries times
+    scale^2: the componentwise Laplacian |k|^2 plus `sign` times the squared
+    Lie symbol lambda(k)^2, the same multiple of the identity on both slots."""
+    (k,) = block.modes["F"]
+    la, lb = model.lam(k)
+    value = (sum(v * v for v in k) * model.scale ** 2 + sign * (la * la - lb * lb),
+             sign * 2 * la * lb)
+    return [{c: value} if value != (0, 0) else {} for c in range(len(block.tags(degree)))]
 
 
-def _anticommutator(model: _Model, degree: int, d_ops, cod_ops):
-    """Lap = Cod_(p+1) D_p + D_(p-1) Cod_p by exact sparse matmul.  D and Cod
-    are first-order band matrices, each the sum of one `_symbol` matrix per
-    operator in `d_ops` or `cod_ops` (`_symbol_matrix` assigns entries, so
-    operators whose blocks meet in one entry are built apart and added).
-    Returns (Lap, D_p, Cod_p, basis of degree p)."""
-    basis = {p: model.basis(p) for p in (degree - 1, degree, degree + 1)}
-    index = {p: {tag: i for i, tag in enumerate(b)} for p, b in basis.items()}
-
-    def mat(src, dst, ops):
-        out, *rest = (_symbol_matrix(model, op, basis[src], index[dst]) for op in ops)
-        for other in rest:
-            out = out.add(other)
-        return out
-
-    d_mat = mat(degree, degree + 1, d_ops)
-    cod_mat = mat(degree, degree - 1, cod_ops)
-    lap = mat(degree + 1, degree, cod_ops).matmul(d_mat).add(
-        mat(degree - 1, degree, d_ops).matmul(cod_mat))
-    return lap, d_mat, cod_mat, basis[degree]
+def _anticommutator(block: _Block, degree: int, d_op, cod_op):
+    """Lap = Cod_(p+1) D_p + D_(p-1) Cod_p on one block, as the exact Z[i]
+    product [Cod_(p+1) | D_(p-1)] . [D_p ; Cod_p] of first-order block
+    matrices (entries times scale^2).  Returns (Lap, [D_p ; Cod_p])."""
+    shift = len(block.tags(degree + 1))
+    stacked = [{**d_col, **{r + shift: v for r, v in cod_col.items()}}
+               for d_col, cod_col in zip(block.matrix(d_op, degree, degree + 1),
+                                         block.matrix(cod_op, degree, degree - 1))]
+    lap = zi_matmul(block.matrix(cod_op, degree + 1, degree)
+                    + block.matrix(d_op, degree - 1, degree), stacked)
+    return lap, stacked
 
 
-def _laplacian_matrices(model: _PairModel, degree: int, cod, sign: int, message: str):
+def _laplacian(model: _PairModel, block: _Block, degree: int, cod, sign: int, message: str):
     """The anticommutator of pair_d and the codifferential whose symbol
-    blocks are `cod`, compared entry for entry with its closed form, once
-    per matrix; a mismatch raises AssertionError(message)."""
-    out = _anticommutator(model, degree, (model.op,), (cod,))
-    if out[0] != _closed_form_matrix(model, degree, sign):
+    blocks are `cod` on one block, compared entry for entry with its closed
+    form; a mismatch raises AssertionError(message)."""
+    out = _anticommutator(block, degree, model.op, cod)
+    if out[0] != _closed_form(model, block, degree, sign):
         raise AssertionError(message)
     return out
+
+
+def _kernel(mat: list, glob: list) -> list:
+    """`zi_kernel` of a block matrix with its columns renamed to the global
+    columns `glob`, as (first global column of the vector's group, vector)."""
+    return [(glob[first], {glob[c]: v for c, v in vec.items()})
+            for first, vectors in zi_kernel(mat) for vec in vectors]
 
 
 def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) -> HarmonicKernel:
     """Compute ker of the pair Laplacian and ker pair_d  intersect  ker pair_codiff.
 
-    The Laplacian matrix is pair_codiff . pair_d + pair_d . pair_codiff,
-    multiplied out from the band matrices of the two first-order operators
-    and checked once against the closed form (componentwise Laplacian plus
-    the squared Lie derivative).  The two kernels agree exactly when no
-    nonzero band mode k satisfies |k|^2 = <k, U>^2; the comparison verdict
-    is part of the result rather than an assumption.
+    The Laplacian is pair_codiff . pair_d + pair_d . pair_codiff, multiplied
+    out per mode block from the block matrices of the two first-order
+    operators and checked on each block against the closed form
+    (componentwise Laplacian plus the squared Lie derivative).  The kernels
+    are taken per block and listed in the order of the global basis.  The
+    two kernels agree exactly when no nonzero band mode k satisfies
+    |k|^2 = <k, U>^2; the comparison verdict is part of the result rather
+    than an assumption.
     """
     model = _PairModel(chart, u, max_freq)
-    lap, d_mat, cod_mat, basis = _laplacian_matrices(
-        model, degree, _PAIR_CODIFF, 1,
-        "pair Laplacian composite disagrees with its closed form")
-    lap_kernel = lap.kernel_basis()
-    joint_kernel = d_mat.stack(cod_mat).kernel_basis()
+    basis = model.basis(degree)
+    index = {tag: i for i, tag in enumerate(basis)}
+    lap, joint = [], []
+    for block in model.blocks():
+        mat, stacked = _laplacian(model, block, degree, _PAIR_CODIFF, 1,
+                                  "pair Laplacian composite disagrees with its closed form")
+        glob = [index[tag] for tag in block.tags(degree)]
+        block_joint = _kernel(stacked, glob)
+        joint += block_joint
+        span = [vec for _, vec in block_joint]
+        lap += [(first, vec, span) for first, vec in _kernel(mat, glob)]
+    lap.sort(key=lambda entry: entry[0])
+    joint.sort(key=lambda entry: entry[0])
     witness = None
-    if len(lap_kernel) != len(joint_kernel):
-        joint_cols = RationalMatrix.from_columns(len(basis), list(joint_kernel))
-        base_rank = joint_cols.rank()
-        for vec in lap_kernel:
-            trial = RationalMatrix.from_columns(len(basis), list(joint_kernel) + [vec])
-            if trial.rank() > base_rank:
-                witness = _render_vector(model, degree, basis, vec)
-                break
-    return HarmonicKernel(degree, max_freq, len(lap_kernel), len(joint_kernel),
-                          lap_kernel, joint_kernel, witness)
+    if len(lap) != len(joint):
+        # each vector lies in one block, whose Laplacian kernel contains the
+        # block's joint kernel `span`
+        witness = next((_render_vector(model, degree, basis, vec) for _, vec, span in lap
+                        if RationalMatrix.from_columns(len(basis), span + [vec]).rank() > len(span)),
+                       None)
+    return HarmonicKernel(degree, max_freq, len(lap), len(joint), [vec for _, vec, _ in lap],
+                          [vec for _, vec in joint], witness)
 
 
 def _render_vector(model: _PairModel, degree: int, basis, vec) -> str:
@@ -576,27 +722,27 @@ def _render_vector(model: _PairModel, degree: int, basis, vec) -> str:
     return str(PairForm(slots["F"], slots["S"]))
 
 
+def _kernel_dim(mats) -> int:
+    return sum(len(mat) - zi_rank(mat) for mat in mats)
+
+
 def corrected_laplacian_kernel_dim(chart: Chart, u: VectorField, degree: int,
                                    max_freq: int) -> int:
     """Kernel dimension of the pair Laplacian built from the sign-corrected
     adjoint pair_codiff_skew (closed form: Laplacian minus the squared Lie
     derivative); equals the cohomology dimension in each degree."""
     model = _PairModel(chart, u, max_freq)
-    lap = _laplacian_matrices(
-        model, degree, _PAIR_CODIFF_SKEW, -1,
-        "corrected pair Laplacian disagrees with its closed form")[0]
-    return lap.kernel_dim()
-
-
-def _lichnerowicz_matrix(chart: Chart, w: Form, degree: int, max_freq: int) -> RationalMatrix:
-    """The twisted Laplacian C_w D_w + D_w C_w on the degree-p band of single
-    forms, D_w = d + w^ and C_w = delta + i_(w#); `w` is checked first."""
-    model = _DeRhamModel(chart, max_freq, w)
-    return _anticommutator(model, degree, (_DE_RHAM_D, _WEDGE), (_CODIFF, _INTERIOR))[0]
+    return _kernel_dim(
+        _laplacian(model, block, degree, _PAIR_CODIFF_SKEW, -1,
+                   "corrected pair Laplacian disagrees with its closed form")[0]
+        for block in model.blocks())
 
 
 def lichnerowicz_kernel_dim(chart: Chart, w: Form, degree: int, max_freq: int) -> int:
-    """Kernel dimension of the twisted Laplacian d_w delta_w + delta_w d_w
-    on the band of single forms; empty for a unit parallel 1-form since the
+    """Kernel dimension of the twisted Laplacian C_w D_w + D_w C_w on the
+    band of single forms, D_w = d + w^ and C_w = delta + i_(w#), per mode
+    block; `w` is checked first.  Empty for a unit parallel 1-form since the
     operator shifts every Laplacian eigenvalue up by |w|^2 > 0."""
-    return _lichnerowicz_matrix(chart, w, degree, max_freq).kernel_dim()
+    model = _DeRhamModel(chart, max_freq, w)
+    return _kernel_dim(_anticommutator(block, degree, _TWISTED_D, _TWISTED_CODIFF)[0]
+                       for block in model.blocks())

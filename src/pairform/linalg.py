@@ -1,12 +1,20 @@
 """Exact linear algebra over Q(i).
 
-Ranks and kernels are computed by fraction-free Bareiss elimination with
-deterministic pivoting (first nonzero entry, columns scanned left to right).
-Each block is scaled to a Gaussian-integer matrix held as int pairs
-(real part, imaginary part), and every Bareiss division is exact over Z[i].
-Matrices arising from band-limited complexes split into many small blocks of
-columns that share no rows; blocks are eliminated independently, which keeps
-the elimination cheap without changing any result.
+Ranks, kernels, determinants and inverses all come from one elimination
+routine, `_bareiss`: fraction-free Bareiss elimination over the Gaussian
+integers Z[i], on sparse rows whose entries are int pairs (real part,
+imaginary part).
+Pivoting is deterministic: columns are scanned left to right and the first
+remaining row that holds the column is the pivot row.  Every division is by a
+minor of the matrix and is exact over Z[i]; a nonzero remainder fails an
+assertion.
+
+A Z[i] matrix is a list of sparse columns, each a dict {row: (re, im)} of its
+nonzero entries.  Before elimination its columns are split into the groups
+connected through shared rows (`_groups`), so each group is reduced on
+its own and no pivot of one group scales the entries of another.  Band
+blocks are written in this form directly; `RationalMatrix` clears its
+denominators to it.
 """
 
 from __future__ import annotations
@@ -15,6 +23,182 @@ import math
 from dataclasses import dataclass, field
 
 from .rationals import ONE, ZERO, GaussianRational, from_parts
+
+
+# -- Z[i] column matrices ------------------------------------------------------
+
+
+def zi_matmul(left: list, right: list) -> list:
+    """The product left . right of two Z[i] column matrices; the rows of
+    `right` index the columns of `left`.  Entries that cancel are dropped."""
+    out = []
+    for col in right:
+        acc = {}
+        for k, (a, b) in col.items():
+            for r, (c, e) in left[k].items():
+                if r in acc:
+                    x, y = acc[r]
+                    acc[r] = x + c * a - e * b, y + c * b + e * a
+                else:
+                    acc[r] = c * a - e * b, c * b + e * a
+        out.append({r: v for r, v in acc.items() if v[0] or v[1]})
+    return out
+
+
+def _groups(columns: list) -> list:
+    """The columns grouped by connection through shared rows, as (cols,
+    rows) per group: cols ascending, the groups ordered by their first
+    column, and rows the group's nonzero rows as dicts {col: (re, im)}."""
+    rows = {}
+    for c, col in enumerate(columns):
+        for r, v in col.items():
+            if r in rows:
+                rows[r][c] = v
+            else:
+                rows[r] = {c: v}
+    seen, seen_rows, out = set(), set(), []
+    for first in range(len(columns)):
+        if first in seen:
+            continue
+        seen.add(first)
+        stack, cols, group_rows = [first], [first], []
+        while stack:
+            for r in columns[stack.pop()]:
+                if r not in seen_rows:
+                    seen_rows.add(r)
+                    group_rows.append(rows[r])
+                    for c in rows[r]:
+                        if c not in seen:
+                            seen.add(c)
+                            cols.append(c)
+                            stack.append(c)
+        cols.sort()
+        out.append((cols, group_rows))
+    return out
+
+
+def _divided(row: dict, qa: int, qb: int) -> dict:
+    """The entries of `row` divided by qa + qb*i, which must be exact over Z[i]."""
+    if qb:
+        row = {j: (a * qa + b * qb, b * qa - a * qb) for j, (a, b) in row.items()}
+        qa = qa * qa + qb * qb
+    elif qa == 1:
+        return row
+    out = {}
+    for j, (a, b) in row.items():
+        if a % qa or b % qa:
+            raise AssertionError("inexact Bareiss division over Z[i]")
+        out[j] = a // qa, b // qa
+    return out
+
+
+def _bareiss(rows: list) -> list:
+    """Fraction-free row echelon reduction over Z[i].
+
+    `rows` are dicts {col: (re, im)} of nonzero entries; the list is reduced
+    in place.  Returns the pivots as (row, col) pairs in elimination order;
+    rows[row] is then the pivot's echelon row and every other row is empty.
+    Each step is the Bareiss recurrence x <- (p*x - h*y) / q, with p the
+    pivot, h the row's entry in the pivot column, y the pivot row and q the
+    previous pivot.  A row without an entry in the pivot column would only be
+    scaled by p/q, so it is left as it is and remembers the pivot it was last
+    reduced with; when it is next reduced or becomes the pivot row, the
+    scalings it skipped telescope into one exact division by that pivot.
+    """
+    pivots = []
+    last = [(1, 0)] * len(rows)          # the pivot each row was last reduced with
+    active = [i for i, row in enumerate(rows) if row]
+    prev = (1, 0)
+    for c in sorted({c for i in active for c in rows[i]}):
+        for pos, top in enumerate(active):
+            if c in rows[top]:
+                break
+        else:
+            continue
+        del active[pos]
+        y = rows[top]
+        if last[top] != prev:
+            pa, pb = prev
+            y = rows[top] = _divided({j: (pa * a - pb * b, pa * b + pb * a)
+                                      for j, (a, b) in y.items()}, *last[top])
+        pa, pb = y[c]
+        for i in active:
+            x = rows[i]
+            h = x.get(c)
+            if h is None:
+                continue
+            ha, hb = h
+            new = {j: (pa * a - pb * b, pa * b + pb * a)
+                   for j, (a, b) in x.items() if j not in y}
+            for j, (ya, yb) in y.items():
+                if j != c:
+                    xa, xb = x.get(j, (0, 0))
+                    ta = pa * xa - pb * xb - ha * ya + hb * yb
+                    tb = pa * xb + pb * xa - ha * yb - hb * ya
+                    if ta or tb:
+                        new[j] = ta, tb
+            rows[i] = _divided(new, *last[i])
+            last[i] = pa, pb
+        prev = pa, pb
+        pivots.append((top, c))
+        active = [i for i in active if rows[i]]
+        if not active:
+            break
+    return pivots
+
+
+def zi_rank(columns: list) -> int:
+    """Rank of a Z[i] column matrix."""
+    if len(columns) == 1:
+        return 1 if columns[0] else 0
+    rank = 0
+    for cols, rows in _groups(columns):
+        if len(cols) == 1 or len(rows) == 1:
+            rank += 1 if rows else 0
+        else:
+            rank += len(_bareiss(rows))
+    return rank
+
+
+def zi_kernel(columns: list) -> list:
+    """Deterministic basis of the right kernel of a Z[i] column matrix, as
+    (first column, vectors) per group of `_groups`: for each non-pivot
+    column j of the group, ascending, the kernel vector that is 1 at j and 0
+    at the group's other non-pivot columns, as a dict {col: GaussianRational}
+    of its nonzero entries in column order."""
+    out = []
+    for cols, rows in _groups(columns):
+        if len(cols) == 1:
+            out.append((cols[0], [] if rows else [{cols[0]: ONE}]))
+            continue
+        pivots = [(rows[r], c) for r, c in _bareiss(rows)]
+        pivot_cols = {c for _, c in pivots}
+        vectors = []
+        for j in cols:
+            if j in pivot_cols:
+                continue
+            # back substitution over a common positive integer denominator
+            num, den = {j: (1, 0)}, 1
+            for row, c in reversed(pivots):
+                sa = sb = 0
+                for jj, (ya, yb) in row.items():
+                    if jj > c and jj in num:
+                        va, vb = num[jj]
+                        sa += ya * va - yb * vb
+                        sb += ya * vb + yb * va
+                if sa or sb:
+                    # x_c = -s / (den * p) = -s * conj(p) / (den * |p|^2)
+                    pa, pb = row[c]
+                    norm = pa * pa + pb * pb
+                    num = {jj: (va * norm, vb * norm) for jj, (va, vb) in num.items()}
+                    num[c] = -(sa * pa + sb * pb), sa * pb - sb * pa
+                    den *= norm
+            vectors.append({jj: from_parts(a, b, den) for jj, (a, b) in sorted(num.items())})
+        out.append((cols[0], vectors))
+    return out
+
+
+# -- Q(i) matrices -------------------------------------------------------------
 
 
 @dataclass
@@ -49,218 +233,60 @@ class RationalMatrix:
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        by_col: dict[int, list] = {}
+        (d1, left), (d2, right) = self._cleared(), other._cleared()
+        return RationalMatrix(self.nrows, other.ncols, {
+            (r, c): from_parts(a, b, d1 * d2)
+            for c, col in enumerate(zi_matmul(left, right)) for r, (a, b) in col.items()})
+
+    def _cleared(self):
+        """(d, the matrix times d as a Z[i] column matrix), d the lcm of the
+        entries' denominators."""
+        denom = 1
+        for v in self.entries.values():
+            denom = math.lcm(denom, v.d)
+        columns = [{} for _ in range(self.ncols)]
         for (r, c), v in self.entries.items():
-            by_col.setdefault(c, []).append((r, v))
-        acc: dict[tuple[int, int], GaussianRational] = {}
-        for (k, c2), w in other.entries.items():
-            for r, v in by_col.get(k, ()):
-                key = (r, c2)
-                cur = acc.get(key, ZERO) + v * w
-                if cur:
-                    acc[key] = cur
-                elif key in acc:
-                    del acc[key]
-        return RationalMatrix(self.nrows, other.ncols, acc)
-
-    def add(self, other: "RationalMatrix") -> "RationalMatrix":
-        """Entrywise sum; entries that cancel are dropped, as in matmul."""
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in matrix sum")
-        acc = dict(self.entries)
-        for key, w in other.entries.items():
-            cur = acc.get(key, ZERO) + w
-            if cur:
-                acc[key] = cur
-            else:
-                acc.pop(key, None)
-        return RationalMatrix(self.nrows, self.ncols, acc)
-
-    def stack(self, other: "RationalMatrix") -> "RationalMatrix":
-        """Vertical stack; kernel of the result is the kernel intersection."""
-        if self.ncols != other.ncols:
-            raise ValueError("shape mismatch in stack")
-        m = RationalMatrix(self.nrows + other.nrows, self.ncols, dict(self.entries))
-        for (r, c), v in other.entries.items():
-            m.entries[(r + self.nrows, c)] = v
-        return m
-
-    def _blocks(self):
-        """Partition columns into groups connected through shared rows.
-
-        Returns one (rows, cols, entries) triple per group, groups ordered by
-        their smallest column, rows and cols ascending and `entries` the
-        group's ((row, col), value) items; every entry is visited once.
-        """
-        parent = list(range(self.ncols))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        row_col: dict[int, int] = {}
-        for (r, c) in sorted(self.entries):
-            if r in row_col:
-                ra, rb = find(row_col[r]), find(c)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-            else:
-                row_col[r] = c
-        groups: dict[int, tuple] = {}
-        for c in range(self.ncols):
-            root = find(c)
-            if root not in groups:
-                groups[root] = (set(), [], [])
-            groups[root][1].append(c)
-        for (r, c), v in self.entries.items():
-            rows, _cols, entries = groups[find(c)]
-            rows.add(r)
-            entries.append(((r, c), v))
-        return [(sorted(rows), cols, entries)
-                for rows, cols, entries in (groups[root] for root in sorted(groups))]
+            scale = denom // v.d
+            columns[c][r] = (v.a * scale, v.b * scale)
+        return denom, columns
 
     def rank(self) -> int:
-        return sum(len(_bareiss(*_integer_block(rows, cols, entries))[0])
-                   for rows, cols, entries in self._blocks() if rows)
+        return zi_rank(self._cleared()[1])
 
     def kernel_basis(self) -> "list[dict[int, GaussianRational]]":
         """Deterministic basis of the right kernel, one dict per vector."""
-        vectors = []
-        for rows, cols, entries in self._blocks():
-            if not rows:
-                vectors.extend([{c: ONE} for c in cols])
-                continue
-            pivots, re_rows, im_rows = _bareiss(*_integer_block(rows, cols, entries))
-            echelon = {r: [from_parts(a, b) for a, b in zip(re_rows[r], im_rows[r])]
-                       for r, _ in pivots}
-            pivot_cols = {c for _, c in pivots}
-            for j in range(len(cols)):
-                if j in pivot_cols:
-                    continue
-                local = {j: ONE}
-                for r, c in reversed(pivots):
-                    s = ZERO
-                    for jj, vv in local.items():
-                        if jj > c:
-                            s = s + echelon[r][jj] * vv
-                    if s:
-                        local[c] = -s / echelon[r][c]
-                vectors.append({cols[jj]: vv for jj, vv in sorted(local.items())})
-        return vectors
+        return [vec for _, vectors in zi_kernel(self._cleared()[1]) for vec in vectors]
 
     def kernel_dim(self) -> int:
         return self.ncols - self.rank()
 
 
-def _integer_block(rows: list[int], cols: list[int], entries):
-    """Dense block of `entries` scaled by the lcm of their denominators.
-
-    Returns the real and imaginary parts as two lists of int rows, so the
-    block is a Gaussian-integer matrix with the same rank and kernel.
-    """
-    denom = 1
-    for _, v in entries:
-        denom = math.lcm(denom, v.d)
-    rindex = {r: i for i, r in enumerate(rows)}
-    cindex = {c: j for j, c in enumerate(cols)}
-    re_rows = [[0] * len(cols) for _ in rows]
-    im_rows = [[0] * len(cols) for _ in rows]
-    for (r, c), v in entries:
-        i, j, scale = rindex[r], cindex[c], denom // v.d
-        re_rows[i][j] = v.a * scale
-        im_rows[i][j] = v.b * scale
-    return re_rows, im_rows
-
-
-def _bareiss(re_rows: "list[list[int]]", im_rows: "list[list[int]]"):
-    """Fraction-free row echelon reduction over Z[i].
-
-    The matrix is given as its real and imaginary int parts (reduced in
-    place).  Every interior division of the Bareiss recurrence is by the
-    previous pivot, a minor of the matrix, and is exact over Z[i]; a nonzero
-    remainder fails an assertion.  Returns (pivots, re_rows, im_rows) with
-    pivots as (row, col) pairs.
-    """
-    nr = len(re_rows)
-    nc = len(re_rows[0]) if nr else 0
-    pivots = []
-    qa, qb = 1, 0                      # previous pivot
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if re_rows[i][c] or im_rows[i][c]), None)
-        if pr is None:
-            continue
-        if pr != r:
-            re_rows[r], re_rows[pr] = re_rows[pr], re_rows[r]
-            im_rows[r], im_rows[pr] = im_rows[pr], im_rows[r]
-        pre, pim = re_rows[r], im_rows[r]
-        pa, pb = pre[c], pim[c]
-        # divide by q as t*conj(q) / |q|^2, or by qa alone when q is real
-        div = qa * qa + qb * qb if qb else qa
-        for i in range(r + 1, nr):
-            xre, xim = re_rows[i], im_rows[i]
-            ha, hb = xre[c], xim[c]
-            for j in range(c + 1, nc):
-                xa, xb, ya, yb = xre[j], xim[j], pre[j], pim[j]
-                # (p*x - h*y) / q with p = pa+pb*i, h = ha+hb*i, q = qa+qb*i
-                ta = pa * xa - pb * xb - ha * ya + hb * yb
-                tb = pa * xb + pb * xa - ha * yb - hb * ya
-                if qb:
-                    ta, tb = ta * qa + tb * qb, tb * qa - ta * qb
-                if div != 1:
-                    ta, ra = divmod(ta, div)
-                    tb, rb = divmod(tb, div)
-                    if ra or rb:
-                        raise AssertionError("inexact Bareiss division over Z[i]")
-                xre[j], xim[j] = ta, tb
-            xre[c] = xim[c] = 0
-        qa, qb = pa, pb
-        pivots.append((r, c))
-        r += 1
-        if r == nr:
-            break
-    return pivots, re_rows, im_rows
-
-
 def invert_dense(rows: "list[list[GaussianRational]]"):
-    """Exact inverse of a small square matrix (Gauss-Jordan over Q(i))."""
+    """Exact inverse of a small square matrix A: column j of the inverse is
+    the kernel vector of [A | -I] that is 1 at column j of -I."""
     n = len(rows)
-    a = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        pr = next((i for i in range(col, n) if a[i][col]), None)
-        if pr is None:
-            raise ValueError("matrix is singular")
-        a[col], a[pr] = a[pr], a[col]
-        inv = ONE / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [v - f * w for v, w in zip(a[i], a[col])]
-    return [row[n:] for row in a]
+    denom, columns = RationalMatrix.from_rows(rows)._cleared()
+    columns += [{i: (-denom, 0)} for i in range(n)]
+    vectors = sorted((vec for _, group in zi_kernel(columns) for vec in group), key=max)
+    if any(max(vec) < n for vec in vectors):
+        raise ValueError("matrix is singular")
+    return [[vec.get(i, ZERO) for vec in vectors] for i in range(n)]
 
 
 def det_dense(rows: "list[list[GaussianRational]]") -> GaussianRational:
-    """Exact determinant by Bareiss reduction (last pivot)."""
+    """Exact determinant: the last Bareiss pivot of the rows cleared of
+    denominators, signed by the order in which the rows became pivots."""
     n = len(rows)
     if n == 0:
         return ONE
-    work = [list(r) for r in rows]
-    sign = 1
-    prev = ONE
-    for c in range(n):
-        pr = next((i for i in range(c, n) if work[i][c]), None)
-        if pr is None:
-            return ZERO
-        if pr != c:
-            work[c], work[pr] = work[pr], work[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                work[i][j] = (work[c][c] * work[i][j] - work[i][c] * work[c][j]) / prev
-            work[i][c] = ZERO
-        prev = work[c][c]
-    return prev * sign
+    denom, columns = RationalMatrix.from_rows(rows)._cleared()
+    int_rows = [{c: col[r] for c, col in enumerate(columns) if r in col} for r in range(n)]
+    pivots = _bareiss(int_rows)
+    if len(pivots) < n:
+        return ZERO
+    order = [r for r, _ in pivots]
+    inversions = sum(1 for i in range(n) for j in range(i + 1, n) if order[i] > order[j])
+    row, col = pivots[-1]
+    a, b = int_rows[row][col]
+    sign = -1 if inversions % 2 else 1
+    return from_parts(sign * a, sign * b, denom ** n)

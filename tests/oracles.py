@@ -8,7 +8,10 @@ ranks are recomputed with plain Gauss-Jordan elimination over the field.
 The band reference (`SymbolicBand`) is the other side of the band matrices:
 it applies the library's symbolic operators to materialized basis forms and
 decomposes the images again, and shares no code with the per-mode symbols
-(`cohomology._symbol`) that the library assembles its matrices from.
+(`cohomology._symbol`) that the library assembles its matrices from.  The
+library never builds a global band matrix; `reassemble` and `band_matrix`
+put its per-block Z[i] matrices back together on a global basis, so that
+they can be compared with the reference entry for entry.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from pairform.dolbeault import BigradedForm, PairBigradedForm, dbar_pair
 from pairform.exterior import Form, VectorField, ext_d, zero_form
 from pairform.linalg import RationalMatrix
 from pairform.pair import PairForm, pair_d, pair_d_lichnerowicz, zero_pair
-from pairform.rationals import ZERO, GaussianRational
+from pairform.rationals import ONE, ZERO, GaussianRational, from_parts
 from pairform.relative import RelPairForm, rel_d, rel_d_lichnerowicz
 from pairform.scalar import wave
 
@@ -135,6 +138,36 @@ def gauss_rank(matrix) -> int:
                            for v, w in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def kernel_oracle(matrix) -> dict:
+    """The right kernel by plain Gauss-Jordan elimination over Q(i) on a
+    dense copy: for each non-pivot column j, the kernel vector that is 1 at j
+    and 0 at every other non-pivot column, as {j: {col: value}} of its
+    nonzero entries."""
+    rows = [[matrix.entries.get((r, c), ZERO) for c in range(matrix.ncols)]
+            for r in range(matrix.nrows)]
+    pivots = []
+    for c in range(matrix.ncols):
+        pivot = next((r for r in range(len(pivots), len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        head = rows[top][c]
+        rows[top] = [v / head for v in rows[top]]
+        for r in range(len(rows)):
+            if r != top and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[top])]
+        pivots.append(c)
+    out = {}
+    for j in range(matrix.ncols):
+        if j not in pivots:
+            vec = {c: -rows[r][j] for r, c in enumerate(pivots) if rows[r][j]}
+            vec[j] = ONE
+            out[j] = dict(sorted(vec.items()))
+    return out
 
 
 def laplace_eigenvalue(k) -> int:
@@ -246,3 +279,39 @@ def render_vector(band: SymbolicBand, degree: int, basis, vec) -> str:
     for col, coeff in vec.items():
         total = total + band.materialize(degree, basis[col]) * coeff
     return str(total)
+
+
+# -- per-block library matrices on a global basis -----------------------------
+
+
+def reassemble(pieces, src_basis, dst_basis, scale: int) -> RationalMatrix:
+    """The matrix on the global bases `src_basis` -> `dst_basis` made of
+    per-block Z[i] matrices, each given as (column tags, row tags, columns)
+    with entries times `scale`; no two blocks may write one entry."""
+    cols = {tag: i for i, tag in enumerate(src_basis)}
+    rows = {tag: i for i, tag in enumerate(dst_basis)}
+    out = RationalMatrix(len(rows), len(cols))
+    for col_tags, row_tags, mat in pieces:
+        assert len(mat) == len(col_tags)
+        for c, col in enumerate(mat):
+            for r, (a, b) in col.items():
+                key = (rows[row_tags[r]], cols[col_tags[c]])
+                assert key not in out.entries
+                out.entries[key] = from_parts(a, b, scale)
+    return out
+
+
+def band_matrix(model, op, src_degree, dst_degree, blocks=None, src_basis=None,
+                dst_basis=None) -> RationalMatrix:
+    """The library's block matrices of the operator `op` (symbol blocks) from
+    `src_degree` to `dst_degree`, put back together on the global bases
+    (the model's by default).  The blocks (the model's by default) must
+    partition both bases."""
+    blocks = model.blocks() if blocks is None else blocks
+    src_basis = model.basis(src_degree) if src_basis is None else src_basis
+    dst_basis = model.basis(dst_degree) if dst_basis is None else dst_basis
+    for degree, basis in ((src_degree, src_basis), (dst_degree, dst_basis)):
+        assert sorted(tag for b in blocks for tag in b.tags(degree)) == sorted(basis)
+    return reassemble([(b.tags(src_degree), b.tags(dst_degree),
+                        b.matrix(op, src_degree, dst_degree)) for b in blocks],
+                      src_basis, dst_basis, model.scale)

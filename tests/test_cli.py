@@ -3,8 +3,6 @@ import json
 import pytest
 
 from pairform.cli import build_parser, main, run, scenario_from_args
-from pairform.linalg import RationalMatrix
-from pairform.rationals import ONE
 
 
 def _scenario(argv):
@@ -255,12 +253,12 @@ def test_option_used_by_kind_still_runs(argv, capsys):
 
 
 def test_internal_invariant_failure_exits_3(monkeypatch, capsys):
-    def nonzero_matmul(self, other):
-        out = RationalMatrix(self.nrows, other.ncols)
-        out.entries[(0, 0)] = ONE
-        return out
+    from pairform import cohomology
 
-    monkeypatch.setattr(RationalMatrix, "matmul", nonzero_matmul)
+    def nonzero_matmul(left, right):
+        return [{0: (1, 0)} for _ in right]
+
+    monkeypatch.setattr(cohomology, "zi_matmul", nonzero_matmul)
     assert main(["cohomology", "--dim", "1", "--max-freq", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

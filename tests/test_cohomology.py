@@ -10,21 +10,26 @@ import pytest
 from pairform.charts import ChartMismatchError, affine, torus, torus_complex
 from pairform.cohomology import (
     UnsupportedScenarioError,
+    corrected_laplacian_kernel_dim,
     de_rham_complex,
     dolbeault_complex,
     dolbeault_predicted_dims,
     harmonic_kernel,
+    lichnerowicz_kernel_dim,
     pair_complex,
     pair_eta_complex,
     pair_predicted_dims,
+    primed_eta_complex,
     relative_complex,
     relative_predicted_dims,
 )
 from pairform.dolbeault import holomorphic_field
 from pairform.exterior import coframe, constant_field, parse_form, scalar_form, wedge
+from pairform.rationals import gq
 from pairform.scalar import ChartMap, const, identity_map, sin_wave
 
 from oracles import (
+    band_matrix,
     de_rham_band,
     dolbeault_band,
     laplace_eigenvalue,
@@ -32,6 +37,7 @@ from oracles import (
     pair_band,
     pair_eta_band,
     primed_band,
+    reassemble,
     relative_band,
     render_vector,
 )
@@ -59,9 +65,14 @@ def test_de_rham_betti_numbers():
 
 
 def test_pair_complex_constant_band():
-    out = pair_complex(T2, constant_field(T2, (1, 0)), 0)
-    for mat in out.matrices.values():
-        assert mat.is_zero()
+    from pairform.cohomology import _PairModel
+
+    x = constant_field(T2, (1, 0))
+    out = pair_complex(T2, x, 0)
+    model = _PairModel(T2, x, 0)
+    for d in model.degrees[:-1]:
+        assert band_matrix(model, model.op, d, d + 1).is_zero()
+    assert set(out.ranks.values()) == {0}
     assert out.dim_vector() == [1, 3, 3, 1, 0]
 
 
@@ -297,10 +308,14 @@ def test_class_representatives_span_band_cohomology():
     from pairform.exterior import form as make_form, interior
     from pairform.scalar import const
 
+    from pairform.cohomology import _PairModel
+
     for chart, coeffs in ((T1, (1,)), (T2, (1, 2))):
         n = chart.dim
         x = constant_field(chart, coeffs)
         out = pair_complex(chart, x, 1)
+        model = _PairModel(chart, x, 1)
+        matrices = {d: band_matrix(model, model.op, d, d + 1) for d in model.degrees[:-1]}
         for p in range(n + 2):
             reps = []
             for idx in itertools.combinations(range(n), p):
@@ -314,7 +329,7 @@ def test_class_representatives_span_band_cohomology():
                 reps.append(_column_of(out, p, *second_type))
             nrows = len(out.basis[p])
             boundary_cols = []
-            mat_below = out.matrices.get(p - 1)
+            mat_below = matrices.get(p - 1)
             if mat_below is not None:
                 by_col = {}
                 for (r, c), v in mat_below.entries.items():
@@ -326,7 +341,7 @@ def test_class_representatives_span_band_cohomology():
             # independent modulo boundaries...
             assert grown.rank() == base_rank + len(reps)
             # ...each a cocycle...
-            d_mat = out.matrices[p]
+            d_mat = matrices[p]
             for rep in reps:
                 for r in range(d_mat.nrows):
                     total = sum((d_mat.entries.get((r, c), 0) * v
@@ -350,9 +365,13 @@ def test_relative_representatives_span_band_cohomology():
     from pairform.exterior import form as make_form
     from pairform.scalar import const
 
+    from pairform.cohomology import _RelativeModel
+
     doubling = ChartMap(T1, T1, matrix=((2,),))
     x = constant_field(T1, (1,))
     out = relative_complex(doubling, x, 1)
+    model = _RelativeModel(doubling, x, 1)
+    matrices = {d: band_matrix(model, model.op, d, d + 1) for d in model.degrees[:-1]}
     for p in range(3):
         reps = []
         for idx in itertools.combinations(range(1), p):
@@ -364,7 +383,7 @@ def test_relative_representatives_span_band_cohomology():
             psi = make_form(T1, p - 1, {idx: const(T1, 1)})
             reps.append(_column_of(out, p, zero_formlike(T1, p), psi))
         nrows = len(out.basis[p])
-        mat_below = out.matrices.get(p - 1)
+        mat_below = matrices.get(p - 1)
         boundary_cols = []
         if mat_below is not None:
             by_col = {}
@@ -403,14 +422,19 @@ def _twisting_forms(chart):
 @pytest.mark.parametrize("chart, max_freq",
                          [(T1, 1), (T1, 2), (T2, 1), (T2, 2), (T3, 1), (T3, 2)])
 def test_lichnerowicz_symbols_match_symbolic_reference(chart, max_freq):
-    from pairform.cohomology import _lichnerowicz_matrix
+    from pairform.cohomology import _TWISTED_CODIFF, _TWISTED_D, _anticommutator
     from pairform.exterior import lichnerowicz_lap
 
     for w in _twisting_forms(chart):
         band = de_rham_band(chart, max_freq, w)
+        model = band.model
         for degree in range(-1, chart.dim + 2):
-            ref, _ = operator_matrix(band, degree, degree, lambda a: lichnerowicz_lap(w, a))
-            assert _lichnerowicz_matrix(chart, w, degree, max_freq) == ref
+            ref, basis = operator_matrix(band, degree, degree, lambda a: lichnerowicz_lap(w, a))
+            built = reassemble(
+                [(b.tags(degree), b.tags(degree),
+                  _anticommutator(b, degree, _TWISTED_D, _TWISTED_CODIFF)[0])
+                 for b in model.blocks()], basis, basis, model.scale ** 2)
+            assert built == ref
 
 
 def test_lichnerowicz_kernel_on_the_sphere_of_i_v():
@@ -470,7 +494,10 @@ def _reference_harmonic(chart, u, degree, max_freq):
     d_mat, _ = operator_matrix(band, degree, degree + 1, lambda a: pair_d(u, a))
     cod_mat, _ = operator_matrix(band, degree, degree - 1, lambda a: pair_codiff(u, a))
     lap_kernel = lap.kernel_basis()
-    joint_kernel = d_mat.stack(cod_mat).kernel_basis()
+    stacked = RationalMatrix(d_mat.nrows + cod_mat.nrows, d_mat.ncols, {
+        **d_mat.entries,
+        **{(r + d_mat.nrows, c): v for (r, c), v in cod_mat.entries.items()}})
+    joint_kernel = stacked.kernel_basis()
     witness = None
     if len(lap_kernel) != len(joint_kernel):
         base_rank = RationalMatrix.from_columns(len(basis), list(joint_kernel)).rank()
@@ -487,6 +514,7 @@ _LAPLACIAN_CASES = [
     (T1, (1,), 2), (T1, (-2,), 2),
     (T2, (1, 0), 2), (T2, (-1, 2), 2), (T2, (2, -2), 2),
     (T3, (1, 0, 0), 1), (T3, (0, 2, -2), 1), (T3, (1, 0, 0), 2),
+    (T2, (gq("1/2"), gq(0, "-2/3")), 1),
 ]
 
 
@@ -495,7 +523,7 @@ def test_matrix_built_laplacians_match_symbolic_reference(chart, coeffs, max_fre
     from pairform.cohomology import (
         _PAIR_CODIFF,
         _PAIR_CODIFF_SKEW,
-        _laplacian_matrices,
+        _laplacian,
         corrected_laplacian_kernel_dim,
     )
     from pairform.pair import pair_laplacian_corrected
@@ -503,11 +531,17 @@ def test_matrix_built_laplacians_match_symbolic_reference(chart, coeffs, max_fre
     u = constant_field(chart, coeffs)
     band = pair_band(chart, u, max_freq)
     model = band.model
+
+    def laplacian_matrix(degree, cod, sign):
+        basis = model.basis(degree)
+        return reassemble([(b.tags(degree), b.tags(degree),
+                            _laplacian(model, b, degree, cod, sign, "closed form")[0])
+                           for b in model.blocks()], basis, basis, model.scale ** 2)
+
     for degree in range(chart.dim + 3):
         lap, lap_kernel, joint_kernel, witness = _reference_harmonic(
             chart, u, degree, max_freq)
-        built = _laplacian_matrices(model, degree, _PAIR_CODIFF, 1, "closed form")[0]
-        assert built == lap
+        assert laplacian_matrix(degree, _PAIR_CODIFF, 1) == lap
         out = harmonic_kernel(chart, u, degree, max_freq)
         assert out.laplacian_vectors == lap_kernel
         assert out.joint_vectors == joint_kernel
@@ -517,8 +551,7 @@ def test_matrix_built_laplacians_match_symbolic_reference(chart, coeffs, max_fre
             continue  # the corrected operator is covered on the smaller bands
         corrected, _ = operator_matrix(band, degree, degree,
                                        lambda a: pair_laplacian_corrected(u, a))
-        built = _laplacian_matrices(model, degree, _PAIR_CODIFF_SKEW, -1, "closed form")[0]
-        assert built == corrected
+        assert laplacian_matrix(degree, _PAIR_CODIFF_SKEW, -1) == corrected
         assert corrected_laplacian_kernel_dim(chart, u, degree, max_freq) == \
             corrected.kernel_dim()
 
@@ -556,9 +589,10 @@ def _by_tag(matrix, rows, cols):
 
 
 def _assert_matches_reference(band):
-    """Every band matrix of `band.model`, assembled from symbols in basis
-    order and on a shuffled basis, equals entry for entry the matrix of the
-    symbolic differential applied to materialized basis forms."""
+    """Every band matrix of `band.model`, put together from its per-block
+    symbol matrices in basis order and on a shuffled basis, equals entry for
+    entry the matrix of the symbolic differential applied to materialized
+    basis forms, and the per-block ranks add up to the reference's."""
     model = band.model
     out = model.assemble()
     shuffled = model.assemble(random.Random(5).shuffle)
@@ -566,12 +600,17 @@ def _assert_matches_reference(band):
         ref, cols = operator_matrix(band, d, d + 1)
         rows = model.basis(d + 1)
         assert (out.basis[d], out.basis[d + 1]) == (tuple(cols), tuple(rows))
-        assert out.matrices[d] == ref
-        assert _by_tag(shuffled.matrices[d], shuffled.basis[d + 1], shuffled.basis[d]) \
+        assert band_matrix(model, model.op, d, d + 1) == ref
+        on_shuffled = band_matrix(model, model.op, d, d + 1, src_basis=shuffled.basis[d],
+                                  dst_basis=shuffled.basis[d + 1])
+        assert _by_tag(on_shuffled, shuffled.basis[d + 1], shuffled.basis[d]) \
             == _by_tag(ref, rows, cols)
+        assert out.ranks[d] == shuffled.ranks[d] == ref.rank()
+    assert out.dims == shuffled.dims
 
 
-_SYMBOL_FIELDS = [(T1, (1,)), (T1, (-2,)), (T2, (1, 2)), (T2, (0, -1)), (T3, (1, 0, -2))]
+_SYMBOL_FIELDS = [(T1, (1,)), (T1, (-2,)), (T2, (1, 2)), (T2, (0, -1)), (T3, (1, 0, -2)),
+                  (T2, (gq("1/2"), gq(0, "-2/3")))]   # lambda with a denominator
 
 
 @pytest.mark.parametrize("max_freq", [1, 2])
@@ -594,11 +633,7 @@ def test_pair_symbols_match_symbolic_reference(chart, coeffs, max_freq):
 @pytest.mark.parametrize("chart, coeffs", _SYMBOL_FIELDS)
 def test_de_rham_and_codiff_symbols_match_symbolic_reference(chart, coeffs, max_freq):
     """Single-form d, codiff and lie, and the pair codifferentials."""
-    from pairform.cohomology import (
-        _PAIR_CODIFF,
-        _PAIR_CODIFF_SKEW,
-        _symbol_matrix,
-    )
+    from pairform.cohomology import _PAIR_CODIFF, _PAIR_CODIFF_SKEW, _Block
     from pairform.exterior import codiff, ext_d, lie
     from pairform.pair import pair_codiff, pair_codiff_skew
 
@@ -607,16 +642,17 @@ def test_de_rham_and_codiff_symbols_match_symbolic_reference(chart, coeffs, max_
     model = band.model
     derham = de_rham_band(chart, max_freq)
     _assert_matches_reference(derham)
+    # single-form blocks of the pair model, one per mode
+    singles = [_Block(model, {"F": [k]}) for k in model.modes["F"]]
     for q in range(-1, chart.dim + 2):
         for step, kind, op in ((1, "d", ext_d), (-1, "codiff", codiff),
                                (0, "lie", lambda a: lie(u, a))):
             ref, cols = operator_matrix(derham, q, q + step, op)
-            index = {tag: i for i, tag in enumerate(derham.model.basis(q + step))}
-            assert _symbol_matrix(model, (("F", "F", 1, kind),), cols, index) == ref
+            assert band_matrix(model, (("F", "F", 1, kind),), q, q + step, singles, cols,
+                               derham.model.basis(q + step)) == ref
         for blocks, op in ((_PAIR_CODIFF, pair_codiff), (_PAIR_CODIFF_SKEW, pair_codiff_skew)):
             ref, cols = operator_matrix(band, q, q - 1, lambda a: op(u, a))
-            index = {tag: i for i, tag in enumerate(model.basis(q - 1))}
-            assert _symbol_matrix(model, blocks, cols, index) == ref
+            assert band_matrix(model, blocks, q, q - 1) == ref
 
 
 @pytest.mark.parametrize("chart", [TC1, torus_complex(2)])
@@ -648,3 +684,128 @@ def test_relative_symbols_match_symbolic_reference(cmap, max_freq):
             relative_band(cmap, constant_field(cmap.source, coeffs), max_freq))
     eta = coframe(cmap.target, 0) * 3
     _assert_matches_reference(primed_band(cmap, eta, max_freq))
+
+
+# -- per-mode block engine ----------------------------------------------------
+
+
+def test_dd_check_runs_on_every_block(monkeypatch):
+    from pairform import cohomology
+
+    # pair_d with the sign of its second-slot d flipped: d.d = 2 L d != 0
+    monkeypatch.setattr(cohomology, "_PAIR_D", (("F", "F", 1, "d"), ("F", "S", 1, "lie"),
+                                                 ("S", "S", 1, "d")))
+    with pytest.raises(AssertionError) as info:
+        pair_complex(T2, constant_field(T2, (1, 2)), 1)
+    assert str(info.value) == "differentials fail to compose to zero at degree 0"
+
+
+@pytest.mark.parametrize("n, max_freq", [(4, 2), (5, 1)])
+def test_pair_complex_on_larger_bands(n, max_freq):
+    chart = torus(n)
+    x = constant_field(chart, [1, 2] + [0] * (n - 2))
+    assert pair_complex(chart, x, max_freq).dim_vector() == pair_predicted_dims(n)
+
+
+def test_relative_complex_over_the_zero_map_holds_every_target_mode_in_one_block():
+    from pairform.cohomology import _RelativeModel
+
+    zero = ChartMap(T2, T1, matrix=((0, 0),))
+    x = constant_field(T2, (1, 2))
+    model = _RelativeModel(zero, x, 2)
+    (full,) = [b for b in model.blocks() if "F" in b.modes]
+    assert full.modes == {"F": model.modes["F"], "S": [(0, 0)]}
+    assert len(model.blocks()) == len(model.modes["S"])
+    assert relative_complex(zero, x, 2).dim_vector() == relative_predicted_dims(1, 2)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_dolbeault_complex_on_a_larger_band(p):
+    tc2 = torus_complex(2)
+    x = holomorphic_field(tc2, (const(tc2, 1), const(tc2, 2)))
+    assert dolbeault_complex(tc2, x, p, 2).dim_vector() == dolbeault_predicted_dims(2, p)
+
+
+def test_relative_complex_independent_of_hash_seed():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "from pairform.charts import torus\n"
+        "from pairform.cohomology import relative_complex\n"
+        "from pairform.exterior import constant_field\n"
+        "from pairform.scalar import ChartMap\n"
+        "for rows in (((1, 1), (0, 1)), ((0, 0),), ((2, 0), (1, 1))):\n"
+        "    cmap = ChartMap(torus(2), torus(len(rows)), matrix=rows)\n"
+        "    out = relative_complex(cmap, constant_field(torus(2), (1, 2)), 2)\n"
+        "    print(repr((out.basis, out.ranks, out.dims)))\n")
+    outputs = []
+    for seed in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)},
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
+# -- caller errors ------------------------------------------------------------
+
+
+def _t2_field():
+    return constant_field(T2, (1, 2))
+
+
+def _tc2_field():
+    tc2 = torus_complex(2)
+    return holomorphic_field(tc2, (const(tc2, 1), const(tc2, 0)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pair_complex(T3, _t2_field(), 1),
+     "the vector field lives on torus(2), not torus(3)"),
+    (lambda: harmonic_kernel(T3, _t2_field(), 1, 1),
+     "the vector field lives on torus(2), not torus(3)"),
+    (lambda: corrected_laplacian_kernel_dim(T3, _t2_field(), 1, 1),
+     "the vector field lives on torus(2), not torus(3)"),
+    (lambda: dolbeault_complex(TC1, _tc2_field(), 0, 1),
+     "the vector field lives on torus-complex(2), not torus-complex(1)"),
+    (lambda: relative_complex(identity_map(T3), _t2_field(), 1),
+     "the vector field lives on torus(2), not torus(3)"),
+    (lambda: primed_eta_complex(identity_map(T2), coframe(T3, 0), 1),
+     "the twisting form lives on torus(3), not torus(2)"),
+], ids=["pair", "harmonic", "corrected", "dolbeault", "relative", "primed"])
+def test_an_input_on_another_chart_is_a_chart_mismatch(call, message):
+    with pytest.raises(ChartMismatchError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: de_rham_complex(T2, n),
+    lambda n: pair_complex(T2, _t2_field(), n),
+    lambda n: pair_eta_complex(T2, coframe(T2, 0), n),
+    lambda n: relative_complex(identity_map(T2), _t2_field(), n),
+    lambda n: primed_eta_complex(identity_map(T2), coframe(T2, 0), n),
+    lambda n: dolbeault_complex(TC1, holomorphic_field(TC1, (const(TC1, 1),)), 0, n),
+    lambda n: harmonic_kernel(T2, _t2_field(), 1, n),
+    lambda n: corrected_laplacian_kernel_dim(T2, _t2_field(), 1, n),
+    lambda n: lichnerowicz_kernel_dim(T2, coframe(T2, 0), 1, n),
+], ids=["de-rham", "pair", "pair-eta", "relative", "primed", "dolbeault", "harmonic",
+        "corrected", "lichnerowicz"])
+def test_a_negative_band_is_rejected(call):
+    with pytest.raises(ValueError) as info:
+        call(-1)
+    assert info.type is ValueError
+    assert str(info.value) == "max_freq must be non-negative, got -1"
+    call(0)
+
+
+def test_dolbeault_rejects_a_negative_p():
+    with pytest.raises(ValueError) as info:
+        dolbeault_complex(TC1, holomorphic_field(TC1, (const(TC1, 1),)), -1, 1)
+    assert info.type is ValueError
+    assert str(info.value) == "p must be non-negative, got -1"

@@ -1,12 +1,19 @@
+import itertools
 import random
 from fractions import Fraction
 
-import pytest
-
-from pairform.linalg import RationalMatrix, _bareiss, det_dense, invert_dense
+from pairform.linalg import (
+    RationalMatrix,
+    _bareiss,
+    det_dense,
+    invert_dense,
+    zi_kernel,
+    zi_matmul,
+    zi_rank,
+)
 from pairform.rationals import ZERO, gq
 
-from oracles import gauss_rank
+from oracles import gauss_rank, kernel_oracle, perm_sign
 
 
 def _matrix(rows):
@@ -54,39 +61,11 @@ def test_rank_matches_plain_gauss_on_random_matrices():
         assert len(m.kernel_basis()) == nc - m.rank()
 
 
-def test_stack_intersects_kernels():
-    a = _matrix([[1, 0, 0]])
-    b = _matrix([[0, 1, 0]])
-    stacked = a.stack(b)
-    assert stacked.kernel_dim() == 1
-    (vec,) = stacked.kernel_basis()
-    assert set(vec) == {2}
-
-
 def test_matmul_zero_detection():
     d0 = _matrix([[1, 0], [1, 2], [1, 2]])  # columns lie in ker d1
     d1 = _matrix([[0, -1, 1]])
     assert d1.matmul(d0).is_zero()
     assert not d1.matmul(_matrix([[1, 0], [0, 1], [1, 1]])).is_zero()
-
-
-def test_add_matches_dense_sum_and_drops_cancelled_entries():
-    rng = random.Random(61)
-    for _ in range(200):
-        nr, nc = rng.randint(0, 5), rng.randint(0, 5)
-        left = [[_random_entry(rng) for _ in range(nc)] for _ in range(nr)]
-        right = [[-v if rng.random() < 0.3 else _random_entry(rng) for v in row]
-                 for row in left]
-        total = RationalMatrix(nr, nc, RationalMatrix.from_rows(left).entries).add(
-            RationalMatrix(nr, nc, RationalMatrix.from_rows(right).entries))
-        assert (total.nrows, total.ncols) == (nr, nc)
-        assert total.entries == {(r, c): left[r][c] + right[r][c]
-                                 for r in range(nr) for c in range(nc)
-                                 if left[r][c] + right[r][c]}
-    a = _matrix([[1, 2], [0, 3]])
-    assert a.add(_matrix([[-1, -2], [0, -3]])).is_zero()
-    with pytest.raises(ValueError, match="shape mismatch in matrix sum"):
-        a.add(_matrix([[1, 2]]))
 
 
 def test_invert_dense_round_trip():
@@ -149,6 +128,16 @@ def test_rank_and_kernel_match_oracle_on_random_block_matrices():
         assert gauss_rank(vectors) == len(basis)
 
 
+def _leibniz_det(rows):
+    total = ZERO
+    for perm in itertools.permutations(range(len(rows))):
+        term = gq(perm_sign(perm))
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
 def test_bareiss_last_pivot_is_the_determinant():
     # Gaussian-integer matrices, so most Bareiss divisions are by a non-real
     # pivot and must still be exact
@@ -157,12 +146,105 @@ def test_bareiss_last_pivot_is_the_determinant():
         n = rng.randint(1, 5)
         rows = [[gq(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(n)]
                 for _ in range(n)]
-        det = det_dense(rows)
-        pivots, re_rows, im_rows = _bareiss([[v.a for v in row] for row in rows],
-                                            [[v.b for v in row] for row in rows])
+        det = _leibniz_det(rows)
+        assert det_dense(rows) == det
+        int_rows = [{c: (v.a, v.b) for c, v in enumerate(row) if v} for row in rows]
+        pivots = _bareiss(int_rows)
         if not det:
             assert len(pivots) < n
             continue
-        assert pivots == [(i, i) for i in range(n)]
-        last = gq(re_rows[n - 1][n - 1], im_rows[n - 1][n - 1])
-        assert last in (det, -det)
+        assert [c for _, c in pivots] == list(range(n))
+        row, col = pivots[-1]
+        assert gq(*int_rows[row][col]) in (det, -det)
+
+
+def _random_zi_columns(rng):
+    """A random Z[i] column matrix of a few blocks with shuffled rows and
+    columns; some rows are Z[i] combinations of others."""
+    rows, ncols = [], 0
+    for _ in range(rng.randint(1, 4)):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        block = [[(rng.randint(-4, 4), rng.randint(-4, 4)) if rng.random() < 0.6 else (0, 0)
+                  for _ in range(nc)] for _ in range(nr)]
+        for i in range(1, nr):
+            if rng.random() < 0.5:
+                f, g = (rng.randint(-2, 2), rng.randint(-2, 2)), (rng.randint(-2, 2), 1)
+                block[i] = [(f[0] * a - f[1] * b + g[0] * c - g[1] * e,
+                             f[0] * b + f[1] * a + g[0] * e + g[1] * c)
+                            for (a, b), (c, e) in zip(block[0], block[i - 1])]
+        rows += [[(0, 0)] * ncols + row for row in block]
+        ncols += nc
+    rows = [row + [(0, 0)] * (ncols - len(row)) for row in rows]
+    col_order = list(range(ncols))
+    rng.shuffle(col_order)
+    rng.shuffle(rows)
+    return [{r: row[c] for r, row in enumerate(rows) if row[c] != (0, 0)} for c in col_order]
+
+
+def _column_groups(columns) -> dict:
+    """Each column's group, named by the group's first column."""
+    group = list(range(len(columns)))
+    changed = True
+    while changed:
+        changed = False
+        for a in range(len(columns)):
+            for b in range(a + 1, len(columns)):
+                if set(columns[a]) & set(columns[b]) and group[a] != group[b]:
+                    group[a] = group[b] = min(group[a], group[b])
+                    changed = True
+    return dict(enumerate(group))
+
+
+def _as_matrix(columns, nrows):
+    return RationalMatrix.from_columns(nrows, [{r: gq(*v) for r, v in col.items()}
+                                               for col in columns])
+
+
+def test_zi_elimination_matches_oracle_on_random_block_matrices():
+    rng = random.Random(19680102)
+    for _ in range(150):
+        columns = _random_zi_columns(rng)
+        nrows = 1 + max((r for col in columns for r in col), default=0)
+        m = _as_matrix(columns, nrows)
+        rank = zi_rank(columns)
+        assert rank == gauss_rank(m)
+        groups = zi_kernel(columns)
+        firsts = [first for first, _ in groups]
+        assert firsts == sorted(firsts)
+        basis = [vec for _, vectors in groups for vec in vectors]
+        assert len(basis) == len(columns) - rank
+        assert basis == m.kernel_basis()
+        # the oracle's vectors, ordered by the first column of their group
+        # of columns connected through shared rows, then by their 1
+        oracle = kernel_oracle(m)
+        group_of = _column_groups(columns)
+        assert basis == [oracle[j] for j in sorted(oracle, key=lambda j: (group_of[j], j))]
+        for vec in basis:
+            assert list(vec) == sorted(vec)
+            for r in range(nrows):
+                total = ZERO
+                for c, v in vec.items():
+                    total = total + m.entries.get((r, c), ZERO) * v
+                assert not total
+        if basis:
+            assert gauss_rank(RationalMatrix.from_rows(
+                [[vec.get(c, ZERO) for c in range(len(columns))] for vec in basis])) == len(basis)
+
+
+def test_zi_products_match_dense_products():
+    rng = random.Random(31)
+    for _ in range(100):
+        left, right = _random_zi_columns(rng), _random_zi_columns(rng)
+        inner = max(len(left), 1 + max((r for col in right for r in col), default=0))
+        outer = 1 + max((r for col in left for r in col), default=0)
+        left = left + [{} for _ in range(inner - len(left))]
+        dense = {}
+        for c, col in enumerate(right):
+            for r in range(outer):
+                total = sum((gq(*left[k][r]) * gq(*v) for k, v in col.items() if r in left[k]),
+                            ZERO)
+                if total:
+                    dense[(r, c)] = total
+        product = RationalMatrix(outer, len(right), dense)
+        assert _as_matrix(zi_matmul(left, right), outer) == product
+        assert _as_matrix(left, outer).matmul(_as_matrix(right, inner)) == product
