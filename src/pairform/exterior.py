@@ -2,10 +2,13 @@
 pullback/pushforward, and flat-metric Hodge theory on tori.
 
 Forms are stored over the chart's coframe slots (dx1..dxn on real charts,
-dz1..dzn, dzb1..dzbn on complex ones) with strictly increasing index tuples
-and scalar coefficients.  The `Form` constructor verifies components that
-are already canonical in one pass and keeps them as given; any other input
-is merged, sorted and checked.  The Lie derivative of a constant field
+dz1..dzn, dzb1..dzbn on complex ones) with strictly increasing int index
+tuples and scalar coefficients.  The operators build canonical results
+directly: each merges its components into a dict as it goes, drops the ones
+that cancel and wraps the sorted dict without a further check.  The `Form`
+constructor is the entry point for outside input: it verifies components
+that are already canonical in one pass and keeps them as given; any other
+input is merged, sorted and checked.  The Lie derivative of a constant field
 acts on coefficients only (L_X dx^j = d(X^j) = 0); any other field goes
 through the homotopy formula d i_X + i_X d.  The coordinate formula is kept
 out of the library and used only as an independent oracle in the tests.
@@ -16,13 +19,38 @@ composite of Hodge stars serves as its reference in the tests.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .charts import Chart, ChartKind, ChartMismatchError, require_same_chart
 from .linalg import invert_dense
 from .rationals import ZERO, GaussianRational, gq
-from .scalar import ChartMap, ScalarExpr, _split_top, const, parse_scalar
+from .scalar import ChartMap, ScalarExpr, _new, _set, _split_top, const, parse_scalar
 from .scalar import zero as scalar_zero
+
+
+def _form(chart: Chart, degree: int, components: tuple) -> "Form":
+    """Wrap `components` that are already canonical on `chart` (no check)."""
+    f = _new(Form)
+    _set(f, "chart", chart)
+    _set(f, "degree", degree)
+    _set(f, "components", components)
+    return f
+
+
+def _wrap(chart: Chart, degree: int, merged: dict) -> "Form":
+    """The form of an {index set: nonzero scalar} dict whose index sets are
+    strictly increasing slots of `chart`: sorted, not re-validated."""
+    return _form(chart, degree, tuple(sorted(merged.items())))
+
+
+def _accumulate(merged: dict, idx: tuple, s: ScalarExpr) -> None:
+    """Add `s` at `idx`; the index set goes when its scalar cancels."""
+    cur = merged.pop(idx, None)
+    cur = s if cur is None else cur + s
+    if cur.terms:
+        merged[idx] = cur
 
 
 def _is_canonical(components: tuple, chart: Chart, degree: int) -> bool:
@@ -41,7 +69,7 @@ def _is_canonical(components: tuple, chart: Chart, degree: int) -> bool:
             return False
         last = -1
         for j in idx:
-            if j <= last or not 0 <= j < n:
+            if type(j) is not int or j <= last or not 0 <= j < n:
                 return False
             last = j
         if prev is not None and idx <= prev:
@@ -65,13 +93,10 @@ class Form:
         merged: dict = {}
         for idx, s in self.components:
             idx = tuple(idx)
-            cur = merged.get(idx)
-            cur = s if cur is None else cur + s
-            if cur.is_zero:
-                merged.pop(idx, None)
-            else:
-                merged[idx] = cur
-        canon = tuple((idx, merged[idx]) for idx in sorted(merged))
+            if any(type(j) is not int for j in idx):
+                raise ValueError(f"bad index set {idx} for degree {self.degree}")
+            _accumulate(merged, idx, s)
+        canon = tuple(sorted(merged.items()))
         object.__setattr__(self, "components", canon)
         n = self.chart.nslots
         if (self.degree < 0 or self.degree > n) and canon:
@@ -102,10 +127,16 @@ class Form:
         if not isinstance(other, Form):
             return NotImplemented
         self._require_same(other)
-        if self.degree != other.degree and not (self.is_zero or other.is_zero):
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
+        if self.degree != other.degree:
             raise ValueError("cannot add forms of different degrees")
-        degree = other.degree if self.is_zero and not other.is_zero else self.degree
-        return Form(self.chart, degree, self.components + other.components)
+        merged = dict(self.components)
+        for idx, s in other.components:
+            _accumulate(merged, idx, s)
+        return _wrap(self.chart, self.degree, merged)
 
     def __sub__(self, other):
         if not isinstance(other, Form):
@@ -113,13 +144,12 @@ class Form:
         return self + (-other)
 
     def __neg__(self):
-        return Form(self.chart, self.degree,
-                    tuple((i, -s) for i, s in self.components))
+        return _form(self.chart, self.degree, tuple([(i, -s) for i, s in self.components]))
 
     def __mul__(self, other):
-        if isinstance(other, (ScalarExpr, GaussianRational, int)):
-            return Form(self.chart, self.degree,
-                        tuple((i, s * other) for i, s in self.components))
+        if isinstance(other, (ScalarExpr, GaussianRational, int, Fraction)):
+            return _form(self.chart, self.degree, tuple(
+                [(i, p) for i, s in self.components if (p := s * other).terms]))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -270,41 +300,39 @@ def _merge(left, right):
 
 def wedge(a: Form, b: Form) -> Form:
     require_same_chart(a, b)
-    out = []
+    merged: dict = {}
     for ia, sa in a.components:
         for ib, sb in b.components:
             sign, idx = _merge(ia, ib)
             if sign:
-                out.append((idx, sa * sb * sign))
-    return Form(a.chart, a.degree + b.degree, tuple(out))
+                prod = sa * sb
+                _accumulate(merged, idx, prod if sign > 0 else -prod)
+    return _wrap(a.chart, a.degree + b.degree, merged)
 
 
 def ext_d(a: Form) -> Form:
-    chart = a.chart
-    out = []
+    merged: dict = {}
     for idx, s in a.components:
-        for j in range(chart.nslots):
-            ds = s.wirtinger(j)
-            if ds.is_zero:
+        for j in range(a.chart.nslots):
+            p = bisect_left(idx, j)  # dx_j moves past the p slots below j
+            if p < len(idx) and idx[p] == j:
                 continue
-            sign, merged = _merge((j,), idx)
-            if sign:
-                out.append((merged, ds * sign))
-    return Form(chart, a.degree + 1, tuple(out))
+            ds = s.wirtinger(j)
+            if ds.terms:
+                _accumulate(merged, idx[:p] + (j,) + idx[p:], -ds if p % 2 else ds)
+    return _wrap(a.chart, a.degree + 1, merged)
 
 
 def interior(x: VectorField, a: Form) -> Form:
     require_same_chart(x, a)
-    out = []
+    merged: dict = {}
     for idx, s in a.components:
         for r, j in enumerate(idx):
             comp = x.components[j]
-            if comp.is_zero:
-                continue
-            rest = idx[:r] + idx[r + 1:]
-            coeff = comp * s if r % 2 == 0 else comp * s * -1
-            out.append((rest, coeff))
-    return Form(a.chart, a.degree - 1, tuple(out))
+            if comp.terms:
+                prod = comp * s
+                _accumulate(merged, idx[:r] + idx[r + 1:], -prod if r % 2 else prod)
+    return _wrap(a.chart, a.degree - 1, merged)
 
 
 def lie(x: VectorField, a: Form) -> Form:
@@ -313,7 +341,8 @@ def lie(x: VectorField, a: Form) -> Form:
     field goes through the homotopy formula d i_X + i_X d."""
     if x.is_constant():
         require_same_chart(x, a)
-        return Form(a.chart, a.degree, tuple((idx, x.apply(s)) for idx, s in a.components))
+        return _form(a.chart, a.degree, tuple(
+            [(idx, xs) for idx, s in a.components if (xs := x.apply(s)).terms]))
     return ext_d(interior(x, a)) + interior(x, ext_d(a))
 
 

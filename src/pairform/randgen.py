@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 from .charts import Chart, ChartKind
 from .dolbeault import BigradedForm, PairBigradedForm, holomorphic_field, zero_bigraded
@@ -156,7 +157,7 @@ def _random_complex_torus_map(rng: random.Random, chart: Chart) -> ChartMap:
 
 def random_commuting_fields(rng: random.Random, chart: Chart):
     """A pair X, Y with [X, Y] = 0: constants, or separated-variable fields."""
-    if chart.is_torus or chart.nslots < 2 or rng.random() < 0.5:
+    if chart.is_torus or chart.nslots < 2 or rng.random() < Fraction(1, 2):
         return random_field(rng, chart, constant=True), \
             random_field(rng, chart, constant=True)
     from .scalar import coordinate, zero as scalar_zero

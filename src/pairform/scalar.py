@@ -9,9 +9,13 @@ or frequencies over the underlying real axes.
 
 Expressions are kept in canonical form at all times: terms sorted by
 (alpha, k), no duplicate keys, no zero coefficients.  Two expressions are
-semantically equal iff their term tuples are identical.  The constructor
-verifies input that is already canonical and fits the chart in one pass and
-keeps it as given; any other input is merged, sorted and validated.
+semantically equal iff their term tuples are identical.  The operators build
+canonical results directly from canonical operands: each merges its terms
+into a dict as it goes, drops cancelled coefficients and wraps the sorted
+dict without a further check.  The public constructor is the entry point for
+outside input: it verifies input that is already canonical and fits the
+chart in one pass and keeps it as given; any other input is merged, sorted
+and validated.  Exponents and frequencies must be ints.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .charts import (
     Chart,
@@ -33,11 +38,36 @@ Term = "tuple[tuple[int, ...], tuple[int, ...], GaussianRational]"
 
 _HALF = gq(Fraction(1, 2))
 _HALF_I = gq(0, Fraction(1, 2))
+_INT = {int}
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _expr(chart: Chart, terms: tuple) -> "ScalarExpr":
+    """Wrap `terms` that are already canonical and fit `chart` (no check)."""
+    s = _new(ScalarExpr)
+    _set(s, "chart", chart)
+    _set(s, "terms", terms)
+    return s
+
+
+def _wrap(chart: Chart, merged: dict) -> "ScalarExpr":
+    """The expression of a {(alpha, k): nonzero coeff} dict whose keys fit
+    `chart`: the keys are sorted, nothing is re-validated."""
+    return _expr(chart, tuple([(a, k, c) for (a, k), c in sorted(merged.items())]))
+
+
+def _accumulate(merged: dict, key, c) -> None:
+    """Add `c` at `key`; the key goes when its coefficient cancels."""
+    cur = merged.pop(key, None)
+    cur = c if cur is None else cur + c
+    if cur:
+        merged[key] = cur
 
 
 def _is_canonical(terms: tuple, chart: Chart) -> bool:
     """One pass: True iff `terms` is already canonical and meets every
-    condition `ScalarExpr._validate` checks on `chart`."""
+    condition the `ScalarExpr` constructor checks on `chart`."""
     zeros, nvars, torus = chart.zeros, chart.nvars, chart.is_torus
     prev = None
     for term in terms:
@@ -45,7 +75,8 @@ def _is_canonical(terms: tuple, chart: Chart) -> bool:
             return False
         alpha, k, c = term
         if type(alpha) is not tuple or type(k) is not tuple or \
-                type(c) is not GaussianRational or not c:
+                type(c) is not GaussianRational or not c or \
+                not _INT.issuperset(map(type, alpha + k)):
             return False
         # the other half of the (alpha, k) key is the zero vector, so the
         # varying half alone decides the order
@@ -69,33 +100,26 @@ class ScalarExpr:
     terms: tuple
 
     def __post_init__(self):
-        if type(self.terms) is tuple and _is_canonical(self.terms, self.chart):
+        chart = self.chart
+        if type(self.terms) is tuple and _is_canonical(self.terms, chart):
             return
         merged: dict = {}
         for alpha, k, coeff in self.terms:
             alpha, k = tuple(alpha), tuple(k)
-            cur = merged.get((alpha, k), ZERO) + coeff
-            if cur:
-                merged[(alpha, k)] = cur
-            else:
-                merged.pop((alpha, k), None)
-        canon = tuple((alpha, k, merged[(alpha, k)]) for alpha, k in sorted(merged))
-        object.__setattr__(self, "terms", canon)
-        self._validate()
-
-    def _validate(self):
-        nvars = self.chart.nvars
-        torus = self.chart.is_torus
-        for alpha, k, _ in self.terms:
-            if len(alpha) != nvars or len(k) != nvars:
+            if len(alpha) != chart.nvars or len(k) != chart.nvars:
                 raise ChartCompatibilityError(
-                    f"term shape {len(alpha)}/{len(k)} does not fit chart {self.chart}")
-            if any(a < 0 for a in alpha):
+                    f"term shape {len(alpha)}/{len(k)} does not fit chart {chart}")
+            if not _INT.issuperset(map(type, alpha + k)):
+                raise ChartCompatibilityError(
+                    f"exponents and frequencies must be ints, got {alpha}/{k}")
+            if min(alpha) < 0:
                 raise ChartCompatibilityError("negative polynomial exponent")
-            if torus and any(alpha):
-                raise ChartCompatibilityError(f"polynomial term on torus chart {self.chart}")
-            if not torus and any(k):
-                raise ChartCompatibilityError(f"frequency term on affine chart {self.chart}")
+            if chart.is_torus and any(alpha):
+                raise ChartCompatibilityError(f"polynomial term on torus chart {chart}")
+            if not chart.is_torus and any(k):
+                raise ChartCompatibilityError(f"frequency term on affine chart {chart}")
+            _accumulate(merged, (alpha, k), ZERO + coeff)
+        _set(self, "terms", tuple([(a, k, c) for (a, k), c in sorted(merged.items())]))
 
     # -- ring structure ------------------------------------------------
 
@@ -114,13 +138,20 @@ class ScalarExpr:
         return self.terms[0][2]
 
     def _require_same(self, other: "ScalarExpr"):
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise ChartMismatchError(f"{self.chart} vs {other.chart}")
 
     def __add__(self, other):
         if isinstance(other, ScalarExpr):
             self._require_same(other)
-            return ScalarExpr(self.chart, self.terms + other.terms)
+            if not other.terms:
+                return self
+            if not self.terms:
+                return other
+            merged = {(a, k): c for a, k, c in self.terms}
+            for a, k, c in other.terms:
+                _accumulate(merged, (a, k), c)
+            return _wrap(self.chart, merged)
         return NotImplemented
 
     def __sub__(self, other):
@@ -129,21 +160,27 @@ class ScalarExpr:
         return NotImplemented
 
     def __neg__(self):
-        return ScalarExpr(self.chart, tuple((a, k, -c) for a, k, c in self.terms))
+        return _expr(self.chart, tuple([(a, k, -c) for a, k, c in self.terms]))
 
     def __mul__(self, other):
         if isinstance(other, ScalarExpr):
             self._require_same(other)
-            out = []
+            chart = self.chart
+            # one species per chart: only frequencies (torus) or only
+            # exponents (affine) add up, the other half stays the zero vector
+            torus, zeros = chart.is_torus, chart.zeros
+            merged: dict = {}
             for a1, k1, c1 in self.terms:
                 for a2, k2, c2 in other.terms:
-                    alpha = tuple(x + y for x, y in zip(a1, a2))
-                    k = tuple(x + y for x, y in zip(k1, k2))
-                    out.append((alpha, k, c1 * c2))
-            return ScalarExpr(self.chart, tuple(out))
+                    key = (zeros, tuple(map(add, k1, k2))) if torus else \
+                        (tuple(map(add, a1, a2)), zeros)
+                    _accumulate(merged, key, c1 * c2)
+            return _wrap(chart, merged)
         if isinstance(other, (GaussianRational, int, Fraction)):
             c0 = other if isinstance(other, GaussianRational) else gq(other)
-            return ScalarExpr(self.chart, tuple((a, k, c * c0) for a, k, c in self.terms))
+            if not c0:
+                return _expr(self.chart, ())
+            return _expr(self.chart, tuple([(a, k, c * c0) for a, k, c in self.terms]))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -157,16 +194,14 @@ class ScalarExpr:
         return out
 
     def conjugate(self) -> "ScalarExpr":
-        kind = self.chart.kind
-        out = []
-        for alpha, k, c in self.terms:
-            if kind is ChartKind.AFFINE_COMPLEX:
-                n = self.chart.dim
-                alpha = alpha[n:] + alpha[:n]
-            if self.chart.is_torus:
-                k = tuple(-x for x in k)
-            out.append((alpha, k, c.conjugate()))
-        return ScalarExpr(self.chart, tuple(out))
+        chart = self.chart
+        if chart.is_torus:  # e(k) -> e(-k) reverses the order of the keys
+            return _expr(chart, tuple([(a, tuple([-x for x in k]), c.conjugate())
+                                       for a, k, c in reversed(self.terms)]))
+        if chart.kind is ChartKind.AFFINE_COMPLEX:  # z^a zb^b -> z^b zb^a
+            n = chart.dim
+            return _wrap(chart, {(a[n:] + a[:n], k): c.conjugate() for a, k, c in self.terms})
+        return _expr(chart, tuple([(a, k, c.conjugate()) for a, k, c in self.terms]))
 
     # -- calculus ------------------------------------------------------
 
@@ -179,15 +214,17 @@ class ScalarExpr:
             j = axis % n
             dz, dzb = self.wirtinger(j), self.wirtinger(n + j)
             return dz + dzb if axis < n else I * dz - I * dzb
+        # one species per chart, so each term gives at most one term whose key
+        # is its own, or its own shifted by a fixed vector: the order survives
         out = []
         for alpha, k, c in self.terms:
             if alpha[axis]:
                 down = alpha[:axis] + (alpha[axis] - 1,) + alpha[axis + 1:]
                 out.append((down, k, c * alpha[axis]))
-            if k[axis]:
+            elif k[axis]:
                 # c * i * k as a component swap
                 out.append((alpha, k, from_parts(-c.b * k[axis], c.a * k[axis], c.d)))
-        return ScalarExpr(self.chart, tuple(out))
+        return _expr(self.chart, tuple(out))
 
     def wirtinger(self, slot: int) -> "ScalarExpr":
         """Derivative dual to coframe slot `slot` (d/dz, d/dzb on complex charts)."""
@@ -202,7 +239,7 @@ class ScalarExpr:
                 if alpha[slot]:
                     down = alpha[:slot] + (alpha[slot] - 1,) + alpha[slot + 1:]
                     out.append((down, k, c * alpha[slot]))
-            return ScalarExpr(self.chart, tuple(out))
+            return _expr(self.chart, tuple(out))
         n = self.chart.dim
         j, conjugated = slot % n, slot >= n
         out = []
@@ -212,7 +249,7 @@ class ScalarExpr:
                 # (i*kx + ky)/2, or (i*kx - ky)/2 on the conjugate slot
                 mult = from_parts(-ky if conjugated else ky, kx, 2)
                 out.append((alpha, k, c * mult))
-        return ScalarExpr(self.chart, tuple(out))
+        return _expr(self.chart, tuple(out))
 
     def torus_integral(self) -> GaussianRational:
         """Integral over the torus with volume normalised to 1."""
@@ -231,8 +268,10 @@ class ScalarExpr:
         if cmap.matrix is not None:
             at = _transpose(cmap.matrix)
             zeros = cmap.source.zeros
-            out = [(zeros, _matvec(at, k), c) for _a, k, c in self.terms]
-            return ScalarExpr(cmap.source, tuple(out))
+            merged: dict = {}
+            for _a, k, c in self.terms:
+                _accumulate(merged, (zeros, _matvec(at, k)), c)
+            return _wrap(cmap.source, merged)
         images = cmap.variable_images()
         result = ScalarExpr(cmap.source, ())
         for alpha, _k, c in self.terms:
@@ -353,7 +392,10 @@ class ChartMap:
         if self.matrix is not None:
             if not self.source.is_torus:
                 raise ValueError("matrix rule requires torus charts")
-            rows = tuple(tuple(int(v) for v in row) for row in self.matrix)
+            rows = tuple(tuple(row) for row in self.matrix)
+            bad = [v for row in rows for v in row if type(v) is not int]
+            if bad:
+                raise ValueError(f"torus matrix entries must be integers, got {bad[0]!r}")
             if len(rows) != self.target.nvars or any(len(r) != self.source.nvars for r in rows):
                 raise ValueError("torus matrix has wrong shape")
             object.__setattr__(self, "matrix", rows)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 from .charts import affine, affine_complex, torus, torus_complex
 from .cohomology import (
@@ -216,7 +217,9 @@ def _law_pair_d_twisted_squared(rng, chart):
 
 
 def _relative_map(rng, chart) -> ChartMap:
-    if rng.random() < 0.3:
+    # exact thresholds: no 53-bit draw of random() lies between 3/10 and the
+    # float nearest to it, so each draw decides as against that float
+    if rng.random() < Fraction(3, 10):
         if chart.is_torus:
             rows = [[2 if i == j == 0 else (1 if i == j else 0)
                      for j in range(chart.nvars)] for i in range(chart.nvars)]
@@ -268,7 +271,7 @@ def _law_dbar_pair_rel_squared(rng, chart):
         comps = [coordinate(chart, 0).power(2)] + \
             [coordinate(chart, j) for j in range(1, chart.dim)]
         cmap = ChartMap(chart, chart, components=tuple(comps))
-    if rng.random() < 0.5:
+    if rng.random() < Fraction(1, 2):
         cmap = identity_map(chart)
     x = random_holomorphic_field(rng, chart)
     n = chart.dim

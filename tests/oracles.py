@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,7 +38,7 @@ from pairform.linalg import RationalMatrix
 from pairform.pair import PairForm, pair_d, pair_d_lichnerowicz, zero_pair
 from pairform.rationals import ONE, ZERO, GaussianRational, from_parts
 from pairform.relative import RelPairForm, rel_d, rel_d_lichnerowicz
-from pairform.scalar import wave
+from pairform.scalar import ScalarExpr, wave
 
 
 def to_complex(c: GaussianRational) -> complex:
@@ -89,6 +90,55 @@ def perm_sign(seq) -> int:
     inversions = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
                      if seq[i] > seq[j])
     return -1 if inversions % 2 else 1
+
+
+def canonical_scalar_faults(s) -> list:
+    """Every way `s` breaks canonical form, checked entry by entry without the
+    library's own predicate: terms strictly increasing in (alpha, k), so
+    sorted and merged; coefficients nonzero and in lowest terms; int vectors
+    of the chart's length, non-negative exponents, and only the species the
+    chart allows.  An empty list means canonical."""
+    chart, faults = s.chart, []
+    if type(s.terms) is not tuple:
+        faults.append("terms is not a tuple")
+    keys = [(alpha, k) for alpha, k, _ in s.terms]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        faults.append(f"keys not strictly increasing: {keys}")
+    for term in s.terms:
+        alpha, k, c = term
+        if type(term) is not tuple or type(alpha) is not tuple or type(k) is not tuple:
+            faults.append(f"term {term} is not made of tuples")
+        if type(c) is not GaussianRational or c == ZERO or c.d <= 0 or \
+                math.gcd(c.a, c.b, c.d) != 1:
+            faults.append(f"coefficient {c!r} is zero or not canonical")
+        if len(alpha) != chart.nvars or len(k) != chart.nvars or \
+                any(type(v) is not int for v in alpha + k):
+            faults.append(f"key {alpha}/{k} does not fit {chart}")
+        elif any(v < 0 for v in alpha) or any(alpha if chart.is_torus else k):
+            faults.append(f"key {alpha}/{k} has a species {chart} does not allow")
+    return faults
+
+
+def canonical_form_faults(f) -> list:
+    """As `canonical_scalar_faults`, for a form: index sets strictly
+    increasing, each a strictly increasing tuple of `degree` int slots of
+    the chart, each carrying a nonzero canonical scalar on the same chart."""
+    faults = []
+    if type(f.components) is not tuple:
+        faults.append("components is not a tuple")
+    idxs = [idx for idx, _ in f.components]
+    if any(a >= b for a, b in zip(idxs, idxs[1:])):
+        faults.append(f"index sets not strictly increasing: {idxs}")
+    for idx, s in f.components:
+        if type(idx) is not tuple or len(idx) != f.degree or \
+                any(type(j) is not int or not 0 <= j < f.chart.nslots for j in idx) or \
+                list(idx) != sorted(set(idx)):
+            faults.append(f"bad index set {idx} for degree {f.degree}")
+        if type(s) is not ScalarExpr or s.chart != f.chart or not s.terms:
+            faults.append(f"component {idx} is zero or off the chart")
+        else:
+            faults += canonical_scalar_faults(s)
+    return faults
 
 
 def coordinate_lie(x: VectorField, a: Form) -> Form:

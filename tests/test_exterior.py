@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -168,6 +169,22 @@ def test_invalid_components_raise_whatever_their_order(chart, degree, comps, err
             Form(chart, degree, raw)
         assert type(info.value) is error
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("idx", [(0.0,), (True,), ("0",), (Fraction(0),)])
+def test_non_int_index_entries_raise(idx):
+    for raw in ((idx, const(R2, 1)),), ((list(idx), const(R2, 1)), ((1,), const(R2, 1))):
+        with pytest.raises(ValueError) as info:
+            Form(R2, 1, raw)
+        assert str(info.value) == f"bad index set {idx} for degree 1"
+
+
+def test_fraction_times_form():
+    half = Fraction(1, 2)
+    expected = Form(R2, 1, (((0,), const(R2, half)),))
+    assert dx(R2, 0) * half == expected
+    assert half * dx(R2, 0) == expected
+    assert (dx(R2, 0) * Fraction(0)).is_zero
 
 
 def test_zero_form_of_any_degree_is_accepted():

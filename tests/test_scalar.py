@@ -194,6 +194,29 @@ def test_invalid_terms_raise_whatever_their_order(chart, terms, message):
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("chart, terms", [
+    (R2, (((Fraction(1, 2), 0), (0, 0), ONE),)),
+    (R2, (((1, 0), (0, 0), ONE), ((True, 0), (0, 0), ONE))),
+    (T2, (((0, 0), (1.5, 0), ONE),)),
+    (T2, (((0, 0), (True, 0), ONE),)),
+    (T2, (((0.0, 0), (1, 0), ONE),)),
+    (C1, (((1, 0), (0, 0.0), ONE),)),
+])
+def test_non_int_exponents_and_frequencies_raise_whatever_their_order(chart, terms):
+    rng = random.Random(5)
+    for raw in (terms, _shuffled(rng, terms), _list_alpha(rng, terms), _list_k(rng, terms)):
+        with pytest.raises(ChartCompatibilityError, match="must be ints"):
+            ScalarExpr(chart, raw)
+
+
+def test_wave_rejects_float_and_bool_frequencies():
+    for k in ((1.5, 0), (True, 0), (1, 0.0)):
+        with pytest.raises(ChartCompatibilityError, match="must be ints"):
+            wave(T2, k)
+    with pytest.raises(ChartCompatibilityError):
+        ScalarExpr(R2, (((0.5, 0), (0, 0), gq(1)),))
+
+
 @pytest.mark.parametrize("make", [affine, torus, affine_complex, torus_complex])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_chart_shape_attributes(make, n):
@@ -409,6 +432,18 @@ def test_integration_by_parts():
 def test_compose_torus_doubling():
     doubling = ChartMap(T1, T1, matrix=((2,),))
     assert wave(T1, (1,)).compose(doubling) == wave(T1, (2,))
+
+
+@pytest.mark.parametrize("bad", [1.5, "2", True, Fraction(1), 1.0])
+def test_chart_map_rejects_non_int_matrix_entries(bad):
+    with pytest.raises(ValueError) as info:
+        ChartMap(T2, T2, matrix=((bad, 0), (0, 1)))
+    assert str(info.value) == f"torus matrix entries must be integers, got {bad!r}"
+
+
+def test_chart_map_keeps_int_matrix_rows_as_tuples():
+    cmap = ChartMap(T2, T2, matrix=[[1, 1], [0, 1]])
+    assert cmap.matrix == ((1, 1), (0, 1))
 
 
 def test_compose_identity():
