@@ -15,7 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .charts import Chart, ChartMismatchError, require_same_chart
-from .exterior import Form, VectorField, ext_d, interior, lie, pullback, wedge, zero_form
+from .exterior import (
+    Form,
+    VectorField,
+    _form,
+    ext_d,
+    interior,
+    lie,
+    pullback,
+    wedge,
+    zero_form,
+)
 from .pair import PairContainer
 from .scalar import ChartMap, zero as scalar_zero
 
@@ -102,8 +112,8 @@ def split_d(a: BigradedForm) -> tuple:
         else:
             raise AssertionError("exterior derivative left the expected bidegrees")
     return (
-        BigradedForm(Form(a.chart, a.form.degree + 1, tuple(del_comps)), a.p + 1, a.q),
-        BigradedForm(Form(a.chart, a.form.degree + 1, tuple(dbar_comps)), a.p, a.q + 1),
+        BigradedForm(_form(a.chart, total.degree, tuple(del_comps)), a.p + 1, a.q),
+        BigradedForm(_form(a.chart, total.degree, tuple(dbar_comps)), a.p, a.q + 1),
     )
 
 

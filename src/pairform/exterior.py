@@ -8,7 +8,10 @@ directly: each merges its components into a dict as it goes, drops the ones
 that cancel and wraps the sorted dict without a further check.  The `Form`
 constructor is the entry point for outside input: it verifies components
 that are already canonical in one pass and keeps them as given; any other
-input is merged, sorted and checked.  The Lie derivative of a constant field
+input is merged, sorted and checked.  A pullback sums (s_I o f) f*(dx^I)
+over the components s_I dx^I into one merge; each wedge f*(dx^I) of
+pulled-back coframes is built once per map and kept in the map's memo
+(`ChartMap.coframe_pullbacks`).  The Lie derivative of a constant field
 acts on coefficients only (L_X dx^j = d(X^j) = 0); any other field goes
 through the homotopy formula d i_X + i_X d.  The coordinate formula is kept
 out of the library and used only as an independent oracle in the tests.
@@ -93,6 +96,8 @@ class Form:
         merged: dict = {}
         for idx, s in self.components:
             idx = tuple(idx)
+            if not isinstance(s, ScalarExpr):
+                raise ValueError(f"form component must be a ScalarExpr, got {s!r}")
             if any(type(j) is not int for j in idx):
                 raise ValueError(f"bad index set {idx} for degree {self.degree}")
             _accumulate(merged, idx, s)
@@ -157,15 +162,15 @@ class Form:
     def conjugate(self) -> "Form":
         """Complex conjugation (swaps dz and dzb slots on complex charts)."""
         if not self.chart.is_complex:
-            return Form(self.chart, self.degree,
-                        tuple((i, s.conjugate()) for i, s in self.components))
+            return _form(self.chart, self.degree,
+                         tuple([(i, s.conjugate()) for i, s in self.components]))
         n = self.chart.dim
-        out = []
+        out = {}
         for idx, s in self.components:
             swapped = tuple(j + n if j < n else j - n for j in idx)
             sign, sorted_idx = _sort_with_sign(swapped)
-            out.append((sorted_idx, s.conjugate() * sign))
-        return Form(self.chart, self.degree, tuple(out))
+            out[sorted_idx] = s.conjugate() if sign > 0 else -s.conjugate()
+        return _wrap(self.chart, self.degree, out)
 
     def __str__(self) -> str:
         if not self.components:
@@ -260,7 +265,7 @@ def coframe(chart: Chart, j: int) -> Form:
 
 
 def scalar_form(s: ScalarExpr) -> Form:
-    return Form(s.chart, 0, (((), s),))
+    return _form(s.chart, 0, (((), s),) if s.terms else ())
 
 
 def frame_field(chart: Chart, j: int) -> VectorField:
@@ -359,12 +364,10 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
 def _coframe_pullback(cmap: ChartMap, slot: int) -> Form:
     src, tgt = cmap.source, cmap.target
     if cmap.components is not None:
-        images = cmap.variable_images()
-        return ext_d(scalar_form(images[slot]))
+        return ext_d(scalar_form(cmap.image_power(slot, 1)))
     if not tgt.is_complex:
-        comps = {(j,): const(src, cmap.matrix[slot][j])
-                 for j in range(src.nvars) if cmap.matrix[slot][j]}
-        return Form(src, 1, tuple(comps.items()))
+        return _form(src, 1, tuple([((j,), const(src, m))
+                                    for j, m in enumerate(cmap.matrix[slot]) if m]))
     # complex torus: dz_t = dx_t + i dy_t, pulled back through the real matrix,
     # then re-expressed in the source dz/dzb coframe.
     nt, ns = tgt.dim, src.dim
@@ -384,23 +387,35 @@ def _coframe_pullback(cmap: ChartMap, slot: int) -> Form:
             j = k - ns
             acc[j] = acc.get(j, ZERO) + c * minus_half_i
             acc[ns + j] = acc.get(ns + j, ZERO) + c * half_i
-    comps = {(j,): const(src, v) for j, v in acc.items() if v}
-    return Form(src, 1, tuple(comps.items()))
+    return _wrap(src, 1, {(j,): const(src, v) for j, v in acc.items() if v})
+
+
+def _pulled_coframe(cmap: ChartMap, idx: tuple) -> Form:
+    """f*(dx^I) for a target index set I, from the map's memo."""
+    memo = cmap.coframe_pullbacks
+    w = memo.get(idx)
+    if w is None:
+        if not idx:
+            w = scalar_form(const(cmap.source, 1))
+        elif len(idx) == 1:
+            w = _coframe_pullback(cmap, idx[0])
+        else:
+            w = wedge(_pulled_coframe(cmap, idx[:-1]), _pulled_coframe(cmap, idx[-1:]))
+        memo[idx] = w
+    return w
 
 
 def pullback(cmap: ChartMap, a: Form) -> Form:
+    """f*(sum_I s_I dx^I) = sum_I (s_I o f) f*(dx^I), merged in one dict."""
     if a.chart != cmap.target:
         raise ChartMismatchError("pullback target chart mismatch")
-    coframe_images = {}
-    out = Form(cmap.source, a.degree, ())
+    merged: dict = {}
     for idx, s in a.components:
-        piece = scalar_form(s.compose(cmap))
-        for j in idx:
-            if j not in coframe_images:
-                coframe_images[j] = _coframe_pullback(cmap, j)
-            piece = wedge(piece, coframe_images[j])
-        out = out + piece
-    return out
+        sf = s.compose(cmap)
+        if sf.terms:
+            for jdx, w in _pulled_coframe(cmap, idx).components:
+                _accumulate(merged, jdx, sf * w)
+    return _wrap(cmap.source, a.degree, merged)
 
 
 def pushforward(cmap: ChartMap, x: VectorField) -> VectorField:
@@ -455,13 +470,13 @@ def hodge_star(a: Form) -> Form:
     n = a.chart.nslots
     if a.is_zero:
         return zero_form(a.chart, n - a.degree)
-    out = []
+    out = {}
     full = tuple(range(n))
     for idx, s in a.components:
         comp = tuple(j for j in full if j not in idx)
         sign, _ = _merge(idx, comp)
-        out.append((comp, s * sign))
-    return Form(a.chart, n - a.degree, tuple(out))
+        out[comp] = s if sign > 0 else -s
+    return _wrap(a.chart, n - a.degree, out)
 
 
 def codiff(a: Form) -> Form:
@@ -469,13 +484,13 @@ def codiff(a: Form) -> Form:
     delta(s dx^I) = sum_r (-1)^(r+1) (d s/dx_(i_r)) dx^(I minus i_r), r from 0.
     It equals (-1)^(n(p+1)+1) * d * on p-forms."""
     _require_real_torus(a)
-    out = []
+    merged: dict = {}
     for idx, s in a.components:
         for r, j in enumerate(idx):
             ds = s.partial(j)
-            if not ds.is_zero:
-                out.append((idx[:r] + idx[r + 1:], ds if r % 2 else -ds))
-    return Form(a.chart, a.degree - 1, tuple(out))
+            if ds.terms:
+                _accumulate(merged, idx[:r] + idx[r + 1:], ds if r % 2 else -ds)
+    return _wrap(a.chart, a.degree - 1, merged)
 
 
 def laplacian(a: Form) -> Form:

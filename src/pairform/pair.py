@@ -3,10 +3,13 @@
 A pair form of degree p bundles a p-form with a (p-1)-form on the same
 chart.  A fixed vector field X turns the graded space of pairs into a
 complex: the differential sends (phi, psi) to (d phi, L_X phi - d psi),
-which squares to zero because the Lie derivative commutes with d.  The
-wedge, contraction and Lie operators extend componentwise with signs that
-make them (anti)derivations, and on flat tori a codifferential and a
-Laplacian complete the picture.
+which squares to zero because the Lie derivative commutes with d.  For a
+field that is not constant, `pair_d` writes the second slot by the Cartan
+formula as i_X d phi + d(i_X phi - psi), so d phi is computed once and
+serves both slots; a constant field keeps the coefficient-wise Lie
+derivative.  The wedge, contraction and Lie operators extend componentwise
+with signs that make them (anti)derivations, and on flat tori a
+codifferential and a Laplacian complete the picture.
 """
 
 from __future__ import annotations
@@ -127,7 +130,10 @@ def pair_wedge(a: PairForm, b: PairForm) -> PairForm:
 def pair_d(x: VectorField, a: PairForm) -> PairForm:
     """The pair differential (d phi, L_X phi - d psi); squares to zero."""
     require_same_chart(x, a)
-    return PairForm(ext_d(a.first), lie(x, a.first) - ext_d(a.second))
+    d_phi = ext_d(a.first)
+    if x.is_constant():
+        return PairForm(d_phi, lie(x, a.first) - ext_d(a.second))
+    return PairForm(d_phi, interior(x, d_phi) + ext_d(interior(x, a.first) - a.second))
 
 
 def pair_interior(x: VectorField, a: PairForm) -> PairForm:

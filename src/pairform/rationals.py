@@ -9,6 +9,9 @@ always in canonical form: ``d > 0`` and ``gcd(a, b, d) == 1`` (zero is
 Sums and products take one int operation per component and one ``math.gcd``,
 skipped when the denominator is 1; integer and ``Fraction`` operands never
 build a Fraction.  ``.re`` and ``.im`` return the parts as ``Fraction``.
+A new value's three slots are filled through their slot descriptors, which
+skip the class's ``__setattr__`` guard without the generic
+``object.__setattr__`` lookup.
 """
 
 from __future__ import annotations
@@ -17,15 +20,14 @@ from fractions import Fraction
 from math import gcd
 
 _new = object.__new__
-_set = object.__setattr__
 
 
 def _make(a: int, b: int, d: int) -> "GaussianRational":
     """Wrap parts that are already canonical."""
     z = _new(GaussianRational)
-    _set(z, "a", a)
-    _set(z, "b", b)
-    _set(z, "d", d)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
     return z
 
 
@@ -205,6 +207,11 @@ class GaussianRational:
             return imag
         sign = "+" if im > 0 else ""
         return f"({re}{sign}{imag})"
+
+
+_set_a = GaussianRational.a.__set__
+_set_b = GaussianRational.b.__set__
+_set_d = GaussianRational.d.__set__
 
 
 def _fraction(value) -> Fraction:

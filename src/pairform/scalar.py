@@ -12,10 +12,20 @@ Expressions are kept in canonical form at all times: terms sorted by
 semantically equal iff their term tuples are identical.  The operators build
 canonical results directly from canonical operands: each merges its terms
 into a dict as it goes, drops cancelled coefficients and wraps the sorted
-dict without a further check.  The public constructor is the entry point for
-outside input: it verifies input that is already canonical and fits the
+dict without a further check.  A product with a one-term operand shifts
+every key of the other operand by one vector, which keeps their order, and
+scales every coefficient, which cancels nothing in the field Q(i): it is
+built term by term with no merge.  The public constructor is the entry point
+for outside input: it verifies input that is already canonical and fits the
 chart in one pass and keeps it as given; any other input is merged, sorted
-and validated.  Exponents and frequencies must be ints.
+and validated.  Exponents and frequencies must be ints; coefficients must be
+ints, Fractions or Gaussian rationals.
+
+A `ChartMap` is immutable and keeps what pulling back through it needs in
+memos on itself: the powers of its variable images that `compose` uses on
+affine charts, the pulled-back coframe wedges that `exterior.pullback` uses,
+and its inverse.  They are filled on first use and are not fields, so ==,
+hash and repr see only the map.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add
 
 from .charts import (
@@ -118,7 +129,13 @@ class ScalarExpr:
                 raise ChartCompatibilityError(f"polynomial term on torus chart {chart}")
             if not chart.is_torus and any(k):
                 raise ChartCompatibilityError(f"frequency term on affine chart {chart}")
-            _accumulate(merged, (alpha, k), ZERO + coeff)
+            if type(coeff) is not GaussianRational:
+                if type(coeff) not in (int, Fraction):
+                    raise ChartCompatibilityError(
+                        f"coefficients must be ints, Fractions or Gaussian rationals, "
+                        f"got {coeff!r}")
+                coeff = gq(coeff)
+            _accumulate(merged, (alpha, k), coeff)
         _set(self, "terms", tuple([(a, k, c) for (a, k), c in sorted(merged.items())]))
 
     # -- ring structure ------------------------------------------------
@@ -169,6 +186,14 @@ class ScalarExpr:
             # one species per chart: only frequencies (torus) or only
             # exponents (affine) add up, the other half stays the zero vector
             torus, zeros = chart.is_torus, chart.zeros
+            if len(other.terms) == 1 or len(self.terms) == 1:
+                many, one = (self, other) if len(other.terms) == 1 else (other, self)
+                (a0, k0, c0), = one.terms
+                if torus:
+                    return _expr(chart, tuple([(a, tuple(map(add, k, k0)), c * c0)
+                                               for a, k, c in many.terms]))
+                return _expr(chart, tuple([(tuple(map(add, a, a0)), k, c * c0)
+                                           for a, k, c in many.terms]))
             merged: dict = {}
             for a1, k1, c1 in self.terms:
                 for a2, k2, c2 in other.terms:
@@ -265,22 +290,24 @@ class ScalarExpr:
         if cmap.target != self.chart:
             raise ChartMismatchError(
                 f"expression on {self.chart} cannot pull back through map into {cmap.target}")
+        zeros, merged = cmap.source.zeros, {}
         if cmap.matrix is not None:
             at = _transpose(cmap.matrix)
-            zeros = cmap.source.zeros
-            merged: dict = {}
             for _a, k, c in self.terms:
                 _accumulate(merged, (zeros, _matvec(at, k)), c)
             return _wrap(cmap.source, merged)
-        images = cmap.variable_images()
-        result = ScalarExpr(cmap.source, ())
         for alpha, _k, c in self.terms:
-            term = const(cmap.source, 1) * c
+            term = None
             for j, a in enumerate(alpha):
                 if a:
-                    term = term * images[j].power(a)
-            result = result + term
-        return result
+                    p = cmap.image_power(j, a)
+                    term = p if term is None else term * p
+            if term is None:
+                _accumulate(merged, (zeros, zeros), c)
+            else:
+                for a2, k2, c2 in term.terms:
+                    _accumulate(merged, (a2, k2), c2 * c)
+        return _wrap(cmap.source, merged)
 
     # -- structure probes ----------------------------------------------
 
@@ -440,6 +467,22 @@ class ChartMap:
             return self.components + tuple(c.conjugate() for c in self.components)
         return self.components
 
+    @cached_property
+    def _image_powers(self) -> dict:
+        return {}
+
+    def image_power(self, j: int, a: int) -> ScalarExpr:
+        """The a-th power of the image of target variable j, memoised."""
+        p = self._image_powers.get((j, a))
+        if p is None:
+            p = self._image_powers[(j, a)] = self.variable_images()[j].power(a)
+        return p
+
+    @cached_property
+    def coframe_pullbacks(self) -> dict:
+        """Memo of `exterior.pullback`: target index set I -> f*(dx^I)."""
+        return {}
+
     def _linear_parts(self):
         """(A, b) with target var = sum A[t][s]*source var + b[t]; None if nonlinear."""
         if self.components is None:
@@ -463,26 +506,30 @@ class ChartMap:
 
     @property
     def is_invertible(self) -> bool:
-        if self.matrix is not None:
-            if self.source.nvars != self.target.nvars:
-                return False
-            from .linalg import det_dense
-            d = det_dense([[gq(v) for v in row] for row in self.matrix])
-            return d.is_real and abs(d.re) == 1
-        parts = self._linear_parts()
-        if parts is None or self.source.dim != self.target.dim:
-            return False
-        from .linalg import det_dense
-        return bool(det_dense(parts[0]))
+        return self._inverse is not None
 
     def inverse(self) -> "ChartMap":
-        if not self.is_invertible:
+        if self._inverse is None:
             raise ValueError("chart map is not invertible")
+        return self._inverse
+
+    @cached_property
+    def _inverse(self):
+        """The inverse map, or None when there is none; worked out once."""
+        from .linalg import det_dense
         if self.matrix is not None:
+            if self.source.nvars != self.target.nvars:
+                return None
+            d = det_dense([[gq(v) for v in row] for row in self.matrix])
+            if not d.is_real or abs(d.re) != 1:
+                return None
             inv = invert_dense([[gq(v) for v in row] for row in self.matrix])
             rows = tuple(tuple(int(v.re) for v in row) for row in inv)
             return ChartMap(self.target, self.source, matrix=rows)
-        a_rows, b_vec = self._linear_parts()
+        parts = self._linear_parts()
+        if parts is None or self.source.dim != self.target.dim or not det_dense(parts[0]):
+            return None
+        a_rows, b_vec = parts
         inv = invert_dense(a_rows)
         comps = []
         for t in range(len(inv)):

@@ -175,20 +175,22 @@ def _law_lie_bracket(op, rng, chart):
 def _law_cartan_homotopy_self(rng, chart):
     x = random_field(rng, chart)
     a = random_pair(rng, chart, rng.randint(0, 2))
-    homotopy = pair_d(x, pair_interior(x, a)) + pair_interior(x, pair_d(x, a))
-    if not _pairs_match(homotopy, pair_lie(x, a)):
+    da, lie_a = pair_d(x, a), pair_lie(x, a)
+    homotopy = pair_d(x, pair_interior(x, a)) + pair_interior(x, da)
+    if not _pairs_match(homotopy, lie_a):
         return f"X={x}, a={a}"
-    comm = pair_lie(x, pair_d(x, a)) - pair_d(x, pair_lie(x, a))
+    comm = pair_lie(x, da) - pair_d(x, lie_a)
     return None if comm.is_zero else f"commutator: X={x}, a={a}"
 
 
 def _law_cartan_homotopy_commuting(rng, chart):
     x, y = random_commuting_fields(rng, chart)
     a = random_pair(rng, chart, rng.randint(0, 2))
-    homotopy = pair_d(x, pair_interior(y, a)) + pair_interior(y, pair_d(x, a))
-    if not _pairs_match(homotopy, pair_lie(y, a)):
+    da, lie_a = pair_d(x, a), pair_lie(y, a)
+    homotopy = pair_d(x, pair_interior(y, a)) + pair_interior(y, da)
+    if not _pairs_match(homotopy, lie_a):
         return f"X={x}, Y={y}, a={a}"
-    comm = pair_lie(y, pair_d(x, a)) - pair_d(x, pair_lie(y, a))
+    comm = pair_lie(y, da) - pair_d(x, lie_a)
     return None if comm.is_zero else f"commutator: X={x}, Y={y}, a={a}"
 
 
@@ -197,14 +199,13 @@ def _law_pair_pullback_naturality(rng, chart):
     x = random_field(rng, chart, constant=not chart.is_torus)
     fx = pushforward(cmap, x)
     a = random_pair(rng, chart, rng.randint(0, 2))
-    if not _pairs_match(pair_d(x, pair_pullback(cmap, a)),
-                        pair_pullback(cmap, pair_d(fx, a))):
+    pulled = pair_pullback(cmap, a)
+    if not _pairs_match(pair_d(x, pulled), pair_pullback(cmap, pair_d(fx, a))):
         return f"d-naturality: map={cmap.matrix or '[affine]'}, a={a}"
     if not _pairs_match(pair_pullback(cmap, pair_interior(fx, a)),
-                        pair_interior(x, pair_pullback(cmap, a))):
+                        pair_interior(x, pulled)):
         return f"contraction-naturality: a={a}"
-    if not _pairs_match(pair_pullback(cmap, pair_lie(fx, a)),
-                        pair_lie(x, pair_pullback(cmap, a))):
+    if not _pairs_match(pair_pullback(cmap, pair_lie(fx, a)), pair_lie(x, pulled)):
         return f"lie-naturality: a={a}"
     return None
 

@@ -2,8 +2,10 @@
 
 Nothing here shares a code path with the library operators: scalars are
 evaluated numerically, permutation signs are counted directly, the Lie
-derivative uses the coordinate formula instead of the homotopy formula, and
-ranks are recomputed with plain Gauss-Jordan elimination over the field.
+derivative uses the coordinate formula instead of the homotopy formula,
+ranks are recomputed with plain Gauss-Jordan elimination over the field, and
+a pullback is a chain of wedges with the pulled-back coframes, one slot at a
+time, with no per-map memo (`wedge_chain_pullback`).
 
 The band reference (`SymbolicBand`) is the other side of the band matrices:
 it applies the library's symbolic operators to materialized basis forms and
@@ -33,12 +35,20 @@ from pairform.cohomology import (
     _RelativeModel,
 )
 from pairform.dolbeault import BigradedForm, PairBigradedForm, dbar_pair
-from pairform.exterior import Form, VectorField, ext_d, zero_form
+from pairform.exterior import (
+    Form,
+    VectorField,
+    _coframe_pullback,
+    ext_d,
+    scalar_form,
+    wedge,
+    zero_form,
+)
 from pairform.linalg import RationalMatrix
 from pairform.pair import PairForm, pair_d, pair_d_lichnerowicz, zero_pair
 from pairform.rationals import ONE, ZERO, GaussianRational, from_parts
 from pairform.relative import RelPairForm, rel_d, rel_d_lichnerowicz
-from pairform.scalar import ScalarExpr, wave
+from pairform.scalar import ScalarExpr, const, wave
 
 
 def to_complex(c: GaussianRational) -> complex:
@@ -162,6 +172,37 @@ def coordinate_lie(x: VectorField, a: Form) -> Form:
         if not total.is_zero:
             out.append((idx, total))
     return Form(chart, a.degree, tuple(out))
+
+
+def plain_compose(s: ScalarExpr, cmap) -> ScalarExpr:
+    """s o f by substituting each variable's image, power by power, and
+    adding the terms as scalars; no memo of the map is read."""
+    if cmap.matrix is not None:
+        return s.compose(cmap)
+    images = cmap.variable_images()
+    out = ScalarExpr(cmap.source, ())
+    for alpha, _k, c in s.terms:
+        term = const(cmap.source, c)
+        for j, a in enumerate(alpha):
+            term = term * images[j].power(a)
+        out = out + term
+    return out
+
+
+def wedge_chain_pullback(cmap, a: Form) -> Form:
+    """f*a as the sum over components of (s o f) ^ f*dx^(i_1) ^ ... ^ f*dx^(i_p),
+    one wedge per slot, each piece added as a form."""
+    coframes = {}
+    out = Form(cmap.source, a.degree, ())
+    for idx, s in a.components:
+        piece = scalar_form(plain_compose(s, cmap))
+        for j in idx:
+            if j not in coframes:
+                coframes[j] = ext_d(scalar_form(cmap.variable_images()[j])) \
+                    if cmap.matrix is None else _coframe_pullback(cmap, j)
+            piece = wedge(piece, coframes[j])
+        out = out + piece
+    return out
 
 
 def gauss_rank(matrix) -> int:

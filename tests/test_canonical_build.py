@@ -12,11 +12,14 @@ from fractions import Fraction
 import pytest
 
 from pairform.charts import ChartKind, torus
+from pairform.dolbeault import split_d
 from pairform.exterior import (
     Form,
     VectorField,
+    codiff,
     coframe,
     ext_d,
+    hodge_star,
     interior,
     lie,
     scalar_form,
@@ -24,6 +27,7 @@ from pairform.exterior import (
 )
 from pairform.randgen import (
     random_automorphism,
+    random_bigraded,
     random_coeff,
     random_field,
     random_form,
@@ -230,6 +234,53 @@ def test_form_operators_build_canonical_results(key):
         _check_form(lie(x_const, a), chart, p,
                     tuple((i, x_const.apply(t)) for i, t in a.components))
         assert canonical_form_faults(lie(x, a)) == []
+
+
+def _raw_conjugate_form(a):
+    chart = a.chart
+    if not chart.is_complex:
+        return tuple((i, s.conjugate()) for i, s in a.components)
+    n = chart.dim
+    out = []
+    for idx, s in a.components:
+        swapped = tuple(j + n if j < n else j - n for j in idx)
+        out.append((tuple(sorted(swapped)), s.conjugate() * perm_sign(swapped)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("key", CHARTS)
+def test_internal_form_builders_give_canonical_results(key):
+    """scalar_form, conjugate, the torus Hodge star and codifferential and
+    the Dolbeault split wrap their results without the constructor."""
+    chart = CHART_KEYS[key]
+    n = chart.nslots
+    rng = random.Random(f"builders/{key}")
+    for _ in range(TRIALS):
+        p = rng.randint(0, n)
+        a = _form_operand(rng, chart, p)
+        s = _operand(rng, chart, random_scalar(rng, chart))
+        _check_form(scalar_form(s), chart, 0, (((), s),))
+        _check_form(scalar_form(s - s), chart, 0, ())
+        _check_form(a.conjugate(), chart, p, _raw_conjugate_form(a))
+        if chart.kind is ChartKind.TORUS:
+            star = []
+            for idx, t in a.components:
+                rest = tuple(j for j in range(n) if j not in idx)
+                star.append((rest, t * perm_sign(idx + rest)))
+            _check_form(hodge_star(a), chart, n - p, tuple(star))
+            _check_form(codiff(a), chart, p - 1, tuple(
+                (idx[:r] + idx[r + 1:], t.partial(j) * (1 if r % 2 else -1))
+                for idx, t in a.components for r, j in enumerate(idx)))
+        if chart.is_complex:
+            q = rng.randint(0, chart.dim)
+            b = random_bigraded(rng, chart, rng.randint(0, chart.dim), q)
+            total = ext_d(b.form)
+            parts = split_d(b)
+            for part, holo in zip(parts, (b.p + 1, b.p)):
+                _check_form(part.form, chart, b.form.degree + 1, tuple(
+                    (idx, t) for idx, t in total.components
+                    if sum(j < chart.dim for j in idx) == holo))
+            assert parts[0].form + parts[1].form == total
 
 
 @pytest.mark.parametrize("key", CHARTS)

@@ -712,3 +712,12 @@ def test_parse_field():
     z = parse_field(C1, "z1")
     assert z.components[0] == coordinate(C1, 0)
     assert z.is_holomorphic()
+
+
+@pytest.mark.parametrize("bad", [5, gq(1), "x", None])
+def test_non_scalar_components_raise_value_error(bad):
+    for raw in ((((0,), bad),), (((1,), const(T2, 1)), ((0,), bad))):
+        with pytest.raises(ValueError) as info:
+            Form(T2, 1, raw)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"form component must be a ScalarExpr, got {bad!r}"

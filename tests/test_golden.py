@@ -39,6 +39,17 @@ def test_harmonic_report_matches_golden_file():
     assert report.to_dict() == expected
 
 
+def test_identity_report_matches_golden_file_byte_for_byte():
+    """Pins the identity suite's check ids, verdicts and witnesses on a
+    40-trial seed-3 run, as rendered to JSON."""
+    from pairform.cli import build_parser, scenario_from_args
+
+    argv = ["identities", "--trials", "40", "--seed", "3"]
+    scenario = scenario_from_args(build_parser().parse_args(argv))
+    report = run(scenario, clock=_fake_clock())
+    assert report.to_json() + "\n" == (GOLDEN / "identities_seed3.json").read_text()
+
+
 def test_scalar_rendering_golden():
     r2, t2, c1 = affine(2), torus(2), affine_complex(1)
     cases = [

@@ -537,3 +537,18 @@ def test_inverse_torus_map():
 
 def test_doubling_not_invertible():
     assert not ChartMap(T1, T1, matrix=((2,),)).is_invertible
+
+
+@pytest.mark.parametrize("coeff", [0.5, 1j, "1/2", None, True])
+def test_bad_coefficients_raise_chart_compatibility_error(coeff):
+    message = f"coefficients must be ints, Fractions or Gaussian rationals, got {coeff!r}"
+    for raw in ((((0,), (0,), coeff),), (((1,), (0,), ONE), ((0,), (0,), coeff))):
+        with pytest.raises(ChartCompatibilityError) as info:
+            ScalarExpr(R1, raw)
+        assert str(info.value) == message
+
+
+def test_int_and_fraction_coefficients_are_coerced_on_the_merge_path():
+    s = ScalarExpr(R1, (((1,), (0,), Fraction(1, 2)), ((0,), (0,), 3), ((1,), (0,), gq(1, 1))))
+    assert s.terms == (((0,), (0,), gq(3)), ((1,), (0,), gq(Fraction(3, 2), 1)))
+    assert all(type(c) is GaussianRational for _, _, c in s.terms)
