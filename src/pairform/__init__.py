@@ -15,14 +15,12 @@ from .scalar import ChartMap, ScalarExpr, identity_map
 from .exterior import Form, VectorField
 from .pair import PairForm
 from .relative import RelPairForm
-from .dolbeault import BigradedForm, PairBigradedForm
 from .cohomology import BandComplex, UnsupportedScenarioError
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BandComplex",
-    "BigradedForm",
     "Chart",
     "ChartCompatibilityError",
     "ChartKind",
@@ -30,7 +28,6 @@ __all__ = [
     "ChartMismatchError",
     "Form",
     "GaussianRational",
-    "PairBigradedForm",
     "PairForm",
     "RelPairForm",
     "ScalarExpr",

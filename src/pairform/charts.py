@@ -9,6 +9,7 @@ underneath them, the 2n real axes x1..xn, y1..yn.  Torus coordinates are
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -83,6 +84,17 @@ def affine_complex(n: int) -> Chart:
 
 def torus_complex(n: int) -> Chart:
     return Chart(ChartKind.TORUS_COMPLEX, n)
+
+
+def bidegree_index_sets(chart: Chart, p: int, q: int) -> list:
+    """The coframe index sets of bidegree (p, q) on a complex chart: p
+    holomorphic slots then q antiholomorphic ones, holomorphic-major.  Empty
+    when p or q is out of range."""
+    n = chart.dim
+    if not (0 <= p <= n and 0 <= q <= n):
+        return []
+    anti = list(itertools.combinations(range(n, 2 * n), q))
+    return [h + a for h in itertools.combinations(range(n), p) for a in anti]
 
 
 def require_same_chart(*objs) -> Chart:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb as _math_comb
 
-from .charts import Chart, ChartKind, ChartMismatchError
+from .charts import Chart, ChartKind, ChartMismatchError, bidegree_index_sets
 from .exterior import Form, VectorField, ext_d, require_parallel_one_form, zero_form
 from .linalg import RationalMatrix, det_dense, zi_kernel, zi_matmul, zi_rank
 from .pair import PairForm
@@ -366,13 +366,10 @@ class _Model:
             cache[k] = lam.a, lam.b
         return cache[k]
 
-    def assemble(self, shuffle=None) -> BandComplex:
+    def assemble(self) -> BandComplex:
         out = BandComplex(self.label, tuple(self.degrees))
         for d in self.degrees:
-            basis = list(self.basis(d))
-            if shuffle is not None:
-                shuffle(basis)
-            out.basis[d] = tuple(basis)
+            out.basis[d] = tuple(self.basis(d))
         ranks = dict.fromkeys(self.degrees, 0)
         failed = None                  # the lowest degree with d.d != 0 in some block
         for block in self.blocks():
@@ -555,37 +552,30 @@ class _DolbeaultModel(_Model):
         self.modes = {"F": modes, "S": modes}
 
     def sets(self, side, q):
-        n = self.charts[side].dim
-        if q < 0 or self.p > n or q > n:
-            return []
-        holo = itertools.combinations(range(n), self.p)
-        anti = list(itertools.combinations(range(n, 2 * n), q))
-        return [h + a for h in holo for a in anti]
+        return bidegree_index_sets(self.charts[side], self.p, q)
 
 
 # -- public builders ---------------------------------------------------------
 
 
-def de_rham_complex(chart: Chart, max_freq: int, shuffle=None) -> BandComplex:
-    return _DeRhamModel(chart, max_freq).assemble(shuffle)
+def de_rham_complex(chart: Chart, max_freq: int) -> BandComplex:
+    return _DeRhamModel(chart, max_freq).assemble()
 
 
-def pair_complex(chart: Chart, x: VectorField, max_freq: int, shuffle=None) -> BandComplex:
-    return _PairModel(chart, x, max_freq).assemble(shuffle)
+def pair_complex(chart: Chart, x: VectorField, max_freq: int) -> BandComplex:
+    return _PairModel(chart, x, max_freq).assemble()
 
 
-def pair_eta_complex(chart: Chart, eta: Form, max_freq: int, shuffle=None) -> BandComplex:
-    return _PairEtaModel(chart, eta, max_freq).assemble(shuffle)
+def pair_eta_complex(chart: Chart, eta: Form, max_freq: int) -> BandComplex:
+    return _PairEtaModel(chart, eta, max_freq).assemble()
 
 
-def relative_complex(cmap: ChartMap, x: VectorField, max_freq: int,
-                     shuffle=None) -> BandComplex:
-    return _RelativeModel(cmap, x, max_freq).assemble(shuffle)
+def relative_complex(cmap: ChartMap, x: VectorField, max_freq: int) -> BandComplex:
+    return _RelativeModel(cmap, x, max_freq).assemble()
 
 
-def primed_eta_complex(cmap: ChartMap, eta: Form, max_freq: int,
-                       shuffle=None) -> BandComplex:
-    return _PrimedEtaModel(cmap, eta, max_freq).assemble(shuffle)
+def primed_eta_complex(cmap: ChartMap, eta: Form, max_freq: int) -> BandComplex:
+    return _PrimedEtaModel(cmap, eta, max_freq).assemble()
 
 
 def primed_predicted_dims(n_source: int, n_target: int) -> list:
@@ -594,9 +584,8 @@ def primed_predicted_dims(n_source: int, n_target: int) -> list:
     return [_binom(n_source, p) + _binom(n_target, p - 1) for p in range(top + 3)]
 
 
-def dolbeault_complex(chart: Chart, x: VectorField, p: int, max_freq: int,
-                      shuffle=None) -> BandComplex:
-    return _DolbeaultModel(chart, x, p, max_freq).assemble(shuffle)
+def dolbeault_complex(chart: Chart, x: VectorField, p: int, max_freq: int) -> BandComplex:
+    return _DolbeaultModel(chart, x, p, max_freq).assemble()
 
 
 def pair_predicted_dims(n: int) -> list:

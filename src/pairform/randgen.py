@@ -12,8 +12,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from .charts import Chart, ChartKind
-from .dolbeault import BigradedForm, PairBigradedForm, holomorphic_field, zero_bigraded
+from .charts import Chart, ChartKind, bidegree_index_sets
+from .dolbeault import holomorphic_field
 from .exterior import Form, VectorField
 from .pair import PairForm
 from .rationals import gq
@@ -82,21 +82,18 @@ def random_holomorphic_field(rng: random.Random, chart: Chart) -> VectorField:
     return holomorphic_field(chart, tuple(comps))
 
 
-def random_bigraded(rng: random.Random, chart: Chart, p: int, q: int) -> BigradedForm:
-    n = chart.dim
-    if not (0 <= p <= n and 0 <= q <= n):
-        return zero_bigraded(chart, p, q)
-    holo = list(itertools.combinations(range(n), p))
-    anti = list(itertools.combinations(range(n, 2 * n), q))
-    sets = [h + a for h in holo for a in anti]
+def random_bigraded(rng: random.Random, chart: Chart, p: int, q: int) -> Form:
+    """A form of bidegree (p, q); the zero (p+q)-form if there is none."""
+    sets = bidegree_index_sets(chart, p, q)
+    if not sets:
+        return Form(chart, p + q, ())
     chosen = rng.sample(sets, min(len(sets), rng.randint(1, 2)))
     comps = tuple((idx, random_scalar(rng, chart)) for idx in chosen)
-    return BigradedForm(Form(chart, p + q, comps), p, q)
+    return Form(chart, p + q, comps)
 
 
-def random_pair_bigraded(rng: random.Random, chart: Chart, p: int, q: int) -> PairBigradedForm:
-    return PairBigradedForm(random_bigraded(rng, chart, p, q),
-                            random_bigraded(rng, chart, p, q - 1))
+def random_pair_bigraded(rng: random.Random, chart: Chart, p: int, q: int) -> PairForm:
+    return PairForm(random_bigraded(rng, chart, p, q), random_bigraded(rng, chart, p, q - 1))
 
 
 def random_gl_matrix(rng: random.Random, n: int) -> tuple:

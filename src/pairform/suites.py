@@ -36,15 +36,7 @@ from .cohomology import (
     relative_complex,
     relative_predicted_dims,
 )
-from .dolbeault import (
-    PairBigradedForm,
-    RelPairBigradedForm,
-    bigraded,
-    dbar_pair,
-    dbar_pair_rel,
-    holomorphic_field,
-    zero_bigraded,
-)
+from .dolbeault import dbar_pair, dbar_pair_rel, holomorphic_field
 from .exterior import (
     Form,
     VectorField,
@@ -277,11 +269,10 @@ def _law_dbar_pair_rel_squared(rng, chart):
     x = random_holomorphic_field(rng, chart)
     n = chart.dim
     p, q = rng.randint(0, n), rng.randint(0, n)
-    first = random_bigraded(rng, chart, p, q)
-    second = random_bigraded(rng, chart, p, q - 1)
-    a = RelPairBigradedForm(cmap, first, second)
+    a = RelPairForm(cmap, random_bigraded(rng, chart, p, q),
+                    random_bigraded(rng, chart, p, q - 1))
     out = dbar_pair_rel(x, dbar_pair_rel(x, a))
-    return None if out.is_zero else f"X={x}, a=({first} | {second})"
+    return None if out.is_zero else f"X={x}, a={a}"
 
 
 _REAL_LAWS = [
@@ -751,7 +742,7 @@ def _holomorphic_convention_check() -> Check:
     chart = affine_complex(1)
     x = holomorphic_field(chart, (const(chart, 1),))
     zb_dz = wedge(scalar_form(coordinate(chart, 1)), coframe(chart, 0))
-    a = PairBigradedForm(bigraded(zb_dz), zero_bigraded(chart, 1, -1))
+    a = PairForm(zb_dz, zero_form(chart, 0))
     out = dbar_pair(x, a)
     one_zero_part_acts = out.second.is_zero
     real_field = VectorField(chart, (const(chart, 1), const(chart, 1)))

@@ -34,7 +34,7 @@ from pairform.cohomology import (
     _PrimedEtaModel,
     _RelativeModel,
 )
-from pairform.dolbeault import BigradedForm, PairBigradedForm, dbar_pair
+from pairform.dolbeault import dbar_pair
 from pairform.exterior import (
     Form,
     VectorField,
@@ -340,11 +340,8 @@ def primed_band(cmap, eta, max_freq):
 
 
 def dolbeault_band(chart, x, p, max_freq):
-    def wrap(q, first, second):
-        return PairBigradedForm(BigradedForm(first, p, q), BigradedForm(second, p, q - 1))
-
-    return SymbolicBand(_DolbeaultModel(chart, x, p, max_freq), wrap,
-                        lambda value: (value.first.form, value.second.form),
+    return SymbolicBand(_DolbeaultModel(chart, x, p, max_freq),
+                        lambda q, a, b: PairForm(a, b), _slots,
                         lambda value: dbar_pair(x, value), offset=p)
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from pairform.charts import ChartKind, torus
-from pairform.dolbeault import split_d
+from pairform.dolbeault import bidegree, split_d
 from pairform.exterior import (
     Form,
     VectorField,
@@ -273,14 +273,16 @@ def test_internal_form_builders_give_canonical_results(key):
                 for idx, t in a.components for r, j in enumerate(idx)))
         if chart.is_complex:
             q = rng.randint(0, chart.dim)
-            b = random_bigraded(rng, chart, rng.randint(0, chart.dim), q)
-            total = ext_d(b.form)
+            p = rng.randint(0, chart.dim)
+            b = random_bigraded(rng, chart, p, q)
+            assert bidegree(b) in ((p, q), None)
+            total = ext_d(b)
             parts = split_d(b)
-            for part, holo in zip(parts, (b.p + 1, b.p)):
-                _check_form(part.form, chart, b.form.degree + 1, tuple(
+            for part, holo in zip(parts, (p + 1, p)):
+                _check_form(part, chart, b.degree + 1, tuple(
                     (idx, t) for idx, t in total.components
                     if sum(j < chart.dim for j in idx) == holo))
-            assert parts[0].form + parts[1].form == total
+            assert parts[0] + parts[1] == total
 
 
 @pytest.mark.parametrize("key", CHARTS)
