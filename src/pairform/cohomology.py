@@ -21,12 +21,23 @@ time.  A block (`_Block`) is one mode k, with its forms on both slots; over
 a torus map it is one source mode together with every target mode k whose
 A^T k equals it.  A block's matrices are Z[i] column matrices (see `linalg`)
 written straight from the symbols' integers, every entry times the model's
-one denominator `scale`; lambda(k) is computed once per mode, in Q(i).  On
-each block the builders check d.d = 0 and add up ranks; the harmonic and
-Lichnerowicz Laplacians are products of first-order block matrices, the pair
-Laplacians are compared with their closed form block by block, and kernel
-vectors are put back in the order of the global basis.  No global matrix is
-built, and witnesses are written from their basis tags.
+one denominator `scale`; lambda(k) is computed once per mode, in Q(i).
+
+Every entry of a one-mode block matrix is affine in k, so a product of two
+such matrices is a polynomial of degree <= 2 in k, fixed by its values on the
+1 + 2n + C(n, 2) modes 0, +-e_i and e_i + e_j.  The pair, pair-eta, de Rham
+and Dolbeault models declare a contracting homotopy H (the codifferential,
+or dbar*, on each slot) with D H + H D = t(k) I and t(k) = 0 only at k = 0,
+the Koszul complex's homotopy.  Checking d.d = 0 and that identity on those
+modes proves both on every mode of every band, and makes every nonzero mode
+acyclic; the builders then eliminate the zero mode only and add the acyclic
+ranks of the others.  The relative and primed models, whose blocks group
+modes, check d.d = 0 and eliminate block by block.  The pair Laplacians are
+certified against their closed form (|k|^2 +- lambda(k)^2) I on the same
+modes, and their kernels are taken only on the modes where it vanishes; the
+Lichnerowicz Laplacian is eliminated on every block.  Kernel vectors are put
+back in the order of the global basis, no global matrix is built, and
+witnesses are written from their basis tags.
 
 Operators that mix frequencies (a pair differential twisted by a non-closed
 1-form) escape every finite band; such scenarios are rejected rather than
@@ -63,6 +74,16 @@ def _modes(nvars: int, max_freq: int):
     if max_freq < 0:
         raise ValueError(f"max_freq must be non-negative, got {max_freq}")
     return list(itertools.product(range(-max_freq, max_freq + 1), repeat=nvars))
+
+
+def _quadratic_points(nvars: int) -> list:
+    """The modes 0, +-e_i and e_i + e_j (i < j).  A polynomial of degree <= 2
+    in k is fixed by its values there (they give its constant, linear,
+    square and cross terms in turn), so it vanishes on every mode if it
+    vanishes on these 1 + 2n + C(n, 2)."""
+    units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    return ([(0,) * nvars] + [k for e in units for k in (e, tuple(-v for v in e))]
+            + [tuple(a + b for a, b in zip(e, f)) for e, f in itertools.combinations(units, 2)])
 
 
 def _index_sets(nslots: int, size: int):
@@ -102,6 +123,10 @@ _DBAR_PAIR = (("F", "F", 1, "dbar"), ("F", "S", 1, "lie"), ("S", "S", -1, "dbar"
 _PAIR_CODIFF = (("F", "F", 1, "codiff"), ("S", "F", 1, "lie"), ("S", "S", -1, "codiff"))
 _PAIR_CODIFF_SKEW = (("F", "F", 1, "codiff"), ("S", "F", -1, "lie"),
                      ("S", "S", -1, "codiff"))
+# contracting homotopies diag(delta, -delta) of the pair complexes and
+# diag(dbar*, -dbar*) of the Dolbeault pair complex
+_PAIR_HOMOTOPY = (("F", "F", 1, "codiff"), ("S", "S", -1, "codiff"))
+_DBAR_HOMOTOPY = (("F", "F", 1, "dbar*"), ("S", "S", -1, "dbar*"))
 
 
 def _sigma(chart: Chart, k, j: int):
@@ -117,7 +142,8 @@ def _sigma(chart: Chart, k, j: int):
 
 
 # the form degree a symbol block of each kind adds to its source's
-_STEP = {"d": 1, "dbar": 1, "wedge": 1, "codiff": -1, "interior": -1, "lie": 0, "pullback": 0}
+_STEP = {"d": 1, "dbar": 1, "wedge": 1, "codiff": -1, "dbar*": -1, "interior": -1, "lie": 0,
+         "pullback": 0}
 
 
 def _symbol(model: "_Model", op, side, idx) -> list:
@@ -133,6 +159,8 @@ def _symbol(model: "_Model", op, side, idx) -> list:
       wedge    the same with c = w_j (w^, w = sum w_j dx_j);
       codiff   J = I - i_r, s = (-1)^(r+1) `sign`, c = sigma_(i_r)(k) and
                j = i_r (real torus);
+      dbar*    J = I - i_r over the antiholomorphic slots i_r only, s =
+               (-1)^r `sign`, c = conj(sigma_(i_r)(k)) and j = i_r;
       interior J = I - i_r, s = (-1)^r `sign`, c = w_(i_r) (i_(w#), real torus);
       lie      J = I, s = `sign`, c = lambda(k);
       pullback L_X f^*: J over the source index sets, s = `sign` times
@@ -141,6 +169,13 @@ def _symbol(model: "_Model", op, side, idx) -> list:
     Here X or w has the constant frame coefficients `model.coeffs`.  Terms
     with w_j = 0 or a zero minor are left out, as decomposing a symbolic
     image would; `_Block.matrix` drops the terms whose c(k) vanishes.
+
+    Every c(k) above is affine in k (sigma_j and lambda are linear, w_j and
+    the minors constant), so every entry of a one-mode block matrix is
+    affine in k on a basis that does not depend on k.  `_Model.assemble`
+    and the harmonic kernels rest on this when they check an identity on
+    `_quadratic_points` only: a model may declare a `homotopy` only if
+    every symbol kind of its `op` and `homotopy` is affine in k.
     """
     out = []
     for src, dst, sign, kind in op:
@@ -151,9 +186,10 @@ def _symbol(model: "_Model", op, side, idx) -> list:
             terms = [(idx, sign, 0)]
         elif kind == "pullback":
             terms = [(j, sign * minor, 0) for j, minor in model.minors[idx]]
-        elif kind in ("codiff", "interior"):
+        elif kind in ("codiff", "dbar*", "interior"):
+            first = chart.dim if kind == "dbar*" else 0
             terms = [(idx[:r] + idx[r + 1:], sign if (r % 2) == (kind == "codiff") else -sign, j)
-                     for r, j in enumerate(idx)]
+                     for r, j in enumerate(idx) if j >= first]
         else:
             terms = []
             for j in range(chart.dim if kind == "dbar" else 0, chart.nslots):
@@ -233,6 +269,8 @@ class _Block:
                         coefs = (model.lam(k),)
                     elif kind in ("wedge", "interior"):
                         coefs = model.scaled_coeffs
+                    elif kind == "dbar*":
+                        coefs = [(a, -b) for a, b in model.sigma(side, k)]
                     else:
                         coefs = model.sigma(side, k)
                     blocks.append((index.get((dst_side, row_k)), coefs, row_k))
@@ -252,6 +290,39 @@ class _Block:
         return cols
 
 
+def _mode_block(model: "_Model", k) -> _Block:
+    """The block of mode k on every side of a model whose operators keep modes."""
+    return _Block(model, {side: [k] for side in model.charts})
+
+
+def _dd_failure(mats: dict, failed):
+    """The lowest degree d, below `failed` if that is not None, where the
+    block matrices `mats` (by source degree, ascending) have
+    mats[d+1] . mats[d] != 0; `failed` if there is none."""
+    for d in list(mats)[:-1]:
+        if failed is not None and d >= failed:
+            break
+        if any(zi_matmul(mats[d + 1], mats[d])):
+            return d
+    return failed
+
+
+def _eliminate(model: "_Model", blocks) -> dict:
+    """The ranks of the model's differential by degree, summed over
+    `blocks` by Bareiss elimination, with d.d = 0 checked on every block."""
+    ranks = dict.fromkeys(model.degrees, 0)
+    failed = None                      # the lowest degree with d.d != 0 in some block
+    for block in blocks:
+        mats = {d: block.matrix(model.op, d, d + 1) for d in model.degrees[:-1]}
+        failed = _dd_failure(mats, failed)
+        if failed is None:
+            for d, mat in mats.items():
+                ranks[d] += zi_rank(mat)
+    if failed is not None:
+        raise AssertionError(f"differentials fail to compose to zero at degree {failed}")
+    return ranks
+
+
 class _Model:
     """A band complex on one or two slots, as the data `_symbol` reads.
 
@@ -262,12 +333,14 @@ class _Model:
     differential as symbol blocks) and, when a block needs them, the constant
     frame coefficients `coeffs` of the field or 1-form, and for a pullback
     `minors` and `pull`; `assemble` builds every matrix from `_symbol`, one
-    `_Block` at a time."""
+    `_Block` at a time.  A model whose blocks are single modes may declare a
+    contracting `homotopy`, and is then assembled by `certified_ranks`."""
 
     degrees: tuple
     charts: dict
     modes: dict
     op: tuple
+    homotopy: tuple = None
     coeffs: tuple = ()
 
     def sets(self, side, degree):
@@ -366,22 +439,51 @@ class _Model:
             cache[k] = lam.a, lam.b
         return cache[k]
 
+    def homotopy_value(self, k) -> int:
+        """t(k) in D H + H D = t(k) I, times scale^2: |sigma_j(k)|^2 summed
+        over the slots j that `homotopy` contracts, every slot of a real torus
+        and the antiholomorphic ones of a complex torus; zero only at k = 0."""
+        chart = self.charts["F"]
+        return sum(a * a + b * b
+                   for a, b in self.sigma("F", k)[chart.dim if chart.is_complex else 0:])
+
+    def certified_ranks(self) -> dict:
+        """The ranks of a model with a `homotopy`, certified for every band
+        at once (see the module docstring): D.D = 0 and D H + H D = t(k) I
+        hold on `_quadratic_points`, the zero mode is eliminated, and an
+        acyclic mode's rank in degree q is its size there minus its rank in
+        degree q - 1, since a cycle x is D(Hx)/t(k)."""
+        failed = broken = None         # lowest degrees where D.D or D H + H D fail
+        for k in _quadratic_points(self.charts["F"].nvars):
+            block = _mode_block(self, k)
+            failed = _dd_failure({d: block.matrix(self.op, d, d + 1)
+                                  for d in self.degrees[:-1]}, failed)
+            value = self.homotopy_value(k), 0
+            for d in self.degrees[:-1]:
+                if (broken is None or d < broken) and \
+                        _anticommutator(block, d, self.op, self.homotopy)[0] != \
+                        _scalar_matrix(len(block.tags(d)), value):
+                    broken = d
+        if failed is not None:
+            raise AssertionError(f"differentials fail to compose to zero at degree {failed}")
+        if broken is not None:
+            raise AssertionError(
+                f"contracting homotopy disagrees with its closed form at degree {broken}")
+        zero = _mode_block(self, (0,) * self.charts["F"].nvars)
+        ranks = _eliminate(self, [zero])
+        nonzero = len(self.modes["F"]) - 1
+        rank = 0
+        for d in self.degrees[:-1]:
+            rank = len(zero.tags(d)) - rank
+            ranks[d] += nonzero * rank
+        return ranks
+
     def assemble(self) -> BandComplex:
+        ranks = (_eliminate(self, self.blocks()) if self.homotopy is None
+                 else self.certified_ranks())
         out = BandComplex(self.label, tuple(self.degrees))
         for d in self.degrees:
             out.basis[d] = tuple(self.basis(d))
-        ranks = dict.fromkeys(self.degrees, 0)
-        failed = None                  # the lowest degree with d.d != 0 in some block
-        for block in self.blocks():
-            mats = {d: block.matrix(self.op, d, d + 1) for d in self.degrees[:-1]}
-            for d in self.degrees[:-2]:
-                if (failed is None or d < failed) and any(zi_matmul(mats[d + 1], mats[d])):
-                    failed = d
-            if failed is None:
-                for d, mat in mats.items():
-                    ranks[d] += zi_rank(mat)
-        if failed is not None:
-            raise AssertionError(f"differentials fail to compose to zero at degree {failed}")
         for i, d in enumerate(self.degrees):
             out.ranks[d] = ranks[d]
             below = ranks[self.degrees[i - 1]] if i else 0
@@ -407,6 +509,7 @@ class _DeRhamModel(_Model):
                                 for j in range(chart.nslots))
         self.label = f"de-rham/{chart}"
         self.op = _DE_RHAM_D
+        self.homotopy = _CODIFF
         self.degrees = tuple(range(chart.nslots + 2))
         self.charts = {"F": chart}
         self.modes = {"F": _modes(chart.nvars, max_freq)}
@@ -423,6 +526,7 @@ class _PairModel(_Model):
         self.coeffs = _constant_coeffs(x)
         self.label = f"pair/{chart}"
         self.op = _PAIR_D
+        self.homotopy = _PAIR_HOMOTOPY
         self.degrees = tuple(range(chart.nslots + 3))
         self.charts = {"F": chart, "S": chart}
         modes = _modes(chart.nvars, max_freq)
@@ -446,6 +550,7 @@ class _PairEtaModel(_Model):
             raise UnsupportedScenarioError("pair band model requires a real torus")
         self.label = f"pair-eta/{chart}"
         self.op = _UNCOUPLED_D
+        self.homotopy = _PAIR_HOMOTOPY
         self.degrees = tuple(range(chart.nslots + 3))
         self.charts = {"F": chart, "S": chart}
         modes = _modes(chart.nvars, max_freq)
@@ -546,6 +651,7 @@ class _DolbeaultModel(_Model):
         self.p = p
         self.label = f"dolbeault/{chart}/p={p}"
         self.op = _DBAR_PAIR
+        self.homotopy = _DBAR_HOMOTOPY
         self.degrees = tuple(range(chart.dim + 3))
         self.charts = {"F": chart, "S": chart}
         modes = _modes(chart.nvars, max_freq)
@@ -623,15 +729,24 @@ class HarmonicKernel:
         return self.dim_laplacian == self.dim_joint
 
 
-def _closed_form(model: _PairModel, block: _Block, degree: int, sign: int) -> list:
-    """The pair Laplacian's closed form on one mode block, entries times
-    scale^2: the componentwise Laplacian |k|^2 plus `sign` times the squared
-    Lie symbol lambda(k)^2, the same multiple of the identity on both slots."""
-    (k,) = block.modes["F"]
+def _scalar_matrix(size: int, value) -> list:
+    """value times the size x size identity, as a Z[i] column matrix."""
+    return [{c: value} if value != (0, 0) else {} for c in range(size)]
+
+
+def _closed_value(model: _PairModel, k, sign: int):
+    """The pair Laplacian's closed form at mode k, times scale^2: the
+    componentwise Laplacian |k|^2 plus `sign` times the squared Lie symbol
+    lambda(k)^2, as an int pair."""
     la, lb = model.lam(k)
-    value = (sum(v * v for v in k) * model.scale ** 2 + sign * (la * la - lb * lb),
-             sign * 2 * la * lb)
-    return [{c: value} if value != (0, 0) else {} for c in range(len(block.tags(degree)))]
+    return model.homotopy_value(k) + sign * (la * la - lb * lb), sign * 2 * la * lb
+
+
+def _closed_form(model: _PairModel, block: _Block, degree: int, sign: int) -> list:
+    """The pair Laplacian's closed form on one mode block: `_closed_value`
+    times the identity, the same on both slots."""
+    (k,) = block.modes["F"]
+    return _scalar_matrix(len(block.tags(degree)), _closed_value(model, k, sign))
 
 
 def _anticommutator(block: _Block, degree: int, d_op, cod_op):
@@ -657,6 +772,22 @@ def _laplacian(model: _PairModel, block: _Block, degree: int, cod, sign: int, me
     return out
 
 
+def _resonant_blocks(model: _PairModel, degree: int, cod, sign: int, message: str) -> list:
+    """The band's mode blocks where `_closed_value` vanishes, after
+    `_laplacian` is checked on `_quadratic_points` (both sides are quadratic
+    in k).  On any other mode the Laplacian is a nonzero multiple of I, so
+    its kernel, and the joint kernel inside it, are empty."""
+    for k in _quadratic_points(model.charts["F"].nvars):
+        _laplacian(model, _mode_block(model, k), degree, cod, sign, message)
+    return [_mode_block(model, k) for k in model.modes["F"]
+            if _closed_value(model, k, sign) == (0, 0)]
+
+
+def _require_degree(degree: int) -> None:
+    if degree < 0:
+        raise ValueError(f"degree must be non-negative, got {degree}")
+
+
 def _kernel(mat: list, glob: list) -> list:
     """`zi_kernel` of a block matrix with its columns renamed to the global
     columns `glob`, as (first global column of the vector's group, vector)."""
@@ -664,25 +795,37 @@ def _kernel(mat: list, glob: list) -> list:
             for first, vectors in zi_kernel(mat) for vec in vectors]
 
 
+_HARMONIC_MISMATCH = "pair Laplacian composite disagrees with its closed form"
+_CORRECTED_MISMATCH = "corrected pair Laplacian disagrees with its closed form"
+
+
 def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) -> HarmonicKernel:
     """Compute ker of the pair Laplacian and ker pair_d  intersect  ker pair_codiff.
 
     The Laplacian is pair_codiff . pair_d + pair_d . pair_codiff, multiplied
     out per mode block from the block matrices of the two first-order
-    operators and checked on each block against the closed form
-    (componentwise Laplacian plus the squared Lie derivative).  The kernels
-    are taken per block and listed in the order of the global basis.  The
+    operators.  It is certified against its closed form (componentwise
+    Laplacian plus the squared Lie derivative) on every mode at once, so the
+    kernels are taken only on the blocks where the closed form vanishes
+    (`_resonant_blocks`) and listed in the order of the global basis.  The
     two kernels agree exactly when no nonzero band mode k satisfies
     |k|^2 = <k, U>^2; the comparison verdict is part of the result rather
     than an assumption.
     """
+    _require_degree(degree)
     model = _PairModel(chart, u, max_freq)
+    blocks = _resonant_blocks(model, degree, _PAIR_CODIFF, 1, _HARMONIC_MISMATCH)
+    return _harmonic(model, degree, max_freq, blocks)
+
+
+def _harmonic(model: _PairModel, degree: int, max_freq: int, blocks) -> HarmonicKernel:
+    """`harmonic_kernel` taken on `blocks`, each checked against the closed
+    form; on all of `model.blocks()` it needs no certificate."""
     basis = model.basis(degree)
     index = {tag: i for i, tag in enumerate(basis)}
     lap, joint = [], []
-    for block in model.blocks():
-        mat, stacked = _laplacian(model, block, degree, _PAIR_CODIFF, 1,
-                                  "pair Laplacian composite disagrees with its closed form")
+    for block in blocks:
+        mat, stacked = _laplacian(model, block, degree, _PAIR_CODIFF, 1, _HARMONIC_MISMATCH)
         glob = [index[tag] for tag in block.tags(degree)]
         block_joint = _kernel(stacked, glob)
         joint += block_joint
@@ -719,19 +862,22 @@ def corrected_laplacian_kernel_dim(chart: Chart, u: VectorField, degree: int,
                                    max_freq: int) -> int:
     """Kernel dimension of the pair Laplacian built from the sign-corrected
     adjoint pair_codiff_skew (closed form: Laplacian minus the squared Lie
-    derivative); equals the cohomology dimension in each degree."""
+    derivative); equals the cohomology dimension in each degree.  Certified
+    like `harmonic_kernel`, and eliminated on `_resonant_blocks` only."""
+    _require_degree(degree)
     model = _PairModel(chart, u, max_freq)
-    return _kernel_dim(
-        _laplacian(model, block, degree, _PAIR_CODIFF_SKEW, -1,
-                   "corrected pair Laplacian disagrees with its closed form")[0]
-        for block in model.blocks())
+    blocks = _resonant_blocks(model, degree, _PAIR_CODIFF_SKEW, -1, _CORRECTED_MISMATCH)
+    return _kernel_dim(_laplacian(model, block, degree, _PAIR_CODIFF_SKEW, -1,
+                                  _CORRECTED_MISMATCH)[0] for block in blocks)
 
 
 def lichnerowicz_kernel_dim(chart: Chart, w: Form, degree: int, max_freq: int) -> int:
     """Kernel dimension of the twisted Laplacian C_w D_w + D_w C_w on the
     band of single forms, D_w = d + w^ and C_w = delta + i_(w#), per mode
     block; `w` is checked first.  Empty for a unit parallel 1-form since the
-    operator shifts every Laplacian eigenvalue up by |w|^2 > 0."""
+    operator shifts every Laplacian eigenvalue up by |w|^2 > 0.  It has no
+    closed form to certify, so every block is eliminated."""
+    _require_degree(degree)
     model = _DeRhamModel(chart, max_freq, w)
     return _kernel_dim(_anticommutator(block, degree, _TWISTED_D, _TWISTED_CODIFF)[0]
                        for block in model.blocks())

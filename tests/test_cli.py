@@ -277,3 +277,16 @@ def test_flipped_codifferential_sign_exits_3(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == ("internal invariant failed: "
                             "pair Laplacian composite disagrees with its closed form\n")
+
+
+def test_flipped_homotopy_sign_exits_3(monkeypatch, capsys):
+    from pairform import cohomology
+
+    # diag(delta, delta) in place of the pair complex's homotopy diag(delta, -delta)
+    flipped = (("F", "F", 1, "codiff"), ("S", "S", 1, "codiff"))
+    monkeypatch.setattr(cohomology, "_PAIR_HOMOTOPY", flipped)
+    assert main(["cohomology", "--dim", "1", "--max-freq", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal invariant failed: contracting homotopy "
+                            "disagrees with its closed form at degree 1\n")

@@ -1,3 +1,4 @@
+import math
 import random
 from math import comb as _math_comb
 
@@ -803,3 +804,244 @@ def test_dolbeault_rejects_a_negative_p():
         dolbeault_complex(TC1, holomorphic_field(TC1, (const(TC1, 1),)), -1, 1)
     assert info.type is ValueError
     assert str(info.value) == "p must be non-negative, got -1"
+
+
+# -- certified band dimensions ------------------------------------------------
+
+
+def test_quadratic_points_fix_every_polynomial_of_degree_two():
+    from pairform.cohomology import _quadratic_points
+    from pairform.linalg import RationalMatrix
+
+    for n in range(1, 6):
+        points = _quadratic_points(n)
+        assert len(set(points)) == len(points) == 1 + 2 * n + comb(n, 2)
+        # the monomials 1, k_i, k_i k_j (i <= j) evaluated on the points: a
+        # square matrix of full rank, so only the zero quadratic vanishes there
+        monomials = [()] + [(i,) for i in range(n)] + [
+            (i, j) for i in range(n) for j in range(i, n)]
+        rows = [[gq(math.prod(k[i] for i in m)) for m in monomials] for k in points]
+        assert RationalMatrix.from_rows(rows).rank() == len(monomials) == len(points)
+
+
+def _combine(*terms):
+    """The sum of sign * matrix over (sign, matrix) of Z[i] column matrices
+    with the same columns, zero entries dropped."""
+    out = [{} for _ in terms[0][1]]
+    for sign, mat in terms:
+        for acc, col in zip(out, mat):
+            for r, (a, b) in col.items():
+                x, y = acc.get(r, (0, 0))
+                acc[r] = x + sign * a, y + sign * b
+    return [{r: v for r, v in acc.items() if v != (0, 0)} for acc in out]
+
+
+def _symbol_kind_cases():
+    """(kind, model, one-mode block at k, complex-degree step) for every
+    symbol kind, on fields and 1-forms with rational and complex
+    coefficients."""
+    from pairform.cohomology import (
+        _Block,
+        _DeRhamModel,
+        _DolbeaultModel,
+        _mode_block,
+        _PairModel,
+        _RelativeModel,
+    )
+
+    t3, tc2 = torus(3), torus_complex(2)
+    pair = _PairModel(t3, constant_field(t3, (gq(1, 2), gq("1/2"), gq(0, "-3/5"))), 1)
+    w = coframe(t3, 0) * gq(2, -1) + coframe(t3, 2) * gq("2/3")
+    derham = _DeRhamModel(t3, 1, w)
+    holo = holomorphic_field(tc2, (const(tc2, gq(1, 1)), const(tc2, gq("1/3"))))
+    cmap = ChartMap(T2, t3, matrix=((1, 1), (0, 1), (2, -1)))
+    relative = _RelativeModel(cmap, constant_field(T2, (gq(2), gq(0, 1))), 1)
+    cases = [(kind, pair, step) for kind, step in (("d", 1), ("codiff", -1), ("lie", 0))]
+    cases += [(kind, derham, step) for kind, step in (("wedge", 1), ("interior", -1))]
+    cases += [(kind, _DolbeaultModel(tc2, holo, p, 1), step) for p in range(3)
+              for kind, step in (("dbar", 1), ("dbar*", -1), ("lie", 0))]
+    out = [(kind, model, (("F", "F", 1, kind),), lambda k, m=model: _mode_block(m, k), step)
+           for kind, model, step in cases]
+    out.append(("pullback", relative, (("F", "S", 1, "pullback"),),
+                lambda k: _Block(relative, {"F": [k], "S": [relative.pull(k)]}), 1))
+    return out
+
+
+def test_every_symbol_kind_is_affine_in_the_mode():
+    """The premise of the certificate: each entry of a one-mode block matrix
+    satisfies entry(k + l) = entry(k) + entry(l) - entry(0)."""
+    from pairform.cohomology import _STEP
+
+    rng = random.Random(12)
+    cases = _symbol_kind_cases()
+    assert {kind for kind, *_ in cases} == set(_STEP)
+    for kind, model, op, block_at, step in cases:
+        n = model.charts["F"].nvars
+        zero = (0,) * n
+        entries = 0
+        for _ in range(4):
+            k, l = (tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(2))
+            k_l = tuple(a + b for a, b in zip(k, l))
+            for d in model.degrees:
+                mats = [block_at(m).matrix(op, d, d + step) for m in (k_l, k, l, zero)]
+                assert _combine(*zip((1, -1, -1, 1), mats)) == [{}] * len(mats[0]), (kind, d)
+                entries += sum(map(len, mats[1]))
+        assert entries, kind   # the case is not vacuous
+
+
+def _eliminated(model):
+    """Ranks and dims of `model` by elimination on every block of it."""
+    from pairform.cohomology import _eliminate
+
+    ranks = _eliminate(model, model.blocks())
+    degrees = model.degrees
+    dims = {d: len(model.basis(d)) - ranks[d] - (ranks[degrees[i - 1]] if i else 0)
+            for i, d in enumerate(degrees)}
+    return ranks, dims
+
+
+def _assert_certified_equals_eliminated(model):
+    assert model.homotopy is not None
+    out = model.assemble()
+    assert (out.ranks, out.dims) == _eliminated(model)
+    assert out.basis == {d: tuple(model.basis(d)) for d in model.degrees}
+
+
+_COEFFS = {"integer": (1, -2, 0, 3), "rational": (gq("1/2"), gq("-2/3"), gq(3), gq("5/7")),
+           "complex": (gq(0, 1), gq(1, -2), gq("1/2", "1/3"), gq(0))}
+
+
+@pytest.mark.parametrize("coeffs", sorted(_COEFFS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_certified_pair_dims_equal_elimination(n, coeffs):
+    from pairform.cohomology import _PairEtaModel, _PairModel
+
+    chart = torus(n)
+    values = _COEFFS[coeffs][:n]
+    eta = coframe(chart, 0) * 0
+    for j, c in enumerate(values):
+        eta = eta + coframe(chart, j) * c
+    for max_freq in range(3):
+        _assert_certified_equals_eliminated(
+            _PairModel(chart, constant_field(chart, values), max_freq))
+        _assert_certified_equals_eliminated(_PairEtaModel(chart, eta, max_freq))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_certified_de_rham_dims_equal_elimination(n):
+    from pairform.cohomology import _DeRhamModel
+
+    for max_freq in range(3):
+        _assert_certified_equals_eliminated(_DeRhamModel(torus(n), max_freq))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_certified_dolbeault_dims_equal_elimination(n):
+    from pairform.cohomology import _DolbeaultModel
+
+    chart = torus_complex(n)
+    units = (gq(1, 1), gq(0, -2))
+    x = holomorphic_field(chart, tuple(const(chart, units[j]) for j in range(n)))
+    for max_freq in range(3):
+        for p in range(n + 1):
+            _assert_certified_equals_eliminated(_DolbeaultModel(chart, x, p, max_freq))
+
+
+# resonant, quiet and complex fields: with U = (i, 0) the corrected closed
+# form |k|^2 - lambda(k)^2 = k_2^2 vanishes on a whole axis
+_KERNEL_CASES = _LAPLACIAN_CASES + [
+    (T2, (gq(0, 1), 0), 2), (T2, (gq(1, 1), gq(0, -1)), 2), (T3, (gq(0, 1), 1, 0), 1)]
+
+
+@pytest.mark.parametrize("chart, coeffs, max_freq", _KERNEL_CASES)
+def test_certified_kernels_equal_the_all_blocks_path(chart, coeffs, max_freq):
+    from pairform.cohomology import (
+        _PAIR_CODIFF_SKEW,
+        _PairModel,
+        _harmonic,
+        _kernel_dim,
+        _laplacian,
+    )
+
+    u = constant_field(chart, coeffs)
+    model = _PairModel(chart, u, max_freq)
+    for degree in range(chart.dim + 3):
+        assert harmonic_kernel(chart, u, degree, max_freq) == \
+            _harmonic(model, degree, max_freq, model.blocks())
+        assert corrected_laplacian_kernel_dim(chart, u, degree, max_freq) == _kernel_dim(
+            _laplacian(model, block, degree, _PAIR_CODIFF_SKEW, -1, "closed form")[0]
+            for block in model.blocks())
+
+
+def test_kernels_are_taken_on_the_resonant_modes_only():
+    from pairform.cohomology import _PAIR_CODIFF, _PAIR_CODIFF_SKEW, _PairModel, _resonant_blocks
+
+    def resonant(coeffs, cod, sign):
+        model = _PairModel(T2, constant_field(T2, coeffs), 2)
+        return [b.modes for b in _resonant_blocks(model, 1, cod, sign, "closed form")]
+
+    axis = [{"F": [k], "S": [k]} for k in ((-2, 0), (-1, 0), (0, 0), (1, 0), (2, 0))]
+    zero = [{"F": [(0, 0)], "S": [(0, 0)]}]
+    # |k|^2 = <k, U>^2 on the k_1 axis for U = (1, 0), only at 0 for U = (2, 2)
+    assert resonant((1, 0), _PAIR_CODIFF, 1) == axis
+    assert resonant((2, 2), _PAIR_CODIFF, 1) == zero
+    assert resonant((1, 0), _PAIR_CODIFF_SKEW, -1) == zero
+    # U = (0, i): lambda(k) = -k_2, so |k|^2 - lambda(k)^2 = k_1^2
+    assert resonant((0, gq(0, 1)), _PAIR_CODIFF_SKEW, -1) == [
+        {"F": [k], "S": [k]} for k in ((0, -2), (0, -1), (0, 0), (0, 1), (0, 2))]
+
+
+def test_certified_builders_eliminate_the_zero_mode_only(monkeypatch):
+    from pairform import cohomology
+
+    seen = []
+    eliminate = cohomology._eliminate
+
+    def recording(model, blocks):
+        blocks = list(blocks)
+        seen.append([b.modes for b in blocks])
+        return eliminate(model, blocks)
+
+    monkeypatch.setattr(cohomology, "_eliminate", recording)
+    assert pair_complex(T3, constant_field(T3, (1, 2, 0)), 2).dim_vector() == \
+        pair_predicted_dims(3)
+    assert seen == [[{"F": [(0, 0, 0)], "S": [(0, 0, 0)]}]]
+
+
+@pytest.mark.parametrize("name, flipped, call, degree", [
+    ("_PAIR_HOMOTOPY", (("F", "F", 1, "codiff"), ("S", "S", 1, "codiff")),
+     lambda: pair_complex(T2, constant_field(T2, (1, 2)), 1), 1),
+    ("_PAIR_HOMOTOPY", (("F", "F", 1, "codiff"), ("S", "S", 1, "codiff")),
+     lambda: pair_eta_complex(T2, coframe(T2, 0), 1), 1),
+    ("_CODIFF", (("F", "F", -1, "codiff"),), lambda: de_rham_complex(T2, 1), 0),
+    ("_DBAR_HOMOTOPY", (("F", "F", -1, "dbar*"), ("S", "S", -1, "dbar*")),
+     lambda: dolbeault_complex(TC1, holomorphic_field(TC1, (const(TC1, 1),)), 0, 1), 0),
+], ids=["pair", "pair-eta", "de-rham", "dolbeault"])
+def test_a_wrong_homotopy_fails_the_certificate(monkeypatch, name, flipped, call, degree):
+    from pairform import cohomology
+
+    call()
+    monkeypatch.setattr(cohomology, name, flipped)
+    with pytest.raises(AssertionError) as info:
+        call()
+    assert str(info.value) == \
+        f"contracting homotopy disagrees with its closed form at degree {degree}"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: harmonic_kernel(T2, _t2_field(), -1, 1),
+    lambda: corrected_laplacian_kernel_dim(T2, _t2_field(), -1, 1),
+    lambda: lichnerowicz_kernel_dim(T2, coframe(T2, 0), -1, 1),
+], ids=["harmonic", "corrected", "lichnerowicz"])
+def test_a_negative_degree_is_rejected(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is ValueError
+    assert str(info.value) == "degree must be non-negative, got -1"
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_dolbeault_complex_on_tc3_with_n_2(p):
+    tc3 = torus_complex(3)
+    x = holomorphic_field(tc3, (const(tc3, 1), const(tc3, gq(0, 2)), const(tc3, 0)))
+    assert dolbeault_complex(tc3, x, p, 2).dim_vector() == dolbeault_predicted_dims(3, p)
