@@ -21,22 +21,26 @@ time.  A block (`_Block`) is one mode k, with its forms on both slots; over
 a torus map it is one source mode together with every target mode k whose
 A^T k equals it.  A block's matrices are Z[i] column matrices (see `linalg`)
 written straight from the symbols' integers, every entry times the model's
-one denominator `scale`; lambda(k) is computed once per mode, in Q(i).
+one denominator `scale`, and built once per block; lambda(k) is summed in
+Z[i] once per mode.
 
 Every entry of a one-mode block matrix is affine in k, so a product of two
-such matrices is a polynomial of degree <= 2 in k, fixed by its values on the
-1 + 2n + C(n, 2) modes 0, +-e_i and e_i + e_j.  The pair, pair-eta, de Rham
-and Dolbeault models declare a contracting homotopy H (the codifferential,
-or dbar*, on each slot) with D H + H D = t(k) I and t(k) = 0 only at k = 0,
-the Koszul complex's homotopy.  Checking d.d = 0 and that identity on those
-modes proves both on every mode of every band, and makes every nonzero mode
-acyclic; the builders then eliminate the zero mode only and add the acyclic
-ranks of the others.  The relative and primed models, whose blocks group
-modes, check d.d = 0 and eliminate block by block.  The pair Laplacians are
-certified against their closed form (|k|^2 +- lambda(k)^2) I on the same
-modes, and their kernels are taken only on the modes where it vanishes; the
-Lichnerowicz Laplacian is eliminated on every block.  Kernel vectors are put
-back in the order of the global basis, no global matrix is built, and
+such matrices is a polynomial of degree <= 2 in k, fixed by its values on
+the 1 + 2n + C(n, 2) modes 0, +-e_i and e_i + e_j.  `_certify` checks
+D H + H D = value(k) I on those modes, which proves it on every mode of
+every band.  The pair, pair-eta, de Rham and Dolbeault models declare a
+contracting homotopy H (the codifferential, or dbar*, on each slot) with
+value t(k), zero only at k = 0, the Koszul complex's homotopy; with d.d = 0
+checked on the same modes, every nonzero mode is acyclic, and the builders
+eliminate the zero mode only and add the acyclic ranks of the others.  The
+relative and primed models, whose blocks group modes, check d.d = 0 and
+eliminate block by block.  The pair, corrected pair and Lichnerowicz
+Laplacians are anticommutators of the same kind, certified against
+t(k) + lambda(k)^2, t(k) - lambda(k)^2 and t(k) + <w, w>: each is zero on the
+modes where its value vanishes and invertible on every other mode, so their
+kernels are read off the resonant modes without elimination, and only the
+joint kernel of pair_d and pair_codiff is taken there.  Kernel vectors are
+put back in the order of the global basis, no global matrix is built, and
 witnesses are written from their basis tags.
 
 Operators that mix frequencies (a pair differential twisted by a non-closed
@@ -55,10 +59,10 @@ from math import comb as _math_comb
 
 from .charts import Chart, ChartKind, ChartMismatchError, bidegree_index_sets
 from .exterior import Form, VectorField, ext_d, require_parallel_one_form, zero_form
-from .linalg import RationalMatrix, det_dense, zi_kernel, zi_matmul, zi_rank
+from .linalg import det_dense, zi_kernel, zi_matmul, zi_rank
 from .pair import PairForm
 from .pair import pair_d  # noqa: F401  unused; perfbench/selftest.py checks its tracer binding
-from .rationals import ZERO, from_parts, gq
+from .rationals import ONE, gq
 from .scalar import ChartMap, wave
 
 
@@ -172,10 +176,10 @@ def _symbol(model: "_Model", op, side, idx) -> list:
 
     Every c(k) above is affine in k (sigma_j and lambda are linear, w_j and
     the minors constant), so every entry of a one-mode block matrix is
-    affine in k on a basis that does not depend on k.  `_Model.assemble`
-    and the harmonic kernels rest on this when they check an identity on
-    `_quadratic_points` only: a model may declare a `homotopy` only if
-    every symbol kind of its `op` and `homotopy` is affine in k.
+    affine in k on a basis that does not depend on k.  `_certify` rests on
+    this when it checks an identity on `_quadratic_points` only: a model
+    may declare a `homotopy`, and a Laplacian may be certified, only if
+    every symbol kind of its operators is affine in k.
     """
     out = []
     for src, dst, sign, kind in op:
@@ -228,6 +232,7 @@ class _Block:
         self.modes = modes
         self._tags = {}
         self._index = {}
+        self._matrices = {}
 
     def tags(self, degree) -> list:
         """The block's basis tags of this degree, in the global basis order."""
@@ -248,7 +253,11 @@ class _Block:
     def matrix(self, op, src: int, dst: int) -> list:
         """The block of operator `op` from degree `src` to degree `dst`, as a
         Z[i] column matrix with entries times `model.scale`: one column per
-        tag, evaluated from the mode and the tag's `_symbol`."""
+        tag, evaluated from the mode and the tag's `_symbol`; built once per
+        (op, src, dst)."""
+        key = op, src, dst
+        if key in self._matrices:
+            return self._matrices[key]
         model = self.model
         index = self.index(dst)
         cols = []
@@ -287,6 +296,7 @@ class _Block:
                                 if c + s * a or e + s * b:
                                     col[start + pos] = c + s * a, e + s * b
                     cols.append(col)
+        self._matrices[key] = cols
         return cols
 
 
@@ -323,13 +333,54 @@ def _eliminate(model: "_Model", blocks) -> dict:
     return ranks
 
 
+def _scalar_matrix(size: int, value) -> list:
+    """value times the size x size identity, as a Z[i] column matrix."""
+    return [{c: value} if value != (0, 0) else {} for c in range(size)]
+
+
+def _stacked(block: _Block, degree: int, d_op, cod_op) -> list:
+    """[D_p ; Cod_p] on one block: the columns of D_p over those of Cod_p."""
+    shift = len(block.tags(degree + 1))
+    return [{**d_col, **{r + shift: v for r, v in cod_col.items()}}
+            for d_col, cod_col in zip(block.matrix(d_op, degree, degree + 1),
+                                      block.matrix(cod_op, degree, degree - 1))]
+
+
+def _anticommutator(block: _Block, degree: int, d_op, cod_op) -> list:
+    """Cod_(p+1) D_p + D_(p-1) Cod_p on one block, as the exact Z[i] product
+    [Cod_(p+1) | D_(p-1)] . [D_p ; Cod_p] of first-order block matrices
+    (entries times scale^2)."""
+    left = block.matrix(cod_op, degree + 1, degree) + block.matrix(d_op, degree - 1, degree)
+    return zi_matmul(left, _stacked(block, degree, d_op, cod_op))
+
+
+def _point_blocks(model: "_Model") -> dict:
+    """The mode block of each k of `_quadratic_points`, by k."""
+    return {k: _mode_block(model, k) for k in _quadratic_points(model.charts["F"].nvars)}
+
+
+def _certify(points: dict, d_op, h_op, value, degrees):
+    """The lowest of `degrees` where D H + H D != value(k) I on a block of
+    `points` (`_point_blocks`), D and H the operators with symbol blocks
+    `d_op` and `h_op` and value(k) an int pair times scale^2; None if there
+    is none.  Both sides are polynomials of degree <= 2 in k, so the
+    identity then holds on every mode of every band."""
+    for d in degrees:
+        for k, block in points.items():
+            if _anticommutator(block, d, d_op, h_op) != \
+                    _scalar_matrix(len(block.tags(d)), value(k)):
+                return d
+    return None
+
+
 class _Model:
     """A band complex on one or two slots, as the data `_symbol` reads.
 
     A basis tag (side, k, idx) is the form e(k) dx^idx on the chart
     `charts[side]`, with k in `modes[side]`: side "F" in the complex's
     degree p, side "S" in degree p-1.  Each subclass checks its inputs in
-    `__init__` and sets `label`, `degrees`, `charts`, `modes`, `op` (the
+    `__init__` and sets `label`, `degrees`, `charts`, `modes` (all three by
+    `pair_slots` for two slots on one chart), `op` (the
     differential as symbol blocks) and, when a block needs them, the constant
     frame coefficients `coeffs` of the field or 1-form, and for a pullback
     `minors` and `pull`; `assemble` builds every matrix from `_symbol`, one
@@ -342,6 +393,13 @@ class _Model:
     op: tuple
     homotopy: tuple = None
     coeffs: tuple = ()
+
+    def pair_slots(self, chart: Chart, top: int, max_freq: int) -> None:
+        """Both slots on `chart` with the band's modes, in degrees 0..top+2."""
+        self.degrees = tuple(range(top + 3))
+        self.charts = {"F": chart, "S": chart}
+        modes = _modes(chart.nvars, max_freq)
+        self.modes = {"F": modes, "S": modes}
 
     def sets(self, side, degree):
         """The slot-index tuples of the side's forms of this degree."""
@@ -387,13 +445,14 @@ class _Model:
         block per mode."""
         return k
 
-    def blocks(self) -> list:
-        """The model's blocks, in the order of their first mode in the basis."""
+    def blocks(self):
+        """The model's blocks, in the order of their first mode in the basis,
+        each built when it is reached."""
         groups = {}
         for side in self.charts:
             for k in self.modes[side]:
                 groups.setdefault(self.block_key(side, k), {}).setdefault(side, []).append(k)
-        return [_Block(self, modes) for modes in groups.values()]
+        return (_Block(self, modes) for modes in groups.values())
 
     @cached_property
     def unit(self) -> int:
@@ -429,14 +488,16 @@ class _Model:
     def lam(self, k):
         """lambda(k) times `scale` as an int pair, where L_X e(k) = lambda(k)
         e(k) and lambda(k) = sum_j X_j sigma_j(k) for the constant field with
-        frame coefficients `coeffs`; computed once per mode, in Q(i).  The
-        field lives on the chart of side "S" in every model with a Lie
-        symbol."""
+        frame coefficients `coeffs`: the sum of (unit * X_j) times the
+        (doubled) `_sigma`, computed once per mode in Z[i].  The field lives
+        on the chart of side "S" in every model with a Lie symbol."""
         cache = self._cache["lams"]
         if k not in cache:
-            lam = sum((x * from_parts(a, b) for x, (a, b) in zip(self.coeffs, self.sigma("S", k))
-                       if x and (a or b)), ZERO)
-            cache[k] = lam.a, lam.b
+            chart, re, im = self.charts["S"], 0, 0
+            for j, x in enumerate(self.coeffs):
+                a, b, (s, t) = x.a * self.unit // x.d, x.b * self.unit // x.d, _sigma(chart, k, j)
+                re, im = re + a * s - b * t, im + a * t + b * s
+            cache[k] = re, im
         return cache[k]
 
     def homotopy_value(self, k) -> int:
@@ -450,26 +511,22 @@ class _Model:
     def certified_ranks(self) -> dict:
         """The ranks of a model with a `homotopy`, certified for every band
         at once (see the module docstring): D.D = 0 and D H + H D = t(k) I
-        hold on `_quadratic_points`, the zero mode is eliminated, and an
-        acyclic mode's rank in degree q is its size there minus its rank in
-        degree q - 1, since a cycle x is D(Hx)/t(k)."""
-        failed = broken = None         # lowest degrees where D.D or D H + H D fail
-        for k in _quadratic_points(self.charts["F"].nvars):
-            block = _mode_block(self, k)
+        (`_certify`) hold on the same `_point_blocks`, the zero mode is
+        eliminated, and an acyclic mode's rank in degree q is its size there
+        minus its rank in degree q - 1, since a cycle x is D(Hx)/t(k)."""
+        points = _point_blocks(self)
+        failed = None                  # the lowest degree where D.D fails
+        for block in points.values():
             failed = _dd_failure({d: block.matrix(self.op, d, d + 1)
                                   for d in self.degrees[:-1]}, failed)
-            value = self.homotopy_value(k), 0
-            for d in self.degrees[:-1]:
-                if (broken is None or d < broken) and \
-                        _anticommutator(block, d, self.op, self.homotopy)[0] != \
-                        _scalar_matrix(len(block.tags(d)), value):
-                    broken = d
         if failed is not None:
             raise AssertionError(f"differentials fail to compose to zero at degree {failed}")
+        broken = _certify(points, self.op, self.homotopy,
+                          lambda k: (self.homotopy_value(k), 0), self.degrees[:-1])
         if broken is not None:
             raise AssertionError(
                 f"contracting homotopy disagrees with its closed form at degree {broken}")
-        zero = _mode_block(self, (0,) * self.charts["F"].nvars)
+        zero = points[(0,) * self.charts["F"].nvars]
         ranks = _eliminate(self, [zero])
         nonzero = len(self.modes["F"]) - 1
         rank = 0
@@ -527,10 +584,7 @@ class _PairModel(_Model):
         self.label = f"pair/{chart}"
         self.op = _PAIR_D
         self.homotopy = _PAIR_HOMOTOPY
-        self.degrees = tuple(range(chart.nslots + 3))
-        self.charts = {"F": chart, "S": chart}
-        modes = _modes(chart.nvars, max_freq)
-        self.modes = {"F": modes, "S": modes}
+        self.pair_slots(chart, chart.nslots, max_freq)
 
 
 class _PairEtaModel(_Model):
@@ -551,10 +605,7 @@ class _PairEtaModel(_Model):
         self.label = f"pair-eta/{chart}"
         self.op = _UNCOUPLED_D
         self.homotopy = _PAIR_HOMOTOPY
-        self.degrees = tuple(range(chart.nslots + 3))
-        self.charts = {"F": chart, "S": chart}
-        modes = _modes(chart.nvars, max_freq)
-        self.modes = {"F": modes, "S": modes}
+        self.pair_slots(chart, chart.nslots, max_freq)
 
 
 class _MapModel(_Model):
@@ -652,10 +703,7 @@ class _DolbeaultModel(_Model):
         self.label = f"dolbeault/{chart}/p={p}"
         self.op = _DBAR_PAIR
         self.homotopy = _DBAR_HOMOTOPY
-        self.degrees = tuple(range(chart.dim + 3))
-        self.charts = {"F": chart, "S": chart}
-        modes = _modes(chart.nvars, max_freq)
-        self.modes = {"F": modes, "S": modes}
+        self.pair_slots(chart, chart.dim, max_freq)
 
     def sets(self, side, q):
         return bidegree_index_sets(self.charts[side], self.p, q)
@@ -729,11 +777,6 @@ class HarmonicKernel:
         return self.dim_laplacian == self.dim_joint
 
 
-def _scalar_matrix(size: int, value) -> list:
-    """value times the size x size identity, as a Z[i] column matrix."""
-    return [{c: value} if value != (0, 0) else {} for c in range(size)]
-
-
 def _closed_value(model: _PairModel, k, sign: int):
     """The pair Laplacian's closed form at mode k, times scale^2: the
     componentwise Laplacian |k|^2 plus `sign` times the squared Lie symbol
@@ -742,61 +785,20 @@ def _closed_value(model: _PairModel, k, sign: int):
     return model.homotopy_value(k) + sign * (la * la - lb * lb), sign * 2 * la * lb
 
 
-def _closed_form(model: _PairModel, block: _Block, degree: int, sign: int) -> list:
-    """The pair Laplacian's closed form on one mode block: `_closed_value`
-    times the identity, the same on both slots."""
-    (k,) = block.modes["F"]
-    return _scalar_matrix(len(block.tags(degree)), _closed_value(model, k, sign))
-
-
-def _anticommutator(block: _Block, degree: int, d_op, cod_op):
-    """Lap = Cod_(p+1) D_p + D_(p-1) Cod_p on one block, as the exact Z[i]
-    product [Cod_(p+1) | D_(p-1)] . [D_p ; Cod_p] of first-order block
-    matrices (entries times scale^2).  Returns (Lap, [D_p ; Cod_p])."""
-    shift = len(block.tags(degree + 1))
-    stacked = [{**d_col, **{r + shift: v for r, v in cod_col.items()}}
-               for d_col, cod_col in zip(block.matrix(d_op, degree, degree + 1),
-                                         block.matrix(cod_op, degree, degree - 1))]
-    lap = zi_matmul(block.matrix(cod_op, degree + 1, degree)
-                    + block.matrix(d_op, degree - 1, degree), stacked)
-    return lap, stacked
-
-
-def _laplacian(model: _PairModel, block: _Block, degree: int, cod, sign: int, message: str):
-    """The anticommutator of pair_d and the codifferential whose symbol
-    blocks are `cod` on one block, compared entry for entry with its closed
-    form; a mismatch raises AssertionError(message)."""
-    out = _anticommutator(block, degree, model.op, cod)
-    if out[0] != _closed_form(model, block, degree, sign):
-        raise AssertionError(message)
-    return out
-
-
-def _resonant_blocks(model: _PairModel, degree: int, cod, sign: int, message: str) -> list:
-    """The band's mode blocks where `_closed_value` vanishes, after
-    `_laplacian` is checked on `_quadratic_points` (both sides are quadratic
-    in k).  On any other mode the Laplacian is a nonzero multiple of I, so
-    its kernel, and the joint kernel inside it, are empty."""
-    for k in _quadratic_points(model.charts["F"].nvars):
-        _laplacian(model, _mode_block(model, k), degree, cod, sign, message)
-    return [_mode_block(model, k) for k in model.modes["F"]
-            if _closed_value(model, k, sign) == (0, 0)]
-
-
 def _require_degree(degree: int) -> None:
     if degree < 0:
         raise ValueError(f"degree must be non-negative, got {degree}")
 
 
-def _kernel(mat: list, glob: list) -> list:
-    """`zi_kernel` of a block matrix with its columns renamed to the global
-    columns `glob`, as (first global column of the vector's group, vector)."""
-    return [(glob[first], {glob[c]: v for c, v in vec.items()})
-            for first, vectors in zi_kernel(mat) for vec in vectors]
-
-
-_HARMONIC_MISMATCH = "pair Laplacian composite disagrees with its closed form"
-_CORRECTED_MISMATCH = "corrected pair Laplacian disagrees with its closed form"
+def _resonant(model: _Model, degree: int, d_op, cod_op, value, message: str) -> list:
+    """The blocks of the band modes k where value(k) = 0, once `_certify`
+    has found Cod D + D Cod = value(k) I at `degree` (AssertionError(message)
+    if not).  That Laplacian is zero on these blocks, so its kernel is their
+    columns; on every other mode it is invertible, so its kernel, and the
+    joint kernel of D and Cod inside it, are empty."""
+    if _certify(_point_blocks(model), d_op, cod_op, value, (degree,)) is not None:
+        raise AssertionError(message)
+    return [_mode_block(model, k) for k in model.modes["F"] if value(k) == (0, 0)]
 
 
 def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) -> HarmonicKernel:
@@ -805,42 +807,35 @@ def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) ->
     The Laplacian is pair_codiff . pair_d + pair_d . pair_codiff, multiplied
     out per mode block from the block matrices of the two first-order
     operators.  It is certified against its closed form (componentwise
-    Laplacian plus the squared Lie derivative) on every mode at once, so the
-    kernels are taken only on the blocks where the closed form vanishes
-    (`_resonant_blocks`) and listed in the order of the global basis.  The
-    two kernels agree exactly when no nonzero band mode k satisfies
-    |k|^2 = <k, U>^2; the comparison verdict is part of the result rather
-    than an assumption.
+    Laplacian plus the squared Lie derivative) on every mode at once, so its
+    kernel is every basis column of the modes where the closed form vanishes
+    (`_resonant`), and the joint kernel is taken on those modes only; both
+    are listed in the order of the global basis.  The two kernels agree
+    exactly when no nonzero band mode k satisfies |k|^2 = <k, U>^2; the
+    comparison verdict is part of the result rather than an assumption, and
+    the witness is the first Laplacian kernel column outside the joint
+    kernel.
     """
     _require_degree(degree)
     model = _PairModel(chart, u, max_freq)
-    blocks = _resonant_blocks(model, degree, _PAIR_CODIFF, 1, _HARMONIC_MISMATCH)
-    return _harmonic(model, degree, max_freq, blocks)
-
-
-def _harmonic(model: _PairModel, degree: int, max_freq: int, blocks) -> HarmonicKernel:
-    """`harmonic_kernel` taken on `blocks`, each checked against the closed
-    form; on all of `model.blocks()` it needs no certificate."""
+    blocks = _resonant(model, degree, model.op, _PAIR_CODIFF, lambda k: _closed_value(model, k, 1),
+                       "pair Laplacian composite disagrees with its closed form")
     basis = model.basis(degree)
     index = {tag: i for i, tag in enumerate(basis)}
     lap, joint = [], []
     for block in blocks:
-        mat, stacked = _laplacian(model, block, degree, _PAIR_CODIFF, 1, _HARMONIC_MISMATCH)
-        glob = [index[tag] for tag in block.tags(degree)]
-        block_joint = _kernel(stacked, glob)
-        joint += block_joint
-        span = [vec for _, vec in block_joint]
-        lap += [(first, vec, span) for first, vec in _kernel(mat, glob)]
+        tags = block.tags(degree)
+        stacked = _stacked(block, degree, model.op, _PAIR_CODIFF)
+        # (first global column of the vector's group, vector) per kernel vector
+        joint += [(index[tags[first]], {index[tags[c]]: v for c, v in vec.items()})
+                  for first, vectors in zi_kernel(stacked) for vec in vectors]
+        lap += [(index[tag], col) for tag, col in zip(tags, stacked)]
     lap.sort(key=lambda entry: entry[0])
     joint.sort(key=lambda entry: entry[0])
-    witness = None
-    if len(lap) != len(joint):
-        # each vector lies in one block, whose Laplacian kernel contains the
-        # block's joint kernel `span`
-        witness = next((_render_vector(model, degree, basis, vec) for _, vec, span in lap
-                        if RationalMatrix.from_columns(len(basis), span + [vec]).rank() > len(span)),
-                       None)
-    return HarmonicKernel(degree, max_freq, len(lap), len(joint), [vec for _, vec, _ in lap],
+    vectors = [{c: ONE} for c, _ in lap]
+    witness = next((_render_vector(model, degree, basis, vec)
+                    for vec, (_, col) in zip(vectors, lap) if col), None)
+    return HarmonicKernel(degree, max_freq, len(lap), len(joint), vectors,
                           [vec for _, vec in joint], witness)
 
 
@@ -854,30 +849,30 @@ def _render_vector(model: _PairModel, degree: int, basis, vec) -> str:
     return str(PairForm(slots["F"], slots["S"]))
 
 
-def _kernel_dim(mats) -> int:
-    return sum(len(mat) - zi_rank(mat) for mat in mats)
-
-
 def corrected_laplacian_kernel_dim(chart: Chart, u: VectorField, degree: int,
                                    max_freq: int) -> int:
     """Kernel dimension of the pair Laplacian built from the sign-corrected
     adjoint pair_codiff_skew (closed form: Laplacian minus the squared Lie
     derivative); equals the cohomology dimension in each degree.  Certified
-    like `harmonic_kernel`, and eliminated on `_resonant_blocks` only."""
+    like `harmonic_kernel`, and read off the `_resonant` modes."""
     _require_degree(degree)
     model = _PairModel(chart, u, max_freq)
-    blocks = _resonant_blocks(model, degree, _PAIR_CODIFF_SKEW, -1, _CORRECTED_MISMATCH)
-    return _kernel_dim(_laplacian(model, block, degree, _PAIR_CODIFF_SKEW, -1,
-                                  _CORRECTED_MISMATCH)[0] for block in blocks)
+    return sum(len(block.tags(degree)) for block in _resonant(
+        model, degree, model.op, _PAIR_CODIFF_SKEW, lambda k: _closed_value(model, k, -1),
+        "corrected pair Laplacian disagrees with its closed form"))
 
 
 def lichnerowicz_kernel_dim(chart: Chart, w: Form, degree: int, max_freq: int) -> int:
     """Kernel dimension of the twisted Laplacian C_w D_w + D_w C_w on the
-    band of single forms, D_w = d + w^ and C_w = delta + i_(w#), per mode
-    block; `w` is checked first.  Empty for a unit parallel 1-form since the
-    operator shifts every Laplacian eigenvalue up by |w|^2 > 0.  It has no
-    closed form to certify, so every block is eliminated."""
+    band of single forms, D_w = d + w^ and C_w = delta + i_(w#); `w` is
+    checked first.  Its closed form is (|k|^2 + <w, w>) I with the bilinear
+    <w, w> = sum_j w_j^2, certified like `harmonic_kernel` and read off the
+    `_resonant` modes: empty for a real w != 0, and for w = i v the modes on
+    the sphere |k| = |v|."""
     _require_degree(degree)
     model = _DeRhamModel(chart, max_freq, w)
-    return _kernel_dim(_anticommutator(block, degree, _TWISTED_D, _TWISTED_CODIFF)[0]
-                       for block in model.blocks())
+    re = sum(a * a - b * b for a, b in model.scaled_coeffs)
+    im = sum(2 * a * b for a, b in model.scaled_coeffs)
+    return sum(len(block.tags(degree)) for block in _resonant(
+        model, degree, _TWISTED_D, _TWISTED_CODIFF, lambda k: (model.homotopy_value(k) + re, im),
+        "Lichnerowicz Laplacian disagrees with its closed form"))

@@ -14,6 +14,12 @@ decomposes the images again, and shares no code with the per-mode symbols
 library never builds a global band matrix; `reassemble` and `band_matrix`
 put its per-block Z[i] matrices back together on a global basis, so that
 they can be compared with the reference entry for entry.
+
+The library reads its Laplacian kernels off a certificate: each Laplacian
+is checked to be a known multiple of the identity on every mode, and its
+kernel is then the modes where that multiple vanishes.  `all_blocks_harmonic`
+and `all_blocks_kernel_dim` are the elimination this replaces: they multiply
+out the Laplacian on every block of the band and take its kernel there.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from typing import Callable
 
 from pairform.charts import ChartKind
 from pairform.cohomology import (
+    HarmonicKernel,
     UnsupportedScenarioError,
     _DeRhamModel,
     _DolbeaultModel,
@@ -33,6 +40,8 @@ from pairform.cohomology import (
     _PairModel,
     _PrimedEtaModel,
     _RelativeModel,
+    _anticommutator,
+    _stacked,
 )
 from pairform.dolbeault import dbar_pair
 from pairform.exterior import (
@@ -44,7 +53,7 @@ from pairform.exterior import (
     wedge,
     zero_form,
 )
-from pairform.linalg import RationalMatrix
+from pairform.linalg import RationalMatrix, zi_kernel
 from pairform.pair import PairForm, pair_d, pair_d_lichnerowicz, zero_pair
 from pairform.rationals import ONE, ZERO, GaussianRational, from_parts
 from pairform.relative import RelPairForm, rel_d, rel_d_lichnerowicz
@@ -395,7 +404,7 @@ def band_matrix(model, op, src_degree, dst_degree, blocks=None, src_basis=None,
     `src_degree` to `dst_degree`, put back together on the global bases
     (the model's by default).  The blocks (the model's by default) must
     partition both bases."""
-    blocks = model.blocks() if blocks is None else blocks
+    blocks = list(model.blocks()) if blocks is None else blocks
     src_basis = model.basis(src_degree) if src_basis is None else src_basis
     dst_basis = model.basis(dst_degree) if dst_basis is None else dst_basis
     for degree, basis in ((src_degree, src_basis), (dst_degree, dst_basis)):
@@ -403,3 +412,52 @@ def band_matrix(model, op, src_degree, dst_degree, blocks=None, src_basis=None,
     return reassemble([(b.tags(src_degree), b.tags(dst_degree),
                         b.matrix(op, src_degree, dst_degree)) for b in blocks],
                       src_basis, dst_basis, model.scale)
+
+
+# -- Laplacian kernels by elimination on every block --------------------------
+
+
+def _block_kernel(mat, glob) -> list:
+    """`zi_kernel` of a block matrix on the global columns `glob`, as (first
+    global column of the vector's group, vector)."""
+    return [(glob[first], {glob[c]: v for c, v in vec.items()})
+            for first, vectors in zi_kernel(mat) for vec in vectors]
+
+
+def all_blocks_harmonic(band: SymbolicBand, degree: int, max_freq: int) -> HarmonicKernel:
+    """`harmonic_kernel` with no certificate: on every block of the band the
+    pair Laplacian is multiplied out from the first-order block matrices and
+    its kernel taken, the joint kernel is taken on [pair_d ; pair_codiff],
+    and the witness is the first Laplacian kernel vector that grows the rank
+    of its block's joint kernel."""
+    from pairform import cohomology
+
+    model = band.model
+    basis = model.basis(degree)
+    index = {tag: i for i, tag in enumerate(basis)}
+    lap, joint = [], []
+    for block in model.blocks():
+        glob = [index[tag] for tag in block.tags(degree)]
+        block_joint = _block_kernel(_stacked(block, degree, model.op, cohomology._PAIR_CODIFF),
+                                    glob)
+        joint += block_joint
+        span = [vec for _, vec in block_joint]
+        mat = _anticommutator(block, degree, model.op, cohomology._PAIR_CODIFF)
+        lap += [(first, vec, span) for first, vec in _block_kernel(mat, glob)]
+    lap.sort(key=lambda entry: entry[0])
+    joint.sort(key=lambda entry: entry[0])
+    witness = None
+    if len(lap) != len(joint):
+        witness = next((render_vector(band, degree, basis, vec) for _, vec, span in lap
+                        if RationalMatrix.from_columns(len(basis), span + [vec]).rank()
+                        > len(span)), None)
+    return HarmonicKernel(degree, max_freq, len(lap), len(joint), [vec for _, vec, _ in lap],
+                          [vec for _, vec in joint], witness)
+
+
+def all_blocks_kernel_dim(model, degree: int, d_op, cod_op) -> int:
+    """The kernel dimension of the anticommutator of the operators with
+    symbol blocks `d_op` and `cod_op`, summed over `zi_kernel` on every
+    block of the model."""
+    return sum(len(vectors) for block in model.blocks()
+               for _, vectors in zi_kernel(_anticommutator(block, degree, d_op, cod_op)))

@@ -30,6 +30,8 @@ from pairform.rationals import gq
 from pairform.scalar import ChartMap, const, identity_map, sin_wave
 
 from oracles import (
+    all_blocks_harmonic,
+    all_blocks_kernel_dim,
     band_matrix,
     de_rham_band,
     dolbeault_band,
@@ -425,7 +427,7 @@ def test_lichnerowicz_symbols_match_symbolic_reference(chart, max_freq):
             ref, basis = operator_matrix(band, degree, degree, lambda a: lichnerowicz_lap(w, a))
             built = reassemble(
                 [(b.tags(degree), b.tags(degree),
-                  _anticommutator(b, degree, _TWISTED_D, _TWISTED_CODIFF)[0])
+                  _anticommutator(b, degree, _TWISTED_D, _TWISTED_CODIFF))
                  for b in model.blocks()], basis, basis, model.scale ** 2)
             assert built == ref
 
@@ -516,7 +518,7 @@ def test_matrix_built_laplacians_match_symbolic_reference(chart, coeffs, max_fre
     from pairform.cohomology import (
         _PAIR_CODIFF,
         _PAIR_CODIFF_SKEW,
-        _laplacian,
+        _anticommutator,
         corrected_laplacian_kernel_dim,
     )
     from pairform.pair import pair_laplacian_corrected
@@ -525,16 +527,16 @@ def test_matrix_built_laplacians_match_symbolic_reference(chart, coeffs, max_fre
     band = pair_band(chart, u, max_freq)
     model = band.model
 
-    def laplacian_matrix(degree, cod, sign):
+    def laplacian_matrix(degree, cod):
         basis = model.basis(degree)
         return reassemble([(b.tags(degree), b.tags(degree),
-                            _laplacian(model, b, degree, cod, sign, "closed form")[0])
+                            _anticommutator(b, degree, model.op, cod))
                            for b in model.blocks()], basis, basis, model.scale ** 2)
 
     for degree in range(chart.dim + 3):
         lap, lap_kernel, joint_kernel, witness = _reference_harmonic(
             chart, u, degree, max_freq)
-        assert laplacian_matrix(degree, _PAIR_CODIFF, 1) == lap
+        assert laplacian_matrix(degree, _PAIR_CODIFF) == lap
         out = harmonic_kernel(chart, u, degree, max_freq)
         assert out.laplacian_vectors == lap_kernel
         assert out.joint_vectors == joint_kernel
@@ -544,7 +546,7 @@ def test_matrix_built_laplacians_match_symbolic_reference(chart, coeffs, max_fre
             continue  # the corrected operator is covered on the smaller bands
         corrected, _ = operator_matrix(band, degree, degree,
                                        lambda a: pair_laplacian_corrected(u, a))
-        assert laplacian_matrix(degree, _PAIR_CODIFF_SKEW, -1) == corrected
+        assert laplacian_matrix(degree, _PAIR_CODIFF_SKEW) == corrected
         assert corrected_laplacian_kernel_dim(chart, u, degree, max_freq) == \
             corrected.kernel_dim()
 
@@ -710,7 +712,7 @@ def test_relative_complex_over_the_zero_map_holds_every_target_mode_in_one_block
     model = _RelativeModel(zero, x, 2)
     (full,) = [b for b in model.blocks() if "F" in b.modes]
     assert full.modes == {"F": model.modes["F"], "S": [(0, 0)]}
-    assert len(model.blocks()) == len(model.modes["S"])
+    assert len(list(model.blocks())) == len(model.modes["S"])
     assert relative_complex(zero, x, 2).dim_vector() == relative_predicted_dims(1, 2)
 
 
@@ -955,30 +957,54 @@ _KERNEL_CASES = _LAPLACIAN_CASES + [
 
 @pytest.mark.parametrize("chart, coeffs, max_freq", _KERNEL_CASES)
 def test_certified_kernels_equal_the_all_blocks_path(chart, coeffs, max_freq):
-    from pairform.cohomology import (
-        _PAIR_CODIFF_SKEW,
-        _PairModel,
-        _harmonic,
-        _kernel_dim,
-        _laplacian,
-    )
+    from pairform.cohomology import _PAIR_CODIFF_SKEW
 
     u = constant_field(chart, coeffs)
-    model = _PairModel(chart, u, max_freq)
+    band = pair_band(chart, u, max_freq)
+    model = band.model
     for degree in range(chart.dim + 3):
         assert harmonic_kernel(chart, u, degree, max_freq) == \
-            _harmonic(model, degree, max_freq, model.blocks())
-        assert corrected_laplacian_kernel_dim(chart, u, degree, max_freq) == _kernel_dim(
-            _laplacian(model, block, degree, _PAIR_CODIFF_SKEW, -1, "closed form")[0]
-            for block in model.blocks())
+            all_blocks_harmonic(band, degree, max_freq)
+        assert corrected_laplacian_kernel_dim(chart, u, degree, max_freq) == \
+            all_blocks_kernel_dim(model, degree, model.op, _PAIR_CODIFF_SKEW)
+
+
+# real, imaginary (resonant on the sphere |k| = |v|), complex (<w, w> = 0 on
+# T2 and T3, resonant at k = 0) and rational 1-forms
+_LICHNEROWICZ_COEFFS = {"real": (1, -2, 0), "imaginary": (gq(0, 1), gq(0, 2), gq(0, -1)),
+                        "complex": (gq("1/2", "1/2"), gq("1/2", "-1/2"), 0),
+                        "rational": (gq("1/2"), gq("-2/3"), gq("5/7"))}
+
+
+@pytest.mark.parametrize("coeffs", sorted(_LICHNEROWICZ_COEFFS))
+@pytest.mark.parametrize("n, max_freq", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+def test_certified_lichnerowicz_kernel_equals_the_all_blocks_path(n, max_freq, coeffs):
+    from pairform.cohomology import _TWISTED_CODIFF, _TWISTED_D, _DeRhamModel
+
+    chart = torus(n)
+    w = coframe(chart, 0) * 0
+    for j, c in enumerate(_LICHNEROWICZ_COEFFS[coeffs][:n]):
+        w = w + coframe(chart, j) * c
+    model = _DeRhamModel(chart, max_freq, w)
+    for degree in range(n + 2):
+        assert lichnerowicz_kernel_dim(chart, w, degree, max_freq) == \
+            all_blocks_kernel_dim(model, degree, _TWISTED_D, _TWISTED_CODIFF)
 
 
 def test_kernels_are_taken_on_the_resonant_modes_only():
-    from pairform.cohomology import _PAIR_CODIFF, _PAIR_CODIFF_SKEW, _PairModel, _resonant_blocks
+    from pairform.cohomology import (
+        _PAIR_CODIFF,
+        _PAIR_CODIFF_SKEW,
+        _PairModel,
+        _closed_value,
+        _resonant,
+    )
 
     def resonant(coeffs, cod, sign):
         model = _PairModel(T2, constant_field(T2, coeffs), 2)
-        return [b.modes for b in _resonant_blocks(model, 1, cod, sign, "closed form")]
+        return [b.modes for b in _resonant(model, 1, model.op, cod,
+                                           lambda k: _closed_value(model, k, sign),
+                                           "closed form")]
 
     axis = [{"F": [k], "S": [k]} for k in ((-2, 0), (-1, 0), (0, 0), (1, 0), (2, 0))]
     zero = [{"F": [(0, 0)], "S": [(0, 0)]}]
@@ -1026,6 +1052,35 @@ def test_a_wrong_homotopy_fails_the_certificate(monkeypatch, name, flipped, call
         call()
     assert str(info.value) == \
         f"contracting homotopy disagrees with its closed form at degree {degree}"
+
+
+def test_a_wrong_twisted_codifferential_fails_the_certificate(monkeypatch, capsys):
+    from pairform import cohomology
+    from pairform.cli import main
+
+    # i_(w#) with its sign flipped: C_w D_w + D_w C_w is no longer scalar
+    monkeypatch.setattr(cohomology, "_TWISTED_CODIFF",
+                        (("F", "F", 1, "codiff"), ("F", "F", -1, "interior")))
+    with pytest.raises(AssertionError) as info:
+        lichnerowicz_kernel_dim(T2, coframe(T2, 0), 1, 1)
+    assert str(info.value) == "Lichnerowicz Laplacian disagrees with its closed form"
+    assert main(["harmonic"]) == 3
+    assert capsys.readouterr().err == \
+        "internal invariant failed: Lichnerowicz Laplacian disagrees with its closed form\n"
+
+
+def test_laplacian_kernel_dims_eliminate_nothing(monkeypatch):
+    from pairform import cohomology
+
+    def refuse(columns):
+        raise AssertionError("eliminated a block")
+
+    monkeypatch.setattr(cohomology, "zi_rank", refuse)
+    monkeypatch.setattr(cohomology, "zi_kernel", refuse)
+    # resonant cases: the k_1 axis for U = (i, 0), the sphere |k|^2 = 5 for w = i (1, 2)
+    assert corrected_laplacian_kernel_dim(T2, constant_field(T2, (gq(0, 1), 0)), 1, 2) == 5 * 3
+    w = coframe(T2, 0) * gq(0, 1) + coframe(T2, 1) * gq(0, 2)
+    assert lichnerowicz_kernel_dim(T2, w, 1, 2) == 8 * 2
 
 
 @pytest.mark.parametrize("call", [
