@@ -36,6 +36,7 @@ from pairform.cohomology import (
     UnsupportedScenarioError,
     _DeRhamModel,
     _DolbeaultModel,
+    _PAIR_CODIFF,
     _PairEtaModel,
     _PairModel,
     _PrimedEtaModel,
@@ -430,19 +431,16 @@ def all_blocks_harmonic(band: SymbolicBand, degree: int, max_freq: int) -> Harmo
     its kernel taken, the joint kernel is taken on [pair_d ; pair_codiff],
     and the witness is the first Laplacian kernel vector that grows the rank
     of its block's joint kernel."""
-    from pairform import cohomology
-
     model = band.model
     basis = model.basis(degree)
     index = {tag: i for i, tag in enumerate(basis)}
     lap, joint = [], []
     for block in model.blocks():
         glob = [index[tag] for tag in block.tags(degree)]
-        block_joint = _block_kernel(_stacked(block, degree, model.op, cohomology._PAIR_CODIFF),
-                                    glob)
+        block_joint = _block_kernel(_stacked(block, degree, model.op, _PAIR_CODIFF), glob)
         joint += block_joint
         span = [vec for _, vec in block_joint]
-        mat = _anticommutator(block, degree, model.op, cohomology._PAIR_CODIFF)
+        mat = _anticommutator(block, degree, model.op, _PAIR_CODIFF)
         lap += [(first, vec, span) for first, vec in _block_kernel(mat, glob)]
     lap.sort(key=lambda entry: entry[0])
     joint.sort(key=lambda entry: entry[0])

@@ -979,7 +979,7 @@ _LICHNEROWICZ_COEFFS = {"real": (1, -2, 0), "imaginary": (gq(0, 1), gq(0, 2), gq
 @pytest.mark.parametrize("coeffs", sorted(_LICHNEROWICZ_COEFFS))
 @pytest.mark.parametrize("n, max_freq", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
 def test_certified_lichnerowicz_kernel_equals_the_all_blocks_path(n, max_freq, coeffs):
-    from pairform.cohomology import _TWISTED_CODIFF, _TWISTED_D, _DeRhamModel
+    from pairform.cohomology import _DeRhamModel, _TWISTED_CODIFF, _TWISTED_D
 
     chart = torus(n)
     w = coframe(chart, 0) * 0
