@@ -21,27 +21,21 @@ time.  A block (`_Block`) is one mode k, with its forms on both slots; over
 a torus map it is one source mode together with every target mode k whose
 A^T k equals it.  A block's matrices are Z[i] column matrices (see `linalg`)
 written straight from the symbols' integers, every entry times the model's
-one denominator `scale`, and built once per block; lambda(k) is summed in
-Z[i] once per mode.
+one denominator `scale`, and built once per block.
 
-Every entry of a one-mode block matrix is affine in k, so a product of two
-such matrices is a polynomial of degree <= 2 in k, fixed by its values on
-the 1 + 2n + C(n, 2) modes 0, +-e_i and e_i + e_j.  `_certify` checks
-D H + H D = value(k) I on those modes, which proves it on every mode of
-every band.  The pair, pair-eta, de Rham and Dolbeault models declare a
-contracting homotopy H (the codifferential, or dbar*, on each slot) with
-value t(k), zero only at k = 0, the Koszul complex's homotopy; with d.d = 0
-checked on the same modes, every nonzero mode is acyclic, and the builders
-eliminate the zero mode only and add the acyclic ranks of the others.  The
-relative and primed models, whose blocks group modes, check d.d = 0 and
-eliminate block by block.  The pair, corrected pair and Lichnerowicz
-Laplacians are anticommutators of the same kind, certified against
-t(k) + lambda(k)^2, t(k) - lambda(k)^2 and t(k) + <w, w>: each is zero on the
-modes where its value vanishes and invertible on every other mode, so their
-kernels are read off the resonant modes without elimination, and only the
-joint kernel of pair_d and pair_codiff is taken there.  Kernel vectors are
-put back in the order of the global basis, no global matrix is built, and
-witnesses are written from their basis tags.
+Every entry of a one-mode block matrix is affine in k, so `_certify` checks
+D H + H D = value(k) I on every mode of every band at once, on the
+coefficients of a quadratic in k, from the blocks of 0 and e_i only.  The
+pair, pair-eta, de Rham and Dolbeault models declare a contracting homotopy
+H (the codifferential, or dbar*, on each slot; the Koszul complex's) with
+value t(k), zero only at k = 0; with d.d = 0 checked the same way, every
+nonzero mode is acyclic, and only the zero mode is eliminated.  The
+relative and primed models, whose blocks group modes, eliminate block by
+block.  The pair, corrected pair and Lichnerowicz Laplacians, certified
+against t(k) + lambda(k)^2, t(k) - lambda(k)^2 and t(k) + <w, w>, are zero
+on the modes where that value vanishes and invertible on the others, so
+their kernels are read off those modes, where only the joint kernel of
+pair_d and pair_codiff is taken.  No global matrix is built.
 
 Operators that mix frequencies (a pair differential twisted by a non-closed
 1-form) escape every finite band; such scenarios are rejected rather than
@@ -59,7 +53,7 @@ from math import comb as _math_comb
 
 from .charts import Chart, ChartKind, ChartMismatchError, bidegree_index_sets
 from .exterior import Form, VectorField, ext_d, require_parallel_one_form, zero_form
-from .linalg import det_dense, zi_kernel, zi_matmul, zi_rank
+from .linalg import det_dense, zi_add, zi_kernel, zi_matmul, zi_rank
 from .pair import PairForm
 from .pair import pair_d  # noqa: F401  unused; perfbench/selftest.py checks its tracer binding
 from .rationals import ONE, gq
@@ -78,16 +72,6 @@ def _modes(nvars: int, max_freq: int):
     if max_freq < 0:
         raise ValueError(f"max_freq must be non-negative, got {max_freq}")
     return list(itertools.product(range(-max_freq, max_freq + 1), repeat=nvars))
-
-
-def _quadratic_points(nvars: int) -> list:
-    """The modes 0, +-e_i and e_i + e_j (i < j).  A polynomial of degree <= 2
-    in k is fixed by its values there (they give its constant, linear,
-    square and cross terms in turn), so it vanishes on every mode if it
-    vanishes on these 1 + 2n + C(n, 2)."""
-    units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
-    return ([(0,) * nvars] + [k for e in units for k in (e, tuple(-v for v in e))]
-            + [tuple(a + b for a, b in zip(e, f)) for e, f in itertools.combinations(units, 2)])
 
 
 def _index_sets(nslots: int, size: int):
@@ -177,9 +161,9 @@ def _symbol(model: "_Model", op, side, idx) -> list:
     Every c(k) above is affine in k (sigma_j and lambda are linear, w_j and
     the minors constant), so every entry of a one-mode block matrix is
     affine in k on a basis that does not depend on k.  `_certify` rests on
-    this when it checks an identity on `_quadratic_points` only: a model
-    may declare a `homotopy`, and a Laplacian may be certified, only if
-    every symbol kind of its operators is affine in k.
+    this when it reads a matrix off its blocks at 0 and e_i only (`_holds`):
+    a model may declare a `homotopy`, and a Laplacian may be certified,
+    only if every symbol kind of its operators is affine in k.
     """
     out = []
     for src, dst, sign, kind in op:
@@ -305,37 +289,20 @@ def _mode_block(model: "_Model", k) -> _Block:
     return _Block(model, {side: [k] for side in model.charts})
 
 
-def _dd_failure(mats: dict, failed):
-    """The lowest degree d, below `failed` if that is not None, where the
-    block matrices `mats` (by source degree, ascending) have
-    mats[d+1] . mats[d] != 0; `failed` if there is none."""
-    for d in list(mats)[:-1]:
-        if failed is not None and d >= failed:
-            break
-        if any(zi_matmul(mats[d + 1], mats[d])):
-            return d
-    return failed
-
-
 def _eliminate(model: "_Model", blocks) -> dict:
     """The ranks of the model's differential by degree, summed over
     `blocks` by Bareiss elimination, with d.d = 0 checked on every block."""
     ranks = dict.fromkeys(model.degrees, 0)
-    failed = None                      # the lowest degree with d.d != 0 in some block
+    failed = set()                     # the degrees with d.d != 0 in some block
     for block in blocks:
-        mats = {d: block.matrix(model.op, d, d + 1) for d in model.degrees[:-1]}
-        failed = _dd_failure(mats, failed)
-        if failed is None:
-            for d, mat in mats.items():
-                ranks[d] += zi_rank(mat)
-    if failed is not None:
-        raise AssertionError(f"differentials fail to compose to zero at degree {failed}")
+        mats = [block.matrix(model.op, d, d + 1) for d in model.degrees[:-1]]
+        failed.update(d for d, low, high in zip(model.degrees, mats, mats[1:])
+                      if any(zi_matmul(high, low)))
+        for d, mat in zip(model.degrees, mats):
+            ranks[d] += zi_rank(mat)
+    if failed:
+        raise AssertionError(f"differentials fail to compose to zero at degree {min(failed)}")
     return ranks
-
-
-def _scalar_matrix(size: int, value) -> list:
-    """value times the size x size identity, as a Z[i] column matrix."""
-    return [{c: value} if value != (0, 0) else {} for c in range(size)]
 
 
 def _stacked(block: _Block, degree: int, d_op, cod_op) -> list:
@@ -346,31 +313,60 @@ def _stacked(block: _Block, degree: int, d_op, cod_op) -> list:
                                       block.matrix(cod_op, degree, degree - 1))]
 
 
-def _anticommutator(block: _Block, degree: int, d_op, cod_op) -> list:
-    """Cod_(p+1) D_p + D_(p-1) Cod_p on one block, as the exact Z[i] product
-    [Cod_(p+1) | D_(p-1)] . [D_p ; Cod_p] of first-order block matrices
-    (entries times scale^2)."""
-    left = block.matrix(cod_op, degree + 1, degree) + block.matrix(d_op, degree - 1, degree)
-    return zi_matmul(left, _stacked(block, degree, d_op, cod_op))
+def _unit_modes(nvars: int) -> list:
+    """The modes 0, e_1, ..., e_n."""
+    return [tuple(int(i == j) for j in range(nvars)) for i in range(-1, nvars)]
 
 
-def _point_blocks(model: "_Model") -> dict:
-    """The mode block of each k of `_quadratic_points`, by k."""
-    return {k: _mode_block(model, k) for k in _quadratic_points(model.charts["F"].nvars)}
+def _coefficients(value, nvars: int) -> dict:
+    """The coefficients q_ab, a <= b, of k_a k_b (k_0 = 1), doubled, of the
+    quadratic q equal to value (int pairs) at 0, +-e_i and e_i + e_j:
+    2 q_0i = v(e_i) - v(-e_i), 2 q_ii = v(e_i) + v(-e_i) - 2 v(0) and
+    q_ij = v(e_i + e_j) - v(e_i) - v(e_j) + v(0)."""
+    units = _unit_modes(nvars)
+    at = [value(k) for k in units]
+    out = {(0, 0): (2 * at[0][0], 2 * at[0][1])}
+    for i in range(1, nvars + 1):
+        minus = value(tuple(-x for x in units[i]))
+        out[0, i] = tuple(p - m for p, m in zip(at[i], minus))
+        out[i, i] = tuple(p + m - 2 * z for p, m, z in zip(at[i], minus, at[0]))
+    for i, j in itertools.combinations(range(1, nvars + 1), 2):
+        both = value(tuple(x + y for x, y in zip(units[i], units[j])))
+        out[i, j] = tuple(2 * (s - a - b + z) for s, a, b, z in zip(both, at[i], at[j], at[0]))
+    return out
 
 
-def _certify(points: dict, d_op, h_op, value, degrees):
-    """The lowest of `degrees` where D H + H D != value(k) I on a block of
-    `points` (`_point_blocks`), D and H the operators with symbol blocks
-    `d_op` and `h_op` and value(k) an int pair times scale^2; None if there
-    is none.  Both sides are polynomials of degree <= 2 in k, so the
-    identity then holds on every mode of every band."""
-    for d in degrees:
-        for k, block in points.items():
-            if _anticommutator(block, d, d_op, h_op) != \
-                    _scalar_matrix(len(block.tags(d)), value(k)):
-                return d
-    return None
+def _doubled_value(coefficients: dict, k) -> tuple:
+    """2 q(k), as an int pair, for the quadratic q with `coefficients`."""
+    k = (1,) + tuple(k)
+    return tuple(sum(c[t] * k[i] * k[j] for (i, j), c in coefficients.items()) for t in (0, 1))
+
+
+def _holds(left: list, right: list, coefficients: dict) -> bool:
+    """Whether L(k) R(k) = q(k) I for all k, L and R affine in k and given at
+    0, e_1, ..., e_n, q with `coefficients` (zero where absent): with parts
+    M_0 = M(0), M_i = M(e_i) - M(0) of each, M(k) = M_0 + sum k_i M_i, whether
+    2 (L_a R_b + L_b R_a) (L_a R_a once if a = b) is 2 q_ab I for a <= b."""
+    left, right = ([m[0]] + [zi_add(x, m[0], -1) for x in m[1:]] for m in (left, right))
+    for a, b in itertools.combinations_with_replacement(range(len(left)), 2):
+        coef = zi_matmul(left[a], right[b])
+        if a != b:
+            coef = zi_add(coef, zi_matmul(left[b], right[a]))
+        x, y = coefficients.get((a, b), (0, 0))
+        for c, col in enumerate(coef):
+            re, im = col.get(c, (0, 0))
+            if len(col) != (x != 0 or y != 0) or (2 * re, 2 * im) != (x, y):
+                return False
+    return True
+
+
+def _certify(points: list, d_op, h_op, coefficients: dict, degrees):
+    """The lowest of `degrees` where D H + H D = [H | D] . [D ; H] is not
+    q(k) I (`_holds`), D and H with symbol blocks `d_op` and `h_op`, q with
+    `coefficients`, `points` the blocks of `_unit_modes`; None if none."""
+    return next((d for d in degrees if not _holds(
+        [b.matrix(h_op, d + 1, d) + b.matrix(d_op, d - 1, d) for b in points],
+        [_stacked(b, d, d_op, h_op) for b in points], coefficients)), None)
 
 
 class _Model:
@@ -510,28 +506,28 @@ class _Model:
 
     def certified_ranks(self) -> dict:
         """The ranks of a model with a `homotopy`, certified for every band
-        at once (see the module docstring): D.D = 0 and D H + H D = t(k) I
-        (`_certify`) hold on the same `_point_blocks`, the zero mode is
+        at once (see the module docstring): D.D = 0 (`_holds`) and
+        D H + H D = t(k) I (`_certify`) hold on every mode, the zero mode is
         eliminated, and an acyclic mode's rank in degree q is its size there
         minus its rank in degree q - 1, since a cycle x is D(Hx)/t(k)."""
-        points = _point_blocks(self)
-        failed = None                  # the lowest degree where D.D fails
-        for block in points.values():
-            failed = _dd_failure({d: block.matrix(self.op, d, d + 1)
-                                  for d in self.degrees[:-1]}, failed)
+        nvars = self.charts["F"].nvars
+        points = [_mode_block(self, k) for k in _unit_modes(nvars)]
+        mats = [[b.matrix(self.op, d, d + 1) for b in points] for d in self.degrees[:-1]]
+        failed = next((d for d, low, high in zip(self.degrees, mats, mats[1:])
+                       if not _holds(high, low, {})), None)
         if failed is not None:
             raise AssertionError(f"differentials fail to compose to zero at degree {failed}")
         broken = _certify(points, self.op, self.homotopy,
-                          lambda k: (self.homotopy_value(k), 0), self.degrees[:-1])
+                          _coefficients(lambda k: (self.homotopy_value(k), 0), nvars),
+                          self.degrees[:-1])
         if broken is not None:
             raise AssertionError(
                 f"contracting homotopy disagrees with its closed form at degree {broken}")
-        zero = points[(0,) * self.charts["F"].nvars]
-        ranks = _eliminate(self, [zero])
+        ranks = _eliminate(self, points[:1])
         nonzero = len(self.modes["F"]) - 1
         rank = 0
         for d in self.degrees[:-1]:
-            rank = len(zero.tags(d)) - rank
+            rank = len(points[0].tags(d)) - rank
             ranks[d] += nonzero * rank
         return ranks
 
@@ -791,14 +787,19 @@ def _require_degree(degree: int) -> None:
 
 
 def _resonant(model: _Model, degree: int, d_op, cod_op, value, message: str) -> list:
-    """The blocks of the band modes k where value(k) = 0, once `_certify`
-    has found Cod D + D Cod = value(k) I at `degree` (AssertionError(message)
-    if not).  That Laplacian is zero on these blocks, so its kernel is their
-    columns; on every other mode it is invertible, so its kernel, and the
+    """The blocks of the band modes k where q(k) = 0, once `_certify` has
+    found Cod D + D Cod = q(k) I at `degree`, q the quadratic that value
+    fixes (AssertionError(message) if not).  That Laplacian is zero on these
+    blocks and invertible on every other mode, where its kernel, and the
     joint kernel of D and Cod inside it, are empty."""
-    if _certify(_point_blocks(model), d_op, cod_op, value, (degree,)) is not None:
+    nvars = model.charts["F"].nvars
+    coefficients = _coefficients(value, nvars)
+    points = [_mode_block(model, k) for k in _unit_modes(nvars)]
+    if _certify(points, d_op, cod_op, coefficients, (degree,)) is not None:
         raise AssertionError(message)
-    return [_mode_block(model, k) for k in model.modes["F"] if value(k) == (0, 0)]
+    coefficients = {key: c for key, c in coefficients.items() if c != (0, 0)}
+    return [_mode_block(model, k) for k in model.modes["F"]
+            if _doubled_value(coefficients, k) == (0, 0)]
 
 
 def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) -> HarmonicKernel:
@@ -820,32 +821,31 @@ def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) ->
     model = _PairModel(chart, u, max_freq)
     blocks = _resonant(model, degree, model.op, _PAIR_CODIFF, lambda k: _closed_value(model, k, 1),
                        "pair Laplacian composite disagrees with its closed form")
-    basis = model.basis(degree)
-    index = {tag: i for i, tag in enumerate(basis)}
+    sizes = {side: len(model.index_sets(side, degree - _SHIFT[side])) for side in model.charts}
+    start = {"F": 0, "S": len(model.modes["F"]) * sizes["F"]}
+    position = {k: i for i, k in enumerate(model.modes["F"])}
     lap, joint = [], []
     for block in blocks:
-        tags = block.tags(degree)
+        glob = [start[side] + position[block.modes["F"][0]] * size + j
+                for side, size in sizes.items() for j in range(size)]
         stacked = _stacked(block, degree, model.op, _PAIR_CODIFF)
         # (first global column of the vector's group, vector) per kernel vector
-        joint += [(index[tags[first]], {index[tags[c]]: v for c, v in vec.items()})
+        joint += [(glob[first], {glob[c]: v for c, v in vec.items()})
                   for first, vectors in zi_kernel(stacked) for vec in vectors]
-        lap += [(index[tag], col) for tag, col in zip(tags, stacked)]
+        lap += [(g, col, block, c) for c, (g, col) in enumerate(zip(glob, stacked))]
     lap.sort(key=lambda entry: entry[0])
     joint.sort(key=lambda entry: entry[0])
-    vectors = [{c: ONE} for c, _ in lap]
-    witness = next((_render_vector(model, degree, basis, vec)
-                    for vec, (_, col) in zip(vectors, lap) if col), None)
-    return HarmonicKernel(degree, max_freq, len(lap), len(joint), vectors,
+    witness = next((_render_vector(model, degree, block.tags(degree)[c])
+                    for _, col, block, c in lap if col), None)
+    return HarmonicKernel(degree, max_freq, len(lap), len(joint), [{g: ONE} for g, *_ in lap],
                           [vec for _, vec in joint], witness)
 
 
-def _render_vector(model: _PairModel, degree: int, basis, vec) -> str:
-    """The pair form sum_i vec[i] * basis[i], written down from the tags."""
-    chart = model.charts["F"]
+def _render_vector(model: _PairModel, degree: int, tag) -> str:
+    """The pair form of the basis tag (side, k, idx), written down from it."""
+    chart, (side, k, idx) = model.charts["F"], tag
     slots = {"F": zero_form(chart, degree), "S": zero_form(chart, degree - 1)}
-    for col, coeff in vec.items():
-        side, k, idx = basis[col]
-        slots[side] = slots[side] + _wave_form(chart, k, idx) * coeff
+    slots[side] = slots[side] + _wave_form(chart, k, idx) * ONE
     return str(PairForm(slots["F"], slots["S"]))
 
 

@@ -20,6 +20,10 @@ is checked to be a known multiple of the identity on every mode, and its
 kernel is then the modes where that multiple vanishes.  `all_blocks_harmonic`
 and `all_blocks_kernel_dim` are the elimination this replaces: they multiply
 out the Laplacian on every block of the band and take its kernel there.
+The library checks each certified identity on the coefficients of a
+quadratic in the mode k; `point_set_certify` and `point_set_dd_failure`
+check it on its values at the 1 + 2n + C(n, 2) modes 0, +-e_i and
+e_i + e_j instead, which also fix a quadratic.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from pairform.cohomology import (
     _PairModel,
     _PrimedEtaModel,
     _RelativeModel,
-    _anticommutator,
+    _mode_block,
     _stacked,
 )
 from pairform.dolbeault import dbar_pair
@@ -54,7 +58,7 @@ from pairform.exterior import (
     wedge,
     zero_form,
 )
-from pairform.linalg import RationalMatrix, zi_kernel
+from pairform.linalg import RationalMatrix, zi_kernel, zi_matmul
 from pairform.pair import PairForm, pair_d, pair_d_lichnerowicz, zero_pair
 from pairform.rationals import ONE, ZERO, GaussianRational, from_parts
 from pairform.relative import RelPairForm, rel_d, rel_d_lichnerowicz
@@ -415,6 +419,59 @@ def band_matrix(model, op, src_degree, dst_degree, blocks=None, src_basis=None,
                       src_basis, dst_basis, model.scale)
 
 
+# -- the certificate on its values at the quadratic points --------------------
+
+
+def quadratic_points(nvars: int) -> list:
+    """The modes 0, +-e_i and e_i + e_j (i < j).  A polynomial of degree <= 2
+    in k is fixed by its values there (they give its constant, linear,
+    square and cross terms in turn), so it vanishes on every mode if it
+    vanishes on these 1 + 2n + C(n, 2)."""
+    units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    return ([(0,) * nvars] + [k for e in units for k in (e, tuple(-v for v in e))]
+            + [tuple(a + b for a, b in zip(e, f)) for e, f in itertools.combinations(units, 2)])
+
+
+def anticommutator(block, degree: int, d_op, cod_op) -> list:
+    """Cod_(p+1) D_p + D_(p-1) Cod_p on one block, as the exact Z[i] product
+    [Cod_(p+1) | D_(p-1)] . [D_p ; Cod_p] of first-order block matrices
+    (entries times scale^2)."""
+    left = block.matrix(cod_op, degree + 1, degree) + block.matrix(d_op, degree - 1, degree)
+    return zi_matmul(left, _stacked(block, degree, d_op, cod_op))
+
+
+def _scalar_matrix(size: int, value) -> list:
+    """value times the size x size identity, as a Z[i] column matrix."""
+    return [{c: value} if value != (0, 0) else {} for c in range(size)]
+
+
+def point_set_dd_failure(model):
+    """The lowest degree where D.D != 0 on a mode block of `quadratic_points`,
+    D the model's differential; None if there is none."""
+    failed = []
+    for k in quadratic_points(model.charts["F"].nvars):
+        block = _mode_block(model, k)
+        mats = [block.matrix(model.op, d, d + 1) for d in model.degrees[:-1]]
+        failed += [d for d, low, high in zip(model.degrees, mats, mats[1:])
+                   if any(zi_matmul(high, low))]
+    return min(failed, default=None)
+
+
+def point_set_certify(model, d_op, h_op, value, degrees):
+    """The lowest of `degrees` where D H + H D != value(k) I on a mode block
+    of `quadratic_points`, D and H the operators with symbol blocks `d_op`
+    and `h_op` and value(k) an int pair times scale^2; None if there is
+    none.  Both sides are polynomials of degree <= 2 in k when every block
+    entry is affine in k, so the identity then holds on every mode."""
+    points = {k: _mode_block(model, k) for k in quadratic_points(model.charts["F"].nvars)}
+    for d in degrees:
+        for k, block in points.items():
+            if anticommutator(block, d, d_op, h_op) != \
+                    _scalar_matrix(len(block.tags(d)), value(k)):
+                return d
+    return None
+
+
 # -- Laplacian kernels by elimination on every block --------------------------
 
 
@@ -440,7 +497,7 @@ def all_blocks_harmonic(band: SymbolicBand, degree: int, max_freq: int) -> Harmo
         block_joint = _block_kernel(_stacked(block, degree, model.op, _PAIR_CODIFF), glob)
         joint += block_joint
         span = [vec for _, vec in block_joint]
-        mat = _anticommutator(block, degree, model.op, _PAIR_CODIFF)
+        mat = anticommutator(block, degree, model.op, _PAIR_CODIFF)
         lap += [(first, vec, span) for first, vec in _block_kernel(mat, glob)]
     lap.sort(key=lambda entry: entry[0])
     joint.sort(key=lambda entry: entry[0])
@@ -458,4 +515,4 @@ def all_blocks_kernel_dim(model, degree: int, d_op, cod_op) -> int:
     symbol blocks `d_op` and `cod_op`, summed over `zi_kernel` on every
     block of the model."""
     return sum(len(vectors) for block in model.blocks()
-               for _, vectors in zi_kernel(_anticommutator(block, degree, d_op, cod_op)))
+               for _, vectors in zi_kernel(anticommutator(block, degree, d_op, cod_op)))

@@ -1,4 +1,4 @@
-import math
+import itertools
 import random
 from math import comb as _math_comb
 
@@ -32,6 +32,7 @@ from pairform.scalar import ChartMap, const, identity_map, sin_wave
 from oracles import (
     all_blocks_harmonic,
     all_blocks_kernel_dim,
+    anticommutator,
     band_matrix,
     de_rham_band,
     dolbeault_band,
@@ -39,6 +40,8 @@ from oracles import (
     operator_matrix,
     pair_band,
     pair_eta_band,
+    point_set_certify,
+    point_set_dd_failure,
     primed_band,
     reassemble,
     relative_band,
@@ -417,7 +420,7 @@ def _twisting_forms(chart):
 @pytest.mark.parametrize("chart, max_freq",
                          [(T1, 1), (T1, 2), (T2, 1), (T2, 2), (T3, 1), (T3, 2)])
 def test_lichnerowicz_symbols_match_symbolic_reference(chart, max_freq):
-    from pairform.cohomology import _TWISTED_CODIFF, _TWISTED_D, _anticommutator
+    from pairform.cohomology import _TWISTED_CODIFF, _TWISTED_D
     from pairform.exterior import lichnerowicz_lap
 
     for w in _twisting_forms(chart):
@@ -427,7 +430,7 @@ def test_lichnerowicz_symbols_match_symbolic_reference(chart, max_freq):
             ref, basis = operator_matrix(band, degree, degree, lambda a: lichnerowicz_lap(w, a))
             built = reassemble(
                 [(b.tags(degree), b.tags(degree),
-                  _anticommutator(b, degree, _TWISTED_D, _TWISTED_CODIFF))
+                  anticommutator(b, degree, _TWISTED_D, _TWISTED_CODIFF))
                  for b in model.blocks()], basis, basis, model.scale ** 2)
             assert built == ref
 
@@ -518,7 +521,6 @@ def test_matrix_built_laplacians_match_symbolic_reference(chart, coeffs, max_fre
     from pairform.cohomology import (
         _PAIR_CODIFF,
         _PAIR_CODIFF_SKEW,
-        _anticommutator,
         corrected_laplacian_kernel_dim,
     )
     from pairform.pair import pair_laplacian_corrected
@@ -530,7 +532,7 @@ def test_matrix_built_laplacians_match_symbolic_reference(chart, coeffs, max_fre
     def laplacian_matrix(degree, cod):
         basis = model.basis(degree)
         return reassemble([(b.tags(degree), b.tags(degree),
-                            _anticommutator(b, degree, model.op, cod))
+                            anticommutator(b, degree, model.op, cod))
                            for b in model.blocks()], basis, basis, model.scale ** 2)
 
     for degree in range(chart.dim + 3):
@@ -704,6 +706,19 @@ def test_pair_complex_on_larger_bands(n, max_freq):
     assert pair_complex(chart, x, max_freq).dim_vector() == pair_predicted_dims(n)
 
 
+def test_certified_builders_at_high_dimension():
+    """At N = 0 a band is the zero mode alone, so these calls are mostly the
+    certificate, at n = 7 and 8 and on TC4 for every p."""
+    for n in (7, 8):
+        chart = torus(n)
+        x = constant_field(chart, [1, 2] + [0] * (n - 2))
+        assert pair_complex(chart, x, 0).dim_vector() == pair_predicted_dims(n)
+    tc4 = torus_complex(4)
+    x = holomorphic_field(tc4, tuple(const(tc4, c) for c in (1, gq(0, 2), 0, gq(1, -1))))
+    for p in range(5):
+        assert dolbeault_complex(tc4, x, p, 0).dim_vector() == dolbeault_predicted_dims(4, p)
+
+
 def test_relative_complex_over_the_zero_map_holds_every_target_mode_in_one_block():
     from pairform.cohomology import _RelativeModel
 
@@ -811,19 +826,80 @@ def test_dolbeault_rejects_a_negative_p():
 # -- certified band dimensions ------------------------------------------------
 
 
-def test_quadratic_points_fix_every_polynomial_of_degree_two():
-    from pairform.cohomology import _quadratic_points
-    from pairform.linalg import RationalMatrix
+def _random_zi(rng):
+    return rng.randint(-9, 9), rng.randint(-9, 9)
 
-    for n in range(1, 6):
-        points = _quadratic_points(n)
-        assert len(set(points)) == len(points) == 1 + 2 * n + comb(n, 2)
-        # the monomials 1, k_i, k_i k_j (i <= j) evaluated on the points: a
-        # square matrix of full rank, so only the zero quadratic vanishes there
-        monomials = [()] + [(i,) for i in range(n)] + [
-            (i, j) for i in range(n) for j in range(i, n)]
-        rows = [[gq(math.prod(k[i] for i in m)) for m in monomials] for k in points]
-        assert RationalMatrix.from_rows(rows).rank() == len(monomials) == len(points)
+
+def test_coefficients_recover_every_quadratic():
+    """`_coefficients` reads a seeded random Z[i] quadratic's own
+    coefficients, doubled, off its values, keyed by (a, b) for k_a k_b with
+    k_0 = 1, and `_doubled_value` gives it back on every mode tried."""
+    from pairform.cohomology import _coefficients, _doubled_value
+
+    rng = random.Random(14)
+    for n in range(1, 7):
+        for _ in range(5):
+            keys = itertools.combinations_with_replacement(range(n + 1), 2)
+            coefs = {key: _random_zi(rng) for key in keys}
+
+            def value(k, coefs=coefs):
+                k = (1,) + k
+                return (sum(a * k[i] * k[j] for (i, j), (a, _) in coefs.items()),
+                        sum(b * k[i] * k[j] for (i, j), (_, b) in coefs.items()))
+
+            doubled = {key: (2 * a, 2 * b) for key, (a, b) in coefs.items()}
+            assert _coefficients(value, n) == doubled
+            for _ in range(10):
+                k = tuple(rng.randint(-5, 5) for _ in range(n))
+                assert _doubled_value(doubled, k) == tuple(2 * v for v in value(k))
+
+
+def _zi_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def test_holds_checks_every_coefficient_of_a_product():
+    """L(k) R(k) = (l(k) . r(k)) I for a seeded random affine Z[i] row l(k)
+    and column r(k), each repeated down a block diagonal: `_holds` accepts
+    it against the quadratic l(k) . r(k) from its values, and refuses it
+    once that quadratic gets one more linear, square or cross term, or L
+    one more entry."""
+    from pairform.cohomology import _coefficients, _holds, _unit_modes
+
+    rng = random.Random(15)
+    for n in range(1, 5):
+        for size in (1, 3):
+            m = rng.randint(1, 3)
+            l_parts, r_parts = ([[_random_zi(rng) for _ in range(m)] for _ in range(n + 1)]
+                                for _ in range(2))
+
+            def at(parts, k):       # the affine vector parts_0 + sum k_i parts_i
+                return [(sum(v * p[c][0] for v, p in zip((1,) + k, parts)),
+                         sum(v * p[c][1] for v, p in zip((1,) + k, parts))) for c in range(m)]
+
+            def left(k):            # size copies of the row l(k)
+                return [{b: x} if x != (0, 0) else {}
+                        for b in range(size) for x in at(l_parts, k)]
+
+            def right(k):           # size copies of the column r(k)
+                return [{b * m + c: x for c, x in enumerate(at(r_parts, k)) if x != (0, 0)}
+                        for b in range(size)]
+
+            def value(k, extra=lambda k: 0):
+                products = [_zi_mul(x, y) for x, y in zip(at(l_parts, k), at(r_parts, k))]
+                return sum(a for a, _ in products) + extra(k), sum(b for _, b in products)
+
+            units = _unit_modes(n)
+            lefts, rights = [left(k) for k in units], [right(k) for k in units]
+            assert _holds(lefts, rights, _coefficients(value, n))
+            extras = [lambda k: k[0], lambda k: k[-1] ** 2] + (
+                [lambda k: k[0] * k[1]] if n > 1 else [])
+            for extra in extras:
+                assert not _holds(lefts, rights,
+                                  _coefficients(lambda k, e=extra: value(k, e), n))
+            stray = [[dict(col) for col in mat] for mat in lefts]
+            stray[-1][0][size] = (1, 0)
+            assert not _holds(stray, rights, _coefficients(value, n))
 
 
 def _combine(*terms):
@@ -889,6 +965,113 @@ def test_every_symbol_kind_is_affine_in_the_mode():
                 assert _combine(*zip((1, -1, -1, 1), mats)) == [{}] * len(mats[0]), (kind, d)
                 entries += sum(map(len, mats[1]))
         assert entries, kind   # the case is not vacuous
+
+
+# broken operators: a homotopy or i_(w#) with a flipped sign, and differentials
+# with the sign of their second-slot d flipped (then d.d = 2 L d != 0)
+_FLIPPED = {"pair homotopy": (("F", "F", 1, "codiff"), ("S", "S", 1, "codiff")),
+            "de Rham homotopy": (("F", "F", -1, "codiff"),),
+            "dbar homotopy": (("F", "F", -1, "dbar*"), ("S", "S", -1, "dbar*")),
+            "twisted codiff": (("F", "F", 1, "codiff"), ("F", "F", -1, "interior")),
+            "pair d": (("F", "F", 1, "d"), ("F", "S", 1, "lie"), ("S", "S", 1, "d")),
+            "dbar pair": (("F", "F", 1, "dbar"), ("F", "S", 1, "lie"), ("S", "S", 1, "dbar"))}
+
+
+def _certificate_cases(chart):
+    """(model, D, H, value, degrees, homotopy) of every identity the library
+    certifies on `chart`, and of the same identities with broken operators
+    or a closed form off by a linear term; `homotopy` marks the cases that
+    `certified_ranks` checks, with the model's own D and H."""
+    from pairform.cohomology import (
+        _DeRhamModel,
+        _DolbeaultModel,
+        _PAIR_CODIFF,
+        _PAIR_CODIFF_SKEW,
+        _PairEtaModel,
+        _PairModel,
+        _TWISTED_CODIFF,
+        _TWISTED_D,
+        _closed_value,
+    )
+
+    def homotopy(make, op=None, h=None):
+        """A fresh model from `make`, with `op` and `h` as its differential
+        and homotopy if given."""
+        model = make()
+        model.op, model.homotopy = op or model.op, h or model.homotopy
+        return (model, model.op, model.homotopy, lambda k: (model.homotopy_value(k), 0),
+                model.degrees[:-1], True)
+
+    n = chart.dim
+    if chart.is_complex:
+        units = (gq(1, 1), gq(0, -2), gq("1/3"))
+        x = holomorphic_field(chart, tuple(const(chart, units[j]) for j in range(n)))
+        out = []
+        for p in range(n + 1):
+            def dolbeault(p=p):
+                return _DolbeaultModel(chart, x, p, 1)
+            out += [homotopy(dolbeault), homotopy(dolbeault, h=_FLIPPED["dbar homotopy"]),
+                    homotopy(dolbeault, op=_FLIPPED["dbar pair"])]
+        return out
+
+    def pair():
+        return _PairModel(chart, constant_field(chart, _COEFFS["complex"][:n]), 1)
+
+    def eta():
+        return _PairEtaModel(chart, coframe(chart, 0) * gq("1/2") + coframe(chart, n - 1), 1)
+
+    def de_rham():
+        return _DeRhamModel(chart, 1)
+
+    out = [homotopy(pair), homotopy(pair, h=_FLIPPED["pair homotopy"]),
+           homotopy(pair, op=_FLIPPED["pair d"]),
+           homotopy(eta), homotopy(eta, h=_FLIPPED["pair homotopy"]),
+           homotopy(de_rham), homotopy(de_rham, h=_FLIPPED["de Rham homotopy"])]
+    laplacian = pair()
+    for cod, sign in ((_PAIR_CODIFF, 1), (_PAIR_CODIFF_SKEW, -1), (_PAIR_CODIFF, -1)):
+        out.append((laplacian, laplacian.op, cod,
+                    lambda k, s=sign: _closed_value(laplacian, k, s), laplacian.degrees, False))
+    out.append((laplacian, laplacian.op, laplacian.homotopy,
+                lambda k: (laplacian.homotopy_value(k) + k[-1], 0), laplacian.degrees, False))
+    for w in _twisting_forms(chart):
+        model = _DeRhamModel(chart, 1, w)
+        re = sum(a * a - b * b for a, b in model.scaled_coeffs)
+        im = sum(2 * a * b for a, b in model.scaled_coeffs)
+        for cod in (_TWISTED_CODIFF, _FLIPPED["twisted codiff"]):
+            out.append((model, _TWISTED_D, cod,
+                        lambda k, m=model, re=re, im=im: (m.homotopy_value(k) + re, im),
+                        model.degrees, False))
+    return out
+
+
+@pytest.mark.parametrize("chart", [T1, T2, T3, torus(4), TC1, torus_complex(2)], ids=str)
+def test_coefficient_certificate_agrees_with_the_point_set_certificate(chart):
+    """`_certify` on the products' coefficients gives the verdict and the
+    lowest failing degree that checking the products' values at the
+    1 + 2n + C(n, 2) modes 0, +-e_i and e_i + e_j gives, and
+    `certified_ranks` fails as that check does, for the certified
+    identities and for broken operators."""
+    from pairform.cohomology import _certify, _coefficients, _mode_block, _unit_modes
+
+    verdicts = set()
+    for model, d_op, h_op, value, degrees, homotopy in _certificate_cases(chart):
+        broken = point_set_certify(model, d_op, h_op, value, degrees)
+        points = [_mode_block(model, k) for k in _unit_modes(chart.nvars)]
+        assert _certify(points, d_op, h_op, _coefficients(value, chart.nvars), degrees) == broken
+        verdicts.add(broken is None)
+        if not homotopy:
+            continue          # `_resonant` raises on the verdict
+        failed = point_set_dd_failure(model)
+        verdicts.add(failed is None)
+        if failed is None and broken is None:
+            model.certified_ranks()
+            continue
+        with pytest.raises(AssertionError) as info:
+            model.certified_ranks()
+        assert str(info.value) == (
+            f"differentials fail to compose to zero at degree {failed}" if failed is not None
+            else f"contracting homotopy disagrees with its closed form at degree {broken}")
+    assert verdicts == {True, False}
 
 
 def _eliminated(model):
