@@ -37,6 +37,13 @@ on the modes where that value vanishes and invertible on the others, so
 their kernels are read off those modes, where only the joint kernel of
 pair_d and pair_codiff is taken.  No global matrix is built.
 
+Each kernel kind keeps what does not depend on the degree or the band for
+its latest chart and exact field or 1-form coefficients only (`_SHARED`):
+the model's memos, the blocks of 0 and e_i with their matrices and parts,
+the closed form's coefficients and, per band, the resonant blocks.  The
+operators are read on every call and key every memo; each call still checks
+its inputs, certifies its own degree and takes its own joint kernel.
+
 Operators that mix frequencies (a pair differential twisted by a non-closed
 1-form) escape every finite band; such scenarios are rejected rather than
 approximated.
@@ -305,12 +312,16 @@ def _eliminate(model: "_Model", blocks) -> dict:
     return ranks
 
 
+def _stack(upper: list, lower: list, shift: int) -> list:
+    """[upper ; lower]: the columns of `upper` over those of `lower`, whose
+    rows start at `shift`."""
+    return [{**u, **{r + shift: v for r, v in low.items()}} for u, low in zip(upper, lower)]
+
+
 def _stacked(block: _Block, degree: int, d_op, cod_op) -> list:
     """[D_p ; Cod_p] on one block: the columns of D_p over those of Cod_p."""
-    shift = len(block.tags(degree + 1))
-    return [{**d_col, **{r + shift: v for r, v in cod_col.items()}}
-            for d_col, cod_col in zip(block.matrix(d_op, degree, degree + 1),
-                                      block.matrix(cod_op, degree, degree - 1))]
+    return _stack(block.matrix(d_op, degree, degree + 1), block.matrix(cod_op, degree, degree - 1),
+                  len(block.tags(degree + 1)))
 
 
 def _unit_modes(nvars: int) -> list:
@@ -342,16 +353,38 @@ def _doubled_value(coefficients: dict, k) -> tuple:
     return tuple(sum(c[t] * k[i] * k[j] for (i, j), c in coefficients.items()) for t in (0, 1))
 
 
+def _split(mats: list) -> list:
+    """The parts M_0 = M(0) and M_i = M(e_i) - M(0) of a matrix M(k) affine
+    in k and given at 0, e_1, ..., e_n, so M(k) = M_0 + sum k_i M_i (M_i is
+    M(e_i) itself where M_0 = 0)."""
+    return [mats[0]] + [zi_add(m, mats[0], -1) for m in mats[1:]] if any(mats[0]) else mats
+
+
+def _parts(points: list, op, src: int, dst: int) -> list:
+    """`_split` of the matrix of `op` from degree `src` to `dst` on `points`,
+    the blocks of `_unit_modes` of one model; once per model and (op, src,
+    dst)."""
+    cache = points[0].model._cache["parts"]
+    if (op, src, dst) not in cache:
+        cache[op, src, dst] = _split([b.matrix(op, src, dst) for b in points])
+    return cache[op, src, dst]
+
+
 def _holds(left: list, right: list, coefficients: dict) -> bool:
     """Whether L(k) R(k) = q(k) I for all k, L and R affine in k and given at
-    0, e_1, ..., e_n, q with `coefficients` (zero where absent): with parts
-    M_0 = M(0), M_i = M(e_i) - M(0) of each, M(k) = M_0 + sum k_i M_i, whether
-    2 (L_a R_b + L_b R_a) (L_a R_a once if a = b) is 2 q_ab I for a <= b."""
-    left, right = ([m[0]] + [zi_add(x, m[0], -1) for x in m[1:]] for m in (left, right))
+    0, e_1, ..., e_n, q with `coefficients` (zero where absent)."""
+    return _parts_hold(_split(left), _split(right), coefficients)
+
+
+def _parts_hold(left: list, right: list, coefficients: dict) -> bool:
+    """`_holds` on the parts of L and R: whether 2 (L_a R_b + L_b R_a) (L_a R_a
+    once if a = b) is 2 q_ab I for a <= b.  A product with an all-zero part
+    is zero and is not taken."""
+    live = [any(m) for m in left], [any(m) for m in right]
     for a, b in itertools.combinations_with_replacement(range(len(left)), 2):
-        coef = zi_matmul(left[a], right[b])
-        if a != b:
-            coef = zi_add(coef, zi_matmul(left[b], right[a]))
+        products = [zi_matmul(left[i], right[j]) for i, j in {(a, b), (b, a)}
+                    if live[0][i] and live[1][j]]
+        coef = zi_add(*products) if len(products) == 2 else (products or [[{}] * len(right[0])])[0]
         x, y = coefficients.get((a, b), (0, 0))
         for c, col in enumerate(coef):
             re, im = col.get(c, (0, 0))
@@ -364,9 +397,12 @@ def _certify(points: list, d_op, h_op, coefficients: dict, degrees):
     """The lowest of `degrees` where D H + H D = [H | D] . [D ; H] is not
     q(k) I (`_holds`), D and H with symbol blocks `d_op` and `h_op`, q with
     `coefficients`, `points` the blocks of `_unit_modes`; None if none."""
-    return next((d for d in degrees if not _holds(
-        [b.matrix(h_op, d + 1, d) + b.matrix(d_op, d - 1, d) for b in points],
-        [_stacked(b, d, d_op, h_op) for b in points], coefficients)), None)
+    def parts(op, src, dst):
+        return _parts(points, op, src, dst)
+    return next((d for d in degrees if not _parts_hold(
+        [h + low for h, low in zip(parts(h_op, d + 1, d), parts(d_op, d - 1, d))],
+        [_stack(up, h, len(points[0].tags(d + 1)))
+         for up, h in zip(parts(d_op, d, d + 1), parts(h_op, d, d - 1))], coefficients)), None)
 
 
 class _Model:
@@ -403,8 +439,8 @@ class _Model:
 
     @cached_property
     def _cache(self) -> dict:
-        """Per-model memos of `index_sets`, `symbols`, `sigma` and `lam`."""
-        return {"sets": {}, "symbols": {}, "sigmas": {}, "lams": {}}
+        """Per-model memos of `index_sets`, `symbols`, `sigma`, `lam` and `_parts`."""
+        return {"sets": {}, "symbols": {}, "sigmas": {}, "lams": {}, "parts": {}}
 
     def index_sets(self, side, degree):
         """`sets`, computed once per side and degree."""
@@ -506,15 +542,15 @@ class _Model:
 
     def certified_ranks(self) -> dict:
         """The ranks of a model with a `homotopy`, certified for every band
-        at once (see the module docstring): D.D = 0 (`_holds`) and
+        at once (see the module docstring): D.D = 0 (`_parts_hold`) and
         D H + H D = t(k) I (`_certify`) hold on every mode, the zero mode is
         eliminated, and an acyclic mode's rank in degree q is its size there
         minus its rank in degree q - 1, since a cycle x is D(Hx)/t(k)."""
         nvars = self.charts["F"].nvars
         points = [_mode_block(self, k) for k in _unit_modes(nvars)]
-        mats = [[b.matrix(self.op, d, d + 1) for b in points] for d in self.degrees[:-1]]
-        failed = next((d for d, low, high in zip(self.degrees, mats, mats[1:])
-                       if not _holds(high, low, {})), None)
+        parts = [_parts(points, self.op, d, d + 1) for d in self.degrees[:-1]]
+        failed = next((d for d, low, high in zip(self.degrees, parts, parts[1:])
+                       if not _parts_hold(high, low, {})), None)
         if failed is not None:
             raise AssertionError(f"differentials fail to compose to zero at degree {failed}")
         broken = _certify(points, self.op, self.homotopy,
@@ -786,20 +822,39 @@ def _require_degree(degree: int) -> None:
         raise ValueError(f"degree must be non-negative, got {degree}")
 
 
-def _resonant(model: _Model, degree: int, d_op, cod_op, value, message: str) -> list:
+# kernel kind -> ((chart, coefficients), blocks of `_unit_modes`, memo of q's
+# coefficients per (D, Cod) and of the resonant blocks per (D, Cod, band))
+_SHARED = {}
+
+
+def _resonant(model: _Model, degree: int, d_op, cod_op, value, message: str,
+              kind: str = None) -> list:
     """The blocks of the band modes k where q(k) = 0, once `_certify` has
     found Cod D + D Cod = q(k) I at `degree`, q the quadratic that value
     fixes (AssertionError(message) if not).  That Laplacian is zero on these
     blocks and invertible on every other mode, where its kernel, and the
-    joint kernel of D and Cod inside it, are empty."""
-    nvars = model.charts["F"].nvars
-    coefficients = _coefficients(value, nvars)
-    points = [_mode_block(model, k) for k in _unit_modes(nvars)]
+    joint kernel of D and Cod inside it, are empty.  A kernel `kind` reuses
+    what `_SHARED` holds of its latest call if the chart and coefficients
+    are equal, and replaces it otherwise."""
+    key = model.charts["F"], model.coeffs
+    entry = _SHARED.get(kind)
+    if entry is None or entry[0] != key:
+        entry = key, [_mode_block(model, k) for k in _unit_modes(model.charts["F"].nvars)], {}
+        if kind is not None:
+            _SHARED[kind] = entry
+    _, points, memo = entry
+    if (d_op, cod_op) not in memo:
+        memo[d_op, cod_op] = _coefficients(value, len(points) - 1)
+    coefficients = memo[d_op, cod_op]
     if _certify(points, d_op, cod_op, coefficients, (degree,)) is not None:
         raise AssertionError(message)
-    coefficients = {key: c for key, c in coefficients.items() if c != (0, 0)}
-    return [_mode_block(model, k) for k in model.modes["F"]
-            if _doubled_value(coefficients, k) == (0, 0)]
+    band = d_op, cod_op, len(model.modes["F"])
+    if band not in memo:
+        nonzero = {key: c for key, c in coefficients.items() if c != (0, 0)}
+        at = {b.modes["F"][0]: b for b in points}
+        memo[band] = [at.get(k) or _mode_block(points[0].model, k) for k in model.modes["F"]
+                      if _doubled_value(nonzero, k) == (0, 0)]
+    return memo[band]
 
 
 def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) -> HarmonicKernel:
@@ -819,8 +874,8 @@ def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) ->
     """
     _require_degree(degree)
     model = _PairModel(chart, u, max_freq)
-    blocks = _resonant(model, degree, model.op, _PAIR_CODIFF, lambda k: _closed_value(model, k, 1),
-                       "pair Laplacian composite disagrees with its closed form")
+    blocks = _resonant(model, degree, _PAIR_D, _PAIR_CODIFF, lambda k: _closed_value(model, k, 1),
+                       "pair Laplacian composite disagrees with its closed form", "harmonic")
     sizes = {side: len(model.index_sets(side, degree - _SHIFT[side])) for side in model.charts}
     start = {"F": 0, "S": len(model.modes["F"]) * sizes["F"]}
     position = {k: i for i, k in enumerate(model.modes["F"])}
@@ -828,7 +883,7 @@ def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) ->
     for block in blocks:
         glob = [start[side] + position[block.modes["F"][0]] * size + j
                 for side, size in sizes.items() for j in range(size)]
-        stacked = _stacked(block, degree, model.op, _PAIR_CODIFF)
+        stacked = _stacked(block, degree, _PAIR_D, _PAIR_CODIFF)
         # (first global column of the vector's group, vector) per kernel vector
         joint += [(glob[first], {glob[c]: v for c, v in vec.items()})
                   for first, vectors in zi_kernel(stacked) for vec in vectors]
@@ -858,8 +913,8 @@ def corrected_laplacian_kernel_dim(chart: Chart, u: VectorField, degree: int,
     _require_degree(degree)
     model = _PairModel(chart, u, max_freq)
     return sum(len(block.tags(degree)) for block in _resonant(
-        model, degree, model.op, _PAIR_CODIFF_SKEW, lambda k: _closed_value(model, k, -1),
-        "corrected pair Laplacian disagrees with its closed form"))
+        model, degree, _PAIR_D, _PAIR_CODIFF_SKEW, lambda k: _closed_value(model, k, -1),
+        "corrected pair Laplacian disagrees with its closed form", "corrected"))
 
 
 def lichnerowicz_kernel_dim(chart: Chart, w: Form, degree: int, max_freq: int) -> int:
@@ -875,4 +930,4 @@ def lichnerowicz_kernel_dim(chart: Chart, w: Form, degree: int, max_freq: int) -
     im = sum(2 * a * b for a, b in model.scaled_coeffs)
     return sum(len(block.tags(degree)) for block in _resonant(
         model, degree, _TWISTED_D, _TWISTED_CODIFF, lambda k: (model.homotopy_value(k) + re, im),
-        "Lichnerowicz Laplacian disagrees with its closed form"))
+        "Lichnerowicz Laplacian disagrees with its closed form", "lichnerowicz"))

@@ -33,6 +33,9 @@ def zi_matmul(left: list, right: list) -> list:
     `right` index the columns of `left`.  Entries that cancel are dropped."""
     out = []
     for col in right:
+        if not col:
+            out.append({})
+            continue
         acc = {}
         for k, (a, b) in col.items():
             for r, (c, e) in left[k].items():

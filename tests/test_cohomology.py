@@ -1283,3 +1283,212 @@ def test_dolbeault_complex_on_tc3_with_n_2(p):
     tc3 = torus_complex(3)
     x = holomorphic_field(tc3, (const(tc3, 1), const(tc3, gq(0, 2)), const(tc3, 0)))
     assert dolbeault_complex(tc3, x, p, 2).dim_vector() == dolbeault_predicted_dims(3, p)
+
+
+# -- state the harmonic kernels share between calls ---------------------------
+
+
+def _one_form(chart, coeffs):
+    w = coframe(chart, 0) * 0
+    for j, c in enumerate(coeffs):
+        w = w + coframe(chart, j) * c
+    return w
+
+
+# per torus: resonant, quiet and complex fields; imaginary (resonant on a
+# sphere) and real 1-forms
+_SHARED_FIELDS = {T1: [(1,), (2,)], T2: [(1, 2), (2, 2), (gq(0, 1), 0)],
+                  T3: [(1, 0, 2), (2, 2, 0)]}
+_SHARED_FORMS = {T1: [(gq(0, 1),), (1,)], T2: [(gq(0, 1), gq(0, 2)), (1, -2)],
+                 T3: [(gq(0, 1), 0, gq(0, 1)), (1, 0, 0)]}
+_KERNELS = {"harmonic": lambda chart, c, p, n: harmonic_kernel(
+                chart, constant_field(chart, c), p, n),
+            "corrected": lambda chart, c, p, n: corrected_laplacian_kernel_dim(
+                chart, constant_field(chart, c), p, n),
+            "lichnerowicz": lambda chart, c, p, n: lichnerowicz_kernel_dim(
+                chart, _one_form(chart, c), p, n)}
+
+
+def _exact(coeffs):
+    """The coefficients as the kernels' models hold them."""
+    from pairform.rationals import GaussianRational
+
+    return tuple(c if isinstance(c, GaussianRational) else gq(c) for c in coeffs)
+
+
+def _shared_call_sequence(rng):
+    """(kind, chart, coefficients, degree, band) calls of the three kernels
+    over T1-T3, every degree 0..n+1 and N in {1, 2, 3}: per kind, the calls
+    of one field or form come in two shuffled runs placed apart, and the
+    three kinds' sequences are interleaved at random."""
+    per_kind = []
+    for kind in _KERNELS:
+        table = _SHARED_FORMS if kind == "lichnerowicz" else _SHARED_FIELDS
+        runs = []
+        for chart, fields in table.items():
+            for coeffs in fields:
+                calls = [(kind, chart, coeffs, p, n)
+                         for p, n in itertools.product(range(chart.dim + 2), (1, 2, 3))]
+                rng.shuffle(calls)
+                runs += [calls[:len(calls) // 2], calls[len(calls) // 2:]]
+        rng.shuffle(runs)
+        per_kind.append([call for run in runs for call in run])
+    out = []
+    while any(per_kind):
+        out.append(rng.choice([calls for calls in per_kind if calls]).pop(0))
+    return out
+
+
+def test_shared_kernel_state_gives_the_results_of_a_cleared_cache(monkeypatch):
+    """Every kernel result of a seeded, interleaved call sequence (dims,
+    vectors, witness) equals the same call made on a cleared cache, on
+    calls that reuse the shared state and on calls that replace it."""
+    from pairform import cohomology
+
+    monkeypatch.setattr(cohomology, "_SHARED", {})
+    hits = misses = 0
+    for kind, chart, coeffs, degree, max_freq in _shared_call_sequence(random.Random(20)):
+        held = cohomology._SHARED.get(kind)
+        if held and held[0] == (chart, _exact(coeffs)):
+            hits += 1
+        else:
+            misses += 1
+        warm = _KERNELS[kind](chart, coeffs, degree, max_freq)
+        saved = dict(cohomology._SHARED)
+        cohomology._SHARED.clear()
+        assert warm == _KERNELS[kind](chart, coeffs, degree, max_freq), \
+            (kind, chart, coeffs, degree, max_freq)
+        cohomology._SHARED.clear()
+        cohomology._SHARED.update(saved)
+    assert hits > 100 and misses > 20
+
+
+@pytest.mark.parametrize("name, flipped, kind, message", [
+    ("_PAIR_CODIFF", FLIPPED_PAIR_CODIFF, "harmonic",
+     "pair Laplacian composite disagrees with its closed form"),
+    ("_PAIR_D", _FLIPPED["pair d"], "harmonic",
+     "pair Laplacian composite disagrees with its closed form"),
+    ("_PAIR_D", _FLIPPED["pair d"], "corrected",
+     "corrected pair Laplacian disagrees with its closed form"),
+    # the skew codifferential with the uncorrected sign of its Lie term
+    ("_PAIR_CODIFF_SKEW",
+     (("F", "F", 1, "codiff"), ("S", "F", 1, "lie"), ("S", "S", -1, "codiff")),
+     "corrected", "corrected pair Laplacian disagrees with its closed form"),
+    ("_TWISTED_CODIFF", _FLIPPED["twisted codiff"], "lichnerowicz",
+     "Lichnerowicz Laplacian disagrees with its closed form"),
+], ids=["harmonic-codiff", "harmonic-d", "corrected-d", "corrected-skew", "lichnerowicz"])
+def test_a_patched_operator_fails_after_a_warm_call(monkeypatch, name, flipped, kind, message):
+    """The kernels read their operators on every call, so an operator
+    patched after calls on the same field and band is certified anew."""
+    from pairform import cohomology
+
+    monkeypatch.setattr(cohomology, "_SHARED", {})
+    coeffs = (1, 2) if kind != "lichnerowicz" else (1, 0)
+    for degree in range(4):
+        _KERNELS[kind](T2, coeffs, degree, 1)
+    monkeypatch.setattr(cohomology, name, flipped)
+    with pytest.raises(AssertionError) as info:
+        _KERNELS[kind](T2, coeffs, 1, 1)
+    assert str(info.value) == message
+
+
+def test_inputs_are_still_refused_after_a_call_on_an_equal_field(monkeypatch):
+    from pairform import cohomology
+    from pairform.exterior import VectorField
+    from pairform.scalar import zero as scalar_zero
+
+    monkeypatch.setattr(cohomology, "_SHARED", {})
+    wavy = VectorField(T2, (sin_wave(T2, (1, 0)), scalar_zero(T2)))
+    for kernel in (harmonic_kernel, corrected_laplacian_kernel_dim):
+        kernel(T2, _t2_field(), 1, 1)
+        refusals = [
+            (lambda: kernel(T2, constant_field(T3, (1, 2, 0)), 1, 1), ChartMismatchError,
+             "the vector field lives on torus(3), not torus(2)"),
+            (lambda: kernel(T2, wavy, 1, 1), UnsupportedScenarioError,
+             "band scenarios require constant vector fields (modes must not mix)"),
+            (lambda: kernel(T2, _t2_field(), -1, 1), ValueError,
+             "degree must be non-negative, got -1"),
+            (lambda: kernel(T2, _t2_field(), 1, -1), ValueError,
+             "max_freq must be non-negative, got -1")]
+        for call, error, message in refusals:
+            with pytest.raises(error) as info:
+                call()
+            assert info.type is error and str(info.value) == message
+    lichnerowicz_kernel_dim(T2, coframe(T2, 0), 1, 1)
+    for w, error, message in [
+            (coframe(T3, 0), ChartMismatchError, "the 1-form lives on torus(3), not on torus(2)"),
+            (coframe(T2, 0) * sin_wave(T2, (1, 0)), ValueError,
+             "the twisting 1-form must have constant coefficients")]:
+        with pytest.raises(error) as info:
+            lichnerowicz_kernel_dim(T2, w, 1, 1)
+        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        lichnerowicz_kernel_dim(T2, coframe(T2, 0), -1, 1)
+    assert str(info.value) == "degree must be non-negative, got -1"
+
+
+@pytest.mark.parametrize("kind", sorted(_KERNELS))
+def test_only_the_latest_field_is_held(monkeypatch, kind):
+    """After calls on two fields only the second is kept, and the first
+    one's model is freed by reference counting alone: no cycle holds it."""
+    import gc
+    import weakref
+
+    from pairform import cohomology
+
+    monkeypatch.setattr(cohomology, "_SHARED", {})
+    first, second = ((1, 2), (2, 2)) if kind != "lichnerowicz" else ((1, 0), (gq(0, 1), 2))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _KERNELS[kind](T2, first, 1, 2)
+        _KERNELS[kind](T2, first, 2, 1)
+        ref = weakref.ref(cohomology._SHARED[kind][1][0].model)
+        _KERNELS[kind](T2, second, 1, 2)
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert list(cohomology._SHARED) == [kind]
+    assert cohomology._SHARED[kind][0] == (T2, _exact(second))
+
+
+def test_every_kernel_call_certifies_its_own_degree(monkeypatch):
+    from pairform import cohomology
+
+    monkeypatch.setattr(cohomology, "_SHARED", {})
+    seen = []
+    certify = cohomology._certify
+
+    def counting(points, d_op, h_op, coefficients, degrees):
+        seen.append(degrees)
+        return certify(points, d_op, h_op, coefficients, degrees)
+
+    monkeypatch.setattr(cohomology, "_certify", counting)
+    expected = []
+    for max_freq in (1, 2, 1):
+        for degree in range(4):
+            for kind in _KERNELS:
+                _KERNELS[kind](T2, (1, 2), degree, max_freq)
+                expected.append((degree,))
+    assert seen == expected
+
+
+def test_the_certificate_splits_each_matrix_once_and_skips_zero_parts(monkeypatch):
+    """`_parts` splits each (op, src, dst) once per model, shared between the
+    d.d check and the homotopy certificate, and no product with an all-zero
+    part is taken (M_0 = 0 for the pair differential and homotopy)."""
+    from pairform import cohomology
+    from pairform.cohomology import _PairModel
+
+    split, matmul = cohomology._split, cohomology.zi_matmul
+    splits, products = [], []
+    monkeypatch.setattr(cohomology, "_split", lambda mats: splits.append(1) or split(mats))
+    monkeypatch.setattr(cohomology, "zi_matmul",
+                        lambda left, right: products.append((left, right)) or matmul(left, right))
+    model = _PairModel(T3, constant_field(T3, (1, 2, 0)), 1)
+    monkeypatch.setattr(cohomology, "_eliminate", lambda model, blocks: dict.fromkeys(
+        model.degrees, 0))
+    model.certified_ranks()
+    assert len(splits) == len(model._cache["parts"]) == 2 * (len(model.degrees) - 1) + 2
+    assert products and all(any(left) and any(right) for left, right in products)

@@ -39,6 +39,17 @@ def test_harmonic_report_matches_golden_file():
     assert report.to_dict() == expected
 
 
+def test_harmonic_report_over_a_wider_band_matches_golden_file_byte_for_byte():
+    """Pins `harmonic --max-freq 3`, whose kernel checks alternate between
+    the bands N = 1 and N = 3 inside each degree."""
+    from pairform.cli import build_parser, scenario_from_args
+
+    argv = ["harmonic", "--max-freq", "3"]
+    scenario = scenario_from_args(build_parser().parse_args(argv))
+    report = run(scenario, clock=_fake_clock())
+    assert report.to_json() + "\n" == (GOLDEN / "harmonic_n3.json").read_text()
+
+
 def test_identity_report_matches_golden_file_byte_for_byte():
     """Pins the identity suite's check ids, verdicts and witnesses on a
     40-trial seed-3 run, as rendered to JSON."""

@@ -231,6 +231,18 @@ def test_zi_elimination_matches_oracle_on_random_block_matrices():
                 [[vec.get(c, ZERO) for c in range(len(columns))] for vec in basis])) == len(basis)
 
 
+def _dense_product(left, right, outer):
+    """left . right summed entry by entry over Q(i), as a RationalMatrix."""
+    dense = {}
+    for c, col in enumerate(right):
+        for r in range(outer):
+            total = sum((gq(*left[k][r]) * gq(*v) for k, v in col.items() if r in left[k]),
+                        ZERO)
+            if total:
+                dense[(r, c)] = total
+    return RationalMatrix(outer, len(right), dense)
+
+
 def test_zi_products_match_dense_products():
     rng = random.Random(31)
     for _ in range(100):
@@ -238,13 +250,30 @@ def test_zi_products_match_dense_products():
         inner = max(len(left), 1 + max((r for col in right for r in col), default=0))
         outer = 1 + max((r for col in left for r in col), default=0)
         left = left + [{} for _ in range(inner - len(left))]
-        dense = {}
-        for c, col in enumerate(right):
-            for r in range(outer):
-                total = sum((gq(*left[k][r]) * gq(*v) for k, v in col.items() if r in left[k]),
-                            ZERO)
-                if total:
-                    dense[(r, c)] = total
-        product = RationalMatrix(outer, len(right), dense)
+        product = _dense_product(left, right, outer)
         assert _as_matrix(zi_matmul(left, right), outer) == product
         assert _as_matrix(left, outer).matmul(_as_matrix(right, inner)) == product
+
+
+def test_zi_products_with_empty_columns_on_both_sides():
+    """Empty columns of `right` give empty product columns in place, and
+    empty columns of `left` contribute nothing."""
+    left = [{0: (1, 2), 2: (-3, 0)}, {}, {1: (0, -1)}, {}, {0: (2, 2), 1: (1, 0)}]
+    right = [{}, {0: (1, 0), 1: (4, -1), 3: (2, 0)}, {}, {1: (5, 5), 3: (-1, 1)},
+             {2: (0, 3), 4: (1, 1)}, {}]
+    cases = [(left, right), (left, [{1: (1, 0)}, {}, {3: (2, 0)}])]
+    rng = random.Random(32)
+    for _ in range(50):
+        left, right = _random_zi_columns(rng), _random_zi_columns(rng)
+        inner = max(len(left), 1 + max((r for col in right for r in col), default=0))
+        left = left + [{} for _ in range(inner - len(left))]
+        for cols in (left, right):
+            for c in rng.sample(range(len(cols)), len(cols) // 2):
+                cols[c] = {}
+        cases.append((left, right))
+    for left, right in cases:
+        outer = 1 + max((r for col in left for r in col), default=0)
+        product = zi_matmul(left, right)
+        assert len(product) == len(right)
+        assert all(not product[c] for c, col in enumerate(right) if not col)
+        assert _as_matrix(product, outer) == _dense_product(left, right, outer)
