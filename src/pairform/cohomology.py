@@ -37,12 +37,13 @@ on the modes where that value vanishes and invertible on the others, so
 their kernels are read off those modes, where only the joint kernel of
 pair_d and pair_codiff is taken.  No global matrix is built.
 
-Each kernel kind keeps what does not depend on the degree or the band for
-its latest chart and exact field or 1-form coefficients only (`_SHARED`):
-the model's memos, the blocks of 0 and e_i with their matrices and parts,
-the closed form's coefficients and, per band, the resonant blocks.  The
-operators are read on every call and key every memo; each call still checks
-its inputs, certifies its own degree and takes its own joint kernel.
+The kernels keep what does not depend on the degree (`_shared`), for one
+key only, the latest kernel name, chart and exact field or 1-form
+coefficients of any kernel: the model's memos, the blocks of 0 and e_i with
+their matrices and parts, the closed form's coefficients and the latest
+band's resonant blocks.  The operators are read on every call and key every
+memo; each call still checks its inputs, certifies its own degree and takes
+its own joint kernel.
 
 Operators that mix frequencies (a pair differential twisted by a non-closed
 1-form) escape every finite band; such scenarios are rejected rather than
@@ -55,7 +56,7 @@ import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from math import comb as _math_comb
 
 from .charts import Chart, ChartKind, ChartMismatchError, bidegree_index_sets
@@ -168,9 +169,9 @@ def _symbol(model: "_Model", op, side, idx) -> list:
     Every c(k) above is affine in k (sigma_j and lambda are linear, w_j and
     the minors constant), so every entry of a one-mode block matrix is
     affine in k on a basis that does not depend on k.  `_certify` rests on
-    this when it reads a matrix off its blocks at 0 and e_i only (`_holds`):
-    a model may declare a `homotopy`, and a Laplacian may be certified,
-    only if every symbol kind of its operators is affine in k.
+    this when it reads a matrix off its blocks at 0 and e_i only
+    (`_parts_hold`): a model may declare a `homotopy`, and a Laplacian may be
+    certified, only if every symbol kind of its operators is affine in k.
     """
     out = []
     for src, dst, sign, kind in op:
@@ -236,9 +237,10 @@ class _Block:
     def index(self, degree) -> dict:
         """The position in `tags(degree)` of the first tag of each (side, k)."""
         if degree not in self._index:
-            index = self._index[degree] = {}
+            index = {}
             for i, (side, k, _) in enumerate(self.tags(degree)):
                 index.setdefault((side, k), i)
+            self._index[degree] = index
         return self._index[degree]
 
     def matrix(self, op, src: int, dst: int) -> list:
@@ -370,16 +372,11 @@ def _parts(points: list, op, src: int, dst: int) -> list:
     return cache[op, src, dst]
 
 
-def _holds(left: list, right: list, coefficients: dict) -> bool:
-    """Whether L(k) R(k) = q(k) I for all k, L and R affine in k and given at
-    0, e_1, ..., e_n, q with `coefficients` (zero where absent)."""
-    return _parts_hold(_split(left), _split(right), coefficients)
-
-
 def _parts_hold(left: list, right: list, coefficients: dict) -> bool:
-    """`_holds` on the parts of L and R: whether 2 (L_a R_b + L_b R_a) (L_a R_a
-    once if a = b) is 2 q_ab I for a <= b.  A product with an all-zero part
-    is zero and is not taken."""
+    """Whether L(k) R(k) = q(k) I for all k, L and R affine in k and given by
+    their `_split` parts, q with `coefficients` (zero where absent): whether
+    2 (L_a R_b + L_b R_a) (L_a R_a once if a = b) is 2 q_ab I for a <= b.  A
+    product with an all-zero part is zero and is not taken."""
     live = [any(m) for m in left], [any(m) for m in right]
     for a, b in itertools.combinations_with_replacement(range(len(left)), 2):
         products = [zi_matmul(left[i], right[j]) for i, j in {(a, b), (b, a)}
@@ -395,10 +392,9 @@ def _parts_hold(left: list, right: list, coefficients: dict) -> bool:
 
 def _certify(points: list, d_op, h_op, coefficients: dict, degrees):
     """The lowest of `degrees` where D H + H D = [H | D] . [D ; H] is not
-    q(k) I (`_holds`), D and H with symbol blocks `d_op` and `h_op`, q with
-    `coefficients`, `points` the blocks of `_unit_modes`; None if none."""
-    def parts(op, src, dst):
-        return _parts(points, op, src, dst)
+    q(k) I (`_parts_hold`), D and H with symbol blocks `d_op` and `h_op`, q
+    with `coefficients`, `points` the blocks of `_unit_modes`; None if none."""
+    parts = partial(_parts, points)
     return next((d for d in degrees if not _parts_hold(
         [h + low for h, low in zip(parts(h_op, d + 1, d), parts(d_op, d - 1, d))],
         [_stack(up, h, len(points[0].tags(d + 1)))
@@ -822,39 +818,51 @@ def _require_degree(degree: int) -> None:
         raise ValueError(f"degree must be non-negative, got {degree}")
 
 
-# kernel kind -> ((chart, coefficients), blocks of `_unit_modes`, memo of q's
-# coefficients per (D, Cod) and of the resonant blocks per (D, Cod, band))
-_SHARED = {}
+@dataclass(frozen=True)
+class _SharedKey:
+    """A kernel's name, chart and exact field or 1-form coefficients, the key
+    of `_shared`; `model`, one model of them, is left out of equality."""
+
+    kind: str
+    chart: Chart
+    coeffs: tuple
+    model: "_Model" = field(compare=False)
+
+
+@lru_cache(maxsize=1)
+def _shared(key: _SharedKey) -> tuple:
+    """The blocks of `_unit_modes` on `key.model`, and empty memos of q's
+    coefficients and of the latest band's resonant blocks per (D, Cod); held
+    for the latest key of any kernel only."""
+    return [_mode_block(key.model, k) for k in _unit_modes(key.chart.nvars)], {}, {}
 
 
 def _resonant(model: _Model, degree: int, d_op, cod_op, value, message: str,
-              kind: str = None) -> list:
+              kind: str) -> list:
     """The blocks of the band modes k where q(k) = 0, once `_certify` has
     found Cod D + D Cod = q(k) I at `degree`, q the quadratic that value
     fixes (AssertionError(message) if not).  That Laplacian is zero on these
     blocks and invertible on every other mode, where its kernel, and the
-    joint kernel of D and Cod inside it, are empty.  A kernel `kind` reuses
-    what `_SHARED` holds of its latest call if the chart and coefficients
-    are equal, and replaces it otherwise."""
-    key = model.charts["F"], model.coeffs
-    entry = _SHARED.get(kind)
-    if entry is None or entry[0] != key:
-        entry = key, [_mode_block(model, k) for k in _unit_modes(model.charts["F"].nvars)], {}
-        if kind is not None:
-            _SHARED[kind] = entry
-    _, points, memo = entry
-    if (d_op, cod_op) not in memo:
-        memo[d_op, cod_op] = _coefficients(value, len(points) - 1)
-    coefficients = memo[d_op, cod_op]
+    joint kernel of D and Cod inside it, are empty.  The unit-mode blocks,
+    q's coefficients and the resonant blocks come from `_shared`, under the
+    kernel's name `kind` (q depends on it)."""
+    chart = model.charts["F"]
+    points, coefficient_memo, band_memo = _shared(
+        _SharedKey(kind, chart, model.coeffs, model))
+    ops = d_op, cod_op
+    if ops not in coefficient_memo:
+        coefficient_memo[ops] = _coefficients(value, chart.nvars)
+    coefficients = coefficient_memo[ops]
     if _certify(points, d_op, cod_op, coefficients, (degree,)) is not None:
         raise AssertionError(message)
-    band = d_op, cod_op, len(model.modes["F"])
-    if band not in memo:
+    nmodes, blocks = band_memo.get(ops, (None, None))
+    if nmodes != len(model.modes["F"]):
         nonzero = {key: c for key, c in coefficients.items() if c != (0, 0)}
         at = {b.modes["F"][0]: b for b in points}
-        memo[band] = [at.get(k) or _mode_block(points[0].model, k) for k in model.modes["F"]
-                      if _doubled_value(nonzero, k) == (0, 0)]
-    return memo[band]
+        blocks = [at.get(k) or _mode_block(points[0].model, k) for k in model.modes["F"]
+                  if _doubled_value(nonzero, k) == (0, 0)]
+        band_memo[ops] = len(model.modes["F"]), blocks
+    return blocks
 
 
 def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) -> HarmonicKernel:

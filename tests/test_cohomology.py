@@ -860,11 +860,14 @@ def _zi_mul(x, y):
 
 def test_holds_checks_every_coefficient_of_a_product():
     """L(k) R(k) = (l(k) . r(k)) I for a seeded random affine Z[i] row l(k)
-    and column r(k), each repeated down a block diagonal: `_holds` accepts
-    it against the quadratic l(k) . r(k) from its values, and refuses it
-    once that quadratic gets one more linear, square or cross term, or L
-    one more entry."""
-    from pairform.cohomology import _coefficients, _holds, _unit_modes
+    and column r(k), each repeated down a block diagonal: `_parts_hold`
+    accepts their `_split` parts against the quadratic l(k) . r(k) from its
+    values, and refuses them once that quadratic gets one more linear,
+    square or cross term, or L one more entry."""
+    from pairform.cohomology import _coefficients, _parts_hold, _split, _unit_modes
+
+    def holds(left, right, coefficients):
+        return _parts_hold(_split(left), _split(right), coefficients)
 
     rng = random.Random(15)
     for n in range(1, 5):
@@ -891,15 +894,15 @@ def test_holds_checks_every_coefficient_of_a_product():
 
             units = _unit_modes(n)
             lefts, rights = [left(k) for k in units], [right(k) for k in units]
-            assert _holds(lefts, rights, _coefficients(value, n))
+            assert holds(lefts, rights, _coefficients(value, n))
             extras = [lambda k: k[0], lambda k: k[-1] ** 2] + (
                 [lambda k: k[0] * k[1]] if n > 1 else [])
             for extra in extras:
-                assert not _holds(lefts, rights,
+                assert not holds(lefts, rights,
                                   _coefficients(lambda k, e=extra: value(k, e), n))
             stray = [[dict(col) for col in mat] for mat in lefts]
             stray[-1][0][size] = (1, 0)
-            assert not _holds(stray, rights, _coefficients(value, n))
+            assert not holds(stray, rights, _coefficients(value, n))
 
 
 def _combine(*terms):
@@ -1174,7 +1177,7 @@ def test_certified_lichnerowicz_kernel_equals_the_all_blocks_path(n, max_freq, c
             all_blocks_kernel_dim(model, degree, _TWISTED_D, _TWISTED_CODIFF)
 
 
-def test_kernels_are_taken_on_the_resonant_modes_only():
+def test_kernels_are_taken_on_the_resonant_modes_only(cleared_shared):
     from pairform.cohomology import (
         _PAIR_CODIFF,
         _PAIR_CODIFF_SKEW,
@@ -1187,7 +1190,7 @@ def test_kernels_are_taken_on_the_resonant_modes_only():
         model = _PairModel(T2, constant_field(T2, coeffs), 2)
         return [b.modes for b in _resonant(model, 1, model.op, cod,
                                            lambda k: _closed_value(model, k, sign),
-                                           "closed form")]
+                                           "closed form", "harmonic" if sign > 0 else "corrected")]
 
     axis = [{"F": [k], "S": [k]} for k in ((-2, 0), (-1, 0), (0, 0), (1, 0), (2, 0))]
     zero = [{"F": [(0, 0)], "S": [(0, 0)]}]
@@ -1316,51 +1319,47 @@ def _exact(coeffs):
     return tuple(c if isinstance(c, GaussianRational) else gq(c) for c in coeffs)
 
 
+@pytest.fixture
+def cleared_shared():
+    """`cohomology._shared`, empty when the test starts and when it ends."""
+    from pairform import cohomology
+
+    cohomology._shared.cache_clear()
+    yield cohomology._shared
+    cohomology._shared.cache_clear()
+
+
 def _shared_call_sequence(rng):
     """(kind, chart, coefficients, degree, band) calls of the three kernels
-    over T1-T3, every degree 0..n+1 and N in {1, 2, 3}: per kind, the calls
-    of one field or form come in two shuffled runs placed apart, and the
-    three kinds' sequences are interleaved at random."""
-    per_kind = []
+    over T1-T3, every degree 0..n+1 and N in {1, 2, 3}: the calls of one
+    kind and field or form come in two shuffled runs, and the runs of all
+    kinds and fields are shuffled together."""
+    runs = []
     for kind in _KERNELS:
         table = _SHARED_FORMS if kind == "lichnerowicz" else _SHARED_FIELDS
-        runs = []
         for chart, fields in table.items():
             for coeffs in fields:
                 calls = [(kind, chart, coeffs, p, n)
                          for p, n in itertools.product(range(chart.dim + 2), (1, 2, 3))]
                 rng.shuffle(calls)
                 runs += [calls[:len(calls) // 2], calls[len(calls) // 2:]]
-        rng.shuffle(runs)
-        per_kind.append([call for run in runs for call in run])
-    out = []
-    while any(per_kind):
-        out.append(rng.choice([calls for calls in per_kind if calls]).pop(0))
-    return out
+    rng.shuffle(runs)
+    return [call for run in runs for call in run]
 
 
-def test_shared_kernel_state_gives_the_results_of_a_cleared_cache(monkeypatch):
+def test_shared_kernel_state_gives_the_results_of_a_cleared_cache(cleared_shared):
     """Every kernel result of a seeded, interleaved call sequence (dims,
     vectors, witness) equals the same call made on a cleared cache, on
     calls that reuse the shared state and on calls that replace it."""
-    from pairform import cohomology
-
-    monkeypatch.setattr(cohomology, "_SHARED", {})
-    hits = misses = 0
-    for kind, chart, coeffs, degree, max_freq in _shared_call_sequence(random.Random(20)):
-        held = cohomology._SHARED.get(kind)
-        if held and held[0] == (chart, _exact(coeffs)):
-            hits += 1
-        else:
-            misses += 1
-        warm = _KERNELS[kind](chart, coeffs, degree, max_freq)
-        saved = dict(cohomology._SHARED)
-        cohomology._SHARED.clear()
-        assert warm == _KERNELS[kind](chart, coeffs, degree, max_freq), \
+    calls = _shared_call_sequence(random.Random(20))
+    warm = [_KERNELS[kind](chart, coeffs, degree, max_freq)
+            for kind, chart, coeffs, degree, max_freq in calls]
+    info = cleared_shared.cache_info()
+    for (kind, chart, coeffs, degree, max_freq), result in zip(calls, warm):
+        cleared_shared.cache_clear()
+        assert _KERNELS[kind](chart, coeffs, degree, max_freq) == result, \
             (kind, chart, coeffs, degree, max_freq)
-        cohomology._SHARED.clear()
-        cohomology._SHARED.update(saved)
-    assert hits > 100 and misses > 20
+    assert info.hits > 100 and info.misses > 20
 
 
 @pytest.mark.parametrize("name, flipped, kind, message", [
@@ -1377,27 +1376,27 @@ def test_shared_kernel_state_gives_the_results_of_a_cleared_cache(monkeypatch):
     ("_TWISTED_CODIFF", _FLIPPED["twisted codiff"], "lichnerowicz",
      "Lichnerowicz Laplacian disagrees with its closed form"),
 ], ids=["harmonic-codiff", "harmonic-d", "corrected-d", "corrected-skew", "lichnerowicz"])
-def test_a_patched_operator_fails_after_a_warm_call(monkeypatch, name, flipped, kind, message):
+def test_a_patched_operator_fails_after_a_warm_call(monkeypatch, cleared_shared, name, flipped,
+                                                    kind, message):
     """The kernels read their operators on every call, so an operator
-    patched after calls on the same field and band is certified anew."""
+    patched after calls of every kernel on the same field and band is
+    certified anew, against its own kernel's closed form."""
     from pairform import cohomology
 
-    monkeypatch.setattr(cohomology, "_SHARED", {})
     coeffs = (1, 2) if kind != "lichnerowicz" else (1, 0)
-    for degree in range(4):
-        _KERNELS[kind](T2, coeffs, degree, 1)
+    for warm in ("lichnerowicz",) if kind == "lichnerowicz" else ("harmonic", "corrected"):
+        for degree in range(4):
+            _KERNELS[warm](T2, coeffs, degree, 1)
     monkeypatch.setattr(cohomology, name, flipped)
     with pytest.raises(AssertionError) as info:
         _KERNELS[kind](T2, coeffs, 1, 1)
     assert str(info.value) == message
 
 
-def test_inputs_are_still_refused_after_a_call_on_an_equal_field(monkeypatch):
-    from pairform import cohomology
+def test_inputs_are_still_refused_after_a_call_on_an_equal_field(cleared_shared):
     from pairform.exterior import VectorField
     from pairform.scalar import zero as scalar_zero
 
-    monkeypatch.setattr(cohomology, "_SHARED", {})
     wavy = VectorField(T2, (sin_wave(T2, (1, 0)), scalar_zero(T2)))
     for kernel in (harmonic_kernel, corrected_laplacian_kernel_dim):
         kernel(T2, _t2_field(), 1, 1)
@@ -1428,35 +1427,42 @@ def test_inputs_are_still_refused_after_a_call_on_an_equal_field(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", sorted(_KERNELS))
-def test_only_the_latest_field_is_held(monkeypatch, kind):
+def test_only_the_latest_field_is_held(cleared_shared, kind):
     """After calls on two fields only the second is kept, and the first
     one's model is freed by reference counting alone: no cycle holds it."""
     import gc
     import weakref
 
-    from pairform import cohomology
+    from pairform.cohomology import _DeRhamModel, _PairModel, _SharedKey
 
-    monkeypatch.setattr(cohomology, "_SHARED", {})
+    def held(coeffs):
+        """The model of the blocks `_shared` holds for `coeffs`, looked up
+        with a new model of them."""
+        model = (_DeRhamModel(T2, 1, _one_form(T2, coeffs)) if kind == "lichnerowicz"
+                 else _PairModel(T2, constant_field(T2, coeffs), 1))
+        return cleared_shared(_SharedKey(kind, T2, model.coeffs, model))[0][0].model
+
     first, second = ((1, 2), (2, 2)) if kind != "lichnerowicz" else ((1, 0), (gq(0, 1), 2))
     enabled = gc.isenabled()
     gc.disable()
     try:
         _KERNELS[kind](T2, first, 1, 2)
         _KERNELS[kind](T2, first, 2, 1)
-        ref = weakref.ref(cohomology._SHARED[kind][1][0].model)
+        ref = weakref.ref(held(first))
         _KERNELS[kind](T2, second, 1, 2)
         assert ref() is None
     finally:
         if enabled:
             gc.enable()
-    assert list(cohomology._SHARED) == [kind]
-    assert cohomology._SHARED[kind][0] == (T2, _exact(second))
+    info = cleared_shared.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 2, 1)
+    assert held(second).coeffs == _exact(second)
+    assert cleared_shared.cache_info().hits == 3
 
 
-def test_every_kernel_call_certifies_its_own_degree(monkeypatch):
+def test_every_kernel_call_certifies_its_own_degree(monkeypatch, cleared_shared):
     from pairform import cohomology
 
-    monkeypatch.setattr(cohomology, "_SHARED", {})
     seen = []
     certify = cohomology._certify
 
