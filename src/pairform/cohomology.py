@@ -17,25 +17,26 @@ applied symbolically here.  The symbolic reference that the tests compare
 every matrix against lives in the test suite.
 
 So every band matrix is block-diagonal, and the engine works one block at a
-time.  A block (`_Block`) is one mode k, with its forms on both slots; over
-a torus map it is one source mode together with every target mode k whose
-A^T k equals it.  A block's matrices are Z[i] column matrices (see `linalg`)
-written straight from the symbols' integers, every entry times the model's
-one denominator `scale`, and built once per block.
+time.  A block (`_Block`) lists its modes per side: one mode k on every
+side, over a torus map a target mode k with its source mode A^T k, or one
+side's mode alone.  A block's matrices are Z[i] column matrices (see
+`linalg`) written straight from the symbols' integers, every entry times
+the model's one denominator `scale`, and built once per block.
 
 Every entry of a one-mode block matrix is affine in k, so `_certify` checks
 D H + H D = value(k) I on every mode of every band at once, on the
-coefficients of a quadratic in k, from the blocks of 0 and e_i only.  The
-pair, pair-eta, de Rham and Dolbeault models declare a contracting homotopy
-H (the codifferential, or dbar*, on each slot; the Koszul complex's) with
-value t(k), zero only at k = 0; with d.d = 0 checked the same way, every
-nonzero mode is acyclic, and only the zero mode is eliminated.  The
-relative and primed models, whose blocks group modes, eliminate block by
-block.  The pair, corrected pair and Lichnerowicz Laplacians, certified
-against t(k) + lambda(k)^2, t(k) - lambda(k)^2 and t(k) + <w, w>, are zero
-on the modes where that value vanishes and invertible on the others, so
-their kernels are read off those modes, where only the joint kernel of
-pair_d and pair_codiff is taken.  No global matrix is built.
+coefficients of a quadratic in k, from the blocks of 0 and e_i only.  Every
+band model declares a contracting homotopy H (the codifferential, or dbar*,
+on each slot; the Koszul complex's) with value t(k), zero only at k = 0,
+certified on both slots at once or, over a torus map, on each side alone
+(`_MapModel`).  With d.d = 0 checked the same way, only the block of every
+side at mode 0 is eliminated; every other rank is filled from column
+counts.  The pair, corrected pair and
+Lichnerowicz Laplacians, certified against t(k) + lambda(k)^2,
+t(k) - lambda(k)^2 and t(k) + <w, w>, are zero on the modes where that
+value vanishes and invertible on the others, so their kernels are read off
+those modes, where only the joint kernel of pair_d and pair_codiff is
+taken.  No global matrix is built.
 
 The kernels keep what does not depend on the degree (`_shared`), for one
 key only, the latest kernel name, chart and exact field or 1-form
@@ -364,12 +365,13 @@ def _split(mats: list) -> list:
 
 def _parts(points: list, op, src: int, dst: int) -> list:
     """`_split` of the matrix of `op` from degree `src` to `dst` on `points`,
-    the blocks of `_unit_modes` of one model; once per model and (op, src,
-    dst)."""
+    the blocks of `_unit_modes` of one model on the same sides; once per
+    model, sides and (op, src, dst)."""
     cache = points[0].model._cache["parts"]
-    if (op, src, dst) not in cache:
-        cache[op, src, dst] = _split([b.matrix(op, src, dst) for b in points])
-    return cache[op, src, dst]
+    key = tuple(points[0].modes), op, src, dst
+    if key not in cache:
+        cache[key] = _split([b.matrix(op, src, dst) for b in points])
+    return cache[key]
 
 
 def _parts_hold(left: list, right: list, coefficients: dict) -> bool:
@@ -409,17 +411,16 @@ class _Model:
     degree p, side "S" in degree p-1.  Each subclass checks its inputs in
     `__init__` and sets `label`, `degrees`, `charts`, `modes` (all three by
     `pair_slots` for two slots on one chart), `op` (the
-    differential as symbol blocks) and, when a block needs them, the constant
-    frame coefficients `coeffs` of the field or 1-form, and for a pullback
-    `minors` and `pull`; `assemble` builds every matrix from `_symbol`, one
-    `_Block` at a time.  A model whose blocks are single modes may declare a
-    contracting `homotopy`, and is then assembled by `certified_ranks`."""
+    differential as symbol blocks), its contracting `homotopy` and, when a
+    block needs them, the constant frame coefficients `coeffs` of the field or
+    1-form, and for a pullback `minors` and `pull`; `assemble` builds every
+    matrix from `_symbol`, one `_Block` at a time, in `certified_ranks`."""
 
     degrees: tuple
     charts: dict
     modes: dict
     op: tuple
-    homotopy: tuple = None
+    homotopy: tuple
     coeffs: tuple = ()
 
     def pair_slots(self, chart: Chart, top: int, max_freq: int) -> None:
@@ -468,19 +469,10 @@ class _Model:
         return [(side, k, idx) for side in self.charts for k in self.modes[side]
                 for idx in self.index_sets(side, degree - _SHIFT[side])]
 
-    def block_key(self, side, k):
-        """The block of mode k on `side`: operators that keep modes give one
-        block per mode."""
-        return k
-
-    def blocks(self):
-        """The model's blocks, in the order of their first mode in the basis,
-        each built when it is reached."""
-        groups = {}
-        for side in self.charts:
-            for k in self.modes[side]:
-                groups.setdefault(self.block_key(side, k), {}).setdefault(side, []).append(k)
-        return (_Block(self, modes) for modes in groups.values())
+    def size(self, degree) -> int:
+        """The number of basis tags of this degree."""
+        return sum(len(self.modes[side]) * len(self.index_sets(side, degree - _SHIFT[side]))
+                   for side in self.charts)
 
     @cached_property
     def unit(self) -> int:
@@ -528,44 +520,54 @@ class _Model:
             cache[k] = re, im
         return cache[k]
 
-    def homotopy_value(self, k) -> int:
-        """t(k) in D H + H D = t(k) I, times scale^2: |sigma_j(k)|^2 summed
+    def homotopy_value(self, k, side="F") -> int:
+        """t(k) in D H + H D = t(k) I on `side`, times scale^2: |sigma_j(k)|^2
         over the slots j that `homotopy` contracts, every slot of a real torus
         and the antiholomorphic ones of a complex torus; zero only at k = 0."""
-        chart = self.charts["F"]
+        chart = self.charts[side]
         return sum(a * a + b * b
-                   for a, b in self.sigma("F", k)[chart.dim if chart.is_complex else 0:])
+                   for a, b in self.sigma(side, k)[chart.dim if chart.is_complex else 0:])
+
+    def certificate(self) -> tuple:
+        """The point sets (blocks of `_unit_modes`) of `certified_ranks`:
+        those D.D = 0 is checked on, the first led by the zero block, and
+        (points, D, side) per piece with D H + H D = t(k) I, t the side's
+        `homotopy_value`; here one set of one block per mode serves both."""
+        points = [_mode_block(self, k) for k in _unit_modes(self.charts["F"].nvars)]
+        return [points], [(points, self.op, "F")]
 
     def certified_ranks(self) -> dict:
-        """The ranks of a model with a `homotopy`, certified for every band
-        at once (see the module docstring): D.D = 0 (`_parts_hold`) and
-        D H + H D = t(k) I (`_certify`) hold on every mode, the zero mode is
-        eliminated, and an acyclic mode's rank in degree q is its size there
-        minus its rank in degree q - 1, since a cycle x is D(Hx)/t(k)."""
-        nvars = self.charts["F"].nvars
-        points = [_mode_block(self, k) for k in _unit_modes(nvars)]
-        parts = [_parts(points, self.op, d, d + 1) for d in self.degrees[:-1]]
-        failed = next((d for d, low, high in zip(self.degrees, parts, parts[1:])
-                       if not _parts_hold(high, low, {})), None)
-        if failed is not None:
-            raise AssertionError(f"differentials fail to compose to zero at degree {failed}")
-        broken = _certify(points, self.op, self.homotopy,
-                          _coefficients(lambda k: (self.homotopy_value(k), 0), nvars),
-                          self.degrees[:-1])
+        """The ranks of the model, certified for every band at once: D.D = 0
+        (`_parts_hold`) and D H + H D = t(k) I (`_certify`) hold on every
+        mode of `certificate`'s point sets, so the zero block Z, every side
+        at mode 0, is eliminated, and every other column lies in an acyclic
+        summand, where r_q = c_q - r_(q-1), c_q the columns outside Z."""
+        checked, pieces = self.certificate()
+        failed = []
+        for points in checked:
+            parts = [_parts(points, self.op, d, d + 1) for d in self.degrees[:-1]]
+            failed += [d for d, low, high in zip(self.degrees, parts, parts[1:])
+                       if not _parts_hold(high, low, {})]
+        if failed:
+            raise AssertionError(f"differentials fail to compose to zero at degree {min(failed)}")
+        broken = [_certify(points, d_op, self.homotopy,
+                           _coefficients(lambda k, s=side: (self.homotopy_value(k, s), 0),
+                                         self.charts[side].nvars), self.degrees[:-1])
+                  for points, d_op, side in pieces]
+        broken = min((d for d in broken if d is not None), default=None)
         if broken is not None:
             raise AssertionError(
                 f"contracting homotopy disagrees with its closed form at degree {broken}")
-        ranks = _eliminate(self, points[:1])
-        nonzero = len(self.modes["F"]) - 1
+        zero = checked[0][0]
+        ranks = _eliminate(self, [zero])
         rank = 0
         for d in self.degrees[:-1]:
-            rank = len(points[0].tags(d)) - rank
-            ranks[d] += nonzero * rank
+            rank = self.size(d) - len(zero.tags(d)) - rank
+            ranks[d] += rank
         return ranks
 
     def assemble(self) -> BandComplex:
-        ranks = (_eliminate(self, self.blocks()) if self.homotopy is None
-                 else self.certified_ranks())
+        ranks = self.certified_ranks()
         out = BandComplex(self.label, tuple(self.degrees))
         for d in self.degrees:
             out.basis[d] = tuple(self.basis(d))
@@ -637,18 +639,45 @@ class _PairEtaModel(_Model):
 
 
 class _MapModel(_Model):
-    """A band model over an integer-linear torus map: a block is one mode of
-    the map's source together with every mode k of its target, on side
-    `target_side`, whose A^T k equals it."""
+    """A band model over an integer-linear torus map A, its target on side
+    `target_side`: diag(d, -d) plus at most a cross block from the target
+    side to the source side, lambda(A^T k) times a minor of A at the target
+    mode k (L_X f^*; none in the primed complex), so the mapping cone of that
+    cross map.  A cone of acyclic complexes is acyclic (Weibel, An
+    Introduction to Homological Algebra, 1.5), so each side's homotopy is
+    certified alone and only the zero block Z is eliminated.  That is exact:
+    the cross symbol is 0 where A^T k = 0, so Z splits off as a direct
+    summand, and every other column lies in a cone of the two sides at
+    nonzero modes or in a de Rham piece at a target mode k != 0 in ker A^T,
+    both acyclic."""
 
     target_side: str
+
+    def map_slots(self, cmap: ChartMap, op) -> None:
+        """`op` with the pair homotopy in degrees 0..top+2, top the larger
+        chart's slot count, and A^T for `pull`."""
+        self.op, self.homotopy = op, _PAIR_HOMOTOPY
+        self.degrees = tuple(range(max(cmap.source.nslots, cmap.target.nslots) + 3))
+        self._transpose = list(zip(*cmap.matrix))
 
     def pull(self, k) -> tuple:
         """The source mode A^T k of the target mode k."""
         return tuple(sum(r * v for r, v in zip(row, k)) for row in self._transpose)
 
-    def block_key(self, side, k):
-        return self.pull(k) if side == self.target_side else k
+    def certificate(self) -> tuple:
+        """D.D = 0 on the blocks of a target mode k of `_unit_modes` with its
+        source mode A^T k (affine in k; the first is Z) and on the source
+        side's own blocks; each side's diagonal part of `op` with its part of
+        `homotopy` on the side's own blocks."""
+        target = self.target_side
+        coupled = [_Block(self, {side: [k if side == target else self.pull(k)]
+                                 for side in self.charts})
+                   for k in _unit_modes(self.charts[target].nvars)]
+        own = {side: [_Block(self, {side: [k]}) for k in _unit_modes(chart.nvars)]
+               for side, chart in self.charts.items()}
+        diagonal = tuple(block for block in self.op if block[0] == block[1])
+        (source,) = set(self.charts) - {target}
+        return [coupled, own[source]], [(own[side], diagonal, side) for side in self.charts]
 
 
 class _RelativeModel(_MapModel):
@@ -663,11 +692,8 @@ class _RelativeModel(_MapModel):
         if x.chart != cmap.source:
             raise ChartMismatchError(f"the vector field lives on {x.chart}, not {cmap.source}")
         self.label = f"relative/{cmap.source}->{cmap.target}"
-        self.op = _REL_D
-        top = max(cmap.source.nslots, cmap.target.nslots)
-        self.degrees = tuple(range(top + 3))
+        self.map_slots(cmap, _REL_D)
         target_modes = _modes(cmap.target.nvars, max_freq)
-        self._transpose = list(zip(*cmap.matrix))
         source_modes = set(_modes(cmap.source.nvars, max_freq))
         source_modes |= {self.pull(k) for k in target_modes}
         self.charts = {"F": cmap.target, "S": cmap.source}
@@ -699,16 +725,13 @@ class _PrimedEtaModel(_MapModel):
             raise ChartMismatchError(
                 f"the twisting form lives on {eta.chart}, not {cmap.target}")
         if eta.degree != 1:
-            raise ChartMismatchError("eta must be a 1-form on the map's target")
+            raise ValueError("twisting form must be a 1-form")
         if not ext_d(eta).is_zero:
             raise UnsupportedScenarioError(
                 "the twisted relative differential mixes frequencies unless the "
                 "1-form is closed; refusing to report approximate dimensions")
         self.label = f"primed/{cmap.source}->{cmap.target}"
-        self.op = _UNCOUPLED_D
-        top = max(cmap.source.nslots, cmap.target.nslots)
-        self.degrees = tuple(range(top + 3))
-        self._transpose = list(zip(*cmap.matrix))
+        self.map_slots(cmap, _UNCOUPLED_D)
         self.charts = {"F": cmap.source, "S": cmap.target}
         self.modes = {side: _modes(chart.nvars, max_freq)
                       for side, chart in self.charts.items()}

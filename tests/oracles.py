@@ -24,6 +24,12 @@ The library checks each certified identity on the coefficients of a
 quadratic in the mode k; `point_set_certify` and `point_set_dd_failure`
 check it on its values at the 1 + 2n + C(n, 2) modes 0, +-e_i and
 e_i + e_j instead, which also fix a quadratic.
+
+The library eliminates only the block of every side at mode 0 and fills
+every other rank from column counts.  `blocks` splits a model into the
+finest blocks its differential keeps (one per mode, and over a torus map one
+source mode with every target mode k whose A^T k equals it), and
+`eliminated_ranks` ranks each of them by elimination instead.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from pairform.charts import ChartKind
 from pairform.cohomology import (
     HarmonicKernel,
     UnsupportedScenarioError,
+    _Block,
     _DeRhamModel,
     _DolbeaultModel,
     _PAIR_CODIFF,
@@ -45,6 +52,7 @@ from pairform.cohomology import (
     _PairModel,
     _PrimedEtaModel,
     _RelativeModel,
+    _eliminate,
     _mode_block,
     _stacked,
 )
@@ -383,6 +391,32 @@ def render_vector(band: SymbolicBand, degree: int, basis, vec) -> str:
     return str(total)
 
 
+# -- the model's blocks, each eliminated ----------------------------------------
+
+
+def block_key(model, side, k):
+    """The block of mode k on `side`: operators that keep modes give one
+    block per mode; over a torus map a target mode k (on the model's
+    `target_side`) joins the block of its source mode A^T k."""
+    return model.pull(k) if side == getattr(model, "target_side", None) else k
+
+
+def blocks(model) -> list:
+    """The model's blocks by `block_key`, in the order of their first mode
+    in the basis."""
+    groups = {}
+    for side in model.charts:
+        for k in model.modes[side]:
+            groups.setdefault(block_key(model, side, k), {}).setdefault(side, []).append(k)
+    return [_Block(model, modes) for modes in groups.values()]
+
+
+def eliminated_ranks(model) -> dict:
+    """The ranks of the model's differential by degree, by Bareiss
+    elimination (with d.d = 0 checked) on every one of its `blocks`."""
+    return _eliminate(model, blocks(model))
+
+
 # -- per-block library matrices on a global basis -----------------------------
 
 
@@ -403,19 +437,19 @@ def reassemble(pieces, src_basis, dst_basis, scale: int) -> RationalMatrix:
     return out
 
 
-def band_matrix(model, op, src_degree, dst_degree, blocks=None, src_basis=None,
+def band_matrix(model, op, src_degree, dst_degree, parts=None, src_basis=None,
                 dst_basis=None) -> RationalMatrix:
     """The library's block matrices of the operator `op` (symbol blocks) from
     `src_degree` to `dst_degree`, put back together on the global bases
-    (the model's by default).  The blocks (the model's by default) must
-    partition both bases."""
-    blocks = list(model.blocks()) if blocks is None else blocks
+    (the model's by default).  The blocks `parts` (the model's `blocks` by
+    default) must partition both bases."""
+    parts = blocks(model) if parts is None else parts
     src_basis = model.basis(src_degree) if src_basis is None else src_basis
     dst_basis = model.basis(dst_degree) if dst_basis is None else dst_basis
     for degree, basis in ((src_degree, src_basis), (dst_degree, dst_basis)):
-        assert sorted(tag for b in blocks for tag in b.tags(degree)) == sorted(basis)
+        assert sorted(tag for b in parts for tag in b.tags(degree)) == sorted(basis)
     return reassemble([(b.tags(src_degree), b.tags(dst_degree),
-                        b.matrix(op, src_degree, dst_degree)) for b in blocks],
+                        b.matrix(op, src_degree, dst_degree)) for b in parts],
                       src_basis, dst_basis, model.scale)
 
 
@@ -492,7 +526,7 @@ def all_blocks_harmonic(band: SymbolicBand, degree: int, max_freq: int) -> Harmo
     basis = model.basis(degree)
     index = {tag: i for i, tag in enumerate(basis)}
     lap, joint = [], []
-    for block in model.blocks():
+    for block in blocks(model):
         glob = [index[tag] for tag in block.tags(degree)]
         block_joint = _block_kernel(_stacked(block, degree, model.op, _PAIR_CODIFF), glob)
         joint += block_joint
@@ -514,5 +548,5 @@ def all_blocks_kernel_dim(model, degree: int, d_op, cod_op) -> int:
     """The kernel dimension of the anticommutator of the operators with
     symbol blocks `d_op` and `cod_op`, summed over `zi_kernel` on every
     block of the model."""
-    return sum(len(vectors) for block in model.blocks()
+    return sum(len(vectors) for block in blocks(model)
                for _, vectors in zi_kernel(anticommutator(block, degree, d_op, cod_op)))

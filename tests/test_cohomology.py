@@ -21,6 +21,7 @@ from pairform.cohomology import (
     pair_eta_complex,
     pair_predicted_dims,
     primed_eta_complex,
+    primed_predicted_dims,
     relative_complex,
     relative_predicted_dims,
 )
@@ -34,8 +35,10 @@ from oracles import (
     all_blocks_kernel_dim,
     anticommutator,
     band_matrix,
+    blocks,
     de_rham_band,
     dolbeault_band,
+    eliminated_ranks,
     laplace_eigenvalue,
     operator_matrix,
     pair_band,
@@ -198,9 +201,11 @@ def test_primed_complex_rejects_non_closed_eta():
 def test_primed_complex_rejects_eta_of_other_degree():
     from pairform.cohomology import primed_eta_complex
     shear = ChartMap(T2, T2, matrix=((1, 1), (0, 1)))
-    with pytest.raises(ChartMismatchError) as exc_info:
-        primed_eta_complex(shear.inverse(), parse_form(T2, "dx[1]^dx[2]"), 1)
-    assert str(exc_info.value) == "eta must be a 1-form on the map's target"
+    for text in ("dx[1]^dx[2]", "3"):
+        with pytest.raises(ValueError) as exc_info:
+            primed_eta_complex(shear.inverse(), parse_form(T2, text), 1)
+        assert exc_info.type is ValueError
+        assert str(exc_info.value) == "twisting form must be a 1-form"
 
 
 def test_dolbeault_dimensions_and_serre_symmetry():
@@ -431,7 +436,7 @@ def test_lichnerowicz_symbols_match_symbolic_reference(chart, max_freq):
             built = reassemble(
                 [(b.tags(degree), b.tags(degree),
                   anticommutator(b, degree, _TWISTED_D, _TWISTED_CODIFF))
-                 for b in model.blocks()], basis, basis, model.scale ** 2)
+                 for b in blocks(model)], basis, basis, model.scale ** 2)
             assert built == ref
 
 
@@ -533,7 +538,7 @@ def test_matrix_built_laplacians_match_symbolic_reference(chart, coeffs, max_fre
         basis = model.basis(degree)
         return reassemble([(b.tags(degree), b.tags(degree),
                             anticommutator(b, degree, model.op, cod))
-                           for b in model.blocks()], basis, basis, model.scale ** 2)
+                           for b in blocks(model)], basis, basis, model.scale ** 2)
 
     for degree in range(chart.dim + 3):
         lap, lap_kernel, joint_kernel, witness = _reference_harmonic(
@@ -725,9 +730,9 @@ def test_relative_complex_over_the_zero_map_holds_every_target_mode_in_one_block
     zero = ChartMap(T2, T1, matrix=((0, 0),))
     x = constant_field(T2, (1, 2))
     model = _RelativeModel(zero, x, 2)
-    (full,) = [b for b in model.blocks() if "F" in b.modes]
+    (full,) = [b for b in blocks(model) if "F" in b.modes]
     assert full.modes == {"F": model.modes["F"], "S": [(0, 0)]}
-    assert len(list(model.blocks())) == len(model.modes["S"])
+    assert len(blocks(model)) == len(model.modes["S"])
     assert relative_complex(zero, x, 2).dim_vector() == relative_predicted_dims(1, 2)
 
 
@@ -1077,21 +1082,15 @@ def test_coefficient_certificate_agrees_with_the_point_set_certificate(chart):
     assert verdicts == {True, False}
 
 
-def _eliminated(model):
-    """Ranks and dims of `model` by elimination on every block of it."""
-    from pairform.cohomology import _eliminate
-
-    ranks = _eliminate(model, model.blocks())
+def _assert_certified_equals_eliminated(model):
+    """The certified ranks, dims and basis of `model` equal those of
+    elimination on every one of its blocks."""
+    out = model.assemble()
+    ranks = eliminated_ranks(model)
     degrees = model.degrees
     dims = {d: len(model.basis(d)) - ranks[d] - (ranks[degrees[i - 1]] if i else 0)
             for i, d in enumerate(degrees)}
-    return ranks, dims
-
-
-def _assert_certified_equals_eliminated(model):
-    assert model.homotopy is not None
-    out = model.assemble()
-    assert (out.ranks, out.dims) == _eliminated(model)
+    assert (out.ranks, out.dims) == (ranks, dims)
     assert out.basis == {d: tuple(model.basis(d)) for d in model.degrees}
 
 
@@ -1134,6 +1133,77 @@ def test_certified_dolbeault_dims_equal_elimination(n):
         for p in range(n + 1):
             _assert_certified_equals_eliminated(_DolbeaultModel(chart, x, p, max_freq))
 
+
+# torus maps by their matrix A (rows: target slots): the identity, a shear,
+# doubling, an embedding, a projection, the zero maps, a GL(3,Z) map and a
+# non-square T3 -> T2
+_MAP_MATRICES = {"identity": ((1, 0), (0, 1)), "shear": ((1, 1), (0, 1)), "doubling": ((2,),),
+                 "embed T1->T2": ((1,), (0,)), "project T2->T1": ((1, 0),),
+                 "zero T2->T1": ((0, 0),), "zero T2->T2": ((0, 0), (0, 0)),
+                 "GL(3,Z)": ((2, 1, 0), (1, 1, 0), (0, 3, -1)),
+                 "T3->T2": ((1, 0, 2), (0, -1, 1))}
+
+
+def _torus_map(name):
+    rows = _MAP_MATRICES[name]
+    return ChartMap(torus(len(rows[0])), torus(len(rows)), matrix=rows)
+
+
+@pytest.mark.parametrize("name", sorted(_MAP_MATRICES))
+def test_certified_map_dims_equal_elimination(name):
+    """The relative model (for an integer, a rational-complex and the zero
+    field) and the primed model (for a closed twisting form) over each map
+    give the ranks, dims and basis of elimination on every block, at N = 0..2."""
+    from pairform.cohomology import _PrimedEtaModel, _RelativeModel
+
+    cmap = _torus_map(name)
+    n = cmap.source.dim
+    fields = [(1, -2, 3)[:n], _COEFFS["complex"][1:n + 1], (0,) * n]
+    eta = coframe(cmap.target, 0) * gq("1/2") + coframe(cmap.target, cmap.target.dim - 1) * 3
+    for max_freq in range(3):
+        for coeffs in fields:
+            _assert_certified_equals_eliminated(
+                _RelativeModel(cmap, constant_field(cmap.source, coeffs), max_freq))
+        _assert_certified_equals_eliminated(_PrimedEtaModel(cmap, eta, max_freq))
+
+
+@pytest.mark.parametrize("name", ["zero T2->T1", "project T2->T1", "embed T1->T2", "shear"])
+def test_map_certificate_reaches_every_side_at_every_unit_mode(name):
+    """d.d = 0 must hold on the source modes that no target mode pulls back
+    to (all but 0 over the zero map), and each side's homotopy on that
+    side's own unit modes: some d.d point set runs over every unit mode of
+    each side, each side's homotopy is certified on its own unit modes, and
+    the first point set starts with the zero block."""
+    from pairform.cohomology import _PrimedEtaModel, _RelativeModel, _unit_modes
+
+    cmap = _torus_map(name)
+    models = (_RelativeModel(cmap, constant_field(cmap.source, (1, 2)[:cmap.source.dim]), 1),
+              _PrimedEtaModel(cmap, coframe(cmap.target, 0), 1))
+    for model in models:
+        checked, pieces = model.certificate()
+        zero = {side: [(0,) * chart.nvars] for side, chart in model.charts.items()}
+        assert checked[0][0].modes == zero
+        for side, chart in model.charts.items():
+            units = [[k] for k in _unit_modes(chart.nvars)]
+            assert any([b.modes.get(side) for b in points] == units for points in checked)
+            (own,) = [points for points, _, s in pieces if s == side]
+            assert [b.modes for b in own] == [{side: k} for k in units]
+
+def _bidiagonal(n):
+    """The GL(n,Z) matrix with 1 on the diagonal and just above it."""
+    return tuple(tuple(int(j in (i, i + 1)) for j in range(n)) for i in range(n))
+
+
+@pytest.mark.parametrize("rows, max_freq", [(_bidiagonal(5), 1), (_MAP_MATRICES["GL(3,Z)"], 3)],
+                         ids=["bidiagonal GL(5,Z), N=1", "GL(3,Z), N=3"])
+def test_map_complexes_on_larger_bands(rows, max_freq):
+    n = len(rows)
+    chart = torus(n)
+    cmap = ChartMap(chart, chart, matrix=rows)
+    x = constant_field(chart, [1, 2] + [0] * (n - 2))
+    assert relative_complex(cmap, x, max_freq).dim_vector() == relative_predicted_dims(n, n)
+    eta = coframe(chart, 0) * 3 + coframe(chart, n - 1) * gq("1/2")
+    assert primed_eta_complex(cmap, eta, max_freq).dim_vector() == primed_predicted_dims(n, n)
 
 # resonant, quiet and complex fields: with U = (i, 0) the corrected closed
 # form |k|^2 - lambda(k)^2 = k_2^2 vanishes on a whole axis
@@ -1218,17 +1288,45 @@ def test_certified_builders_eliminate_the_zero_mode_only(monkeypatch):
     assert pair_complex(T3, constant_field(T3, (1, 2, 0)), 2).dim_vector() == \
         pair_predicted_dims(3)
     assert seen == [[{"F": [(0, 0, 0)], "S": [(0, 0, 0)]}]]
+    # over a torus map, the one block of every side at mode 0: here T3 -> T2
+    # and the zero map T2 -> T1, whose target modes all pull back to 0
+    seen.clear()
+    for cmap in (_torus_map("T3->T2"), _torus_map("zero T2->T1")):
+        source = cmap.source.dim
+        assert relative_complex(cmap, constant_field(cmap.source, (1, 2, 0)[:source]), 2) \
+            .dim_vector() == relative_predicted_dims(cmap.target.dim, source)
+        assert primed_eta_complex(cmap, coframe(cmap.target, 0), 2).dim_vector() == \
+            primed_predicted_dims(source, cmap.target.dim)
+    assert seen == [[{"F": [(0, 0)], "S": [(0, 0, 0)]}], [{"F": [(0, 0, 0)], "S": [(0, 0)]}],
+                    [{"F": [(0,)], "S": [(0, 0)]}], [{"F": [(0, 0)], "S": [(0,)]}]]
+
+
+# the pair homotopy diag(delta, -delta) with the sign of its second slot flipped
+FLIPPED_PAIR_HOMOTOPY = (("F", "F", 1, "codiff"), ("S", "S", 1, "codiff"))
 
 
 @pytest.mark.parametrize("name, flipped, call, degree", [
-    ("_PAIR_HOMOTOPY", (("F", "F", 1, "codiff"), ("S", "S", 1, "codiff")),
+    ("_PAIR_HOMOTOPY", FLIPPED_PAIR_HOMOTOPY,
      lambda: pair_complex(T2, constant_field(T2, (1, 2)), 1), 1),
-    ("_PAIR_HOMOTOPY", (("F", "F", 1, "codiff"), ("S", "S", 1, "codiff")),
+    ("_PAIR_HOMOTOPY", FLIPPED_PAIR_HOMOTOPY,
      lambda: pair_eta_complex(T2, coframe(T2, 0), 1), 1),
     ("_CODIFF", (("F", "F", -1, "codiff"),), lambda: de_rham_complex(T2, 1), 0),
     ("_DBAR_HOMOTOPY", (("F", "F", -1, "dbar*"), ("S", "S", -1, "dbar*")),
      lambda: dolbeault_complex(TC1, holomorphic_field(TC1, (const(TC1, 1),)), 0, 1), 0),
-], ids=["pair", "pair-eta", "de-rham", "dolbeault"])
+    # each side's homotopy is certified on that side alone: the source side
+    # of the relative model, the target side of the primed one
+    ("_PAIR_HOMOTOPY", FLIPPED_PAIR_HOMOTOPY,
+     lambda: relative_complex(_torus_map("shear"), constant_field(T2, (1, 2)), 1), 1),
+    ("_PAIR_HOMOTOPY", FLIPPED_PAIR_HOMOTOPY,
+     lambda: relative_complex(_torus_map("zero T2->T1"), constant_field(T2, (1, 2)), 1), 1),
+    ("_PAIR_HOMOTOPY", (("F", "F", -1, "codiff"), ("S", "S", -1, "codiff")),
+     lambda: relative_complex(_torus_map("embed T1->T2"), constant_field(T1, (1,)), 1), 0),
+    ("_PAIR_HOMOTOPY", FLIPPED_PAIR_HOMOTOPY,
+     lambda: primed_eta_complex(_torus_map("shear"), coframe(T2, 0), 1), 1),
+    ("_PAIR_HOMOTOPY", (("F", "F", -1, "codiff"), ("S", "S", -1, "codiff")),
+     lambda: primed_eta_complex(_torus_map("T3->T2"), coframe(T2, 0), 1), 0),
+], ids=["pair", "pair-eta", "de-rham", "dolbeault", "relative", "relative-zero-map",
+        "relative-target-side", "primed", "primed-source-side"])
 def test_a_wrong_homotopy_fails_the_certificate(monkeypatch, name, flipped, call, degree):
     from pairform import cohomology
 
@@ -1238,6 +1336,42 @@ def test_a_wrong_homotopy_fails_the_certificate(monkeypatch, name, flipped, call
         call()
     assert str(info.value) == \
         f"contracting homotopy disagrees with its closed form at degree {degree}"
+
+
+# _REL_D = (d, L_X f^* - d) with the sign of one side's d flipped: each d
+# still squares to zero, and D.D fails through the cross term C d - d C
+# alone, here C d + d C = 2 d C
+@pytest.mark.parametrize("flipped", [
+    (("F", "F", 1, "d"), ("F", "S", 1, "pullback"), ("S", "S", 1, "d")),
+    (("F", "F", -1, "d"), ("F", "S", 1, "pullback"), ("S", "S", -1, "d")),
+], ids=["source-side", "target-side"])
+@pytest.mark.parametrize("name", ["shear", "project T2->T1", "GL(3,Z)"])
+def test_a_wrong_relative_differential_fails_the_dd_check(monkeypatch, flipped, name):
+    from pairform import cohomology
+
+    cmap = _torus_map(name)
+    x = constant_field(cmap.source, (1, 2, 0)[:cmap.source.dim])
+    relative_complex(cmap, x, 1)
+    monkeypatch.setattr(cohomology, "_REL_D", flipped)
+    with pytest.raises(AssertionError) as info:
+        relative_complex(cmap, x, 1)
+    assert str(info.value) == "differentials fail to compose to zero at degree 0"
+
+
+def test_relative_differential_with_the_pullback_negated_is_still_certified(monkeypatch):
+    """(d, -L_X f^* - d) squares to zero too, and (phi, psi) -> (phi, -psi)
+    carries it to the relative complex, so the certificate accepts it and
+    its dims are the same: the d.d check reads the sign of C d - d C, not
+    that of C alone."""
+    from pairform import cohomology
+
+    cmap = _torus_map("GL(3,Z)")
+    x = constant_field(T3, (1, 2, 0))
+    expected = relative_complex(cmap, x, 1)
+    monkeypatch.setattr(cohomology, "_REL_D", (("F", "F", 1, "d"), ("F", "S", -1, "pullback"),
+                                               ("S", "S", -1, "d")))
+    out = relative_complex(cmap, x, 1)
+    assert (out.ranks, out.dims) == (expected.ranks, expected.dims)
 
 
 def test_a_wrong_twisted_codifferential_fails_the_certificate(monkeypatch, capsys):
@@ -1498,3 +1632,23 @@ def test_the_certificate_splits_each_matrix_once_and_skips_zero_parts(monkeypatc
     model.certified_ranks()
     assert len(splits) == len(model._cache["parts"]) == 2 * (len(model.degrees) - 1) + 2
     assert products and all(any(left) and any(right) for left, right in products)
+
+
+def test_map_certificate_splits_each_point_set_apart(monkeypatch):
+    """A map model certifies on three point sets: target modes with their
+    source modes, and each side's own modes.  `_parts` keys them apart by
+    their sides, so each matrix of each set is split once and read back on
+    its own set."""
+    from pairform import cohomology
+    from pairform.cohomology import _RelativeModel
+
+    split = cohomology._split
+    splits = []
+    monkeypatch.setattr(cohomology, "_split", lambda mats: splits.append(1) or split(mats))
+    model = _RelativeModel(_torus_map("T3->T2"), constant_field(T3, (1, 2, 0)), 1)
+    model.certified_ranks()
+    cache = model._cache["parts"]
+    assert len(splits) == len(cache)
+    assert {key[0] for key in cache} == {("F", "S"), ("F",), ("S",)}
+    # d.d = 0 is checked on the coupled blocks and on the source side's own
+    assert {key[0] for key in cache if key[1] == model.op} == {("F", "S"), ("S",)}
