@@ -4,9 +4,11 @@ cohomology suites and emits deterministic reports.
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 configuration error, 3 an internal invariant failed (d∘d ≠ 0, a negative
 cohomology dimension, a contracting homotopy or a pair, corrected pair or
-Lichnerowicz Laplacian that disagrees with its closed form, the Hamiltonian
-verification, an inexact Bareiss division): a defect of pairform itself,
-reported as ``internal invariant failed: <message>``.  Unsupported
+Lichnerowicz Laplacian that disagrees with its closed form, a band
+differential that does not vanish at mode 0, a band that is not acyclic
+outside mode 0, the Hamiltonian verification, an inexact Bareiss division):
+a defect of pairform itself, reported as ``internal invariant failed:
+<message>``.  Unsupported
 scenarios (for example a twisted complex over a non-closed 1-form, which
 would mix frequencies past any band) are reported but do not fail the run.
 

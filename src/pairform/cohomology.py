@@ -29,14 +29,15 @@ coefficients of a quadratic in k, from the blocks of 0 and e_i only.  Every
 band model declares a contracting homotopy H (the codifferential, or dbar*,
 on each slot; the Koszul complex's) with value t(k), zero only at k = 0,
 certified on both slots at once or, over a torus map, on each side alone
-(`_MapModel`).  With d.d = 0 checked the same way, only the block of every
-side at mode 0 is eliminated; every other rank is filled from column
-counts.  The pair, corrected pair and
-Lichnerowicz Laplacians, certified against t(k) + lambda(k)^2,
-t(k) - lambda(k)^2 and t(k) + <w, w>, are zero on the modes where that
-value vanishes and invertible on the others, so their kernels are read off
-those modes, where only the joint kernel of pair_d and pair_codiff is
-taken.  No global matrix is built.
+(`_MapModel`).  With d.d = 0 checked the same way, and the differential
+checked to vanish on the block of every side at mode 0 (every symbol of a
+differential is linear in k), no block is eliminated: that block's columns
+are the cohomology, and every other rank is filled from column counts.
+The pair, corrected pair and Lichnerowicz Laplacians, certified against
+t(k) + lambda(k)^2, t(k) - lambda(k)^2 and t(k) + <w, w>, are zero on the
+modes where that value vanishes and invertible on the others, so their
+kernels are read off those modes, where only the joint kernel of pair_d and
+pair_codiff is taken.  No global matrix is built.
 
 The kernels keep what does not depend on the degree (`_shared`), for one
 key only, the latest kernel name, chart and exact field or 1-form
@@ -62,7 +63,7 @@ from math import comb as _math_comb
 
 from .charts import Chart, ChartKind, ChartMismatchError, bidegree_index_sets
 from .exterior import Form, VectorField, ext_d, require_parallel_one_form, zero_form
-from .linalg import det_dense, zi_add, zi_kernel, zi_matmul, zi_rank
+from .linalg import det_dense, zi_add, zi_kernel, zi_matmul
 from .pair import PairForm
 from .pair import pair_d  # noqa: F401  unused; perfbench/selftest.py checks its tracer binding
 from .rationals import ONE, gq
@@ -299,22 +300,6 @@ def _mode_block(model: "_Model", k) -> _Block:
     return _Block(model, {side: [k] for side in model.charts})
 
 
-def _eliminate(model: "_Model", blocks) -> dict:
-    """The ranks of the model's differential by degree, summed over
-    `blocks` by Bareiss elimination, with d.d = 0 checked on every block."""
-    ranks = dict.fromkeys(model.degrees, 0)
-    failed = set()                     # the degrees with d.d != 0 in some block
-    for block in blocks:
-        mats = [block.matrix(model.op, d, d + 1) for d in model.degrees[:-1]]
-        failed.update(d for d, low, high in zip(model.degrees, mats, mats[1:])
-                      if any(zi_matmul(high, low)))
-        for d, mat in zip(model.degrees, mats):
-            ranks[d] += zi_rank(mat)
-    if failed:
-        raise AssertionError(f"differentials fail to compose to zero at degree {min(failed)}")
-    return ranks
-
-
 def _stack(upper: list, lower: list, shift: int) -> list:
     """[upper ; lower]: the columns of `upper` over those of `lower`, whose
     rows start at `shift`."""
@@ -466,8 +451,9 @@ class _Model:
         return cache[key]
 
     def basis(self, degree):
-        return [(side, k, idx) for side in self.charts for k in self.modes[side]
-                for idx in self.index_sets(side, degree - _SHIFT[side])]
+        return [(side, k, idx) for side in self.charts
+                for sets in [self.index_sets(side, degree - _SHIFT[side])]
+                for k in self.modes[side] for idx in sets]
 
     def size(self, degree) -> int:
         """The number of basis tags of this degree."""
@@ -539,9 +525,11 @@ class _Model:
     def certified_ranks(self) -> dict:
         """The ranks of the model, certified for every band at once: D.D = 0
         (`_parts_hold`) and D H + H D = t(k) I (`_certify`) hold on every
-        mode of `certificate`'s point sets, so the zero block Z, every side
-        at mode 0, is eliminated, and every other column lies in an acyclic
-        summand, where r_q = c_q - r_(q-1), c_q the columns outside Z."""
+        mode of `certificate`'s point sets, and D is zero on the zero block
+        Z, every side at mode 0 (each symbol is linear in k), so Z splits off
+        with rank 0, and every other column lies in an acyclic summand,
+        where r_q = c_q - r_(q-1), c_q the columns outside Z.  That fill must
+        be exact: no r_q is negative, and none leaves the last degree."""
         checked, pieces = self.certificate()
         failed = []
         for points in checked:
@@ -550,6 +538,8 @@ class _Model:
                        if not _parts_hold(high, low, {})]
         if failed:
             raise AssertionError(f"differentials fail to compose to zero at degree {min(failed)}")
+        if any(any(_parts(checked[0], self.op, d, d + 1)[0]) for d in self.degrees[:-1]):
+            raise AssertionError("differential does not vanish at mode 0")
         broken = [_certify(points, d_op, self.homotopy,
                            _coefficients(lambda k, s=side: (self.homotopy_value(k, s), 0),
                                          self.charts[side].nvars), self.degrees[:-1])
@@ -558,12 +548,11 @@ class _Model:
         if broken is not None:
             raise AssertionError(
                 f"contracting homotopy disagrees with its closed form at degree {broken}")
-        zero = checked[0][0]
-        ranks = _eliminate(self, [zero])
-        rank = 0
-        for d in self.degrees[:-1]:
-            rank = self.size(d) - len(zero.tags(d)) - rank
-            ranks[d] += rank
+        zero, ranks, rank = checked[0][0], {}, 0
+        for d in self.degrees:
+            rank = ranks[d] = self.size(d) - len(zero.tags(d)) - rank
+            if rank < 0 or (d == self.degrees[-1] and rank):
+                raise AssertionError(f"band outside mode 0 is not acyclic at degree {d}")
         return ranks
 
     def assemble(self) -> BandComplex:
@@ -645,11 +634,11 @@ class _MapModel(_Model):
     mode k (L_X f^*; none in the primed complex), so the mapping cone of that
     cross map.  A cone of acyclic complexes is acyclic (Weibel, An
     Introduction to Homological Algebra, 1.5), so each side's homotopy is
-    certified alone and only the zero block Z is eliminated.  That is exact:
-    the cross symbol is 0 where A^T k = 0, so Z splits off as a direct
-    summand, and every other column lies in a cone of the two sides at
-    nonzero modes or in a de Rham piece at a target mode k != 0 in ker A^T,
-    both acyclic."""
+    certified alone, and the zero block Z, where D vanishes, holds all the
+    cohomology.  That is exact: the cross symbol is 0 where A^T k = 0, so Z
+    splits off as a direct summand, and every other column lies in a cone of
+    the two sides at nonzero modes or in a de Rham piece at a target mode
+    k != 0 in ker A^T, both acyclic."""
 
     target_side: str
 
@@ -785,8 +774,7 @@ def primed_eta_complex(cmap: ChartMap, eta: Form, max_freq: int) -> BandComplex:
 
 def primed_predicted_dims(n_source: int, n_target: int) -> list:
     """Dims of the primed relative complex: C(n_src, p) + C(n_tgt, p-1)."""
-    top = max(n_source, n_target)
-    return [_binom(n_source, p) + _binom(n_target, p - 1) for p in range(top + 3)]
+    return relative_predicted_dims(n_source, n_target)
 
 
 def dolbeault_complex(chart: Chart, x: VectorField, p: int, max_freq: int) -> BandComplex:
@@ -795,17 +783,18 @@ def dolbeault_complex(chart: Chart, x: VectorField, p: int, max_freq: int) -> Ba
 
 def pair_predicted_dims(n: int) -> list:
     """b_p + b_{p-1} for the n-torus, degrees 0..n+2."""
-    return [_binom(n, p) + _binom(n, p - 1) for p in range(n + 3)]
+    return relative_predicted_dims(n, n)
 
 
 def relative_predicted_dims(n_target: int, n_source: int) -> list:
+    """C(n_tgt, p) + C(n_src, p-1) over p = 0..max(n_tgt, n_src)+2."""
     top = max(n_target, n_source)
     return [_binom(n_target, p) + _binom(n_source, p - 1) for p in range(top + 3)]
 
 
 def dolbeault_predicted_dims(n: int, p: int) -> list:
     """C(n,p) * (C(n,q) + C(n,q-1)) over q = 0..n+2."""
-    return [_binom(n, p) * (_binom(n, q) + _binom(n, q - 1)) for q in range(n + 3)]
+    return [_binom(n, p) * dim for dim in relative_predicted_dims(n, n)]
 
 
 # -- harmonic kernels ---------------------------------------------------------

@@ -25,11 +25,12 @@ quadratic in the mode k; `point_set_certify` and `point_set_dd_failure`
 check it on its values at the 1 + 2n + C(n, 2) modes 0, +-e_i and
 e_i + e_j instead, which also fix a quadratic.
 
-The library eliminates only the block of every side at mode 0 and fills
-every other rank from column counts.  `blocks` splits a model into the
-finest blocks its differential keeps (one per mode, and over a torus map one
-source mode with every target mode k whose A^T k equals it), and
-`eliminated_ranks` ranks each of them by elimination instead.
+The library eliminates no band block: it checks that the differential
+vanishes on the block of every side at mode 0 and fills every other rank
+from column counts.  `blocks` splits a model into the finest blocks its
+differential keeps (one per mode, and over a torus map one source mode with
+every target mode k whose A^T k equals it), and `eliminated_ranks` ranks
+each of them by elimination instead.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from pairform.cohomology import (
     _PairModel,
     _PrimedEtaModel,
     _RelativeModel,
-    _eliminate,
     _mode_block,
     _stacked,
 )
@@ -66,7 +66,7 @@ from pairform.exterior import (
     wedge,
     zero_form,
 )
-from pairform.linalg import RationalMatrix, zi_kernel, zi_matmul
+from pairform.linalg import RationalMatrix, zi_kernel, zi_matmul, zi_rank
 from pairform.pair import PairForm, pair_d, pair_d_lichnerowicz, zero_pair
 from pairform.rationals import ONE, ZERO, GaussianRational, from_parts
 from pairform.relative import RelPairForm, rel_d, rel_d_lichnerowicz
@@ -412,9 +412,19 @@ def blocks(model) -> list:
 
 
 def eliminated_ranks(model) -> dict:
-    """The ranks of the model's differential by degree, by Bareiss
-    elimination (with d.d = 0 checked) on every one of its `blocks`."""
-    return _eliminate(model, blocks(model))
+    """The ranks of the model's differential by degree, summed over its
+    `blocks` by Bareiss elimination, with d.d = 0 checked on every block."""
+    ranks = dict.fromkeys(model.degrees, 0)
+    failed = set()                     # the degrees with d.d != 0 in some block
+    for block in blocks(model):
+        mats = [block.matrix(model.op, d, d + 1) for d in model.degrees[:-1]]
+        failed.update(d for d, low, high in zip(model.degrees, mats, mats[1:])
+                      if any(zi_matmul(high, low)))
+        for d, mat in zip(model.degrees, mats):
+            ranks[d] += zi_rank(mat)
+    if failed:
+        raise AssertionError(f"differentials fail to compose to zero at degree {min(failed)}")
+    return ranks
 
 
 # -- per-block library matrices on a global basis -----------------------------

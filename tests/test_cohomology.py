@@ -1273,32 +1273,39 @@ def test_kernels_are_taken_on_the_resonant_modes_only(cleared_shared):
         {"F": [k], "S": [k]} for k in ((0, -2), (0, -1), (0, 0), (0, 1), (0, 2))]
 
 
-def test_certified_builders_eliminate_the_zero_mode_only(monkeypatch):
-    from pairform import cohomology
+def test_band_builders_and_laplacian_kernels_eliminate_nothing(monkeypatch):
+    """No band builder or Laplacian kernel ranks a block: `cohomology` has
+    neither `zi_rank` nor `_eliminate`, and with `linalg.zi_rank` and
+    `cohomology.zi_kernel` refusing, all six builders give their predicted
+    dims (the map ones over T3 -> T2 and over the zero map T2 -> T1, whose
+    target modes all pull back to 0), and the corrected and Lichnerowicz
+    kernels their resonant sizes."""
+    from pairform import cohomology, linalg
 
-    seen = []
-    eliminate = cohomology._eliminate
+    def refuse(columns):
+        raise AssertionError("eliminated a block")
 
-    def recording(model, blocks):
-        blocks = list(blocks)
-        seen.append([b.modes for b in blocks])
-        return eliminate(model, blocks)
-
-    monkeypatch.setattr(cohomology, "_eliminate", recording)
+    assert not {"zi_rank", "_eliminate"} & set(vars(cohomology))
+    monkeypatch.setattr(linalg, "zi_rank", refuse)
+    monkeypatch.setattr(cohomology, "zi_kernel", refuse)
     assert pair_complex(T3, constant_field(T3, (1, 2, 0)), 2).dim_vector() == \
         pair_predicted_dims(3)
-    assert seen == [[{"F": [(0, 0, 0)], "S": [(0, 0, 0)]}]]
-    # over a torus map, the one block of every side at mode 0: here T3 -> T2
-    # and the zero map T2 -> T1, whose target modes all pull back to 0
-    seen.clear()
+    assert pair_eta_complex(T3, coframe(T3, 0), 2).dim_vector() == pair_predicted_dims(3)
+    assert de_rham_complex(T3, 2).dim_vector() == [1, 3, 3, 1, 0]
     for cmap in (_torus_map("T3->T2"), _torus_map("zero T2->T1")):
         source = cmap.source.dim
         assert relative_complex(cmap, constant_field(cmap.source, (1, 2, 0)[:source]), 2) \
             .dim_vector() == relative_predicted_dims(cmap.target.dim, source)
         assert primed_eta_complex(cmap, coframe(cmap.target, 0), 2).dim_vector() == \
             primed_predicted_dims(source, cmap.target.dim)
-    assert seen == [[{"F": [(0, 0)], "S": [(0, 0, 0)]}], [{"F": [(0, 0, 0)], "S": [(0, 0)]}],
-                    [{"F": [(0,)], "S": [(0, 0)]}], [{"F": [(0, 0)], "S": [(0,)]}]]
+    tc2 = torus_complex(2)
+    z = holomorphic_field(tc2, (const(tc2, 1), const(tc2, gq(0, 2))))
+    for p in range(3):
+        assert dolbeault_complex(tc2, z, p, 1).dim_vector() == dolbeault_predicted_dims(2, p)
+    # resonant cases: the k_1 axis for U = (i, 0), the sphere |k|^2 = 5 for w = i (1, 2)
+    assert corrected_laplacian_kernel_dim(T2, constant_field(T2, (gq(0, 1), 0)), 1, 2) == 5 * 3
+    w = coframe(T2, 0) * gq(0, 1) + coframe(T2, 1) * gq(0, 2)
+    assert lichnerowicz_kernel_dim(T2, w, 1, 2) == 8 * 2
 
 
 # the pair homotopy diag(delta, -delta) with the sign of its second slot flipped
@@ -1374,6 +1381,37 @@ def test_relative_differential_with_the_pullback_negated_is_still_certified(monk
     assert (out.ranks, out.dims) == (expected.ranks, expected.dims)
 
 
+def test_a_differential_that_does_not_vanish_at_mode_0_is_refused():
+    """d + w^ with w = dx^1 squares to zero (w is parallel and w^w = 0), but
+    its w^ part is nonzero at mode 0, so the zero block would not split off."""
+    from pairform.cohomology import _DeRhamModel, _TWISTED_D
+
+    model = _DeRhamModel(T2, 1, coframe(T2, 0))
+    model.op = _TWISTED_D
+    with pytest.raises(AssertionError) as info:
+        model.assemble()
+    assert str(info.value) == "differential does not vanish at mode 0"
+
+
+# pair_complex T2 N=1 fills the ranks 8, 16, 8, 0, 0 from the columns
+# outside mode 0, 8, 24, 24, 8, 0
+@pytest.mark.parametrize("degree, change, failed", [(1, -1, 3), (4, 1, 4)],
+                         ids=["short-in-degree-1", "extra-in-the-last-degree"])
+def test_a_band_size_that_breaks_the_fill_is_refused(degree, change, failed):
+    """One column short in degree 1 would fill the ranks 8, 15, 9, -1 and
+    report dims [1, 4, 3, 1, 1]; one extra column in the empty last degree
+    would leave a rank out of it."""
+    from pairform.cohomology import _PairModel
+
+    model = _PairModel(T2, constant_field(T2, (1, 2)), 1)
+    assert model.certified_ranks() == {0: 8, 1: 16, 2: 8, 3: 0, 4: 0}
+    size = model.size
+    model.size = lambda d: size(d) + change * (d == degree)
+    with pytest.raises(AssertionError) as info:
+        model.assemble()
+    assert str(info.value) == f"band outside mode 0 is not acyclic at degree {failed}"
+
+
 def test_a_wrong_twisted_codifferential_fails_the_certificate(monkeypatch, capsys):
     from pairform import cohomology
     from pairform.cli import main
@@ -1387,20 +1425,6 @@ def test_a_wrong_twisted_codifferential_fails_the_certificate(monkeypatch, capsy
     assert main(["harmonic"]) == 3
     assert capsys.readouterr().err == \
         "internal invariant failed: Lichnerowicz Laplacian disagrees with its closed form\n"
-
-
-def test_laplacian_kernel_dims_eliminate_nothing(monkeypatch):
-    from pairform import cohomology
-
-    def refuse(columns):
-        raise AssertionError("eliminated a block")
-
-    monkeypatch.setattr(cohomology, "zi_rank", refuse)
-    monkeypatch.setattr(cohomology, "zi_kernel", refuse)
-    # resonant cases: the k_1 axis for U = (i, 0), the sphere |k|^2 = 5 for w = i (1, 2)
-    assert corrected_laplacian_kernel_dim(T2, constant_field(T2, (gq(0, 1), 0)), 1, 2) == 5 * 3
-    w = coframe(T2, 0) * gq(0, 1) + coframe(T2, 1) * gq(0, 2)
-    assert lichnerowicz_kernel_dim(T2, w, 1, 2) == 8 * 2
 
 
 @pytest.mark.parametrize("call", [
@@ -1627,8 +1651,6 @@ def test_the_certificate_splits_each_matrix_once_and_skips_zero_parts(monkeypatc
     monkeypatch.setattr(cohomology, "zi_matmul",
                         lambda left, right: products.append((left, right)) or matmul(left, right))
     model = _PairModel(T3, constant_field(T3, (1, 2, 0)), 1)
-    monkeypatch.setattr(cohomology, "_eliminate", lambda model, blocks: dict.fromkeys(
-        model.degrees, 0))
     model.certified_ranks()
     assert len(splits) == len(model._cache["parts"]) == 2 * (len(model.degrees) - 1) + 2
     assert products and all(any(left) and any(right) for left, right in products)
