@@ -1273,13 +1273,53 @@ def test_kernels_are_taken_on_the_resonant_modes_only(cleared_shared):
         {"F": [k], "S": [k]} for k in ((0, -2), (0, -1), (0, 0), (0, 1), (0, 2))]
 
 
-def test_band_builders_and_laplacian_kernels_eliminate_nothing(monkeypatch):
-    """No band builder or Laplacian kernel ranks a block: `cohomology` has
-    neither `zi_rank` nor `_eliminate`, and with `linalg.zi_rank` and
-    `cohomology.zi_kernel` refusing, all six builders give their predicted
-    dims (the map ones over T3 -> T2 and over the zero map T2 -> T1, whose
-    target modes all pull back to 0), and the corrected and Lichnerowicz
-    kernels their resonant sizes."""
+def test_certified_builders_eliminate_the_zero_mode_only(monkeypatch):
+    """The zero block Z, every side at mode 0, is the one block the band
+    builders split off, and they rank not even that one: with
+    `linalg.zi_rank` refusing, all six give their predicted dims, and Z is
+    the first block of every model's certificate."""
+    from pairform import cohomology, linalg
+
+    def refuse(columns):
+        raise AssertionError("eliminated a block")
+
+    seen = []
+    certified_ranks = cohomology._Model.certified_ranks
+
+    def recording(model):
+        seen.append(model.certificate()[0][0][0].modes)
+        return certified_ranks(model)
+
+    monkeypatch.setattr(linalg, "zi_rank", refuse)
+    monkeypatch.setattr(cohomology._Model, "certified_ranks", recording)
+    assert pair_complex(T3, constant_field(T3, (1, 2, 0)), 2).dim_vector() == \
+        pair_predicted_dims(3)
+    assert pair_eta_complex(T3, coframe(T3, 0), 2).dim_vector() == pair_predicted_dims(3)
+    assert seen == [{"F": [(0, 0, 0)], "S": [(0, 0, 0)]}] * 2
+    seen.clear()
+    assert de_rham_complex(T3, 2).dim_vector() == [1, 3, 3, 1, 0]
+    tc2 = torus_complex(2)
+    z = holomorphic_field(tc2, (const(tc2, 1), const(tc2, gq(0, 2))))
+    for p in range(3):
+        assert dolbeault_complex(tc2, z, p, 1).dim_vector() == dolbeault_predicted_dims(2, p)
+    assert seen == [{"F": [(0, 0, 0)]}] + [{"F": [(0, 0, 0, 0)], "S": [(0, 0, 0, 0)]}] * 3
+    # over a torus map, the one block of every side at mode 0: here T3 -> T2
+    # and the zero map T2 -> T1, whose target modes all pull back to 0
+    seen.clear()
+    for cmap in (_torus_map("T3->T2"), _torus_map("zero T2->T1")):
+        source = cmap.source.dim
+        assert relative_complex(cmap, constant_field(cmap.source, (1, 2, 0)[:source]), 2) \
+            .dim_vector() == relative_predicted_dims(cmap.target.dim, source)
+        assert primed_eta_complex(cmap, coframe(cmap.target, 0), 2).dim_vector() == \
+            primed_predicted_dims(source, cmap.target.dim)
+    assert seen == [{"F": [(0, 0)], "S": [(0, 0, 0)]}, {"F": [(0, 0, 0)], "S": [(0, 0)]},
+                    {"F": [(0,)], "S": [(0, 0)]}, {"F": [(0, 0)], "S": [(0,)]}]
+
+
+def test_laplacian_kernel_dims_eliminate_nothing(monkeypatch):
+    """`cohomology` has neither `zi_rank` nor `_eliminate`, and with
+    `linalg.zi_rank` and `cohomology.zi_kernel` refusing, the corrected and
+    Lichnerowicz kernels give their resonant sizes."""
     from pairform import cohomology, linalg
 
     def refuse(columns):
@@ -1288,20 +1328,6 @@ def test_band_builders_and_laplacian_kernels_eliminate_nothing(monkeypatch):
     assert not {"zi_rank", "_eliminate"} & set(vars(cohomology))
     monkeypatch.setattr(linalg, "zi_rank", refuse)
     monkeypatch.setattr(cohomology, "zi_kernel", refuse)
-    assert pair_complex(T3, constant_field(T3, (1, 2, 0)), 2).dim_vector() == \
-        pair_predicted_dims(3)
-    assert pair_eta_complex(T3, coframe(T3, 0), 2).dim_vector() == pair_predicted_dims(3)
-    assert de_rham_complex(T3, 2).dim_vector() == [1, 3, 3, 1, 0]
-    for cmap in (_torus_map("T3->T2"), _torus_map("zero T2->T1")):
-        source = cmap.source.dim
-        assert relative_complex(cmap, constant_field(cmap.source, (1, 2, 0)[:source]), 2) \
-            .dim_vector() == relative_predicted_dims(cmap.target.dim, source)
-        assert primed_eta_complex(cmap, coframe(cmap.target, 0), 2).dim_vector() == \
-            primed_predicted_dims(source, cmap.target.dim)
-    tc2 = torus_complex(2)
-    z = holomorphic_field(tc2, (const(tc2, 1), const(tc2, gq(0, 2))))
-    for p in range(3):
-        assert dolbeault_complex(tc2, z, p, 1).dim_vector() == dolbeault_predicted_dims(2, p)
     # resonant cases: the k_1 axis for U = (i, 0), the sphere |k|^2 = 5 for w = i (1, 2)
     assert corrected_laplacian_kernel_dim(T2, constant_field(T2, (gq(0, 1), 0)), 1, 2) == 5 * 3
     w = coframe(T2, 0) * gq(0, 1) + coframe(T2, 1) * gq(0, 2)
