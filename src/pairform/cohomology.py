@@ -12,40 +12,40 @@ through a torus map with integer matrix A, A^T k, and c_J(k) is a closed
 form in the integers k and I: i k_j for d, i<k, X> for L_X, a minor of A for
 the pullback, the coefficients w_j of a parallel 1-form for w^ and i_(w#).
 `_symbol` writes the part of a column that does not depend on k down from
-the index set, `_Block.matrix` evaluates it at each mode, and no operator is
-applied symbolically here.  The symbolic reference that the tests compare
-every matrix against lives in the test suite.
+the index set, and no operator is applied symbolically here.  The symbolic
+reference, and the same matrices evaluated mode by mode, live in the tests.
 
-So every band matrix is block-diagonal, and the engine works one block at a
-time.  A block (`_Block`) lists its modes per side: one mode k on every
-side, over a torus map a target mode k with its source mode A^T k, or one
-side's mode alone.  A block's matrices are Z[i] column matrices (see
-`linalg`) written straight from the symbols' integers, every entry times
-the model's one denominator `scale`, and built once per block.
+So every band matrix is block-diagonal.  A block (`_Block`) lists its modes
+per side: one mode k on every side, over a torus map a target mode k with
+its source mode A^T k, or one side's mode alone.  Every c_J(k) is affine in
+k, so `_parts` writes an operator's block at a generic mode k once for all
+k: a Z[i] column matrix (see `linalg`) of linear forms in (1, k_1, ..., k_n),
+each coefficient read at the blocks of 0 and e_i, every entry times the
+model's one denominator `scale`.
 
-Every entry of a one-mode block matrix is affine in k, so `_certify` checks
-D H + H D = value(k) I on every mode of every band at once, on the
-coefficients of a quadratic in k, from the blocks of 0 and e_i only.  Every
-band model declares a contracting homotopy H (the codifferential, or dbar*,
-on each slot; the Koszul complex's) with value t(k), zero only at k = 0,
-certified on both slots at once or, over a torus map, on each side alone
-(`_MapModel`).  With d.d = 0 checked the same way, and the differential
-checked to vanish on the block of every side at mode 0 (every symbol of a
-differential is linear in k), no block is eliminated: that block's columns
-are the cohomology, and every other rank is filled from column counts.
-The pair, corrected pair and Lichnerowicz Laplacians, certified against
-t(k) + lambda(k)^2, t(k) - lambda(k)^2 and t(k) + <w, w>, are zero on the
-modes where that value vanishes and invertible on the others, so their
-kernels are read off those modes, where only the joint kernel of pair_d and
-pair_codiff is taken.  No global matrix is built.
+`_certify` checks D H + H D = value(k) I on every mode of every band at
+once, with one product of such matrices per degree, whose entries are
+quadratic forms in k.  Every band model declares a contracting homotopy H
+(the codifferential, or dbar*, on each slot; the Koszul complex's) with
+value t(k), zero only at k = 0, certified on both slots at once or, over a
+torus map, on each side alone (`_MapModel`).  With d.d = 0 checked the same
+way, and the differential checked to have no constant term (it vanishes on
+the block of every side at mode 0), no block is eliminated: that block's
+columns are the cohomology, and every other rank is filled from column
+counts.  The pair, corrected pair and Lichnerowicz Laplacians, certified
+against t(k) + lambda(k)^2, t(k) - lambda(k)^2 and t(k) + <w, w>, are zero
+on the modes where that value vanishes and invertible on the others, so
+their kernels are read off those modes, where only the joint kernel of the
+linear [pair_d ; pair_codiff], evaluated there, is taken.  No global matrix
+is built.
 
 The kernels keep what does not depend on the degree (`_shared`), for one
 key only, the latest kernel name, chart and exact field or 1-form
-coefficients of any kernel: the model's memos, the blocks of 0 and e_i with
-their matrices and parts, the closed form's coefficients and the latest
-band's resonant blocks.  The operators are read on every call and key every
-memo; each call still checks its inputs, certifies its own degree and takes
-its own joint kernel.
+coefficients of any kernel: the model's memos with the linear matrices, the
+blocks of 0 and e_i, the closed form's coefficients and the latest band's
+resonant blocks.  The operators are read on every call and key every memo;
+each call still checks its inputs, certifies its own degree and takes its
+own joint kernel.
 
 Operators that mix frequencies (a pair differential twisted by a non-closed
 1-form) escape every finite band; such scenarios are rejected rather than
@@ -63,7 +63,7 @@ from math import comb as _math_comb
 
 from .charts import Chart, ChartKind, ChartMismatchError, bidegree_index_sets
 from .exterior import Form, VectorField, ext_d, require_parallel_one_form, zero_form
-from .linalg import det_dense, zi_add, zi_kernel, zi_matmul
+from .linalg import det_dense, zi_kernel
 from .pair import PairForm
 from .pair import pair_d  # noqa: F401  unused; perfbench/selftest.py checks its tracer binding
 from .rationals import ONE, gq
@@ -166,13 +166,13 @@ def _symbol(model: "_Model", op, side, idx) -> list:
                map's matrix.
     Here X or w has the constant frame coefficients `model.coeffs`.  Terms
     with w_j = 0 or a zero minor are left out, as decomposing a symbolic
-    image would; `_Block.matrix` drops the terms whose c(k) vanishes.
+    image would.
 
     Every c(k) above is affine in k (sigma_j and lambda are linear, w_j and
-    the minors constant), so every entry of a one-mode block matrix is
-    affine in k on a basis that does not depend on k.  `_certify` rests on
-    this when it reads a matrix off its blocks at 0 and e_i only
-    (`_parts_hold`): a model may declare a `homotopy`, and a Laplacian may be
+    the minors constant), so every entry of a one-mode block matrix is a
+    linear form in (1, k_1, ..., k_n) on a basis that does not depend on k.
+    `_parts` rests on this when it reads each c from its values at 0 and e_i
+    only: a model may declare a `homotopy`, and a Laplacian may be
     certified, only if every symbol kind of its operators is affine in k.
     """
     out = []
@@ -225,8 +225,6 @@ class _Block:
         self.model = model
         self.modes = modes
         self._tags = {}
-        self._index = {}
-        self._matrices = {}
 
     def tags(self, degree) -> list:
         """The block's basis tags of this degree, in the global basis order."""
@@ -236,80 +234,22 @@ class _Block:
                                   for k in modes for idx in sets(side, degree - _SHIFT[side])]
         return self._tags[degree]
 
-    def index(self, degree) -> dict:
-        """The position in `tags(degree)` of the first tag of each (side, k)."""
-        if degree not in self._index:
-            index = {}
-            for i, (side, k, _) in enumerate(self.tags(degree)):
-                index.setdefault((side, k), i)
-            self._index[degree] = index
-        return self._index[degree]
-
-    def matrix(self, op, src: int, dst: int) -> list:
-        """The block of operator `op` from degree `src` to degree `dst`, as a
-        Z[i] column matrix with entries times `model.scale`: one column per
-        tag, evaluated from the mode and the tag's `_symbol`; built once per
-        (op, src, dst)."""
-        key = op, src, dst
-        if key in self._matrices:
-            return self._matrices[key]
-        model = self.model
-        index = self.index(dst)
-        cols = []
-        for side, modes in self.modes.items():
-            kinds, symbols = model.symbols(op, side, src - _SHIFT[side])
-            if not symbols:
-                continue
-            for k in modes:
-                # per symbol block: its first row, its coefficients c indexed
-                # by j, and its target mode
-                blocks = []
-                for dst_side, kind in kinds:
-                    row_k = k
-                    if kind == "pullback":
-                        row_k = model.pull(k)
-                        coefs = (model.lam(row_k),)
-                    elif kind == "lie":
-                        coefs = (model.lam(k),)
-                    elif kind in ("wedge", "interior"):
-                        coefs = model.scaled_coeffs
-                    elif kind == "dbar*":
-                        coefs = [(a, -b) for a, b in model.sigma(side, k)]
-                    else:
-                        coefs = model.sigma(side, k)
-                    blocks.append((index.get((dst_side, row_k)), coefs, row_k))
-                for terms in symbols:
-                    col = {}
-                    for (start, coefs, row_k), block_terms in zip(blocks, terms):
-                        for pos, s, j in block_terms:
-                            a, b = coefs[j]
-                            if a or b:
-                                if start is None or pos is None:
-                                    raise UnsupportedScenarioError(
-                                        f"band-closure violation: mode {row_k} leaves the band")
-                                c, e = col.pop(start + pos, (0, 0))
-                                if c + s * a or e + s * b:
-                                    col[start + pos] = c + s * a, e + s * b
-                    cols.append(col)
-        self._matrices[key] = cols
-        return cols
-
 
 def _mode_block(model: "_Model", k) -> _Block:
     """The block of mode k on every side of a model whose operators keep modes."""
     return _Block(model, {side: [k] for side in model.charts})
 
 
-def _stack(upper: list, lower: list, shift: int) -> list:
-    """[upper ; lower]: the columns of `upper` over those of `lower`, whose
-    rows start at `shift`."""
-    return [{**u, **{r + shift: v for r, v in low.items()}} for u, low in zip(upper, lower)]
-
-
-def _stacked(block: _Block, degree: int, d_op, cod_op) -> list:
-    """[D_p ; Cod_p] on one block: the columns of D_p over those of Cod_p."""
-    return _stack(block.matrix(d_op, degree, degree + 1), block.matrix(cod_op, degree, degree - 1),
-                  len(block.tags(degree + 1)))
+def _symbol_values(model: "_Model", side, kind: str, k) -> tuple:
+    """(k', c) of a symbol block of `kind` leaving `side` at mode k: its
+    target mode k' and its coefficients c_j (`_symbol`) times `model.scale`,
+    indexed by j, as int pairs."""
+    if kind == "pullback":
+        return model.pull(k), (model.lam(model.pull(k)),)
+    if kind in ("lie", "wedge", "interior"):
+        return k, (model.lam(k),) if kind == "lie" else model.scaled_coeffs
+    sigma = model.sigma(side, k)
+    return k, [(a, -b) for a, b in sigma] if kind == "dbar*" else sigma
 
 
 def _unit_modes(nvars: int) -> list:
@@ -341,51 +281,126 @@ def _doubled_value(coefficients: dict, k) -> tuple:
     return tuple(sum(c[t] * k[i] * k[j] for (i, j), c in coefficients.items()) for t in (0, 1))
 
 
-def _split(mats: list) -> list:
-    """The parts M_0 = M(0) and M_i = M(e_i) - M(0) of a matrix M(k) affine
-    in k and given at 0, e_1, ..., e_n, so M(k) = M_0 + sum k_i M_i (M_i is
-    M(e_i) itself where M_0 = 0)."""
-    return [mats[0]] + [zi_add(m, mats[0], -1) for m in mats[1:]] if any(mats[0]) else mats
+def _linear(values) -> dict:
+    """The linear form {i: (re, im)} in k (k_0 = 1), zero coefficients left
+    out, of an affine c(k) given at 0, e_1, ..., e_n as int pairs."""
+    (a, b), *units = values
+    terms = [(a, b)] + [(x - a, y - b) for x, y in units]
+    return {i: term for i, term in enumerate(terms) if term != (0, 0)}
 
 
-def _parts(points: list, op, src: int, dst: int) -> list:
-    """`_split` of the matrix of `op` from degree `src` to `dst` on `points`,
-    the blocks of `_unit_modes` of one model on the same sides; once per
-    model, sides and (op, src, dst)."""
-    cache = points[0].model._cache["parts"]
-    key = tuple(points[0].modes), op, src, dst
+def _forms(points: list, side, dst_side, kind: str) -> tuple:
+    """(inside, forms, k'(0)) of a symbol block from `side` to `dst_side`:
+    whether its target mode k' lies in the block at every one of `points`,
+    the `_linear` form of each c_j read there (`_symbol_values`), and k' at
+    0; once per model, sides and symbol block."""
+    model = points[0].model
+    cache = model._cache["forms"]
+    key = tuple(points[0].modes), side, dst_side, kind
     if key not in cache:
-        cache[key] = _split([b.matrix(op, src, dst) for b in points])
+        read = [_symbol_values(model, side, kind, b.modes[side][0]) for b in points]
+        inside = all(k in b.modes.get(dst_side, ()) for b, (k, _) in zip(points, read))
+        cache[key] = inside, [_linear(c) for c in zip(*(c for _, c in read))], read[0][0]
     return cache[key]
 
 
+def _parts(points: list, op, src: int, dst: int) -> list:
+    """The matrix M(k) = M_0 + sum k_i M_i of `op` from degree `src` to
+    `dst` for every mode k at once, on `points`, the blocks of `_unit_modes`
+    of one model on the same sides: a column matrix of the `_forms` of its
+    symbol blocks, built in one pass over `model.symbols`, once per model,
+    sides and (op, src, dst)."""
+    model = points[0].model
+    cache = model._cache["parts"]
+    key = tuple(points[0].modes), op, src, dst
+    if key not in cache:
+        tags, cols = points[0].tags(dst), []
+        for side in points[0].modes:
+            kinds, symbols = model.symbols(op, side, src - _SHIFT[side])
+            # per symbol block: its first row, and its `_forms`
+            blocks = [(next((i for i, tag in enumerate(tags) if tag[0] == dst_side), None),
+                       *_forms(points, side, dst_side, kind)) for dst_side, kind in kinds]
+            for terms in symbols:
+                flat, col = {}, {}         # flat: (row, i) -> coefficient of k_i
+                for (start, inside, forms, row_k), block_terms in zip(blocks, terms):
+                    for pos, s, j in block_terms:
+                        if forms[j] and (start is None or pos is None or not inside):
+                            raise UnsupportedScenarioError(
+                                f"band-closure violation: mode {row_k} leaves the band")
+                        for i, (a, b) in forms[j].items():
+                            x, y = flat.get((start + pos, i), (0, 0))
+                            flat[start + pos, i] = x + s * a, y + s * b
+                for (r, i), v in flat.items():
+                    if v != (0, 0):
+                        col.setdefault(r, {})[i] = v
+                cols.append(col)
+        cache[key] = cols
+    return cache[key]
+
+
+def _stacked_parts(points: list, degree: int, d_op, cod_op) -> list:
+    """[D_p ; Cod_p] as `_parts`: the columns of D_p over those of Cod_p."""
+    shift = len(points[0].tags(degree + 1))
+    return [{**up, **{r + shift: v for r, v in low.items()}} for up, low in zip(
+        _parts(points, d_op, degree, degree + 1), _parts(points, cod_op, degree, degree - 1))]
+
+
+def _at(parts: list, k) -> list:
+    """The Z[i] column matrix M(k) of a matrix M of `_parts` forms."""
+    k, out = (1,) + tuple(k), []
+    for col in parts:
+        out.append({})
+        for r, form in col.items():
+            re = im = 0
+            for i, (a, b) in form.items():
+                re, im = re + a * k[i], im + b * k[i]
+            if re or im:
+                out[-1][r] = re, im
+    return out
+
+
+def _product(left: list, right: list) -> list:
+    """L(k) R(k) for two matrices of `_parts` forms, the rows of `right`
+    indexing the columns of `left`: per column {row: quadratic form}, keyed
+    (a, b), a <= b, for k_a k_b (k_0 = 1); cancelled coefficients are kept."""
+    out = []
+    for col in right:
+        acc = {}
+        for mid, g in col.items():
+            for r, f in left[mid].items():
+                entry = acc.setdefault(r, {})
+                for a, (fa, fb) in f.items():
+                    for b, (ga, gb) in g.items():
+                        key = (a, b) if a <= b else (b, a)
+                        x, y = entry.get(key, (0, 0))
+                        entry[key] = x + fa * ga - fb * gb, y + fa * gb + fb * ga
+        out.append(acc)
+    return out
+
+
 def _parts_hold(left: list, right: list, coefficients: dict) -> bool:
-    """Whether L(k) R(k) = q(k) I for all k, L and R affine in k and given by
-    their `_split` parts, q with `coefficients` (zero where absent): whether
-    2 (L_a R_b + L_b R_a) (L_a R_a once if a = b) is 2 q_ab I for a <= b.  A
-    product with an all-zero part is zero and is not taken."""
-    live = [any(m) for m in left], [any(m) for m in right]
-    for a, b in itertools.combinations_with_replacement(range(len(left)), 2):
-        products = [zi_matmul(left[i], right[j]) for i, j in {(a, b), (b, a)}
-                    if live[0][i] and live[1][j]]
-        coef = zi_add(*products) if len(products) == 2 else (products or [[{}] * len(right[0])])[0]
-        x, y = coefficients.get((a, b), (0, 0))
-        for c, col in enumerate(coef):
-            re, im = col.get(c, (0, 0))
-            if len(col) != (x != 0 or y != 0) or (2 * re, 2 * im) != (x, y):
-                return False
+    """Whether L(k) R(k) = q(k) I for all k, L and R given by their linear
+    forms (`_parts`) and q by `coefficients` (zero where absent): twice the
+    quadratic form of each diagonal entry of the one `_product` is
+    `coefficients`, and that of every other entry vanishes."""
+    want = {key: c for key, c in coefficients.items() if c != (0, 0)}
+    for c, col in enumerate(_product(left, right)):
+        diagonal = col.pop(c, {})
+        if any(v != (0, 0) for entry in col.values() for v in entry.values()) or \
+                {key: (2 * a, 2 * b) for key, (a, b) in diagonal.items() if a or b} != want:
+            return False
     return True
 
 
 def _certify(points: list, d_op, h_op, coefficients: dict, degrees):
     """The lowest of `degrees` where D H + H D = [H | D] . [D ; H] is not
     q(k) I (`_parts_hold`), D and H with symbol blocks `d_op` and `h_op`, q
-    with `coefficients`, `points` the blocks of `_unit_modes`; None if none."""
+    with `coefficients`, `points` the blocks of `_unit_modes`; None if none.
+    One product of linear forms is taken per degree."""
     parts = partial(_parts, points)
     return next((d for d in degrees if not _parts_hold(
-        [h + low for h, low in zip(parts(h_op, d + 1, d), parts(d_op, d - 1, d))],
-        [_stack(up, h, len(points[0].tags(d + 1)))
-         for up, h in zip(parts(d_op, d, d + 1), parts(h_op, d, d - 1))], coefficients)), None)
+        parts(h_op, d + 1, d) + parts(d_op, d - 1, d), _stacked_parts(points, d, d_op, h_op),
+        coefficients)), None)
 
 
 class _Model:
@@ -398,8 +413,8 @@ class _Model:
     `pair_slots` for two slots on one chart), `op` (the
     differential as symbol blocks), its contracting `homotopy` and, when a
     block needs them, the constant frame coefficients `coeffs` of the field or
-    1-form, and for a pullback `minors` and `pull`; `assemble` builds every
-    matrix from `_symbol`, one `_Block` at a time, in `certified_ranks`."""
+    1-form, and for a pullback `minors` and `pull`; `certified_ranks` reads
+    the ranks off the `_parts` of `certificate`'s point sets."""
 
     degrees: tuple
     charts: dict
@@ -421,8 +436,8 @@ class _Model:
 
     @cached_property
     def _cache(self) -> dict:
-        """Per-model memos of `index_sets`, `symbols`, `sigma`, `lam` and `_parts`."""
-        return {"sets": {}, "symbols": {}, "sigmas": {}, "lams": {}, "parts": {}}
+        """Per-model memos of `index_sets`, `symbols`, `_forms` and `_parts`."""
+        return {"sets": {}, "symbols": {}, "forms": {}, "parts": {}}
 
     def index_sets(self, side, degree):
         """`sets`, computed once per side and degree."""
@@ -480,31 +495,22 @@ class _Model:
 
     def sigma(self, side, k) -> list:
         """sigma_j(k) times `scale` over the slots j of the side's chart (the
-        doubled sigma_j times `unit`), as int pairs, computed once per side
-        and mode."""
-        cache = self._cache["sigmas"]
-        key = side, k
-        if key not in cache:
-            chart = self.charts[side]
-            unit = self.unit
-            cache[key] = [(a * unit, b * unit) for a, b in
-                          (_sigma(chart, k, j) for j in range(chart.nslots))]
-        return cache[key]
+        doubled sigma_j times `unit`), as int pairs."""
+        chart = self.charts[side]
+        return [(a * self.unit, b * self.unit) for a, b in
+                (_sigma(chart, k, j) for j in range(chart.nslots))]
 
     def lam(self, k):
         """lambda(k) times `scale` as an int pair, where L_X e(k) = lambda(k)
         e(k) and lambda(k) = sum_j X_j sigma_j(k) for the constant field with
         frame coefficients `coeffs`: the sum of (unit * X_j) times the
-        (doubled) `_sigma`, computed once per mode in Z[i].  The field lives
-        on the chart of side "S" in every model with a Lie symbol."""
-        cache = self._cache["lams"]
-        if k not in cache:
-            chart, re, im = self.charts["S"], 0, 0
-            for j, x in enumerate(self.coeffs):
-                a, b, (s, t) = x.a * self.unit // x.d, x.b * self.unit // x.d, _sigma(chart, k, j)
-                re, im = re + a * s - b * t, im + a * t + b * s
-            cache[k] = re, im
-        return cache[k]
+        (doubled) `_sigma`, in Z[i].  The field lives on the chart of side
+        "S" in every model with a Lie symbol."""
+        chart, re, im = self.charts["S"], 0, 0
+        for j, x in enumerate(self.coeffs):
+            a, b, (s, t) = x.a * self.unit // x.d, x.b * self.unit // x.d, _sigma(chart, k, j)
+            re, im = re + a * s - b * t, im + a * t + b * s
+        return re, im
 
     def homotopy_value(self, k, side="F") -> int:
         """t(k) in D H + H D = t(k) I on `side`, times scale^2: |sigma_j(k)|^2
@@ -538,7 +544,8 @@ class _Model:
                        if not _parts_hold(high, low, {})]
         if failed:
             raise AssertionError(f"differentials fail to compose to zero at degree {min(failed)}")
-        if any(any(_parts(checked[0], self.op, d, d + 1)[0]) for d in self.degrees[:-1]):
+        if any(0 in form for d in self.degrees[:-1]
+               for col in _parts(checked[0], self.op, d, d + 1) for form in col.values()):
             raise AssertionError("differential does not vanish at mode 0")
         broken = [_certify(points, d_op, self.homotopy,
                            _coefficients(lambda k, s=side: (self.homotopy_value(k, s), 0),
@@ -870,8 +877,7 @@ def _resonant(model: _Model, degree: int, d_op, cod_op, value, message: str,
     nmodes, blocks = band_memo.get(ops, (None, None))
     if nmodes != len(model.modes["F"]):
         nonzero = {key: c for key, c in coefficients.items() if c != (0, 0)}
-        at = {b.modes["F"][0]: b for b in points}
-        blocks = [at.get(k) or _mode_block(points[0].model, k) for k in model.modes["F"]
+        blocks = [_mode_block(points[0].model, k) for k in model.modes["F"]
                   if _doubled_value(nonzero, k) == (0, 0)]
         band_memo[ops] = len(model.modes["F"]), blocks
     return blocks
@@ -880,13 +886,13 @@ def _resonant(model: _Model, degree: int, d_op, cod_op, value, message: str,
 def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) -> HarmonicKernel:
     """Compute ker of the pair Laplacian and ker pair_d  intersect  ker pair_codiff.
 
-    The Laplacian is pair_codiff . pair_d + pair_d . pair_codiff, multiplied
-    out per mode block from the block matrices of the two first-order
-    operators.  It is certified against its closed form (componentwise
-    Laplacian plus the squared Lie derivative) on every mode at once, so its
-    kernel is every basis column of the modes where the closed form vanishes
-    (`_resonant`), and the joint kernel is taken on those modes only; both
-    are listed in the order of the global basis.  The two kernels agree
+    The Laplacian is pair_codiff . pair_d + pair_d . pair_codiff, a product
+    of the linear matrices (`_parts`) of the two first-order operators.  It
+    is certified against its closed form (componentwise Laplacian plus the
+    squared Lie derivative) on every mode at once, so its kernel is every
+    basis column of the modes where the closed form vanishes (`_resonant`),
+    and the joint kernel is taken on those modes only, on [pair_d ;
+    pair_codiff] evaluated there; both are listed in global basis order.  The two kernels agree
     exactly when no nonzero band mode k satisfies |k|^2 = <k, U>^2; the
     comparison verdict is part of the result rather than an assumption, and
     the witness is the first Laplacian kernel column outside the joint
@@ -899,11 +905,14 @@ def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) ->
     sizes = {side: len(model.index_sets(side, degree - _SHIFT[side])) for side in model.charts}
     start = {"F": 0, "S": len(model.modes["F"]) * sizes["F"]}
     position = {k: i for i, k in enumerate(model.modes["F"])}
+    # the blocks of 0 and e_i on the shared model, whose memo holds the parts
+    units = [_mode_block(blocks[0].model, k) for k in _unit_modes(chart.nvars)]
+    parts = _stacked_parts(units, degree, _PAIR_D, _PAIR_CODIFF)
     lap, joint = [], []
     for block in blocks:
         glob = [start[side] + position[block.modes["F"][0]] * size + j
                 for side, size in sizes.items() for j in range(size)]
-        stacked = _stacked(block, degree, _PAIR_D, _PAIR_CODIFF)
+        stacked = _at(parts, block.modes["F"][0])
         # (first global column of the vector's group, vector) per kernel vector
         joint += [(glob[first], {glob[c]: v for c, v in vec.items()})
                   for first, vectors in zi_kernel(stacked) for vec in vectors]

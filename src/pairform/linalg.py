@@ -48,18 +48,6 @@ def zi_matmul(left: list, right: list) -> list:
     return out
 
 
-def zi_add(left: list, right: list, sign: int = 1) -> list:
-    """left + sign * right for two Z[i] column matrices with the same
-    columns.  Entries that cancel are dropped."""
-    out = [dict(col) for col in left]
-    for col, other in zip(out, right):
-        for r, (x, y) in other.items():
-            c, e = col.pop(r, (0, 0))
-            if c + sign * x or e + sign * y:
-                col[r] = c + sign * x, e + sign * y
-    return out
-
-
 def _groups(columns: list) -> list:
     """The columns grouped by connection through shared rows, as (cols,
     rows) per group: cols ascending, the groups ordered by their first

@@ -577,19 +577,22 @@ def _split_top(text: str, sep: str):
 
 
 def parse_gaussian(token: str) -> GaussianRational:
-    m = _COEFF_PAREN.match(token)
-    if m:
-        re_part = Fraction(m.group(1))
-        im_part = Fraction(m.group(3)) if m.group(3) else Fraction(1)
-        if m.group(2) == "-":
-            im_part = -im_part
-        return gq(re_part, im_part)
-    m = _COEFF_IMAG.match(token)
-    if m:
-        mag = Fraction(m.group(2)) if m.group(2) else Fraction(1)
-        return gq(0, -mag if m.group(1) == "-" else mag)
-    if _COEFF_REAL.match(token):
-        return gq(Fraction(token))
+    try:
+        m = _COEFF_PAREN.match(token)
+        if m:
+            re_part = Fraction(m.group(1))
+            im_part = Fraction(m.group(3)) if m.group(3) else Fraction(1)
+            if m.group(2) == "-":
+                im_part = -im_part
+            return gq(re_part, im_part)
+        m = _COEFF_IMAG.match(token)
+        if m:
+            mag = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+            return gq(0, -mag if m.group(1) == "-" else mag)
+        if _COEFF_REAL.match(token):
+            return gq(Fraction(token))
+    except ZeroDivisionError:
+        raise ValueError(f"not a Gaussian rational: {token!r} (zero denominator)") from None
     raise ValueError(f"not a Gaussian rational: {token!r}")
 
 

@@ -11,9 +11,14 @@ The band reference (`SymbolicBand`) is the other side of the band matrices:
 it applies the library's symbolic operators to materialized basis forms and
 decomposes the images again, and shares no code with the per-mode symbols
 (`cohomology._symbol`) that the library assembles its matrices from.  The
-library never builds a global band matrix; `reassemble` and `band_matrix`
-put its per-block Z[i] matrices back together on a global basis, so that
-they can be compared with the reference entry for entry.
+library writes each operator once for every mode, as a matrix of linear
+forms in k (`cohomology._parts`); `ModeBlock` builds a block's matrices at
+its own modes instead, reading every symbol coefficient there, and is the
+per-mode reference that those linear forms are compared with off the modes
+0 and e_i they are read from.  The library never builds a global band
+matrix; `reassemble` and `band_matrix` put the per-block Z[i] matrices
+back together on a global basis, so that they can be compared with the
+symbolic reference entry for entry.
 
 The library reads its Laplacian kernels off a certificate: each Laplacian
 is checked to be a known multiple of the identity on every mode, and its
@@ -53,8 +58,7 @@ from pairform.cohomology import (
     _PairModel,
     _PrimedEtaModel,
     _RelativeModel,
-    _mode_block,
-    _stacked,
+    _symbol_values,
 )
 from pairform.dolbeault import dbar_pair
 from pairform.exterior import (
@@ -391,6 +395,75 @@ def render_vector(band: SymbolicBand, degree: int, basis, vec) -> str:
     return str(total)
 
 
+# -- the band matrices mode by mode ------------------------------------------
+
+
+class ModeBlock(_Block):
+    """A library block whose matrices are evaluated at its own modes: the
+    per-mode reference for the linear forms in k (`cohomology._parts`) that
+    the library certifies and reads its kernels from."""
+
+    def __init__(self, model, modes: dict):
+        super().__init__(model, modes)
+        self._matrices = {}
+
+    def index(self, degree) -> dict:
+        """The position in `tags(degree)` of the first tag of each (side, k)."""
+        index = {}
+        for i, (side, k, _) in enumerate(self.tags(degree)):
+            index.setdefault((side, k), i)
+        return index
+
+    def matrix(self, op, src: int, dst: int) -> list:
+        """The block of operator `op` from degree `src` to degree `dst`, as a
+        Z[i] column matrix with entries times `model.scale`: one column per
+        tag, each symbol coefficient read (`_symbol_values`) at the tag's
+        own mode; built once per (op, src, dst)."""
+        key = op, src, dst
+        if key in self._matrices:
+            return self._matrices[key]
+        model = self.model
+        index = self.index(dst)
+        cols = []
+        for side, modes in self.modes.items():
+            kinds, symbols = model.symbols(op, side, src - _SHIFT[side])
+            for k in modes:
+                # per symbol block: its first row, its coefficients c indexed
+                # by j, and its target mode
+                blocks = []
+                for dst_side, kind in kinds:
+                    row_k, coefs = _symbol_values(model, side, kind, k)
+                    blocks.append((index.get((dst_side, row_k)), coefs, row_k))
+                for terms in symbols:
+                    col = {}
+                    for (start, coefs, row_k), block_terms in zip(blocks, terms):
+                        for pos, s, j in block_terms:
+                            a, b = coefs[j]
+                            if a or b:
+                                if start is None or pos is None:
+                                    raise UnsupportedScenarioError(
+                                        f"band-closure violation: mode {row_k} leaves the band")
+                                c, e = col.pop(start + pos, (0, 0))
+                                if c + s * a or e + s * b:
+                                    col[start + pos] = c + s * a, e + s * b
+                    cols.append(col)
+        self._matrices[key] = cols
+        return cols
+
+
+def mode_block(model, k) -> ModeBlock:
+    """The block of mode k on every side of a model whose operators keep modes."""
+    return ModeBlock(model, {side: [k] for side in model.charts})
+
+
+def stacked(block, degree: int, d_op, cod_op) -> list:
+    """[D_p ; Cod_p] on one block: the columns of D_p over those of Cod_p."""
+    shift = len(block.tags(degree + 1))
+    return [{**up, **{r + shift: v for r, v in low.items()}}
+            for up, low in zip(block.matrix(d_op, degree, degree + 1),
+                               block.matrix(cod_op, degree, degree - 1))]
+
+
 # -- the model's blocks, each eliminated ----------------------------------------
 
 
@@ -408,7 +481,7 @@ def blocks(model) -> list:
     for side in model.charts:
         for k in model.modes[side]:
             groups.setdefault(block_key(model, side, k), {}).setdefault(side, []).append(k)
-    return [_Block(model, modes) for modes in groups.values()]
+    return [ModeBlock(model, modes) for modes in groups.values()]
 
 
 def eliminated_ranks(model) -> dict:
@@ -481,7 +554,7 @@ def anticommutator(block, degree: int, d_op, cod_op) -> list:
     [Cod_(p+1) | D_(p-1)] . [D_p ; Cod_p] of first-order block matrices
     (entries times scale^2)."""
     left = block.matrix(cod_op, degree + 1, degree) + block.matrix(d_op, degree - 1, degree)
-    return zi_matmul(left, _stacked(block, degree, d_op, cod_op))
+    return zi_matmul(left, stacked(block, degree, d_op, cod_op))
 
 
 def _scalar_matrix(size: int, value) -> list:
@@ -494,7 +567,7 @@ def point_set_dd_failure(model):
     D the model's differential; None if there is none."""
     failed = []
     for k in quadratic_points(model.charts["F"].nvars):
-        block = _mode_block(model, k)
+        block = mode_block(model, k)
         mats = [block.matrix(model.op, d, d + 1) for d in model.degrees[:-1]]
         failed += [d for d, low, high in zip(model.degrees, mats, mats[1:])
                    if any(zi_matmul(high, low))]
@@ -507,7 +580,7 @@ def point_set_certify(model, d_op, h_op, value, degrees):
     and `h_op` and value(k) an int pair times scale^2; None if there is
     none.  Both sides are polynomials of degree <= 2 in k when every block
     entry is affine in k, so the identity then holds on every mode."""
-    points = {k: _mode_block(model, k) for k in quadratic_points(model.charts["F"].nvars)}
+    points = {k: mode_block(model, k) for k in quadratic_points(model.charts["F"].nvars)}
     for d in degrees:
         for k, block in points.items():
             if anticommutator(block, d, d_op, h_op) != \
@@ -538,7 +611,7 @@ def all_blocks_harmonic(band: SymbolicBand, degree: int, max_freq: int) -> Harmo
     lap, joint = [], []
     for block in blocks(model):
         glob = [index[tag] for tag in block.tags(degree)]
-        block_joint = _block_kernel(_stacked(block, degree, model.op, _PAIR_CODIFF), glob)
+        block_joint = _block_kernel(stacked(block, degree, model.op, _PAIR_CODIFF), glob)
         joint += block_joint
         span = [vec for _, vec in block_joint]
         mat = anticommutator(block, degree, model.op, _PAIR_CODIFF)

@@ -80,6 +80,21 @@ def test_bad_field_literal_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, token", [
+    (["cohomology", "--dim", "2", "--field", "1/0;1"], "1/0"),
+    (["cohomology", "--dim", "2", "--field", "(1/0+i);1"], "(1/0+i)"),
+    (["cohomology", "--dim", "2", "--field", "0/0i;1"], "0/0i"),
+    (["cohomology", "--dim", "2", "--eta", "1/0*dx[1]"], "1/0"),
+    (["relative", "--map", "1,1;0,1", "--field", "1/0;1"], "1/0"),
+], ids=["field", "paren", "imaginary", "eta", "relative"])
+def test_zero_denominator_is_usage_error(argv, token, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: not a Gaussian rational: {token!r} (zero denominator)\n"
+    assert "Traceback" not in captured.err
+
+
 def test_bad_matrix_is_usage_error():
     assert main(["relative", "--map", "1,2;3"]) == 2
 
@@ -255,10 +270,10 @@ def test_option_used_by_kind_still_runs(argv, capsys):
 def test_internal_invariant_failure_exits_3(monkeypatch, capsys):
     from pairform import cohomology
 
-    def nonzero_matmul(left, right):
-        return [{0: (1, 0)} for _ in right]
+    def nonzero_product(left, right):
+        return [{0: {(0, 0): (1, 0)}} for _ in right]
 
-    monkeypatch.setattr(cohomology, "zi_matmul", nonzero_matmul)
+    monkeypatch.setattr(cohomology, "_product", nonzero_product)
     assert main(["cohomology", "--dim", "1", "--max-freq", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

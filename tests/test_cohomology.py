@@ -40,6 +40,8 @@ from oracles import (
     dolbeault_band,
     eliminated_ranks,
     laplace_eigenvalue,
+    mode_block,
+    ModeBlock,
     operator_matrix,
     pair_band,
     pair_eta_band,
@@ -637,7 +639,7 @@ def test_pair_symbols_match_symbolic_reference(chart, coeffs, max_freq):
 @pytest.mark.parametrize("chart, coeffs", _SYMBOL_FIELDS)
 def test_de_rham_and_codiff_symbols_match_symbolic_reference(chart, coeffs, max_freq):
     """Single-form d, codiff and lie, and the pair codifferentials."""
-    from pairform.cohomology import _PAIR_CODIFF, _PAIR_CODIFF_SKEW, _Block
+    from pairform.cohomology import _PAIR_CODIFF, _PAIR_CODIFF_SKEW
     from pairform.exterior import codiff, ext_d, lie
     from pairform.pair import pair_codiff, pair_codiff_skew
 
@@ -647,7 +649,7 @@ def test_de_rham_and_codiff_symbols_match_symbolic_reference(chart, coeffs, max_
     derham = de_rham_band(chart, max_freq)
     _assert_matches_reference(derham)
     # single-form blocks of the pair model, one per mode
-    singles = [_Block(model, {"F": [k]}) for k in model.modes["F"]]
+    singles = [ModeBlock(model, {"F": [k]}) for k in model.modes["F"]]
     for q in range(-1, chart.dim + 2):
         for step, kind, op in ((1, "d", ext_d), (-1, "codiff", codiff),
                                (0, "lie", lambda a: lie(u, a))):
@@ -866,13 +868,11 @@ def _zi_mul(x, y):
 def test_holds_checks_every_coefficient_of_a_product():
     """L(k) R(k) = (l(k) . r(k)) I for a seeded random affine Z[i] row l(k)
     and column r(k), each repeated down a block diagonal: `_parts_hold`
-    accepts their `_split` parts against the quadratic l(k) . r(k) from its
-    values, and refuses them once that quadratic gets one more linear,
-    square or cross term, or L one more entry."""
-    from pairform.cohomology import _coefficients, _parts_hold, _split, _unit_modes
-
-    def holds(left, right, coefficients):
-        return _parts_hold(_split(left), _split(right), coefficients)
+    accepts them, given as matrices of linear forms in k, against the
+    quadratic l(k) . r(k) from its values, and refuses them once that
+    quadratic gets one more linear, square or cross term, or L one more
+    entry."""
+    from pairform.cohomology import _coefficients, _parts_hold
 
     rng = random.Random(15)
     for n in range(1, 5):
@@ -885,29 +885,28 @@ def test_holds_checks_every_coefficient_of_a_product():
                 return [(sum(v * p[c][0] for v, p in zip((1,) + k, parts)),
                          sum(v * p[c][1] for v, p in zip((1,) + k, parts))) for c in range(m)]
 
-            def left(k):            # size copies of the row l(k)
-                return [{b: x} if x != (0, 0) else {}
-                        for b in range(size) for x in at(l_parts, k)]
+            def form(parts, c):     # entry c of that vector as a linear form in k
+                return {i: p[c] for i, p in enumerate(parts) if p[c] != (0, 0)}
 
-            def right(k):           # size copies of the column r(k)
-                return [{b * m + c: x for c, x in enumerate(at(r_parts, k)) if x != (0, 0)}
-                        for b in range(size)]
+            # size copies of the row l(k), and of the column r(k)
+            left = [{b: form(l_parts, c)} if form(l_parts, c) else {}
+                    for b in range(size) for c in range(m)]
+            right = [{b * m + c: form(r_parts, c) for c in range(m) if form(r_parts, c)}
+                     for b in range(size)]
 
             def value(k, extra=lambda k: 0):
                 products = [_zi_mul(x, y) for x, y in zip(at(l_parts, k), at(r_parts, k))]
                 return sum(a for a, _ in products) + extra(k), sum(b for _, b in products)
 
-            units = _unit_modes(n)
-            lefts, rights = [left(k) for k in units], [right(k) for k in units]
-            assert holds(lefts, rights, _coefficients(value, n))
+            assert _parts_hold(left, right, _coefficients(value, n))
             extras = [lambda k: k[0], lambda k: k[-1] ** 2] + (
                 [lambda k: k[0] * k[1]] if n > 1 else [])
             for extra in extras:
-                assert not holds(lefts, rights,
-                                  _coefficients(lambda k, e=extra: value(k, e), n))
-            stray = [[dict(col) for col in mat] for mat in lefts]
-            stray[-1][0][size] = (1, 0)
-            assert not holds(stray, rights, _coefficients(value, n))
+                assert not _parts_hold(left, right,
+                                       _coefficients(lambda k, e=extra: value(k, e), n))
+            stray = [dict(col) for col in left]
+            stray[0][size] = {n: (1, 0)}
+            assert not _parts_hold(stray, right, _coefficients(value, n))
 
 
 def _combine(*terms):
@@ -926,14 +925,7 @@ def _symbol_kind_cases():
     """(kind, model, one-mode block at k, complex-degree step) for every
     symbol kind, on fields and 1-forms with rational and complex
     coefficients."""
-    from pairform.cohomology import (
-        _Block,
-        _DeRhamModel,
-        _DolbeaultModel,
-        _mode_block,
-        _PairModel,
-        _RelativeModel,
-    )
+    from pairform.cohomology import _DeRhamModel, _DolbeaultModel, _PairModel, _RelativeModel
 
     t3, tc2 = torus(3), torus_complex(2)
     pair = _PairModel(t3, constant_field(t3, (gq(1, 2), gq("1/2"), gq(0, "-3/5"))), 1)
@@ -946,10 +938,10 @@ def _symbol_kind_cases():
     cases += [(kind, derham, step) for kind, step in (("wedge", 1), ("interior", -1))]
     cases += [(kind, _DolbeaultModel(tc2, holo, p, 1), step) for p in range(3)
               for kind, step in (("dbar", 1), ("dbar*", -1), ("lie", 0))]
-    out = [(kind, model, (("F", "F", 1, kind),), lambda k, m=model: _mode_block(m, k), step)
+    out = [(kind, model, (("F", "F", 1, kind),), lambda k, m=model: mode_block(m, k), step)
            for kind, model, step in cases]
     out.append(("pullback", relative, (("F", "S", 1, "pullback"),),
-                lambda k: _Block(relative, {"F": [k], "S": [relative.pull(k)]}), 1))
+                lambda k: ModeBlock(relative, {"F": [k], "S": [relative.pull(k)]}), 1))
     return out
 
 
@@ -973,6 +965,83 @@ def test_every_symbol_kind_is_affine_in_the_mode():
                 assert _combine(*zip((1, -1, -1, 1), mats)) == [{}] * len(mats[0]), (kind, d)
                 entries += sum(map(len, mats[1]))
         assert entries, kind   # the case is not vacuous
+
+
+def _linear_part_cases():
+    """(name, points, op) for every point set and operator that the library
+    reads as linear forms in the mode: the differential and the homotopy of
+    each model on the point sets of its `certificate`, and the kernels'
+    operators on the blocks of 0 and e_i."""
+    from pairform.cohomology import (
+        _DeRhamModel,
+        _DolbeaultModel,
+        _PAIR_CODIFF,
+        _PAIR_CODIFF_SKEW,
+        _PairEtaModel,
+        _PairModel,
+        _PrimedEtaModel,
+        _RelativeModel,
+        _TWISTED_CODIFF,
+        _TWISTED_D,
+        _mode_block,
+        _unit_modes,
+    )
+
+    t3, tc2 = torus(3), torus_complex(2)
+    pair = _PairModel(t3, constant_field(t3, _COEFFS["complex"][:3]), 1)
+    models = {"pair": pair, "de Rham": _DeRhamModel(t3, 1),
+              "pair-eta": _PairEtaModel(t3, coframe(t3, 0) * gq("1/2") + coframe(t3, 2), 1)}
+    for name in ("zero T2->T1", "GL(3,Z)", "embed T1->T2"):
+        cmap = _torus_map(name)
+        x = constant_field(cmap.source, (gq(1, 2), gq("-1/3"), 2)[:cmap.source.dim])
+        models[f"relative {name}"] = _RelativeModel(cmap, x, 1)
+        models[f"primed {name}"] = _PrimedEtaModel(cmap, coframe(cmap.target, 0) * 3, 1)
+    holo = holomorphic_field(tc2, (const(tc2, gq(1, 1)), const(tc2, gq("1/3"))))
+    for p in range(3):
+        models[f"dolbeault p={p}"] = _DolbeaultModel(tc2, holo, p, 1)
+    cases = []
+    for name, model in models.items():
+        checked, pieces = model.certificate()
+        cases += [(name, points, model.op) for points in checked]
+        cases += [(name, points, op) for points, d_op, _ in pieces
+                  for op in (d_op, model.homotopy)]
+    twisted = _DeRhamModel(t3, 1, coframe(t3, 0) * gq(2, -1) + coframe(t3, 2) * gq("2/3"))
+    for model, ops in ((pair, (_PAIR_CODIFF, _PAIR_CODIFF_SKEW)),
+                       (twisted, (_TWISTED_D, _TWISTED_CODIFF))):
+        points = [_mode_block(model, k) for k in _unit_modes(3)]
+        cases += [(f"kernel {model.label}", points, op) for op in ops]
+    return cases
+
+
+def _mode_at(points, side, k):
+    """The mode of `side` at k on a point set whose modes are linear in k:
+    m(0) + sum k_i (m(e_i) - m(0)), m(e_i) the mode on `points[i]`."""
+    zero = points[0].modes[side][0]
+    return tuple(z + sum(v * (b.modes[side][0][t] - z) for v, b in zip(k, points[1:]))
+                 for t, z in enumerate(zero))
+
+
+def test_linear_parts_equal_the_per_mode_blocks_off_the_unit_modes():
+    """The premise of reading each coefficient at 0 and e_i only: at 20
+    seeded random modes with |k_i| <= 3, the linear forms of `_parts`
+    evaluate to the per-mode reference block, entry for entry, for every
+    point set and operator the library certifies or reads a kernel from."""
+    from pairform.cohomology import _STEP, _at, _parts
+
+    rng = random.Random(18)
+    cases = _linear_part_cases()
+    assert len({name for name, *_ in cases}) == 14
+    for name, points, op in cases:
+        step, entries = _STEP[op[0][3]], 0
+        for _ in range(20):
+            k = tuple(rng.randint(-3, 3) for _ in points[1:])
+            block = ModeBlock(points[0].model,
+                              {side: [_mode_at(points, side, k)] for side in points[0].modes})
+            for d in points[0].model.degrees:
+                mat = block.matrix(op, d, d + step)
+                assert _at(_parts(points, op, d, d + step), k) == mat, (name, op, d, k)
+                entries += sum(map(len, mat))
+        assert entries, (name, op)   # the case is not vacuous
 
 
 # broken operators: a homotopy or i_(w#) with a flipped sign, and differentials
@@ -1664,39 +1733,56 @@ def test_every_kernel_call_certifies_its_own_degree(monkeypatch, cleared_shared)
     assert seen == expected
 
 
+def _counting_parts(monkeypatch) -> list:
+    """Patch `cohomology._parts` to record the key of each matrix it builds,
+    that is each call whose key its model's memo does not hold yet."""
+    from pairform import cohomology
+
+    parts, built = cohomology._parts, []
+
+    def counting(points, op, src, dst):
+        key = tuple(points[0].modes), op, src, dst
+        if key not in points[0].model._cache["parts"]:
+            built.append(key)
+        return parts(points, op, src, dst)
+
+    monkeypatch.setattr(cohomology, "_parts", counting)
+    return built
+
+
 def test_the_certificate_splits_each_matrix_once_and_skips_zero_parts(monkeypatch):
-    """`_parts` splits each (op, src, dst) once per model, shared between the
-    d.d check and the homotopy certificate, and no product with an all-zero
-    part is taken (M_0 = 0 for the pair differential and homotopy)."""
+    """`_parts` builds each (op, src, dst) once per model and point set,
+    shared between the d.d check and the homotopy certificate, and keeps no
+    zero entry and no zero coefficient of a linear form; exactly one product
+    is taken per d.d degree and per certified degree."""
     from pairform import cohomology
     from pairform.cohomology import _PairModel
 
-    split, matmul = cohomology._split, cohomology.zi_matmul
-    splits, products = [], []
-    monkeypatch.setattr(cohomology, "_split", lambda mats: splits.append(1) or split(mats))
-    monkeypatch.setattr(cohomology, "zi_matmul",
-                        lambda left, right: products.append((left, right)) or matmul(left, right))
+    built = _counting_parts(monkeypatch)
+    product, products = cohomology._product, []
+    monkeypatch.setattr(cohomology, "_product",
+                        lambda left, right: products.append(1) or product(left, right))
     model = _PairModel(T3, constant_field(T3, (1, 2, 0)), 1)
     model.certified_ranks()
-    assert len(splits) == len(model._cache["parts"]) == 2 * (len(model.degrees) - 1) + 2
-    assert products and all(any(left) and any(right) for left, right in products)
+    cache = model._cache["parts"]
+    assert len(built) == len(set(built)) == len(cache) == 2 * (len(model.degrees) - 1) + 2
+    assert len(products) == (len(model.degrees) - 2) + (len(model.degrees) - 1)
+    forms = [form for cols in cache.values() for col in cols for form in col.values()]
+    assert forms and all(form and (0, 0) not in form.values() for form in forms)
 
 
 def test_map_certificate_splits_each_point_set_apart(monkeypatch):
     """A map model certifies on three point sets: target modes with their
     source modes, and each side's own modes.  `_parts` keys them apart by
-    their sides, so each matrix of each set is split once and read back on
+    their sides, so each matrix of each set is built once and read back on
     its own set."""
-    from pairform import cohomology
     from pairform.cohomology import _RelativeModel
 
-    split = cohomology._split
-    splits = []
-    monkeypatch.setattr(cohomology, "_split", lambda mats: splits.append(1) or split(mats))
+    built = _counting_parts(monkeypatch)
     model = _RelativeModel(_torus_map("T3->T2"), constant_field(T3, (1, 2, 0)), 1)
     model.certified_ranks()
     cache = model._cache["parts"]
-    assert len(splits) == len(cache)
+    assert len(built) == len(set(built)) == len(cache)
     assert {key[0] for key in cache} == {("F", "S"), ("F",), ("S",)}
     # d.d = 0 is checked on the coupled blocks and on the source side's own
     assert {key[0] for key in cache if key[1] == model.op} == {("F", "S"), ("S",)}
