@@ -47,10 +47,17 @@ from .suites import (
 )
 
 
+def _map_entry(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"--map entry {text!r} is not an integer") from None
+
+
 def _parse_matrix(text: str):
     rows = []
     for row_text in text.split(";"):
-        rows.append(tuple(int(v) for v in row_text.split(",")))
+        rows.append(tuple(_map_entry(v) for v in row_text.split(",")))
     if any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("matrix rows have unequal lengths")
     return tuple(rows)

@@ -23,29 +23,30 @@ k: a Z[i] column matrix (see `linalg`) of linear forms in (1, k_1, ..., k_n),
 each coefficient read at the blocks of 0 and e_i, every entry times the
 model's one denominator `scale`.
 
-`_certify` checks D H + H D = value(k) I on every mode of every band at
-once, with one product of such matrices per degree, whose entries are
-quadratic forms in k.  Every band model declares a contracting homotopy H
-(the codifferential, or dbar*, on each slot; the Koszul complex's) with
-value t(k), zero only at k = 0, certified on both slots at once or, over a
-torus map, on each side alone (`_MapModel`).  With d.d = 0 checked the same
-way, and the differential checked to have no constant term (it vanishes on
-the block of every side at mode 0), no block is eliminated: that block's
-columns are the cohomology, and every other rank is filled from column
-counts.  The pair, corrected pair and Lichnerowicz Laplacians, certified
-against t(k) + lambda(k)^2, t(k) - lambda(k)^2 and t(k) + <w, w>, are zero
-on the modes where that value vanishes and invertible on the others, so
-their kernels are read off those modes, where only the joint kernel of the
-linear [pair_d ; pair_codiff], evaluated there, is taken.  No global matrix
-is built.
+`_certify` checks D H + H D = q(k) I on every mode of every band at once,
+with one product of such matrices per degree, whose entries are quadratic
+forms in k, against the coefficients of the closed form q, written straight
+down (`_closed`).  Every band model declares a contracting homotopy H (the
+codifferential, or dbar*, on each slot; the Koszul complex's) with
+q = t(k), |k|^2 scaled and zero only at k = 0, certified on both slots at
+once or, over a torus map, on each side alone (`_MapModel`).  With d.d = 0
+checked the same way, and the differential checked to have no constant
+term (it vanishes on the block of every side at mode 0), no block is
+eliminated: that block's columns are the cohomology, and every other rank
+is filled from column counts.  The pair, corrected pair and Lichnerowicz
+Laplacians, certified against t(k) + lambda(k)^2, t(k) - lambda(k)^2 and
+t(k) + <w, w>, are zero on the modes where q vanishes and invertible on
+the others, so their kernels are read off those modes, where only the
+joint kernel of the linear [pair_d ; pair_codiff], evaluated there, is
+taken.  No global matrix is built.
 
-The kernels keep what does not depend on the degree (`_shared`), for one
-key only, the latest kernel name, chart and exact field or 1-form
-coefficients of any kernel: the model's memos with the linear matrices, the
-blocks of 0 and e_i, the closed form's coefficients and the latest band's
-resonant blocks.  The operators are read on every call and key every memo;
-each call still checks its inputs, certifies its own degree and takes its
-own joint kernel.
+The kernels keep what does not depend on the degree in one memo
+(`_shared`), for one key only, the latest kernel name, chart and exact
+field or 1-form coefficients of any kernel: the blocks of 0 and e_i with
+their model's memos of the linear matrices, q's coefficients and the
+latest band's resonant blocks.  The operators are read on every call and
+key every memo; each call still checks its inputs, certifies its own
+degree and takes its own joint kernel.
 
 Operators that mix frequencies (a pair differential twisted by a non-closed
 1-form) escape every finite band; such scenarios are rejected rather than
@@ -257,26 +258,8 @@ def _unit_modes(nvars: int) -> list:
     return [tuple(int(i == j) for j in range(nvars)) for i in range(-1, nvars)]
 
 
-def _coefficients(value, nvars: int) -> dict:
-    """The coefficients q_ab, a <= b, of k_a k_b (k_0 = 1), doubled, of the
-    quadratic q equal to value (int pairs) at 0, +-e_i and e_i + e_j:
-    2 q_0i = v(e_i) - v(-e_i), 2 q_ii = v(e_i) + v(-e_i) - 2 v(0) and
-    q_ij = v(e_i + e_j) - v(e_i) - v(e_j) + v(0)."""
-    units = _unit_modes(nvars)
-    at = [value(k) for k in units]
-    out = {(0, 0): (2 * at[0][0], 2 * at[0][1])}
-    for i in range(1, nvars + 1):
-        minus = value(tuple(-x for x in units[i]))
-        out[0, i] = tuple(p - m for p, m in zip(at[i], minus))
-        out[i, i] = tuple(p + m - 2 * z for p, m, z in zip(at[i], minus, at[0]))
-    for i, j in itertools.combinations(range(1, nvars + 1), 2):
-        both = value(tuple(x + y for x, y in zip(units[i], units[j])))
-        out[i, j] = tuple(2 * (s - a - b + z) for s, a, b, z in zip(both, at[i], at[j], at[0]))
-    return out
-
-
-def _doubled_value(coefficients: dict, k) -> tuple:
-    """2 q(k), as an int pair, for the quadratic q with `coefficients`."""
+def _value(coefficients: dict, k) -> tuple:
+    """q(k), as an int pair, for the quadratic q with `coefficients`."""
     k = (1,) + tuple(k)
     return tuple(sum(c[t] * k[i] * k[j] for (i, j), c in coefficients.items()) for t in (0, 1))
 
@@ -378,16 +361,33 @@ def _product(left: list, right: list) -> list:
     return out
 
 
+def _closed(model: "_Model", side="F", lam_sign=0, constant=(0, 0)) -> dict:
+    """The nonzero coefficients, keyed like `_product`'s entries, of
+    q(k) = t(k) + lam_sign lambda(k)^2 + constant times scale^2: t(k) scale^2
+    is unit^2 |k|^2 in the side's modes, the sum of |sigma_j(k)|^2 scale^2
+    over the slots the homotopy contracts (all of a real torus, the dzb ones
+    of a complex torus); lambda(k)^2 is one `_product` of lambda's `_linear`
+    form with itself, and `constant` is <w, w> scale^2."""
+    nvars = model.charts[side].nvars
+    out = {(i, i): (model.unit ** 2, 0) for i in range(1, nvars + 1)}
+    out[0, 0] = constant
+    if lam_sign:
+        lam = _linear([model.lam(k) for k in _unit_modes(nvars)])
+        for key, (a, b) in _product([{0: lam}], [{0: lam}])[0][0].items():
+            x, y = out.get(key, (0, 0))
+            out[key] = x + lam_sign * a, y + lam_sign * b
+    return {key: c for key, c in out.items() if c != (0, 0)}
+
+
 def _parts_hold(left: list, right: list, coefficients: dict) -> bool:
     """Whether L(k) R(k) = q(k) I for all k, L and R given by their linear
-    forms (`_parts`) and q by `coefficients` (zero where absent): twice the
+    forms (`_parts`) and q by its nonzero `coefficients` (`_closed`): the
     quadratic form of each diagonal entry of the one `_product` is
     `coefficients`, and that of every other entry vanishes."""
-    want = {key: c for key, c in coefficients.items() if c != (0, 0)}
     for c, col in enumerate(_product(left, right)):
         diagonal = col.pop(c, {})
         if any(v != (0, 0) for entry in col.values() for v in entry.values()) or \
-                {key: (2 * a, 2 * b) for key, (a, b) in diagonal.items() if a or b} != want:
+                {key: v for key, v in diagonal.items() if v != (0, 0)} != coefficients:
             return False
     return True
 
@@ -395,8 +395,8 @@ def _parts_hold(left: list, right: list, coefficients: dict) -> bool:
 def _certify(points: list, d_op, h_op, coefficients: dict, degrees):
     """The lowest of `degrees` where D H + H D = [H | D] . [D ; H] is not
     q(k) I (`_parts_hold`), D and H with symbol blocks `d_op` and `h_op`, q
-    with `coefficients`, `points` the blocks of `_unit_modes`; None if none.
-    One product of linear forms is taken per degree."""
+    with `coefficients` (`_closed`), `points` the blocks of `_unit_modes`;
+    None if none.  One product of linear forms is taken per degree."""
     parts = partial(_parts, points)
     return next((d for d in degrees if not _parts_hold(
         parts(h_op, d + 1, d) + parts(d_op, d - 1, d), _stacked_parts(points, d, d_op, h_op),
@@ -436,8 +436,8 @@ class _Model:
 
     @cached_property
     def _cache(self) -> dict:
-        """Per-model memos of `index_sets`, `symbols`, `_forms` and `_parts`."""
-        return {"sets": {}, "symbols": {}, "forms": {}, "parts": {}}
+        """Per-model memos of `index_sets`, `_forms` and `_parts`."""
+        return {"sets": {}, "forms": {}, "parts": {}}
 
     def index_sets(self, side, degree):
         """`sets`, computed once per side and degree."""
@@ -448,22 +448,16 @@ class _Model:
         return cache[key]
 
     def symbols(self, op, side, q) -> tuple:
-        """`_symbol` of `op` at every index set of `side` in form degree q,
-        computed once per model: ([(dst, kind)] of the symbol blocks leaving
-        `side`, and per index set the terms of each block), with each target
-        index set J replaced by its position in the target's index sets
-        (None if it has none)."""
-        cache = self._cache["symbols"]
-        key = op, side, q
-        if key not in cache:
-            kinds = [(dst, kind) for src, dst, _, kind in op if src == side]
-            positions = [{J: i for i, J in enumerate(self.index_sets(dst, q + _STEP[kind]))}
-                         for dst, kind in kinds]
-            terms = [[[(at.get(J), s, j) for J, s, j in block_terms]
-                      for at, block_terms in zip(positions, _symbol(self, op, side, idx))]
-                     for idx in self.index_sets(side, q)]
-            cache[key] = kinds, terms
-        return cache[key]
+        """`_symbol` of `op` at every index set of `side` in form degree q:
+        ([(dst, kind)] of the symbol blocks leaving `side`, and per index set
+        the terms of each block), with each target index set J replaced by
+        its position in the target's index sets (None if it has none)."""
+        kinds = [(dst, kind) for src, dst, _, kind in op if src == side]
+        positions = [{J: i for i, J in enumerate(self.index_sets(dst, q + _STEP[kind]))}
+                     for dst, kind in kinds]
+        return kinds, [[[(at.get(J), s, j) for J, s, j in block_terms]
+                        for at, block_terms in zip(positions, _symbol(self, op, side, idx))]
+                       for idx in self.index_sets(side, q)]
 
     def basis(self, degree):
         return [(side, k, idx) for side in self.charts
@@ -512,19 +506,11 @@ class _Model:
             re, im = re + a * s - b * t, im + a * t + b * s
         return re, im
 
-    def homotopy_value(self, k, side="F") -> int:
-        """t(k) in D H + H D = t(k) I on `side`, times scale^2: |sigma_j(k)|^2
-        over the slots j that `homotopy` contracts, every slot of a real torus
-        and the antiholomorphic ones of a complex torus; zero only at k = 0."""
-        chart = self.charts[side]
-        return sum(a * a + b * b
-                   for a, b in self.sigma(side, k)[chart.dim if chart.is_complex else 0:])
-
     def certificate(self) -> tuple:
         """The point sets (blocks of `_unit_modes`) of `certified_ranks`:
         those D.D = 0 is checked on, the first led by the zero block, and
         (points, D, side) per piece with D H + H D = t(k) I, t the side's
-        `homotopy_value`; here one set of one block per mode serves both."""
+        (`_closed`); here one set of one block per mode serves both."""
         points = [_mode_block(self, k) for k in _unit_modes(self.charts["F"].nvars)]
         return [points], [(points, self.op, "F")]
 
@@ -547,9 +533,7 @@ class _Model:
         if any(0 in form for d in self.degrees[:-1]
                for col in _parts(checked[0], self.op, d, d + 1) for form in col.values()):
             raise AssertionError("differential does not vanish at mode 0")
-        broken = [_certify(points, d_op, self.homotopy,
-                           _coefficients(lambda k, s=side: (self.homotopy_value(k, s), 0),
-                                         self.charts[side].nvars), self.degrees[:-1])
+        broken = [_certify(points, d_op, self.homotopy, _closed(self, side), self.degrees[:-1])
                   for points, d_op, side in pieces]
         broken = min((d for d in broken if d is not None), default=None)
         if broken is not None:
@@ -824,62 +808,40 @@ class HarmonicKernel:
         return self.dim_laplacian == self.dim_joint
 
 
-def _closed_value(model: _PairModel, k, sign: int):
-    """The pair Laplacian's closed form at mode k, times scale^2: the
-    componentwise Laplacian |k|^2 plus `sign` times the squared Lie symbol
-    lambda(k)^2, as an int pair."""
-    la, lb = model.lam(k)
-    return model.homotopy_value(k) + sign * (la * la - lb * lb), sign * 2 * la * lb
-
-
 def _require_degree(degree: int) -> None:
     if degree < 0:
         raise ValueError(f"degree must be non-negative, got {degree}")
 
 
-@dataclass(frozen=True)
-class _SharedKey:
-    """A kernel's name, chart and exact field or 1-form coefficients, the key
-    of `_shared`; `model`, one model of them, is left out of equality."""
-
-    kind: str
-    chart: Chart
-    coeffs: tuple
-    model: "_Model" = field(compare=False)
-
-
 @lru_cache(maxsize=1)
-def _shared(key: _SharedKey) -> tuple:
-    """The blocks of `_unit_modes` on `key.model`, and empty memos of q's
-    coefficients and of the latest band's resonant blocks per (D, Cod); held
-    for the latest key of any kernel only."""
-    return [_mode_block(key.model, k) for k in _unit_modes(key.chart.nvars)], {}, {}
+def _shared(kind: str, chart: Chart, coeffs: tuple) -> dict:
+    """The memo of `_resonant` for a kernel's name, chart and exact field or
+    1-form coefficients, held for the latest key of any kernel only."""
+    return {}
 
 
-def _resonant(model: _Model, degree: int, d_op, cod_op, value, message: str,
-              kind: str) -> list:
+def _resonant(model: _Model, degree: int, d_op, cod_op, message: str, kind: str,
+              lam_sign=0, constant=(0, 0)) -> list:
     """The blocks of the band modes k where q(k) = 0, once `_certify` has
-    found Cod D + D Cod = q(k) I at `degree`, q the quadratic that value
-    fixes (AssertionError(message) if not).  That Laplacian is zero on these
-    blocks and invertible on every other mode, where its kernel, and the
-    joint kernel of D and Cod inside it, are empty.  The unit-mode blocks,
-    q's coefficients and the resonant blocks come from `_shared`, under the
-    kernel's name `kind` (q depends on it)."""
-    chart = model.charts["F"]
-    points, coefficient_memo, band_memo = _shared(
-        _SharedKey(kind, chart, model.coeffs, model))
-    ops = d_op, cod_op
-    if ops not in coefficient_memo:
-        coefficient_memo[ops] = _coefficients(value, chart.nvars)
-    coefficients = coefficient_memo[ops]
-    if _certify(points, d_op, cod_op, coefficients, (degree,)) is not None:
+    found Cod D + D Cod = q(k) I at `degree`, q the `_closed` form with
+    `lam_sign` and `constant` (AssertionError(message) if not).  That
+    Laplacian is zero on these blocks and invertible on every other mode,
+    where its kernel, and the joint kernel of D and Cod inside it, are
+    empty.  The `_shared` memo, under the kernel's name `kind` (q depends on
+    it), keeps the blocks of `_unit_modes` built on the first model of its
+    key, q's coefficients and the latest band's resonant blocks."""
+    memo = _shared(kind, model.charts["F"], model.coeffs)
+    if "units" not in memo:
+        memo["units"] = ([_mode_block(model, k) for k in _unit_modes(model.charts["F"].nvars)],
+                         _closed(model, "F", lam_sign, constant))
+    points, closed = memo["units"]
+    if _certify(points, d_op, cod_op, closed, (degree,)) is not None:
         raise AssertionError(message)
-    nmodes, blocks = band_memo.get(ops, (None, None))
-    if nmodes != len(model.modes["F"]):
-        nonzero = {key: c for key, c in coefficients.items() if c != (0, 0)}
-        blocks = [_mode_block(points[0].model, k) for k in model.modes["F"]
-                  if _doubled_value(nonzero, k) == (0, 0)]
-        band_memo[ops] = len(model.modes["F"]), blocks
+    modes = model.modes["F"]
+    nmodes, blocks = memo.get("band", (None, None))
+    if nmodes != len(modes):
+        blocks = [_mode_block(points[0].model, k) for k in modes if _value(closed, k) == (0, 0)]
+        memo["band"] = len(modes), blocks
     return blocks
 
 
@@ -900,8 +862,8 @@ def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) ->
     """
     _require_degree(degree)
     model = _PairModel(chart, u, max_freq)
-    blocks = _resonant(model, degree, _PAIR_D, _PAIR_CODIFF, lambda k: _closed_value(model, k, 1),
-                       "pair Laplacian composite disagrees with its closed form", "harmonic")
+    blocks = _resonant(model, degree, _PAIR_D, _PAIR_CODIFF,
+                       "pair Laplacian composite disagrees with its closed form", "harmonic", 1)
     sizes = {side: len(model.index_sets(side, degree - _SHIFT[side])) for side in model.charts}
     start = {"F": 0, "S": len(model.modes["F"]) * sizes["F"]}
     position = {k: i for i, k in enumerate(model.modes["F"])}
@@ -942,8 +904,8 @@ def corrected_laplacian_kernel_dim(chart: Chart, u: VectorField, degree: int,
     _require_degree(degree)
     model = _PairModel(chart, u, max_freq)
     return sum(len(block.tags(degree)) for block in _resonant(
-        model, degree, _PAIR_D, _PAIR_CODIFF_SKEW, lambda k: _closed_value(model, k, -1),
-        "corrected pair Laplacian disagrees with its closed form", "corrected"))
+        model, degree, _PAIR_D, _PAIR_CODIFF_SKEW,
+        "corrected pair Laplacian disagrees with its closed form", "corrected", -1))
 
 
 def lichnerowicz_kernel_dim(chart: Chart, w: Form, degree: int, max_freq: int) -> int:
@@ -955,8 +917,8 @@ def lichnerowicz_kernel_dim(chart: Chart, w: Form, degree: int, max_freq: int) -
     the sphere |k| = |v|."""
     _require_degree(degree)
     model = _DeRhamModel(chart, max_freq, w)
-    re = sum(a * a - b * b for a, b in model.scaled_coeffs)
-    im = sum(2 * a * b for a, b in model.scaled_coeffs)
+    constant = (sum(a * a - b * b for a, b in model.scaled_coeffs),
+                sum(2 * a * b for a, b in model.scaled_coeffs))
     return sum(len(block.tags(degree)) for block in _resonant(
-        model, degree, _TWISTED_D, _TWISTED_CODIFF, lambda k: (model.homotopy_value(k) + re, im),
-        "Lichnerowicz Laplacian disagrees with its closed form", "lichnerowicz"))
+        model, degree, _TWISTED_D, _TWISTED_CODIFF,
+        "Lichnerowicz Laplacian disagrees with its closed form", "lichnerowicz", 0, constant))

@@ -26,9 +26,13 @@ kernel is then the modes where that multiple vanishes.  `all_blocks_harmonic`
 and `all_blocks_kernel_dim` are the elimination this replaces: they multiply
 out the Laplacian on every block of the band and take its kernel there.
 The library checks each certified identity on the coefficients of a
-quadratic in the mode k; `point_set_certify` and `point_set_dd_failure`
-check it on its values at the 1 + 2n + C(n, 2) modes 0, +-e_i and
-e_i + e_j instead, which also fix a quadratic.
+quadratic in the mode k, and writes each closed form straight down as its
+coefficients (`cohomology._closed`).  `point_set_certify` and
+`point_set_dd_failure` check the identity on its values at the
+1 + 2n + C(n, 2) modes 0, +-e_i and e_i + e_j instead, which also fix a
+quadratic; `sampled_coefficients` reads a quadratic's coefficients off
+those values, the reference for `_closed` on the values `homotopy_value`
+and `closed_value` compute from the per-mode symbols.
 
 The library eliminates no band block: it checks that the differential
 vanishes on the block of every side at mode 0 and fills every other rank
@@ -59,6 +63,7 @@ from pairform.cohomology import (
     _PrimedEtaModel,
     _RelativeModel,
     _symbol_values,
+    _unit_modes,
 )
 from pairform.dolbeault import dbar_pair
 from pairform.exterior import (
@@ -547,6 +552,46 @@ def quadratic_points(nvars: int) -> list:
     units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
     return ([(0,) * nvars] + [k for e in units for k in (e, tuple(-v for v in e))]
             + [tuple(a + b for a, b in zip(e, f)) for e, f in itertools.combinations(units, 2)])
+
+
+def sampled_coefficients(value, nvars: int) -> dict:
+    """The nonzero coefficients q_ab, a <= b, of k_a k_b (k_0 = 1), keyed
+    like `cohomology._closed`, of the quadratic q equal to value (int pairs)
+    at 0, +-e_i and e_i + e_j: 2 q_0i = v(e_i) - v(-e_i),
+    2 q_ii = v(e_i) + v(-e_i) - 2 v(0) and
+    q_ij = v(e_i + e_j) - v(e_i) - v(e_j) + v(0).  The halving must be
+    exact: a quadratic with Z[i] coefficients is expected."""
+    units = _unit_modes(nvars)
+    at = [value(k) for k in units]
+    doubled = {(0, 0): (2 * at[0][0], 2 * at[0][1])}
+    for i in range(1, nvars + 1):
+        minus = value(tuple(-x for x in units[i]))
+        doubled[0, i] = tuple(p - m for p, m in zip(at[i], minus))
+        doubled[i, i] = tuple(p + m - 2 * z for p, m, z in zip(at[i], minus, at[0]))
+    for i, j in itertools.combinations(range(1, nvars + 1), 2):
+        both = value(tuple(x + y for x, y in zip(units[i], units[j])))
+        doubled[i, j] = tuple(2 * (s - a - b + z)
+                              for s, a, b, z in zip(both, at[i], at[j], at[0]))
+    assert all(x % 2 == 0 for c in doubled.values() for x in c), doubled
+    return {key: (a // 2, b // 2) for key, (a, b) in doubled.items() if (a, b) != (0, 0)}
+
+
+def homotopy_value(model, k, side="F") -> int:
+    """t(k) in D H + H D = t(k) I on `side`, times scale^2, from the model's
+    own sigma_j(k): |sigma_j(k)|^2 over the slots j that the homotopy
+    contracts, every slot of a real torus and the antiholomorphic ones of a
+    complex torus; zero only at k = 0."""
+    chart = model.charts[side]
+    return sum(a * a + b * b
+               for a, b in model.sigma(side, k)[chart.dim if chart.is_complex else 0:])
+
+
+def closed_value(model, k, sign: int) -> tuple:
+    """The pair Laplacian's closed form at mode k, times scale^2: the
+    componentwise Laplacian |k|^2 plus `sign` times the squared Lie symbol
+    lambda(k)^2, as an int pair."""
+    la, lb = model.lam(k)
+    return homotopy_value(model, k) + sign * (la * la - lb * lb), sign * 2 * la * lb
 
 
 def anticommutator(block, degree: int, d_op, cod_op) -> list:

@@ -99,6 +99,16 @@ def test_bad_matrix_is_usage_error():
     assert main(["relative", "--map", "1,2;3"]) == 2
 
 
+@pytest.mark.parametrize("text, entry", [("1,x", "x"), (";", ""), ("1,,1", ""), ("1.5", "1.5")],
+                         ids=["letter", "empty-rows", "empty-entry", "decimal"])
+def test_non_integer_map_entry_is_usage_error(text, entry, capsys):
+    assert main(["relative", "--map", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --map entry {entry!r} is not an integer\n"
+    assert "Traceback" not in captured.err
+
+
 def test_custom_field_and_map(capsys):
     code = main(["cohomology", "--dim", "2", "--field", "1; 2", "--max-freq", "1"])
     assert code == 0

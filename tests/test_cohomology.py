@@ -36,9 +36,11 @@ from oracles import (
     anticommutator,
     band_matrix,
     blocks,
+    closed_value,
     de_rham_band,
     dolbeault_band,
     eliminated_ranks,
+    homotopy_value,
     laplace_eigenvalue,
     mode_block,
     ModeBlock,
@@ -51,6 +53,7 @@ from oracles import (
     reassemble,
     relative_band,
     render_vector,
+    sampled_coefficients,
 )
 
 T1, T2, T3 = torus(1), torus(2), torus(3)
@@ -838,10 +841,10 @@ def _random_zi(rng):
 
 
 def test_coefficients_recover_every_quadratic():
-    """`_coefficients` reads a seeded random Z[i] quadratic's own
-    coefficients, doubled, off its values, keyed by (a, b) for k_a k_b with
-    k_0 = 1, and `_doubled_value` gives it back on every mode tried."""
-    from pairform.cohomology import _coefficients, _doubled_value
+    """`sampled_coefficients` reads a seeded random Z[i] quadratic's own
+    nonzero coefficients off its values, keyed by (a, b) for k_a k_b with
+    k_0 = 1, and `_value` gives it back on every mode tried."""
+    from pairform.cohomology import _value
 
     rng = random.Random(14)
     for n in range(1, 7):
@@ -854,11 +857,11 @@ def test_coefficients_recover_every_quadratic():
                 return (sum(a * k[i] * k[j] for (i, j), (a, _) in coefs.items()),
                         sum(b * k[i] * k[j] for (i, j), (_, b) in coefs.items()))
 
-            doubled = {key: (2 * a, 2 * b) for key, (a, b) in coefs.items()}
-            assert _coefficients(value, n) == doubled
+            nonzero = {key: c for key, c in coefs.items() if c != (0, 0)}
+            assert sampled_coefficients(value, n) == nonzero
             for _ in range(10):
                 k = tuple(rng.randint(-5, 5) for _ in range(n))
-                assert _doubled_value(doubled, k) == tuple(2 * v for v in value(k))
+                assert _value(nonzero, k) == value(k)
 
 
 def _zi_mul(x, y):
@@ -872,7 +875,7 @@ def test_holds_checks_every_coefficient_of_a_product():
     quadratic l(k) . r(k) from its values, and refuses them once that
     quadratic gets one more linear, square or cross term, or L one more
     entry."""
-    from pairform.cohomology import _coefficients, _parts_hold
+    from pairform.cohomology import _parts_hold
 
     rng = random.Random(15)
     for n in range(1, 5):
@@ -898,15 +901,15 @@ def test_holds_checks_every_coefficient_of_a_product():
                 products = [_zi_mul(x, y) for x, y in zip(at(l_parts, k), at(r_parts, k))]
                 return sum(a for a, _ in products) + extra(k), sum(b for _, b in products)
 
-            assert _parts_hold(left, right, _coefficients(value, n))
+            assert _parts_hold(left, right, sampled_coefficients(value, n))
             extras = [lambda k: k[0], lambda k: k[-1] ** 2] + (
                 [lambda k: k[0] * k[1]] if n > 1 else [])
             for extra in extras:
                 assert not _parts_hold(left, right,
-                                       _coefficients(lambda k, e=extra: value(k, e), n))
+                                       sampled_coefficients(lambda k, e=extra: value(k, e), n))
             stray = [dict(col) for col in left]
             stray[0][size] = {n: (1, 0)}
-            assert not _parts_hold(stray, right, _coefficients(value, n))
+            assert not _parts_hold(stray, right, sampled_coefficients(value, n))
 
 
 def _combine(*terms):
@@ -1068,7 +1071,6 @@ def _certificate_cases(chart):
         _PairModel,
         _TWISTED_CODIFF,
         _TWISTED_D,
-        _closed_value,
     )
 
     def homotopy(make, op=None, h=None):
@@ -1076,7 +1078,7 @@ def _certificate_cases(chart):
         and homotopy if given."""
         model = make()
         model.op, model.homotopy = op or model.op, h or model.homotopy
-        return (model, model.op, model.homotopy, lambda k: (model.homotopy_value(k), 0),
+        return (model, model.op, model.homotopy, lambda k: (homotopy_value(model, k), 0),
                 model.degrees[:-1], True)
 
     n = chart.dim
@@ -1107,16 +1109,16 @@ def _certificate_cases(chart):
     laplacian = pair()
     for cod, sign in ((_PAIR_CODIFF, 1), (_PAIR_CODIFF_SKEW, -1), (_PAIR_CODIFF, -1)):
         out.append((laplacian, laplacian.op, cod,
-                    lambda k, s=sign: _closed_value(laplacian, k, s), laplacian.degrees, False))
+                    lambda k, s=sign: closed_value(laplacian, k, s), laplacian.degrees, False))
     out.append((laplacian, laplacian.op, laplacian.homotopy,
-                lambda k: (laplacian.homotopy_value(k) + k[-1], 0), laplacian.degrees, False))
+                lambda k: (homotopy_value(laplacian, k) + k[-1], 0), laplacian.degrees, False))
     for w in _twisting_forms(chart):
         model = _DeRhamModel(chart, 1, w)
         re = sum(a * a - b * b for a, b in model.scaled_coeffs)
         im = sum(2 * a * b for a, b in model.scaled_coeffs)
         for cod in (_TWISTED_CODIFF, _FLIPPED["twisted codiff"]):
             out.append((model, _TWISTED_D, cod,
-                        lambda k, m=model, re=re, im=im: (m.homotopy_value(k) + re, im),
+                        lambda k, m=model, re=re, im=im: (homotopy_value(m, k) + re, im),
                         model.degrees, False))
     return out
 
@@ -1128,13 +1130,14 @@ def test_coefficient_certificate_agrees_with_the_point_set_certificate(chart):
     1 + 2n + C(n, 2) modes 0, +-e_i and e_i + e_j gives, and
     `certified_ranks` fails as that check does, for the certified
     identities and for broken operators."""
-    from pairform.cohomology import _certify, _coefficients, _mode_block, _unit_modes
+    from pairform.cohomology import _certify, _mode_block, _unit_modes
 
     verdicts = set()
     for model, d_op, h_op, value, degrees, homotopy in _certificate_cases(chart):
         broken = point_set_certify(model, d_op, h_op, value, degrees)
         points = [_mode_block(model, k) for k in _unit_modes(chart.nvars)]
-        assert _certify(points, d_op, h_op, _coefficients(value, chart.nvars), degrees) == broken
+        assert _certify(points, d_op, h_op, sampled_coefficients(value, chart.nvars),
+                        degrees) == broken
         verdicts.add(broken is None)
         if not homotopy:
             continue          # `_resonant` raises on the verdict
@@ -1149,6 +1152,82 @@ def test_coefficient_certificate_agrees_with_the_point_set_certificate(chart):
             f"differentials fail to compose to zero at degree {failed}" if failed is not None
             else f"contracting homotopy disagrees with its closed form at degree {broken}")
     assert verdicts == {True, False}
+
+
+def _closed_cases():
+    """(model, side, lam_sign, constant, value) for every closed form the
+    library writes down: value(k) is its reference value times scale^2, from
+    the model's own sigma_j(k) and lambda(k) (`homotopy_value`,
+    `closed_value`) and, for <w, w>, from the exact 1-form coefficients."""
+    from pairform.cohomology import _DeRhamModel, _DolbeaultModel, _PairModel
+    from pairform.cohomology import _PrimedEtaModel, _RelativeModel
+
+    def homotopy(model, side="F"):
+        return model, side, 0, (0, 0), lambda k: (homotopy_value(model, k, side), 0)
+
+    out = []
+    for coeffs, n, sign in itertools.product(("integer", "rational", "complex"), range(1, 5),
+                                             (-1, 0, 1)):
+        model = _PairModel(torus(n), constant_field(torus(n), _COEFFS[coeffs][:n]), 1)
+        out.append((model, "F", sign, (0, 0), lambda k, m=model, s=sign: closed_value(m, k, s)))
+    for chart in (TC1, torus_complex(2)):
+        units = (gq(1, 1), gq("1/3", -2))
+        x = holomorphic_field(chart, tuple(const(chart, units[j]) for j in range(chart.dim)))
+        out += [homotopy(_DolbeaultModel(chart, x, p, 1)) for p in range(chart.dim + 1)]
+    t3 = torus(3)
+    maps = [ChartMap(T1, T2, matrix=((1,), (0,))), ChartMap(T2, T1, matrix=((1, 0),)),
+            ChartMap(T2, T1, matrix=((0, 0),)),
+            ChartMap(t3, t3, matrix=((2, 1, 0), (1, 1, 0), (0, 1, 1)))]
+    for cmap in maps:
+        x = constant_field(cmap.source, _COEFFS["rational"][:cmap.source.dim])
+        out += [homotopy(model, side) for model in (
+            _RelativeModel(cmap, x, 1), _PrimedEtaModel(cmap, coframe(cmap.target, 0) * 2, 1))
+            for side in model.charts]
+    # <w, w> = 0 for the "complex" 1-form; -43/36 + i for the last one
+    for coeffs in [_LICHNEROWICZ_COEFFS[c] for c in ("real", "imaginary", "complex")] + [
+            (gq("1/2", 1), gq(0, "2/3"), 0)]:
+        model = _DeRhamModel(T3, 1, _one_form(T3, coeffs))
+        w_w = sum((c * c for c in model.coeffs), gq(0)) * model.scale ** 2
+        assert w_w.d == 1
+        out.append((model, "F", 0, (w_w.a, w_w.b),
+                    lambda k, m=model, c=w_w: (homotopy_value(m, k) + c.a, c.b)))
+    return out
+
+
+def test_closed_forms_are_the_sampled_coefficients(monkeypatch, cleared_shared):
+    """`_closed` writes down the coefficients that sampling each closed form's
+    reference value at 0, +-e_i and e_i + e_j gives, on pair models with
+    integer, rational and Gaussian fields, Dolbeault models for every p,
+    both sides of relative and primed maps and Lichnerowicz 1-forms; and
+    one more unit in any one coefficient of it makes `pair_complex` and
+    every kernel raise its closed-form AssertionError."""
+    from pairform import cohomology
+
+    closed = cohomology._closed
+    cases = _closed_cases()
+    for model, side, sign, constant, value in cases:
+        assert closed(model, side, sign, constant) == \
+            sampled_coefficients(value, model.charts[side].nvars), (model.label, side, sign)
+    assert any(model.unit > 1 for model, *_ in cases)
+    messages = {"harmonic": "pair Laplacian composite disagrees with its closed form",
+                "corrected": "corrected pair Laplacian disagrees with its closed form",
+                "lichnerowicz": "Lichnerowicz Laplacian disagrees with its closed form"}
+    for key in ((0, 0), (0, 1), (1, 1), (1, 2)):
+        def bumped(*args, key=key):
+            out = dict(closed(*args))
+            a, b = out.get(key, (0, 0))
+            out[key] = a + 1, b
+            return out
+
+        monkeypatch.setattr(cohomology, "_closed", bumped)
+        with pytest.raises(AssertionError) as info:
+            pair_complex(T2, constant_field(T2, (1, 2)), 1)
+        assert str(info.value).startswith("contracting homotopy disagrees with its closed form")
+        for kind, message in messages.items():
+            cleared_shared.cache_clear()
+            with pytest.raises(AssertionError) as info:
+                _KERNELS[kind](T2, (1, 2), 1, 1)
+            assert str(info.value) == message, (key, kind)
 
 
 def _assert_certified_equals_eliminated(model):
@@ -1317,19 +1396,12 @@ def test_certified_lichnerowicz_kernel_equals_the_all_blocks_path(n, max_freq, c
 
 
 def test_kernels_are_taken_on_the_resonant_modes_only(cleared_shared):
-    from pairform.cohomology import (
-        _PAIR_CODIFF,
-        _PAIR_CODIFF_SKEW,
-        _PairModel,
-        _closed_value,
-        _resonant,
-    )
+    from pairform.cohomology import _PAIR_CODIFF, _PAIR_CODIFF_SKEW, _PairModel, _resonant
 
     def resonant(coeffs, cod, sign):
         model = _PairModel(T2, constant_field(T2, coeffs), 2)
-        return [b.modes for b in _resonant(model, 1, model.op, cod,
-                                           lambda k: _closed_value(model, k, sign),
-                                           "closed form", "harmonic" if sign > 0 else "corrected")]
+        return [b.modes for b in _resonant(model, 1, model.op, cod, "closed form",
+                                           "harmonic" if sign > 0 else "corrected", sign)]
 
     axis = [{"F": [k], "S": [k]} for k in ((-2, 0), (-1, 0), (0, 0), (1, 0), (2, 0))]
     zero = [{"F": [(0, 0)], "S": [(0, 0)]}]
@@ -1686,14 +1758,14 @@ def test_only_the_latest_field_is_held(cleared_shared, kind):
     import gc
     import weakref
 
-    from pairform.cohomology import _DeRhamModel, _PairModel, _SharedKey
+    from pairform.cohomology import _DeRhamModel, _PairModel
 
     def held(coeffs):
         """The model of the blocks `_shared` holds for `coeffs`, looked up
-        with a new model of them."""
+        with the exact coefficients of a new model of them."""
         model = (_DeRhamModel(T2, 1, _one_form(T2, coeffs)) if kind == "lichnerowicz"
                  else _PairModel(T2, constant_field(T2, coeffs), 1))
-        return cleared_shared(_SharedKey(kind, T2, model.coeffs, model))[0][0].model
+        return cleared_shared(kind, T2, model.coeffs)["units"][0][0].model
 
     first, second = ((1, 2), (2, 2)) if kind != "lichnerowicz" else ((1, 0), (gq(0, 1), 2))
     enabled = gc.isenabled()
