@@ -36,7 +36,8 @@ class Chart:
     `is_complex`, `is_torus`, `nvars` (length of exponent/frequency vectors,
     2n on complex charts), `nslots` (coframe slots: dx1..dxn, or dz1..dzn,
     dzb1..dzbn) and `zeros` (the zero vector of length `nvars`).  They are
-    plain attributes, not fields, so ==, hash and repr see only (kind, dim).
+    plain attributes, not fields, so ==, hash and repr see only (kind, dim);
+    that hash is taken once too, as charts key the band memos.
     """
 
     kind: ChartKind
@@ -53,6 +54,10 @@ class Chart:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "nslots", nvars)
         object.__setattr__(self, "zeros", (0,) * nvars)
+        object.__setattr__(self, "_hash", hash((self.kind, self.dim)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def var_name(self, j: int) -> str:
         if self.kind is ChartKind.AFFINE_COMPLEX:

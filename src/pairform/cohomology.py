@@ -12,16 +12,18 @@ through a torus map with integer matrix A, A^T k, and c_J(k) is a closed
 form in the integers k and I: i k_j for d, i<k, X> for L_X, a minor of A for
 the pullback, the coefficients w_j of a parallel 1-form for w^ and i_(w#).
 `_symbol` writes the part of a column that does not depend on k down from
-the index set, and no operator is applied symbolically here.  The symbolic
+the index set, once per process for each chart, kind and degree
+(`_stencil`), and no operator is applied symbolically here.  The symbolic
 reference, and the same matrices evaluated mode by mode, live in the tests.
 
 So every band matrix is block-diagonal.  A block (`_Block`) lists its modes
 per side: one mode k on every side, over a torus map a target mode k with
-its source mode A^T k, or one side's mode alone.  Every c_J(k) is affine in
-k, so `_parts` writes an operator's block at a generic mode k once for all
-k: a Z[i] column matrix (see `linalg`) of linear forms in (1, k_1, ..., k_n),
-each coefficient read at the blocks of 0 and e_i, every entry times the
-model's one denominator `scale`.
+its source mode A^T k, or one side's mode alone.  Every c_J(k) is linear in
+k or constant, so `_parts` writes an operator's block at a generic mode k
+once for all k: a Z[i] column matrix (see `linalg`) of linear forms in
+(1, k_1, ..., k_n), each c_J written down as one (`_forms`; composed with
+A^T on a source side whose mode is A^T k), every entry times the model's
+one denominator `scale`.
 
 `_certify` checks D H + H D = q(k) I on every mode of every band at once,
 with one product of such matrices per degree, whose entries are quadratic
@@ -85,10 +87,13 @@ def _modes(nvars: int, max_freq: int):
     return list(itertools.product(range(-max_freq, max_freq + 1), repeat=nvars))
 
 
-def _index_sets(nslots: int, size: int):
-    if size < 0:
-        return []
-    return list(itertools.combinations(range(nslots), size))
+@lru_cache(maxsize=None)
+def _sets(chart: Chart, p, q: int) -> tuple:
+    """The slot-index tuples of the forms of degree q on `chart`, of
+    bidegree (p, q) when p is not None; listed once per process."""
+    if p is not None:
+        return tuple(bidegree_index_sets(chart, p, q))
+    return tuple(itertools.combinations(range(chart.nslots), q)) if q >= 0 else ()
 
 
 def _wave_form(chart: Chart, k, idx) -> Form:
@@ -128,16 +133,31 @@ _PAIR_HOMOTOPY = (("F", "F", 1, "codiff"), ("S", "S", -1, "codiff"))
 _DBAR_HOMOTOPY = (("F", "F", 1, "dbar*"), ("S", "S", -1, "dbar*"))
 
 
-def _sigma(chart: Chart, k, j: int):
-    """sigma_j(k) as an int pair, doubled on a complex torus, where
-    wave(k).wirtinger(j) = sigma_j(k) * wave(k): i*k_j on a real torus;
-    (i*k_x + k_y)/2 on a dz slot and (i*k_x - k_y)/2 on a dzb slot of a
-    complex torus."""
+def _sigma_forms(chart: Chart, unit: int, conjugate=False) -> list:
+    """sigma_j(k) times `unit`, doubled on a complex torus and conjugated
+    for dbar*, where wave(k).wirtinger(j) = sigma_j(k) * wave(k), as linear
+    forms {i: (re, im)} in (1, k_1, ..., k_n) over the slots j: i k_j on a
+    real torus; i k_x + k_y on a dz slot and i k_x - k_y on a dzb slot of a
+    complex torus, (x, y) the slot's pair of axes."""
+    im = -unit if conjugate else unit
     if not chart.is_complex:
-        return 0, k[j]
+        return [{j + 1: (0, im)} for j in range(chart.nslots)]
     n = chart.dim
-    kx, ky = k[j % n], k[n + j % n]
-    return (-ky if j >= n else ky), kx
+    return [{j % n + 1: (0, im), n + j % n + 1: (-unit if j >= n else unit, 0)}
+            for j in range(chart.nslots)]
+
+
+def _composed(form: dict, columns) -> dict:
+    """The linear form f(M k) in (1, k_1, ..., k_n), zero coefficients left
+    out, of a linear form f in (1, m_1, ..., m_r), M the integer matrix
+    whose columns M e_i are `columns`."""
+    out = {0: form[0]} if 0 in form else {}
+    for i, column in enumerate(columns, 1):
+        re = sum(a * column[t - 1] for t, (a, _) in form.items() if t)
+        im = sum(b * column[t - 1] for t, (_, b) in form.items() if t)
+        if re or im:
+            out[i] = re, im
+    return out
 
 
 # the form degree a symbol block of each kind adds to its source's
@@ -145,60 +165,61 @@ _STEP = {"d": 1, "dbar": 1, "wedge": 1, "codiff": -1, "dbar*": -1, "interior": -
          "pullback": 0}
 
 
-def _symbol(model: "_Model", op, side, idx) -> list:
-    """The symbol of operator `op` at the basis forms e(k) dx^idx of `side`,
-    for every mode k at once: a list of terms per symbol block (src, dst,
-    sign, kind) of `op` whose source is `side`.  The block sends
-    e(k) dx^I on the source slot to the sum over (J, s, j) in `terms` of
-    s * c e(k') dx^J on the target slot dst, where k' is k, and (j is 0
-    where c does not depend on it)
-      d        J = I + j over the slots j not in I, c = sigma_j(k), s =
-               `sign` times the sign of moving dx_j to its place in dx^I;
+def _symbol(chart: Chart, kind: str, idx) -> list:
+    """The symbol of a block of `kind`, sign 1, at the basis forms
+    e(k) dx^idx on `chart`, for every mode k at once: the terms (J, s, j)
+    with which the block sends e(k) dx^I to the sum of s * c_j(k) e(k) dx^J
+    (j is 0 where there is one c only):
+      d        J = I + j over the slots j not in I, c_j = sigma_j(k), s the
+               sign of moving dx_j to its place in dx^I;
       dbar     the same over the antiholomorphic slots j only;
-      wedge    the same with c = w_j (w^, w = sum w_j dx_j);
-      codiff   J = I - i_r, s = (-1)^(r+1) `sign`, c = sigma_(i_r)(k) and
-               j = i_r (real torus);
-      dbar*    J = I - i_r over the antiholomorphic slots i_r only, s =
-               (-1)^r `sign`, c = conj(sigma_(i_r)(k)) and j = i_r;
-      interior J = I - i_r, s = (-1)^r `sign`, c = w_(i_r) (i_(w#), real torus);
-      lie      J = I, s = `sign`, c = lambda(k);
-      pullback L_X f^*: J over the source index sets, s = `sign` times
-               minor(A; I, J), c = lambda(A^T k) and k' = A^T k, A the
-               map's matrix.
-    Here X or w has the constant frame coefficients `model.coeffs`.  Terms
-    with w_j = 0 or a zero minor are left out, as decomposing a symbolic
-    image would.
+      wedge    the same with c_j = w_j (w^, w = sum w_j dx_j);
+      codiff   J = I - i_r, s = (-1)^(r+1), c = sigma_(i_r)(k) and j = i_r
+               (real torus);
+      dbar*    J = I - i_r over the antiholomorphic slots i_r only,
+               s = (-1)^r, c = conj(sigma_(i_r)(k)) and j = i_r;
+      interior J = I - i_r, s = (-1)^r, c = w_(i_r) (i_(w#), real torus);
+      lie      J = I, s = 1, c = lambda(k).
+    X or w has a model's constant frame coefficients.  The pullback
+    L_X f^*, the one kind a chart does not fix, sends e(k) dx^I to
+    e(A^T k) sum_J minor(A; I, J) lambda(A^T k) dx^J over the source index
+    sets J, A the map's matrix; its terms are the model's
+    (`_RelativeModel.minors`).
 
-    Every c(k) above is affine in k (sigma_j and lambda are linear, w_j and
-    the minors constant), so every entry of a one-mode block matrix is a
-    linear form in (1, k_1, ..., k_n) on a basis that does not depend on k.
-    `_parts` rests on this when it reads each c from its values at 0 and e_i
-    only: a model may declare a `homotopy`, and a Laplacian may be
+    Every c(k) above is linear in k (sigma_j, lambda) or constant (w_j, the
+    minors), so every entry of a one-mode block matrix is a linear form in
+    (1, k_1, ..., k_n) on a basis that does not depend on k, which `_forms`
+    writes down: a model may declare a `homotopy`, and a Laplacian may be
     certified, only if every symbol kind of its operators is affine in k.
     """
-    out = []
-    for src, dst, sign, kind in op:
-        if src != side:
-            continue
-        chart = model.charts[src]
-        if kind == "lie":
-            terms = [(idx, sign, 0)]
-        elif kind == "pullback":
-            terms = [(j, sign * minor, 0) for j, minor in model.minors[idx]]
-        elif kind in ("codiff", "dbar*", "interior"):
-            first = chart.dim if kind == "dbar*" else 0
-            terms = [(idx[:r] + idx[r + 1:], sign if (r % 2) == (kind == "codiff") else -sign, j)
-                     for r, j in enumerate(idx) if j >= first]
-        else:
-            terms = []
-            for j in range(chart.dim if kind == "dbar" else 0, chart.nslots):
-                pos = bisect_left(idx, j)
-                if not (pos < len(idx) and idx[pos] == j):
-                    terms.append((idx[:pos] + (j,) + idx[pos:], -sign if pos % 2 else sign, j))
-        if kind in ("wedge", "interior"):
-            terms = [t for t in terms if model.coeffs[t[2]]]
-        out.append(terms)
-    return out
+    if kind == "lie":
+        return [(idx, 1, 0)]
+    if kind in ("codiff", "dbar*", "interior"):
+        first = chart.dim if kind == "dbar*" else 0
+        return [(idx[:r] + idx[r + 1:], 1 if (r % 2) == (kind == "codiff") else -1, j)
+                for r, j in enumerate(idx) if j >= first]
+    terms = []
+    for j in range(chart.dim if kind == "dbar" else 0, chart.nslots):
+        pos = bisect_left(idx, j)
+        if not (pos < len(idx) and idx[pos] == j):
+            terms.append((idx[:pos] + (j,) + idx[pos:], -1 if pos % 2 else 1, j))
+    return terms
+
+
+# (chart, p, kind, q) -> `_stencil`; no key holds a field, a band or a map
+_STENCILS = {}
+
+
+def _stencil(chart: Chart, p, kind: str, q: int) -> tuple:
+    """`_symbol` of `kind` at every index set of `_sets(chart, p, q)`, each
+    J replaced by its position in the target's index sets (None if it has
+    none); derived once per process for each chart, p, kind and degree."""
+    key = chart, p, kind, q
+    if key not in _STENCILS:
+        at = {J: i for i, J in enumerate(_sets(chart, p, q + _STEP[kind]))}
+        _STENCILS[key] = tuple(tuple((at.get(J), s, j) for J, s, j in _symbol(chart, kind, idx))
+                               for idx in _sets(chart, p, q))
+    return _STENCILS[key]
 
 
 @dataclass
@@ -241,18 +262,6 @@ def _mode_block(model: "_Model", k) -> _Block:
     return _Block(model, {side: [k] for side in model.charts})
 
 
-def _symbol_values(model: "_Model", side, kind: str, k) -> tuple:
-    """(k', c) of a symbol block of `kind` leaving `side` at mode k: its
-    target mode k' and its coefficients c_j (`_symbol`) times `model.scale`,
-    indexed by j, as int pairs."""
-    if kind == "pullback":
-        return model.pull(k), (model.lam(model.pull(k)),)
-    if kind in ("lie", "wedge", "interior"):
-        return k, (model.lam(k),) if kind == "lie" else model.scaled_coeffs
-    sigma = model.sigma(side, k)
-    return k, [(a, -b) for a, b in sigma] if kind == "dbar*" else sigma
-
-
 def _unit_modes(nvars: int) -> list:
     """The modes 0, e_1, ..., e_n."""
     return [tuple(int(i == j) for j in range(nvars)) for i in range(-1, nvars)]
@@ -264,55 +273,65 @@ def _value(coefficients: dict, k) -> tuple:
     return tuple(sum(c[t] * k[i] * k[j] for (i, j), c in coefficients.items()) for t in (0, 1))
 
 
-def _linear(values) -> dict:
-    """The linear form {i: (re, im)} in k (k_0 = 1), zero coefficients left
-    out, of an affine c(k) given at 0, e_1, ..., e_n as int pairs."""
-    (a, b), *units = values
-    terms = [(a, b)] + [(x - a, y - b) for x, y in units]
-    return {i: term for i, term in enumerate(terms) if term != (0, 0)}
-
-
 def _forms(points: list, side, dst_side, kind: str) -> tuple:
-    """(inside, forms, k'(0)) of a symbol block from `side` to `dst_side`:
-    whether its target mode k' lies in the block at every one of `points`,
-    the `_linear` form of each c_j read there (`_symbol_values`), and k' at
-    0; once per model, sides and symbol block."""
+    """(inside, forms, k'(0)) of a symbol block of `kind` from `side` to
+    `dst_side` on `points`, the blocks of `_unit_modes` of one model:
+    whether its target mode k' lies in the block at every one of them, the
+    model's `forms` of its c_j as linear forms in the points' k, and k' at
+    0; once per model, sides and symbol block.  The side's mode on the
+    points is M k, M's columns its modes at e_i, so the forms in that mode
+    are composed with M: A^T on a map model's source side next to its
+    target modes, the identity elsewhere."""
     model = points[0].model
     cache = model._cache["forms"]
     key = tuple(points[0].modes), side, dst_side, kind
     if key not in cache:
-        read = [_symbol_values(model, side, kind, b.modes[side][0]) for b in points]
-        inside = all(k in b.modes.get(dst_side, ()) for b, (k, _) in zip(points, read))
-        cache[key] = inside, [_linear(c) for c in zip(*(c for _, c in read))], read[0][0]
+        modes = [b.modes[side][0] for b in points]
+        targets = [model.pull(k) for k in modes] if kind == "pullback" else modes
+        inside = all(k in b.modes.get(dst_side, ()) for b, k in zip(points, targets))
+        forms = model.forms(side, kind)
+        if modes != _unit_modes(len(modes) - 1):
+            forms = [_composed(form, modes[1:]) for form in forms]
+        cache[key] = inside, forms, targets[0]
     return cache[key]
 
 
 def _parts(points: list, op, src: int, dst: int) -> list:
     """The matrix M(k) = M_0 + sum k_i M_i of `op` from degree `src` to
     `dst` for every mode k at once, on `points`, the blocks of `_unit_modes`
-    of one model on the same sides: a column matrix of the `_forms` of its
-    symbol blocks, built in one pass over `model.symbols`, once per model,
-    sides and (op, src, dst)."""
+    of one model on the same sides: a column matrix of linear forms, each
+    symbol block's `_forms` written at the rows of its `stencil`, the
+    entries of two blocks added and the terms of a zero w_j left out; once
+    per model, sides and (op, src, dst)."""
     model = points[0].model
     cache = model._cache["parts"]
     key = tuple(points[0].modes), op, src, dst
     if key not in cache:
-        tags, cols = points[0].tags(dst), []
+        # the first row of each side: the sides' tags follow one another
+        starts, row, cols = {}, 0, []
+        for side, modes in points[0].modes.items():
+            starts[side] = row
+            row += len(modes) * len(model.index_sets(side, dst - _SHIFT[side]))
         for side in points[0].modes:
-            kinds, symbols = model.symbols(op, side, src - _SHIFT[side])
-            # per symbol block: its first row, and its `_forms`
-            blocks = [(next((i for i, tag in enumerate(tags) if tag[0] == dst_side), None),
-                       *_forms(points, side, dst_side, kind)) for dst_side, kind in kinds]
-            for terms in symbols:
-                flat, col = {}, {}         # flat: (row, i) -> coefficient of k_i
-                for (start, inside, forms, row_k), block_terms in zip(blocks, terms):
-                    for pos, s, j in block_terms:
-                        if forms[j] and (start is None or pos is None or not inside):
+            q = src - _SHIFT[side]
+            # per symbol block: its first row, sign, `_forms` and stencil
+            blocks = [(starts.get(dst_side), sign, *_forms(points, side, dst_side, kind),
+                       model.stencil(side, kind, q))
+                      for from_side, dst_side, sign, kind in op if from_side == side]
+            for c in range(len(model.index_sets(side, q))):
+                flat = {}         # (row, i) -> coefficient of k_i
+                for start, sign, inside, forms, row_k, stencil in blocks:
+                    for pos, s, j in stencil[c]:
+                        if not forms[j]:
+                            continue
+                        if start is None or pos is None or not inside:
                             raise UnsupportedScenarioError(
                                 f"band-closure violation: mode {row_k} leaves the band")
+                        s *= sign
                         for i, (a, b) in forms[j].items():
                             x, y = flat.get((start + pos, i), (0, 0))
                             flat[start + pos, i] = x + s * a, y + s * b
+                col = {}
                 for (r, i), v in flat.items():
                     if v != (0, 0):
                         col.setdefault(r, {})[i] = v
@@ -322,10 +341,15 @@ def _parts(points: list, op, src: int, dst: int) -> list:
 
 
 def _stacked_parts(points: list, degree: int, d_op, cod_op) -> list:
-    """[D_p ; Cod_p] as `_parts`: the columns of D_p over those of Cod_p."""
-    shift = len(points[0].tags(degree + 1))
-    return [{**up, **{r + shift: v for r, v in low.items()}} for up, low in zip(
-        _parts(points, d_op, degree, degree + 1), _parts(points, cod_op, degree, degree - 1))]
+    """[D_p ; Cod_p] as `_parts`: the columns of D_p over those of Cod_p;
+    once per model, sides, degree and (D, Cod)."""
+    cache = points[0].model._cache["stacked"]
+    key = tuple(points[0].modes), degree, d_op, cod_op
+    if key not in cache:
+        shift = len(points[0].tags(degree + 1))
+        cache[key] = [{**up, **{r + shift: v for r, v in low.items()}} for up, low in zip(
+            _parts(points, d_op, degree, degree + 1), _parts(points, cod_op, degree, degree - 1))]
+    return cache[key]
 
 
 def _at(parts: list, k) -> list:
@@ -366,13 +390,13 @@ def _closed(model: "_Model", side="F", lam_sign=0, constant=(0, 0)) -> dict:
     q(k) = t(k) + lam_sign lambda(k)^2 + constant times scale^2: t(k) scale^2
     is unit^2 |k|^2 in the side's modes, the sum of |sigma_j(k)|^2 scale^2
     over the slots the homotopy contracts (all of a real torus, the dzb ones
-    of a complex torus); lambda(k)^2 is one `_product` of lambda's `_linear`
-    form with itself, and `constant` is <w, w> scale^2."""
+    of a complex torus); lambda(k)^2 is one `_product` of the model's
+    `lam_form` with itself, and `constant` is <w, w> scale^2."""
     nvars = model.charts[side].nvars
     out = {(i, i): (model.unit ** 2, 0) for i in range(1, nvars + 1)}
     out[0, 0] = constant
     if lam_sign:
-        lam = _linear([model.lam(k) for k in _unit_modes(nvars)])
+        lam = model.lam_form
         for key, (a, b) in _product([{0: lam}], [{0: lam}])[0][0].items():
             x, y = out.get(key, (0, 0))
             out[key] = x + lam_sign * a, y + lam_sign * b
@@ -404,7 +428,7 @@ def _certify(points: list, d_op, h_op, coefficients: dict, degrees):
 
 
 class _Model:
-    """A band complex on one or two slots, as the data `_symbol` reads.
+    """A band complex on one or two slots, as the data `_parts` reads.
 
     A basis tag (side, k, idx) is the form e(k) dx^idx on the chart
     `charts[side]`, with k in `modes[side]`: side "F" in the complex's
@@ -413,8 +437,9 @@ class _Model:
     `pair_slots` for two slots on one chart), `op` (the
     differential as symbol blocks), its contracting `homotopy` and, when a
     block needs them, the constant frame coefficients `coeffs` of the field or
-    1-form, and for a pullback `minors` and `pull`; `certified_ranks` reads
-    the ranks off the `_parts` of `certificate`'s point sets."""
+    1-form, for a pullback `matrix`, `minors` and `pull`, and for bidegree
+    (p, q) index sets `p`; `certified_ranks` reads the ranks off the
+    `_parts` of `certificate`'s point sets."""
 
     degrees: tuple
     charts: dict
@@ -422,6 +447,7 @@ class _Model:
     op: tuple
     homotopy: tuple
     coeffs: tuple = ()
+    p: int = None
 
     def pair_slots(self, chart: Chart, top: int, max_freq: int) -> None:
         """Both slots on `chart` with the band's modes, in degrees 0..top+2."""
@@ -430,34 +456,22 @@ class _Model:
         modes = _modes(chart.nvars, max_freq)
         self.modes = {"F": modes, "S": modes}
 
-    def sets(self, side, degree):
-        """The slot-index tuples of the side's forms of this degree."""
-        return _index_sets(self.charts[side].nslots, degree)
-
     @cached_property
     def _cache(self) -> dict:
-        """Per-model memos of `index_sets`, `_forms` and `_parts`."""
-        return {"sets": {}, "forms": {}, "parts": {}}
+        """Per-model memos of `_forms`, `_parts` and `_stacked_parts`."""
+        return {"forms": {}, "parts": {}, "stacked": {}}
 
-    def index_sets(self, side, degree):
-        """`sets`, computed once per side and degree."""
-        cache = self._cache["sets"]
-        key = side, degree
-        if key not in cache:
-            cache[key] = self.sets(side, degree)
-        return cache[key]
+    def index_sets(self, side, degree) -> tuple:
+        """The slot-index tuples of the side's forms of this degree."""
+        return _sets(self.charts[side], self.p, degree)
 
-    def symbols(self, op, side, q) -> tuple:
-        """`_symbol` of `op` at every index set of `side` in form degree q:
-        ([(dst, kind)] of the symbol blocks leaving `side`, and per index set
-        the terms of each block), with each target index set J replaced by
-        its position in the target's index sets (None if it has none)."""
-        kinds = [(dst, kind) for src, dst, _, kind in op if src == side]
-        positions = [{J: i for i, J in enumerate(self.index_sets(dst, q + _STEP[kind]))}
-                     for dst, kind in kinds]
-        return kinds, [[[(at.get(J), s, j) for J, s, j in block_terms]
-                        for at, block_terms in zip(positions, _symbol(self, op, side, idx))]
-                       for idx in self.index_sets(side, q)]
+    def stencil(self, side, kind: str, q: int) -> tuple:
+        """Per index set of `side` in form degree q, the terms (row, s, j) of
+        a symbol block of `kind` leaving it: the chart's `_stencil`, or a
+        pullback's `minors`."""
+        if kind == "pullback":
+            return self.minors.get(q, ())
+        return _stencil(self.charts[side], self.p, kind, q)
 
     def basis(self, degree):
         return [(side, k, idx) for side in self.charts
@@ -487,24 +501,31 @@ class _Model:
         return tuple((x.a * (self.scale // x.d), x.b * (self.scale // x.d))
                      for x in self.coeffs)
 
-    def sigma(self, side, k) -> list:
-        """sigma_j(k) times `scale` over the slots j of the side's chart (the
-        doubled sigma_j times `unit`), as int pairs."""
-        chart = self.charts[side]
-        return [(a * self.unit, b * self.unit) for a, b in
-                (_sigma(chart, k, j) for j in range(chart.nslots))]
+    @cached_property
+    def lam_form(self) -> dict:
+        """lambda(k) times `scale` as a linear form, where L_X e(k) =
+        lambda(k) e(k) and lambda = sum_j X_j sigma_j for the constant field
+        with frame coefficients `coeffs`: the sum of (unit * X_j) times the
+        doubled sigma_j form (`_sigma_forms`), in Z[i].  The field lives on
+        the chart of side "S" in every model with a Lie symbol."""
+        out = {}
+        for x, sigma in zip(self.coeffs, _sigma_forms(self.charts["S"], 1)):
+            a, b = x.a * self.unit // x.d, x.b * self.unit // x.d
+            for i, (s, t) in sigma.items():
+                re, im = out.get(i, (0, 0))
+                out[i] = re + a * s - b * t, im + a * t + b * s
+        return {i: c for i, c in sorted(out.items()) if c != (0, 0)}
 
-    def lam(self, k):
-        """lambda(k) times `scale` as an int pair, where L_X e(k) = lambda(k)
-        e(k) and lambda(k) = sum_j X_j sigma_j(k) for the constant field with
-        frame coefficients `coeffs`: the sum of (unit * X_j) times the
-        (doubled) `_sigma`, in Z[i].  The field lives on the chart of side
-        "S" in every model with a Lie symbol."""
-        chart, re, im = self.charts["S"], 0, 0
-        for j, x in enumerate(self.coeffs):
-            a, b, (s, t) = x.a * self.unit // x.d, x.b * self.unit // x.d, _sigma(chart, k, j)
-            re, im = re + a * s - b * t, im + a * t + b * s
-        return re, im
+    def forms(self, side, kind: str) -> list:
+        """The c_j (`_symbol`) of a symbol block of `kind` leaving `side`,
+        times `scale`, as linear forms in the side's mode indexed by j:
+        sigma_j (conjugated for dbar*), lambda, lambda(A^T k) for the
+        pullback, and the constants w_j, empty where w_j = 0."""
+        if kind in ("lie", "pullback"):
+            return [self.lam_form if kind == "lie" else _composed(self.lam_form, self.matrix)]
+        if kind in ("wedge", "interior"):
+            return [{0: w} if w != (0, 0) else {} for w in self.scaled_coeffs]
+        return _sigma_forms(self.charts[side], self.unit, kind == "dbar*")
 
     def certificate(self) -> tuple:
         """The point sets (blocks of `_unit_modes`) of `certified_ranks`:
@@ -635,14 +656,14 @@ class _MapModel(_Model):
 
     def map_slots(self, cmap: ChartMap, op) -> None:
         """`op` with the pair homotopy in degrees 0..top+2, top the larger
-        chart's slot count, and A^T for `pull`."""
+        chart's slot count, and the map's `matrix` A for `pull`."""
         self.op, self.homotopy = op, _PAIR_HOMOTOPY
         self.degrees = tuple(range(max(cmap.source.nslots, cmap.target.nslots) + 3))
-        self._transpose = list(zip(*cmap.matrix))
+        self.matrix = cmap.matrix
 
     def pull(self, k) -> tuple:
         """The source mode A^T k of the target mode k."""
-        return tuple(sum(r * v for r, v in zip(row, k)) for row in self._transpose)
+        return tuple(sum(r * v for r, v in zip(column, k)) for column in zip(*self.matrix))
 
     def certificate(self) -> tuple:
         """D.D = 0 on the blocks of a target mode k of `_unit_modes` with its
@@ -678,14 +699,17 @@ class _RelativeModel(_MapModel):
         source_modes |= {self.pull(k) for k in target_modes}
         self.charts = {"F": cmap.target, "S": cmap.source}
         self.modes = {"F": target_modes, "S": sorted(source_modes)}
-        # target index set I -> [(J, det A[I, J])] over the source index sets
-        # J of the same size with a nonzero minor
+        # degree q -> per target index set I of degree q the terms
+        # (position of J, det A[I, J], 0) over the source index sets J of
+        # degree q with a nonzero minor: the pullback's `stencil`
         self.minors = {}
-        for p in range(cmap.target.nslots + 1):
-            for tgt in _index_sets(cmap.target.nslots, p):
-                minors = ((src, det_dense([[gq(cmap.matrix[t][s]) for s in src] for t in tgt]).a)
-                          for src in _index_sets(cmap.source.nslots, p))
-                self.minors[tgt] = [(src, m) for src, m in minors if m]
+        for q in range(cmap.target.nslots + 1):
+            rows = []
+            for tgt in _sets(cmap.target, None, q):
+                minors = [det_dense([[gq(cmap.matrix[t][s]) for s in src] for t in tgt]).a
+                          for src in _sets(cmap.source, None, q)]
+                rows.append(tuple((i, m, 0) for i, m in enumerate(minors) if m))
+            self.minors[q] = tuple(rows)
 
 
 class _PrimedEtaModel(_MapModel):
@@ -735,9 +759,6 @@ class _DolbeaultModel(_Model):
         self.op = _DBAR_PAIR
         self.homotopy = _DBAR_HOMOTOPY
         self.pair_slots(chart, chart.dim, max_freq)
-
-    def sets(self, side, q):
-        return bidegree_index_sets(self.charts[side], self.p, q)
 
 
 # -- public builders ---------------------------------------------------------

@@ -268,12 +268,6 @@ def scalar_form(s: ScalarExpr) -> Form:
     return _form(s.chart, 0, (((), s),) if s.terms else ())
 
 
-def frame_field(chart: Chart, j: int) -> VectorField:
-    comps = tuple(const(chart, 1) if s == j else scalar_zero(chart)
-                  for s in range(chart.nslots))
-    return VectorField(chart, comps)
-
-
 def constant_field(chart: Chart, coeffs) -> VectorField:
     comps = tuple(const(chart, c) for c in coeffs)
     return VectorField(chart, comps)

@@ -103,10 +103,6 @@ def pair(first: Form, second: Form) -> PairForm:
     return PairForm(first, second)
 
 
-def zero_pair(chart: Chart, degree: int) -> PairForm:
-    return PairForm(zero_form(chart, degree), zero_form(chart, degree - 1))
-
-
 def from_form(phi: Form) -> PairForm:
     return PairForm(phi, zero_form(phi.chart, phi.degree - 1))
 

@@ -133,10 +133,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return _make(self.a, -self.b, self.d)
 
-    def norm2(self) -> Fraction:
-        """Squared modulus re^2 + im^2 (an exact rational)."""
-        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
-
     @property
     def is_real(self) -> bool:
         return not self.b

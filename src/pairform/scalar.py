@@ -47,7 +47,6 @@ from .rationals import I, ONE, ZERO, GaussianRational, from_parts, gq
 
 Term = "tuple[tuple[int, ...], tuple[int, ...], GaussianRational]"
 
-_HALF = gq(Fraction(1, 2))
 _HALF_I = gq(0, Fraction(1, 2))
 _INT = {int}
 _new = object.__new__
@@ -370,18 +369,6 @@ def sin_wave(chart: Chart, k) -> ScalarExpr:
     k = tuple(k)
     minus = tuple(-x for x in k)
     return wave(chart, k, _HALF_I * -1) + wave(chart, minus, _HALF_I)
-
-
-def cos_wave(chart: Chart, k) -> ScalarExpr:
-    """cos(<k, x>) encoded through complex exponentials."""
-    k = tuple(k)
-    minus = tuple(-x for x in k)
-    return wave(chart, k, _HALF) + wave(chart, minus, _HALF)
-
-
-def normalize(chart: Chart, raw_terms) -> ScalarExpr:
-    """Canonicalise a raw term list: merge keys, drop zeros, sort."""
-    return ScalarExpr(chart, tuple(raw_terms))
 
 
 # -- chart maps ----------------------------------------------------------

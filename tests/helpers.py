@@ -1,0 +1,36 @@
+"""Constructors that only the tests use: no library or CLI code calls them."""
+
+from fractions import Fraction
+
+from pairform.exterior import VectorField, zero_form
+from pairform.pair import PairForm
+from pairform.rationals import gq
+from pairform.scalar import ScalarExpr, const, wave
+from pairform.scalar import zero as scalar_zero
+
+
+def normalize(chart, raw_terms) -> ScalarExpr:
+    """Canonicalise a raw term list: merge keys, drop zeros, sort."""
+    return ScalarExpr(chart, tuple(raw_terms))
+
+
+def cos_wave(chart, k) -> ScalarExpr:
+    """cos(<k, x>) encoded through complex exponentials."""
+    k = tuple(k)
+    return wave(chart, k, gq("1/2")) + wave(chart, tuple(-x for x in k), gq("1/2"))
+
+
+def frame_field(chart, j: int) -> VectorField:
+    """The coordinate field of slot j."""
+    return VectorField(chart, tuple(const(chart, 1) if s == j else scalar_zero(chart)
+                                    for s in range(chart.nslots)))
+
+
+def norm2(z) -> Fraction:
+    """The squared modulus re^2 + im^2 of a Gaussian rational, read off its
+    integer numerators and common denominator."""
+    return Fraction(z.a * z.a + z.b * z.b, z.d * z.d)
+
+
+def zero_pair(chart, degree: int) -> PairForm:
+    return PairForm(zero_form(chart, degree), zero_form(chart, degree - 1))

@@ -12,10 +12,13 @@ it applies the library's symbolic operators to materialized basis forms and
 decomposes the images again, and shares no code with the per-mode symbols
 (`cohomology._symbol`) that the library assembles its matrices from.  The
 library writes each operator once for every mode, as a matrix of linear
-forms in k (`cohomology._parts`); `ModeBlock` builds a block's matrices at
-its own modes instead, reading every symbol coefficient there, and is the
-per-mode reference that those linear forms are compared with off the modes
-0 and e_i they are read from.  The library never builds a global band
+forms in k (`cohomology._parts`), each coefficient written down as its
+linear form (`cohomology._forms`).  `sampled_forms` reads those forms off
+each coefficient's values at the modes 0 and e_i (`symbol_values`, from
+`sigma_values` and `lam_value`) instead; `ModeBlock` builds a block's
+matrices at its own modes, reading every symbol coefficient there, and is
+the per-mode reference that the linear forms are compared with off 0 and
+e_i.  The library never builds a global band
 matrix; `reassemble` and `band_matrix` put the per-block Z[i] matrices
 back together on a global basis, so that they can be compared with the
 symbolic reference entry for entry.
@@ -62,7 +65,6 @@ from pairform.cohomology import (
     _PairModel,
     _PrimedEtaModel,
     _RelativeModel,
-    _symbol_values,
     _unit_modes,
 )
 from pairform.dolbeault import dbar_pair
@@ -76,10 +78,12 @@ from pairform.exterior import (
     zero_form,
 )
 from pairform.linalg import RationalMatrix, zi_kernel, zi_matmul, zi_rank
-from pairform.pair import PairForm, pair_d, pair_d_lichnerowicz, zero_pair
+from pairform.pair import PairForm, pair_d, pair_d_lichnerowicz
 from pairform.rationals import ONE, ZERO, GaussianRational, from_parts
 from pairform.relative import RelPairForm, rel_d, rel_d_lichnerowicz
 from pairform.scalar import ScalarExpr, const, wave
+
+from helpers import zero_pair
 
 
 def to_complex(c: GaussianRational) -> complex:
@@ -403,6 +407,58 @@ def render_vector(band: SymbolicBand, degree: int, basis, vec) -> str:
 # -- the band matrices mode by mode ------------------------------------------
 
 
+def sigma_values(model, side, k) -> list:
+    """sigma_j(k) times `model.scale` over the slots j of the side's chart,
+    as int pairs, where wave(k).wirtinger(j) = sigma_j(k) * wave(k): i k_j on
+    a real torus; (i k_x + k_y)/2 on a dz slot and (i k_x - k_y)/2 on a dzb
+    slot of a complex torus, whose scale doubles."""
+    chart, u = model.charts[side], model.unit
+    if not chart.is_complex:
+        return [(0, u * v) for v in k]
+    n = chart.dim
+    return [((-u if j >= n else u) * k[n + j % n], u * k[j % n]) for j in range(chart.nslots)]
+
+
+def lam_value(model, k) -> tuple:
+    """lambda(k) = sum_j X_j sigma_j(k) times `model.scale`, as an int pair,
+    for the field with frame coefficients `model.coeffs` on side "S"."""
+    re = im = 0
+    for x, (s, t) in zip(model.coeffs, sigma_values(model, "S", k)):
+        re, im = re + (x.a * s - x.b * t) // x.d, im + (x.a * t + x.b * s) // x.d
+    return re, im
+
+
+def symbol_values(model, side, kind: str, k) -> tuple:
+    """(k', c) of a symbol block of `kind` leaving `side` at mode k: its
+    target mode k' and its coefficients c_j (`cohomology._symbol`) times
+    `model.scale`, indexed by j, as int pairs."""
+    if kind == "pullback":
+        return model.pull(k), (lam_value(model, model.pull(k)),)
+    if kind in ("lie", "wedge", "interior"):
+        return k, (lam_value(model, k),) if kind == "lie" else model.scaled_coeffs
+    sigma = sigma_values(model, side, k)
+    return k, [(a, -b) for a, b in sigma] if kind == "dbar*" else sigma
+
+
+def linear(values) -> dict:
+    """The linear form {i: (re, im)} in k (k_0 = 1), zero coefficients left
+    out, of an affine c(k) given at 0, e_1, ..., e_n as int pairs."""
+    (a, b), *units = values
+    terms = [(a, b)] + [(x - a, y - b) for x, y in units]
+    return {i: term for i, term in enumerate(terms) if term != (0, 0)}
+
+
+def sampled_forms(points, side, dst_side, kind: str) -> tuple:
+    """(inside, forms, k'(0)) as `cohomology._forms` gives them, read off
+    the symbol's values at the blocks `points` of 0 and e_i instead: each
+    c_j at each block's own mode of `side` (`symbol_values`), and its
+    `linear` form through those n + 1 values."""
+    model = points[0].model
+    read = [symbol_values(model, side, kind, b.modes[side][0]) for b in points]
+    inside = all(k in b.modes.get(dst_side, ()) for b, (k, _) in zip(points, read))
+    return inside, [linear(c) for c in zip(*(c for _, c in read))], read[0][0]
+
+
 class ModeBlock(_Block):
     """A library block whose matrices are evaluated at its own modes: the
     per-mode reference for the linear forms in k (`cohomology._parts`) that
@@ -422,8 +478,9 @@ class ModeBlock(_Block):
     def matrix(self, op, src: int, dst: int) -> list:
         """The block of operator `op` from degree `src` to degree `dst`, as a
         Z[i] column matrix with entries times `model.scale`: one column per
-        tag, each symbol coefficient read (`_symbol_values`) at the tag's
-        own mode; built once per (op, src, dst)."""
+        tag, each symbol coefficient read (`symbol_values`) at the tag's
+        own mode and written at the rows of the model's `stencil`; built
+        once per (op, src, dst)."""
         key = op, src, dst
         if key in self._matrices:
             return self._matrices[key]
@@ -431,26 +488,29 @@ class ModeBlock(_Block):
         index = self.index(dst)
         cols = []
         for side, modes in self.modes.items():
-            kinds, symbols = model.symbols(op, side, src - _SHIFT[side])
+            q = src - _SHIFT[side]
             for k in modes:
-                # per symbol block: its first row, its coefficients c indexed
-                # by j, and its target mode
+                # per symbol block: its first row, sign, coefficients c
+                # indexed by j, target mode and stencil
                 blocks = []
-                for dst_side, kind in kinds:
-                    row_k, coefs = _symbol_values(model, side, kind, k)
-                    blocks.append((index.get((dst_side, row_k)), coefs, row_k))
-                for terms in symbols:
+                for from_side, dst_side, sign, kind in op:
+                    if from_side == side:
+                        row_k, coefs = symbol_values(model, side, kind, k)
+                        blocks.append((index.get((dst_side, row_k)), sign, coefs, row_k,
+                                       model.stencil(side, kind, q)))
+                for i in range(len(model.index_sets(side, q))):
                     col = {}
-                    for (start, coefs, row_k), block_terms in zip(blocks, terms):
-                        for pos, s, j in block_terms:
+                    for start, sign, coefs, row_k, stencil in blocks:
+                        for pos, s, j in stencil[i]:
                             a, b = coefs[j]
                             if a or b:
                                 if start is None or pos is None:
                                     raise UnsupportedScenarioError(
                                         f"band-closure violation: mode {row_k} leaves the band")
                                 c, e = col.pop(start + pos, (0, 0))
-                                if c + s * a or e + s * b:
-                                    col[start + pos] = c + s * a, e + s * b
+                                c, e = c + sign * s * a, e + sign * s * b
+                                if c or e:
+                                    col[start + pos] = c, e
                     cols.append(col)
         self._matrices[key] = cols
         return cols
@@ -583,14 +643,14 @@ def homotopy_value(model, k, side="F") -> int:
     complex torus; zero only at k = 0."""
     chart = model.charts[side]
     return sum(a * a + b * b
-               for a, b in model.sigma(side, k)[chart.dim if chart.is_complex else 0:])
+               for a, b in sigma_values(model, side, k)[chart.dim if chart.is_complex else 0:])
 
 
 def closed_value(model, k, sign: int) -> tuple:
     """The pair Laplacian's closed form at mode k, times scale^2: the
     componentwise Laplacian |k|^2 plus `sign` times the squared Lie symbol
     lambda(k)^2, as an int pair."""
-    la, lb = model.lam(k)
+    la, lb = lam_value(model, k)
     return homotopy_value(model, k) + sign * (la * la - lb * lb), sign * 2 * la * lb
 
 

@@ -26,7 +26,7 @@ from pairform.cohomology import (
     relative_predicted_dims,
 )
 from pairform.dolbeault import holomorphic_field
-from pairform.exterior import coframe, constant_field, parse_form, scalar_form, wedge
+from pairform.exterior import coframe, constant_field, parse_form, scalar_form, wedge, zero_form
 from pairform.rationals import gq
 from pairform.scalar import ChartMap, const, identity_map, sin_wave
 
@@ -54,6 +54,7 @@ from oracles import (
     relative_band,
     render_vector,
     sampled_coefficients,
+    sampled_forms,
 )
 
 T1, T2, T3 = torus(1), torus(2), torus(3)
@@ -1045,6 +1046,118 @@ def test_linear_parts_equal_the_per_mode_blocks_off_the_unit_modes():
                 assert _at(_parts(points, op, d, d + step), k) == mat, (name, op, d, k)
                 entries += sum(map(len, mat))
         assert entries, (name, op)   # the case is not vacuous
+
+
+def _forms_models():
+    """(model, ops) for every symbol kind: pair and twisted de Rham models on
+    T1-T4, Dolbeault models on TC1-TC2 for every p, and relative and primed
+    models over an embedding, a projection, the zero map, doubling and a
+    non-triangular GL(3,Z) map; fields and 1-forms with integer and
+    Gaussian-rational coefficients (unit 42 and 6), one w_j zero."""
+    from pairform.cohomology import (
+        _DBAR_HOMOTOPY,
+        _DBAR_PAIR,
+        _DeRhamModel,
+        _DolbeaultModel,
+        _PAIR_CODIFF,
+        _PAIR_D,
+        _PAIR_HOMOTOPY,
+        _PairModel,
+        _PrimedEtaModel,
+        _REL_D,
+        _RelativeModel,
+        _TWISTED_CODIFF,
+        _TWISTED_D,
+        _UNCOUPLED_D,
+    )
+
+    gaussian = (gq("1/2", 1), gq(0, "-2/3"), gq(3), gq("5/7", "1/7"))
+    out = []
+    for n in range(1, 5):
+        chart = torus(n)
+        out += [(_PairModel(chart, constant_field(chart, coeffs[:n]), 1), _PAIR_D + _PAIR_CODIFF)
+                for coeffs in (_COEFFS["integer"], gaussian)]
+        w = sum((coframe(chart, j) * c for j, c in enumerate((gq(2, -1), 0, gq("2/3"), 1)[:n])),
+                zero_form(chart, 1))
+        out.append((_DeRhamModel(chart, 1, w), _TWISTED_D + _TWISTED_CODIFF))
+    for n in (1, 2):
+        chart = torus_complex(n)
+        holo = holomorphic_field(chart, tuple(const(chart, c) for c in gaussian[1:n + 1]))
+        out += [(_DolbeaultModel(chart, holo, p, 1), _DBAR_PAIR + _DBAR_HOMOTOPY)
+                for p in range(n + 1)]
+    for name in ("embed T1->T2", "project T2->T1", "zero T2->T1", "doubling", "GL(3,Z)"):
+        cmap = _torus_map(name)
+        x = constant_field(cmap.source, gaussian[:cmap.source.dim])
+        out.append((_RelativeModel(cmap, x, 1), _REL_D + _PAIR_HOMOTOPY))
+        out.append((_PrimedEtaModel(cmap, coframe(cmap.target, 0) * gq("1/2"), 1),
+                    _UNCOUPLED_D + _PAIR_HOMOTOPY))
+    return out
+
+
+def test_symbol_forms_are_the_sampled_forms():
+    """`_forms` writes each c_j of a symbol block down as a linear form in
+    the point set's k (composed with A^T on a map's source side next to its
+    target modes); the target flag, the forms and k'(0) equal what reading
+    each c_j at the blocks of 0 and e_i gives (`oracles.sampled_forms`), for
+    every symbol kind, model of `_forms_models` and point set of its
+    `certificate`: a map model's coupled set and each side's own."""
+    from pairform.cohomology import _STEP, _forms
+
+    kinds, composed, units = set(), 0, set()
+    for model, ops in _forms_models():
+        checked, pieces = model.certificate()
+        for points in checked + [points for points, _, _ in pieces]:
+            for side, dst_side, _, kind in set(ops):
+                if side not in points[0].modes:
+                    continue
+                got = _forms(points, side, dst_side, kind)
+                assert got == sampled_forms(points, side, dst_side, kind), \
+                    (model.label, tuple(points[0].modes), side, kind)
+                kinds.add(kind)
+                composed += got[1] != model.forms(side, kind)
+        units.add(model.unit)
+    assert kinds == set(_STEP)
+    assert composed and max(units) > 1
+
+
+def test_stencils_are_derived_once_per_chart_kind_and_degree(monkeypatch):
+    """The process-wide stencils equal a fresh `_symbol` derivation, each
+    target index set J at its position among the target's index sets, for
+    every kind and degree on T1-T4 and on TC2 for p = 0..2.  The fields
+    X = (1, 2, 0) and X = (1/2, i, 0) on T3 share one entry per key: the
+    second model derives nothing, and no key or entry holds a field value."""
+    from pairform import cohomology
+    from pairform.charts import Chart
+    from pairform.cohomology import _PairModel, _STEP, _sets, _stencil, _symbol
+
+    cases = [(torus(n), None, kind) for n in range(1, 5)
+             for kind in ("d", "codiff", "wedge", "interior", "lie")]
+    cases += [(torus_complex(2), p, kind) for p in range(3) for kind in ("dbar", "dbar*", "lie")]
+    for chart, p, kind in cases:
+        for q in range(-1, chart.nslots + 2):
+            targets = _sets(chart, p, q + _STEP[kind])
+            expected = [[(J if J in targets else None, s, j) for J, s, j in _symbol(chart, kind, idx)]
+                        for idx in _sets(chart, p, q)]
+            assert [[(None if pos is None else targets[pos], s, j) for pos, s, j in terms]
+                    for terms in _stencil(chart, p, kind, q)] == expected, (chart, p, kind, q)
+
+    monkeypatch.setattr(cohomology, "_STENCILS", {})
+    symbol, derived = cohomology._symbol, []
+    monkeypatch.setattr(cohomology, "_symbol",
+                        lambda *args: derived.append(args) or symbol(*args))
+    _PairModel(T3, constant_field(T3, (1, 2, 0)), 1).certified_ranks()
+    entries, first = dict(cohomology._STENCILS), len(derived)
+    _PairModel(T3, constant_field(T3, (gq("1/2"), gq(0, 1), 0)), 1).certified_ranks()
+    assert first and len(derived) == first
+    assert cohomology._STENCILS.keys() == entries.keys()
+    assert all(cohomology._STENCILS[key] is entry for key, entry in entries.items())
+
+    def leaves(value):
+        if isinstance(value, tuple):
+            return [leaf for item in value for leaf in leaves(item)]
+        return [value]
+
+    assert {type(leaf) for leaf in leaves(tuple(entries.items()))} <= {Chart, str, int, type(None)}
 
 
 # broken operators: a homotopy or i_(w#) with a flipped sign, and differentials

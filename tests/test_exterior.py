@@ -23,7 +23,6 @@ from pairform.exterior import (
     constant_field,
     ext_d,
     form,
-    frame_field,
     hamiltonian_field,
     hodge_star,
     inner,
@@ -55,13 +54,13 @@ from pairform.scalar import (
     ScalarExpr,
     const,
     coordinate,
-    cos_wave,
     identity_map,
     sin_wave,
     wave,
     zero as scalar_zero,
 )
 
+from helpers import cos_wave, frame_field
 from oracles import coordinate_lie, laplace_eigenvalue, perm_sign
 
 R1, R2 = affine(1), affine(2)

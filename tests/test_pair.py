@@ -9,7 +9,6 @@ from pairform.exterior import (
     constant_field,
     ext_d,
     form,
-    frame_field,
     laplacian,
     lie,
     scalar_form,
@@ -35,7 +34,6 @@ from pairform.pair import (
     pair_pullback,
     pair_wedge,
     transfer,
-    zero_pair,
 )
 from pairform.randgen import (
     random_automorphism,
@@ -46,8 +44,9 @@ from pairform.randgen import (
     random_scalar,
 )
 from pairform.rationals import gq
-from pairform.scalar import ChartMap, const, coordinate, cos_wave, sin_wave, wave
+from pairform.scalar import ChartMap, const, coordinate, sin_wave, wave
 
+from helpers import cos_wave, frame_field, zero_pair
 from oracles import coordinate_lie
 
 R1, R2 = affine(1), affine(2)

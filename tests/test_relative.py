@@ -8,7 +8,6 @@ from pairform.exterior import (
     constant_field,
     ext_d,
     form,
-    frame_field,
     interior,
     lie,
     pullback,
@@ -37,6 +36,8 @@ from pairform.relative import (
 )
 from pairform.rationals import gq
 from pairform.scalar import ChartMap, const, coordinate, identity_map, sin_wave
+
+from helpers import cos_wave, frame_field
 
 R1, R2 = affine(1), affine(2)
 T1, T2 = torus(1), torus(2)
@@ -85,7 +86,6 @@ def test_rel_d_frozen_doubling_example():
     a = RelPairForm(cmap, phi, zero_form(T1, 0))
     out = rel_d(frame_field(T1, 0), a)
     assert out.first.is_zero
-    from pairform.scalar import cos_wave
     assert out.second == wedge(scalar_form(cos_wave(T1, (2,)) * 4), dx(T1, 0))
 
 

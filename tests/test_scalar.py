@@ -23,15 +23,14 @@ from pairform.scalar import (
     ScalarExpr,
     const,
     coordinate,
-    cos_wave,
     identity_map,
-    normalize,
     parse_scalar,
     sin_wave,
     wave,
     zero,
 )
 
+from helpers import cos_wave, normalize
 from oracles import eval_scalar, points_for
 
 R1, R2 = affine(1), affine(2)
