@@ -18,37 +18,32 @@ reference, and the same matrices evaluated mode by mode, live in the tests.
 
 So every band matrix is block-diagonal.  A block (`_Block`) lists its modes
 per side: one mode k on every side, over a torus map a target mode k with
-its source mode A^T k, or one side's mode alone.  Every c_J(k) is linear in
-k or constant, so `_parts` writes an operator's block at a generic mode k
-once for all k: a Z[i] column matrix (see `linalg`) of linear forms in
-(1, k_1, ..., k_n), each c_J written down as one (`_forms`; composed with
-A^T on a source side whose mode is A^T k), every entry times the model's
-one denominator `scale`.
+its source mode A^T k, or one side's mode alone.  `_parts` writes an
+operator's block once for every mode and field, a Z[i] column matrix (see
+`linalg`) of linear forms (`_forms`) in 1, k_1, ..., k_n, Lambda for lambda
+and W_j for w_j; at Lambda = lambda(k) scale and W_j = w_j scale it is the
+band matrix times the model's one denominator `scale` (`_at`).
 
-`_certify` checks D H + H D = q(k) I on every mode of every band at once,
-with one product of such matrices per degree, whose entries are quadratic
-forms in k, against the coefficients of the closed form q, written straight
-down (`_closed`).  Every band model declares a contracting homotopy H (the
-codifferential, or dbar*, on each slot; the Koszul complex's) with
-q = t(k), |k|^2 scaled and zero only at k = 0, certified on both slots at
+`_certify` checks D H + H D = q I with one product of such matrices per
+degree, whose entries are quadratic forms, against q's coefficients,
+written straight down (`_closed`): a polynomial identity in (k, Lambda, W),
+so it holds on every mode of every band and for every field.  Every band
+model declares a contracting homotopy H (the codifferential, or dbar*, on
+each slot; the Koszul complex's) with q = |k|^2, certified on both slots at
 once or, over a torus map, on each side alone (`_MapModel`).  With d.d = 0
-checked the same way, and the differential checked to have no constant
-term (it vanishes on the block of every side at mode 0), no block is
-eliminated: that block's columns are the cohomology, and every other rank
-is filled from column counts.  The pair, corrected pair and Lichnerowicz
-Laplacians, certified against t(k) + lambda(k)^2, t(k) - lambda(k)^2 and
-t(k) + <w, w>, are zero on the modes where q vanishes and invertible on
-the others, so their kernels are read off those modes, where only the
-joint kernel of the linear [pair_d ; pair_codiff], evaluated there, is
-taken.  No global matrix is built.
+checked the same way, and the differential checked to have no constant term
+(it vanishes on the block of every side at mode 0), no block is eliminated:
+that block's columns are the cohomology, and every other rank is filled
+from column counts.  The pair, corrected pair and Lichnerowicz Laplacians,
+certified against |k|^2 + Lambda^2, |k|^2 - Lambda^2 and |k|^2 + sum W_j^2,
+are zero on the modes where q, with the field's numbers put in, vanishes
+and invertible on the others, so their kernels are read off those modes,
+where only the joint kernel of the linear [pair_d ; pair_codiff], evaluated
+there, is taken.  No global matrix is built.
 
-The kernels keep what does not depend on the degree in one memo
-(`_shared`), for one key only, the latest kernel name, chart and exact
-field or 1-form coefficients of any kernel: the blocks of 0 and e_i with
-their model's memos of the linear matrices, q's coefficients and the
-latest band's resonant blocks.  The operators are read on every call and
-key every memo; each call still checks its inputs, certifies its own
-degree and takes its own joint kernel.
+No verdict depends on a field value.  Each is kept once it holds, in a
+bounded process-wide memo (`_Memo`) keyed by its point sets' `layout`,
+operators, closed form and degrees; so are the formal matrices.
 
 Operators that mix frequencies (a pair differential twisted by a non-closed
 1-form) escape every finite band; such scenarios are rejected rather than
@@ -96,10 +91,6 @@ def _sets(chart: Chart, p, q: int) -> tuple:
     return tuple(itertools.combinations(range(chart.nslots), q)) if q >= 0 else ()
 
 
-def _wave_form(chart: Chart, k, idx) -> Form:
-    return Form(chart, len(idx), ((tuple(idx), wave(chart, k)),))
-
-
 def _constant_coeffs(x: VectorField) -> tuple:
     """Frame coefficients of a constant field; any other field mixes modes."""
     if not x.is_constant():
@@ -133,17 +124,18 @@ _PAIR_HOMOTOPY = (("F", "F", 1, "codiff"), ("S", "S", -1, "codiff"))
 _DBAR_HOMOTOPY = (("F", "F", 1, "dbar*"), ("S", "S", -1, "dbar*"))
 
 
-def _sigma_forms(chart: Chart, unit: int, conjugate=False) -> list:
-    """sigma_j(k) times `unit`, doubled on a complex torus and conjugated
-    for dbar*, where wave(k).wirtinger(j) = sigma_j(k) * wave(k), as linear
-    forms {i: (re, im)} in (1, k_1, ..., k_n) over the slots j: i k_j on a
-    real torus; i k_x + k_y on a dz slot and i k_x - k_y on a dzb slot of a
-    complex torus, (x, y) the slot's pair of axes."""
-    im = -unit if conjugate else unit
+@lru_cache(maxsize=None)
+def _sigma_forms(chart: Chart, conjugate=False) -> list:
+    """sigma_j(k), doubled on a complex torus and conjugated for dbar*,
+    where wave(k).wirtinger(j) = sigma_j(k) * wave(k), as linear forms
+    {i: (re, im)} in (1, k_1, ..., k_n) over the slots j: i k_j on a real
+    torus; i k_x + k_y on a dz slot and i k_x - k_y on a dzb slot of a
+    complex torus, (x, y) the slot's pair of axes; listed once per process."""
+    im = -1 if conjugate else 1
     if not chart.is_complex:
         return [{j + 1: (0, im)} for j in range(chart.nslots)]
     n = chart.dim
-    return [{j % n + 1: (0, im), n + j % n + 1: (-unit if j >= n else unit, 0)}
+    return [{j % n + 1: (0, im), n + j % n + 1: (-1 if j >= n else 1, 0)}
             for j in range(chart.nslots)]
 
 
@@ -187,10 +179,10 @@ def _symbol(chart: Chart, kind: str, idx) -> list:
     (`_RelativeModel.minors`).
 
     Every c(k) above is linear in k (sigma_j, lambda) or constant (w_j, the
-    minors), so every entry of a one-mode block matrix is a linear form in
-    (1, k_1, ..., k_n) on a basis that does not depend on k, which `_forms`
-    writes down: a model may declare a `homotopy`, and a Laplacian may be
-    certified, only if every symbol kind of its operators is affine in k.
+    minors), so a one-mode block matrix is linear in (1, k, Lambda, W) on a
+    basis that does not depend on k (`_forms`): a model may declare a
+    `homotopy`, and a Laplacian may be certified, only if every symbol kind
+    of its operators is affine in k.
     """
     if kind == "lie":
         return [(idx, 1, 0)]
@@ -251,62 +243,90 @@ class _Block:
     def tags(self, degree) -> list:
         """The block's basis tags of this degree, in the global basis order."""
         if degree not in self._tags:
-            sets = self.model.index_sets
             self._tags[degree] = [(side, k, idx) for side, modes in self.modes.items()
-                                  for k in modes for idx in sets(side, degree - _SHIFT[side])]
+                                  for sets in [self.model.index_sets(side, degree - _SHIFT[side])]
+                                  for k in modes for idx in sets]
         return self._tags[degree]
 
 
-def _mode_block(model: "_Model", k) -> _Block:
-    """The block of mode k on every side of a model whose operators keep modes."""
-    return _Block(model, {side: [k] for side in model.charts})
-
-
-def _unit_modes(nvars: int) -> list:
+@lru_cache(maxsize=None)
+def _unit_modes(nvars: int) -> tuple:
     """The modes 0, e_1, ..., e_n."""
-    return [tuple(int(i == j) for j in range(nvars)) for i in range(-1, nvars)]
+    return tuple(tuple(int(i == j) for j in range(nvars)) for i in range(-1, nvars))
+
+
+class _Points(list):
+    """The blocks of one model at k = 0, e_1, ..., e_n, one per {side: [mode]}
+    in `modes`, and their `layout`: p and each side's chart and modes there."""
+
+    def __init__(self, model: "_Model", modes: list):
+        super().__init__(_Block(model, m) for m in modes)
+        self.layout = model.p, tuple((side, model.charts[side], tuple(m[side][0] for m in modes))
+                                     for side in modes[0])
+
+
+def _unit_points(model: "_Model") -> _Points:
+    """The mode blocks of `_unit_modes`, of a model whose operators keep modes."""
+    return _Points(model, [{side: [k] for side in model.charts}
+                           for k in _unit_modes(model.charts["F"].nvars)])
 
 
 def _value(coefficients: dict, k) -> tuple:
     """q(k), as an int pair, for the quadratic q with `coefficients`."""
-    k = (1,) + tuple(k)
-    return tuple(sum(c[t] * k[i] * k[j] for (i, j), c in coefficients.items()) for t in (0, 1))
+    k, re, im = (1,) + tuple(k), 0, 0
+    for (i, j), (a, b) in coefficients.items():
+        re, im = re + a * k[i] * k[j], im + b * k[i] * k[j]
+    return re, im
 
 
-def _forms(points: list, side, dst_side, kind: str) -> tuple:
+def _forms(points: _Points, side, dst_side, kind: str) -> tuple:
     """(inside, forms, k'(0)) of a symbol block of `kind` from `side` to
-    `dst_side` on `points`, the blocks of `_unit_modes` of one model:
-    whether its target mode k' lies in the block at every one of them, the
-    model's `forms` of its c_j as linear forms in the points' k, and k' at
-    0; once per model, sides and symbol block.  The side's mode on the
-    points is M k, M's columns its modes at e_i, so the forms in that mode
-    are composed with M: A^T on a map model's source side next to its
-    target modes, the identity elsewhere."""
-    model = points[0].model
-    cache = model._cache["forms"]
-    key = tuple(points[0].modes), side, dst_side, kind
-    if key not in cache:
-        modes = [b.modes[side][0] for b in points]
-        targets = [model.pull(k) for k in modes] if kind == "pullback" else modes
-        inside = all(k in b.modes.get(dst_side, ()) for b, k in zip(points, targets))
-        forms = model.forms(side, kind)
-        if modes != _unit_modes(len(modes) - 1):
-            forms = [_composed(form, modes[1:]) for form in forms]
-        cache[key] = inside, forms, targets[0]
-    return cache[key]
+    `dst_side` on `points`: whether its target mode k' is in the block at
+    every point, its c_j (`_symbol`) as formal linear forms, Lambda (index
+    n + 1) for lambda, W_j (n + 2 + j) for w_j and sigma_j (unit 1) composed
+    with M, the side's mode M k (A^T on a map's source side), and k' at 0."""
+    model, n = points[0].model, len(points) - 1
+    modes = tuple(b.modes[side][0] for b in points)
+    targets = [model.pull(k) for k in modes] if kind == "pullback" else modes
+    inside = all(k in b.modes.get(dst_side, ()) for b, k in zip(points, targets))
+    if kind in ("lie", "pullback"):
+        return inside, [{n + 1: (1, 0)}], targets[0]
+    if kind in ("wedge", "interior"):
+        return inside, [{n + 2 + j: (1, 0)} for j in range(model.charts[side].nslots)], targets[0]
+    forms = _sigma_forms(model.charts[side], kind == "dbar*")
+    if modes != _unit_modes(n):
+        forms = [_composed(form, modes[1:]) for form in forms]
+    return inside, forms, targets[0]
 
 
-def _parts(points: list, op, src: int, dst: int) -> list:
-    """The matrix M(k) = M_0 + sum k_i M_i of `op` from degree `src` to
-    `dst` for every mode k at once, on `points`, the blocks of `_unit_modes`
-    of one model on the same sides: a column matrix of linear forms, each
-    symbol block's `_forms` written at the rows of its `stencil`, the
-    entries of two blocks added and the terms of a zero w_j left out; once
-    per model, sides and (op, src, dst)."""
-    model = points[0].model
-    cache = model._cache["parts"]
-    key = tuple(points[0].modes), op, src, dst
-    if key not in cache:
+# the most entries a `_Memo` holds; a torus map's rows are in its keys
+_MEMO_LIMIT = 512
+
+
+class _Memo(dict):
+    """A process-wide memo, emptied when full before it takes one more."""
+
+    def __setitem__(self, key, value):
+        if len(self) >= _MEMO_LIMIT:
+            self.clear()
+        super().__setitem__(key, value)
+
+
+# (layout, op, src, dst) -> `_parts`; no key or entry holds a field value
+_PARTS = _Memo()
+# the keys of the certificates that hold (`certified_ranks`, `_resonant`)
+_CERTIFIED = _Memo()
+
+
+def _parts(points: _Points, op, src: int, dst: int) -> list:
+    """The matrix of `op` from degree `src` to `dst` for every mode and field
+    on `points`: formal linear forms, each symbol block's `_forms` at the
+    rows of its `stencil`, two blocks' entries added; once per layout and
+    (op, src, dst) while `_PARTS` holds it."""
+    key = points.layout, op, src, dst
+    cols = _PARTS.get(key)
+    if cols is None:
+        model = points[0].model
         # the first row of each side: the sides' tags follow one another
         starts, row, cols = {}, 0, []
         for side, modes in points[0].modes.items():
@@ -319,11 +339,9 @@ def _parts(points: list, op, src: int, dst: int) -> list:
                        model.stencil(side, kind, q))
                       for from_side, dst_side, sign, kind in op if from_side == side]
             for c in range(len(model.index_sets(side, q))):
-                flat = {}         # (row, i) -> coefficient of k_i
+                flat = {}         # (row, i) -> coefficient of variable i
                 for start, sign, inside, forms, row_k, stencil in blocks:
                     for pos, s, j in stencil[c]:
-                        if not forms[j]:
-                            continue
                         if start is None or pos is None or not inside:
                             raise UnsupportedScenarioError(
                                 f"band-closure violation: mode {row_k} leaves the band")
@@ -336,40 +354,37 @@ def _parts(points: list, op, src: int, dst: int) -> list:
                     if v != (0, 0):
                         col.setdefault(r, {})[i] = v
                 cols.append(col)
-        cache[key] = cols
-    return cache[key]
+        _PARTS[key] = cols
+    return cols
 
 
-def _stacked_parts(points: list, degree: int, d_op, cod_op) -> list:
-    """[D_p ; Cod_p] as `_parts`: the columns of D_p over those of Cod_p;
-    once per model, sides, degree and (D, Cod)."""
-    cache = points[0].model._cache["stacked"]
-    key = tuple(points[0].modes), degree, d_op, cod_op
-    if key not in cache:
-        shift = len(points[0].tags(degree + 1))
-        cache[key] = [{**up, **{r + shift: v for r, v in low.items()}} for up, low in zip(
-            _parts(points, d_op, degree, degree + 1), _parts(points, cod_op, degree, degree - 1))]
-    return cache[key]
+def _stacked_parts(points: _Points, degree: int, d_op, cod_op) -> list:
+    """[D_p ; Cod_p] as `_parts`: the columns of D_p over those of Cod_p."""
+    shift = len(points[0].tags(degree + 1))
+    return [{**up, **{r + shift: v for r, v in low.items()}} for up, low in zip(
+        _parts(points, d_op, degree, degree + 1), _parts(points, cod_op, degree, degree - 1))]
 
 
-def _at(parts: list, k) -> list:
-    """The Z[i] column matrix M(k) of a matrix M of `_parts` forms."""
-    k, out = (1,) + tuple(k), []
+def _at(parts: list, point) -> list:
+    """The Z[i] column matrix M(point) of a matrix M of `_parts` forms,
+    `point` giving each variable's value as an int pair (the first is 1)."""
+    out = []
     for col in parts:
         out.append({})
         for r, form in col.items():
             re = im = 0
             for i, (a, b) in form.items():
-                re, im = re + a * k[i], im + b * k[i]
+                x, y = point[i]
+                re, im = re + a * x - b * y, im + a * y + b * x
             if re or im:
                 out[-1][r] = re, im
     return out
 
 
 def _product(left: list, right: list) -> list:
-    """L(k) R(k) for two matrices of `_parts` forms, the rows of `right`
-    indexing the columns of `left`: per column {row: quadratic form}, keyed
-    (a, b), a <= b, for k_a k_b (k_0 = 1); cancelled coefficients are kept."""
+    """L R for two matrices of `_parts` forms, the rows of `right` indexing
+    the columns of `left`: per column {row: quadratic form}, keyed (a, b),
+    a <= b, for variables a and b (0 is 1); cancelled coefficients are kept."""
     out = []
     for col in right:
         acc = {}
@@ -385,26 +400,22 @@ def _product(left: list, right: list) -> list:
     return out
 
 
-def _closed(model: "_Model", side="F", lam_sign=0, constant=(0, 0)) -> dict:
+def _closed(nvars: int, unit=1, squares=()) -> dict:
     """The nonzero coefficients, keyed like `_product`'s entries, of
-    q(k) = t(k) + lam_sign lambda(k)^2 + constant times scale^2: t(k) scale^2
-    is unit^2 |k|^2 in the side's modes, the sum of |sigma_j(k)|^2 scale^2
-    over the slots the homotopy contracts (all of a real torus, the dzb ones
-    of a complex torus); lambda(k)^2 is one `_product` of the model's
-    `lam_form` with itself, and `constant` is <w, w> scale^2."""
-    nvars = model.charts[side].nvars
-    out = {(i, i): (model.unit ** 2, 0) for i in range(1, nvars + 1)}
-    out[0, 0] = constant
-    if lam_sign:
-        lam = model.lam_form
-        for key, (a, b) in _product([{0: lam}], [{0: lam}])[0][0].items():
-            x, y = out.get(key, (0, 0))
-            out[key] = x + lam_sign * a, y + lam_sign * b
+    q = unit^2 |k|^2 + the sum of s f^2 over (s, f) in `squares`: t(k) scale^2,
+    the sum of |sigma_j(k)|^2 unit^2 over the slots a homotopy contracts (a
+    real torus's, a complex torus's dzb), plus squares of linear forms f:
+    Lambda or a W_j, or with the field's numbers `lam_form` or w_j scale."""
+    out = {(i, i): (unit ** 2, 0) for i in range(1, nvars + 1)}
+    for s, form in squares:
+        for (a, (fa, fb)), (b, (ga, gb)) in itertools.product(form.items(), repeat=2):
+            x, y = out.get((min(a, b), max(a, b)), (0, 0))
+            out[min(a, b), max(a, b)] = x + s * (fa * ga - fb * gb), y + s * (fa * gb + fb * ga)
     return {key: c for key, c in out.items() if c != (0, 0)}
 
 
 def _parts_hold(left: list, right: list, coefficients: dict) -> bool:
-    """Whether L(k) R(k) = q(k) I for all k, L and R given by their linear
+    """Whether L R = q I as polynomials, L and R given by their linear
     forms (`_parts`) and q by its nonzero `coefficients` (`_closed`): the
     quadratic form of each diagonal entry of the one `_product` is
     `coefficients`, and that of every other entry vanishes."""
@@ -416,11 +427,11 @@ def _parts_hold(left: list, right: list, coefficients: dict) -> bool:
     return True
 
 
-def _certify(points: list, d_op, h_op, coefficients: dict, degrees):
+def _certify(points: _Points, d_op, h_op, coefficients: dict, degrees):
     """The lowest of `degrees` where D H + H D = [H | D] . [D ; H] is not
-    q(k) I (`_parts_hold`), D and H with symbol blocks `d_op` and `h_op`, q
-    with `coefficients` (`_closed`), `points` the blocks of `_unit_modes`;
-    None if none.  One product of linear forms is taken per degree."""
+    q I (`_parts_hold`), D and H with symbol blocks `d_op` and `h_op`, q
+    with formal `coefficients` (`_closed`), on `points`; None if none.  One
+    product of linear forms is taken per degree."""
     parts = partial(_parts, points)
     return next((d for d in degrees if not _parts_hold(
         parts(h_op, d + 1, d) + parts(d_op, d - 1, d), _stacked_parts(points, d, d_op, h_op),
@@ -439,7 +450,7 @@ class _Model:
     block needs them, the constant frame coefficients `coeffs` of the field or
     1-form, for a pullback `matrix`, `minors` and `pull`, and for bidegree
     (p, q) index sets `p`; `certified_ranks` reads the ranks off the
-    `_parts` of `certificate`'s point sets."""
+    formal `_parts` of `certificate`'s point sets."""
 
     degrees: tuple
     charts: dict
@@ -456,11 +467,6 @@ class _Model:
         modes = _modes(chart.nvars, max_freq)
         self.modes = {"F": modes, "S": modes}
 
-    @cached_property
-    def _cache(self) -> dict:
-        """Per-model memos of `_forms`, `_parts` and `_stacked_parts`."""
-        return {"forms": {}, "parts": {}, "stacked": {}}
-
     def index_sets(self, side, degree) -> tuple:
         """The slot-index tuples of the side's forms of this degree."""
         return _sets(self.charts[side], self.p, degree)
@@ -474,9 +480,7 @@ class _Model:
         return _stencil(self.charts[side], self.p, kind, q)
 
     def basis(self, degree):
-        return [(side, k, idx) for side in self.charts
-                for sets in [self.index_sets(side, degree - _SHIFT[side])]
-                for k in self.modes[side] for idx in sets]
+        return _Block(self, self.modes).tags(degree)
 
     def size(self, degree) -> int:
         """The number of basis tags of this degree."""
@@ -503,63 +507,60 @@ class _Model:
 
     @cached_property
     def lam_form(self) -> dict:
-        """lambda(k) times `scale` as a linear form, where L_X e(k) =
-        lambda(k) e(k) and lambda = sum_j X_j sigma_j for the constant field
-        with frame coefficients `coeffs`: the sum of (unit * X_j) times the
-        doubled sigma_j form (`_sigma_forms`), in Z[i].  The field lives on
-        the chart of side "S" in every model with a Lie symbol."""
+        """What Lambda stands for, lambda(k) scale as a linear form in Z[i],
+        where L_X e(k) = lambda(k) e(k) for the constant field X with frame
+        coefficients `coeffs`: the sum of unit X_j times the doubled sigma_j
+        (`_sigma_forms`), X on the chart of side "S" of every Lie symbol."""
         out = {}
-        for x, sigma in zip(self.coeffs, _sigma_forms(self.charts["S"], 1)):
+        for x, sigma in zip(self.coeffs, _sigma_forms(self.charts["S"])):
             a, b = x.a * self.unit // x.d, x.b * self.unit // x.d
             for i, (s, t) in sigma.items():
                 re, im = out.get(i, (0, 0))
                 out[i] = re + a * s - b * t, im + a * t + b * s
         return {i: c for i, c in sorted(out.items()) if c != (0, 0)}
 
-    def forms(self, side, kind: str) -> list:
-        """The c_j (`_symbol`) of a symbol block of `kind` leaving `side`,
-        times `scale`, as linear forms in the side's mode indexed by j:
-        sigma_j (conjugated for dbar*), lambda, lambda(A^T k) for the
-        pullback, and the constants w_j, empty where w_j = 0."""
-        if kind in ("lie", "pullback"):
-            return [self.lam_form if kind == "lie" else _composed(self.lam_form, self.matrix)]
-        if kind in ("wedge", "interior"):
-            return [{0: w} if w != (0, 0) else {} for w in self.scaled_coeffs]
-        return _sigma_forms(self.charts[side], self.unit, kind == "dbar*")
-
     def certificate(self) -> tuple:
-        """The point sets (blocks of `_unit_modes`) of `certified_ranks`:
-        those D.D = 0 is checked on, the first led by the zero block, and
-        (points, D, side) per piece with D H + H D = t(k) I, t the side's
-        (`_closed`); here one set of one block per mode serves both."""
-        points = [_mode_block(self, k) for k in _unit_modes(self.charts["F"].nvars)]
+        """The point sets (`_Points`) of `certified_ranks`: those D.D = 0 is
+        checked on, the first led by the zero block, and (points, D, side)
+        per piece with D H + H D = t(k) I, t the side's (`_closed`); here
+        the mode blocks of `_unit_points` serve both."""
+        points = _unit_points(self)
         return [points], [(points, self.op, "F")]
 
     def certified_ranks(self) -> dict:
-        """The ranks of the model, certified for every band at once: D.D = 0
-        (`_parts_hold`) and D H + H D = t(k) I (`_certify`) hold on every
-        mode of `certificate`'s point sets, and D is zero on the zero block
-        Z, every side at mode 0 (each symbol is linear in k), so Z splits off
-        with rank 0, and every other column lies in an acyclic summand,
-        where r_q = c_q - r_(q-1), c_q the columns outside Z.  That fill must
-        be exact: no r_q is negative, and none leaves the last degree."""
+        """The ranks of the model for every band and field: D.D = 0
+        (`_parts_hold`) and D H + H D = t(k) I (`_certify`) hold on
+        `certificate`'s point sets, and D has no term of degree 0 in k and
+        Lambda (a W_j is constant), so it is zero on the zero block Z, every
+        side at mode 0; Z splits off with rank 0, and every other column lies
+        in an acyclic summand, where r_q = c_q - r_(q-1), c_q the columns
+        outside Z.  The checks run on a key's first use (`_CERTIFIED`); the
+        fill, on every call, must be exact: no r_q < 0, none past the top."""
         checked, pieces = self.certificate()
-        failed = []
-        for points in checked:
-            parts = [_parts(points, self.op, d, d + 1) for d in self.degrees[:-1]]
-            failed += [d for d, low, high in zip(self.degrees, parts, parts[1:])
-                       if not _parts_hold(high, low, {})]
-        if failed:
-            raise AssertionError(f"differentials fail to compose to zero at degree {min(failed)}")
-        if any(0 in form for d in self.degrees[:-1]
-               for col in _parts(checked[0], self.op, d, d + 1) for form in col.values()):
-            raise AssertionError("differential does not vanish at mode 0")
-        broken = [_certify(points, d_op, self.homotopy, _closed(self, side), self.degrees[:-1])
-                  for points, d_op, side in pieces]
-        broken = min((d for d in broken if d is not None), default=None)
-        if broken is not None:
-            raise AssertionError(
-                f"contracting homotopy disagrees with its closed form at degree {broken}")
+        key = (tuple(points.layout for points in checked),
+               tuple((points.layout, d_op) for points, d_op, _ in pieces),
+               self.op, self.homotopy, self.degrees)
+        if key not in _CERTIFIED:
+            failed = []
+            for points in checked:
+                parts = [_parts(points, self.op, d, d + 1) for d in self.degrees[:-1]]
+                failed += [d for d, low, high in zip(self.degrees, parts, parts[1:])
+                           if not _parts_hold(high, low, {})]
+            if failed:
+                raise AssertionError(
+                    f"differentials fail to compose to zero at degree {min(failed)}")
+            n = len(checked[0]) - 1
+            if any(i == 0 or i > n + 1 for d in self.degrees[:-1]
+                   for col in _parts(checked[0], self.op, d, d + 1)
+                   for form in col.values() for i in form):
+                raise AssertionError("differential does not vanish at mode 0")
+            broken = [_certify(points, d_op, self.homotopy, _closed(len(points) - 1),
+                               self.degrees[:-1]) for points, d_op, _ in pieces]
+            broken = min((d for d in broken if d is not None), default=None)
+            if broken is not None:
+                raise AssertionError(
+                    f"contracting homotopy disagrees with its closed form at degree {broken}")
+            _CERTIFIED[key] = True
         zero, ranks, rank = checked[0][0], {}, 0
         for d in self.degrees:
             rank = ranks[d] = self.size(d) - len(zero.tags(d)) - rank
@@ -671,10 +672,10 @@ class _MapModel(_Model):
         side's own blocks; each side's diagonal part of `op` with its part of
         `homotopy` on the side's own blocks."""
         target = self.target_side
-        coupled = [_Block(self, {side: [k if side == target else self.pull(k)]
-                                 for side in self.charts})
-                   for k in _unit_modes(self.charts[target].nvars)]
-        own = {side: [_Block(self, {side: [k]}) for k in _unit_modes(chart.nvars)]
+        coupled = _Points(self, [{side: [k if side == target else self.pull(k)]
+                                  for side in self.charts}
+                                 for k in _unit_modes(self.charts[target].nvars)])
+        own = {side: _Points(self, [{side: [k]} for k in _unit_modes(chart.nvars)])
                for side, chart in self.charts.items()}
         diagonal = tuple(block for block in self.op if block[0] == block[1])
         (source,) = set(self.charts) - {target}
@@ -715,10 +716,9 @@ class _RelativeModel(_MapModel):
 class _PrimedEtaModel(_MapModel):
     """Primed relative complex over a torus map, twisted by a closed 1-form.
 
-    The first slot lives on the map's source, the second on its target; with
-    a closed twisting form the differential decouples into (d, -d), which is
-    the only case that stays inside a band.
-    """
+    The first slot lives on the map's source, the second on its target; with a
+    closed twisting form the differential decouples into (d, -d), the only
+    case that stays inside a band."""
 
     target_side = "S"
 
@@ -835,67 +835,68 @@ def _require_degree(degree: int) -> None:
 
 
 @lru_cache(maxsize=1)
-def _shared(kind: str, chart: Chart, coeffs: tuple) -> dict:
-    """The memo of `_resonant` for a kernel's name, chart and exact field or
-    1-form coefficients, held for the latest key of any kernel only."""
-    return {}
+def _zeros(nvars: int, max_freq: int, unit: int, squares: tuple) -> tuple:
+    """The band modes where `_closed(nvars, unit, squares)` vanishes, each
+    square's linear form given as its items."""
+    closed = _closed(nvars, unit, [(s, dict(form)) for s, form in squares])
+    return tuple(k for k in _modes(nvars, max_freq) if _value(closed, k) == (0, 0))
 
 
-def _resonant(model: _Model, degree: int, d_op, cod_op, message: str, kind: str,
-              lam_sign=0, constant=(0, 0)) -> list:
-    """The blocks of the band modes k where q(k) = 0, once `_certify` has
-    found Cod D + D Cod = q(k) I at `degree`, q the `_closed` form with
-    `lam_sign` and `constant` (AssertionError(message) if not).  That
-    Laplacian is zero on these blocks and invertible on every other mode,
-    where its kernel, and the joint kernel of D and Cod inside it, are
-    empty.  The `_shared` memo, under the kernel's name `kind` (q depends on
-    it), keeps the blocks of `_unit_modes` built on the first model of its
-    key, q's coefficients and the latest band's resonant blocks."""
-    memo = _shared(kind, model.charts["F"], model.coeffs)
-    if "units" not in memo:
-        memo["units"] = ([_mode_block(model, k) for k in _unit_modes(model.charts["F"].nvars)],
-                         _closed(model, "F", lam_sign, constant))
-    points, closed = memo["units"]
-    if _certify(points, d_op, cod_op, closed, (degree,)) is not None:
-        raise AssertionError(message)
-    modes = model.modes["F"]
-    nmodes, blocks = memo.get("band", (None, None))
-    if nmodes != len(modes):
-        blocks = [_mode_block(points[0].model, k) for k in modes if _value(closed, k) == (0, 0)]
-        memo["band"] = len(modes), blocks
-    return blocks
+def _resonant(points: _Points, degree: int, d_op, cod_op, message: str, lam_sign=None) -> list:
+    """The blocks of the band modes k where q(k) = 0 (`_zeros`, the field's
+    numbers put in), once `_certify` has found Cod D + D Cod = q I at
+    `degree` on a model's `_unit_points`, q formal: |k|^2 + lam_sign Lambda^2
+    or, if lam_sign is None, |k|^2 + sum W_j^2 (AssertionError(message) if
+    not).  That Laplacian is zero on these blocks and invertible elsewhere,
+    where its kernel and the joint kernel of D and Cod inside it are empty."""
+    model, n = points[0].model, len(points) - 1
+    # (sign, formal f, f of the field's numbers) per square s f^2 of q
+    if lam_sign is None:
+        squares = [(1, {n + 2 + j: (1, 0)}, {0: w}) for j, w in enumerate(model.scaled_coeffs)]
+    else:
+        squares = [(lam_sign, {n + 1: (1, 0)}, model.lam_form)]
+    key = points.layout, d_op, cod_op, lam_sign, degree
+    if key not in _CERTIFIED:
+        formal = _closed(n, 1, [(s, f) for s, f, _ in squares])
+        if _certify(points, d_op, cod_op, formal, (degree,)) is not None:
+            raise AssertionError(message)
+        _CERTIFIED[key] = True
+    modes = _zeros(n, model.modes["F"][-1][0], model.unit,  # the last mode is (N, ..., N)
+                   tuple((s, tuple(g.items())) for s, _, g in squares))
+    return [_Block(model, {side: [k] for side in model.charts}) for k in modes]
 
 
 def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) -> HarmonicKernel:
     """Compute ker of the pair Laplacian and ker pair_d  intersect  ker pair_codiff.
 
-    The Laplacian is pair_codiff . pair_d + pair_d . pair_codiff, a product
-    of the linear matrices (`_parts`) of the two first-order operators.  It
-    is certified against its closed form (componentwise Laplacian plus the
-    squared Lie derivative) on every mode at once, so its kernel is every
-    basis column of the modes where the closed form vanishes (`_resonant`),
-    and the joint kernel is taken on those modes only, on [pair_d ;
-    pair_codiff] evaluated there; both are listed in global basis order.  The two kernels agree
-    exactly when no nonzero band mode k satisfies |k|^2 = <k, U>^2; the
+    The Laplacian is pair_codiff . pair_d + pair_d . pair_codiff, a product of
+    the linear matrices (`_parts`) of the two first-order operators.  It is
+    certified against its closed form (componentwise Laplacian plus the
+    squared Lie derivative) on every mode at once, so its kernel is every basis
+    column of the modes where the closed form vanishes (`_resonant`), and the
+    joint kernel is taken on those modes only, on [pair_d ; pair_codiff]
+    evaluated there; both are listed in global basis order.  The two kernels
+    agree exactly when no nonzero band mode k satisfies |k|^2 = <k, U>^2; the
     comparison verdict is part of the result rather than an assumption, and
-    the witness is the first Laplacian kernel column outside the joint
-    kernel.
+    the witness is the first Laplacian kernel column outside the joint kernel.
     """
     _require_degree(degree)
     model = _PairModel(chart, u, max_freq)
-    blocks = _resonant(model, degree, _PAIR_D, _PAIR_CODIFF,
-                       "pair Laplacian composite disagrees with its closed form", "harmonic", 1)
+    points = _unit_points(model)
+    blocks = _resonant(points, degree, _PAIR_D, _PAIR_CODIFF,
+                       "pair Laplacian composite disagrees with its closed form", 1)
     sizes = {side: len(model.index_sets(side, degree - _SHIFT[side])) for side in model.charts}
     start = {"F": 0, "S": len(model.modes["F"]) * sizes["F"]}
     position = {k: i for i, k in enumerate(model.modes["F"])}
-    # the blocks of 0 and e_i on the shared model, whose memo holds the parts
-    units = [_mode_block(blocks[0].model, k) for k in _unit_modes(chart.nvars)]
-    parts = _stacked_parts(units, degree, _PAIR_D, _PAIR_CODIFF)
+    parts = _stacked_parts(points, degree, _PAIR_D, _PAIR_CODIFF)
     lap, joint = [], []
     for block in blocks:
-        glob = [start[side] + position[block.modes["F"][0]] * size + j
+        k = block.modes["F"][0]
+        glob = [start[side] + position[k] * size + j
                 for side, size in sizes.items() for j in range(size)]
-        stacked = _at(parts, block.modes["F"][0])
+        # at unit k and Lambda = lambda(k) scale, the forms are scale [pair_d ; pair_codiff]
+        lam = tuple(sum(c[t] * k[i - 1] for i, c in model.lam_form.items()) for t in (0, 1))
+        stacked = _at(parts, [(1, 0)] + [(model.unit * v, 0) for v in k] + [lam])
         # (first global column of the vector's group, vector) per kernel vector
         joint += [(glob[first], {glob[c]: v for c, v in vec.items()})
                   for first, vectors in zi_kernel(stacked) for vec in vectors]
@@ -912,7 +913,7 @@ def _render_vector(model: _PairModel, degree: int, tag) -> str:
     """The pair form of the basis tag (side, k, idx), written down from it."""
     chart, (side, k, idx) = model.charts["F"], tag
     slots = {"F": zero_form(chart, degree), "S": zero_form(chart, degree - 1)}
-    slots[side] = slots[side] + _wave_form(chart, k, idx) * ONE
+    slots[side] = slots[side] + Form(chart, len(idx), ((tuple(idx), wave(chart, k)),)) * ONE
     return str(PairForm(slots["F"], slots["S"]))
 
 
@@ -925,21 +926,18 @@ def corrected_laplacian_kernel_dim(chart: Chart, u: VectorField, degree: int,
     _require_degree(degree)
     model = _PairModel(chart, u, max_freq)
     return sum(len(block.tags(degree)) for block in _resonant(
-        model, degree, _PAIR_D, _PAIR_CODIFF_SKEW,
-        "corrected pair Laplacian disagrees with its closed form", "corrected", -1))
+        _unit_points(model), degree, _PAIR_D, _PAIR_CODIFF_SKEW,
+        "corrected pair Laplacian disagrees with its closed form", -1))
 
 
 def lichnerowicz_kernel_dim(chart: Chart, w: Form, degree: int, max_freq: int) -> int:
-    """Kernel dimension of the twisted Laplacian C_w D_w + D_w C_w on the
-    band of single forms, D_w = d + w^ and C_w = delta + i_(w#); `w` is
-    checked first.  Its closed form is (|k|^2 + <w, w>) I with the bilinear
-    <w, w> = sum_j w_j^2, certified like `harmonic_kernel` and read off the
-    `_resonant` modes: empty for a real w != 0, and for w = i v the modes on
-    the sphere |k| = |v|."""
+    """Kernel dimension of the twisted Laplacian C_w D_w + D_w C_w on the band
+    of single forms, D_w = d + w^ and C_w = delta + i_(w#); `w` is checked
+    first.  Its closed form is (|k|^2 + <w, w>) I with the bilinear <w, w> =
+    sum_j w_j^2, certified like `harmonic_kernel` and read off the `_resonant`
+    modes: empty for a real w != 0, and for w = i v those on |k| = |v|."""
     _require_degree(degree)
     model = _DeRhamModel(chart, max_freq, w)
-    constant = (sum(a * a - b * b for a, b in model.scaled_coeffs),
-                sum(2 * a * b for a, b in model.scaled_coeffs))
     return sum(len(block.tags(degree)) for block in _resonant(
-        model, degree, _TWISTED_D, _TWISTED_CODIFF,
-        "Lichnerowicz Laplacian disagrees with its closed form", "lichnerowicz", 0, constant))
+        _unit_points(model), degree, _TWISTED_D, _TWISTED_CODIFF,
+        "Lichnerowicz Laplacian disagrees with its closed form"))

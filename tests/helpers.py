@@ -34,3 +34,11 @@ def norm2(z) -> Fraction:
 
 def zero_pair(chart, degree: int) -> PairForm:
     return PairForm(zero_form(chart, degree), zero_form(chart, degree - 1))
+
+
+def clear_certificates() -> None:
+    """Empty the process-wide memos of band verdicts and formal matrices."""
+    from pairform import cohomology
+
+    cohomology._CERTIFIED.clear()
+    cohomology._PARTS.clear()

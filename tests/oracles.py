@@ -65,6 +65,8 @@ from pairform.cohomology import (
     _PairModel,
     _PrimedEtaModel,
     _RelativeModel,
+    _composed,
+    _sigma_forms,
     _unit_modes,
 )
 from pairform.dolbeault import dbar_pair
@@ -446,6 +448,20 @@ def linear(values) -> dict:
     (a, b), *units = values
     terms = [(a, b)] + [(x - a, y - b) for x, y in units]
     return {i: term for i, term in enumerate(terms) if term != (0, 0)}
+
+
+def symbol_forms(model, side, kind: str) -> list:
+    """The c_j (`cohomology._symbol`) of a symbol block of `kind` leaving
+    `side`, times `model.scale`, as linear forms in the side's own mode,
+    indexed by j, written down with the field's numbers: sigma_j (conjugated
+    for dbar*), lambda, lambda(A^T k) for the pullback, and the constants
+    w_j, empty where w_j = 0."""
+    if kind in ("lie", "pullback"):
+        return [model.lam_form if kind == "lie" else _composed(model.lam_form, model.matrix)]
+    if kind in ("wedge", "interior"):
+        return [{0: w} if w != (0, 0) else {} for w in model.scaled_coeffs]
+    return [{i: (a * model.unit, b * model.unit) for i, (a, b) in form.items()}
+            for form in _sigma_forms(model.charts[side], kind == "dbar*")]
 
 
 def sampled_forms(points, side, dst_side, kind: str) -> tuple:

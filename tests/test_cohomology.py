@@ -30,6 +30,7 @@ from pairform.exterior import coframe, constant_field, parse_form, scalar_form, 
 from pairform.rationals import gq
 from pairform.scalar import ChartMap, const, identity_map, sin_wave
 
+from helpers import clear_certificates
 from oracles import (
     all_blocks_harmonic,
     all_blocks_kernel_dim,
@@ -55,6 +56,7 @@ from oracles import (
     render_vector,
     sampled_coefficients,
     sampled_forms,
+    symbol_forms,
 )
 
 T1, T2, T3 = torus(1), torus(2), torus(3)
@@ -987,8 +989,7 @@ def _linear_part_cases():
         _RelativeModel,
         _TWISTED_CODIFF,
         _TWISTED_D,
-        _mode_block,
-        _unit_modes,
+        _unit_points,
     )
 
     t3, tc2 = torus(3), torus_complex(2)
@@ -1012,7 +1013,7 @@ def _linear_part_cases():
     twisted = _DeRhamModel(t3, 1, coframe(t3, 0) * gq(2, -1) + coframe(t3, 2) * gq("2/3"))
     for model, ops in ((pair, (_PAIR_CODIFF, _PAIR_CODIFF_SKEW)),
                        (twisted, (_TWISTED_D, _TWISTED_CODIFF))):
-        points = [_mode_block(model, k) for k in _unit_modes(3)]
+        points = _unit_points(model)
         cases += [(f"kernel {model.label}", points, op) for op in ops]
     return cases
 
@@ -1025,11 +1026,48 @@ def _mode_at(points, side, k):
                  for t, z in enumerate(zero))
 
 
+def _field_values(points, kind="lie"):
+    """{variable: linear form in the points' k} that the formal variables of
+    `_parts` on `points` stand for, times `scale`: 1, unit * k_i, Lambda =
+    lambda of the side "S" mode (A^T k on a map's source side next to its
+    target modes), or of the pullback's target mode, and W_j = w_j."""
+    from pairform.cohomology import _composed
+
+    model, n = points[0].model, len(points) - 1
+    lam = {}
+    if kind == "pullback":
+        lam = _composed(model.lam_form, [model.pull(b.modes["F"][0]) for b in points[1:]])
+    elif "S" in points[0].modes:
+        lam = _composed(model.lam_form, [b.modes["S"][0] for b in points[1:]])
+    return {0: {0: (1, 0)}, **{i: {i: (model.unit, 0)} for i in range(1, n + 1)},
+            n + 1: lam, **{n + 2 + j: {0: w} for j, w in enumerate(model.scaled_coeffs)}}
+
+
+def _substituted(points, form, kind) -> dict:
+    """The formal linear form of a symbol block of `kind` with each variable
+    replaced by what it stands for (`_field_values`): a linear form in the
+    points' k, zeros left out."""
+    values, out = _field_values(points, kind), {}
+    for i, (a, b) in form.items():
+        for t, (x, y) in values[i].items():
+            re, im = out.get(t, (0, 0))
+            out[t] = re + a * x - b * y, im + a * y + b * x
+    return {t: v for t, v in out.items() if v != (0, 0)}
+
+
+def _formal_point(points, k) -> list:
+    """The value of each formal variable of `_parts` on `points` at mode k."""
+    values = _field_values(points)
+    return [tuple(sum(c[t] * ((1,) + tuple(k))[i] for i, c in values[v].items()) for t in (0, 1))
+            for v in range(len(values))]
+
+
 def test_linear_parts_equal_the_per_mode_blocks_off_the_unit_modes():
     """The premise of reading each coefficient at 0 and e_i only: at 20
-    seeded random modes with |k_i| <= 3, the linear forms of `_parts`
-    evaluate to the per-mode reference block, entry for entry, for every
-    point set and operator the library certifies or reads a kernel from."""
+    seeded random modes with |k_i| <= 3, the formal linear forms of `_parts`,
+    at unit k with Lambda = lambda scale and W_j = w_j scale, evaluate to the
+    per-mode reference block, entry for entry, for every point set and
+    operator the library certifies or reads a kernel from."""
     from pairform.cohomology import _STEP, _at, _parts
 
     rng = random.Random(18)
@@ -1043,7 +1081,8 @@ def test_linear_parts_equal_the_per_mode_blocks_off_the_unit_modes():
                               {side: [_mode_at(points, side, k)] for side in points[0].modes})
             for d in points[0].model.degrees:
                 mat = block.matrix(op, d, d + step)
-                assert _at(_parts(points, op, d, d + step), k) == mat, (name, op, d, k)
+                assert _at(_parts(points, op, d, d + step), _formal_point(points, k)) == mat, \
+                    (name, op, d, k)
                 entries += sum(map(len, mat))
         assert entries, (name, op)   # the case is not vacuous
 
@@ -1095,12 +1134,14 @@ def _forms_models():
 
 
 def test_symbol_forms_are_the_sampled_forms():
-    """`_forms` writes each c_j of a symbol block down as a linear form in
-    the point set's k (composed with A^T on a map's source side next to its
-    target modes); the target flag, the forms and k'(0) equal what reading
-    each c_j at the blocks of 0 and e_i gives (`oracles.sampled_forms`), for
-    every symbol kind, model of `_forms_models` and point set of its
-    `certificate`: a map model's coupled set and each side's own."""
+    """`_forms` writes each c_j of a symbol block down as a formal linear
+    form in the point set's k (composed with A^T on a map's source side next
+    to its target modes), Lambda and W_j; with unit k, Lambda = lambda scale
+    and W_j = w_j scale put in, the target flag, the forms and k'(0) equal
+    what reading each c_j at the blocks of 0 and e_i gives
+    (`oracles.sampled_forms`), for every symbol kind, model of
+    `_forms_models` and point set of its `certificate`: a map model's
+    coupled set and each side's own."""
     from pairform.cohomology import _STEP, _forms
 
     kinds, composed, units = set(), 0, set()
@@ -1110,11 +1151,12 @@ def test_symbol_forms_are_the_sampled_forms():
             for side, dst_side, _, kind in set(ops):
                 if side not in points[0].modes:
                     continue
-                got = _forms(points, side, dst_side, kind)
-                assert got == sampled_forms(points, side, dst_side, kind), \
+                inside, forms, target = _forms(points, side, dst_side, kind)
+                got = [_substituted(points, form, kind) for form in forms]
+                assert (inside, got, target) == sampled_forms(points, side, dst_side, kind), \
                     (model.label, tuple(points[0].modes), side, kind)
                 kinds.add(kind)
-                composed += got[1] != model.forms(side, kind)
+                composed += got != symbol_forms(model, side, kind)
         units.add(model.unit)
     assert kinds == set(_STEP)
     assert composed and max(units) > 1
@@ -1152,12 +1194,7 @@ def test_stencils_are_derived_once_per_chart_kind_and_degree(monkeypatch):
     assert cohomology._STENCILS.keys() == entries.keys()
     assert all(cohomology._STENCILS[key] is entry for key, entry in entries.items())
 
-    def leaves(value):
-        if isinstance(value, tuple):
-            return [leaf for item in value for leaf in leaves(item)]
-        return [value]
-
-    assert {type(leaf) for leaf in leaves(tuple(entries.items()))} <= {Chart, str, int, type(None)}
+    assert {type(leaf) for leaf in _leaves(entries)} <= {Chart, str, int, type(None)}
 
 
 # broken operators: a homotopy or i_(w#) with a flipped sign, and differentials
@@ -1171,9 +1208,11 @@ _FLIPPED = {"pair homotopy": (("F", "F", 1, "codiff"), ("S", "S", 1, "codiff")),
 
 
 def _certificate_cases(chart):
-    """(model, D, H, value, degrees, homotopy) of every identity the library
-    certifies on `chart`, and of the same identities with broken operators
-    or a closed form off by a linear term; `homotopy` marks the cases that
+    """(model, D, H, value, formal, degrees, homotopy) of every identity the
+    library certifies on `chart`, and of the same identities with broken
+    operators or a closed form off by a linear term: value(k) the closed
+    form with the field's numbers, `formal` the coefficients of the closed
+    form in (k, Lambda, W) (`_closed`); `homotopy` marks the cases that
     `certified_ranks` checks, with the model's own D and H."""
     from pairform.cohomology import (
         _DeRhamModel,
@@ -1184,6 +1223,7 @@ def _certificate_cases(chart):
         _PairModel,
         _TWISTED_CODIFF,
         _TWISTED_D,
+        _closed,
     )
 
     def homotopy(make, op=None, h=None):
@@ -1192,9 +1232,9 @@ def _certificate_cases(chart):
         model = make()
         model.op, model.homotopy = op or model.op, h or model.homotopy
         return (model, model.op, model.homotopy, lambda k: (homotopy_value(model, k), 0),
-                model.degrees[:-1], True)
+                _closed(chart.nvars), model.degrees[:-1], True)
 
-    n = chart.dim
+    n, m = chart.dim, chart.nvars
     if chart.is_complex:
         units = (gq(1, 1), gq(0, -2), gq("1/3"))
         x = holomorphic_field(chart, tuple(const(chart, units[j]) for j in range(n)))
@@ -1222,9 +1262,12 @@ def _certificate_cases(chart):
     laplacian = pair()
     for cod, sign in ((_PAIR_CODIFF, 1), (_PAIR_CODIFF_SKEW, -1), (_PAIR_CODIFF, -1)):
         out.append((laplacian, laplacian.op, cod,
-                    lambda k, s=sign: closed_value(laplacian, k, s), laplacian.degrees, False))
+                    lambda k, s=sign: closed_value(laplacian, k, s),
+                    _closed(m, 1, [(sign, {m + 1: (1, 0)})]), laplacian.degrees, False))
     out.append((laplacian, laplacian.op, laplacian.homotopy,
-                lambda k: (homotopy_value(laplacian, k) + k[-1], 0), laplacian.degrees, False))
+                lambda k: (homotopy_value(laplacian, k) + k[-1], 0),
+                {**_closed(m), (0, m): (1, 0)}, laplacian.degrees, False))
+    w_w = _closed(m, 1, [(1, {m + 2 + j: (1, 0)}) for j in range(m)])
     for w in _twisting_forms(chart):
         model = _DeRhamModel(chart, 1, w)
         re = sum(a * a - b * b for a, b in model.scaled_coeffs)
@@ -1232,25 +1275,24 @@ def _certificate_cases(chart):
         for cod in (_TWISTED_CODIFF, _FLIPPED["twisted codiff"]):
             out.append((model, _TWISTED_D, cod,
                         lambda k, m=model, re=re, im=im: (homotopy_value(m, k) + re, im),
-                        model.degrees, False))
+                        w_w, model.degrees, False))
     return out
 
 
 @pytest.mark.parametrize("chart", [T1, T2, T3, torus(4), TC1, torus_complex(2)], ids=str)
 def test_coefficient_certificate_agrees_with_the_point_set_certificate(chart):
-    """`_certify` on the products' coefficients gives the verdict and the
-    lowest failing degree that checking the products' values at the
+    """`_certify` on the products' coefficients in (k, Lambda, W), against
+    the formal closed form, gives the verdict and the lowest failing degree
+    that checking the products' values, with the field's numbers, at the
     1 + 2n + C(n, 2) modes 0, +-e_i and e_i + e_j gives, and
     `certified_ranks` fails as that check does, for the certified
     identities and for broken operators."""
-    from pairform.cohomology import _certify, _mode_block, _unit_modes
+    from pairform.cohomology import _certify, _unit_points
 
     verdicts = set()
-    for model, d_op, h_op, value, degrees, homotopy in _certificate_cases(chart):
+    for model, d_op, h_op, value, formal, degrees, homotopy in _certificate_cases(chart):
         broken = point_set_certify(model, d_op, h_op, value, degrees)
-        points = [_mode_block(model, k) for k in _unit_modes(chart.nvars)]
-        assert _certify(points, d_op, h_op, sampled_coefficients(value, chart.nvars),
-                        degrees) == broken
+        assert _certify(_unit_points(model), d_op, h_op, formal, degrees) == broken
         verdicts.add(broken is None)
         if not homotopy:
             continue          # `_resonant` raises on the verdict
@@ -1268,21 +1310,23 @@ def test_coefficient_certificate_agrees_with_the_point_set_certificate(chart):
 
 
 def _closed_cases():
-    """(model, side, lam_sign, constant, value) for every closed form the
-    library writes down: value(k) is its reference value times scale^2, from
-    the model's own sigma_j(k) and lambda(k) (`homotopy_value`,
-    `closed_value`) and, for <w, w>, from the exact 1-form coefficients."""
+    """(model, side, squares, value) for every closed form the library
+    writes down with the field's numbers, `squares` the (sign, linear form)
+    of `_closed`: value(k) is its reference value times scale^2, from the
+    model's own sigma_j(k) and lambda(k) (`homotopy_value`, `closed_value`)
+    and, for <w, w>, from the exact 1-form coefficients."""
     from pairform.cohomology import _DeRhamModel, _DolbeaultModel, _PairModel
     from pairform.cohomology import _PrimedEtaModel, _RelativeModel
 
     def homotopy(model, side="F"):
-        return model, side, 0, (0, 0), lambda k: (homotopy_value(model, k, side), 0)
+        return model, side, (), lambda k: (homotopy_value(model, k, side), 0)
 
     out = []
     for coeffs, n, sign in itertools.product(("integer", "rational", "complex"), range(1, 5),
                                              (-1, 0, 1)):
         model = _PairModel(torus(n), constant_field(torus(n), _COEFFS[coeffs][:n]), 1)
-        out.append((model, "F", sign, (0, 0), lambda k, m=model, s=sign: closed_value(m, k, s)))
+        out.append((model, "F", [(sign, model.lam_form)],
+                    lambda k, m=model, s=sign: closed_value(m, k, s)))
     for chart in (TC1, torus_complex(2)):
         units = (gq(1, 1), gq("1/3", -2))
         x = holomorphic_field(chart, tuple(const(chart, units[j]) for j in range(chart.dim)))
@@ -1302,12 +1346,12 @@ def _closed_cases():
         model = _DeRhamModel(T3, 1, _one_form(T3, coeffs))
         w_w = sum((c * c for c in model.coeffs), gq(0)) * model.scale ** 2
         assert w_w.d == 1
-        out.append((model, "F", 0, (w_w.a, w_w.b),
+        out.append((model, "F", [(1, {0: w}) for w in model.scaled_coeffs],
                     lambda k, m=model, c=w_w: (homotopy_value(m, k) + c.a, c.b)))
     return out
 
 
-def test_closed_forms_are_the_sampled_coefficients(monkeypatch, cleared_shared):
+def test_closed_forms_are_the_sampled_coefficients(monkeypatch):
     """`_closed` writes down the coefficients that sampling each closed form's
     reference value at 0, +-e_i and e_i + e_j gives, on pair models with
     integer, rational and Gaussian fields, Dolbeault models for every p,
@@ -1318,9 +1362,10 @@ def test_closed_forms_are_the_sampled_coefficients(monkeypatch, cleared_shared):
 
     closed = cohomology._closed
     cases = _closed_cases()
-    for model, side, sign, constant, value in cases:
-        assert closed(model, side, sign, constant) == \
-            sampled_coefficients(value, model.charts[side].nvars), (model.label, side, sign)
+    for model, side, squares, value in cases:
+        nvars = model.charts[side].nvars
+        assert closed(nvars, model.unit, squares) == sampled_coefficients(value, nvars), \
+            (model.label, side, squares)
     assert any(model.unit > 1 for model, *_ in cases)
     messages = {"harmonic": "pair Laplacian composite disagrees with its closed form",
                 "corrected": "corrected pair Laplacian disagrees with its closed form",
@@ -1337,7 +1382,6 @@ def test_closed_forms_are_the_sampled_coefficients(monkeypatch, cleared_shared):
             pair_complex(T2, constant_field(T2, (1, 2)), 1)
         assert str(info.value).startswith("contracting homotopy disagrees with its closed form")
         for kind, message in messages.items():
-            cleared_shared.cache_clear()
             with pytest.raises(AssertionError) as info:
                 _KERNELS[kind](T2, (1, 2), 1, 1)
             assert str(info.value) == message, (key, kind)
@@ -1508,13 +1552,14 @@ def test_certified_lichnerowicz_kernel_equals_the_all_blocks_path(n, max_freq, c
             all_blocks_kernel_dim(model, degree, _TWISTED_D, _TWISTED_CODIFF)
 
 
-def test_kernels_are_taken_on_the_resonant_modes_only(cleared_shared):
-    from pairform.cohomology import _PAIR_CODIFF, _PAIR_CODIFF_SKEW, _PairModel, _resonant
+def test_kernels_are_taken_on_the_resonant_modes_only():
+    from pairform.cohomology import (_PAIR_CODIFF, _PAIR_CODIFF_SKEW, _PairModel, _resonant,
+                                     _unit_points)
 
     def resonant(coeffs, cod, sign):
         model = _PairModel(T2, constant_field(T2, coeffs), 2)
-        return [b.modes for b in _resonant(model, 1, model.op, cod, "closed form",
-                                           "harmonic" if sign > 0 else "corrected", sign)]
+        return [b.modes for b in _resonant(_unit_points(model), 1, model.op, cod,
+                                           "closed form", sign)]
 
     axis = [{"F": [k], "S": [k]} for k in ((-2, 0), (-1, 0), (0, 0), (1, 0), (2, 0))]
     zero = [{"F": [(0, 0)], "S": [(0, 0)]}]
@@ -1525,6 +1570,9 @@ def test_kernels_are_taken_on_the_resonant_modes_only(cleared_shared):
     # U = (0, i): lambda(k) = -k_2, so |k|^2 - lambda(k)^2 = k_1^2
     assert resonant((0, gq(0, 1)), _PAIR_CODIFF_SKEW, -1) == [
         {"F": [k], "S": [k]} for k in ((0, -2), (0, -1), (0, 0), (0, 1), (0, 2))]
+    # the verdict for |k|^2 + Lambda^2 does not cover |k|^2 - Lambda^2
+    with pytest.raises(AssertionError, match="^closed form$"):
+        resonant((1, 0), _PAIR_CODIFF, -1)
 
 
 def test_certified_builders_eliminate_the_zero_mode_only(monkeypatch):
@@ -1649,7 +1697,8 @@ def test_relative_differential_with_the_pullback_negated_is_still_certified(monk
     """(d, -L_X f^* - d) squares to zero too, and (phi, psi) -> (phi, -psi)
     carries it to the relative complex, so the certificate accepts it and
     its dims are the same: the d.d check reads the sign of C d - d C, not
-    that of C alone."""
+    that of C alone.  It is certified anew: the verdict of the relative
+    differential does not cover it (two verdicts are kept)."""
     from pairform import cohomology
 
     cmap = _torus_map("GL(3,Z)")
@@ -1659,6 +1708,7 @@ def test_relative_differential_with_the_pullback_negated_is_still_certified(monk
                                                ("S", "S", -1, "d")))
     out = relative_complex(cmap, x, 1)
     assert (out.ranks, out.dims) == (expected.ranks, expected.dims)
+    assert len(cohomology._CERTIFIED) == 2
 
 
 def test_a_differential_that_does_not_vanish_at_mode_0_is_refused():
@@ -1726,7 +1776,7 @@ def test_dolbeault_complex_on_tc3_with_n_2(p):
     assert dolbeault_complex(tc3, x, p, 2).dim_vector() == dolbeault_predicted_dims(3, p)
 
 
-# -- state the harmonic kernels share between calls ---------------------------
+# -- certificates kept between calls -------------------------------------------
 
 
 def _one_form(chart, coeffs):
@@ -1750,21 +1800,27 @@ _KERNELS = {"harmonic": lambda chart, c, p, n: harmonic_kernel(
                 chart, _one_form(chart, c), p, n)}
 
 
-def _exact(coeffs):
-    """The coefficients as the kernels' models hold them."""
-    from pairform.rationals import GaussianRational
+def _leaves(value) -> list:
+    """The leaves of nested tuples, lists, sets and dicts (keys and values)."""
+    if isinstance(value, dict):
+        value = list(value.items())
+    if isinstance(value, (tuple, list, set, frozenset)):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
 
-    return tuple(c if isinstance(c, GaussianRational) else gq(c) for c in coeffs)
 
-
-@pytest.fixture
-def cleared_shared():
-    """`cohomology._shared`, empty when the test starts and when it ends."""
+def _counting_certify(monkeypatch) -> list:
+    """Patch `cohomology._certify` to record the degrees of each run."""
     from pairform import cohomology
 
-    cohomology._shared.cache_clear()
-    yield cohomology._shared
-    cohomology._shared.cache_clear()
+    certify, seen = cohomology._certify, []
+
+    def counting(points, d_op, h_op, coefficients, degrees):
+        seen.append(degrees)
+        return certify(points, d_op, h_op, coefficients, degrees)
+
+    monkeypatch.setattr(cohomology, "_certify", counting)
+    return seen
 
 
 def _shared_call_sequence(rng):
@@ -1785,19 +1841,22 @@ def _shared_call_sequence(rng):
     return [call for run in runs for call in run]
 
 
-def test_shared_kernel_state_gives_the_results_of_a_cleared_cache(cleared_shared):
+def test_shared_kernel_state_gives_the_results_of_a_cleared_cache(monkeypatch):
     """Every kernel result of a seeded, interleaved call sequence (dims,
-    vectors, witness) equals the same call made on a cleared cache, on
-    calls that reuse the shared state and on calls that replace it."""
+    vectors, witness) equals the same call made with the process-wide
+    certificate memos cleared.  Warm, `_certify` runs once per kernel, chart
+    and degree, whatever the field or band; cold, on every call."""
+    seen = _counting_certify(monkeypatch)
     calls = _shared_call_sequence(random.Random(20))
     warm = [_KERNELS[kind](chart, coeffs, degree, max_freq)
             for kind, chart, coeffs, degree, max_freq in calls]
-    info = cleared_shared.cache_info()
+    assert len(seen) == len({(kind, chart, degree) for kind, chart, _, degree, _ in calls}) == 36
+    seen.clear()
     for (kind, chart, coeffs, degree, max_freq), result in zip(calls, warm):
-        cleared_shared.cache_clear()
+        clear_certificates()
         assert _KERNELS[kind](chart, coeffs, degree, max_freq) == result, \
             (kind, chart, coeffs, degree, max_freq)
-    assert info.hits > 100 and info.misses > 20
+    assert len(seen) == len(calls) == 240
 
 
 @pytest.mark.parametrize("name, flipped, kind, message", [
@@ -1814,11 +1873,11 @@ def test_shared_kernel_state_gives_the_results_of_a_cleared_cache(cleared_shared
     ("_TWISTED_CODIFF", _FLIPPED["twisted codiff"], "lichnerowicz",
      "Lichnerowicz Laplacian disagrees with its closed form"),
 ], ids=["harmonic-codiff", "harmonic-d", "corrected-d", "corrected-skew", "lichnerowicz"])
-def test_a_patched_operator_fails_after_a_warm_call(monkeypatch, cleared_shared, name, flipped,
-                                                    kind, message):
-    """The kernels read their operators on every call, so an operator
-    patched after calls of every kernel on the same field and band is
-    certified anew, against its own kernel's closed form."""
+def test_a_patched_operator_fails_after_a_warm_call(monkeypatch, name, flipped, kind, message):
+    """The kernels read their operators on every call, and every verdict is
+    keyed by them, so an operator patched after calls of every kernel on the
+    same field and band is certified anew, against its own kernel's closed
+    form."""
     from pairform import cohomology
 
     coeffs = (1, 2) if kind != "lichnerowicz" else (1, 0)
@@ -1831,7 +1890,7 @@ def test_a_patched_operator_fails_after_a_warm_call(monkeypatch, cleared_shared,
     assert str(info.value) == message
 
 
-def test_inputs_are_still_refused_after_a_call_on_an_equal_field(cleared_shared):
+def test_inputs_are_still_refused_after_a_call_on_an_equal_field():
     from pairform.exterior import VectorField
     from pairform.scalar import zero as scalar_zero
 
@@ -1865,69 +1924,182 @@ def test_inputs_are_still_refused_after_a_call_on_an_equal_field(cleared_shared)
 
 
 @pytest.mark.parametrize("kind", sorted(_KERNELS))
-def test_only_the_latest_field_is_held(cleared_shared, kind):
-    """After calls on two fields only the second is kept, and the first
-    one's model is freed by reference counting alone: no cycle holds it."""
+def test_only_the_latest_field_is_held(monkeypatch, kind):
+    """No field is held, not even the latest: after calls on two fields the
+    models of both are freed by reference counting alone (no memo and no
+    cycle holds them), and no memo entry holds a field value."""
     import gc
     import weakref
 
-    from pairform.cohomology import _DeRhamModel, _PairModel
+    from pairform import cohomology
+    from pairform.rationals import GaussianRational
 
-    def held(coeffs):
-        """The model of the blocks `_shared` holds for `coeffs`, looked up
-        with the exact coefficients of a new model of them."""
-        model = (_DeRhamModel(T2, 1, _one_form(T2, coeffs)) if kind == "lichnerowicz"
-                 else _PairModel(T2, constant_field(T2, coeffs), 1))
-        return cleared_shared(kind, T2, model.coeffs)["units"][0][0].model
+    resonant, models = cohomology._resonant, []
 
+    def recording(points, *args):
+        models.append(weakref.ref(points[0].model))
+        return resonant(points, *args)
+
+    monkeypatch.setattr(cohomology, "_resonant", recording)
     first, second = ((1, 2), (2, 2)) if kind != "lichnerowicz" else ((1, 0), (gq(0, 1), 2))
     enabled = gc.isenabled()
     gc.disable()
     try:
-        _KERNELS[kind](T2, first, 1, 2)
-        _KERNELS[kind](T2, first, 2, 1)
-        ref = weakref.ref(held(first))
-        _KERNELS[kind](T2, second, 1, 2)
-        assert ref() is None
+        for coeffs, degree, max_freq in ((first, 1, 2), (first, 2, 1), (second, 1, 2)):
+            _KERNELS[kind](T2, coeffs, degree, max_freq)
+        assert len(models) == 3 and all(ref() is None for ref in models)
     finally:
         if enabled:
             gc.enable()
-    info = cleared_shared.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (2, 2, 1)
-    assert held(second).coeffs == _exact(second)
-    assert cleared_shared.cache_info().hits == 3
+    memos = _leaves((cohomology._CERTIFIED, cohomology._PARTS))
+    assert memos and not any(isinstance(leaf, GaussianRational) for leaf in memos)
 
 
-def test_every_kernel_call_certifies_its_own_degree(monkeypatch, cleared_shared):
-    from pairform import cohomology
-
-    seen = []
-    certify = cohomology._certify
-
-    def counting(points, d_op, h_op, coefficients, degrees):
-        seen.append(degrees)
-        return certify(points, d_op, h_op, coefficients, degrees)
-
-    monkeypatch.setattr(cohomology, "_certify", counting)
-    expected = []
-    for max_freq in (1, 2, 1):
+def test_every_kernel_call_certifies_its_own_degree(monkeypatch):
+    """Each kernel call is covered by a certificate of its own degree alone:
+    one `_certify` run per kernel, chart and degree, at its first call,
+    whatever the field or band of the calls that follow."""
+    seen = _counting_certify(monkeypatch)
+    for max_freq, coeffs in ((1, (1, 2)), (2, (2, gq(0, 1))), (1, (1, 2))):
         for degree in range(4):
             for kind in _KERNELS:
-                _KERNELS[kind](T2, (1, 2), degree, max_freq)
-                expected.append((degree,))
-    assert seen == expected
+                _KERNELS[kind](T2, coeffs, degree, max_freq)
+    assert seen == [(degree,) for degree in range(4) for _ in _KERNELS]
+
+
+def test_no_certificate_memo_holds_a_field(monkeypatch):
+    """After every kernel at every degree on a rational field and 1-form of
+    T3, the same calls on a Gaussian-rational field and 1-form take no
+    product at all, and no memo key or entry holds a field value."""
+    from pairform import cohomology
+    from pairform.rationals import GaussianRational
+
+    rational, gaussian = (gq("3/2"), gq("1/2"), 0), (1, gq(0, 1), gq("2/3", -1))
+    calls = [(kind, degree) for kind in _KERNELS for degree in range(5)]
+    for kind, degree in calls:
+        _KERNELS[kind](T3, rational, degree, 1)
+    product, products = cohomology._product, []
+    monkeypatch.setattr(cohomology, "_product",
+                        lambda left, right: products.append(1) or product(left, right))
+    for kind, degree in calls:
+        _KERNELS[kind](T3, gaussian, degree, 1)
+    assert products == []
+    memos = _leaves((cohomology._CERTIFIED, cohomology._PARTS))
+    assert memos and not any(isinstance(leaf, GaussianRational) for leaf in memos)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_wrong_formal_closed_form_fails_at_every_degree(n):
+    """On T_n, the harmonic certificate holds against |k|^2 + Lambda^2 and
+    fails against |k|^2 - Lambda^2 at every degree with columns, and the
+    Lichnerowicz certificate holds against |k|^2 + sum W_j^2 and fails at
+    every such degree once any one W_j^2 is dropped."""
+    from pairform.cohomology import (
+        _DeRhamModel,
+        _PAIR_CODIFF,
+        _PAIR_D,
+        _PairModel,
+        _TWISTED_CODIFF,
+        _TWISTED_D,
+        _certify,
+        _closed,
+        _unit_points,
+    )
+
+    chart = torus(n)
+    pair = _unit_points(_PairModel(chart, constant_field(chart, (1,) * n), 1))
+    twisted = _unit_points(_DeRhamModel(chart, 1, _one_form(chart, (1,) * n)))
+    squares = [(1, {n + 2 + j: (1, 0)}) for j in range(n)]
+    for d in range(n + 2):
+        for sign in (1, -1):
+            closed = _closed(n, 1, [(sign, {n + 1: (1, 0)})])
+            assert _certify(pair, _PAIR_D, _PAIR_CODIFF, closed, (d,)) == \
+                (None if sign > 0 else d), (d, sign)
+    for d in range(n + 1):
+        assert _certify(twisted, _TWISTED_D, _TWISTED_CODIFF, _closed(n, 1, squares), (d,)) is None
+        for j in range(n):
+            dropped = _closed(n, 1, squares[:j] + squares[j + 1:])
+            assert _certify(twisted, _TWISTED_D, _TWISTED_CODIFF, dropped, (d,)) == d, (d, j)
+
+
+def test_relative_complexes_over_two_maps_certify_twice(monkeypatch):
+    """`relative_complex` over two GL(2,Z) maps, each called on two fields
+    and two bands, certifies once per map: one verdict each, each side's
+    homotopy checked once, and the dims are the predicted ones."""
+    from pairform import cohomology
+
+    seen = _counting_certify(monkeypatch)
+    for rows in (((1, 1), (0, 1)), ((2, 1), (1, 1))):
+        cmap = ChartMap(T2, T2, matrix=rows)
+        for coeffs, max_freq in (((1, 2), 1), ((gq("1/2"), gq(0, 1)), 2)):
+            assert relative_complex(cmap, constant_field(T2, coeffs), max_freq).dim_vector() \
+                == relative_predicted_dims(2, 2)
+    assert len(cohomology._CERTIFIED) == 2 and len(seen) == 4
+
+
+def test_memos_stay_bounded_over_many_maps():
+    """`relative_complex` over one more torus map than a memo holds: each
+    map's rows are in its keys, so the verdicts fill `_CERTIFIED`, which is
+    emptied once full; neither memo ever holds more than `_MEMO_LIMIT`
+    entries, and every answer is the predicted one."""
+    from pairform import cohomology
+
+    limit, sizes = cohomology._MEMO_LIMIT, []
+    for m in range(2, limit + 3):
+        cmap = ChartMap(T1, T1, matrix=((m,),))
+        assert relative_complex(cmap, constant_field(T1, (1,)), 0).dim_vector() == \
+            relative_predicted_dims(1, 1)
+        sizes.append((len(cohomology._PARTS), len(cohomology._CERTIFIED)))
+    assert max(max(pair) for pair in sizes) == limit
+    assert sizes[-1][1] == 1
+
+
+def test_a_memo_emptied_during_a_certificate_gives_the_same_answers(monkeypatch):
+    """With room for three entries, the formal matrices of one certificate
+    are dropped while it runs; every builder and kernel still gives the
+    answer it gives with the memos at full size, and no memo grows past
+    three entries."""
+    from pairform import cohomology
+
+    cmaps = [ChartMap(T2, T2, matrix=((1, 1), (0, 1))), ChartMap(T2, T2, matrix=((2, 1), (1, 1))),
+             ChartMap(T1, T2, matrix=((1,), (0,)))]
+    calls = [lambda: pair_complex(T3, constant_field(T3, (1, 2, 0)), 1).dim_vector(),
+             *(lambda c=c: relative_complex(c, constant_field(c.source, (1,) * c.source.dim),
+                                            1).dim_vector() for c in cmaps),
+             *(lambda p=p, kind=kind: _KERNELS[kind](T2, (1, 2), p, 2)
+               for kind in _KERNELS for p in range(4))]
+    full = [call() for call in calls]
+    clear_certificates()
+    monkeypatch.setattr(cohomology, "_MEMO_LIMIT", 3)
+    for call, want in zip(calls, full):
+        assert call() == want
+        assert len(cohomology._PARTS) <= 3 and len(cohomology._CERTIFIED) <= 3
+
+
+def test_the_band_is_scanned_once_per_closed_form():
+    """A kernel called on one field and band at every degree scans the band
+    once: `_zeros` keeps the latest closed form's resonant modes, keyed by
+    its integer coefficients and the band alone."""
+    from pairform import cohomology
+
+    cohomology._zeros.cache_clear()
+    for degree in range(4):
+        corrected_laplacian_kernel_dim(T2, constant_field(T2, (1, 2)), degree, 2)
+    assert cohomology._zeros.cache_info()[:2] == (3, 1)
+    corrected_laplacian_kernel_dim(T2, constant_field(T2, (1, 2)), 0, 1)
+    assert cohomology._zeros.cache_info()[:2] == (3, 2)
 
 
 def _counting_parts(monkeypatch) -> list:
     """Patch `cohomology._parts` to record the key of each matrix it builds,
-    that is each call whose key its model's memo does not hold yet."""
+    that is each call whose key the process-wide memo does not hold yet."""
     from pairform import cohomology
 
     parts, built = cohomology._parts, []
 
     def counting(points, op, src, dst):
-        key = tuple(points[0].modes), op, src, dst
-        if key not in points[0].model._cache["parts"]:
+        key = points.layout, op, src, dst
+        if key not in cohomology._PARTS:
             built.append(key)
         return parts(points, op, src, dst)
 
@@ -1935,11 +2107,16 @@ def _counting_parts(monkeypatch) -> list:
     return built
 
 
+def _sides(layout) -> tuple:
+    """The sides of a point set's layout, in order."""
+    return tuple(side for side, _, _ in layout[1])
+
+
 def test_the_certificate_splits_each_matrix_once_and_skips_zero_parts(monkeypatch):
-    """`_parts` builds each (op, src, dst) once per model and point set,
-    shared between the d.d check and the homotopy certificate, and keeps no
-    zero entry and no zero coefficient of a linear form; exactly one product
-    is taken per d.d degree and per certified degree."""
+    """`_parts` builds each (op, src, dst) once per layout, shared between
+    the d.d check and the homotopy certificate, and keeps no zero entry and
+    no zero coefficient of a linear form; exactly one product is taken per
+    d.d degree and per certified degree."""
     from pairform import cohomology
     from pairform.cohomology import _PairModel
 
@@ -1949,7 +2126,7 @@ def test_the_certificate_splits_each_matrix_once_and_skips_zero_parts(monkeypatc
                         lambda left, right: products.append(1) or product(left, right))
     model = _PairModel(T3, constant_field(T3, (1, 2, 0)), 1)
     model.certified_ranks()
-    cache = model._cache["parts"]
+    cache = cohomology._PARTS          # emptied before the test: this model's matrices
     assert len(built) == len(set(built)) == len(cache) == 2 * (len(model.degrees) - 1) + 2
     assert len(products) == (len(model.degrees) - 2) + (len(model.degrees) - 1)
     forms = [form for cols in cache.values() for col in cols for form in col.values()]
@@ -1959,15 +2136,16 @@ def test_the_certificate_splits_each_matrix_once_and_skips_zero_parts(monkeypatc
 def test_map_certificate_splits_each_point_set_apart(monkeypatch):
     """A map model certifies on three point sets: target modes with their
     source modes, and each side's own modes.  `_parts` keys them apart by
-    their sides, so each matrix of each set is built once and read back on
+    their layouts, so each matrix of each set is built once and read back on
     its own set."""
+    from pairform import cohomology
     from pairform.cohomology import _RelativeModel
 
     built = _counting_parts(monkeypatch)
     model = _RelativeModel(_torus_map("T3->T2"), constant_field(T3, (1, 2, 0)), 1)
     model.certified_ranks()
-    cache = model._cache["parts"]
+    cache = cohomology._PARTS
     assert len(built) == len(set(built)) == len(cache)
-    assert {key[0] for key in cache} == {("F", "S"), ("F",), ("S",)}
+    assert {_sides(key[0]) for key in cache} == {("F", "S"), ("F",), ("S",)}
     # d.d = 0 is checked on the coupled blocks and on the source side's own
-    assert {key[0] for key in cache if key[1] == model.op} == {("F", "S"), ("S",)}
+    assert {_sides(key[0]) for key in cache if key[1] == model.op} == {("F", "S"), ("S",)}
