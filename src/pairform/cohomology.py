@@ -16,10 +16,12 @@ the index set, once per process for each chart, kind and degree
 (`_stencil`), and no operator is applied symbolically here.  The symbolic
 reference, and the same matrices evaluated mode by mode, live in the tests.
 
-So every band matrix is block-diagonal.  A block (`_Block`) lists its modes
-per side: one mode k on every side, over a torus map a target mode k with
-its source mode A^T k, or one side's mode alone.  `_parts` writes an
-operator's block once for every mode and field, a Z[i] column matrix (see
+So every band matrix is block-diagonal.  A block is a mode dict
+{side: [mode]}: one mode k on every side, over a torus map a target mode k
+with its source mode A^T k, or one side's mode alone.  `_Model.basis` lists
+the tags of any such dict (sides in model order, then modes, then index
+sets) and `_Model.starts` counts them; no other code does.  `_parts` writes
+an operator's block once for every mode and field, a Z[i] column matrix (see
 `linalg`) of linear forms (`_forms`) in 1, k_1, ..., k_n, Lambda for lambda
 and W_j for w_j; at Lambda = lambda(k) scale and W_j = w_j scale it is the
 band matrix times the model's one denominator `scale` (`_at`).
@@ -91,12 +93,28 @@ def _sets(chart: Chart, p, q: int) -> tuple:
     return tuple(itertools.combinations(range(chart.nslots), q)) if q >= 0 else ()
 
 
-def _constant_coeffs(x: VectorField) -> tuple:
-    """Frame coefficients of a constant field; any other field mixes modes."""
+def _constant_coeffs(x: VectorField, chart: Chart) -> tuple:
+    """Frame coefficients of a constant field on `chart`; any other field
+    mixes modes."""
+    if x.chart != chart:
+        raise ChartMismatchError(f"the vector field lives on {x.chart}, not {chart}")
     if not x.is_constant():
         raise UnsupportedScenarioError(
             "band scenarios require constant vector fields (modes must not mix)")
     return tuple(c.constant_value() for c in x.components)
+
+
+def _closed_one_form(eta: Form, chart: Chart, name: str) -> None:
+    """Refuse a twisting form that is not a closed 1-form on `chart`; the
+    twisted `name` differential of any other mixes frequencies."""
+    if eta.chart != chart:
+        raise ChartMismatchError(f"the twisting form lives on {eta.chart}, not {chart}")
+    if eta.degree != 1:
+        raise ValueError("twisting form must be a 1-form")
+    if not ext_d(eta).is_zero:
+        raise UnsupportedScenarioError(
+            f"the twisted {name} differential mixes frequencies unless the "
+            "1-form is closed; refusing to report approximate dimensions")
 
 
 # -- per-mode symbols ----------------------------------------------------------
@@ -231,24 +249,6 @@ class BandComplex:
 _SHIFT = {"F": 0, "S": 1}
 
 
-class _Block:
-    """One block of a band model: the basis tags whose modes are listed, per
-    side in the model's side order, in `modes`."""
-
-    def __init__(self, model: "_Model", modes: dict):
-        self.model = model
-        self.modes = modes
-        self._tags = {}
-
-    def tags(self, degree) -> list:
-        """The block's basis tags of this degree, in the global basis order."""
-        if degree not in self._tags:
-            self._tags[degree] = [(side, k, idx) for side, modes in self.modes.items()
-                                  for sets in [self.model.index_sets(side, degree - _SHIFT[side])]
-                                  for k in modes for idx in sets]
-        return self._tags[degree]
-
-
 @lru_cache(maxsize=None)
 def _unit_modes(nvars: int) -> tuple:
     """The modes 0, e_1, ..., e_n."""
@@ -256,13 +256,13 @@ def _unit_modes(nvars: int) -> tuple:
 
 
 class _Points(list):
-    """The blocks of one model at k = 0, e_1, ..., e_n, one per {side: [mode]}
-    in `modes`, and their `layout`: p and each side's chart and modes there."""
+    """The blocks {side: [mode]} of one `model` at k = 0, e_1, ..., e_n, and
+    their `layout`: p and each side's chart and modes there."""
 
     def __init__(self, model: "_Model", modes: list):
-        super().__init__(_Block(model, m) for m in modes)
-        self.layout = model.p, tuple((side, model.charts[side], tuple(m[side][0] for m in modes))
-                                     for side in modes[0])
+        super().__init__(modes)
+        self.model, self.layout = model, (model.p, tuple(
+            (side, model.charts[side], tuple(m[side][0] for m in modes)) for side in modes[0]))
 
 
 def _unit_points(model: "_Model") -> _Points:
@@ -285,10 +285,10 @@ def _forms(points: _Points, side, dst_side, kind: str) -> tuple:
     every point, its c_j (`_symbol`) as formal linear forms, Lambda (index
     n + 1) for lambda, W_j (n + 2 + j) for w_j and sigma_j (unit 1) composed
     with M, the side's mode M k (A^T on a map's source side), and k' at 0."""
-    model, n = points[0].model, len(points) - 1
-    modes = tuple(b.modes[side][0] for b in points)
+    model, n = points.model, len(points) - 1
+    modes = tuple(block[side][0] for block in points)
     targets = [model.pull(k) for k in modes] if kind == "pullback" else modes
-    inside = all(k in b.modes.get(dst_side, ()) for b, k in zip(points, targets))
+    inside = all(k in block.get(dst_side, ()) for block, k in zip(points, targets))
     if kind in ("lie", "pullback"):
         return inside, [{n + 1: (1, 0)}], targets[0]
     if kind in ("wedge", "interior"):
@@ -326,19 +326,15 @@ def _parts(points: _Points, op, src: int, dst: int) -> list:
     key = points.layout, op, src, dst
     cols = _PARTS.get(key)
     if cols is None:
-        model = points[0].model
-        # the first row of each side: the sides' tags follow one another
-        starts, row, cols = {}, 0, []
-        for side, modes in points[0].modes.items():
-            starts[side] = row
-            row += len(modes) * len(model.index_sets(side, dst - _SHIFT[side]))
-        for side in points[0].modes:
+        model, cols = points.model, []
+        starts = model.starts(dst, points[0])     # the first row of each side
+        for side in points[0]:
             q = src - _SHIFT[side]
             # per symbol block: its first row, sign, `_forms` and stencil
             blocks = [(starts.get(dst_side), sign, *_forms(points, side, dst_side, kind),
                        model.stencil(side, kind, q))
                       for from_side, dst_side, sign, kind in op if from_side == side]
-            for c in range(len(model.index_sets(side, q))):
+            for c in range(model.size(src, {side: points[0][side]})):
                 flat = {}         # (row, i) -> coefficient of variable i
                 for start, sign, inside, forms, row_k, stencil in blocks:
                     for pos, s, j in stencil[c]:
@@ -360,7 +356,7 @@ def _parts(points: _Points, op, src: int, dst: int) -> list:
 
 def _stacked_parts(points: _Points, degree: int, d_op, cod_op) -> list:
     """[D_p ; Cod_p] as `_parts`: the columns of D_p over those of Cod_p."""
-    shift = len(points[0].tags(degree + 1))
+    shift = points.model.size(degree + 1, points[0])
     return [{**up, **{r + shift: v for r, v in low.items()}} for up, low in zip(
         _parts(points, d_op, degree, degree + 1), _parts(points, cod_op, degree, degree - 1))]
 
@@ -443,9 +439,10 @@ class _Model:
 
     A basis tag (side, k, idx) is the form e(k) dx^idx on the chart
     `charts[side]`, with k in `modes[side]`: side "F" in the complex's
-    degree p, side "S" in degree p-1.  Each subclass checks its inputs in
-    `__init__` and sets `label`, `degrees`, `charts`, `modes` (all three by
-    `pair_slots` for two slots on one chart), `op` (the
+    degree p, side "S" in degree p-1; `basis` lists the tags of a mode
+    dict in layout order and `starts` counts them.  Each subclass checks its
+    inputs in `__init__` and sets `label`, `degrees`, `charts`, `modes` (all
+    three by `pair_slots` for two slots on one chart), `op` (the
     differential as symbol blocks), its contracting `homotopy` and, when a
     block needs them, the constant frame coefficients `coeffs` of the field or
     1-form, for a pullback `matrix`, `minors` and `pull`, and for bidegree
@@ -467,10 +464,6 @@ class _Model:
         modes = _modes(chart.nvars, max_freq)
         self.modes = {"F": modes, "S": modes}
 
-    def index_sets(self, side, degree) -> tuple:
-        """The slot-index tuples of the side's forms of this degree."""
-        return _sets(self.charts[side], self.p, degree)
-
     def stencil(self, side, kind: str, q: int) -> tuple:
         """Per index set of `side` in form degree q, the terms (row, s, j) of
         a symbol block of `kind` leaving it: the chart's `_stencil`, or a
@@ -479,13 +472,29 @@ class _Model:
             return self.minors.get(q, ())
         return _stencil(self.charts[side], self.p, kind, q)
 
-    def basis(self, degree):
-        return _Block(self, self.modes).tags(degree)
+    def basis(self, degree, modes=None) -> list:
+        """The basis tags of this degree whose modes are in `modes`, a dict
+        {side: [mode]} (the whole band by default), in layout order: sides
+        in model order, then modes, then index sets."""
+        modes = self.modes if modes is None else modes
+        return [(side, k, idx) for side, chart in self.charts.items() if side in modes
+                for sets in [_sets(chart, self.p, degree - _SHIFT[side])]
+                for k in modes[side] for idx in sets]
 
-    def size(self, degree) -> int:
-        """The number of basis tags of this degree."""
-        return sum(len(self.modes[side]) * len(self.index_sets(side, degree - _SHIFT[side]))
-                   for side in self.charts)
+    def starts(self, degree, modes=None) -> dict:
+        """The position of each side's first tag in `basis(degree, modes)`,
+        and under None the number of its tags."""
+        modes, out, at = self.modes if modes is None else modes, {}, 0
+        for side, chart in self.charts.items():
+            if side in modes:
+                out[side] = at
+                at += len(modes[side]) * len(_sets(chart, self.p, degree - _SHIFT[side]))
+        out[None] = at
+        return out
+
+    def size(self, degree, modes=None) -> int:
+        """The number of tags in `basis(degree, modes)`."""
+        return self.starts(degree, modes)[None]
 
     @cached_property
     def unit(self) -> int:
@@ -563,24 +572,19 @@ class _Model:
             _CERTIFIED[key] = True
         zero, ranks, rank = checked[0][0], {}, 0
         for d in self.degrees:
-            rank = ranks[d] = self.size(d) - len(zero.tags(d)) - rank
+            rank = ranks[d] = self.size(d) - self.size(d, zero) - rank
             if rank < 0 or (d == self.degrees[-1] and rank):
                 raise AssertionError(f"band outside mode 0 is not acyclic at degree {d}")
         return ranks
 
     def assemble(self) -> BandComplex:
         ranks = self.certified_ranks()
-        out = BandComplex(self.label, tuple(self.degrees))
-        for d in self.degrees:
-            out.basis[d] = tuple(self.basis(d))
-        for i, d in enumerate(self.degrees):
-            out.ranks[d] = ranks[d]
-            below = ranks[self.degrees[i - 1]] if i else 0
-            kernel = len(out.basis[d]) - ranks[d]
-            out.dims[d] = kernel - below
-            if out.dims[d] < 0:
-                raise AssertionError("negative cohomology dimension")
-        return out
+        below = [0] + [ranks[d] for d in self.degrees[:-1]]
+        dims = {d: self.size(d) - ranks[d] - r for d, r in zip(self.degrees, below)}
+        if any(dim < 0 for dim in dims.values()):
+            raise AssertionError("negative cohomology dimension")
+        return BandComplex(self.label, tuple(self.degrees),
+                           {d: tuple(self.basis(d)) for d in self.degrees}, ranks, dims)
 
 
 class _DeRhamModel(_Model):
@@ -610,9 +614,7 @@ class _PairModel(_Model):
     def __init__(self, chart: Chart, x: VectorField, max_freq: int):
         if chart.kind is not ChartKind.TORUS:
             raise UnsupportedScenarioError("pair band model requires a real torus")
-        if x.chart != chart:
-            raise ChartMismatchError(f"the vector field lives on {x.chart}, not {chart}")
-        self.coeffs = _constant_coeffs(x)
+        self.coeffs = _constant_coeffs(x, chart)
         self.label = f"pair/{chart}"
         self.op = _PAIR_D
         self.homotopy = _PAIR_HOMOTOPY
@@ -624,14 +626,7 @@ class _PairEtaModel(_Model):
     d eta = 0 the differential is (d phi, -d psi)."""
 
     def __init__(self, chart: Chart, eta: Form, max_freq: int):
-        if eta.chart != chart:
-            raise ChartMismatchError(f"the twisting form lives on {eta.chart}, not {chart}")
-        if eta.degree != 1:
-            raise ValueError("twisting form must be a 1-form")
-        if not ext_d(eta).is_zero:
-            raise UnsupportedScenarioError(
-                "the twisted pair differential mixes frequencies unless the "
-                "1-form is closed; refusing to report approximate dimensions")
+        _closed_one_form(eta, chart, "pair")
         if chart.kind is not ChartKind.TORUS:
             raise UnsupportedScenarioError("pair band model requires a real torus")
         self.label = f"pair-eta/{chart}"
@@ -655,9 +650,13 @@ class _MapModel(_Model):
 
     target_side: str
 
-    def map_slots(self, cmap: ChartMap, op) -> None:
-        """`op` with the pair homotopy in degrees 0..top+2, top the larger
-        chart's slot count, and the map's `matrix` A for `pull`."""
+    def map_slots(self, cmap: ChartMap, op, name: str) -> None:
+        """The `name` complex's label and `op` with the pair homotopy in
+        degrees 0..top+2, top the larger chart's slot count, and the map's
+        `matrix` A for `pull`; `cmap` must be a torus map."""
+        if cmap.matrix is None or cmap.source.kind is not ChartKind.TORUS:
+            raise UnsupportedScenarioError(f"{name} band model requires a torus map")
+        self.label = f"{name}/{cmap.source}->{cmap.target}"
         self.op, self.homotopy = op, _PAIR_HOMOTOPY
         self.degrees = tuple(range(max(cmap.source.nslots, cmap.target.nslots) + 3))
         self.matrix = cmap.matrix
@@ -688,13 +687,8 @@ class _RelativeModel(_MapModel):
     target_side = "F"
 
     def __init__(self, cmap: ChartMap, x: VectorField, max_freq: int):
-        if cmap.matrix is None or cmap.source.kind is not ChartKind.TORUS:
-            raise UnsupportedScenarioError("relative band model requires a torus map")
-        self.coeffs = _constant_coeffs(x)
-        if x.chart != cmap.source:
-            raise ChartMismatchError(f"the vector field lives on {x.chart}, not {cmap.source}")
-        self.label = f"relative/{cmap.source}->{cmap.target}"
-        self.map_slots(cmap, _REL_D)
+        self.map_slots(cmap, _REL_D, "relative")
+        self.coeffs = _constant_coeffs(x, cmap.source)
         target_modes = _modes(cmap.target.nvars, max_freq)
         source_modes = set(_modes(cmap.source.nvars, max_freq))
         source_modes |= {self.pull(k) for k in target_modes}
@@ -723,19 +717,8 @@ class _PrimedEtaModel(_MapModel):
     target_side = "S"
 
     def __init__(self, cmap: ChartMap, eta: Form, max_freq: int):
-        if cmap.matrix is None or cmap.source.kind is not ChartKind.TORUS:
-            raise UnsupportedScenarioError("primed band model requires a torus map")
-        if eta.chart != cmap.target:
-            raise ChartMismatchError(
-                f"the twisting form lives on {eta.chart}, not {cmap.target}")
-        if eta.degree != 1:
-            raise ValueError("twisting form must be a 1-form")
-        if not ext_d(eta).is_zero:
-            raise UnsupportedScenarioError(
-                "the twisted relative differential mixes frequencies unless the "
-                "1-form is closed; refusing to report approximate dimensions")
-        self.label = f"primed/{cmap.source}->{cmap.target}"
-        self.map_slots(cmap, _UNCOUPLED_D)
+        self.map_slots(cmap, _UNCOUPLED_D, "primed")
+        _closed_one_form(eta, cmap.target, "relative")
         self.charts = {"F": cmap.source, "S": cmap.target}
         self.modes = {side: _modes(chart.nvars, max_freq)
                       for side, chart in self.charts.items()}
@@ -749,9 +732,7 @@ class _DolbeaultModel(_Model):
             raise ValueError(f"p must be non-negative, got {p}")
         if chart.kind is not ChartKind.TORUS_COMPLEX:
             raise UnsupportedScenarioError("dbar band model requires a complex torus")
-        if x.chart != chart:
-            raise ChartMismatchError(f"the vector field lives on {x.chart}, not {chart}")
-        self.coeffs = _constant_coeffs(x)
+        self.coeffs = _constant_coeffs(x, chart)
         if not x.is_holomorphic():
             raise UnsupportedScenarioError("dbar band model requires a holomorphic field")
         self.p = p
@@ -843,13 +824,13 @@ def _zeros(nvars: int, max_freq: int, unit: int, squares: tuple) -> tuple:
 
 
 def _resonant(points: _Points, degree: int, d_op, cod_op, message: str, lam_sign=None) -> list:
-    """The blocks of the band modes k where q(k) = 0 (`_zeros`, the field's
-    numbers put in), once `_certify` has found Cod D + D Cod = q I at
+    """The blocks {side: [k]} of the band modes k where q(k) = 0 (`_zeros`,
+    the field's numbers put in), once `_certify` has found Cod D + D Cod = q I at
     `degree` on a model's `_unit_points`, q formal: |k|^2 + lam_sign Lambda^2
     or, if lam_sign is None, |k|^2 + sum W_j^2 (AssertionError(message) if
     not).  That Laplacian is zero on these blocks and invertible elsewhere,
     where its kernel and the joint kernel of D and Cod inside it are empty."""
-    model, n = points[0].model, len(points) - 1
+    model, n = points.model, len(points) - 1
     # (sign, formal f, f of the field's numbers) per square s f^2 of q
     if lam_sign is None:
         squares = [(1, {n + 2 + j: (1, 0)}, {0: w}) for j, w in enumerate(model.scaled_coeffs)]
@@ -863,7 +844,7 @@ def _resonant(points: _Points, degree: int, d_op, cod_op, message: str, lam_sign
         _CERTIFIED[key] = True
     modes = _zeros(n, model.modes["F"][-1][0], model.unit,  # the last mode is (N, ..., N)
                    tuple((s, tuple(g.items())) for s, _, g in squares))
-    return [_Block(model, {side: [k] for side in model.charts}) for k in modes]
+    return [{side: [k] for side in model.charts} for k in modes]
 
 
 def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) -> HarmonicKernel:
@@ -875,25 +856,29 @@ def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) ->
     squared Lie derivative) on every mode at once, so its kernel is every basis
     column of the modes where the closed form vanishes (`_resonant`), and the
     joint kernel is taken on those modes only, on [pair_d ; pair_codiff]
-    evaluated there; both are listed in global basis order.  The two kernels
-    agree exactly when no nonzero band mode k satisfies |k|^2 = <k, U>^2; the
-    comparison verdict is part of the result rather than an assumption, and
-    the witness is the first Laplacian kernel column outside the joint kernel.
+    evaluated there; both are listed in global basis order, each block's
+    columns placed by `_Model.starts`.  The two kernels agree exactly when
+    no nonzero band mode k satisfies |k|^2 = <k, U>^2; the comparison
+    verdict is part of the result rather than an assumption, and the
+    witness is the first Laplacian kernel column outside the joint kernel,
+    its tag read off `_Model.basis` of its block.
     """
     _require_degree(degree)
     model = _PairModel(chart, u, max_freq)
     points = _unit_points(model)
     blocks = _resonant(points, degree, _PAIR_D, _PAIR_CODIFF,
                        "pair Laplacian composite disagrees with its closed form", 1)
-    sizes = {side: len(model.index_sets(side, degree - _SHIFT[side])) for side in model.charts}
-    start = {"F": 0, "S": len(model.modes["F"]) * sizes["F"]}
-    position = {k: i for i, k in enumerate(model.modes["F"])}
+    start, modes = model.starts(degree), model.modes["F"]     # the modes are sorted
+    # each side's columns of one mode
+    runs = {side: range(model.size(degree, {side: modes[:1]})) for side in model.charts}
     parts = _stacked_parts(points, degree, _PAIR_D, _PAIR_CODIFF)
     lap, joint = [], []
     for block in blocks:
-        k = block.modes["F"][0]
-        glob = [start[side] + position[k] * size + j
-                for side, size in sizes.items() for j in range(size)]
+        k = block["F"][0]
+        # each side's columns of mode k follow its columns of the modes before k
+        before = modes[:bisect_left(modes, k)]
+        glob = [start[side] + model.size(degree, {side: before}) + j
+                for side in model.charts for j in runs[side]]
         # at unit k and Lambda = lambda(k) scale, the forms are scale [pair_d ; pair_codiff]
         lam = tuple(sum(c[t] * k[i - 1] for i, c in model.lam_form.items()) for t in (0, 1))
         stacked = _at(parts, [(1, 0)] + [(model.unit * v, 0) for v in k] + [lam])
@@ -903,7 +888,7 @@ def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) ->
         lap += [(g, col, block, c) for c, (g, col) in enumerate(zip(glob, stacked))]
     lap.sort(key=lambda entry: entry[0])
     joint.sort(key=lambda entry: entry[0])
-    witness = next((_render_vector(model, degree, block.tags(degree)[c])
+    witness = next((_render_vector(model, degree, model.basis(degree, block)[c])
                     for _, col, block, c in lap if col), None)
     return HarmonicKernel(degree, max_freq, len(lap), len(joint), [{g: ONE} for g, *_ in lap],
                           [vec for _, vec in joint], witness)
@@ -925,7 +910,7 @@ def corrected_laplacian_kernel_dim(chart: Chart, u: VectorField, degree: int,
     like `harmonic_kernel`, and read off the `_resonant` modes."""
     _require_degree(degree)
     model = _PairModel(chart, u, max_freq)
-    return sum(len(block.tags(degree)) for block in _resonant(
+    return sum(model.size(degree, block) for block in _resonant(
         _unit_points(model), degree, _PAIR_D, _PAIR_CODIFF_SKEW,
         "corrected pair Laplacian disagrees with its closed form", -1))
 
@@ -938,6 +923,6 @@ def lichnerowicz_kernel_dim(chart: Chart, w: Form, degree: int, max_freq: int) -
     modes: empty for a real w != 0, and for w = i v those on |k| = |v|."""
     _require_degree(degree)
     model = _DeRhamModel(chart, max_freq, w)
-    return sum(len(block.tags(degree)) for block in _resonant(
+    return sum(model.size(degree, block) for block in _resonant(
         _unit_points(model), degree, _TWISTED_D, _TWISTED_CODIFF,
         "Lichnerowicz Laplacian disagrees with its closed form"))

@@ -644,6 +644,9 @@ def parse_form(chart: Chart, text: str) -> Form:
 
 def parse_field(chart: Chart, text: str) -> VectorField:
     """Parse `;`-separated components; complex charts take z-components only."""
+    for i, part in enumerate(text.split(";"), 1):
+        if not part.strip():
+            raise ValueError(f"vector field component {i} of {text!r} is empty")
     parts = [parse_scalar(chart, p) for p in text.split(";")]
     if chart.is_complex:
         if len(parts) != chart.dim:

@@ -558,6 +558,8 @@ def _split_top(text: str, sep: str):
             cur = []
         else:
             cur.append(ch)
+    if parts and not cur:
+        raise ValueError(f"dangling {sep!r} at the end of {text!r}")
     if cur:
         parts.append("".join(cur))
     return parts

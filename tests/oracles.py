@@ -57,7 +57,6 @@ from pairform.charts import ChartKind
 from pairform.cohomology import (
     HarmonicKernel,
     UnsupportedScenarioError,
-    _Block,
     _DeRhamModel,
     _DolbeaultModel,
     _PAIR_CODIFF,
@@ -469,20 +468,24 @@ def sampled_forms(points, side, dst_side, kind: str) -> tuple:
     the symbol's values at the blocks `points` of 0 and e_i instead: each
     c_j at each block's own mode of `side` (`symbol_values`), and its
     `linear` form through those n + 1 values."""
-    model = points[0].model
-    read = [symbol_values(model, side, kind, b.modes[side][0]) for b in points]
-    inside = all(k in b.modes.get(dst_side, ()) for b, (k, _) in zip(points, read))
+    model = points.model
+    read = [symbol_values(model, side, kind, block[side][0]) for block in points]
+    inside = all(k in block.get(dst_side, ()) for block, (k, _) in zip(points, read))
     return inside, [linear(c) for c in zip(*(c for _, c in read))], read[0][0]
 
 
-class ModeBlock(_Block):
-    """A library block whose matrices are evaluated at its own modes: the
-    per-mode reference for the linear forms in k (`cohomology._parts`) that
-    the library certifies and reads its kernels from."""
+class ModeBlock:
+    """A block {side: [mode]} of a library model whose matrices are
+    evaluated at its own modes: the per-mode reference for the linear forms
+    in k (`cohomology._parts`) that the library certifies and reads its
+    kernels from."""
 
     def __init__(self, model, modes: dict):
-        super().__init__(model, modes)
-        self._matrices = {}
+        self.model, self.modes, self._matrices = model, modes, {}
+
+    def tags(self, degree) -> list:
+        """The block's basis tags of this degree, in the global basis order."""
+        return self.model.basis(degree, self.modes)
 
     def index(self, degree) -> dict:
         """The position in `tags(degree)` of the first tag of each (side, k)."""
@@ -514,7 +517,7 @@ class ModeBlock(_Block):
                         row_k, coefs = symbol_values(model, side, kind, k)
                         blocks.append((index.get((dst_side, row_k)), sign, coefs, row_k,
                                        model.stencil(side, kind, q)))
-                for i in range(len(model.index_sets(side, q))):
+                for i in range(model.size(src, {side: [k]})):
                     col = {}
                     for start, sign, coefs, row_k, stencil in blocks:
                         for pos, s, j in stencil[i]:

@@ -113,6 +113,9 @@ def test_custom_field_and_map(capsys):
     code = main(["cohomology", "--dim", "2", "--field", "1; 2", "--max-freq", "1"])
     assert code == 0
     assert "X=[1; 2]" in capsys.readouterr().out
+    code = main(["cohomology", "--dim", "2", "--field", "1; 0", "--max-freq", "1"])
+    assert code == 0
+    assert "X=[1; 0]" in capsys.readouterr().out
     code = main(["relative", "--map", "2", "--max-freq", "1"])
     assert code == 0
 
@@ -152,6 +155,13 @@ def test_nonconstant_custom_field_reported_unsupported(capsys):
      "--eta cannot be combined with --field"),
     (["cohomology", "--dim", "2", "--eta", "dx[1]^dx[2]"], "twisting form must be a 1-form"),
     (["cohomology", "--dim", "2", "--eta", "3"], "twisting form must be a 1-form"),
+    # an empty field component or a dangling separator is not read as 0 or dropped
+    (["cohomology", "--dim", "2", "--field", ";"], "vector field component 1 of ';' is empty"),
+    (["cohomology", "--dim", "2", "--field", "1;"], "vector field component 2 of '1;' is empty"),
+    (["cohomology", "--dim", "2", "--field", " ;2"], "vector field component 1 of ' ;2' is empty"),
+    (["cohomology", "--dim", "2", "--field", "2*;1"], "dangling '*' at the end of '2*'"),
+    (["cohomology", "--dim", "2", "--field", "1+;2"], "dangling '+' at the end of '1+'"),
+    (["cohomology", "--dim", "2", "--eta", "dx[1] +"], "dangling '+' at the end of 'dx[1]+'"),
 ])
 def test_rejected_input_is_usage_error(argv, message, capsys):
     assert main(argv) == 2

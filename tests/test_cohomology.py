@@ -1021,8 +1021,8 @@ def _linear_part_cases():
 def _mode_at(points, side, k):
     """The mode of `side` at k on a point set whose modes are linear in k:
     m(0) + sum k_i (m(e_i) - m(0)), m(e_i) the mode on `points[i]`."""
-    zero = points[0].modes[side][0]
-    return tuple(z + sum(v * (b.modes[side][0][t] - z) for v, b in zip(k, points[1:]))
+    zero = points[0][side][0]
+    return tuple(z + sum(v * (b[side][0][t] - z) for v, b in zip(k, points[1:]))
                  for t, z in enumerate(zero))
 
 
@@ -1033,12 +1033,12 @@ def _field_values(points, kind="lie"):
     target modes), or of the pullback's target mode, and W_j = w_j."""
     from pairform.cohomology import _composed
 
-    model, n = points[0].model, len(points) - 1
+    model, n = points.model, len(points) - 1
     lam = {}
     if kind == "pullback":
-        lam = _composed(model.lam_form, [model.pull(b.modes["F"][0]) for b in points[1:]])
-    elif "S" in points[0].modes:
-        lam = _composed(model.lam_form, [b.modes["S"][0] for b in points[1:]])
+        lam = _composed(model.lam_form, [model.pull(b["F"][0]) for b in points[1:]])
+    elif "S" in points[0]:
+        lam = _composed(model.lam_form, [b["S"][0] for b in points[1:]])
     return {0: {0: (1, 0)}, **{i: {i: (model.unit, 0)} for i in range(1, n + 1)},
             n + 1: lam, **{n + 2 + j: {0: w} for j, w in enumerate(model.scaled_coeffs)}}
 
@@ -1077,9 +1077,9 @@ def test_linear_parts_equal_the_per_mode_blocks_off_the_unit_modes():
         step, entries = _STEP[op[0][3]], 0
         for _ in range(20):
             k = tuple(rng.randint(-3, 3) for _ in points[1:])
-            block = ModeBlock(points[0].model,
-                              {side: [_mode_at(points, side, k)] for side in points[0].modes})
-            for d in points[0].model.degrees:
+            block = ModeBlock(points.model,
+                              {side: [_mode_at(points, side, k)] for side in points[0]})
+            for d in points.model.degrees:
                 mat = block.matrix(op, d, d + step)
                 assert _at(_parts(points, op, d, d + step), _formal_point(points, k)) == mat, \
                     (name, op, d, k)
@@ -1149,12 +1149,12 @@ def test_symbol_forms_are_the_sampled_forms():
         checked, pieces = model.certificate()
         for points in checked + [points for points, _, _ in pieces]:
             for side, dst_side, _, kind in set(ops):
-                if side not in points[0].modes:
+                if side not in points[0]:
                     continue
                 inside, forms, target = _forms(points, side, dst_side, kind)
                 got = [_substituted(points, form, kind) for form in forms]
                 assert (inside, got, target) == sampled_forms(points, side, dst_side, kind), \
-                    (model.label, tuple(points[0].modes), side, kind)
+                    (model.label, tuple(points[0]), side, kind)
                 kinds.add(kind)
                 composed += got != symbol_forms(model, side, kind)
         units.add(model.unit)
@@ -1487,12 +1487,102 @@ def test_map_certificate_reaches_every_side_at_every_unit_mode(name):
     for model in models:
         checked, pieces = model.certificate()
         zero = {side: [(0,) * chart.nvars] for side, chart in model.charts.items()}
-        assert checked[0][0].modes == zero
+        assert checked[0][0] == zero
         for side, chart in model.charts.items():
             units = [[k] for k in _unit_modes(chart.nvars)]
-            assert any([b.modes.get(side) for b in points] == units for points in checked)
+            assert any([b.get(side) for b in points] == units for points in checked)
             (own,) = [points for points, _, s in pieces if s == side]
-            assert [b.modes for b in own] == [{side: k} for k in units]
+            assert own == [{side: k} for k in units]
+
+def _layout_cases():
+    """(model, modes dicts, [(points, op, step)]) for every layout the
+    library numbers: pair (resonant on the k_1 axis), de Rham, twisted de
+    Rham (w = i dx^1, resonant on |k| = 1) and pair-eta on T2; relative and
+    primed over the zero T2->T1 map, the GL(3,Z) map and the T1->T2
+    embedding; Dolbeault on TC2 at p = 0, 1 and 2.  The dicts are the whole
+    band (None), the zero block, each point of every `certificate()` point
+    set and each `_resonant` block of a kernel; the ops are those the library
+    writes on each point set, and the kernels' on the unit points."""
+    from pairform.cohomology import (
+        _DeRhamModel,
+        _DolbeaultModel,
+        _PAIR_CODIFF,
+        _PAIR_CODIFF_SKEW,
+        _PairEtaModel,
+        _PairModel,
+        _PrimedEtaModel,
+        _RelativeModel,
+        _TWISTED_CODIFF,
+        _TWISTED_D,
+        _resonant,
+        _unit_points,
+    )
+
+    tc2 = torus_complex(2)
+    holo = holomorphic_field(tc2, (const(tc2, 1), const(tc2, gq(0, 2))))
+    pair = _PairModel(T2, constant_field(T2, (1, 0)), 2)
+    twisted = _DeRhamModel(T2, 2, coframe(T2, 0) * gq(0, 1))
+    models = [pair, _DeRhamModel(T2, 2), twisted, _PairEtaModel(T2, coframe(T2, 0), 2)]
+    for name in ("zero T2->T1", "GL(3,Z)", "embed T1->T2"):
+        cmap = _torus_map(name)
+        x = constant_field(cmap.source, (1, 2, 0)[:cmap.source.dim])
+        eta = coframe(cmap.target, 0)
+        models += [_RelativeModel(cmap, x, 1), _PrimedEtaModel(cmap, eta, 1)]
+    models += [_DolbeaultModel(tc2, holo, p, 1) for p in range(3)]
+    # (d_op, cod_op, lam_sign, resonant modes per degree) of each kernel
+    kernels = {pair: [(pair.op, _PAIR_CODIFF, 1, 5), (pair.op, _PAIR_CODIFF_SKEW, -1, 1)],
+               twisted: [(_TWISTED_D, _TWISTED_CODIFF, None, 4)]}
+    out = []
+    for model in models:
+        checked, pieces = model.certificate()
+        dicts = [None, checked[0][0]]
+        dicts += [block for points in checked + [points for points, _, _ in pieces]
+                  for block in points]
+        ops = [(points, model.op, 1) for points in checked]
+        ops += [(points, op, step) for points, d_op, _ in pieces
+                for op, step in ((d_op, 1), (model.homotopy, -1))]
+        for d_op, cod_op, sign, count in kernels.get(model, ()):
+            points = _unit_points(model)
+            ops += [(points, d_op, 1), (points, cod_op, -1)]
+            blocks = [block for d in model.degrees
+                      for block in _resonant(points, d, d_op, cod_op, "kernel", sign)]
+            assert len(blocks) == count * len(model.degrees), (model.label, cod_op)
+            dicts += blocks
+        out.append((model, dicts, ops))
+    return out
+
+
+def test_every_count_follows_the_layout_rule():
+    """`basis(d, modes)` lists the tags, sides in model order, then modes,
+    then index sets, and `starts` counts them, for every modes dict the
+    library uses (`_layout_cases`).  The per-mode bases, joined in `modes`
+    order, are the whole band's basis, and `_parts` on a point set has
+    `size(s, points[0])` columns and rows below `size(t, points[0])`."""
+    from pairform.cohomology import _parts
+
+    for model, dicts, ops in _layout_cases():
+        order = list(model.charts)
+        for d in model.degrees:
+            per_mode = [tag for side in order for k in model.modes[side]
+                        for tag in model.basis(d, {side: [k]})]
+            assert per_mode == model.basis(d), (model.label, d)
+            for modes in dicts:
+                basis, starts = model.basis(d, modes), model.starts(d, modes)
+                assert len(basis) == model.size(d, modes) == starts[None], (model.label, d)
+                sides = [side for side, _, _ in basis]
+                assert sides == sorted(sides, key=order.index), (model.label, d, modes)
+                assert set(starts) - {None} == set(model.modes if modes is None else modes)
+                for side in set(starts) - {None}:
+                    before = sum(order.index(s) < order.index(side) for s in sides)
+                    assert starts[side] == before, (model.label, d, modes, side)
+                    assert side not in sides or sides[before] == side
+        for points, op, step in ops:
+            for s in model.degrees:
+                cols = _parts(points, op, s, s + step)
+                assert len(cols) == model.size(s, points[0]), (model.label, op, s)
+                assert all(r < model.size(s + step, points[0]) for col in cols for r in col), \
+                    (model.label, op, s)
+
 
 def _bidiagonal(n):
     """The GL(n,Z) matrix with 1 on the diagonal and just above it."""
@@ -1558,8 +1648,7 @@ def test_kernels_are_taken_on_the_resonant_modes_only():
 
     def resonant(coeffs, cod, sign):
         model = _PairModel(T2, constant_field(T2, coeffs), 2)
-        return [b.modes for b in _resonant(_unit_points(model), 1, model.op, cod,
-                                           "closed form", sign)]
+        return _resonant(_unit_points(model), 1, model.op, cod, "closed form", sign)
 
     axis = [{"F": [k], "S": [k]} for k in ((-2, 0), (-1, 0), (0, 0), (1, 0), (2, 0))]
     zero = [{"F": [(0, 0)], "S": [(0, 0)]}]
@@ -1589,7 +1678,7 @@ def test_certified_builders_eliminate_the_zero_mode_only(monkeypatch):
     certified_ranks = cohomology._Model.certified_ranks
 
     def recording(model):
-        seen.append(model.certificate()[0][0][0].modes)
+        seen.append(model.certificate()[0][0][0])
         return certified_ranks(model)
 
     monkeypatch.setattr(linalg, "zi_rank", refuse)
@@ -1736,7 +1825,9 @@ def test_a_band_size_that_breaks_the_fill_is_refused(degree, change, failed):
     model = _PairModel(T2, constant_field(T2, (1, 2)), 1)
     assert model.certified_ranks() == {0: 8, 1: 16, 2: 8, 3: 0, 4: 0}
     size = model.size
-    model.size = lambda d: size(d) + change * (d == degree)
+    # only the whole band's size changes, not the zero block's
+    model.size = lambda d, modes=None: \
+        size(d, modes) + change * (modes is None and d == degree)
     with pytest.raises(AssertionError) as info:
         model.assemble()
     assert str(info.value) == f"band outside mode 0 is not acyclic at degree {failed}"
@@ -1937,7 +2028,7 @@ def test_only_the_latest_field_is_held(monkeypatch, kind):
     resonant, models = cohomology._resonant, []
 
     def recording(points, *args):
-        models.append(weakref.ref(points[0].model))
+        models.append(weakref.ref(points.model))
         return resonant(points, *args)
 
     monkeypatch.setattr(cohomology, "_resonant", recording)
