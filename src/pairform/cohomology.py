@@ -18,9 +18,13 @@ reference, and the same matrices evaluated mode by mode, live in the tests.
 
 So every band matrix is block-diagonal.  A block is a mode dict
 {side: [mode]}: one mode k on every side, over a torus map a target mode k
-with its source mode A^T k, or one side's mode alone.  `_Model.basis` lists
-the tags of any such dict (sides in model order, then modes, then index
-sets) and `_Model.starts` counts them; no other code does.  `_parts` writes
+with its source mode A^T k, or one side's mode alone.  The basis is laid out
+by sides in model order, then modes, then index sets.  `_Model.starts`
+counts it in closed form, from each side's mode count and each degree's
+index-set widths, and `harmonic_kernel` places a mode's columns by its rank
+in the band's cube; nothing lists the band to count or place it.  Only
+`_Model.basis` lists tags, for a block or, when a `BandComplex.basis`
+sequence is read, for a whole degree.  `_parts` writes
 an operator's block once for every mode and field, a Z[i] column matrix (see
 `linalg`) of linear forms (`_forms`) in 1, k_1, ..., k_n, Lambda for lambda
 and W_j for w_j; at Lambda = lambda(k) scale and W_j = w_j scale it is the
@@ -57,9 +61,11 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from math import comb as _math_comb
+from operator import mul
 
 from .charts import Chart, ChartKind, ChartMismatchError, bidegree_index_sets
 from .exterior import Form, VectorField, ext_d, require_parallel_one_form, zero_form
@@ -78,10 +84,18 @@ class UnsupportedScenarioError(Exception):
     """The requested computation cannot be carried out exactly on a band."""
 
 
-def _modes(nvars: int, max_freq: int):
-    if max_freq < 0:
-        raise ValueError(f"max_freq must be non-negative, got {max_freq}")
-    return list(itertools.product(range(-max_freq, max_freq + 1), repeat=nvars))
+def _cube(nvars: int, max_freq: int):
+    """The modes |k_i| <= max_freq in sorted order, streamed, not listed."""
+    return itertools.product(range(-max_freq, max_freq + 1), repeat=nvars)
+
+
+def _rank(k, max_freq: int) -> int:
+    """The position of the mode k in the sorted `_cube`: the mixed-radix
+    number sum_i (k_i + N) (2N + 1)^(n - 1 - i), N = max_freq."""
+    out = 0
+    for v in k:
+        out = out * (2 * max_freq + 1) + v + max_freq
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -234,7 +248,9 @@ def _stencil(chart: Chart, p, kind: str, q: int) -> tuple:
 
 @dataclass
 class BandComplex:
-    """Exact dimensions of a band complex on an ordered monomial basis."""
+    """Exact dimensions of a band complex on an ordered monomial basis;
+    `basis` maps each degree to its tags (`_Tags`), whose len() is the
+    degree's closed-form size."""
 
     label: str
     degrees: tuple
@@ -246,7 +262,47 @@ class BandComplex:
         return [self.dims[d] for d in self.degrees]
 
 
+class _Tags(Sequence):
+    """The basis tags of one degree of a model, as `tuple(model.basis(degree))`:
+    its len() is the closed-form `size`, and the tags are listed only when
+    they are iterated, indexed, compared or printed."""
+
+    def __init__(self, model: "_Model", degree: int):
+        self._model, self._degree, self._len = model, degree, model.size(degree)
+
+    @cached_property
+    def _tags(self) -> tuple:
+        return tuple(self._model.basis(self._degree))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        return self._tags[i]
+
+    def __iter__(self):
+        return iter(self._tags)
+
+    def __eq__(self, other) -> bool:
+        return self._tags == (other._tags if isinstance(other, _Tags) else other)
+
+    def __hash__(self) -> int:
+        return hash(self._tags)
+
+    def __repr__(self) -> str:
+        return repr(self._tags)
+
+
 _SHIFT = {"F": 0, "S": 1}
+
+
+@lru_cache(maxsize=None)
+def _widths(charts: tuple, p, degrees: tuple) -> dict:
+    """degree -> {side: number of its index sets} over `degrees`, for the
+    (side, chart) pairs `charts`; no side has an index set in any other
+    degree of a model.  Built once per process for each layout."""
+    return {d: {side: len(_sets(chart, p, d - _SHIFT[side])) for side, chart in charts}
+            for d in degrees}
 
 
 @lru_cache(maxsize=None)
@@ -439,30 +495,62 @@ class _Model:
 
     A basis tag (side, k, idx) is the form e(k) dx^idx on the chart
     `charts[side]`, with k in `modes[side]`: side "F" in the complex's
-    degree p, side "S" in degree p-1; `basis` lists the tags of a mode
-    dict in layout order and `starts` counts them.  Each subclass checks its
-    inputs in `__init__` and sets `label`, `degrees`, `charts`, `modes` (all
-    three by `pair_slots` for two slots on one chart), `op` (the
-    differential as symbol blocks), its contracting `homotopy` and, when a
-    block needs them, the constant frame coefficients `coeffs` of the field or
-    1-form, for a pullback `matrix`, `minors` and `pull`, and for bidegree
-    (p, q) index sets `p`; `certified_ranks` reads the ranks off the
-    formal `_parts` of `certificate`'s point sets."""
+    degree p, side "S" in degree p-1.  The band is held as numbers, not as
+    lists: `max_freq` and each side's mode `counts`, (2N+1)^n plus the side's
+    `outside` modes (over a map, the source modes A^T k off the source
+    cube).  `starts` counts the tags of a mode dict in closed form, from
+    those counts and each degree's `widths`; `basis` lists them in layout
+    order.  `modes` lists each side's modes on first read, which only
+    `basis` of the whole band, the tests and the oracles do.
+
+    Each subclass checks its inputs in `__init__` and sets `label`,
+    `degrees`, the band (`band`, or `pair_slots` for two slots on one chart
+    with the degrees), `op` (the differential as symbol blocks), its
+    contracting `homotopy` and, when a block needs them, the constant frame
+    coefficients `coeffs` of the field or 1-form, for a pullback `matrix`,
+    `minors` and `pull`, and for bidegree (p, q) index sets `p`;
+    `certified_ranks` reads the ranks off the formal `_parts` of
+    `certificate`'s point sets."""
 
     degrees: tuple
     charts: dict
-    modes: dict
+    counts: dict
+    max_freq: int
     op: tuple
     homotopy: tuple
     coeffs: tuple = ()
     p: int = None
+    outside: dict = {}
+
+    def band(self, charts: dict, max_freq: int) -> None:
+        """The sides' `charts` and the band |k_i| <= max_freq on each, as
+        `max_freq` and each side's mode count (2 max_freq + 1)^n."""
+        if max_freq < 0:
+            raise ValueError(f"max_freq must be non-negative, got {max_freq}")
+        self.charts, self.max_freq = charts, max_freq
+        self.counts = {side: (2 * max_freq + 1) ** chart.nvars for side, chart in charts.items()}
 
     def pair_slots(self, chart: Chart, top: int, max_freq: int) -> None:
         """Both slots on `chart` with the band's modes, in degrees 0..top+2."""
         self.degrees = tuple(range(top + 3))
-        self.charts = {"F": chart, "S": chart}
-        modes = _modes(chart.nvars, max_freq)
-        self.modes = {"F": modes, "S": modes}
+        self.band({"F": chart, "S": chart}, max_freq)
+
+    @cached_property
+    def modes(self) -> dict:
+        """Each side's band modes in sorted order, its cube with its
+        `outside` modes, listed on first read."""
+        return {side: sorted([*_cube(chart.nvars, self.max_freq), *self.outside.get(side, ())])
+                for side, chart in self.charts.items()}
+
+    @cached_property
+    def _width_table(self) -> dict:
+        """The `_widths` table of this model's layout."""
+        return _widths(tuple(self.charts.items()), self.p, self.degrees)
+
+    def widths(self, degree) -> dict:
+        """Each side's number of index sets in this degree, its columns per
+        mode; read from a table built once per process (`_widths`)."""
+        return self._width_table.get(degree) or dict.fromkeys(self.charts, 0)
 
     def stencil(self, side, kind: str, q: int) -> tuple:
         """Per index set of `side` in form degree q, the terms (row, s, j) of
@@ -483,12 +571,14 @@ class _Model:
 
     def starts(self, degree, modes=None) -> dict:
         """The position of each side's first tag in `basis(degree, modes)`,
-        and under None the number of its tags."""
-        modes, out, at = self.modes if modes is None else modes, {}, 0
-        for side, chart in self.charts.items():
-            if side in modes:
+        and under None the number of its tags: closed-form, the mode counts
+        (`counts`, or those of `modes`) times the `widths`, nothing listed."""
+        counts = self.counts if modes is None else {side: len(m) for side, m in modes.items()}
+        out, at = {}, 0
+        for side, width in self.widths(degree).items():
+            if side in counts:
                 out[side] = at
-                at += len(modes[side]) * len(_sets(chart, self.p, degree - _SHIFT[side]))
+                at += counts[side] * width
         out[None] = at
         return out
 
@@ -584,7 +674,7 @@ class _Model:
         if any(dim < 0 for dim in dims.values()):
             raise AssertionError("negative cohomology dimension")
         return BandComplex(self.label, tuple(self.degrees),
-                           {d: tuple(self.basis(d)) for d in self.degrees}, ranks, dims)
+                           {d: _Tags(self, d) for d in self.degrees}, ranks, dims)
 
 
 class _DeRhamModel(_Model):
@@ -604,8 +694,7 @@ class _DeRhamModel(_Model):
         self.op = _DE_RHAM_D
         self.homotopy = _CODIFF
         self.degrees = tuple(range(chart.nslots + 2))
-        self.charts = {"F": chart}
-        self.modes = {"F": _modes(chart.nvars, max_freq)}
+        self.band({"F": chart}, max_freq)
 
 
 class _PairModel(_Model):
@@ -659,11 +748,11 @@ class _MapModel(_Model):
         self.label = f"{name}/{cmap.source}->{cmap.target}"
         self.op, self.homotopy = op, _PAIR_HOMOTOPY
         self.degrees = tuple(range(max(cmap.source.nslots, cmap.target.nslots) + 3))
-        self.matrix = cmap.matrix
+        self.matrix, self.columns = cmap.matrix, tuple(zip(*cmap.matrix))
 
     def pull(self, k) -> tuple:
         """The source mode A^T k of the target mode k."""
-        return tuple(sum(r * v for r, v in zip(column, k)) for column in zip(*self.matrix))
+        return tuple([sum(map(mul, column, k)) for column in self.columns])
 
     def certificate(self) -> tuple:
         """D.D = 0 on the blocks of a target mode k of `_unit_modes` with its
@@ -689,11 +778,12 @@ class _RelativeModel(_MapModel):
     def __init__(self, cmap: ChartMap, x: VectorField, max_freq: int):
         self.map_slots(cmap, _REL_D, "relative")
         self.coeffs = _constant_coeffs(x, cmap.source)
-        target_modes = _modes(cmap.target.nvars, max_freq)
-        source_modes = set(_modes(cmap.source.nvars, max_freq))
-        source_modes |= {self.pull(k) for k in target_modes}
-        self.charts = {"F": cmap.target, "S": cmap.source}
-        self.modes = {"F": target_modes, "S": sorted(source_modes)}
+        self.band({"F": cmap.target, "S": cmap.source}, max_freq)
+        # the source side holds its cube and A^T of the target cube: the
+        # distinct A^T k outside its cube, found by streaming the target cube
+        self.outside = {"S": {k for k in map(self.pull, _cube(cmap.target.nvars, max_freq))
+                              if max(map(abs, k)) > max_freq}}
+        self.counts["S"] += len(self.outside["S"])
         # degree q -> per target index set I of degree q the terms
         # (position of J, det A[I, J], 0) over the source index sets J of
         # degree q with a nonzero minor: the pullback's `stencil`
@@ -719,9 +809,7 @@ class _PrimedEtaModel(_MapModel):
     def __init__(self, cmap: ChartMap, eta: Form, max_freq: int):
         self.map_slots(cmap, _UNCOUPLED_D, "primed")
         _closed_one_form(eta, cmap.target, "relative")
-        self.charts = {"F": cmap.source, "S": cmap.target}
-        self.modes = {side: _modes(chart.nvars, max_freq)
-                      for side, chart in self.charts.items()}
+        self.band({"F": cmap.source, "S": cmap.target}, max_freq)
 
 
 class _DolbeaultModel(_Model):
@@ -815,12 +903,13 @@ def _require_degree(degree: int) -> None:
         raise ValueError(f"degree must be non-negative, got {degree}")
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=16)
 def _zeros(nvars: int, max_freq: int, unit: int, squares: tuple) -> tuple:
     """The band modes where `_closed(nvars, unit, squares)` vanishes, each
-    square's linear form given as its items."""
+    square's linear form given as its items; a few closed forms and bands
+    are kept, so kernels that alternate bands or fields scan each once."""
     closed = _closed(nvars, unit, [(s, dict(form)) for s, form in squares])
-    return tuple(k for k in _modes(nvars, max_freq) if _value(closed, k) == (0, 0))
+    return tuple(k for k in _cube(nvars, max_freq) if _value(closed, k) == (0, 0))
 
 
 def _resonant(points: _Points, degree: int, d_op, cod_op, message: str, lam_sign=None) -> list:
@@ -842,7 +931,7 @@ def _resonant(points: _Points, degree: int, d_op, cod_op, message: str, lam_sign
         if _certify(points, d_op, cod_op, formal, (degree,)) is not None:
             raise AssertionError(message)
         _CERTIFIED[key] = True
-    modes = _zeros(n, model.modes["F"][-1][0], model.unit,  # the last mode is (N, ..., N)
+    modes = _zeros(n, model.max_freq, model.unit,
                    tuple((s, tuple(g.items())) for s, _, g in squares))
     return [{side: [k] for side in model.charts} for k in modes]
 
@@ -857,7 +946,8 @@ def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) ->
     column of the modes where the closed form vanishes (`_resonant`), and the
     joint kernel is taken on those modes only, on [pair_d ; pair_codiff]
     evaluated there; both are listed in global basis order, each block's
-    columns placed by `_Model.starts`.  The two kernels agree exactly when
+    columns placed by its side's `_Model.starts` and its mode's `_rank` in
+    the band's cube.  The two kernels agree exactly when
     no nonzero band mode k satisfies |k|^2 = <k, U>^2; the comparison
     verdict is part of the result rather than an assumption, and the
     witness is the first Laplacian kernel column outside the joint kernel,
@@ -868,17 +958,15 @@ def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) ->
     points = _unit_points(model)
     blocks = _resonant(points, degree, _PAIR_D, _PAIR_CODIFF,
                        "pair Laplacian composite disagrees with its closed form", 1)
-    start, modes = model.starts(degree), model.modes["F"]     # the modes are sorted
-    # each side's columns of one mode
-    runs = {side: range(model.size(degree, {side: modes[:1]})) for side in model.charts}
+    start, widths = model.starts(degree), model.widths(degree)
     parts = _stacked_parts(points, degree, _PAIR_D, _PAIR_CODIFF)
     lap, joint = [], []
     for block in blocks:
         k = block["F"][0]
         # each side's columns of mode k follow its columns of the modes before k
-        before = modes[:bisect_left(modes, k)]
-        glob = [start[side] + model.size(degree, {side: before}) + j
-                for side in model.charts for j in runs[side]]
+        rank = _rank(k, max_freq)
+        glob = [start[side] + rank * width + j
+                for side, width in widths.items() for j in range(width)]
         # at unit k and Lambda = lambda(k) scale, the forms are scale [pair_d ; pair_codiff]
         lam = tuple(sum(c[t] * k[i - 1] for i, c in model.lam_form.items()) for t in (0, 1))
         stacked = _at(parts, [(1, 0)] + [(model.unit * v, 0) for v in k] + [lam])

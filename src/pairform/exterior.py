@@ -29,7 +29,8 @@ from fractions import Fraction
 from .charts import Chart, ChartKind, ChartMismatchError, require_same_chart
 from .linalg import invert_dense
 from .rationals import ZERO, GaussianRational, gq
-from .scalar import ChartMap, ScalarExpr, _new, _set, _split_top, const, parse_scalar
+from .scalar import (ChartMap, ScalarExpr, _new, _set, _split_top, _strip_spaces, const,
+                     parse_scalar)
 from .scalar import zero as scalar_zero
 
 
@@ -615,7 +616,7 @@ def _slot_from_token(chart: Chart, kind: str, index: int) -> int:
 
 def parse_form(chart: Chart, text: str) -> Form:
     """Parse the form grammar, e.g. ``(x1)*dx[2] + dx[1]^dx[3]``."""
-    text = text.replace(" ", "")
+    text = _strip_spaces(text)
     if not text or text == "0":
         return zero_form(chart, 0)
     degree, comps = None, []

@@ -544,6 +544,17 @@ _COEFF_IMAG = re.compile(r"^(-?)(\d+(?:/\d+)?)?i$")
 _COEFF_REAL = re.compile(r"^-?\d+(?:/\d+)?$")
 _VAR = re.compile(r"^([a-z]+\d+)(?:\^(\d+))?$")
 _WAVE = re.compile(r"^e\((-?\d+(?:,-?\d+)*)\)$")
+# spaces between two characters of one number, name or basis token
+_SPLIT_TOKEN = re.compile(r"[^ +*^;(),] +[^ +*^;(),]")
+
+
+def _strip_spaces(text: str) -> str:
+    """`text` without its spaces, which may stand only next to one of
+    ``+ * ^ ; ( ) ,``; a space inside a token is refused, not joined."""
+    m = _SPLIT_TOKEN.search(text)
+    if m:
+        raise ValueError(f"space inside a token in {text!r}: {m.group(0)!r}")
+    return text.replace(" ", "")
 
 
 def _split_top(text: str, sep: str):
@@ -587,7 +598,7 @@ def parse_gaussian(token: str) -> GaussianRational:
 
 def parse_scalar(chart: Chart, text: str) -> ScalarExpr:
     """Parse the rendering grammar, e.g. ``3/2*x1^2 + (1+i)*e(1,-1)``."""
-    text = text.replace(" ", "")
+    text = _strip_spaces(text)
     if not text or text == "0":
         return zero(chart)
     var_index = {chart.var_name(j): j for j in range(chart.nvars)}

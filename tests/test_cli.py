@@ -109,6 +109,19 @@ def test_non_integer_map_entry_is_usage_error(text, entry, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_spaces_beside_operators_are_dropped(capsys):
+    """Spaces next to + * ^ ; ( ) , are legal and change nothing."""
+    from pairform.charts import torus
+    from pairform.exterior import parse_field, parse_form
+
+    t2 = torus(2)
+    assert parse_field(t2, " (1 + i) * 3/2 ; e( 1 , -1 ) ") == parse_field(t2, "(1+i)*3/2;e(1,-1)")
+    assert parse_form(t2, "( 2 ) * dx[1] ^ dx[2]") == parse_form(t2, "(2)*dx[1]^dx[2]")
+    code = main(["cohomology", "--dim", "2", "--field", "1 + 2; 0", "--max-freq", "1"])
+    assert code == 0
+    assert "X=[1 + 2; 0]" in capsys.readouterr().out
+
+
 def test_custom_field_and_map(capsys):
     code = main(["cohomology", "--dim", "2", "--field", "1; 2", "--max-freq", "1"])
     assert code == 0
@@ -162,6 +175,12 @@ def test_nonconstant_custom_field_reported_unsupported(capsys):
     (["cohomology", "--dim", "2", "--field", "2*;1"], "dangling '*' at the end of '2*'"),
     (["cohomology", "--dim", "2", "--field", "1+;2"], "dangling '+' at the end of '1+'"),
     (["cohomology", "--dim", "2", "--eta", "dx[1] +"], "dangling '+' at the end of 'dx[1]+'"),
+    # a space inside one number, name or basis token is refused, not joined
+    (["cohomology", "--dim", "2", "--field", "1 2;0"], "space inside a token in '1 2': '1 2'"),
+    (["cohomology", "--dim", "2", "--field", "1;3/ 2"], "space inside a token in '3/ 2': '/ 2'"),
+    (["cohomology", "--dim", "2", "--field", "2 i;0"], "space inside a token in '2 i': '2 i'"),
+    (["cohomology", "--dim", "2", "--eta", "3*d x[1]"], "space inside a token in '3*d x[1]'"),
+    (["cohomology", "--dim", "2", "--eta", "dx[1]^dx [2]"], "space inside a token in"),
 ])
 def test_rejected_input_is_usage_error(argv, message, capsys):
     assert main(argv) == 2

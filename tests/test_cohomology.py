@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import partial
 from math import comb as _math_comb
 
 
@@ -1584,6 +1585,115 @@ def test_every_count_follows_the_layout_rule():
                     (model.label, op, s)
 
 
+def _sized_models(max_freq):
+    """Every band model kind at `max_freq`: pair, de Rham, twisted de Rham
+    (w = i dx^1) and pair-eta on T2, Dolbeault on TC2 at p = 0, 1 and 2, and
+    relative and primed over the zero T2->T1 map, the projection, the
+    embedding, the doubling and the GL(3,Z) map."""
+    from pairform.cohomology import (
+        _DeRhamModel,
+        _DolbeaultModel,
+        _PairEtaModel,
+        _PairModel,
+        _PrimedEtaModel,
+        _RelativeModel,
+    )
+
+    tc2 = torus_complex(2)
+    holo = holomorphic_field(tc2, (const(tc2, 1), const(tc2, gq(0, 2))))
+    models = [_PairModel(T2, constant_field(T2, (1, 2)), max_freq), _DeRhamModel(T2, max_freq),
+              _DeRhamModel(T2, max_freq, coframe(T2, 0) * gq(0, 1)),
+              _PairEtaModel(T2, coframe(T2, 0) * 3, max_freq)]
+    models += [_DolbeaultModel(tc2, holo, p, max_freq) for p in range(3)]
+    for name in ("zero T2->T1", "project T2->T1", "embed T1->T2", "doubling", "GL(3,Z)"):
+        cmap = _torus_map(name)
+        x = constant_field(cmap.source, (1, 2, 0)[:cmap.source.dim])
+        models += [_RelativeModel(cmap, x, max_freq),
+                   _PrimedEtaModel(cmap, coframe(cmap.target, 0), max_freq)]
+    return models
+
+
+@pytest.mark.parametrize("max_freq", range(4))
+def test_closed_form_sizes_equal_the_listed_counts(max_freq):
+    """Each degree's size, read in closed form from the mode counts and the
+    index-set widths, is the length of the listed basis, and so is the
+    len() of the assembled `BandComplex.basis`.  A map's source side counts
+    its cube and every A^T k of the target cube, each once; off the model's
+    degrees no side has an index set."""
+    from pairform.cohomology import _RelativeModel, _sets, _SHIFT
+
+    cube = partial(itertools.product, range(-max_freq, max_freq + 1))
+    for model in _sized_models(max_freq):
+        out = model.assemble()
+        for d in model.degrees:
+            assert len(out.basis[d]) == model.size(d) == len(list(model.basis(d))), \
+                (model.label, d)
+        for d in range(-2, model.degrees[-1] + 3):
+            assert model.widths(d) == {side: len(_sets(chart, model.p, d - _SHIFT[side]))
+                                       for side, chart in model.charts.items()}
+        if isinstance(model, _RelativeModel):
+            target, source = model.charts["F"].nvars, model.charts["S"].nvars
+            union = set(cube(repeat=source)) | {model.pull(k) for k in cube(repeat=target)}
+            assert model.counts == {"F": (2 * max_freq + 1) ** target, "S": len(union)}
+            assert model.modes["S"] == sorted(union)
+        else:
+            assert model.counts == {side: (2 * max_freq + 1) ** chart.nvars
+                                    for side, chart in model.charts.items()}
+
+
+def test_the_basis_sequence_is_the_listed_tuple():
+    """`BandComplex.basis[d]` compares, indexes, iterates, hashes and prints
+    as `tuple(model.basis(d))`, and its len() lists nothing."""
+    from pairform.cohomology import _RelativeModel
+
+    model = _RelativeModel(_torus_map("shear"), constant_field(T2, (1, 2)), 1)
+    out = model.assemble()
+    for d in model.degrees:
+        tags = tuple(model.basis(d))
+        basis = out.basis[d]
+        assert len(basis) == len(tags) and "_tags" not in vars(basis)
+        assert basis == tags and tags == basis and basis == model.assemble().basis[d]
+        assert basis != list(tags)
+        assert list(basis) == list(tags) and basis[1:3] == tags[1:3]
+        assert (repr(basis), hash(basis)) == (repr(tags), hash(tags))
+    assert out.basis == {d: tuple(model.basis(d)) for d in model.degrees}
+
+
+def test_no_band_is_listed_to_count_it(monkeypatch):
+    """T8 N=3 (5.8M modes per side) and a GL(3,Z) relative band at N=6
+    assemble with `_Model.basis` and `_Model.modes` refusing to list
+    anything: every len() of the basis is the closed form."""
+    from pairform import cohomology
+
+    def refuse(*args):
+        raise AssertionError("the band was listed")
+
+    monkeypatch.setattr(cohomology._Model, "basis", refuse)
+    monkeypatch.setattr(cohomology._Model, "modes", property(refuse))
+    t8 = torus(8)
+    out = pair_complex(t8, constant_field(t8, (1, 2, 0, 0, 0, 0, 0, -1)), 3)
+    assert out.dim_vector() == pair_predicted_dims(8)
+    assert [len(out.basis[d]) for d in out.degrees] == \
+        [7 ** 8 * (comb(8, d) + comb(8, d - 1)) for d in out.degrees]
+    cmap = _torus_map("GL(3,Z)")
+    out = relative_complex(cmap, constant_field(T3, (1, 2, 0)), 6)
+    assert out.dim_vector() == relative_predicted_dims(3, 3)
+    modes = list(itertools.product(range(-6, 7), repeat=3))
+    source = len(set(modes) | {tuple(sum(r * v for r, v in zip(column, k))
+                                     for column in zip(*cmap.matrix)) for k in modes})
+    assert [len(out.basis[d]) for d in out.degrees] == \
+        [13 ** 3 * comb(3, d) + source * comb(3, d - 1) for d in out.degrees]
+
+
+def test_kernels_place_each_mode_by_its_rank_in_the_cube():
+    """`_rank` numbers the band's modes in sorted order, 0 to (2N+1)^n - 1."""
+    from pairform.cohomology import _rank
+
+    for n, max_freq in ((1, 0), (1, 2), (2, 1), (3, 2)):
+        modes = sorted(itertools.product(range(-max_freq, max_freq + 1), repeat=n))
+        assert [_rank(k, max_freq) for k in modes] == list(range(len(modes)))
+
+
 def _bidiagonal(n):
     """The GL(n,Z) matrix with 1 on the diagonal and just above it."""
     return tuple(tuple(int(j in (i, i + 1)) for j in range(n)) for i in range(n))
@@ -2179,6 +2289,19 @@ def test_the_band_is_scanned_once_per_closed_form():
     assert cohomology._zeros.cache_info()[:2] == (3, 1)
     corrected_laplacian_kernel_dim(T2, constant_field(T2, (1, 2)), 0, 1)
     assert cohomology._zeros.cache_info()[:2] == (3, 2)
+
+
+def test_the_harmonic_suite_scans_each_band_once(capsys):
+    """`pairform harmonic` alternates bands N = 1 and 2 degree by degree
+    over 13 distinct closed forms and bands; the band scan memo keeps them
+    all, so each is scanned once."""
+    from pairform import cohomology
+    from pairform.cli import main
+
+    cohomology._zeros.cache_clear()
+    main(["harmonic"])
+    capsys.readouterr()
+    assert cohomology._zeros.cache_info().misses == 13
 
 
 def _counting_parts(monkeypatch) -> list:
