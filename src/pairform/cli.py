@@ -21,6 +21,7 @@ therefore exit 1 while every constructive check passes.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 
@@ -47,11 +48,16 @@ from .suites import (
 )
 
 
+# an optional minus sign and ASCII digits, with spaces around; no '+', '_'
+# or other digits, which Python's int() would take
+_MAP_ENTRY = re.compile(r" *(-?[0-9]+) *")
+
+
 def _map_entry(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"--map entry {text!r} is not an integer") from None
+    m = _MAP_ENTRY.fullmatch(text)
+    if not m:
+        raise ValueError(f"--map entry {text!r} is not an integer")
+    return int(m.group(1))
 
 
 def _parse_matrix(text: str):

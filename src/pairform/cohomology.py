@@ -65,14 +65,14 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from math import comb as _math_comb
-from operator import mul
 
 from .charts import Chart, ChartKind, ChartMismatchError, bidegree_index_sets
-from .exterior import Form, VectorField, ext_d, require_parallel_one_form, zero_form
-from .linalg import det_dense, zi_kernel
+from .exterior import (Form, VectorField, _pulled_coframe, ext_d, require_parallel_one_form,
+                       zero_form)
+from .linalg import zi_kernel
 from .pair import PairForm
 from .pair import pair_d  # noqa: F401  unused; perfbench/selftest.py checks its tracer binding
-from .rationals import ONE, gq
+from .rationals import ONE
 from .scalar import ChartMap, wave
 
 
@@ -208,7 +208,9 @@ def _symbol(chart: Chart, kind: str, idx) -> list:
     L_X f^*, the one kind a chart does not fix, sends e(k) dx^I to
     e(A^T k) sum_J minor(A; I, J) lambda(A^T k) dx^J over the source index
     sets J, A the map's matrix; its terms are the model's
-    (`_RelativeModel.minors`).
+    (`_RelativeModel.minors`), read off the pulled-back coframes
+    f^*(dx^I) = sum_J minor(A; I, J) dx^J that the map keeps
+    (`exterior._pulled_coframe`), and A^T k is the map's `ChartMap.pull`.
 
     Every c(k) above is linear in k (sigma_j, lambda) or constant (w_j, the
     minors), so a one-mode block matrix is linear in (1, k, Lambda, W) on a
@@ -742,17 +744,13 @@ class _MapModel(_Model):
     def map_slots(self, cmap: ChartMap, op, name: str) -> None:
         """The `name` complex's label and `op` with the pair homotopy in
         degrees 0..top+2, top the larger chart's slot count, and the map's
-        `matrix` A for `pull`; `cmap` must be a torus map."""
+        `matrix` A and its `pull`, k -> A^T k; `cmap` must be a torus map."""
         if cmap.matrix is None or cmap.source.kind is not ChartKind.TORUS:
             raise UnsupportedScenarioError(f"{name} band model requires a torus map")
         self.label = f"{name}/{cmap.source}->{cmap.target}"
         self.op, self.homotopy = op, _PAIR_HOMOTOPY
         self.degrees = tuple(range(max(cmap.source.nslots, cmap.target.nslots) + 3))
-        self.matrix, self.columns = cmap.matrix, tuple(zip(*cmap.matrix))
-
-    def pull(self, k) -> tuple:
-        """The source mode A^T k of the target mode k."""
-        return tuple([sum(map(mul, column, k)) for column in self.columns])
+        self.matrix, self.pull = cmap.matrix, cmap.pull
 
     def certificate(self) -> tuple:
         """D.D = 0 on the blocks of a target mode k of `_unit_modes` with its
@@ -786,15 +784,15 @@ class _RelativeModel(_MapModel):
         self.counts["S"] += len(self.outside["S"])
         # degree q -> per target index set I of degree q the terms
         # (position of J, det A[I, J], 0) over the source index sets J of
-        # degree q with a nonzero minor: the pullback's `stencil`
+        # degree q with a nonzero minor, read off f*(dx^I) = sum_J
+        # det A[I, J] dx^J: the pullback's `stencil`
         self.minors = {}
         for q in range(cmap.target.nslots + 1):
-            rows = []
-            for tgt in _sets(cmap.target, None, q):
-                minors = [det_dense([[gq(cmap.matrix[t][s]) for s in src] for t in tgt]).a
-                          for src in _sets(cmap.source, None, q)]
-                rows.append(tuple((i, m, 0) for i, m in enumerate(minors) if m))
-            self.minors[q] = tuple(rows)
+            at = {J: i for i, J in enumerate(_sets(cmap.source, None, q))}
+            self.minors[q] = tuple(
+                tuple((at[J], s.constant_value().a, 0)
+                      for J, s in _pulled_coframe(cmap, tgt).components)
+                for tgt in _sets(cmap.target, None, q))
 
 
 class _PrimedEtaModel(_MapModel):

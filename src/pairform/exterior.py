@@ -8,10 +8,14 @@ directly: each merges its components into a dict as it goes, drops the ones
 that cancel and wraps the sorted dict without a further check.  The `Form`
 constructor is the entry point for outside input: it verifies components
 that are already canonical in one pass and keeps them as given; any other
-input is merged, sorted and checked.  A pullback sums (s_I o f) f*(dx^I)
-over the components s_I dx^I into one merge; each wedge f*(dx^I) of
-pulled-back coframes is built once per map and kept in the map's memo
-(`ChartMap.coframe_pullbacks`).  The Lie derivative of a constant field
+input is merged, sorted and checked.  Each wedge f*(dx^I) of pulled-back
+coframes is built once per map and kept in the map's memo
+(`ChartMap.coframe_pullbacks`); it serves pullback, pushforward and the
+band minors.  A pullback sums (s_I o f) f*(dx^I) over the components
+s_I dx^I into one merge; a pushforward's component on target slot t is
+(i_X f*(dx_t)) o f^-1 for every kind of map; over a torus map A,
+f*(dx^I) = sum_J det A[I, J] dx^J holds the minors that
+`cohomology._RelativeModel` reads.  The Lie derivative of a constant field
 acts on coefficients only (L_X dx^j = d(X^j) = 0); any other field goes
 through the homotopy formula d i_X + i_X d.  The coordinate formula is kept
 out of the library and used only as an independent oracle in the tests.
@@ -357,32 +361,26 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
 
 
 def _coframe_pullback(cmap: ChartMap, slot: int) -> Form:
+    """f*(dx_slot): d of the slot's image on an affine chart, the row
+    sum_j A[slot][j] dx_j on a real torus.  A complex torus map is
+    complex-linear (`ChartMap` checks it), z_t o f = sum_j c_tj w_j with
+    c_tj = A[t][j] + i A[n_t + t][j], so f*(dz_t) = sum_j c_tj dw_j and
+    f*(dzb_t) is its conjugate on the dwb_j slots."""
     src, tgt = cmap.source, cmap.target
     if cmap.components is not None:
         return ext_d(scalar_form(cmap.image_power(slot, 1)))
     if not tgt.is_complex:
         return _form(src, 1, tuple([((j,), const(src, m))
                                     for j, m in enumerate(cmap.matrix[slot]) if m]))
-    # complex torus: dz_t = dx_t + i dy_t, pulled back through the real matrix,
-    # then re-expressed in the source dz/dzb coframe.
     nt, ns = tgt.dim, src.dim
     t, conjugated = slot % nt, slot >= nt
-    half, minus_half_i, half_i = gq("1/2"), gq(0, "-1/2"), gq(0, "1/2")
-    acc: dict = {}
-    for k in range(2 * ns):
-        c = gq(cmap.matrix[t][k], cmap.matrix[nt + t][k])
-        if conjugated:
-            c = c.conjugate()
-        if not c:
-            continue
-        if k < ns:  # dx_k = (dw_k + dwb_k)/2
-            for s_idx in (k, ns + k):
-                acc[s_idx] = acc.get(s_idx, ZERO) + c * half
-        else:  # dy_k = -(i/2)(dw_k - dwb_k)
-            j = k - ns
-            acc[j] = acc.get(j, ZERO) + c * minus_half_i
-            acc[ns + j] = acc.get(ns + j, ZERO) + c * half_i
-    return _wrap(src, 1, {(j,): const(src, v) for j, v in acc.items() if v})
+    comps = []
+    for j in range(ns):
+        c = gq(cmap.matrix[t][j], cmap.matrix[nt + t][j])
+        if c:
+            comps.append(((ns + j,), const(src, c.conjugate())) if conjugated
+                         else ((j,), const(src, c)))
+    return _form(src, 1, tuple(comps))
 
 
 def _pulled_coframe(cmap: ChartMap, idx: tuple) -> Form:
@@ -414,42 +412,16 @@ def pullback(cmap: ChartMap, a: Form) -> Form:
 
 
 def pushforward(cmap: ChartMap, x: VectorField) -> VectorField:
+    """f_*X, whose component on target slot t is (i_X f*(dx_t)) o f^-1, for
+    every kind of map."""
     if x.chart != cmap.source:
         raise ChartMismatchError("pushforward source chart mismatch")
     if not cmap.is_invertible:
         raise ValueError("pushforward requires an invertible chart map")
     inv = cmap.inverse()
-    src, tgt = cmap.source, cmap.target
-    comps = []
-    if cmap.components is not None:
-        images = cmap.variable_images()
-        for t in range(tgt.nslots):
-            total = scalar_zero(src)
-            for j, xc in enumerate(x.components):
-                if not xc.is_zero:
-                    total = total + xc * images[t].wirtinger(j)
-            comps.append(total.compose(inv))
-    elif not tgt.is_complex:
-        for t in range(tgt.nvars):
-            total = scalar_zero(src)
-            for j, xc in enumerate(x.components):
-                if cmap.matrix[t][j] and not xc.is_zero:
-                    total = total + xc * cmap.matrix[t][j]
-            comps.append(total.compose(inv))
-    else:
-        nt, ns = tgt.dim, src.dim
-        for slot in range(2 * nt):
-            t, conjugated = slot % nt, slot >= nt
-            total = scalar_zero(src)
-            for k in range(ns):
-                c = gq(cmap.matrix[t][k], cmap.matrix[nt + t][k])
-                if conjugated:
-                    c = c.conjugate()
-                xc = x.components[ns + k] if conjugated else x.components[k]
-                if c and not xc.is_zero:
-                    total = total + xc * c
-            comps.append(total.compose(inv))
-    return VectorField(tgt, tuple(comps))
+    return VectorField(cmap.target, tuple(
+        interior(x, _pulled_coframe(cmap, (t,))).component(()).compose(inv)
+        for t in range(cmap.target.nslots)))
 
 
 # -- flat Hodge theory on tori ---------------------------------------------

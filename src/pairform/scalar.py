@@ -23,9 +23,12 @@ ints, Fractions or Gaussian rationals.
 
 A `ChartMap` is immutable and keeps what pulling back through it needs in
 memos on itself: the powers of its variable images that `compose` uses on
-affine charts, the pulled-back coframe wedges that `exterior.pullback` uses,
-and its inverse.  They are filled on first use and are not fields, so ==,
-hash and repr see only the map.
+affine charts, the columns of a torus map's matrix A, the pulled-back
+coframe wedges that `exterior` uses, and its inverse.  They are filled on
+first use and are not fields, so ==, hash and repr see only the map.  A
+torus map sends e(k) o f to e(A^T k); `ChartMap.pull` gives A^T k, and it is
+the one place this rule is written: `compose` and the band models over a
+map (`cohomology._MapModel`) read it there.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add
+from operator import add, mul
 
 from .charts import (
     Chart,
@@ -291,9 +294,8 @@ class ScalarExpr:
                 f"expression on {self.chart} cannot pull back through map into {cmap.target}")
         zeros, merged = cmap.source.zeros, {}
         if cmap.matrix is not None:
-            at = _transpose(cmap.matrix)
             for _a, k, c in self.terms:
-                _accumulate(merged, (zeros, _matvec(at, k)), c)
+                _accumulate(merged, (zeros, cmap.pull(k)), c)
             return _wrap(cmap.source, merged)
         for alpha, _k, c in self.terms:
             term = None
@@ -374,10 +376,6 @@ def sin_wave(chart: Chart, k) -> ScalarExpr:
 # -- chart maps ----------------------------------------------------------
 
 
-def _transpose(matrix):
-    return tuple(tuple(row[i] for row in matrix) for i in range(len(matrix[0])))
-
-
 def _matvec(matrix, vec):
     return tuple(sum(r * v for r, v in zip(row, vec)) for row in matrix)
 
@@ -453,6 +451,15 @@ class ChartMap:
         if self.target.is_complex:
             return self.components + tuple(c.conjugate() for c in self.components)
         return self.components
+
+    @cached_property
+    def _columns(self) -> tuple:
+        return tuple(zip(*self.matrix))
+
+    def pull(self, k) -> tuple:
+        """The source frequency A^T k of the target frequency k of a torus
+        map: e(k) o f = e(A^T k)."""
+        return tuple([sum(map(mul, column, k)) for column in self._columns])
 
     @cached_property
     def _image_powers(self) -> dict:

@@ -5,7 +5,9 @@ evaluated numerically, permutation signs are counted directly, the Lie
 derivative uses the coordinate formula instead of the homotopy formula,
 ranks are recomputed with plain Gauss-Jordan elimination over the field, and
 a pullback is a chain of wedges with the pulled-back coframes, one slot at a
-time, with no per-map memo (`wedge_chain_pullback`).
+time, with no per-map memo (`wedge_chain_pullback`), and a torus map's
+coframes are worked out from its real matrix on the axes
+(`torus_coframe_pullback`), not taken from the library.
 
 The band reference (`SymbolicBand`) is the other side of the band matrices:
 it applies the library's symbolic operators to materialized basis forms and
@@ -72,7 +74,7 @@ from pairform.dolbeault import dbar_pair
 from pairform.exterior import (
     Form,
     VectorField,
-    _coframe_pullback,
+    coframe,
     ext_d,
     scalar_form,
     wedge,
@@ -80,7 +82,7 @@ from pairform.exterior import (
 )
 from pairform.linalg import RationalMatrix, zi_kernel, zi_matmul, zi_rank
 from pairform.pair import PairForm, pair_d, pair_d_lichnerowicz
-from pairform.rationals import ONE, ZERO, GaussianRational, from_parts
+from pairform.rationals import ONE, ZERO, GaussianRational, from_parts, gq
 from pairform.relative import RelPairForm, rel_d, rel_d_lichnerowicz
 from pairform.scalar import ScalarExpr, const, wave
 
@@ -225,9 +227,29 @@ def plain_compose(s: ScalarExpr, cmap) -> ScalarExpr:
     return out
 
 
+def torus_coframe_pullback(cmap, slot: int) -> Form:
+    """f*(dx_slot) for a torus map with real matrix A, from the axes: the
+    row sum_k A[slot][k] dx_k on a real torus.  On a complex torus
+    dz_t = dx_t + i dy_t and dzb_t = dx_t - i dy_t pull back through the rows
+    t and n_t + t of A on the source axes (x_1..x_n, y_1..y_n), each axis
+    re-expressed as dx_k = (dw_k + dwb_k)/2 and dy_k = -(i/2)(dw_k - dwb_k);
+    nothing assumes the map is complex-linear."""
+    src, tgt = cmap.source, cmap.target
+    if not tgt.is_complex:
+        return sum((coframe(src, k) * m for k, m in enumerate(cmap.matrix[slot])),
+                   zero_form(src, 1))
+    ns, nt = src.dim, tgt.dim
+    axes = [(coframe(src, k) + coframe(src, ns + k)) * gq("1/2") for k in range(ns)] + \
+        [(coframe(src, k) - coframe(src, ns + k)) * gq(0, "-1/2") for k in range(ns)]
+    t, i = slot % nt, gq(0, -1 if slot >= nt else 1)
+    return sum((axis * (gq(cmap.matrix[t][k]) + i * cmap.matrix[nt + t][k])
+                for k, axis in enumerate(axes)), zero_form(src, 1))
+
+
 def wedge_chain_pullback(cmap, a: Form) -> Form:
     """f*a as the sum over components of (s o f) ^ f*dx^(i_1) ^ ... ^ f*dx^(i_p),
-    one wedge per slot, each piece added as a form."""
+    one wedge per slot, each piece added as a form; each f*dx_j is d of the
+    slot's image on an affine chart and `torus_coframe_pullback` on a torus."""
     coframes = {}
     out = Form(cmap.source, a.degree, ())
     for idx, s in a.components:
@@ -235,7 +257,7 @@ def wedge_chain_pullback(cmap, a: Form) -> Form:
         for j in idx:
             if j not in coframes:
                 coframes[j] = ext_d(scalar_form(cmap.variable_images()[j])) \
-                    if cmap.matrix is None else _coframe_pullback(cmap, j)
+                    if cmap.matrix is None else torus_coframe_pullback(cmap, j)
             piece = wedge(piece, coframes[j])
         out = out + piece
     return out

@@ -99,9 +99,14 @@ def test_bad_matrix_is_usage_error():
     assert main(["relative", "--map", "1,2;3"]) == 2
 
 
-@pytest.mark.parametrize("text, entry", [("1,x", "x"), (";", ""), ("1,,1", ""), ("1.5", "1.5")],
-                         ids=["letter", "empty-rows", "empty-entry", "decimal"])
+@pytest.mark.parametrize("text, entry", [
+    ("1,x", "x"), (";", ""), ("1,,1", ""), ("1.5", "1.5"), ("1_0", "1_0"), ("1,0;+2,1", "+2"),
+    ("\u0662", "\u0662"), ("1 0", "1 0"), ("1,--1", "--1"), ("1,\t0", "\t0")],
+    ids=["letter", "empty-rows", "empty-entry", "decimal", "underscore", "plus-sign",
+         "non-ascii-digit", "space-inside", "double-minus", "tab"])
 def test_non_integer_map_entry_is_usage_error(text, entry, capsys):
+    """An entry is an optional '-' and ASCII digits, as in the field grammar;
+    Python's int() would take '1_0' as 10, '+2' and the Arabic-Indic 2."""
     assert main(["relative", "--map", text]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -131,6 +136,9 @@ def test_custom_field_and_map(capsys):
     assert "X=[1; 0]" in capsys.readouterr().out
     code = main(["relative", "--map", "2", "--max-freq", "1"])
     assert code == 0
+    # spaces around a --map entry are legal
+    assert main(["relative", "--map", " 1 , -1 ;0, 1 ", "--max-freq", "1"]) == 0
+    assert "custom[ 1 , -1 ;0, 1 ]/N=1: dims=[1, 3, 3, 1, 0]" in capsys.readouterr().out
 
 
 def test_out_writes_report(tmp_path, capsys):

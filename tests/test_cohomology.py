@@ -28,6 +28,7 @@ from pairform.cohomology import (
 )
 from pairform.dolbeault import holomorphic_field
 from pairform.exterior import coframe, constant_field, parse_form, scalar_form, wedge, zero_form
+from pairform.randgen import random_gl_matrix
 from pairform.rationals import gq
 from pairform.scalar import ChartMap, const, identity_map, sin_wave
 
@@ -743,6 +744,46 @@ def test_relative_complex_over_the_zero_map_holds_every_target_mode_in_one_block
     assert full.modes == {"F": model.modes["F"], "S": [(0, 0)]}
     assert len(blocks(model)) == len(model.modes["S"])
     assert relative_complex(zero, x, 2).dim_vector() == relative_predicted_dims(1, 2)
+
+
+def _gl_maps(n, count):
+    rng = random.Random(f"minors/{n}")
+    chart = torus(n)
+    return [ChartMap(chart, chart, matrix=random_gl_matrix(rng, n)) for _ in range(count)]
+
+
+_MINOR_MAPS = [m for n in range(1, 5) for m in _gl_maps(n, 4)] + [
+    ChartMap(T3, T3, matrix=((2, 1, 0), (1, 1, 0), (0, 3, -1))),
+    ChartMap(torus(4), torus(4), matrix=((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1))),
+    ChartMap(T1, T2, matrix=((1,), (-2,))),
+    ChartMap(T2, T1, matrix=((2, -1),)),
+    ChartMap(T2, T3, matrix=((1, 0), (0, 1), (1, 1))),
+    ChartMap(T3, T2, matrix=((1, 2, 0), (0, -1, 3))),
+]
+
+
+@pytest.mark.parametrize("cmap", _MINOR_MAPS, ids=lambda m: str(m.matrix))
+def test_relative_minors_are_the_determinants_of_square_submatrices(cmap):
+    """`_RelativeModel.minors`, read off the pulled-back coframes, against
+    `det_dense` of every square submatrix A[I, J], in every degree."""
+    from pairform.cohomology import _RelativeModel
+    from pairform.linalg import det_dense
+
+    src, tgt = cmap.source, cmap.target
+    model = _RelativeModel(cmap, constant_field(src, [1] * src.nslots), 0)
+    assert sorted(model.minors) == list(range(tgt.nslots + 1))
+    nonzero = 0
+    for q, rows in model.minors.items():
+        sources = list(itertools.combinations(range(src.nslots), q))
+        targets = list(itertools.combinations(range(tgt.nslots), q))
+        assert len(rows) == len(targets)
+        for target_set, row in zip(targets, rows):
+            dets = [det_dense([[gq(cmap.matrix[t][s]) for s in source_set] for t in target_set])
+                    for source_set in sources]
+            assert [(pos, gq(m), j) for pos, m, j in row] == \
+                [(pos, d, 0) for pos, d in enumerate(dets) if d]
+            nonzero += len(row)
+    assert nonzero > 0
 
 
 @pytest.mark.parametrize("p", [0, 1, 2])

@@ -65,7 +65,8 @@ from oracles import coordinate_lie, laplace_eigenvalue, perm_sign
 
 R1, R2 = affine(1), affine(2)
 T1, T2, T3 = torus(1), torus(2), torus(3)
-C1 = affine_complex(1)
+C1, C2 = affine_complex(1), affine_complex(2)
+TC1, TC2 = torus_complex(1), torus_complex(2)
 
 CHARTS = (R2, T2, T3)
 
@@ -458,6 +459,19 @@ def test_pullback_nonsquare_torus_maps():
     assert pullback(embed, scalar_form(wave(T2, (3, 5)))) == scalar_form(wave(T1, (3,)))
 
 
+def _gaussian_torus_map(chart, m):
+    """The map z -> m z of a complex torus, m a square Gaussian-integer
+    matrix of (re, im) pairs, written on the real axes (x, y)."""
+    n = chart.dim
+    rows = [[0] * (2 * n) for _ in range(2 * n)]
+    for t in range(n):
+        for j in range(n):
+            a, b = m[t][j]
+            rows[t][j], rows[t][n + j] = a, -b
+            rows[n + t][j], rows[n + t][n + j] = b, a
+    return ChartMap(chart, chart, matrix=tuple(map(tuple, rows)))
+
+
 def test_pushforward_identity_and_examples():
     x = VectorField(R1, (coordinate(R1, 0),))
     assert pushforward(identity_map(R1), x) == x
@@ -466,13 +480,23 @@ def test_pushforward_identity_and_examples():
     assert out == constant_field(R1, (2,))
     swap = ChartMap(T2, T2, matrix=((0, 1), (1, 0)))
     assert pushforward(swap, frame_field(T2, 0)) == frame_field(T2, 1)
+    # multiplication by i on TC1 pushes d/dz to i d/dz and d/dzb to -i d/dzb
+    times_i = _gaussian_torus_map(TC1, (((0, 1),),))
+    assert pushforward(times_i, constant_field(TC1, (1, 2))) == \
+        constant_field(TC1, (gq(0, 1), gq(0, -2)))
 
 
 def test_pushforward_characterised_by_contraction_identity():
+    """f*(i_(f_* X) a) = i_X f*a and f*(L_(f_* X) a) = L_X f*a, on real and
+    complex charts; on TC2 every third map is one of two GL(2, Z[i])
+    shears instead of a random unit diagonal."""
     rng = random.Random(151)
-    for chart in CHARTS:
-        for _ in range(100):
-            cmap = random_automorphism(rng, chart)
+    shears = [_gaussian_torus_map(TC2, m) for m in ((((1, 0), (1, 1)), ((0, 0), (1, 0))),
+                                                    (((1, 1), (0, 1)), ((1, 0), (1, 0))))]
+    for chart in CHARTS + (C1, C2, TC1, TC2):
+        for trial in range(100):
+            cmap = shears[trial % 2] if chart is TC2 and trial % 3 == 0 \
+                else random_automorphism(rng, chart)
             x = random_field(rng, chart, constant=not chart.is_torus)
             fx = pushforward(cmap, x)
             a = random_form(rng, chart, rng.randint(1, 2))
