@@ -44,8 +44,8 @@ from column counts.  The pair, corrected pair and Lichnerowicz Laplacians,
 certified against |k|^2 + Lambda^2, |k|^2 - Lambda^2 and |k|^2 + sum W_j^2,
 are zero on the modes where q, with the field's numbers put in, vanishes
 and invertible on the others, so their kernels are read off those modes,
-where only the joint kernel of the linear [pair_d ; pair_codiff], evaluated
-there, is taken.  No global matrix is built.
+where only the joint kernel of the linear [pair_d ; pair_codiff] is taken,
+once per line through 0 (`_ray`).  No global matrix is built.
 
 No verdict depends on a field value.  Each is kept once it holds, in a
 bounded process-wide memo (`_Memo`) keyed by its point sets' `layout`,
@@ -314,19 +314,18 @@ def _unit_modes(nvars: int) -> tuple:
 
 
 class _Points(list):
-    """The blocks {side: [mode]} of one `model` at k = 0, e_1, ..., e_n, and
-    their `layout`: p and each side's chart and modes there."""
+    """The blocks {side: [mode]} of one `model` at k = 0, e_1, ..., e_n, from
+    {side: its modes there}, and their `layout`: p and each side's chart and modes."""
 
-    def __init__(self, model: "_Model", modes: list):
-        super().__init__(modes)
+    def __init__(self, model: "_Model", modes: dict):
+        super().__init__({side: [k] for side, k in zip(modes, ks)} for ks in zip(*modes.values()))
         self.model, self.layout = model, (model.p, tuple(
-            (side, model.charts[side], tuple(m[side][0] for m in modes)) for side in modes[0]))
+            (side, model.charts[side], ks) for side, ks in modes.items()))
 
 
 def _unit_points(model: "_Model") -> _Points:
     """The mode blocks of `_unit_modes`, of a model whose operators keep modes."""
-    return _Points(model, [{side: [k] for side in model.charts}
-                           for k in _unit_modes(model.charts["F"].nvars)])
+    return _Points(model, dict.fromkeys(model.charts, _unit_modes(model.charts["F"].nvars)))
 
 
 def _value(coefficients: dict, k) -> tuple:
@@ -435,6 +434,11 @@ def _at(parts: list, point) -> list:
     return out
 
 
+def _homogeneous(parts: list, points: _Points) -> bool:
+    """Whether the forms of `parts` on `points` are in k and Lambda only: M(t k) = t M(k)."""
+    return all(0 < i <= len(points) for col in parts for form in col.values() for i in form)
+
+
 def _product(left: list, right: list) -> list:
     """L R for two matrices of `_parts` forms, the rows of `right` indexing
     the columns of `left`: per column {row: quadratic form}, keyed (a, b),
@@ -505,14 +509,13 @@ class _Model:
     order.  `modes` lists each side's modes on first read, which only
     `basis` of the whole band, the tests and the oracles do.
 
-    Each subclass checks its inputs in `__init__` and sets `label`,
-    `degrees`, the band (`band`, or `pair_slots` for two slots on one chart
-    with the degrees), `op` (the differential as symbol blocks), its
-    contracting `homotopy` and, when a block needs them, the constant frame
-    coefficients `coeffs` of the field or 1-form, for a pullback `matrix`,
-    `minors` and `pull`, and for bidegree (p, q) index sets `p`;
-    `certified_ranks` reads the ranks off the formal `_parts` of
-    `certificate`'s point sets."""
+    Each subclass checks its inputs in `__init__` and sets `label`, `degrees`,
+    the band, `op` (the differential as symbol blocks) and its contracting
+    `homotopy` (`pair_slots` sets all but `label` on two slots of one chart) and,
+    when a block needs them, the constant frame coefficients `coeffs` of the
+    field or 1-form, for a pullback `minors` and `pull`, and for bidegree
+    (p, q) index sets `p`; `certified_ranks` reads the ranks off the formal
+    `_parts` of `certificate`'s point sets."""
 
     degrees: tuple
     charts: dict
@@ -532,8 +535,10 @@ class _Model:
         self.charts, self.max_freq = charts, max_freq
         self.counts = {side: (2 * max_freq + 1) ** chart.nvars for side, chart in charts.items()}
 
-    def pair_slots(self, chart: Chart, top: int, max_freq: int) -> None:
-        """Both slots on `chart` with the band's modes, in degrees 0..top+2."""
+    def pair_slots(self, chart: Chart, top: int, max_freq: int, op, homotopy) -> None:
+        """Both slots on `chart` with the band's modes, in degrees 0..top+2,
+        and the differential `op` with its `homotopy`."""
+        self.op, self.homotopy = op, homotopy
         self.degrees = tuple(range(top + 3))
         self.band({"F": chart, "S": chart}, max_freq)
 
@@ -621,12 +626,12 @@ class _Model:
         return {i: c for i, c in sorted(out.items()) if c != (0, 0)}
 
     def certificate(self) -> tuple:
-        """The point sets (`_Points`) of `certified_ranks`: those D.D = 0 is
-        checked on, the first led by the zero block, and (points, D, side)
-        per piece with D H + H D = t(k) I, t the side's (`_closed`); here
-        the mode blocks of `_unit_points` serve both."""
-        points = _unit_points(self)
-        return [points], [(points, self.op, "F")]
+        """The point sets of `certified_ranks` as {side: modes} (`_Points`):
+        those D.D = 0 is checked on, the first led by the zero block, and
+        (modes, D, side) per piece with D H + H D = t(k) I, t the side's
+        (`_closed`); here `_unit_modes` on every side serve both."""
+        units = dict.fromkeys(self.charts, _unit_modes(self.charts["F"].nvars))
+        return [units], [(units, self.op, "F")]
 
     def certified_ranks(self) -> dict:
         """The ranks of the model for every band and field: D.D = 0
@@ -635,13 +640,15 @@ class _Model:
         Lambda (a W_j is constant), so it is zero on the zero block Z, every
         side at mode 0; Z splits off with rank 0, and every other column lies
         in an acyclic summand, where r_q = c_q - r_(q-1), c_q the columns
-        outside Z.  The checks run on a key's first use (`_CERTIFIED`); the
-        fill, on every call, must be exact: no r_q < 0, none past the top."""
+        outside Z.  Checks and point sets run on a key's first use (`_CERTIFIED`);
+        the fill, on every call, must be exact: no r_q < 0, none past the top."""
         checked, pieces = self.certificate()
-        key = (tuple(points.layout for points in checked),
-               tuple((points.layout, d_op) for points, d_op, _ in pieces),
+        key = (self.p, tuple(self.charts.items()), tuple(tuple(m.items()) for m in checked),
+               tuple((tuple(m.items()), d_op) for m, d_op, _ in pieces),
                self.op, self.homotopy, self.degrees)
         if key not in _CERTIFIED:
+            checked = [_Points(self, modes) for modes in checked]
+            pieces = [(_Points(self, modes), d_op, side) for modes, d_op, side in pieces]
             failed = []
             for points in checked:
                 parts = [_parts(points, self.op, d, d + 1) for d in self.degrees[:-1]]
@@ -650,10 +657,8 @@ class _Model:
             if failed:
                 raise AssertionError(
                     f"differentials fail to compose to zero at degree {min(failed)}")
-            n = len(checked[0]) - 1
-            if any(i == 0 or i > n + 1 for d in self.degrees[:-1]
-                   for col in _parts(checked[0], self.op, d, d + 1)
-                   for form in col.values() for i in form):
+            if not all(_homogeneous(_parts(checked[0], self.op, d, d + 1), checked[0])
+                       for d in self.degrees[:-1]):
                 raise AssertionError("differential does not vanish at mode 0")
             broken = [_certify(points, d_op, self.homotopy, _closed(len(points) - 1),
                                self.degrees[:-1]) for points, d_op, _ in pieces]
@@ -662,9 +667,9 @@ class _Model:
                 raise AssertionError(
                     f"contracting homotopy disagrees with its closed form at degree {broken}")
             _CERTIFIED[key] = True
-        zero, ranks, rank = checked[0][0], {}, 0
+        ranks, rank = {}, 0
         for d in self.degrees:
-            rank = ranks[d] = self.size(d) - self.size(d, zero) - rank
+            rank = ranks[d] = self.size(d) - sum(self.widths(d).values()) - rank
             if rank < 0 or (d == self.degrees[-1] and rank):
                 raise AssertionError(f"band outside mode 0 is not acyclic at degree {d}")
         return ranks
@@ -693,8 +698,7 @@ class _DeRhamModel(_Model):
             self.coeffs = tuple(w.component((j,)).constant_value()
                                 for j in range(chart.nslots))
         self.label = f"de-rham/{chart}"
-        self.op = _DE_RHAM_D
-        self.homotopy = _CODIFF
+        self.op, self.homotopy = _DE_RHAM_D, _CODIFF
         self.degrees = tuple(range(chart.nslots + 2))
         self.band({"F": chart}, max_freq)
 
@@ -707,9 +711,7 @@ class _PairModel(_Model):
             raise UnsupportedScenarioError("pair band model requires a real torus")
         self.coeffs = _constant_coeffs(x, chart)
         self.label = f"pair/{chart}"
-        self.op = _PAIR_D
-        self.homotopy = _PAIR_HOMOTOPY
-        self.pair_slots(chart, chart.nslots, max_freq)
+        self.pair_slots(chart, chart.nslots, max_freq, _PAIR_D, _PAIR_HOMOTOPY)
 
 
 class _PairEtaModel(_Model):
@@ -721,9 +723,7 @@ class _PairEtaModel(_Model):
         if chart.kind is not ChartKind.TORUS:
             raise UnsupportedScenarioError("pair band model requires a real torus")
         self.label = f"pair-eta/{chart}"
-        self.op = _UNCOUPLED_D
-        self.homotopy = _PAIR_HOMOTOPY
-        self.pair_slots(chart, chart.nslots, max_freq)
+        self.pair_slots(chart, chart.nslots, max_freq, _UNCOUPLED_D, _PAIR_HOMOTOPY)
 
 
 class _MapModel(_Model):
@@ -744,13 +744,13 @@ class _MapModel(_Model):
     def map_slots(self, cmap: ChartMap, op, name: str) -> None:
         """The `name` complex's label and `op` with the pair homotopy in
         degrees 0..top+2, top the larger chart's slot count, and the map's
-        `matrix` A and its `pull`, k -> A^T k; `cmap` must be a torus map."""
+        `pull`, k -> A^T k; `cmap` must be a torus map."""
         if cmap.matrix is None or cmap.source.kind is not ChartKind.TORUS:
             raise UnsupportedScenarioError(f"{name} band model requires a torus map")
         self.label = f"{name}/{cmap.source}->{cmap.target}"
         self.op, self.homotopy = op, _PAIR_HOMOTOPY
         self.degrees = tuple(range(max(cmap.source.nslots, cmap.target.nslots) + 3))
-        self.matrix, self.pull = cmap.matrix, cmap.pull
+        self.pull = cmap.pull
 
     def certificate(self) -> tuple:
         """D.D = 0 on the blocks of a target mode k of `_unit_modes` with its
@@ -758,11 +758,10 @@ class _MapModel(_Model):
         side's own blocks; each side's diagonal part of `op` with its part of
         `homotopy` on the side's own blocks."""
         target = self.target_side
-        coupled = _Points(self, [{side: [k if side == target else self.pull(k)]
-                                  for side in self.charts}
-                                 for k in _unit_modes(self.charts[target].nvars)])
-        own = {side: _Points(self, [{side: [k]} for k in _unit_modes(chart.nvars)])
-               for side, chart in self.charts.items()}
+        units = _unit_modes(self.charts[target].nvars)
+        coupled = {side: units if side == target else tuple(map(self.pull, units))
+                   for side in self.charts}
+        own = {side: {side: _unit_modes(chart.nvars)} for side, chart in self.charts.items()}
         diagonal = tuple(block for block in self.op if block[0] == block[1])
         (source,) = set(self.charts) - {target}
         return [coupled, own[source]], [(own[side], diagonal, side) for side in self.charts]
@@ -823,9 +822,7 @@ class _DolbeaultModel(_Model):
             raise UnsupportedScenarioError("dbar band model requires a holomorphic field")
         self.p = p
         self.label = f"dolbeault/{chart}/p={p}"
-        self.op = _DBAR_PAIR
-        self.homotopy = _DBAR_HOMOTOPY
-        self.pair_slots(chart, chart.dim, max_freq)
+        self.pair_slots(chart, chart.dim, max_freq, _DBAR_PAIR, _DBAR_HOMOTOPY)
 
 
 # -- public builders ---------------------------------------------------------
@@ -910,28 +907,37 @@ def _zeros(nvars: int, max_freq: int, unit: int, squares: tuple) -> tuple:
     return tuple(k for k in _cube(nvars, max_freq) if _value(closed, k) == (0, 0))
 
 
-def _resonant(points: _Points, degree: int, d_op, cod_op, message: str, lam_sign=None) -> list:
+def _resonant(points: _Points, degree: int, d_op, cod_op, message: str, lam_sign=None,
+              joint=False) -> list:
     """The blocks {side: [k]} of the band modes k where q(k) = 0 (`_zeros`,
     the field's numbers put in), once `_certify` has found Cod D + D Cod = q I at
     `degree` on a model's `_unit_points`, q formal: |k|^2 + lam_sign Lambda^2
     or, if lam_sign is None, |k|^2 + sum W_j^2 (AssertionError(message) if
-    not).  That Laplacian is zero on these blocks and invertible elsewhere,
-    where its kernel and the joint kernel of D and Cod inside it are empty."""
+    not), and for a `joint` kernel [D ; Cod] `_homogeneous`.  That Laplacian is
+    zero there and invertible elsewhere, where both kernels are empty."""
     model, n = points.model, len(points) - 1
     # (sign, formal f, f of the field's numbers) per square s f^2 of q
     if lam_sign is None:
         squares = [(1, {n + 2 + j: (1, 0)}, {0: w}) for j, w in enumerate(model.scaled_coeffs)]
     else:
         squares = [(lam_sign, {n + 1: (1, 0)}, model.lam_form)]
-    key = points.layout, d_op, cod_op, lam_sign, degree
+    key = points.layout, d_op, cod_op, lam_sign, joint, degree
     if key not in _CERTIFIED:
         formal = _closed(n, 1, [(s, f) for s, f, _ in squares])
         if _certify(points, d_op, cod_op, formal, (degree,)) is not None:
             raise AssertionError(message)
+        if joint and not _homogeneous(_stacked_parts(points, degree, d_op, cod_op), points):
+            raise AssertionError("[pair_d ; pair_codiff] is not homogeneous in the mode")
         _CERTIFIED[key] = True
     modes = _zeros(n, model.max_freq, model.unit,
                    tuple((s, tuple(g.items())) for s, _, g in squares))
     return [{side: [k] for side in model.charts} for k in modes]
+
+
+def _ray(k) -> tuple:
+    """The mode k != 0 over the gcd of its entries, first nonzero entry > 0."""
+    g = math.gcd(*k)
+    return tuple(v // (g if next(filter(None, k)) > 0 else -g) for v in k)
 
 
 def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) -> HarmonicKernel:
@@ -942,40 +948,47 @@ def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) ->
     certified against its closed form (componentwise Laplacian plus the
     squared Lie derivative) on every mode at once, so its kernel is every basis
     column of the modes where the closed form vanishes (`_resonant`), and the
-    joint kernel is taken on those modes only, on [pair_d ; pair_codiff]
-    evaluated there; both are listed in global basis order, each block's
-    columns placed by its side's `_Model.starts` and its mode's `_rank` in
-    the band's cube.  The two kernels agree exactly when
-    no nonzero band mode k satisfies |k|^2 = <k, U>^2; the comparison
-    verdict is part of the result rather than an assumption, and the
-    witness is the first Laplacian kernel column outside the joint kernel,
-    its tag read off `_Model.basis` of its block.
+    joint kernel is taken on those modes only, on M = [pair_d ; pair_codiff],
+    certified `_homogeneous`: M(0) = 0, and `zi_kernel` (pivots set by nonzero
+    entries, vectors 1 at a non-pivot column) is the same on a line through 0,
+    so M is eliminated once per line, at its `_ray`.  Both kernels are in
+    global basis order, each block's columns placed by its side's `starts`
+    and its mode's `_rank`.  They agree exactly when no nonzero band mode k
+    has |k|^2 = <k, U>^2; the verdict is part of the result, and the witness
+    is the first Laplacian kernel column outside the joint kernel.
     """
     _require_degree(degree)
     model = _PairModel(chart, u, max_freq)
     points = _unit_points(model)
     blocks = _resonant(points, degree, _PAIR_D, _PAIR_CODIFF,
-                       "pair Laplacian composite disagrees with its closed form", 1)
+                       "pair Laplacian composite disagrees with its closed form", 1, True)
     start, widths = model.starts(degree), model.widths(degree)
-    parts = _stacked_parts(points, degree, _PAIR_D, _PAIR_CODIFF)
-    lap, joint = [], []
+    lap, joint, live, rays = [], [], set(), {}
     for block in blocks:
         k = block["F"][0]
         # each side's columns of mode k follow its columns of the modes before k
         rank = _rank(k, max_freq)
         glob = [start[side] + rank * width + j
                 for side, width in widths.items() for j in range(width)]
-        # at unit k and Lambda = lambda(k) scale, the forms are scale [pair_d ; pair_codiff]
-        lam = tuple(sum(c[t] * k[i - 1] for i, c in model.lam_form.items()) for t in (0, 1))
-        stacked = _at(parts, [(1, 0)] + [(model.unit * v, 0) for v in k] + [lam])
-        # (first global column of the vector's group, vector) per kernel vector
-        joint += [(glob[first], {glob[c]: v for c, v in vec.items()})
-                  for first, vectors in zi_kernel(stacked) for vec in vectors]
-        lap += [(g, col, block, c) for c, (g, col) in enumerate(zip(glob, stacked))]
+        lap += [(g, block, c) for c, g in enumerate(glob)]
+        if any(k):
+            rays.setdefault(_ray(k), []).append(glob)
+        else:
+            joint += [(g, {g: ONE}) for g in glob]   # M(0) = 0
+    parts = _stacked_parts(points, degree, _PAIR_D, _PAIR_CODIFF) if rays else None
+    for ray, globs in rays.items():
+        # at unit ray and Lambda = lambda(ray) scale, the forms are scale M(ray)
+        lam = tuple(sum(c[t] * ray[i - 1] for i, c in model.lam_form.items()) for t in (0, 1))
+        stacked = _at(parts, [(1, 0)] + [(model.unit * v, 0) for v in ray] + [lam])
+        # (first column of the vector's group, vector) per kernel vector
+        kernel = [(first, vec) for first, vectors in zi_kernel(stacked) for vec in vectors]
+        for glob in globs:
+            joint += [(glob[first], {glob[c]: v for c, v in vec.items()}) for first, vec in kernel]
+            live.update(g for g, col in zip(glob, stacked) if col)
     lap.sort(key=lambda entry: entry[0])
     joint.sort(key=lambda entry: entry[0])
     witness = next((_render_vector(model, degree, model.basis(degree, block)[c])
-                    for _, col, block, c in lap if col), None)
+                    for g, block, c in lap if g in live), None)
     return HarmonicKernel(degree, max_freq, len(lap), len(joint), [{g: ONE} for g, *_ in lap],
                           [vec for _, vec in joint], witness)
 
@@ -983,9 +996,9 @@ def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) ->
 def _render_vector(model: _PairModel, degree: int, tag) -> str:
     """The pair form of the basis tag (side, k, idx), written down from it."""
     chart, (side, k, idx) = model.charts["F"], tag
-    slots = {"F": zero_form(chart, degree), "S": zero_form(chart, degree - 1)}
-    slots[side] = slots[side] + Form(chart, len(idx), ((tuple(idx), wave(chart, k)),)) * ONE
-    return str(PairForm(slots["F"], slots["S"]))
+    form = Form(chart, len(idx), ((tuple(idx), wave(chart, k)),)) * ONE
+    zero = zero_form(chart, degree - 1 if side == "F" else degree)
+    return str(PairForm(form, zero) if side == "F" else PairForm(zero, form))
 
 
 def corrected_laplacian_kernel_dim(chart: Chart, u: VectorField, degree: int,

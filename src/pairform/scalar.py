@@ -376,10 +376,6 @@ def sin_wave(chart: Chart, k) -> ScalarExpr:
 # -- chart maps ----------------------------------------------------------
 
 
-def _matvec(matrix, vec):
-    return tuple(sum(r * v for r, v in zip(row, vec)) for row in matrix)
-
-
 @dataclass(frozen=True)
 class ChartMap:
     """A map between charts: polynomial on affine charts, integer-linear on tori.
@@ -429,20 +425,11 @@ class ChartMap:
             object.__setattr__(self, "components", comps)
 
     def _is_complex_linear(self) -> bool:
-        n = self.source.dim
-        m = self.target.dim
-
-        def j_apply(vec):
-            return tuple(-v for v in vec[n:]) + tuple(vec[:n])
-
-        for e in range(2 * n):
-            basis = tuple(1 if s == e else 0 for s in range(2 * n))
-            aj = _matvec(self.matrix, j_apply(basis))
-            ja = _matvec(self.matrix, basis)
-            ja = tuple(-v for v in ja[m:]) + tuple(ja[:m])
-            if aj != ja:
-                return False
-        return True
+        """Whether A commutes with (x, y) -> (-y, x), the block form [[P, -Q], [Q, P]]
+        on the axes (x_1..x_n, y_1..y_n): A[t][j] = A[m + t][n + j], A[t][n + j] = -A[m + t][j]."""
+        a, n, m = self.matrix, self.source.dim, self.target.dim
+        return all(a[t][j] == a[m + t][n + j] and a[t][n + j] == -a[m + t][j]
+                   for t in range(m) for j in range(n))
 
     def variable_images(self) -> tuple:
         """Source-chart scalars substituted for each target variable."""

@@ -42,3 +42,12 @@ def clear_certificates() -> None:
 
     cohomology._CERTIFIED.clear()
     cohomology._PARTS.clear()
+
+
+def certificate_points(model) -> tuple:
+    """`model.certificate()` with each point set's modes as its `_Points`."""
+    from pairform.cohomology import _Points
+
+    checked, pieces = model.certificate()
+    return ([_Points(model, modes) for modes in checked],
+            [(_Points(model, modes), d_op, side) for modes, d_op, side in pieces])

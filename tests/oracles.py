@@ -471,14 +471,15 @@ def linear(values) -> dict:
     return {i: term for i, term in enumerate(terms) if term != (0, 0)}
 
 
-def symbol_forms(model, side, kind: str) -> list:
+def symbol_forms(model, side, kind: str, rows=None) -> list:
     """The c_j (`cohomology._symbol`) of a symbol block of `kind` leaving
     `side`, times `model.scale`, as linear forms in the side's own mode,
     indexed by j, written down with the field's numbers: sigma_j (conjugated
-    for dbar*), lambda, lambda(A^T k) for the pullback, and the constants
-    w_j, empty where w_j = 0."""
+    for dbar*), lambda, lambda(A^T k) for the pullback, A^T e_i being the
+    rows of the map's matrix `rows`, and the constants w_j, empty where
+    w_j = 0."""
     if kind in ("lie", "pullback"):
-        return [model.lam_form if kind == "lie" else _composed(model.lam_form, model.matrix)]
+        return [model.lam_form if kind == "lie" else _composed(model.lam_form, rows)]
     if kind in ("wedge", "interior"):
         return [{0: w} if w != (0, 0) else {} for w in model.scaled_coeffs]
     return [{i: (a * model.unit, b * model.unit) for i, (a, b) in form.items()}

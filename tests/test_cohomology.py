@@ -32,7 +32,7 @@ from pairform.randgen import random_gl_matrix
 from pairform.rationals import gq
 from pairform.scalar import ChartMap, const, identity_map, sin_wave
 
-from helpers import clear_certificates
+from helpers import certificate_points, clear_certificates
 from oracles import (
     all_blocks_harmonic,
     all_blocks_kernel_dim,
@@ -1048,7 +1048,7 @@ def _linear_part_cases():
         models[f"dolbeault p={p}"] = _DolbeaultModel(tc2, holo, p, 1)
     cases = []
     for name, model in models.items():
-        checked, pieces = model.certificate()
+        checked, pieces = certificate_points(model)
         cases += [(name, points, model.op) for points in checked]
         cases += [(name, points, op) for points, d_op, _ in pieces
                   for op in (d_op, model.homotopy)]
@@ -1130,11 +1130,12 @@ def test_linear_parts_equal_the_per_mode_blocks_off_the_unit_modes():
 
 
 def _forms_models():
-    """(model, ops) for every symbol kind: pair and twisted de Rham models on
-    T1-T4, Dolbeault models on TC1-TC2 for every p, and relative and primed
-    models over an embedding, a projection, the zero map, doubling and a
-    non-triangular GL(3,Z) map; fields and 1-forms with integer and
-    Gaussian-rational coefficients (unit 42 and 6), one w_j zero."""
+    """(model, ops, the map's matrix rows or None) for every symbol kind:
+    pair and twisted de Rham models on T1-T4, Dolbeault models on TC1-TC2
+    for every p, and relative and primed models over an embedding, a
+    projection, the zero map, doubling and a non-triangular GL(3,Z) map;
+    fields and 1-forms with integer and Gaussian-rational coefficients
+    (unit 42 and 6), one w_j zero."""
     from pairform.cohomology import (
         _DBAR_HOMOTOPY,
         _DBAR_PAIR,
@@ -1156,22 +1157,22 @@ def _forms_models():
     out = []
     for n in range(1, 5):
         chart = torus(n)
-        out += [(_PairModel(chart, constant_field(chart, coeffs[:n]), 1), _PAIR_D + _PAIR_CODIFF)
-                for coeffs in (_COEFFS["integer"], gaussian)]
+        out += [(_PairModel(chart, constant_field(chart, coeffs[:n]), 1), _PAIR_D + _PAIR_CODIFF,
+                 None) for coeffs in (_COEFFS["integer"], gaussian)]
         w = sum((coframe(chart, j) * c for j, c in enumerate((gq(2, -1), 0, gq("2/3"), 1)[:n])),
                 zero_form(chart, 1))
-        out.append((_DeRhamModel(chart, 1, w), _TWISTED_D + _TWISTED_CODIFF))
+        out.append((_DeRhamModel(chart, 1, w), _TWISTED_D + _TWISTED_CODIFF, None))
     for n in (1, 2):
         chart = torus_complex(n)
         holo = holomorphic_field(chart, tuple(const(chart, c) for c in gaussian[1:n + 1]))
-        out += [(_DolbeaultModel(chart, holo, p, 1), _DBAR_PAIR + _DBAR_HOMOTOPY)
+        out += [(_DolbeaultModel(chart, holo, p, 1), _DBAR_PAIR + _DBAR_HOMOTOPY, None)
                 for p in range(n + 1)]
     for name in ("embed T1->T2", "project T2->T1", "zero T2->T1", "doubling", "GL(3,Z)"):
         cmap = _torus_map(name)
         x = constant_field(cmap.source, gaussian[:cmap.source.dim])
-        out.append((_RelativeModel(cmap, x, 1), _REL_D + _PAIR_HOMOTOPY))
+        out.append((_RelativeModel(cmap, x, 1), _REL_D + _PAIR_HOMOTOPY, cmap.matrix))
         out.append((_PrimedEtaModel(cmap, coframe(cmap.target, 0) * gq("1/2"), 1),
-                    _UNCOUPLED_D + _PAIR_HOMOTOPY))
+                    _UNCOUPLED_D + _PAIR_HOMOTOPY, cmap.matrix))
     return out
 
 
@@ -1187,8 +1188,8 @@ def test_symbol_forms_are_the_sampled_forms():
     from pairform.cohomology import _STEP, _forms
 
     kinds, composed, units = set(), 0, set()
-    for model, ops in _forms_models():
-        checked, pieces = model.certificate()
+    for model, ops, rows in _forms_models():
+        checked, pieces = certificate_points(model)
         for points in checked + [points for points, _, _ in pieces]:
             for side, dst_side, _, kind in set(ops):
                 if side not in points[0]:
@@ -1198,7 +1199,7 @@ def test_symbol_forms_are_the_sampled_forms():
                 assert (inside, got, target) == sampled_forms(points, side, dst_side, kind), \
                     (model.label, tuple(points[0]), side, kind)
                 kinds.add(kind)
-                composed += got != symbol_forms(model, side, kind)
+                composed += got != symbol_forms(model, side, kind, rows)
         units.add(model.unit)
     assert kinds == set(_STEP)
     assert composed and max(units) > 1
@@ -1527,7 +1528,7 @@ def test_map_certificate_reaches_every_side_at_every_unit_mode(name):
     models = (_RelativeModel(cmap, constant_field(cmap.source, (1, 2)[:cmap.source.dim]), 1),
               _PrimedEtaModel(cmap, coframe(cmap.target, 0), 1))
     for model in models:
-        checked, pieces = model.certificate()
+        checked, pieces = certificate_points(model)
         zero = {side: [(0,) * chart.nvars] for side, chart in model.charts.items()}
         assert checked[0][0] == zero
         for side, chart in model.charts.items():
@@ -1576,7 +1577,7 @@ def _layout_cases():
                twisted: [(_TWISTED_D, _TWISTED_CODIFF, None, 4)]}
     out = []
     for model in models:
-        checked, pieces = model.certificate()
+        checked, pieces = certificate_points(model)
         dicts = [None, checked[0][0]]
         dicts += [block for points in checked + [points for points, _, _ in pieces]
                   for block in points]
@@ -1751,13 +1752,19 @@ def test_map_complexes_on_larger_bands(rows, max_freq):
     eta = coframe(chart, 0) * 3 + coframe(chart, n - 1) * gq("1/2")
     assert primed_eta_complex(cmap, eta, max_freq).dim_vector() == primed_predicted_dims(n, n)
 
+# resonant on long lines through 0: the k_1 axis, both axes, the axis and
+# the line through (3, -4), and on T3 both axes and the lines through
+# (1, 2, +-2) and (2, 1, +-2)
+_RAY_CASES = [(T2, (1, 0), 6), (T2, (1, 1), 6), (T2, (1, 2), 6), (T3, (1, 1, 0), 2)]
+
+
 # resonant, quiet and complex fields: with U = (i, 0) the corrected closed
 # form |k|^2 - lambda(k)^2 = k_2^2 vanishes on a whole axis
 _KERNEL_CASES = _LAPLACIAN_CASES + [
     (T2, (gq(0, 1), 0), 2), (T2, (gq(1, 1), gq(0, -1)), 2), (T3, (gq(0, 1), 1, 0), 1)]
 
 
-@pytest.mark.parametrize("chart, coeffs, max_freq", _KERNEL_CASES)
+@pytest.mark.parametrize("chart, coeffs, max_freq", _KERNEL_CASES + _RAY_CASES)
 def test_certified_kernels_equal_the_all_blocks_path(chart, coeffs, max_freq):
     from pairform.cohomology import _PAIR_CODIFF_SKEW
 
@@ -1769,6 +1776,88 @@ def test_certified_kernels_equal_the_all_blocks_path(chart, coeffs, max_freq):
             all_blocks_harmonic(band, degree, max_freq)
         assert corrected_laplacian_kernel_dim(chart, u, degree, max_freq) == \
             all_blocks_kernel_dim(model, degree, model.op, _PAIR_CODIFF_SKEW)
+
+
+def _resonant_lines(coeffs, max_freq) -> list:
+    """The lines through 0 that hold a nonzero band mode k with
+    |k|^2 = <k, U>^2, each as its first such mode: k and l share a line when
+    every 2 x 2 minor k_i l_j - k_j l_i vanishes."""
+    n, lines = len(coeffs), []
+    for k in itertools.product(range(-max_freq, max_freq + 1), repeat=n):
+        if any(k) and sum(t * t for t in k) == sum(t * c for t, c in zip(k, coeffs)) ** 2 and \
+                not any(all(k[i] * l[j] == k[j] * l[i] for i in range(n) for j in range(n))
+                        for l in lines):
+            lines.append(k)
+    return lines
+
+
+@pytest.mark.parametrize("chart, coeffs, max_freq, count", [
+    (T2, (1, 0), 6, 1), (T2, (1, 1), 6, 2), (T2, (1, 2), 6, 2), (T3, (1, 1, 0), 2, 6),
+    (T2, (2, 2), 2, 0), (T3, (0, 2, -2), 1, 0)])
+def test_one_elimination_per_resonant_line(monkeypatch, chart, coeffs, max_freq, count):
+    """`zi_kernel` runs once per resonant line through 0 at every degree,
+    never at mode 0, and never for a quiet field, where only k = 0 is
+    resonant."""
+    from pairform import cohomology
+
+    calls = []
+    kernel = cohomology.zi_kernel
+
+    def counting(columns):
+        calls.append(len(columns))
+        return kernel(columns)
+
+    monkeypatch.setattr(cohomology, "zi_kernel", counting)
+    assert len(_resonant_lines(coeffs, max_freq)) == count
+    u = constant_field(chart, coeffs)
+    for degree in range(chart.dim + 3):
+        calls.clear()
+        harmonic_kernel(chart, u, degree, max_freq)
+        assert len(calls) == count, degree
+
+
+def test_a_joint_kernel_that_is_not_homogeneous_is_refused(monkeypatch):
+    """Reading mode 0's columns as joint kernel vectors, and sharing one
+    kernel along a line, needs [pair_d ; pair_codiff] to be homogeneous in
+    (k, Lambda), which the Laplacian's certificate does not prove.
+    pair_codiff given an interior block, whose W_j is constant in k, is
+    refused by the homogeneity check with the Laplacian's certificate passed
+    over, for a resonant and for a quiet field."""
+    from pairform import cohomology
+
+    monkeypatch.setattr(cohomology, "_PAIR_CODIFF",
+                        cohomology._PAIR_CODIFF + (("F", "F", 1, "interior"),))
+    monkeypatch.setattr(cohomology, "_certify", lambda *args: None)
+    for coeffs in ((1, 2), (2, 2)):
+        with pytest.raises(AssertionError) as info:
+            harmonic_kernel(T2, constant_field(T2, coeffs), 1, 1)
+        assert str(info.value) == "[pair_d ; pair_codiff] is not homogeneous in the mode"
+
+
+def test_witness_render_equals_the_two_slot_render():
+    """`_render_vector` writes the tag's one nonzero slot next to a zero form;
+    it prints as the sum of the tag's form into two zero slots did, for
+    every tag of T2 and T3 at N = 1 in every degree."""
+    from pairform.cohomology import _PairModel, _render_vector
+    from pairform.exterior import Form
+    from pairform.pair import PairForm
+    from pairform.rationals import ONE
+    from pairform.scalar import wave
+
+    def two_slots(chart, degree, tag):
+        side, k, idx = tag
+        slots = {"F": zero_form(chart, degree), "S": zero_form(chart, degree - 1)}
+        slots[side] = slots[side] + Form(chart, len(idx), ((tuple(idx), wave(chart, k)),)) * ONE
+        return str(PairForm(slots["F"], slots["S"]))
+
+    tags = 0
+    for chart in (T2, T3):
+        model = _PairModel(chart, constant_field(chart, (1, 2, 0)[:chart.dim]), 1)
+        for degree in model.degrees:
+            for tag in model.basis(degree):
+                assert _render_vector(model, degree, tag) == two_slots(chart, degree, tag), tag
+                tags += 1
+    assert tags == 9 * 8 + 27 * 16
 
 
 # real, imaginary (resonant on the sphere |k| = |v|), complex (<w, w> = 0 on
@@ -1829,7 +1918,7 @@ def test_certified_builders_eliminate_the_zero_mode_only(monkeypatch):
     certified_ranks = cohomology._Model.certified_ranks
 
     def recording(model):
-        seen.append(model.certificate()[0][0][0])
+        seen.append(certificate_points(model)[0][0][0])
         return certified_ranks(model)
 
     monkeypatch.setattr(linalg, "zi_rank", refuse)

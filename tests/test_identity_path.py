@@ -13,8 +13,8 @@ import random
 
 import pytest
 
-from pairform.charts import ChartKind, affine_complex, torus
-from pairform.exterior import VectorField, ext_d, lie, pullback, pushforward
+from pairform.charts import ChartKind, affine_complex, torus, torus_complex
+from pairform.exterior import VectorField, coframe, ext_d, lie, pullback, pushforward
 from pairform.pair import PairForm, pair_d
 from pairform.randgen import (
     random_automorphism,
@@ -25,11 +25,12 @@ from pairform.randgen import (
     random_pair,
     random_scalar,
 )
+from pairform.rationals import gq
 from pairform.scalar import ChartMap, ScalarExpr, const, coordinate, identity_map
 from pairform.suites import CHART_KEYS
 
 from oracles import canonical_form_faults, canonical_scalar_faults, coordinate_lie, \
-    wedge_chain_pullback
+    torus_coframe_pullback, wedge_chain_pullback
 
 CHARTS = sorted(CHART_KEYS)
 TRIALS = 20
@@ -96,6 +97,27 @@ def test_pullback_matches_the_wedge_chain(key):
                 assert got == wedge_chain_pullback(cmap, a)
                 # a second call reads the memos the first one filled
                 assert pullback(cmap, a) == got
+
+
+def test_pullback_over_a_gaussian_shear_matches_the_coframe_oracle():
+    """The TC2 shear z_1 -> z_1 + (1 + i) z_2 mixes complex coordinates, which
+    no map of `_maps_into` does: f*(dz_1) = dz_1 + (1 + i) dz_2 and
+    f*(dzb_1) = dzb_1 + (1 - i) dzb_2, each f*(dx_j) equals the axis-by-axis
+    `torus_coframe_pullback`, and every pulled-back form the wedge chain
+    built from it."""
+    tc2 = torus_complex(2)
+    shear = ChartMap(tc2, tc2, matrix=((1, 1, 0, -1), (0, 1, 0, 0), (0, 1, 1, 1), (0, 0, 0, 1)))
+    assert torus_coframe_pullback(shear, 0) == coframe(tc2, 0) + coframe(tc2, 1) * gq(1, 1)
+    assert torus_coframe_pullback(shear, 2) == coframe(tc2, 2) + coframe(tc2, 3) * gq(1, -1)
+    for j in range(tc2.nslots):
+        assert pullback(shear, coframe(tc2, j)) == torus_coframe_pullback(shear, j)
+    rng = random.Random("pullback/tc2-shear")
+    for _ in range(TRIALS):
+        for p in range(tc2.nslots + 2):
+            a = random_form(rng, tc2, p, max_components=3, max_terms=3)
+            got = pullback(shear, a)
+            assert canonical_form_faults(got) == []
+            assert got == wedge_chain_pullback(shear, a)
 
 
 def test_pullback_between_complex_charts_of_different_dimension():

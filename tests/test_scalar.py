@@ -445,6 +445,55 @@ def test_chart_map_keeps_int_matrix_rows_as_tuples():
     assert cmap.matrix == ((1, 1), (0, 1))
 
 
+# z_1 -> z_1 + (1 + i) z_2, z_2 -> z_2 on TC2, on the axes (x_1, x_2, y_1, y_2)
+GAUSSIAN_SHEAR = ((1, 1, 0, -1), (0, 1, 0, 0), (0, 1, 1, 1), (0, 0, 0, 1))
+
+
+def _commutes_with_j(rows, n: int, m: int) -> bool:
+    """A J = J A for the real 2m x 2n matrix A, J (x, y) = (-y, x) on each
+    side, by multiplying the matrices out."""
+    def j_matrix(k):
+        return [[-1 if c == r + k else 1 if r == c + k else 0 for c in range(2 * k)]
+                for r in range(2 * k)]
+
+    def matmul(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+    return matmul(rows, j_matrix(n)) == matmul(j_matrix(m), rows)
+
+
+def test_complex_torus_maps_must_commute_with_the_complex_structure():
+    """A GL(2, Z[i]) shear on TC2 is a complex torus map; a real shear that
+    mixes x_1 and y_1 is refused.  Over random block matrices [[P, -Q], [Q, P]]
+    and each with one entry bumped, between TC1 and TC2 both ways, the map
+    is accepted exactly when A J = J A multiplied out."""
+    tc2 = torus_complex(2)
+    assert ChartMap(tc2, tc2, matrix=GAUSSIAN_SHEAR).matrix == GAUSSIAN_SHEAR
+    mixing = ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    with pytest.raises(ValueError, match="complex torus maps must commute with the complex"):
+        ChartMap(tc2, tc2, matrix=mixing)
+    rng = random.Random("complex-linear")
+    seen = set()
+    for n, m in ((2, 2), (1, 2), (2, 1)):
+        source, target = torus_complex(n), torus_complex(m)
+        for _ in range(10):
+            p = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+            q = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+            rows = [p[t] + [-v for v in q[t]] for t in range(m)] + \
+                [q[t] + p[t] for t in range(m)]
+            bumped = [row[:] for row in rows]
+            bumped[rng.randrange(2 * m)][rng.randrange(2 * n)] += 1
+            for a in (rows, bumped):
+                want = _commutes_with_j(a, n, m)
+                seen.add(want)
+                if want:
+                    ChartMap(source, target, matrix=a)
+                else:
+                    with pytest.raises(ValueError, match="must commute with the complex"):
+                        ChartMap(source, target, matrix=a)
+    assert seen == {True, False}
+
+
 def test_compose_identity():
     assert coordinate(R1, 0).compose(identity_map(R1)) == coordinate(R1, 0)
 
