@@ -49,7 +49,13 @@ once per line through 0 (`_ray`).  No global matrix is built.
 
 No verdict depends on a field value.  Each is kept once it holds, in a
 bounded process-wide memo (`_Memo`) keyed by its point sets' `layout`,
-operators, closed form and degrees; so are the formal matrices.
+operators, closed form and degrees; so are the formal matrices and the
+joint kernel's stacked matrices, which hold no field value either, and
+each model counts its whole band per degree once (`_Model.size`).  A
+warm call, on a chart, map and degree already certified, builds no point
+set and takes no product of linear forms: it checks its inputs, a builder
+fills its ranks with their exactness checks, and `harmonic_kernel` takes
+one `zi_kernel` per resonant line and renders its witness.
 
 Operators that mix frequencies (a pair differential twisted by a non-closed
 1-form) escape every finite band; such scenarios are rejected rather than
@@ -67,13 +73,23 @@ from functools import cached_property, lru_cache, partial
 from math import comb as _math_comb
 
 from .charts import Chart, ChartKind, ChartMismatchError, bidegree_index_sets
-from .exterior import (Form, VectorField, _pulled_coframe, ext_d, require_parallel_one_form,
-                       zero_form)
+from .exterior import Form, VectorField, _pulled_coframe, ext_d, require_parallel_one_form
 from .linalg import zi_kernel
-from .pair import PairForm
 from .pair import pair_d  # noqa: F401  unused; perfbench/selftest.py checks its tracer binding
 from .rationals import ONE
 from .scalar import ChartMap, wave
+
+
+class _cached(cached_property):
+    """`cached_property` without the lock it takes on every first read
+    before Python 3.12, a cost paid on each of the models a band call
+    builds; none is shared between threads."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.attrname] = self.func(obj)
+        return value
 
 
 def _binom(n: int, k: int) -> int:
@@ -270,14 +286,14 @@ class _Tags(Sequence):
     they are iterated, indexed, compared or printed."""
 
     def __init__(self, model: "_Model", degree: int):
-        self._model, self._degree, self._len = model, degree, model.size(degree)
+        self._model, self._degree = model, degree
 
-    @cached_property
+    @_cached
     def _tags(self) -> tuple:
         return tuple(self._model.basis(self._degree))
 
     def __len__(self) -> int:
-        return self._len
+        return self._model.size(self._degree)
 
     def __getitem__(self, i):
         return self._tags[i]
@@ -313,19 +329,29 @@ def _unit_modes(nvars: int) -> tuple:
     return tuple(tuple(int(i == j) for j in range(nvars)) for i in range(-1, nvars))
 
 
+def _layout(model: "_Model", modes: dict) -> tuple:
+    """The `layout` of the point set of `modes`, {side: its modes at k = 0,
+    e_1, ..., e_n}: p and each side's chart and modes."""
+    return model.p, tuple((side, model.charts[side], ks) for side, ks in modes.items())
+
+
 class _Points(list):
     """The blocks {side: [mode]} of one `model` at k = 0, e_1, ..., e_n, from
-    {side: its modes there}, and their `layout`: p and each side's chart and modes."""
+    {side: its modes there}, and their `_layout`."""
 
     def __init__(self, model: "_Model", modes: dict):
         super().__init__({side: [k] for side, k in zip(modes, ks)} for ks in zip(*modes.values()))
-        self.model, self.layout = model, (model.p, tuple(
-            (side, model.charts[side], ks) for side, ks in modes.items()))
+        self.model, self.layout = model, _layout(model, modes)
+
+
+def _units(model: "_Model") -> dict:
+    """`_unit_modes` on every side, of a model whose operators keep modes."""
+    return dict.fromkeys(model.charts, _unit_modes(model.charts["F"].nvars))
 
 
 def _unit_points(model: "_Model") -> _Points:
-    """The mode blocks of `_unit_modes`, of a model whose operators keep modes."""
-    return _Points(model, dict.fromkeys(model.charts, _unit_modes(model.charts["F"].nvars)))
+    """The mode blocks of `_units`."""
+    return _Points(model, _units(model))
 
 
 def _value(coefficients: dict, k) -> tuple:
@@ -369,8 +395,10 @@ class _Memo(dict):
         super().__setitem__(key, value)
 
 
-# (layout, op, src, dst) -> `_parts`; no key or entry holds a field value
+# (layout, op, src, dst) -> `_parts`; no key or entry of any memo holds a field value
 _PARTS = _Memo()
+# (layout, degree, d_op, cod_op) -> a joint kernel's `_stacked_parts`
+_STACKED = _Memo()
 # the keys of the certificates that hold (`certified_ranks`, `_resonant`)
 _CERTIFIED = _Memo()
 
@@ -411,11 +439,22 @@ def _parts(points: _Points, op, src: int, dst: int) -> list:
     return cols
 
 
-def _stacked_parts(points: _Points, degree: int, d_op, cod_op) -> list:
+def _stack(points: _Points, degree: int, d_op, cod_op) -> list:
     """[D_p ; Cod_p] as `_parts`: the columns of D_p over those of Cod_p."""
     shift = points.model.size(degree + 1, points[0])
     return [{**up, **{r + shift: v for r, v in low.items()}} for up, low in zip(
         _parts(points, d_op, degree, degree + 1), _parts(points, cod_op, degree, degree - 1))]
+
+
+def _stacked_parts(model: "_Model", degree: int, d_op, cod_op, points=None) -> list:
+    """`_stack` on the model's `_unit_points` (`points`, if given), once per
+    layout and (degree, d_op, cod_op) while `_STACKED` holds it, and read
+    back with no `_Points` built."""
+    key = _layout(model, _units(model)), degree, d_op, cod_op
+    stacked = _STACKED.get(key)
+    if stacked is None:
+        stacked = _STACKED[key] = _stack(points or _unit_points(model), degree, d_op, cod_op)
+    return stacked
 
 
 def _at(parts: list, point) -> list:
@@ -485,15 +524,16 @@ def _parts_hold(left: list, right: list, coefficients: dict) -> bool:
     return True
 
 
-def _certify(points: _Points, d_op, h_op, coefficients: dict, degrees):
+def _certify(points: _Points, d_op, h_op, coefficients: dict, degrees, stacked=None):
     """The lowest of `degrees` where D H + H D = [H | D] . [D ; H] is not
     q I (`_parts_hold`), D and H with symbol blocks `d_op` and `h_op`, q
     with formal `coefficients` (`_closed`), on `points`; None if none.  One
-    product of linear forms is taken per degree."""
+    product of linear forms is taken per degree.  [D ; H] at degree d is
+    `stacked(d)`, by default `_stack` on `points`."""
     parts = partial(_parts, points)
+    stacked = stacked or partial(_stack, points, d_op=d_op, cod_op=h_op)
     return next((d for d in degrees if not _parts_hold(
-        parts(h_op, d + 1, d) + parts(d_op, d - 1, d), _stacked_parts(points, d, d_op, h_op),
-        coefficients)), None)
+        parts(h_op, d + 1, d) + parts(d_op, d - 1, d), stacked(d), coefficients)), None)
 
 
 class _Model:
@@ -542,14 +582,14 @@ class _Model:
         self.degrees = tuple(range(top + 3))
         self.band({"F": chart, "S": chart}, max_freq)
 
-    @cached_property
+    @_cached
     def modes(self) -> dict:
         """Each side's band modes in sorted order, its cube with its
         `outside` modes, listed on first read."""
         return {side: sorted([*_cube(chart.nvars, self.max_freq), *self.outside.get(side, ())])
                 for side, chart in self.charts.items()}
 
-    @cached_property
+    @_cached
     def _width_table(self) -> dict:
         """The `_widths` table of this model's layout."""
         return _widths(tuple(self.charts.items()), self.p, self.degrees)
@@ -589,29 +629,36 @@ class _Model:
         out[None] = at
         return out
 
-    def size(self, degree, modes=None) -> int:
-        """The number of tags in `basis(degree, modes)`."""
-        return self.starts(degree, modes)[None]
+    @_cached
+    def _sizes(self) -> dict:
+        """degree -> the number of tags of the whole band, counted once per model."""
+        return {d: sum(self.counts[side] * width for side, width in widths.items())
+                for d, widths in self._width_table.items()}
 
-    @cached_property
+    def size(self, degree, modes=None) -> int:
+        """The number of tags in `basis(degree, modes)`; the whole band's is
+        read from `_sizes` (0 in a degree with no index sets)."""
+        return self._sizes.get(degree, 0) if modes is None else self.starts(degree, modes)[None]
+
+    @_cached
     def unit(self) -> int:
         """The lcm of the denominators of `coeffs`, so unit * coeffs is in Z[i]."""
         return math.lcm(*(x.d for x in self.coeffs))
 
-    @cached_property
+    @_cached
     def scale(self) -> int:
         """The one denominator of the model: block entries are the band
         matrices' entries times `scale`, which is `unit`, doubled on a
         complex torus for the 1/2 of sigma_j."""
         return self.unit * (2 if self.charts["F"].is_complex else 1)
 
-    @cached_property
+    @_cached
     def scaled_coeffs(self) -> tuple:
         """`coeffs` times `scale`, as Z[i] int pairs."""
         return tuple((x.a * (self.scale // x.d), x.b * (self.scale // x.d))
                      for x in self.coeffs)
 
-    @cached_property
+    @_cached
     def lam_form(self) -> dict:
         """What Lambda stands for, lambda(k) scale as a linear form in Z[i],
         where L_X e(k) = lambda(k) e(k) for the constant field X with frame
@@ -630,7 +677,7 @@ class _Model:
         those D.D = 0 is checked on, the first led by the zero block, and
         (modes, D, side) per piece with D H + H D = t(k) I, t the side's
         (`_closed`); here `_unit_modes` on every side serve both."""
-        units = dict.fromkeys(self.charts, _unit_modes(self.charts["F"].nvars))
+        units = _units(self)
         return [units], [(units, self.op, "F")]
 
     def certified_ranks(self) -> dict:
@@ -643,8 +690,8 @@ class _Model:
         outside Z.  Checks and point sets run on a key's first use (`_CERTIFIED`);
         the fill, on every call, must be exact: no r_q < 0, none past the top."""
         checked, pieces = self.certificate()
-        key = (self.p, tuple(self.charts.items()), tuple(tuple(m.items()) for m in checked),
-               tuple((tuple(m.items()), d_op) for m, d_op, _ in pieces),
+        key = (tuple(_layout(self, m) for m in checked),
+               tuple((_layout(self, m), d_op) for m, d_op, _ in pieces),
                self.op, self.homotopy, self.degrees)
         if key not in _CERTIFIED:
             checked = [_Points(self, modes) for modes in checked]
@@ -777,9 +824,8 @@ class _RelativeModel(_MapModel):
         self.coeffs = _constant_coeffs(x, cmap.source)
         self.band({"F": cmap.target, "S": cmap.source}, max_freq)
         # the source side holds its cube and A^T of the target cube: the
-        # distinct A^T k outside its cube, found by streaming the target cube
-        self.outside = {"S": {k for k in map(self.pull, _cube(cmap.target.nvars, max_freq))
-                              if max(map(abs, k)) > max_freq}}
+        # distinct A^T k off its cube
+        self.outside = {"S": cmap.off_cube(max_freq)}
         self.counts["S"] += len(self.outside["S"])
         # degree q -> per target index set I of degree q the terms
         # (position of J, det A[I, J], 0) over the source index sets J of
@@ -907,26 +953,33 @@ def _zeros(nvars: int, max_freq: int, unit: int, squares: tuple) -> tuple:
     return tuple(k for k in _cube(nvars, max_freq) if _value(closed, k) == (0, 0))
 
 
-def _resonant(points: _Points, degree: int, d_op, cod_op, message: str, lam_sign=None,
+def _resonant(model: _Model, degree: int, d_op, cod_op, message: str, lam_sign=None,
               joint=False) -> list:
-    """The blocks {side: [k]} of the band modes k where q(k) = 0 (`_zeros`,
-    the field's numbers put in), once `_certify` has found Cod D + D Cod = q I at
-    `degree` on a model's `_unit_points`, q formal: |k|^2 + lam_sign Lambda^2
-    or, if lam_sign is None, |k|^2 + sum W_j^2 (AssertionError(message) if
-    not), and for a `joint` kernel [D ; Cod] `_homogeneous`.  That Laplacian is
-    zero there and invertible elsewhere, where both kernels are empty."""
-    model, n = points.model, len(points) - 1
+    """The blocks {side: [k]} of the band modes k of `model` where q(k) = 0
+    (`_zeros`, the field's numbers put in), once `_certify` has found
+    Cod D + D Cod = q I at `degree` on its `_unit_points`, q formal:
+    |k|^2 + lam_sign Lambda^2 or, if lam_sign is None, |k|^2 + sum W_j^2
+    (AssertionError(message) if not), and for a `joint` kernel [D ; Cod]
+    `_homogeneous`.  That Laplacian is zero there and invertible elsewhere,
+    where both kernels are empty.  The verdict is keyed by the `_layout` of
+    `_units`, so the points are built on its first use only, where a
+    `joint` kernel's [D ; Cod] is stacked once (`_stacked_parts`) for both
+    checks."""
+    n = model.charts["F"].nvars
     # (sign, formal f, f of the field's numbers) per square s f^2 of q
     if lam_sign is None:
         squares = [(1, {n + 2 + j: (1, 0)}, {0: w}) for j, w in enumerate(model.scaled_coeffs)]
     else:
         squares = [(lam_sign, {n + 1: (1, 0)}, model.lam_form)]
-    key = points.layout, d_op, cod_op, lam_sign, joint, degree
+    key = _layout(model, _units(model)), d_op, cod_op, lam_sign, joint, degree
     if key not in _CERTIFIED:
+        points = _unit_points(model)
+        stacked = (_stacked_parts(model, degree, d_op, cod_op, points) if joint
+                   else _stack(points, degree, d_op, cod_op))
         formal = _closed(n, 1, [(s, f) for s, f, _ in squares])
-        if _certify(points, d_op, cod_op, formal, (degree,)) is not None:
+        if _certify(points, d_op, cod_op, formal, (degree,), lambda _: stacked) is not None:
             raise AssertionError(message)
-        if joint and not _homogeneous(_stacked_parts(points, degree, d_op, cod_op), points):
+        if joint and not _homogeneous(stacked, points):
             raise AssertionError("[pair_d ; pair_codiff] is not homogeneous in the mode")
         _CERTIFIED[key] = True
     modes = _zeros(n, model.max_freq, model.unit,
@@ -956,11 +1009,16 @@ def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) ->
     and its mode's `_rank`.  They agree exactly when no nonzero band mode k
     has |k|^2 = <k, U>^2; the verdict is part of the result, and the witness
     is the first Laplacian kernel column outside the joint kernel.
+
+    A warm call, on a chart and degree already certified, reads the
+    verdict and the stacked M back from their memos and builds no point
+    set.  It still checks its inputs, places the resonant modes' columns,
+    runs one `zi_kernel` per resonant line of its own field and renders
+    its witness.
     """
     _require_degree(degree)
     model = _PairModel(chart, u, max_freq)
-    points = _unit_points(model)
-    blocks = _resonant(points, degree, _PAIR_D, _PAIR_CODIFF,
+    blocks = _resonant(model, degree, _PAIR_D, _PAIR_CODIFF,
                        "pair Laplacian composite disagrees with its closed form", 1, True)
     start, widths = model.starts(degree), model.widths(degree)
     lap, joint, live, rays = [], [], set(), {}
@@ -975,7 +1033,7 @@ def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) ->
             rays.setdefault(_ray(k), []).append(glob)
         else:
             joint += [(g, {g: ONE}) for g in glob]   # M(0) = 0
-    parts = _stacked_parts(points, degree, _PAIR_D, _PAIR_CODIFF) if rays else None
+    parts = _stacked_parts(model, degree, _PAIR_D, _PAIR_CODIFF) if rays else None
     for ray, globs in rays.items():
         # at unit ray and Lambda = lambda(ray) scale, the forms are scale M(ray)
         lam = tuple(sum(c[t] * ray[i - 1] for i, c in model.lam_form.items()) for t in (0, 1))
@@ -987,18 +1045,18 @@ def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) ->
             live.update(g for g, col in zip(glob, stacked) if col)
     lap.sort(key=lambda entry: entry[0])
     joint.sort(key=lambda entry: entry[0])
-    witness = next((_render_vector(model, degree, model.basis(degree, block)[c])
+    witness = next((_render_vector(model, model.basis(degree, block)[c])
                     for g, block, c in lap if g in live), None)
     return HarmonicKernel(degree, max_freq, len(lap), len(joint), [{g: ONE} for g, *_ in lap],
                           [vec for _, vec in joint], witness)
 
 
-def _render_vector(model: _PairModel, degree: int, tag) -> str:
+def _render_vector(model: _PairModel, tag) -> str:
     """The pair form of the basis tag (side, k, idx), written down from it."""
     chart, (side, k, idx) = model.charts["F"], tag
-    form = Form(chart, len(idx), ((tuple(idx), wave(chart, k)),)) * ONE
-    zero = zero_form(chart, degree - 1 if side == "F" else degree)
-    return str(PairForm(form, zero) if side == "F" else PairForm(zero, form))
+    form = Form(chart, len(idx), ((tuple(idx), wave(chart, k) * ONE),))
+    # the other component is zero, which prints as 0 (`PairForm.__str__`)
+    return f"({form} | 0)" if side == "F" else f"(0 | {form})"
 
 
 def corrected_laplacian_kernel_dim(chart: Chart, u: VectorField, degree: int,
@@ -1010,7 +1068,7 @@ def corrected_laplacian_kernel_dim(chart: Chart, u: VectorField, degree: int,
     _require_degree(degree)
     model = _PairModel(chart, u, max_freq)
     return sum(model.size(degree, block) for block in _resonant(
-        _unit_points(model), degree, _PAIR_D, _PAIR_CODIFF_SKEW,
+        model, degree, _PAIR_D, _PAIR_CODIFF_SKEW,
         "corrected pair Laplacian disagrees with its closed form", -1))
 
 
@@ -1023,5 +1081,5 @@ def lichnerowicz_kernel_dim(chart: Chart, w: Form, degree: int, max_freq: int) -
     _require_degree(degree)
     model = _DeRhamModel(chart, max_freq, w)
     return sum(model.size(degree, block) for block in _resonant(
-        _unit_points(model), degree, _TWISTED_D, _TWISTED_CODIFF,
+        model, degree, _TWISTED_D, _TWISTED_CODIFF,
         "Lichnerowicz Laplacian disagrees with its closed form"))

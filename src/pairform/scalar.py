@@ -33,6 +33,7 @@ map (`cohomology._MapModel`) read it there.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -147,7 +148,10 @@ class ScalarExpr:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(not any(a) and not any(k) for a, k, _ in self.terms)
+        # canonical terms have distinct (alpha, k), so a constant has at most one
+        zeros = self.chart.zeros
+        return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == zeros
+                                  and self.terms[0][1] == zeros)
 
     def constant_value(self) -> GaussianRational:
         if self.is_zero:
@@ -447,6 +451,27 @@ class ChartMap:
         """The source frequency A^T k of the target frequency k of a torus
         map: e(k) o f = e(A^T k)."""
         return tuple([sum(map(mul, column, k)) for column in self._columns])
+
+    def off_cube(self, max_freq: int) -> set:
+        """The distinct source frequencies A^T k of the target frequencies
+        |k_i| <= max_freq that fall off the source cube |m_j| <= max_freq.
+        On a line k = (prefix, t), A^T k = A^T (prefix, 0) + t a, a the last
+        row of A, is in the source cube for t in one interval [lo, hi], and
+        only the frequencies off it are made."""
+        *rows, last = self.matrix
+        freqs, out = range(-max_freq, max_freq + 1), set()
+        for prefix in itertools.product(freqs, repeat=len(rows)):
+            base, lo, hi = self.pull((*prefix, 0)), -max_freq, max_freq
+            for b, a in zip(base, last):
+                # -N <= b + t a <= N: t from ceil(low / a) to floor(high / a)
+                if a:
+                    low, high = (-max_freq - b, max_freq - b)[::1 if a > 0 else -1]
+                    lo, hi = max(lo, -(-low // a)), min(hi, high // a)
+                elif abs(b) > max_freq:
+                    lo, hi = 1, 0
+            out.update(tuple([b + t * a for b, a in zip(base, last)])
+                       for t in freqs if not lo <= t <= hi)
+        return out
 
     @cached_property
     def _image_powers(self) -> dict:

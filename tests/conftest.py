@@ -1,6 +1,7 @@
 """Every test starts with the band certificates unproved: the process-wide
-memos of verdicts and formal matrices in `pairform.cohomology` are emptied
-before it runs, so no test reads a verdict an earlier test left behind."""
+memos of `pairform.cohomology` (verdicts, formal and stacked matrices) are
+emptied before it runs, so no test reads a value an earlier test left
+behind."""
 
 import pytest
 

@@ -36,12 +36,18 @@ def zero_pair(chart, degree: int) -> PairForm:
     return PairForm(zero_form(chart, degree), zero_form(chart, degree - 1))
 
 
-def clear_certificates() -> None:
-    """Empty the process-wide memos of band verdicts and formal matrices."""
+def cohomology_memos() -> tuple:
+    """Every process-wide `_Memo` of `pairform.cohomology`: band verdicts,
+    formal matrices and joint kernels' stacked matrices."""
     from pairform import cohomology
 
-    cohomology._CERTIFIED.clear()
-    cohomology._PARTS.clear()
+    return cohomology._CERTIFIED, cohomology._PARTS, cohomology._STACKED
+
+
+def clear_certificates() -> None:
+    """Empty every process-wide `_Memo` of `pairform.cohomology`."""
+    for memo in cohomology_memos():
+        memo.clear()
 
 
 def certificate_points(model) -> tuple:

@@ -32,7 +32,7 @@ from pairform.randgen import random_gl_matrix
 from pairform.rationals import gq
 from pairform.scalar import ChartMap, const, identity_map, sin_wave
 
-from helpers import certificate_points, clear_certificates
+from helpers import certificate_points, clear_certificates, cohomology_memos
 from oracles import (
     all_blocks_harmonic,
     all_blocks_kernel_dim,
@@ -1588,7 +1588,7 @@ def _layout_cases():
             points = _unit_points(model)
             ops += [(points, d_op, 1), (points, cod_op, -1)]
             blocks = [block for d in model.degrees
-                      for block in _resonant(points, d, d_op, cod_op, "kernel", sign)]
+                      for block in _resonant(model, d, d_op, cod_op, "kernel", sign)]
             assert len(blocks) == count * len(model.degrees), (model.label, cod_op)
             dicts += blocks
         out.append((model, dicts, ops))
@@ -1855,7 +1855,7 @@ def test_witness_render_equals_the_two_slot_render():
         model = _PairModel(chart, constant_field(chart, (1, 2, 0)[:chart.dim]), 1)
         for degree in model.degrees:
             for tag in model.basis(degree):
-                assert _render_vector(model, degree, tag) == two_slots(chart, degree, tag), tag
+                assert _render_vector(model, tag) == two_slots(chart, degree, tag), tag
                 tags += 1
     assert tags == 9 * 8 + 27 * 16
 
@@ -1883,12 +1883,11 @@ def test_certified_lichnerowicz_kernel_equals_the_all_blocks_path(n, max_freq, c
 
 
 def test_kernels_are_taken_on_the_resonant_modes_only():
-    from pairform.cohomology import (_PAIR_CODIFF, _PAIR_CODIFF_SKEW, _PairModel, _resonant,
-                                     _unit_points)
+    from pairform.cohomology import _PAIR_CODIFF, _PAIR_CODIFF_SKEW, _PairModel, _resonant
 
     def resonant(coeffs, cod, sign):
         model = _PairModel(T2, constant_field(T2, coeffs), 2)
-        return _resonant(_unit_points(model), 1, model.op, cod, "closed form", sign)
+        return _resonant(model, 1, model.op, cod, "closed form", sign)
 
     axis = [{"F": [k], "S": [k]} for k in ((-2, 0), (-1, 0), (0, 0), (1, 0), (2, 0))]
     zero = [{"F": [(0, 0)], "S": [(0, 0)]}]
@@ -2146,9 +2145,9 @@ def _counting_certify(monkeypatch) -> list:
 
     certify, seen = cohomology._certify, []
 
-    def counting(points, d_op, h_op, coefficients, degrees):
+    def counting(points, d_op, h_op, coefficients, degrees, *stacked):
         seen.append(degrees)
-        return certify(points, d_op, h_op, coefficients, degrees)
+        return certify(points, d_op, h_op, coefficients, degrees, *stacked)
 
     monkeypatch.setattr(cohomology, "_certify", counting)
     return seen
@@ -2267,9 +2266,9 @@ def test_only_the_latest_field_is_held(monkeypatch, kind):
 
     resonant, models = cohomology._resonant, []
 
-    def recording(points, *args):
-        models.append(weakref.ref(points.model))
-        return resonant(points, *args)
+    def recording(model, *args):
+        models.append(weakref.ref(model))
+        return resonant(model, *args)
 
     monkeypatch.setattr(cohomology, "_resonant", recording)
     first, second = ((1, 2), (2, 2)) if kind != "lichnerowicz" else ((1, 0), (gq(0, 1), 2))
@@ -2282,7 +2281,7 @@ def test_only_the_latest_field_is_held(monkeypatch, kind):
     finally:
         if enabled:
             gc.enable()
-    memos = _leaves((cohomology._CERTIFIED, cohomology._PARTS))
+    memos = _leaves(cohomology_memos())
     assert memos and not any(isinstance(leaf, GaussianRational) for leaf in memos)
 
 
@@ -2315,7 +2314,7 @@ def test_no_certificate_memo_holds_a_field(monkeypatch):
     for kind, degree in calls:
         _KERNELS[kind](T3, gaussian, degree, 1)
     assert products == []
-    memos = _leaves((cohomology._CERTIFIED, cohomology._PARTS))
+    memos = _leaves(cohomology_memos())
     assert memos and not any(isinstance(leaf, GaussianRational) for leaf in memos)
 
 
@@ -2404,7 +2403,7 @@ def test_a_memo_emptied_during_a_certificate_gives_the_same_answers(monkeypatch)
     monkeypatch.setattr(cohomology, "_MEMO_LIMIT", 3)
     for call, want in zip(calls, full):
         assert call() == want
-        assert len(cohomology._PARTS) <= 3 and len(cohomology._CERTIFIED) <= 3
+        assert all(len(memo) <= 3 for memo in cohomology_memos())
 
 
 def test_the_band_is_scanned_once_per_closed_form():
@@ -2493,3 +2492,103 @@ def test_map_certificate_splits_each_point_set_apart(monkeypatch):
     assert {_sides(key[0]) for key in cache} == {("F", "S"), ("F",), ("S",)}
     # d.d = 0 is checked on the coupled blocks and on the source side's own
     assert {_sides(key[0]) for key in cache if key[1] == model.op} == {("F", "S"), ("S",)}
+
+
+# -- warm calls ------------------------------------------------------------------
+
+
+def _warm_calls() -> list:
+    """One call per shape of the benchmark's band items: pair T4 N=1 and T3
+    N=2, Dolbeault on TC2, relative over a GL(2,Z) map, the doubling of T1,
+    an embedding and a projection, pair-eta and primed-eta; and the three
+    kernels at every degree of T2 N=2 on a resonant, a quiet, a
+    Gaussian-rational and an imaginary w = i v field or 1-form."""
+    t4, tc2 = torus(4), torus_complex(2)
+    holo = holomorphic_field(tc2, (const(tc2, gq(0, 1)), const(tc2, -1)))
+    calls = [partial(pair_complex, t4, constant_field(t4, (1, 0, 2, 0)), 1),
+             partial(pair_complex, T3, constant_field(T3, (0, -2, 1)), 2),
+             partial(dolbeault_complex, tc2, holo, 1, 1),
+             partial(pair_eta_complex, T3, coframe(T3, 0) * 2 + coframe(T3, 2), 2),
+             partial(primed_eta_complex, _torus_map("shear"), coframe(T2, 1) * gq("1/2"), 2)]
+    for rows, max_freq in ((((2, 1), (1, 1)), 3), (((-2,),), 2), (((0,), (1,)), 2),
+                           (((1, 0),), 2)):
+        cmap = ChartMap(torus(len(rows[0])), torus(len(rows)), matrix=rows)
+        calls.append(partial(relative_complex, cmap,
+                             constant_field(cmap.source, (1, -2)[:cmap.source.dim]), max_freq))
+    for coeffs in ((1, 2), (2, 2), (gq("1/2"), gq(0, 1)), (gq(0, 1), gq(0, 2))):
+        calls += [partial(_KERNELS[kind], T2, coeffs, p, 2) for kind in _KERNELS
+                  for p in range(4)]
+    return calls
+
+
+def _outcome(result):
+    """A band complex's label, dims, ranks and basis lengths; any other
+    result as it is (a `HarmonicKernel` with its vectors and witness)."""
+    if hasattr(result, "dims"):
+        return (result.label, result.dims, result.ranks,
+                {d: len(tags) for d, tags in result.basis.items()})
+    return result
+
+
+def test_warm_calls_equal_cold_calls():
+    """Each call of `_warm_calls` gives the same answer made first, repeated
+    with every memo warm, and made again after `clear_certificates`."""
+    calls = _warm_calls()
+    first = [_outcome(call()) for call in calls]
+    assert [_outcome(call()) for call in calls] == first
+    for call, want in zip(calls, first):
+        clear_certificates()
+        assert _outcome(call()) == want, call
+    witnesses = [out.witness for out in first if hasattr(out, "witness")]
+    assert any(witnesses) and None in witnesses
+
+
+def test_a_warm_repeat_builds_no_point_set(monkeypatch):
+    """Once every call of `_warm_calls` has run, the same calls construct no
+    `_Points`: verdicts and stacked matrices are read back by keys that no
+    point set is needed to form."""
+    from pairform.cohomology import _Points
+
+    calls = _warm_calls()
+    for call in calls:
+        call()
+    init, built = _Points.__init__, []
+
+    def counting(self, model, modes):
+        built.append(model.label)
+        init(self, model, modes)
+
+    monkeypatch.setattr(_Points, "__init__", counting)
+    for call in calls:
+        call()
+    assert built == []
+
+
+def test_stacked_matrices_stay_few_over_many_maps_and_fields():
+    """600 distinct torus maps through `relative_complex` and 600 distinct
+    fields through `harmonic_kernel` leave no memo above `_MEMO_LIMIT`
+    entries; the maps' rows fill `_CERTIFIED` up to it, while the stacked
+    matrices, keyed by chart and degree, stay few.  The memos that
+    `clear_certificates` empties are all the module's `_Memo`s."""
+    from pairform import cohomology
+
+    memos = [value for value in vars(cohomology).values() if isinstance(value, cohomology._Memo)]
+    assert sorted(map(id, memos)) == sorted(map(id, cohomology_memos()))
+    limit, most = cohomology._MEMO_LIMIT, {}
+
+    def measure():
+        for name in ("_CERTIFIED", "_PARTS", "_STACKED"):
+            most[name] = max(most.get(name, 0), len(getattr(cohomology, name)))
+
+    for m in range(2, 602):
+        cmap = ChartMap(T1, T1, matrix=((m,),))
+        assert relative_complex(cmap, constant_field(T1, (1,)), 1).dim_vector() == \
+            relative_predicted_dims(1, 1)
+        measure()
+    for m in range(1, 601):
+        u = constant_field(T2, (gq(1, m % 5), gq(m, -1)))
+        harmonic_kernel(T2, u, m % 4, 1 + m % 3)
+        harmonic_kernel(T2, constant_field(T2, (1, m)), m % 4, 1 + m % 3)
+        measure()
+    assert all(size <= limit for size in most.values()), most
+    assert most["_CERTIFIED"] == limit and 0 < most["_STACKED"] <= 4

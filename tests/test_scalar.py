@@ -445,6 +445,23 @@ def test_chart_map_keeps_int_matrix_rows_as_tuples():
     assert cmap.matrix == ((1, 1), (0, 1))
 
 
+def test_off_cube_frequencies_equal_the_streamed_images():
+    """`ChartMap.off_cube`, made per line of the target cube from the
+    interval of the line inside the source cube, is the set of A^T k off the
+    source cube over every k of the target cube, for random integer maps of
+    every shape up to 3 x 3, singular ones too, and N up to 3."""
+    import itertools
+
+    rng = random.Random(11)
+    for _ in range(200):
+        n, m, max_freq = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 3)
+        rows = tuple(tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(n))
+        cmap = ChartMap(torus(m), torus(n), matrix=rows)
+        cube = itertools.product(range(-max_freq, max_freq + 1), repeat=n)
+        assert cmap.off_cube(max_freq) == {k for k in map(cmap.pull, cube)
+                                           if max(map(abs, k)) > max_freq}, (rows, max_freq)
+
+
 # z_1 -> z_1 + (1 + i) z_2, z_2 -> z_2 on TC2, on the axes (x_1, x_2, y_1, y_2)
 GAUSSIAN_SHEAR = ((1, 1, 0, -1), (0, 1, 0, 0), (0, 1, 1, 1), (0, 0, 0, 1))
 
