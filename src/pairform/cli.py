@@ -250,8 +250,12 @@ def main(argv=None) -> int:
         print(f"internal invariant failed: {exc}", file=sys.stderr)
         return 3
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(report.to_json() + "\n")
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(report.to_json() + "\n")
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     if args.json:
         print(report.to_json())
     else:

@@ -24,14 +24,16 @@ counts it in closed form, from each side's mode count and each degree's
 index-set widths, and `harmonic_kernel` places a mode's columns by its rank
 in the band's cube; nothing lists the band to count or place it.  Only
 `_Model.basis` lists tags, for a block or, when a `BandComplex.basis`
-sequence is read, for a whole degree.  `_parts` writes
-an operator's block once for every mode and field, a Z[i] column matrix (see
-`linalg`) of linear forms (`_forms`) in 1, k_1, ..., k_n, Lambda for lambda
-and W_j for w_j; at Lambda = lambda(k) scale and W_j = w_j scale it is the
-band matrix times the model's one denominator `scale` (`_at`).
+sequence is read, for a whole degree.  A point set is a dict {side: its
+modes at k = 0, e_1, ..., e_n}, and `_parts` writes an operator's block on
+it once for every mode and field, a Z[i] column matrix (see `linalg`) of
+linear forms (`_forms`) in 1, k_1, ..., k_n, Lambda for lambda and W_j for
+w_j; at Lambda = lambda(k) scale and W_j = w_j scale it is the band matrix
+times the model's one denominator `scale` (`_at`).
 
 `_certify` checks D H + H D = q I with one product of such matrices per
-degree, whose entries are quadratic forms, against q's coefficients,
+degree, [D ; H] read as its two row blocks (`_row_blocks`) and never
+stacked, whose entries are quadratic forms, against q's coefficients,
 written straight down (`_closed`): a polynomial identity in (k, Lambda, W),
 so it holds on every mode of every band and for every field.  Every band
 model declares a contracting homotopy H (the codifferential, or dbar*, on
@@ -48,14 +50,15 @@ where only the joint kernel of the linear [pair_d ; pair_codiff] is taken,
 once per line through 0 (`_ray`).  No global matrix is built.
 
 No verdict depends on a field value.  Each is kept once it holds, in a
-bounded process-wide memo (`_Memo`) keyed by its point sets' `layout`,
-operators, closed form and degrees; so are the formal matrices and the
-joint kernel's stacked matrices, which hold no field value either, and
-each model counts its whole band per degree once (`_Model.size`).  A
-warm call, on a chart, map and degree already certified, builds no point
-set and takes no product of linear forms: it checks its inputs, a builder
-fills its ranks with their exactness checks, and `harmonic_kernel` takes
-one `zi_kernel` per resonant line and renders its witness.
+bounded process-wide memo (`_Memo`, `_CERTIFIED`) keyed by its point sets'
+`_layout`, operators, closed form and degrees; so are the formal matrices
+(`_PARTS`), keyed by layout and operator, which hold no field value
+either, and each model counts its whole band per degree once
+(`_Model.size`).  A warm call, on a chart, map and degree already
+certified, writes no matrix and takes no product of linear forms: it
+checks its inputs, a builder fills its ranks with their exactness checks,
+and `harmonic_kernel` evaluates [pair_d ; pair_codiff]'s row blocks and
+takes one `zi_kernel` per resonant line and renders its witness.
 
 Operators that mix frequencies (a pair differential twisted by a non-closed
 1-form) escape every finite band; such scenarios are rejected rather than
@@ -248,20 +251,14 @@ def _symbol(chart: Chart, kind: str, idx) -> list:
     return terms
 
 
-# (chart, p, kind, q) -> `_stencil`; no key holds a field, a band or a map
-_STENCILS = {}
-
-
+@lru_cache(maxsize=None)
 def _stencil(chart: Chart, p, kind: str, q: int) -> tuple:
     """`_symbol` of `kind` at every index set of `_sets(chart, p, q)`, each
     J replaced by its position in the target's index sets (None if it has
     none); derived once per process for each chart, p, kind and degree."""
-    key = chart, p, kind, q
-    if key not in _STENCILS:
-        at = {J: i for i, J in enumerate(_sets(chart, p, q + _STEP[kind]))}
-        _STENCILS[key] = tuple(tuple((at.get(J), s, j) for J, s, j in _symbol(chart, kind, idx))
-                               for idx in _sets(chart, p, q))
-    return _STENCILS[key]
+    at = {J: i for i, J in enumerate(_sets(chart, p, q + _STEP[kind]))}
+    return tuple(tuple((at.get(J), s, j) for J, s, j in _symbol(chart, kind, idx))
+                 for idx in _sets(chart, p, q))
 
 
 @dataclass
@@ -330,28 +327,15 @@ def _unit_modes(nvars: int) -> tuple:
 
 
 def _layout(model: "_Model", modes: dict) -> tuple:
-    """The `layout` of the point set of `modes`, {side: its modes at k = 0,
+    """The `layout` of a point set `modes`, {side: its modes at k = 0,
     e_1, ..., e_n}: p and each side's chart and modes."""
-    return model.p, tuple((side, model.charts[side], ks) for side, ks in modes.items())
-
-
-class _Points(list):
-    """The blocks {side: [mode]} of one `model` at k = 0, e_1, ..., e_n, from
-    {side: its modes there}, and their `_layout`."""
-
-    def __init__(self, model: "_Model", modes: dict):
-        super().__init__({side: [k] for side, k in zip(modes, ks)} for ks in zip(*modes.values()))
-        self.model, self.layout = model, _layout(model, modes)
+    charts = model.charts
+    return model.p, tuple([(side, charts[side], ks) for side, ks in modes.items()])
 
 
 def _units(model: "_Model") -> dict:
     """`_unit_modes` on every side, of a model whose operators keep modes."""
     return dict.fromkeys(model.charts, _unit_modes(model.charts["F"].nvars))
-
-
-def _unit_points(model: "_Model") -> _Points:
-    """The mode blocks of `_units`."""
-    return _Points(model, _units(model))
 
 
 def _value(coefficients: dict, k) -> tuple:
@@ -362,23 +346,24 @@ def _value(coefficients: dict, k) -> tuple:
     return re, im
 
 
-def _forms(points: _Points, side, dst_side, kind: str) -> tuple:
+def _forms(model: "_Model", modes: dict, side, dst_side, kind: str) -> tuple:
     """(inside, forms, k'(0)) of a symbol block of `kind` from `side` to
-    `dst_side` on `points`: whether its target mode k' is in the block at
-    every point, its c_j (`_symbol`) as formal linear forms, Lambda (index
-    n + 1) for lambda, W_j (n + 2 + j) for w_j and sigma_j (unit 1) composed
-    with M, the side's mode M k (A^T on a map's source side), and k' at 0."""
-    model, n = points.model, len(points) - 1
-    modes = tuple(block[side][0] for block in points)
-    targets = [model.pull(k) for k in modes] if kind == "pullback" else modes
-    inside = all(k in block.get(dst_side, ()) for block, k in zip(points, targets))
+    `dst_side` on the point set `modes`: whether its target mode k' is the
+    mode of `dst_side` at every point, its c_j (`_symbol`) as formal linear
+    forms, Lambda (index n + 1) for lambda, W_j (n + 2 + j) for w_j and
+    sigma_j (unit 1) composed with M, the side's mode M k (A^T on a map's
+    source side), and k' at 0."""
+    ks = modes[side]
+    n = len(ks) - 1
+    targets = tuple(map(model.pull, ks)) if kind == "pullback" else ks
+    inside = modes.get(dst_side) == targets
     if kind in ("lie", "pullback"):
         return inside, [{n + 1: (1, 0)}], targets[0]
     if kind in ("wedge", "interior"):
         return inside, [{n + 2 + j: (1, 0)} for j in range(model.charts[side].nslots)], targets[0]
     forms = _sigma_forms(model.charts[side], kind == "dbar*")
-    if modes != _unit_modes(n):
-        forms = [_composed(form, modes[1:]) for form in forms]
+    if ks != _unit_modes(n):
+        forms = [_composed(form, ks[1:]) for form in forms]
     return inside, forms, targets[0]
 
 
@@ -397,29 +382,28 @@ class _Memo(dict):
 
 # (layout, op, src, dst) -> `_parts`; no key or entry of any memo holds a field value
 _PARTS = _Memo()
-# (layout, degree, d_op, cod_op) -> a joint kernel's `_stacked_parts`
-_STACKED = _Memo()
 # the keys of the certificates that hold (`certified_ranks`, `_resonant`)
 _CERTIFIED = _Memo()
 
 
-def _parts(points: _Points, op, src: int, dst: int) -> list:
+def _parts(model: "_Model", modes: dict, op, src: int, dst: int) -> list:
     """The matrix of `op` from degree `src` to `dst` for every mode and field
-    on `points`: formal linear forms, each symbol block's `_forms` at the
-    rows of its `stencil`, two blocks' entries added; once per layout and
-    (op, src, dst) while `_PARTS` holds it."""
-    key = points.layout, op, src, dst
+    on the point set `modes`: formal linear forms, each symbol block's
+    `_forms` at the rows of its `stencil`, two blocks' entries added; once
+    per `_layout` and (op, src, dst) while `_PARTS` holds it."""
+    key = _layout(model, modes), op, src, dst
     cols = _PARTS.get(key)
     if cols is None:
-        model, cols = points.model, []
-        starts = model.starts(dst, points[0])     # the first row of each side
-        for side in points[0]:
+        cols = []
+        # the first row of each side in the block at k = 0
+        starts = model.starts(dst, {side: ks[:1] for side, ks in modes.items()})
+        for side in modes:
             q = src - _SHIFT[side]
             # per symbol block: its first row, sign, `_forms` and stencil
-            blocks = [(starts.get(dst_side), sign, *_forms(points, side, dst_side, kind),
+            blocks = [(starts.get(dst_side), sign, *_forms(model, modes, side, dst_side, kind),
                        model.stencil(side, kind, q))
                       for from_side, dst_side, sign, kind in op if from_side == side]
-            for c in range(model.size(src, {side: points[0][side]})):
+            for c in range(model.widths(src)[side]):
                 flat = {}         # (row, i) -> coefficient of variable i
                 for start, sign, inside, forms, row_k, stencil in blocks:
                     for pos, s, j in stencil[c]:
@@ -439,61 +423,56 @@ def _parts(points: _Points, op, src: int, dst: int) -> list:
     return cols
 
 
-def _stack(points: _Points, degree: int, d_op, cod_op) -> list:
-    """[D_p ; Cod_p] as `_parts`: the columns of D_p over those of Cod_p."""
-    shift = points.model.size(degree + 1, points[0])
-    return [{**up, **{r + shift: v for r, v in low.items()}} for up, low in zip(
-        _parts(points, d_op, degree, degree + 1), _parts(points, cod_op, degree, degree - 1))]
+def _row_blocks(model: "_Model", modes: dict, degree: int, d_op, cod_op) -> tuple:
+    """[D_p ; Cod_p] on `modes` as its row blocks (`_parts`, first row):
+    D_p's from row 0 and Cod_p's from D_p's row count, each side's
+    `widths` in degree p + 1; the two are never stacked into one matrix."""
+    return ((_parts(model, modes, d_op, degree, degree + 1), 0),
+            (_parts(model, modes, cod_op, degree, degree - 1),
+             sum(map(model.widths(degree + 1).get, modes))))
 
 
-def _stacked_parts(model: "_Model", degree: int, d_op, cod_op, points=None) -> list:
-    """`_stack` on the model's `_unit_points` (`points`, if given), once per
-    layout and (degree, d_op, cod_op) while `_STACKED` holds it, and read
-    back with no `_Points` built."""
-    key = _layout(model, _units(model)), degree, d_op, cod_op
-    stacked = _STACKED.get(key)
-    if stacked is None:
-        stacked = _STACKED[key] = _stack(points or _unit_points(model), degree, d_op, cod_op)
-    return stacked
-
-
-def _at(parts: list, point) -> list:
-    """The Z[i] column matrix M(point) of a matrix M of `_parts` forms,
-    `point` giving each variable's value as an int pair (the first is 1)."""
-    out = []
-    for col in parts:
-        out.append({})
-        for r, form in col.items():
-            re = im = 0
-            for i, (a, b) in form.items():
-                x, y = point[i]
-                re, im = re + a * x - b * y, im + a * y + b * x
-            if re or im:
-                out[-1][r] = re, im
+def _at(point, *blocks) -> list:
+    """The Z[i] column matrix M(point) of a matrix M of `_parts` forms
+    given as its row `blocks` (forms, first row), which share their
+    columns, `point` giving each variable's value as an int pair (the
+    first is 1)."""
+    out = [{} for _ in blocks[0][0]]
+    for parts, first in blocks:
+        for column, col in zip(out, parts):
+            for r, form in col.items():
+                re = im = 0
+                for i, (a, b) in form.items():
+                    x, y = point[i]
+                    re, im = re + a * x - b * y, im + a * y + b * x
+                if re or im:
+                    column[first + r] = re, im
     return out
 
 
-def _homogeneous(parts: list, points: _Points) -> bool:
-    """Whether the forms of `parts` on `points` are in k and Lambda only: M(t k) = t M(k)."""
-    return all(0 < i <= len(points) for col in parts for form in col.values() for i in form)
+def _homogeneous(parts: list, modes: dict) -> bool:
+    """Whether the forms of `parts` on the point set `modes` are in k and
+    Lambda only: M(t k) = t M(k)."""
+    points = len(next(iter(modes.values())))
+    return all(0 < i <= points for col in parts for form in col.values() for i in form)
 
 
-def _product(left: list, right: list) -> list:
-    """L R for two matrices of `_parts` forms, the rows of `right` indexing
+def _product(left: list, right) -> list:
+    """L R for two matrices of `_parts` forms, R given as its row blocks
+    (forms, first row), which share their columns, the rows of R indexing
     the columns of `left`: per column {row: quadratic form}, keyed (a, b),
     a <= b, for variables a and b (0 is 1); cancelled coefficients are kept."""
-    out = []
-    for col in right:
-        acc = {}
-        for mid, g in col.items():
-            for r, f in left[mid].items():
-                entry = acc.setdefault(r, {})
-                for a, (fa, fb) in f.items():
-                    for b, (ga, gb) in g.items():
-                        key = (a, b) if a <= b else (b, a)
-                        x, y = entry.get(key, (0, 0))
-                        entry[key] = x + fa * ga - fb * gb, y + fa * gb + fb * ga
-        out.append(acc)
+    out = [{} for _ in right[0][0]]
+    for parts, first in right:
+        for acc, col in zip(out, parts):
+            for mid, g in col.items():
+                for r, f in left[first + mid].items():
+                    entry = acc.setdefault(r, {})
+                    for a, (fa, fb) in f.items():
+                        for b, (ga, gb) in g.items():
+                            key = (a, b) if a <= b else (b, a)
+                            x, y = entry.get(key, (0, 0))
+                            entry[key] = x + fa * ga - fb * gb, y + fa * gb + fb * ga
     return out
 
 
@@ -511,11 +490,12 @@ def _closed(nvars: int, unit=1, squares=()) -> dict:
     return {key: c for key, c in out.items() if c != (0, 0)}
 
 
-def _parts_hold(left: list, right: list, coefficients: dict) -> bool:
+def _parts_hold(left: list, right, coefficients: dict) -> bool:
     """Whether L R = q I as polynomials, L and R given by their linear
-    forms (`_parts`) and q by its nonzero `coefficients` (`_closed`): the
-    quadratic form of each diagonal entry of the one `_product` is
-    `coefficients`, and that of every other entry vanishes."""
+    forms (`_parts`; R by its row blocks, as `_product` reads them) and q
+    by its nonzero `coefficients` (`_closed`): the quadratic form of each
+    diagonal entry of the one `_product` is `coefficients`, and that of
+    every other entry vanishes."""
     for c, col in enumerate(_product(left, right)):
         diagonal = col.pop(c, {})
         if any(v != (0, 0) for entry in col.values() for v in entry.values()) or \
@@ -524,16 +504,16 @@ def _parts_hold(left: list, right: list, coefficients: dict) -> bool:
     return True
 
 
-def _certify(points: _Points, d_op, h_op, coefficients: dict, degrees, stacked=None):
+def _certify(model: "_Model", modes: dict, d_op, h_op, coefficients: dict, degrees):
     """The lowest of `degrees` where D H + H D = [H | D] . [D ; H] is not
     q I (`_parts_hold`), D and H with symbol blocks `d_op` and `h_op`, q
-    with formal `coefficients` (`_closed`), on `points`; None if none.  One
-    product of linear forms is taken per degree.  [D ; H] at degree d is
-    `stacked(d)`, by default `_stack` on `points`."""
-    parts = partial(_parts, points)
-    stacked = stacked or partial(_stack, points, d_op=d_op, cod_op=h_op)
+    with formal `coefficients` (`_closed`), on the point set `modes`; None
+    if none.  One product of linear forms is taken per degree, [D ; H]
+    read as its `_row_blocks`."""
+    parts = partial(_parts, model, modes)
     return next((d for d in degrees if not _parts_hold(
-        parts(h_op, d + 1, d) + parts(d_op, d - 1, d), stacked(d), coefficients)), None)
+        parts(h_op, d + 1, d) + parts(d_op, d - 1, d),
+        _row_blocks(model, modes, d, d_op, h_op), coefficients)), None)
 
 
 class _Model:
@@ -673,10 +653,10 @@ class _Model:
         return {i: c for i, c in sorted(out.items()) if c != (0, 0)}
 
     def certificate(self) -> tuple:
-        """The point sets of `certified_ranks` as {side: modes} (`_Points`):
-        those D.D = 0 is checked on, the first led by the zero block, and
-        (modes, D, side) per piece with D H + H D = t(k) I, t the side's
-        (`_closed`); here `_unit_modes` on every side serve both."""
+        """The point sets of `certified_ranks`, each {side: its modes at 0,
+        e_1, ..., e_n}: those D.D = 0 is checked on, the first led by the
+        zero block, and (modes, D, side) per piece with D H + H D = t(k) I,
+        t the side's (`_closed`); here `_unit_modes` on every side serve both."""
         units = _units(self)
         return [units], [(units, self.op, "F")]
 
@@ -687,28 +667,27 @@ class _Model:
         Lambda (a W_j is constant), so it is zero on the zero block Z, every
         side at mode 0; Z splits off with rank 0, and every other column lies
         in an acyclic summand, where r_q = c_q - r_(q-1), c_q the columns
-        outside Z.  Checks and point sets run on a key's first use (`_CERTIFIED`);
-        the fill, on every call, must be exact: no r_q < 0, none past the top."""
+        outside Z.  The checks run on a key's first use (`_CERTIFIED`); the
+        fill, on every call, must be exact: no r_q < 0, none past the top."""
         checked, pieces = self.certificate()
         key = (tuple(_layout(self, m) for m in checked),
                tuple((_layout(self, m), d_op) for m, d_op, _ in pieces),
                self.op, self.homotopy, self.degrees)
         if key not in _CERTIFIED:
-            checked = [_Points(self, modes) for modes in checked]
-            pieces = [(_Points(self, modes), d_op, side) for modes, d_op, side in pieces]
             failed = []
-            for points in checked:
-                parts = [_parts(points, self.op, d, d + 1) for d in self.degrees[:-1]]
+            for modes in checked:
+                parts = [_parts(self, modes, self.op, d, d + 1) for d in self.degrees[:-1]]
                 failed += [d for d, low, high in zip(self.degrees, parts, parts[1:])
-                           if not _parts_hold(high, low, {})]
+                           if not _parts_hold(high, ((low, 0),), {})]
             if failed:
                 raise AssertionError(
                     f"differentials fail to compose to zero at degree {min(failed)}")
-            if not all(_homogeneous(_parts(checked[0], self.op, d, d + 1), checked[0])
+            if not all(_homogeneous(_parts(self, checked[0], self.op, d, d + 1), checked[0])
                        for d in self.degrees[:-1]):
                 raise AssertionError("differential does not vanish at mode 0")
-            broken = [_certify(points, d_op, self.homotopy, _closed(len(points) - 1),
-                               self.degrees[:-1]) for points, d_op, _ in pieces]
+            broken = [_certify(self, modes, d_op, self.homotopy,
+                               _closed(self.charts[side].nvars), self.degrees[:-1])
+                      for modes, d_op, side in pieces]
             broken = min((d for d in broken if d is not None), default=None)
             if broken is not None:
                 raise AssertionError(
@@ -957,29 +936,27 @@ def _resonant(model: _Model, degree: int, d_op, cod_op, message: str, lam_sign=N
               joint=False) -> list:
     """The blocks {side: [k]} of the band modes k of `model` where q(k) = 0
     (`_zeros`, the field's numbers put in), once `_certify` has found
-    Cod D + D Cod = q I at `degree` on its `_unit_points`, q formal:
+    Cod D + D Cod = q I at `degree` on its `_units`, q formal:
     |k|^2 + lam_sign Lambda^2 or, if lam_sign is None, |k|^2 + sum W_j^2
-    (AssertionError(message) if not), and for a `joint` kernel [D ; Cod]
-    `_homogeneous`.  That Laplacian is zero there and invertible elsewhere,
-    where both kernels are empty.  The verdict is keyed by the `_layout` of
-    `_units`, so the points are built on its first use only, where a
-    `joint` kernel's [D ; Cod] is stacked once (`_stacked_parts`) for both
-    checks."""
+    (AssertionError(message) if not), and for a `joint` kernel both row
+    blocks of [D ; Cod] `_homogeneous`.  That Laplacian is zero there and
+    invertible elsewhere, where both kernels are empty.  The verdict is
+    keyed by the `_layout` of `_units`, and the checks run on its first
+    use only."""
     n = model.charts["F"].nvars
     # (sign, formal f, f of the field's numbers) per square s f^2 of q
     if lam_sign is None:
         squares = [(1, {n + 2 + j: (1, 0)}, {0: w}) for j, w in enumerate(model.scaled_coeffs)]
     else:
         squares = [(lam_sign, {n + 1: (1, 0)}, model.lam_form)]
-    key = _layout(model, _units(model)), d_op, cod_op, lam_sign, joint, degree
+    units = _units(model)
+    key = _layout(model, units), d_op, cod_op, lam_sign, joint, degree
     if key not in _CERTIFIED:
-        points = _unit_points(model)
-        stacked = (_stacked_parts(model, degree, d_op, cod_op, points) if joint
-                   else _stack(points, degree, d_op, cod_op))
         formal = _closed(n, 1, [(s, f) for s, f, _ in squares])
-        if _certify(points, d_op, cod_op, formal, (degree,), lambda _: stacked) is not None:
+        if _certify(model, units, d_op, cod_op, formal, (degree,)) is not None:
             raise AssertionError(message)
-        if joint and not _homogeneous(stacked, points):
+        if joint and not all(_homogeneous(parts, units) for parts, _ in
+                             _row_blocks(model, units, degree, d_op, cod_op)):
             raise AssertionError("[pair_d ; pair_codiff] is not homogeneous in the mode")
         _CERTIFIED[key] = True
     modes = _zeros(n, model.max_freq, model.unit,
@@ -1002,19 +979,19 @@ def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) ->
     squared Lie derivative) on every mode at once, so its kernel is every basis
     column of the modes where the closed form vanishes (`_resonant`), and the
     joint kernel is taken on those modes only, on M = [pair_d ; pair_codiff],
-    certified `_homogeneous`: M(0) = 0, and `zi_kernel` (pivots set by nonzero
-    entries, vectors 1 at a non-pivot column) is the same on a line through 0,
-    so M is eliminated once per line, at its `_ray`.  Both kernels are in
+    read as its two `_row_blocks` and certified `_homogeneous`: M(0) = 0,
+    and `zi_kernel` (pivots set by nonzero entries, vectors 1 at a non-pivot
+    column) is the same on a line through 0, so M is eliminated once per
+    line, at its `_ray`.  Both kernels are in
     global basis order, each block's columns placed by its side's `starts`
     and its mode's `_rank`.  They agree exactly when no nonzero band mode k
     has |k|^2 = <k, U>^2; the verdict is part of the result, and the witness
     is the first Laplacian kernel column outside the joint kernel.
 
     A warm call, on a chart and degree already certified, reads the
-    verdict and the stacked M back from their memos and builds no point
-    set.  It still checks its inputs, places the resonant modes' columns,
-    runs one `zi_kernel` per resonant line of its own field and renders
-    its witness.
+    verdict and M's row blocks back from their memos.  It still checks its
+    inputs, places the resonant modes' columns, runs one `zi_kernel` per
+    resonant line of its own field and renders its witness.
     """
     _require_degree(degree)
     model = _PairModel(chart, u, max_freq)
@@ -1033,16 +1010,16 @@ def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) ->
             rays.setdefault(_ray(k), []).append(glob)
         else:
             joint += [(g, {g: ONE}) for g in glob]   # M(0) = 0
-    parts = _stacked_parts(model, degree, _PAIR_D, _PAIR_CODIFF) if rays else None
+    rows = _row_blocks(model, _units(model), degree, _PAIR_D, _PAIR_CODIFF) if rays else ()
     for ray, globs in rays.items():
         # at unit ray and Lambda = lambda(ray) scale, the forms are scale M(ray)
         lam = tuple(sum(c[t] * ray[i - 1] for i, c in model.lam_form.items()) for t in (0, 1))
-        stacked = _at(parts, [(1, 0)] + [(model.unit * v, 0) for v in ray] + [lam])
+        m = _at([(1, 0)] + [(model.unit * v, 0) for v in ray] + [lam], *rows)
         # (first column of the vector's group, vector) per kernel vector
-        kernel = [(first, vec) for first, vectors in zi_kernel(stacked) for vec in vectors]
+        kernel = [(first, vec) for first, vectors in zi_kernel(m) for vec in vectors]
         for glob in globs:
             joint += [(glob[first], {glob[c]: v for c, v in vec.items()}) for first, vec in kernel]
-            live.update(g for g, col in zip(glob, stacked) if col)
+            live.update(g for g, col in zip(glob, m) if col)
     lap.sort(key=lambda entry: entry[0])
     joint.sort(key=lambda entry: entry[0])
     witness = next((_render_vector(model, model.basis(degree, block)[c])

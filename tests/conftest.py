@@ -1,5 +1,5 @@
 """Every test starts with the band certificates unproved: the process-wide
-memos of `pairform.cohomology` (verdicts, formal and stacked matrices) are
+memos of `pairform.cohomology` (verdicts and formal matrices) are
 emptied before it runs, so no test reads a value an earlier test left
 behind."""
 

@@ -37,23 +37,14 @@ def zero_pair(chart, degree: int) -> PairForm:
 
 
 def cohomology_memos() -> tuple:
-    """Every process-wide `_Memo` of `pairform.cohomology`: band verdicts,
-    formal matrices and joint kernels' stacked matrices."""
+    """Every process-wide `_Memo` of `pairform.cohomology`: band verdicts
+    and formal matrices."""
     from pairform import cohomology
 
-    return cohomology._CERTIFIED, cohomology._PARTS, cohomology._STACKED
+    return cohomology._CERTIFIED, cohomology._PARTS
 
 
 def clear_certificates() -> None:
     """Empty every process-wide `_Memo` of `pairform.cohomology`."""
     for memo in cohomology_memos():
         memo.clear()
-
-
-def certificate_points(model) -> tuple:
-    """`model.certificate()` with each point set's modes as its `_Points`."""
-    from pairform.cohomology import _Points
-
-    checked, pieces = model.certificate()
-    return ([_Points(model, modes) for modes in checked],
-            [(_Points(model, modes), d_op, side) for modes, d_op, side in pieces])

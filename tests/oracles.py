@@ -486,14 +486,13 @@ def symbol_forms(model, side, kind: str, rows=None) -> list:
             for form in _sigma_forms(model.charts[side], kind == "dbar*")]
 
 
-def sampled_forms(points, side, dst_side, kind: str) -> tuple:
+def sampled_forms(model, modes, side, dst_side, kind: str) -> tuple:
     """(inside, forms, k'(0)) as `cohomology._forms` gives them, read off
-    the symbol's values at the blocks `points` of 0 and e_i instead: each
-    c_j at each block's own mode of `side` (`symbol_values`), and its
+    the symbol's values at the point set `modes` of 0 and e_i instead: each
+    c_j at each point's own mode of `side` (`symbol_values`), and its
     `linear` form through those n + 1 values."""
-    model = points.model
-    read = [symbol_values(model, side, kind, block[side][0]) for block in points]
-    inside = all(k in block.get(dst_side, ()) for block, (k, _) in zip(points, read))
+    read = [symbol_values(model, side, kind, k) for k in modes[side]]
+    inside = dst_side in modes and all(k == m for (k, _), m in zip(read, modes[dst_side]))
     return inside, [linear(c) for c in zip(*(c for _, c in read))], read[0][0]
 
 

@@ -151,6 +151,17 @@ def test_out_writes_report(tmp_path, capsys):
     assert all(c["verdict"] == "pass" for c in payload["checks"])
 
 
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_out_that_cannot_be_written_is_a_usage_error(where, tmp_path, capsys):
+    path = tmp_path / "no" / "such" / "r.json" if where == "missing" else tmp_path
+    code = main(["cohomology", "--dim", "1", "--max-freq", "1", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write --out ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_nonconstant_custom_field_reported_unsupported(capsys):
     for argv, skipped in (
             (["cohomology", "--dim", "2", "--field", "e(1,0); 0", "--max-freq", "1"],

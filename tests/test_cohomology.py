@@ -32,7 +32,7 @@ from pairform.randgen import random_gl_matrix
 from pairform.rationals import gq
 from pairform.scalar import ChartMap, const, identity_map, sin_wave
 
-from helpers import certificate_points, clear_certificates, cohomology_memos
+from helpers import clear_certificates, cohomology_memos
 from oracles import (
     all_blocks_harmonic,
     all_blocks_kernel_dim,
@@ -946,6 +946,7 @@ def test_holds_checks_every_coefficient_of_a_product():
                 products = [_zi_mul(x, y) for x, y in zip(at(l_parts, k), at(r_parts, k))]
                 return sum(a for a, _ in products) + extra(k), sum(b for _, b in products)
 
+            right = ((right, 0),)     # one row block from row 0
             assert _parts_hold(left, right, sampled_coefficients(value, n))
             extras = [lambda k: k[0], lambda k: k[-1] ** 2] + (
                 [lambda k: k[0] * k[1]] if n > 1 else [])
@@ -1031,7 +1032,7 @@ def _linear_part_cases():
         _RelativeModel,
         _TWISTED_CODIFF,
         _TWISTED_D,
-        _unit_points,
+        _units,
     )
 
     t3, tc2 = torus(3), torus_complex(2)
@@ -1048,48 +1049,55 @@ def _linear_part_cases():
         models[f"dolbeault p={p}"] = _DolbeaultModel(tc2, holo, p, 1)
     cases = []
     for name, model in models.items():
-        checked, pieces = certificate_points(model)
-        cases += [(name, points, model.op) for points in checked]
-        cases += [(name, points, op) for points, d_op, _ in pieces
+        checked, pieces = model.certificate()
+        cases += [(name, model, modes, model.op) for modes in checked]
+        cases += [(name, model, modes, op) for modes, d_op, _ in pieces
                   for op in (d_op, model.homotopy)]
     twisted = _DeRhamModel(t3, 1, coframe(t3, 0) * gq(2, -1) + coframe(t3, 2) * gq("2/3"))
     for model, ops in ((pair, (_PAIR_CODIFF, _PAIR_CODIFF_SKEW)),
                        (twisted, (_TWISTED_D, _TWISTED_CODIFF))):
-        points = _unit_points(model)
-        cases += [(f"kernel {model.label}", points, op) for op in ops]
+        cases += [(f"kernel {model.label}", model, _units(model), op) for op in ops]
     return cases
 
 
-def _mode_at(points, side, k):
+def _nvars(modes) -> int:
+    """The n of a point set {side: its modes at 0, e_1, ..., e_n}."""
+    return len(next(iter(modes.values()))) - 1
+
+
+def _point_blocks(modes) -> list:
+    """The blocks {side: [mode]} of a point set, one per point 0, e_1, ..., e_n."""
+    return [{side: [k] for side, k in zip(modes, ks)} for ks in zip(*modes.values())]
+
+
+def _mode_at(modes, side, k):
     """The mode of `side` at k on a point set whose modes are linear in k:
-    m(0) + sum k_i (m(e_i) - m(0)), m(e_i) the mode on `points[i]`."""
-    zero = points[0][side][0]
-    return tuple(z + sum(v * (b[side][0][t] - z) for v, b in zip(k, points[1:]))
-                 for t, z in enumerate(zero))
+    m(0) + sum k_i (m(e_i) - m(0)), m(e_i) the mode of `side` at e_i."""
+    zero, *units = modes[side]
+    return tuple(z + sum(v * (u[t] - z) for v, u in zip(k, units)) for t, z in enumerate(zero))
 
 
-def _field_values(points, kind="lie"):
+def _field_values(model, modes, kind="lie"):
     """{variable: linear form in the points' k} that the formal variables of
-    `_parts` on `points` stand for, times `scale`: 1, unit * k_i, Lambda =
-    lambda of the side "S" mode (A^T k on a map's source side next to its
-    target modes), or of the pullback's target mode, and W_j = w_j."""
+    `_parts` on the point set `modes` stand for, times `scale`: 1, unit * k_i,
+    Lambda = lambda of the side "S" mode (A^T k on a map's source side next
+    to its target modes), or of the pullback's target mode, and W_j = w_j."""
     from pairform.cohomology import _composed
 
-    model, n = points.model, len(points) - 1
-    lam = {}
+    n, lam = _nvars(modes), {}
     if kind == "pullback":
-        lam = _composed(model.lam_form, [model.pull(b["F"][0]) for b in points[1:]])
-    elif "S" in points[0]:
-        lam = _composed(model.lam_form, [b["S"][0] for b in points[1:]])
+        lam = _composed(model.lam_form, [model.pull(k) for k in modes["F"][1:]])
+    elif "S" in modes:
+        lam = _composed(model.lam_form, modes["S"][1:])
     return {0: {0: (1, 0)}, **{i: {i: (model.unit, 0)} for i in range(1, n + 1)},
             n + 1: lam, **{n + 2 + j: {0: w} for j, w in enumerate(model.scaled_coeffs)}}
 
 
-def _substituted(points, form, kind) -> dict:
+def _substituted(model, modes, form, kind) -> dict:
     """The formal linear form of a symbol block of `kind` with each variable
     replaced by what it stands for (`_field_values`): a linear form in the
     points' k, zeros left out."""
-    values, out = _field_values(points, kind), {}
+    values, out = _field_values(model, modes, kind), {}
     for i, (a, b) in form.items():
         for t, (x, y) in values[i].items():
             re, im = out.get(t, (0, 0))
@@ -1097,9 +1105,10 @@ def _substituted(points, form, kind) -> dict:
     return {t: v for t, v in out.items() if v != (0, 0)}
 
 
-def _formal_point(points, k) -> list:
-    """The value of each formal variable of `_parts` on `points` at mode k."""
-    values = _field_values(points)
+def _formal_point(model, modes, k) -> list:
+    """The value of each formal variable of `_parts` on the point set
+    `modes` at mode k."""
+    values = _field_values(model, modes)
     return [tuple(sum(c[t] * ((1,) + tuple(k))[i] for i, c in values[v].items()) for t in (0, 1))
             for v in range(len(values))]
 
@@ -1115,18 +1124,75 @@ def test_linear_parts_equal_the_per_mode_blocks_off_the_unit_modes():
     rng = random.Random(18)
     cases = _linear_part_cases()
     assert len({name for name, *_ in cases}) == 14
-    for name, points, op in cases:
+    for name, model, modes, op in cases:
         step, entries = _STEP[op[0][3]], 0
         for _ in range(20):
-            k = tuple(rng.randint(-3, 3) for _ in points[1:])
-            block = ModeBlock(points.model,
-                              {side: [_mode_at(points, side, k)] for side in points[0]})
-            for d in points.model.degrees:
+            k = tuple(rng.randint(-3, 3) for _ in range(_nvars(modes)))
+            block = ModeBlock(model, {side: [_mode_at(modes, side, k)] for side in modes})
+            for d in model.degrees:
                 mat = block.matrix(op, d, d + step)
-                assert _at(_parts(points, op, d, d + step), _formal_point(points, k)) == mat, \
-                    (name, op, d, k)
+                assert _at(_formal_point(model, modes, k),
+                           (_parts(model, modes, op, d, d + step), 0)) == mat, (name, op, d, k)
                 entries += sum(map(len, mat))
         assert entries, (name, op)   # the case is not vacuous
+
+
+def test_row_blocks_equal_the_stacked_matrix():
+    """[D ; Cod] read as its two `_parts` row blocks, Cod's from D's row
+    count (`_row_blocks`), is the matrix stacked here: at seeded random
+    values of every formal variable `_at` of the blocks equals `_at` of the
+    stack, and `_product` with the blocks equals `_product` with the stack,
+    for a pair model with both kernels' codifferentials, a twisted de Rham
+    model, a Dolbeault model and a relative model over the GL(3,Z) map, with
+    their homotopies on every point set of their certificates, at every
+    degree."""
+    from pairform.cohomology import (
+        _DeRhamModel,
+        _DolbeaultModel,
+        _PAIR_CODIFF,
+        _PAIR_CODIFF_SKEW,
+        _PairModel,
+        _RelativeModel,
+        _TWISTED_CODIFF,
+        _TWISTED_D,
+        _at,
+        _parts,
+        _product,
+        _row_blocks,
+        _units,
+    )
+
+    tc2, cmap = torus_complex(2), _torus_map("GL(3,Z)")
+    holo = holomorphic_field(tc2, (const(tc2, gq(1, 1)), const(tc2, gq("1/3"))))
+    pair = _PairModel(T3, constant_field(T3, (1, gq("1/2"), 0)), 1)
+    twisted = _DeRhamModel(T3, 1, coframe(T3, 0) * gq(2, -1) + coframe(T3, 2) * gq("2/3"))
+    cases = [(pair, _units(pair), pair.op, cod) for cod in (_PAIR_CODIFF, _PAIR_CODIFF_SKEW)]
+    cases.append((twisted, _units(twisted), _TWISTED_D, _TWISTED_CODIFF))
+    for model in (_DolbeaultModel(tc2, holo, 1, 1),
+                  _RelativeModel(cmap, constant_field(cmap.source, (1, 2, 0)), 1)):
+        checked, pieces = model.certificate()
+        cases += [(model, modes, model.op, model.homotopy) for modes in checked]
+        cases += [(model, modes, d_op, model.homotopy) for modes, d_op, _ in pieces]
+    rng, both = random.Random(27), set()
+    for model, modes, d_op, cod_op in cases:
+        zero = _point_blocks(modes)[0]
+        nvars = _nvars(modes) + 2 + max(chart.nslots for chart in model.charts.values())
+        for d in model.degrees[:-1]:
+            top, low = _parts(model, modes, d_op, d, d + 1), _parts(model, modes, cod_op, d, d - 1)
+            shift = model.size(d + 1, zero)
+            assert all(r < shift for col in top for r in col)
+            assert _row_blocks(model, modes, d, d_op, cod_op) == ((top, 0), (low, shift))
+            stack = [{**up, **{r + shift: v for r, v in down.items()}}
+                     for up, down in zip(top, low)]
+            point = [(1, 0)] + [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(nvars)]
+            assert _at(point, (top, 0), (low, shift)) == _at(point, (stack, 0)), (model.label, d)
+            left = (_parts(model, modes, cod_op, d + 1, d)
+                    + _parts(model, modes, d_op, d - 1, d))
+            assert _product(left, ((top, 0), (low, shift))) == _product(left, ((stack, 0),)), \
+                (model.label, d)
+            if any(top) and any(low):
+                both.add(model.label)
+    assert len(both) == 4        # every model has a degree with rows in both blocks
 
 
 def _forms_models():
@@ -1189,15 +1255,16 @@ def test_symbol_forms_are_the_sampled_forms():
 
     kinds, composed, units = set(), 0, set()
     for model, ops, rows in _forms_models():
-        checked, pieces = certificate_points(model)
-        for points in checked + [points for points, _, _ in pieces]:
+        checked, pieces = model.certificate()
+        for modes in checked + [modes for modes, _, _ in pieces]:
             for side, dst_side, _, kind in set(ops):
-                if side not in points[0]:
+                if side not in modes:
                     continue
-                inside, forms, target = _forms(points, side, dst_side, kind)
-                got = [_substituted(points, form, kind) for form in forms]
-                assert (inside, got, target) == sampled_forms(points, side, dst_side, kind), \
-                    (model.label, tuple(points[0]), side, kind)
+                inside, forms, target = _forms(model, modes, side, dst_side, kind)
+                got = [_substituted(model, modes, form, kind) for form in forms]
+                assert (inside, got, target) == \
+                    sampled_forms(model, modes, side, dst_side, kind), \
+                    (model.label, tuple(modes), side, kind)
                 kinds.add(kind)
                 composed += got != symbol_forms(model, side, kind, rows)
         units.add(model.unit)
@@ -1226,16 +1293,19 @@ def test_stencils_are_derived_once_per_chart_kind_and_degree(monkeypatch):
             assert [[(None if pos is None else targets[pos], s, j) for pos, s, j in terms]
                     for terms in _stencil(chart, p, kind, q)] == expected, (chart, p, kind, q)
 
-    monkeypatch.setattr(cohomology, "_STENCILS", {})
-    symbol, derived = cohomology._symbol, []
+    _stencil.cache_clear()
+    symbol, derived, reads = cohomology._symbol, [], []
     monkeypatch.setattr(cohomology, "_symbol",
                         lambda *args: derived.append(args) or symbol(*args))
+    monkeypatch.setattr(cohomology, "_stencil",
+                        lambda *key: reads.append((key, _stencil(*key))) or reads[-1][1])
     _PairModel(T3, constant_field(T3, (1, 2, 0)), 1).certified_ranks()
-    entries, first = dict(cohomology._STENCILS), len(derived)
+    entries, first, info = dict(reads), len(derived), _stencil.cache_info()
+    assert info.misses == info.currsize == len(entries)     # each key derived once
     _PairModel(T3, constant_field(T3, (gq("1/2"), gq(0, 1), 0)), 1).certified_ranks()
     assert first and len(derived) == first
-    assert cohomology._STENCILS.keys() == entries.keys()
-    assert all(cohomology._STENCILS[key] is entry for key, entry in entries.items())
+    assert _stencil.cache_info()[1:] == info[1:]        # no miss, no new entry
+    assert all(_stencil(*key) is entry for key, entry in entries.items())
 
     assert {type(leaf) for leaf in _leaves(entries)} <= {Chart, str, int, type(None)}
 
@@ -1330,12 +1400,12 @@ def test_coefficient_certificate_agrees_with_the_point_set_certificate(chart):
     1 + 2n + C(n, 2) modes 0, +-e_i and e_i + e_j gives, and
     `certified_ranks` fails as that check does, for the certified
     identities and for broken operators."""
-    from pairform.cohomology import _certify, _unit_points
+    from pairform.cohomology import _certify, _units
 
     verdicts = set()
     for model, d_op, h_op, value, formal, degrees, homotopy in _certificate_cases(chart):
         broken = point_set_certify(model, d_op, h_op, value, degrees)
-        assert _certify(_unit_points(model), d_op, h_op, formal, degrees) == broken
+        assert _certify(model, _units(model), d_op, h_op, formal, degrees) == broken
         verdicts.add(broken is None)
         if not homotopy:
             continue          # `_resonant` raises on the verdict
@@ -1528,17 +1598,17 @@ def test_map_certificate_reaches_every_side_at_every_unit_mode(name):
     models = (_RelativeModel(cmap, constant_field(cmap.source, (1, 2)[:cmap.source.dim]), 1),
               _PrimedEtaModel(cmap, coframe(cmap.target, 0), 1))
     for model in models:
-        checked, pieces = certificate_points(model)
+        checked, pieces = model.certificate()
         zero = {side: [(0,) * chart.nvars] for side, chart in model.charts.items()}
-        assert checked[0][0] == zero
+        assert _point_blocks(checked[0])[0] == zero
         for side, chart in model.charts.items():
-            units = [[k] for k in _unit_modes(chart.nvars)]
-            assert any([b.get(side) for b in points] == units for points in checked)
-            (own,) = [points for points, _, s in pieces if s == side]
-            assert own == [{side: k} for k in units]
+            units = _unit_modes(chart.nvars)
+            assert any(modes.get(side) == units for modes in checked)
+            (own,) = [modes for modes, _, s in pieces if s == side]
+            assert own == {side: units}
 
 def _layout_cases():
-    """(model, modes dicts, [(points, op, step)]) for every layout the
+    """(model, modes dicts, [(point set, op, step)]) for every layout the
     library numbers: pair (resonant on the k_1 axis), de Rham, twisted de
     Rham (w = i dx^1, resonant on |k| = 1) and pair-eta on T2; relative and
     primed over the zero T2->T1 map, the GL(3,Z) map and the T1->T2
@@ -1558,7 +1628,7 @@ def _layout_cases():
         _TWISTED_CODIFF,
         _TWISTED_D,
         _resonant,
-        _unit_points,
+        _units,
     )
 
     tc2 = torus_complex(2)
@@ -1577,16 +1647,16 @@ def _layout_cases():
                twisted: [(_TWISTED_D, _TWISTED_CODIFF, None, 4)]}
     out = []
     for model in models:
-        checked, pieces = certificate_points(model)
-        dicts = [None, checked[0][0]]
-        dicts += [block for points in checked + [points for points, _, _ in pieces]
-                  for block in points]
-        ops = [(points, model.op, 1) for points in checked]
-        ops += [(points, op, step) for points, d_op, _ in pieces
+        checked, pieces = model.certificate()
+        dicts = [None, _point_blocks(checked[0])[0]]
+        dicts += [block for modes in checked + [modes for modes, _, _ in pieces]
+                  for block in _point_blocks(modes)]
+        ops = [(modes, model.op, 1) for modes in checked]
+        ops += [(modes, op, step) for modes, d_op, _ in pieces
                 for op, step in ((d_op, 1), (model.homotopy, -1))]
         for d_op, cod_op, sign, count in kernels.get(model, ()):
-            points = _unit_points(model)
-            ops += [(points, d_op, 1), (points, cod_op, -1)]
+            units = _units(model)
+            ops += [(units, d_op, 1), (units, cod_op, -1)]
             blocks = [block for d in model.degrees
                       for block in _resonant(model, d, d_op, cod_op, "kernel", sign)]
             assert len(blocks) == count * len(model.degrees), (model.label, cod_op)
@@ -1600,7 +1670,8 @@ def test_every_count_follows_the_layout_rule():
     then index sets, and `starts` counts them, for every modes dict the
     library uses (`_layout_cases`).  The per-mode bases, joined in `modes`
     order, are the whole band's basis, and `_parts` on a point set has
-    `size(s, points[0])` columns and rows below `size(t, points[0])`."""
+    `size(s, zero)` columns and rows below `size(t, zero)`, zero its block
+    at k = 0."""
     from pairform.cohomology import _parts
 
     for model, dicts, ops in _layout_cases():
@@ -1619,11 +1690,12 @@ def test_every_count_follows_the_layout_rule():
                     before = sum(order.index(s) < order.index(side) for s in sides)
                     assert starts[side] == before, (model.label, d, modes, side)
                     assert side not in sides or sides[before] == side
-        for points, op, step in ops:
+        for modes, op, step in ops:
+            zero = _point_blocks(modes)[0]
             for s in model.degrees:
-                cols = _parts(points, op, s, s + step)
-                assert len(cols) == model.size(s, points[0]), (model.label, op, s)
-                assert all(r < model.size(s + step, points[0]) for col in cols for r in col), \
+                cols = _parts(model, modes, op, s, s + step)
+                assert len(cols) == model.size(s, zero), (model.label, op, s)
+                assert all(r < model.size(s + step, zero) for col in cols for r in col), \
                     (model.label, op, s)
 
 
@@ -1917,7 +1989,7 @@ def test_certified_builders_eliminate_the_zero_mode_only(monkeypatch):
     certified_ranks = cohomology._Model.certified_ranks
 
     def recording(model):
-        seen.append(certificate_points(model)[0][0][0])
+        seen.append(_point_blocks(model.certificate()[0][0])[0])
         return certified_ranks(model)
 
     monkeypatch.setattr(linalg, "zi_rank", refuse)
@@ -2145,9 +2217,9 @@ def _counting_certify(monkeypatch) -> list:
 
     certify, seen = cohomology._certify, []
 
-    def counting(points, d_op, h_op, coefficients, degrees, *stacked):
+    def counting(model, modes, d_op, h_op, coefficients, degrees):
         seen.append(degrees)
-        return certify(points, d_op, h_op, coefficients, degrees, *stacked)
+        return certify(model, modes, d_op, h_op, coefficients, degrees)
 
     monkeypatch.setattr(cohomology, "_certify", counting)
     return seen
@@ -2333,23 +2405,25 @@ def test_a_wrong_formal_closed_form_fails_at_every_degree(n):
         _TWISTED_D,
         _certify,
         _closed,
-        _unit_points,
+        _units,
     )
 
     chart = torus(n)
-    pair = _unit_points(_PairModel(chart, constant_field(chart, (1,) * n), 1))
-    twisted = _unit_points(_DeRhamModel(chart, 1, _one_form(chart, (1,) * n)))
+    pair = _PairModel(chart, constant_field(chart, (1,) * n), 1)
+    twisted = _DeRhamModel(chart, 1, _one_form(chart, (1,) * n))
+    pair, twisted = (pair, _units(pair)), (twisted, _units(twisted))   # (model, point set)
     squares = [(1, {n + 2 + j: (1, 0)}) for j in range(n)]
     for d in range(n + 2):
         for sign in (1, -1):
             closed = _closed(n, 1, [(sign, {n + 1: (1, 0)})])
-            assert _certify(pair, _PAIR_D, _PAIR_CODIFF, closed, (d,)) == \
+            assert _certify(*pair, _PAIR_D, _PAIR_CODIFF, closed, (d,)) == \
                 (None if sign > 0 else d), (d, sign)
     for d in range(n + 1):
-        assert _certify(twisted, _TWISTED_D, _TWISTED_CODIFF, _closed(n, 1, squares), (d,)) is None
+        assert _certify(*twisted, _TWISTED_D, _TWISTED_CODIFF, _closed(n, 1, squares),
+                        (d,)) is None
         for j in range(n):
             dropped = _closed(n, 1, squares[:j] + squares[j + 1:])
-            assert _certify(twisted, _TWISTED_D, _TWISTED_CODIFF, dropped, (d,)) == d, (d, j)
+            assert _certify(*twisted, _TWISTED_D, _TWISTED_CODIFF, dropped, (d,)) == d, (d, j)
 
 
 def test_relative_complexes_over_two_maps_certify_twice(monkeypatch):
@@ -2440,11 +2514,11 @@ def _counting_parts(monkeypatch) -> list:
 
     parts, built = cohomology._parts, []
 
-    def counting(points, op, src, dst):
-        key = points.layout, op, src, dst
+    def counting(model, modes, op, src, dst):
+        key = cohomology._layout(model, modes), op, src, dst
         if key not in cohomology._PARTS:
             built.append(key)
-        return parts(points, op, src, dst)
+        return parts(model, modes, op, src, dst)
 
     monkeypatch.setattr(cohomology, "_parts", counting)
     return built
@@ -2544,21 +2618,17 @@ def test_warm_calls_equal_cold_calls():
 
 
 def test_a_warm_repeat_builds_no_point_set(monkeypatch):
-    """Once every call of `_warm_calls` has run, the same calls construct no
-    `_Points`: verdicts and stacked matrices are read back by keys that no
-    point set is needed to form."""
-    from pairform.cohomology import _Points
+    """Once every call of `_warm_calls` has run, the same calls write down no
+    symbol block's forms (`_forms`): verdicts and formal matrices are read
+    back by keys that no point set's forms are needed to form."""
+    from pairform import cohomology
 
     calls = _warm_calls()
     for call in calls:
         call()
-    init, built = _Points.__init__, []
-
-    def counting(self, model, modes):
-        built.append(model.label)
-        init(self, model, modes)
-
-    monkeypatch.setattr(_Points, "__init__", counting)
+    forms, built = cohomology._forms, []
+    monkeypatch.setattr(cohomology, "_forms",
+                        lambda model, *args: built.append(model.label) or forms(model, *args))
     for call in calls:
         call()
     assert built == []
@@ -2567,17 +2637,19 @@ def test_a_warm_repeat_builds_no_point_set(monkeypatch):
 def test_stacked_matrices_stay_few_over_many_maps_and_fields():
     """600 distinct torus maps through `relative_complex` and 600 distinct
     fields through `harmonic_kernel` leave no memo above `_MEMO_LIMIT`
-    entries; the maps' rows fill `_CERTIFIED` up to it, while the stacked
-    matrices, keyed by chart and degree, stay few.  The memos that
-    `clear_certificates` empties are all the module's `_Memo`s."""
+    entries, and the maps' rows fill `_CERTIFIED` up to it.  The memos that
+    `clear_certificates` empties are all the module's `_Memo`s, and none of
+    them is a store of stacked matrices: [pair_d ; pair_codiff] is read as
+    the row blocks `_PARTS` holds."""
     from pairform import cohomology
 
     memos = [value for value in vars(cohomology).values() if isinstance(value, cohomology._Memo)]
     assert sorted(map(id, memos)) == sorted(map(id, cohomology_memos()))
+    assert not [name for name in vars(cohomology) if "stack" in name.lower()]
     limit, most = cohomology._MEMO_LIMIT, {}
 
     def measure():
-        for name in ("_CERTIFIED", "_PARTS", "_STACKED"):
+        for name in ("_CERTIFIED", "_PARTS"):
             most[name] = max(most.get(name, 0), len(getattr(cohomology, name)))
 
     for m in range(2, 602):
@@ -2591,4 +2663,4 @@ def test_stacked_matrices_stay_few_over_many_maps_and_fields():
         harmonic_kernel(T2, constant_field(T2, (1, m)), m % 4, 1 + m % 3)
         measure()
     assert all(size <= limit for size in most.values()), most
-    assert most["_CERTIFIED"] == limit and 0 < most["_STACKED"] <= 4
+    assert most["_CERTIFIED"] == limit and 0 < most["_PARTS"] <= limit
