@@ -21,6 +21,8 @@ therefore exit 1 while every constructive check passes.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import re
 import sys
 import time
@@ -209,6 +211,12 @@ def _check_args(args):
         where = "'relative' without --map" if args.kind == "relative" else "'dolbeault'"
         raise ValueError(f"--max-freq is not used by {where} beyond 1: it runs the band "
                          f"N=1 only, got {args.max_freq}")
+    # --out is opened after the run, and a run that fails creates no file: a
+    # directory or a missing parent directory is refused before the run
+    if args.out and (os.path.isdir(args.out)
+                     or not os.path.isdir(os.path.dirname(args.out) or ".")):
+        reason = os.strerror(errno.EISDIR if os.path.isdir(args.out) else errno.ENOENT)
+        raise ValueError(f"cannot write --out {args.out}: {reason}")
 
 
 def scenario_from_args(args) -> dict:

@@ -38,16 +38,17 @@ written straight down (`_closed`): a polynomial identity in (k, Lambda, W),
 so it holds on every mode of every band and for every field.  Every band
 model declares a contracting homotopy H (the codifferential, or dbar*, on
 each slot; the Koszul complex's) with q = |k|^2, certified on both slots at
-once or, over a torus map, on each side alone (`_MapModel`).  With d.d = 0
-checked the same way, and the differential checked to have no constant term
-(it vanishes on the block of every side at mode 0), no block is eliminated:
-that block's columns are the cohomology, and every other rank is filled
-from column counts.  The pair, corrected pair and Lichnerowicz Laplacians,
-certified against |k|^2 + Lambda^2, |k|^2 - Lambda^2 and |k|^2 + sum W_j^2,
-are zero on the modes where q, with the field's numbers put in, vanishes
-and invertible on the others, so their kernels are read off those modes,
-where only the joint kernel of the linear [pair_d ; pair_codiff] is taken,
-once per line through 0 (`_ray`).  No global matrix is built.
+once or, over a torus map, on each side alone (`_Model.certificate`).  With
+d.d = 0 checked the same way, and the differential checked to have no
+constant term (it vanishes on the block of every side at mode 0), no block
+is eliminated: that block's columns are the cohomology, and every other
+rank is filled from column counts.  The pair, corrected pair and
+Lichnerowicz Laplacians, certified against |k|^2 + Lambda^2,
+|k|^2 - Lambda^2 and |k|^2 + sum W_j^2, are zero on the modes where q, with
+the field's numbers put in, vanishes and invertible on the others, so their
+kernels are read off those modes, where only the joint kernel of the linear
+[pair_d ; pair_codiff] is taken, once per line through 0 (`_ray`).  No
+global matrix is built.
 
 No verdict depends on a field value.  Each is kept once it holds, in a
 bounded process-wide memo (`_Memo`, `_CERTIFIED`) keyed by its point sets'
@@ -101,6 +102,16 @@ def _binom(n: int, k: int) -> int:
 
 class UnsupportedScenarioError(Exception):
     """The requested computation cannot be carried out exactly on a band."""
+
+
+def _require_natural(name: str, value) -> None:
+    """Refuse a band, degree or p `value` that is not a non-negative int; a
+    float, a string or a bool (as `ChartMap` refuses them) would run another
+    scenario or fail deep inside it."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
 
 
 def _cube(nvars: int, max_freq: int):
@@ -227,7 +238,7 @@ def _symbol(chart: Chart, kind: str, idx) -> list:
     L_X f^*, the one kind a chart does not fix, sends e(k) dx^I to
     e(A^T k) sum_J minor(A; I, J) lambda(A^T k) dx^J over the source index
     sets J, A the map's matrix; its terms are the model's
-    (`_RelativeModel.minors`), read off the pulled-back coframes
+    (`_Model.minors`), read off the pulled-back coframes
     f^*(dx^I) = sum_J minor(A; I, J) dx^J that the map keeps
     (`exterior._pulled_coframe`), and A^T k is the map's `ChartMap.pull`.
 
@@ -529,38 +540,53 @@ class _Model:
     order.  `modes` lists each side's modes on first read, which only
     `basis` of the whole band, the tests and the oracles do.
 
-    Each subclass checks its inputs in `__init__` and sets `label`, `degrees`,
-    the band, `op` (the differential as symbol blocks) and its contracting
-    `homotopy` (`pair_slots` sets all but `label` on two slots of one chart) and,
-    when a block needs them, the constant frame coefficients `coeffs` of the
-    field or 1-form, for a pullback `minors` and `pull`, and for bidegree
-    (p, q) index sets `p`; `certified_ranks` reads the ranks off the formal
-    `_parts` of `certificate`'s point sets."""
+    One maker per complex (`_de_rham_model`, `_pair_model`,
+    `_pair_eta_model`, `_relative_model`, `_primed_eta_model`,
+    `_dolbeault_model`) checks its inputs and passes the `label`, the
+    sides' `charts`, `op` (the differential as symbol blocks), its
+    contracting `homotopy` and, when a block needs them, the constant frame
+    coefficients `coeffs` of the field or 1-form, for bidegree (p, q) index
+    sets `p`, and for a torus map `cmap` with the `target_side` its target
+    lies on.  The rest follows from those: the mode `counts`, the `degrees`
+    0..top+s, s the number of sides and top the largest slot count (the
+    complex dimension under p), over a map its `pull`, and with a pullback
+    block the source side's `outside` modes and the pullback's `minors`.
+    `certified_ranks` reads the ranks off the formal `_parts` of
+    `certificate`'s point sets."""
 
-    degrees: tuple
-    charts: dict
-    counts: dict
-    max_freq: int
-    op: tuple
-    homotopy: tuple
-    coeffs: tuple = ()
-    p: int = None
     outside: dict = {}
 
-    def band(self, charts: dict, max_freq: int) -> None:
-        """The sides' `charts` and the band |k_i| <= max_freq on each, as
-        `max_freq` and each side's mode count (2 max_freq + 1)^n."""
-        if max_freq < 0:
-            raise ValueError(f"max_freq must be non-negative, got {max_freq}")
-        self.charts, self.max_freq = charts, max_freq
-        self.counts = {side: (2 * max_freq + 1) ** chart.nvars for side, chart in charts.items()}
-
-    def pair_slots(self, chart: Chart, top: int, max_freq: int, op, homotopy) -> None:
-        """Both slots on `chart` with the band's modes, in degrees 0..top+2,
-        and the differential `op` with its `homotopy`."""
-        self.op, self.homotopy = op, homotopy
-        self.degrees = tuple(range(top + 3))
-        self.band({"F": chart, "S": chart}, max_freq)
+    def __init__(self, label: str, charts: dict, max_freq: int, op, homotopy, coeffs=(),
+                 p=None, cmap: ChartMap = None, target_side=None):
+        _require_natural("max_freq", max_freq)
+        self.label, self.charts, self.max_freq = label, charts, max_freq
+        self.op, self.homotopy, self.coeffs, self.p = op, homotopy, coeffs, p
+        self.target_side = target_side
+        self.counts, top = {}, 0
+        for side, chart in charts.items():
+            self.counts[side] = (2 * max_freq + 1) ** chart.nvars
+            top = max(top, chart.nslots if p is None else chart.dim)
+        self.degrees = tuple(range(top + 1 + len(charts)))
+        if cmap is None:
+            return
+        self.pull = cmap.pull
+        for _, source, _, kind in op:
+            if kind == "pullback":
+                # the source side holds its cube and A^T of the target cube:
+                # the distinct A^T k off its cube
+                self.outside = {source: cmap.off_cube(max_freq)}
+                self.counts[source] += len(self.outside[source])
+                # degree q -> per target index set I of degree q the terms
+                # (position of J, det A[I, J], 0) over the source index sets J
+                # of degree q with a nonzero minor, read off f*(dx^I) = sum_J
+                # det A[I, J] dx^J: the pullback's `stencil`
+                self.minors = {}
+                for q in range(cmap.target.nslots + 1):
+                    at = {J: i for i, J in enumerate(_sets(cmap.source, None, q))}
+                    self.minors[q] = tuple(
+                        tuple((at[J], s.constant_value().a, 0)
+                              for J, s in _pulled_coframe(cmap, tgt).components)
+                        for tgt in _sets(cmap.target, None, q))
 
     @_cached
     def modes(self) -> dict:
@@ -656,9 +682,35 @@ class _Model:
         """The point sets of `certified_ranks`, each {side: its modes at 0,
         e_1, ..., e_n}: those D.D = 0 is checked on, the first led by the
         zero block, and (modes, D, side) per piece with D H + H D = t(k) I,
-        t the side's (`_closed`); here `_unit_modes` on every side serve both."""
-        units = _units(self)
-        return [units], [(units, self.op, "F")]
+        t the side's (`_closed`); without a map `_unit_modes` on every side
+        serve both.
+
+        Over an integer-linear torus map A, its target on `target_side`, `op`
+        is diag(d, -d) plus at most a cross block from the target side to the
+        source side, lambda(A^T k) times a minor of A at the target mode k
+        (L_X f^*; none in the primed complex), so the mapping cone of that
+        cross map.  A cone of acyclic complexes is acyclic (Weibel, An
+        Introduction to Homological Algebra, 1.5), so each side's homotopy is
+        certified alone, and the zero block Z, where D vanishes, holds all the
+        cohomology.  That is exact: the cross symbol is 0 where A^T k = 0, so Z
+        splits off as a direct summand, and every other column lies in a cone
+        of the two sides at nonzero modes or in a de Rham piece at a target
+        mode k != 0 in ker A^T, both acyclic.  So D.D = 0 is checked on the
+        blocks of a target mode k of `_unit_modes` with its source mode A^T k
+        (affine in k; the first is Z) and on the source side's own blocks, and
+        each side's diagonal part of `op` with its part of `homotopy` on the
+        side's own blocks."""
+        target = self.target_side
+        if target is None:
+            units = _units(self)
+            return [units], [(units, self.op, "F")]
+        units = _unit_modes(self.charts[target].nvars)
+        coupled = {side: units if side == target else tuple(map(self.pull, units))
+                   for side in self.charts}
+        own = {side: {side: _unit_modes(chart.nvars)} for side, chart in self.charts.items()}
+        diagonal = tuple(block for block in self.op if block[0] == block[1])
+        (source,) = set(self.charts) - {target}
+        return [coupled, own[source]], [(own[side], diagonal, side) for side in self.charts]
 
     def certified_ranks(self) -> dict:
         """The ranks of the model for every band and field: D.D = 0
@@ -710,167 +762,98 @@ class _Model:
                            {d: _Tags(self, d) for d in self.degrees}, ranks, dims)
 
 
-class _DeRhamModel(_Model):
+def _de_rham_model(chart: Chart, max_freq: int, w: Form = None) -> _Model:
     """The de Rham complex of a real torus; with a 1-form `w`, also the
     coefficients of w for the wedge and interior symbols."""
-
-    def __init__(self, chart: Chart, max_freq: int, w: Form = None):
-        if chart.kind is not ChartKind.TORUS:
-            raise UnsupportedScenarioError("de Rham band model requires a real torus")
-        if w is not None:
-            if w.chart != chart:
-                raise ChartMismatchError(f"the 1-form lives on {w.chart}, not on {chart}")
-            require_parallel_one_form(w)
-            self.coeffs = tuple(w.component((j,)).constant_value()
-                                for j in range(chart.nslots))
-        self.label = f"de-rham/{chart}"
-        self.op, self.homotopy = _DE_RHAM_D, _CODIFF
-        self.degrees = tuple(range(chart.nslots + 2))
-        self.band({"F": chart}, max_freq)
+    if chart.kind is not ChartKind.TORUS:
+        raise UnsupportedScenarioError("de Rham band model requires a real torus")
+    coeffs = ()
+    if w is not None:
+        if w.chart != chart:
+            raise ChartMismatchError(f"the 1-form lives on {w.chart}, not on {chart}")
+        require_parallel_one_form(w)
+        coeffs = tuple(w.component((j,)).constant_value() for j in range(chart.nslots))
+    return _Model(f"de-rham/{chart}", {"F": chart}, max_freq, _DE_RHAM_D, _CODIFF, coeffs)
 
 
-class _PairModel(_Model):
+def _pair_model(chart: Chart, x: VectorField, max_freq: int) -> _Model:
     """Pair complex for the differential induced by a constant field."""
-
-    def __init__(self, chart: Chart, x: VectorField, max_freq: int):
-        if chart.kind is not ChartKind.TORUS:
-            raise UnsupportedScenarioError("pair band model requires a real torus")
-        self.coeffs = _constant_coeffs(x, chart)
-        self.label = f"pair/{chart}"
-        self.pair_slots(chart, chart.nslots, max_freq, _PAIR_D, _PAIR_HOMOTOPY)
+    if chart.kind is not ChartKind.TORUS:
+        raise UnsupportedScenarioError("pair band model requires a real torus")
+    return _Model(f"pair/{chart}", {"F": chart, "S": chart}, max_freq, _PAIR_D, _PAIR_HOMOTOPY,
+                  _constant_coeffs(x, chart))
 
 
-class _PairEtaModel(_Model):
+def _pair_eta_model(chart: Chart, eta: Form, max_freq: int) -> _Model:
     """Pair complex for the differential twisted by a closed 1-form; with
     d eta = 0 the differential is (d phi, -d psi)."""
-
-    def __init__(self, chart: Chart, eta: Form, max_freq: int):
-        _closed_one_form(eta, chart, "pair")
-        if chart.kind is not ChartKind.TORUS:
-            raise UnsupportedScenarioError("pair band model requires a real torus")
-        self.label = f"pair-eta/{chart}"
-        self.pair_slots(chart, chart.nslots, max_freq, _UNCOUPLED_D, _PAIR_HOMOTOPY)
+    _closed_one_form(eta, chart, "pair")
+    if chart.kind is not ChartKind.TORUS:
+        raise UnsupportedScenarioError("pair band model requires a real torus")
+    return _Model(f"pair-eta/{chart}", {"F": chart, "S": chart}, max_freq, _UNCOUPLED_D,
+                  _PAIR_HOMOTOPY)
 
 
-class _MapModel(_Model):
-    """A band model over an integer-linear torus map A, its target on side
-    `target_side`: diag(d, -d) plus at most a cross block from the target
-    side to the source side, lambda(A^T k) times a minor of A at the target
-    mode k (L_X f^*; none in the primed complex), so the mapping cone of that
-    cross map.  A cone of acyclic complexes is acyclic (Weibel, An
-    Introduction to Homological Algebra, 1.5), so each side's homotopy is
-    certified alone, and the zero block Z, where D vanishes, holds all the
-    cohomology.  That is exact: the cross symbol is 0 where A^T k = 0, so Z
-    splits off as a direct summand, and every other column lies in a cone of
-    the two sides at nonzero modes or in a de Rham piece at a target mode
-    k != 0 in ker A^T, both acyclic."""
-
-    target_side: str
-
-    def map_slots(self, cmap: ChartMap, op, name: str) -> None:
-        """The `name` complex's label and `op` with the pair homotopy in
-        degrees 0..top+2, top the larger chart's slot count, and the map's
-        `pull`, k -> A^T k; `cmap` must be a torus map."""
-        if cmap.matrix is None or cmap.source.kind is not ChartKind.TORUS:
-            raise UnsupportedScenarioError(f"{name} band model requires a torus map")
-        self.label = f"{name}/{cmap.source}->{cmap.target}"
-        self.op, self.homotopy = op, _PAIR_HOMOTOPY
-        self.degrees = tuple(range(max(cmap.source.nslots, cmap.target.nslots) + 3))
-        self.pull = cmap.pull
-
-    def certificate(self) -> tuple:
-        """D.D = 0 on the blocks of a target mode k of `_unit_modes` with its
-        source mode A^T k (affine in k; the first is Z) and on the source
-        side's own blocks; each side's diagonal part of `op` with its part of
-        `homotopy` on the side's own blocks."""
-        target = self.target_side
-        units = _unit_modes(self.charts[target].nvars)
-        coupled = {side: units if side == target else tuple(map(self.pull, units))
-                   for side in self.charts}
-        own = {side: {side: _unit_modes(chart.nvars)} for side, chart in self.charts.items()}
-        diagonal = tuple(block for block in self.op if block[0] == block[1])
-        (source,) = set(self.charts) - {target}
-        return [coupled, own[source]], [(own[side], diagonal, side) for side in self.charts]
+def _require_torus_map(cmap: ChartMap, name: str) -> None:
+    """Refuse a map the `name` band model cannot follow mode by mode."""
+    if cmap.matrix is None or cmap.source.kind is not ChartKind.TORUS:
+        raise UnsupportedScenarioError(f"{name} band model requires a torus map")
 
 
-class _RelativeModel(_MapModel):
-    """Relative pair complex over an integer-linear torus map."""
-
-    target_side = "F"
-
-    def __init__(self, cmap: ChartMap, x: VectorField, max_freq: int):
-        self.map_slots(cmap, _REL_D, "relative")
-        self.coeffs = _constant_coeffs(x, cmap.source)
-        self.band({"F": cmap.target, "S": cmap.source}, max_freq)
-        # the source side holds its cube and A^T of the target cube: the
-        # distinct A^T k off its cube
-        self.outside = {"S": cmap.off_cube(max_freq)}
-        self.counts["S"] += len(self.outside["S"])
-        # degree q -> per target index set I of degree q the terms
-        # (position of J, det A[I, J], 0) over the source index sets J of
-        # degree q with a nonzero minor, read off f*(dx^I) = sum_J
-        # det A[I, J] dx^J: the pullback's `stencil`
-        self.minors = {}
-        for q in range(cmap.target.nslots + 1):
-            at = {J: i for i, J in enumerate(_sets(cmap.source, None, q))}
-            self.minors[q] = tuple(
-                tuple((at[J], s.constant_value().a, 0)
-                      for J, s in _pulled_coframe(cmap, tgt).components)
-                for tgt in _sets(cmap.target, None, q))
+def _relative_model(cmap: ChartMap, x: VectorField, max_freq: int) -> _Model:
+    """Relative pair complex over an integer-linear torus map, its target
+    on side "F"."""
+    _require_torus_map(cmap, "relative")
+    return _Model(f"relative/{cmap.source}->{cmap.target}", {"F": cmap.target, "S": cmap.source},
+                  max_freq, _REL_D, _PAIR_HOMOTOPY, _constant_coeffs(x, cmap.source),
+                  cmap=cmap, target_side="F")
 
 
-class _PrimedEtaModel(_MapModel):
+def _primed_eta_model(cmap: ChartMap, eta: Form, max_freq: int) -> _Model:
     """Primed relative complex over a torus map, twisted by a closed 1-form.
 
     The first slot lives on the map's source, the second on its target; with a
     closed twisting form the differential decouples into (d, -d), the only
     case that stays inside a band."""
-
-    target_side = "S"
-
-    def __init__(self, cmap: ChartMap, eta: Form, max_freq: int):
-        self.map_slots(cmap, _UNCOUPLED_D, "primed")
-        _closed_one_form(eta, cmap.target, "relative")
-        self.band({"F": cmap.source, "S": cmap.target}, max_freq)
+    _require_torus_map(cmap, "primed")
+    _closed_one_form(eta, cmap.target, "relative")
+    return _Model(f"primed/{cmap.source}->{cmap.target}", {"F": cmap.source, "S": cmap.target},
+                  max_freq, _UNCOUPLED_D, _PAIR_HOMOTOPY, cmap=cmap, target_side="S")
 
 
-class _DolbeaultModel(_Model):
+def _dolbeault_model(chart: Chart, x: VectorField, p: int, max_freq: int) -> _Model:
     """Fixed-p pair complex for the dbar operator on a flat complex torus."""
-
-    def __init__(self, chart: Chart, x: VectorField, p: int, max_freq: int):
-        if p < 0:
-            raise ValueError(f"p must be non-negative, got {p}")
-        if chart.kind is not ChartKind.TORUS_COMPLEX:
-            raise UnsupportedScenarioError("dbar band model requires a complex torus")
-        self.coeffs = _constant_coeffs(x, chart)
-        if not x.is_holomorphic():
-            raise UnsupportedScenarioError("dbar band model requires a holomorphic field")
-        self.p = p
-        self.label = f"dolbeault/{chart}/p={p}"
-        self.pair_slots(chart, chart.dim, max_freq, _DBAR_PAIR, _DBAR_HOMOTOPY)
+    _require_natural("p", p)
+    if chart.kind is not ChartKind.TORUS_COMPLEX:
+        raise UnsupportedScenarioError("dbar band model requires a complex torus")
+    coeffs = _constant_coeffs(x, chart)
+    if not x.is_holomorphic():
+        raise UnsupportedScenarioError("dbar band model requires a holomorphic field")
+    return _Model(f"dolbeault/{chart}/p={p}", {"F": chart, "S": chart}, max_freq, _DBAR_PAIR,
+                  _DBAR_HOMOTOPY, coeffs, p)
 
 
 # -- public builders ---------------------------------------------------------
 
 
 def de_rham_complex(chart: Chart, max_freq: int) -> BandComplex:
-    return _DeRhamModel(chart, max_freq).assemble()
+    return _de_rham_model(chart, max_freq).assemble()
 
 
 def pair_complex(chart: Chart, x: VectorField, max_freq: int) -> BandComplex:
-    return _PairModel(chart, x, max_freq).assemble()
+    return _pair_model(chart, x, max_freq).assemble()
 
 
 def pair_eta_complex(chart: Chart, eta: Form, max_freq: int) -> BandComplex:
-    return _PairEtaModel(chart, eta, max_freq).assemble()
+    return _pair_eta_model(chart, eta, max_freq).assemble()
 
 
 def relative_complex(cmap: ChartMap, x: VectorField, max_freq: int) -> BandComplex:
-    return _RelativeModel(cmap, x, max_freq).assemble()
+    return _relative_model(cmap, x, max_freq).assemble()
 
 
 def primed_eta_complex(cmap: ChartMap, eta: Form, max_freq: int) -> BandComplex:
-    return _PrimedEtaModel(cmap, eta, max_freq).assemble()
+    return _primed_eta_model(cmap, eta, max_freq).assemble()
 
 
 def primed_predicted_dims(n_source: int, n_target: int) -> list:
@@ -879,7 +862,7 @@ def primed_predicted_dims(n_source: int, n_target: int) -> list:
 
 
 def dolbeault_complex(chart: Chart, x: VectorField, p: int, max_freq: int) -> BandComplex:
-    return _DolbeaultModel(chart, x, p, max_freq).assemble()
+    return _dolbeault_model(chart, x, p, max_freq).assemble()
 
 
 def pair_predicted_dims(n: int) -> list:
@@ -916,11 +899,6 @@ class HarmonicKernel:
     @property
     def kernels_equal(self) -> bool:
         return self.dim_laplacian == self.dim_joint
-
-
-def _require_degree(degree: int) -> None:
-    if degree < 0:
-        raise ValueError(f"degree must be non-negative, got {degree}")
 
 
 @lru_cache(maxsize=16)
@@ -993,8 +971,8 @@ def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) ->
     inputs, places the resonant modes' columns, runs one `zi_kernel` per
     resonant line of its own field and renders its witness.
     """
-    _require_degree(degree)
-    model = _PairModel(chart, u, max_freq)
+    _require_natural("degree", degree)
+    model = _pair_model(chart, u, max_freq)
     blocks = _resonant(model, degree, _PAIR_D, _PAIR_CODIFF,
                        "pair Laplacian composite disagrees with its closed form", 1, True)
     start, widths = model.starts(degree), model.widths(degree)
@@ -1028,7 +1006,7 @@ def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) ->
                           [vec for _, vec in joint], witness)
 
 
-def _render_vector(model: _PairModel, tag) -> str:
+def _render_vector(model: _Model, tag) -> str:
     """The pair form of the basis tag (side, k, idx), written down from it."""
     chart, (side, k, idx) = model.charts["F"], tag
     form = Form(chart, len(idx), ((tuple(idx), wave(chart, k) * ONE),))
@@ -1042,8 +1020,8 @@ def corrected_laplacian_kernel_dim(chart: Chart, u: VectorField, degree: int,
     adjoint pair_codiff_skew (closed form: Laplacian minus the squared Lie
     derivative); equals the cohomology dimension in each degree.  Certified
     like `harmonic_kernel`, and read off the `_resonant` modes."""
-    _require_degree(degree)
-    model = _PairModel(chart, u, max_freq)
+    _require_natural("degree", degree)
+    model = _pair_model(chart, u, max_freq)
     return sum(model.size(degree, block) for block in _resonant(
         model, degree, _PAIR_D, _PAIR_CODIFF_SKEW,
         "corrected pair Laplacian disagrees with its closed form", -1))
@@ -1055,8 +1033,8 @@ def lichnerowicz_kernel_dim(chart: Chart, w: Form, degree: int, max_freq: int) -
     first.  Its closed form is (|k|^2 + <w, w>) I with the bilinear <w, w> =
     sum_j w_j^2, certified like `harmonic_kernel` and read off the `_resonant`
     modes: empty for a real w != 0, and for w = i v those on |k| = |v|."""
-    _require_degree(degree)
-    model = _DeRhamModel(chart, max_freq, w)
+    _require_natural("degree", degree)
+    model = _de_rham_model(chart, max_freq, w)
     return sum(model.size(degree, block) for block in _resonant(
         model, degree, _TWISTED_D, _TWISTED_CODIFF,
         "Lichnerowicz Laplacian disagrees with its closed form"))

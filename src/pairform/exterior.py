@@ -14,10 +14,10 @@ coframes is built once per map and kept in the map's memo
 band minors.  A pullback sums (s_I o f) f*(dx^I) over the components
 s_I dx^I into one merge; a pushforward's component on target slot t is
 (i_X f*(dx_t)) o f^-1 for every kind of map; over a torus map A,
-f*(dx^I) = sum_J det A[I, J] dx^J holds the minors that
-`cohomology._RelativeModel` reads.  The Lie derivative of a constant field
-acts on coefficients only (L_X dx^j = d(X^j) = 0); any other field goes
-through the homotopy formula d i_X + i_X d.  The coordinate formula is kept
+f*(dx^I) = sum_J det A[I, J] dx^J holds the minors that a relative band
+model reads (`cohomology._Model.minors`).  The Lie derivative of a constant
+field acts on coefficients only (L_X dx^j = d(X^j) = 0); any other field
+goes through the homotopy formula d i_X + i_X d.  The coordinate formula is kept
 out of the library and used only as an independent oracle in the tests.
 The flat codifferential is applied by its coordinate formula; the
 composite of Hodge stars serves as its reference in the tests.

@@ -27,8 +27,8 @@ affine charts, the columns of a torus map's matrix A, the pulled-back
 coframe wedges that `exterior` uses, and its inverse.  They are filled on
 first use and are not fields, so ==, hash and repr see only the map.  A
 torus map sends e(k) o f to e(A^T k); `ChartMap.pull` gives A^T k, and it is
-the one place this rule is written: `compose` and the band models over a
-map (`cohomology._MapModel`) read it there.
+the one place this rule is written: `compose` and the band model over a
+map (`cohomology._Model.pull`) read it there.
 """
 
 from __future__ import annotations
@@ -521,22 +521,24 @@ class ChartMap:
 
     @cached_property
     def _inverse(self):
-        """The inverse map, or None when there is none; worked out once."""
-        from .linalg import det_dense
-        if self.matrix is not None:
-            if self.source.nvars != self.target.nvars:
-                return None
-            d = det_dense([[gq(v) for v in row] for row in self.matrix])
-            if not d.is_real or abs(d.re) != 1:
-                return None
-            inv = invert_dense([[gq(v) for v in row] for row in self.matrix])
-            rows = tuple(tuple(int(v.re) for v in row) for row in inv)
-            return ChartMap(self.target, self.source, matrix=rows)
-        parts = self._linear_parts()
-        if parts is None or self.source.dim != self.target.dim or not det_dense(parts[0]):
+        """The inverse map, or None when there is none; worked out once by
+        one elimination, which refuses a singular matrix (`invert_dense`).
+        An integer matrix has an integer inverse exactly when det = +-1."""
+        torus = self.matrix is not None
+        parts = ([[gq(v) for v in row] for row in self.matrix], None) if torus \
+            else self._linear_parts()
+        if parts is None or len(parts[0]) != len(parts[0][0]):
             return None
         a_rows, b_vec = parts
-        inv = invert_dense(a_rows)
+        try:
+            inv = invert_dense(a_rows)
+        except ValueError:
+            return None
+        if torus:
+            if any(v.d != 1 for row in inv for v in row):
+                return None
+            return ChartMap(self.target, self.source,
+                            matrix=tuple(tuple(v.a for v in row) for row in inv))
         comps = []
         for t in range(len(inv)):
             comp = zero(self.target)

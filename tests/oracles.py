@@ -59,14 +59,14 @@ from pairform.charts import ChartKind
 from pairform.cohomology import (
     HarmonicKernel,
     UnsupportedScenarioError,
-    _DeRhamModel,
-    _DolbeaultModel,
     _PAIR_CODIFF,
-    _PairEtaModel,
-    _PairModel,
-    _PrimedEtaModel,
-    _RelativeModel,
     _composed,
+    _de_rham_model,
+    _dolbeault_model,
+    _pair_eta_model,
+    _pair_model,
+    _primed_eta_model,
+    _relative_model,
     _sigma_forms,
     _unit_modes,
 )
@@ -370,35 +370,35 @@ def _slots(value):
 
 
 def de_rham_band(chart, max_freq, w=None):
-    return SymbolicBand(_DeRhamModel(chart, max_freq, w), lambda d, form: form,
+    return SymbolicBand(_de_rham_model(chart, max_freq, w), lambda d, form: form,
                         lambda value: (value,), ext_d)
 
 
 def pair_band(chart, x, max_freq):
-    return SymbolicBand(_PairModel(chart, x, max_freq), lambda d, a, b: PairForm(a, b),
+    return SymbolicBand(_pair_model(chart, x, max_freq), lambda d, a, b: PairForm(a, b),
                         _slots, lambda value: pair_d(x, value))
 
 
 def pair_eta_band(chart, eta, max_freq):
-    return SymbolicBand(_PairEtaModel(chart, eta, max_freq),
+    return SymbolicBand(_pair_eta_model(chart, eta, max_freq),
                         lambda d, a, b: PairForm(a, b), _slots,
                         lambda value: pair_d_lichnerowicz(eta, value))
 
 
 def relative_band(cmap, x, max_freq):
-    return SymbolicBand(_RelativeModel(cmap, x, max_freq),
+    return SymbolicBand(_relative_model(cmap, x, max_freq),
                         lambda d, a, b: RelPairForm(cmap, a, b), _slots,
                         lambda value: rel_d(x, value))
 
 
 def primed_band(cmap, eta, max_freq):
-    return SymbolicBand(_PrimedEtaModel(cmap, eta, max_freq),
+    return SymbolicBand(_primed_eta_model(cmap, eta, max_freq),
                         lambda d, a, b: RelPairForm(cmap, a, b, primed=True), _slots,
                         lambda value: rel_d_lichnerowicz(eta, value))
 
 
 def dolbeault_band(chart, x, p, max_freq):
-    return SymbolicBand(_DolbeaultModel(chart, x, p, max_freq),
+    return SymbolicBand(_dolbeault_model(chart, x, p, max_freq),
                         lambda q, a, b: PairForm(a, b), _slots,
                         lambda value: dbar_pair(x, value), offset=p)
 

@@ -152,7 +152,15 @@ def test_out_writes_report(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("where", ["missing", "directory"])
-def test_out_that_cannot_be_written_is_a_usage_error(where, tmp_path, capsys):
+def test_out_that_cannot_be_written_is_a_usage_error(where, tmp_path, capsys, monkeypatch):
+    """The path is refused before any suite runs, and a run that fails
+    leaves no file behind."""
+    from pairform import cli
+
+    def refused(scenario):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr(cli, "run", refused)
     path = tmp_path / "no" / "such" / "r.json" if where == "missing" else tmp_path
     code = main(["cohomology", "--dim", "1", "--max-freq", "1", "--out", str(path)])
     captured = capsys.readouterr()
@@ -160,6 +168,9 @@ def test_out_that_cannot_be_written_is_a_usage_error(where, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write --out ")
     assert len(captured.err.splitlines()) == 1
+    written = tmp_path / "r.json"
+    assert main(["cohomology", "--dim", "1", "--max-freq", "1", "--out", str(written)]) == 3
+    assert not written.exists()
 
 
 def test_nonconstant_custom_field_reported_unsupported(capsys):

@@ -84,11 +84,11 @@ def test_de_rham_betti_numbers():
 
 
 def test_pair_complex_constant_band():
-    from pairform.cohomology import _PairModel
+    from pairform.cohomology import _pair_model
 
     x = constant_field(T2, (1, 0))
     out = pair_complex(T2, x, 0)
-    model = _PairModel(T2, x, 0)
+    model = _pair_model(T2, x, 0)
     for d in model.degrees[:-1]:
         assert band_matrix(model, model.op, d, d + 1).is_zero()
     assert set(out.ranks.values()) == {0}
@@ -321,13 +321,13 @@ def test_class_representatives_span_band_cohomology():
     from pairform.exterior import form as make_form, interior
     from pairform.scalar import const
 
-    from pairform.cohomology import _PairModel
+    from pairform.cohomology import _pair_model
 
     for chart, coeffs in ((T1, (1,)), (T2, (1, 2))):
         n = chart.dim
         x = constant_field(chart, coeffs)
         out = pair_complex(chart, x, 1)
-        model = _PairModel(chart, x, 1)
+        model = _pair_model(chart, x, 1)
         matrices = {d: band_matrix(model, model.op, d, d + 1) for d in model.degrees[:-1]}
         for p in range(n + 2):
             reps = []
@@ -378,12 +378,12 @@ def test_relative_representatives_span_band_cohomology():
     from pairform.exterior import form as make_form
     from pairform.scalar import const
 
-    from pairform.cohomology import _RelativeModel
+    from pairform.cohomology import _relative_model
 
     doubling = ChartMap(T1, T1, matrix=((2,),))
     x = constant_field(T1, (1,))
     out = relative_complex(doubling, x, 1)
-    model = _RelativeModel(doubling, x, 1)
+    model = _relative_model(doubling, x, 1)
     matrices = {d: band_matrix(model, model.op, d, d + 1) for d in model.degrees[:-1]}
     for p in range(3):
         reps = []
@@ -735,11 +735,11 @@ def test_certified_builders_at_high_dimension():
 
 
 def test_relative_complex_over_the_zero_map_holds_every_target_mode_in_one_block():
-    from pairform.cohomology import _RelativeModel
+    from pairform.cohomology import _relative_model
 
     zero = ChartMap(T2, T1, matrix=((0, 0),))
     x = constant_field(T2, (1, 2))
-    model = _RelativeModel(zero, x, 2)
+    model = _relative_model(zero, x, 2)
     (full,) = [b for b in blocks(model) if "F" in b.modes]
     assert full.modes == {"F": model.modes["F"], "S": [(0, 0)]}
     assert len(blocks(model)) == len(model.modes["S"])
@@ -764,13 +764,13 @@ _MINOR_MAPS = [m for n in range(1, 5) for m in _gl_maps(n, 4)] + [
 
 @pytest.mark.parametrize("cmap", _MINOR_MAPS, ids=lambda m: str(m.matrix))
 def test_relative_minors_are_the_determinants_of_square_submatrices(cmap):
-    """`_RelativeModel.minors`, read off the pulled-back coframes, against
+    """A relative model's `minors`, read off the pulled-back coframes, against
     `det_dense` of every square submatrix A[I, J], in every degree."""
-    from pairform.cohomology import _RelativeModel
+    from pairform.cohomology import _relative_model
     from pairform.linalg import det_dense
 
     src, tgt = cmap.source, cmap.target
-    model = _RelativeModel(cmap, constant_field(src, [1] * src.nslots), 0)
+    model = _relative_model(cmap, constant_field(src, [1] * src.nslots), 0)
     assert sorted(model.minors) == list(range(tgt.nslots + 1))
     nonzero = 0
     for q, rows in model.minors.items():
@@ -878,6 +878,41 @@ def test_dolbeault_rejects_a_negative_p():
     assert str(info.value) == "p must be non-negative, got -1"
 
 
+# every public builder and kernel as a call of (max_freq, degree, p), with the
+# arguments it reads
+_INT_CALLS = {
+    "de-rham": (lambda n, d, p: de_rham_complex(T2, n), ("max_freq",)),
+    "pair": (lambda n, d, p: pair_complex(T2, _t2_field(), n), ("max_freq",)),
+    "pair-eta": (lambda n, d, p: pair_eta_complex(T2, coframe(T2, 0), n), ("max_freq",)),
+    "relative": (lambda n, d, p: relative_complex(identity_map(T2), _t2_field(), n),
+                 ("max_freq",)),
+    "primed": (lambda n, d, p: primed_eta_complex(identity_map(T2), coframe(T2, 0), n),
+               ("max_freq",)),
+    "dolbeault": (lambda n, d, p: dolbeault_complex(
+        TC1, holomorphic_field(TC1, (const(TC1, 1),)), p, n), ("max_freq", "p")),
+    "harmonic": (lambda n, d, p: harmonic_kernel(T2, _t2_field(), d, n), ("max_freq", "degree")),
+    "corrected": (lambda n, d, p: corrected_laplacian_kernel_dim(T2, _t2_field(), d, n),
+                  ("max_freq", "degree")),
+    "lichnerowicz": (lambda n, d, p: lichnerowicz_kernel_dim(T2, coframe(T2, 0), d, n),
+                     ("max_freq", "degree")),
+}
+
+
+@pytest.mark.parametrize("value", [1.0, 1.5, True, "1"], ids=repr)
+@pytest.mark.parametrize("name, argument", [(name, argument) for name, (_, arguments)
+                                            in _INT_CALLS.items() for argument in arguments])
+def test_a_band_degree_or_p_that_is_not_an_int_is_refused(name, argument, value):
+    """A float, a bool or a string is refused by name, even one equal to an
+    int that a call has just run with (1.0 and True hash as 1)."""
+    call, _ = _INT_CALLS[name]
+    call(1, 1, 1)
+    given = {"max_freq": 1, "degree": 1, "p": 1, argument: value}
+    with pytest.raises(ValueError) as info:
+        call(given["max_freq"], given["degree"], given["p"])
+    assert info.type is ValueError
+    assert str(info.value) == f"{argument} must be an int, got {value!r}"
+
+
 # -- certified band dimensions ------------------------------------------------
 
 
@@ -974,18 +1009,18 @@ def _symbol_kind_cases():
     """(kind, model, one-mode block at k, complex-degree step) for every
     symbol kind, on fields and 1-forms with rational and complex
     coefficients."""
-    from pairform.cohomology import _DeRhamModel, _DolbeaultModel, _PairModel, _RelativeModel
+    from pairform.cohomology import _de_rham_model, _dolbeault_model, _pair_model, _relative_model
 
     t3, tc2 = torus(3), torus_complex(2)
-    pair = _PairModel(t3, constant_field(t3, (gq(1, 2), gq("1/2"), gq(0, "-3/5"))), 1)
+    pair = _pair_model(t3, constant_field(t3, (gq(1, 2), gq("1/2"), gq(0, "-3/5"))), 1)
     w = coframe(t3, 0) * gq(2, -1) + coframe(t3, 2) * gq("2/3")
-    derham = _DeRhamModel(t3, 1, w)
+    derham = _de_rham_model(t3, 1, w)
     holo = holomorphic_field(tc2, (const(tc2, gq(1, 1)), const(tc2, gq("1/3"))))
     cmap = ChartMap(T2, t3, matrix=((1, 1), (0, 1), (2, -1)))
-    relative = _RelativeModel(cmap, constant_field(T2, (gq(2), gq(0, 1))), 1)
+    relative = _relative_model(cmap, constant_field(T2, (gq(2), gq(0, 1))), 1)
     cases = [(kind, pair, step) for kind, step in (("d", 1), ("codiff", -1), ("lie", 0))]
     cases += [(kind, derham, step) for kind, step in (("wedge", 1), ("interior", -1))]
-    cases += [(kind, _DolbeaultModel(tc2, holo, p, 1), step) for p in range(3)
+    cases += [(kind, _dolbeault_model(tc2, holo, p, 1), step) for p in range(3)
               for kind, step in (("dbar", 1), ("dbar*", -1), ("lie", 0))]
     out = [(kind, model, (("F", "F", 1, kind),), lambda k, m=model: mode_block(m, k), step)
            for kind, model, step in cases]
@@ -1022,38 +1057,38 @@ def _linear_part_cases():
     each model on the point sets of its `certificate`, and the kernels'
     operators on the blocks of 0 and e_i."""
     from pairform.cohomology import (
-        _DeRhamModel,
-        _DolbeaultModel,
         _PAIR_CODIFF,
         _PAIR_CODIFF_SKEW,
-        _PairEtaModel,
-        _PairModel,
-        _PrimedEtaModel,
-        _RelativeModel,
         _TWISTED_CODIFF,
         _TWISTED_D,
+        _de_rham_model,
+        _dolbeault_model,
+        _pair_eta_model,
+        _pair_model,
+        _primed_eta_model,
+        _relative_model,
         _units,
     )
 
     t3, tc2 = torus(3), torus_complex(2)
-    pair = _PairModel(t3, constant_field(t3, _COEFFS["complex"][:3]), 1)
-    models = {"pair": pair, "de Rham": _DeRhamModel(t3, 1),
-              "pair-eta": _PairEtaModel(t3, coframe(t3, 0) * gq("1/2") + coframe(t3, 2), 1)}
+    pair = _pair_model(t3, constant_field(t3, _COEFFS["complex"][:3]), 1)
+    models = {"pair": pair, "de Rham": _de_rham_model(t3, 1),
+              "pair-eta": _pair_eta_model(t3, coframe(t3, 0) * gq("1/2") + coframe(t3, 2), 1)}
     for name in ("zero T2->T1", "GL(3,Z)", "embed T1->T2"):
         cmap = _torus_map(name)
         x = constant_field(cmap.source, (gq(1, 2), gq("-1/3"), 2)[:cmap.source.dim])
-        models[f"relative {name}"] = _RelativeModel(cmap, x, 1)
-        models[f"primed {name}"] = _PrimedEtaModel(cmap, coframe(cmap.target, 0) * 3, 1)
+        models[f"relative {name}"] = _relative_model(cmap, x, 1)
+        models[f"primed {name}"] = _primed_eta_model(cmap, coframe(cmap.target, 0) * 3, 1)
     holo = holomorphic_field(tc2, (const(tc2, gq(1, 1)), const(tc2, gq("1/3"))))
     for p in range(3):
-        models[f"dolbeault p={p}"] = _DolbeaultModel(tc2, holo, p, 1)
+        models[f"dolbeault p={p}"] = _dolbeault_model(tc2, holo, p, 1)
     cases = []
     for name, model in models.items():
         checked, pieces = model.certificate()
         cases += [(name, model, modes, model.op) for modes in checked]
         cases += [(name, model, modes, op) for modes, d_op, _ in pieces
                   for op in (d_op, model.homotopy)]
-    twisted = _DeRhamModel(t3, 1, coframe(t3, 0) * gq(2, -1) + coframe(t3, 2) * gq("2/3"))
+    twisted = _de_rham_model(t3, 1, coframe(t3, 0) * gq(2, -1) + coframe(t3, 2) * gq("2/3"))
     for model, ops in ((pair, (_PAIR_CODIFF, _PAIR_CODIFF_SKEW)),
                        (twisted, (_TWISTED_D, _TWISTED_CODIFF))):
         cases += [(f"kernel {model.label}", model, _units(model), op) for op in ops]
@@ -1147,29 +1182,29 @@ def test_row_blocks_equal_the_stacked_matrix():
     their homotopies on every point set of their certificates, at every
     degree."""
     from pairform.cohomology import (
-        _DeRhamModel,
-        _DolbeaultModel,
         _PAIR_CODIFF,
         _PAIR_CODIFF_SKEW,
-        _PairModel,
-        _RelativeModel,
         _TWISTED_CODIFF,
         _TWISTED_D,
         _at,
+        _de_rham_model,
+        _dolbeault_model,
+        _pair_model,
         _parts,
         _product,
+        _relative_model,
         _row_blocks,
         _units,
     )
 
     tc2, cmap = torus_complex(2), _torus_map("GL(3,Z)")
     holo = holomorphic_field(tc2, (const(tc2, gq(1, 1)), const(tc2, gq("1/3"))))
-    pair = _PairModel(T3, constant_field(T3, (1, gq("1/2"), 0)), 1)
-    twisted = _DeRhamModel(T3, 1, coframe(T3, 0) * gq(2, -1) + coframe(T3, 2) * gq("2/3"))
+    pair = _pair_model(T3, constant_field(T3, (1, gq("1/2"), 0)), 1)
+    twisted = _de_rham_model(T3, 1, coframe(T3, 0) * gq(2, -1) + coframe(T3, 2) * gq("2/3"))
     cases = [(pair, _units(pair), pair.op, cod) for cod in (_PAIR_CODIFF, _PAIR_CODIFF_SKEW)]
     cases.append((twisted, _units(twisted), _TWISTED_D, _TWISTED_CODIFF))
-    for model in (_DolbeaultModel(tc2, holo, 1, 1),
-                  _RelativeModel(cmap, constant_field(cmap.source, (1, 2, 0)), 1)):
+    for model in (_dolbeault_model(tc2, holo, 1, 1),
+                  _relative_model(cmap, constant_field(cmap.source, (1, 2, 0)), 1)):
         checked, pieces = model.certificate()
         cases += [(model, modes, model.op, model.homotopy) for modes in checked]
         cases += [(model, modes, d_op, model.homotopy) for modes, d_op, _ in pieces]
@@ -1205,39 +1240,39 @@ def _forms_models():
     from pairform.cohomology import (
         _DBAR_HOMOTOPY,
         _DBAR_PAIR,
-        _DeRhamModel,
-        _DolbeaultModel,
         _PAIR_CODIFF,
         _PAIR_D,
         _PAIR_HOMOTOPY,
-        _PairModel,
-        _PrimedEtaModel,
         _REL_D,
-        _RelativeModel,
         _TWISTED_CODIFF,
         _TWISTED_D,
         _UNCOUPLED_D,
+        _de_rham_model,
+        _dolbeault_model,
+        _pair_model,
+        _primed_eta_model,
+        _relative_model,
     )
 
     gaussian = (gq("1/2", 1), gq(0, "-2/3"), gq(3), gq("5/7", "1/7"))
     out = []
     for n in range(1, 5):
         chart = torus(n)
-        out += [(_PairModel(chart, constant_field(chart, coeffs[:n]), 1), _PAIR_D + _PAIR_CODIFF,
+        out += [(_pair_model(chart, constant_field(chart, coeffs[:n]), 1), _PAIR_D + _PAIR_CODIFF,
                  None) for coeffs in (_COEFFS["integer"], gaussian)]
         w = sum((coframe(chart, j) * c for j, c in enumerate((gq(2, -1), 0, gq("2/3"), 1)[:n])),
                 zero_form(chart, 1))
-        out.append((_DeRhamModel(chart, 1, w), _TWISTED_D + _TWISTED_CODIFF, None))
+        out.append((_de_rham_model(chart, 1, w), _TWISTED_D + _TWISTED_CODIFF, None))
     for n in (1, 2):
         chart = torus_complex(n)
         holo = holomorphic_field(chart, tuple(const(chart, c) for c in gaussian[1:n + 1]))
-        out += [(_DolbeaultModel(chart, holo, p, 1), _DBAR_PAIR + _DBAR_HOMOTOPY, None)
+        out += [(_dolbeault_model(chart, holo, p, 1), _DBAR_PAIR + _DBAR_HOMOTOPY, None)
                 for p in range(n + 1)]
     for name in ("embed T1->T2", "project T2->T1", "zero T2->T1", "doubling", "GL(3,Z)"):
         cmap = _torus_map(name)
         x = constant_field(cmap.source, gaussian[:cmap.source.dim])
-        out.append((_RelativeModel(cmap, x, 1), _REL_D + _PAIR_HOMOTOPY, cmap.matrix))
-        out.append((_PrimedEtaModel(cmap, coframe(cmap.target, 0) * gq("1/2"), 1),
+        out.append((_relative_model(cmap, x, 1), _REL_D + _PAIR_HOMOTOPY, cmap.matrix))
+        out.append((_primed_eta_model(cmap, coframe(cmap.target, 0) * gq("1/2"), 1),
                     _UNCOUPLED_D + _PAIR_HOMOTOPY, cmap.matrix))
     return out
 
@@ -1280,7 +1315,7 @@ def test_stencils_are_derived_once_per_chart_kind_and_degree(monkeypatch):
     second model derives nothing, and no key or entry holds a field value."""
     from pairform import cohomology
     from pairform.charts import Chart
-    from pairform.cohomology import _PairModel, _STEP, _sets, _stencil, _symbol
+    from pairform.cohomology import _STEP, _pair_model, _sets, _stencil, _symbol
 
     cases = [(torus(n), None, kind) for n in range(1, 5)
              for kind in ("d", "codiff", "wedge", "interior", "lie")]
@@ -1299,10 +1334,10 @@ def test_stencils_are_derived_once_per_chart_kind_and_degree(monkeypatch):
                         lambda *args: derived.append(args) or symbol(*args))
     monkeypatch.setattr(cohomology, "_stencil",
                         lambda *key: reads.append((key, _stencil(*key))) or reads[-1][1])
-    _PairModel(T3, constant_field(T3, (1, 2, 0)), 1).certified_ranks()
+    _pair_model(T3, constant_field(T3, (1, 2, 0)), 1).certified_ranks()
     entries, first, info = dict(reads), len(derived), _stencil.cache_info()
     assert info.misses == info.currsize == len(entries)     # each key derived once
-    _PairModel(T3, constant_field(T3, (gq("1/2"), gq(0, 1), 0)), 1).certified_ranks()
+    _pair_model(T3, constant_field(T3, (gq("1/2"), gq(0, 1), 0)), 1).certified_ranks()
     assert first and len(derived) == first
     assert _stencil.cache_info()[1:] == info[1:]        # no miss, no new entry
     assert all(_stencil(*key) is entry for key, entry in entries.items())
@@ -1328,15 +1363,15 @@ def _certificate_cases(chart):
     form in (k, Lambda, W) (`_closed`); `homotopy` marks the cases that
     `certified_ranks` checks, with the model's own D and H."""
     from pairform.cohomology import (
-        _DeRhamModel,
-        _DolbeaultModel,
         _PAIR_CODIFF,
         _PAIR_CODIFF_SKEW,
-        _PairEtaModel,
-        _PairModel,
         _TWISTED_CODIFF,
         _TWISTED_D,
         _closed,
+        _de_rham_model,
+        _dolbeault_model,
+        _pair_eta_model,
+        _pair_model,
     )
 
     def homotopy(make, op=None, h=None):
@@ -1354,19 +1389,19 @@ def _certificate_cases(chart):
         out = []
         for p in range(n + 1):
             def dolbeault(p=p):
-                return _DolbeaultModel(chart, x, p, 1)
+                return _dolbeault_model(chart, x, p, 1)
             out += [homotopy(dolbeault), homotopy(dolbeault, h=_FLIPPED["dbar homotopy"]),
                     homotopy(dolbeault, op=_FLIPPED["dbar pair"])]
         return out
 
     def pair():
-        return _PairModel(chart, constant_field(chart, _COEFFS["complex"][:n]), 1)
+        return _pair_model(chart, constant_field(chart, _COEFFS["complex"][:n]), 1)
 
     def eta():
-        return _PairEtaModel(chart, coframe(chart, 0) * gq("1/2") + coframe(chart, n - 1), 1)
+        return _pair_eta_model(chart, coframe(chart, 0) * gq("1/2") + coframe(chart, n - 1), 1)
 
     def de_rham():
-        return _DeRhamModel(chart, 1)
+        return _de_rham_model(chart, 1)
 
     out = [homotopy(pair), homotopy(pair, h=_FLIPPED["pair homotopy"]),
            homotopy(pair, op=_FLIPPED["pair d"]),
@@ -1382,7 +1417,7 @@ def _certificate_cases(chart):
                 {**_closed(m), (0, m): (1, 0)}, laplacian.degrees, False))
     w_w = _closed(m, 1, [(1, {m + 2 + j: (1, 0)}) for j in range(m)])
     for w in _twisting_forms(chart):
-        model = _DeRhamModel(chart, 1, w)
+        model = _de_rham_model(chart, 1, w)
         re = sum(a * a - b * b for a, b in model.scaled_coeffs)
         im = sum(2 * a * b for a, b in model.scaled_coeffs)
         for cod in (_TWISTED_CODIFF, _FLIPPED["twisted codiff"]):
@@ -1428,8 +1463,8 @@ def _closed_cases():
     of `_closed`: value(k) is its reference value times scale^2, from the
     model's own sigma_j(k) and lambda(k) (`homotopy_value`, `closed_value`)
     and, for <w, w>, from the exact 1-form coefficients."""
-    from pairform.cohomology import _DeRhamModel, _DolbeaultModel, _PairModel
-    from pairform.cohomology import _PrimedEtaModel, _RelativeModel
+    from pairform.cohomology import _de_rham_model, _dolbeault_model, _pair_model
+    from pairform.cohomology import _primed_eta_model, _relative_model
 
     def homotopy(model, side="F"):
         return model, side, (), lambda k: (homotopy_value(model, k, side), 0)
@@ -1437,13 +1472,13 @@ def _closed_cases():
     out = []
     for coeffs, n, sign in itertools.product(("integer", "rational", "complex"), range(1, 5),
                                              (-1, 0, 1)):
-        model = _PairModel(torus(n), constant_field(torus(n), _COEFFS[coeffs][:n]), 1)
+        model = _pair_model(torus(n), constant_field(torus(n), _COEFFS[coeffs][:n]), 1)
         out.append((model, "F", [(sign, model.lam_form)],
                     lambda k, m=model, s=sign: closed_value(m, k, s)))
     for chart in (TC1, torus_complex(2)):
         units = (gq(1, 1), gq("1/3", -2))
         x = holomorphic_field(chart, tuple(const(chart, units[j]) for j in range(chart.dim)))
-        out += [homotopy(_DolbeaultModel(chart, x, p, 1)) for p in range(chart.dim + 1)]
+        out += [homotopy(_dolbeault_model(chart, x, p, 1)) for p in range(chart.dim + 1)]
     t3 = torus(3)
     maps = [ChartMap(T1, T2, matrix=((1,), (0,))), ChartMap(T2, T1, matrix=((1, 0),)),
             ChartMap(T2, T1, matrix=((0, 0),)),
@@ -1451,12 +1486,12 @@ def _closed_cases():
     for cmap in maps:
         x = constant_field(cmap.source, _COEFFS["rational"][:cmap.source.dim])
         out += [homotopy(model, side) for model in (
-            _RelativeModel(cmap, x, 1), _PrimedEtaModel(cmap, coframe(cmap.target, 0) * 2, 1))
+            _relative_model(cmap, x, 1), _primed_eta_model(cmap, coframe(cmap.target, 0) * 2, 1))
             for side in model.charts]
     # <w, w> = 0 for the "complex" 1-form; -43/36 + i for the last one
     for coeffs in [_LICHNEROWICZ_COEFFS[c] for c in ("real", "imaginary", "complex")] + [
             (gq("1/2", 1), gq(0, "2/3"), 0)]:
-        model = _DeRhamModel(T3, 1, _one_form(T3, coeffs))
+        model = _de_rham_model(T3, 1, _one_form(T3, coeffs))
         w_w = sum((c * c for c in model.coeffs), gq(0)) * model.scale ** 2
         assert w_w.d == 1
         out.append((model, "F", [(1, {0: w}) for w in model.scaled_coeffs],
@@ -1519,7 +1554,7 @@ _COEFFS = {"integer": (1, -2, 0, 3), "rational": (gq("1/2"), gq("-2/3"), gq(3), 
 @pytest.mark.parametrize("coeffs", sorted(_COEFFS))
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_certified_pair_dims_equal_elimination(n, coeffs):
-    from pairform.cohomology import _PairEtaModel, _PairModel
+    from pairform.cohomology import _pair_eta_model, _pair_model
 
     chart = torus(n)
     values = _COEFFS[coeffs][:n]
@@ -1528,28 +1563,28 @@ def test_certified_pair_dims_equal_elimination(n, coeffs):
         eta = eta + coframe(chart, j) * c
     for max_freq in range(3):
         _assert_certified_equals_eliminated(
-            _PairModel(chart, constant_field(chart, values), max_freq))
-        _assert_certified_equals_eliminated(_PairEtaModel(chart, eta, max_freq))
+            _pair_model(chart, constant_field(chart, values), max_freq))
+        _assert_certified_equals_eliminated(_pair_eta_model(chart, eta, max_freq))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_certified_de_rham_dims_equal_elimination(n):
-    from pairform.cohomology import _DeRhamModel
+    from pairform.cohomology import _de_rham_model
 
     for max_freq in range(3):
-        _assert_certified_equals_eliminated(_DeRhamModel(torus(n), max_freq))
+        _assert_certified_equals_eliminated(_de_rham_model(torus(n), max_freq))
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_certified_dolbeault_dims_equal_elimination(n):
-    from pairform.cohomology import _DolbeaultModel
+    from pairform.cohomology import _dolbeault_model
 
     chart = torus_complex(n)
     units = (gq(1, 1), gq(0, -2))
     x = holomorphic_field(chart, tuple(const(chart, units[j]) for j in range(n)))
     for max_freq in range(3):
         for p in range(n + 1):
-            _assert_certified_equals_eliminated(_DolbeaultModel(chart, x, p, max_freq))
+            _assert_certified_equals_eliminated(_dolbeault_model(chart, x, p, max_freq))
 
 
 # torus maps by their matrix A (rows: target slots): the identity, a shear,
@@ -1572,7 +1607,7 @@ def test_certified_map_dims_equal_elimination(name):
     """The relative model (for an integer, a rational-complex and the zero
     field) and the primed model (for a closed twisting form) over each map
     give the ranks, dims and basis of elimination on every block, at N = 0..2."""
-    from pairform.cohomology import _PrimedEtaModel, _RelativeModel
+    from pairform.cohomology import _primed_eta_model, _relative_model
 
     cmap = _torus_map(name)
     n = cmap.source.dim
@@ -1581,8 +1616,8 @@ def test_certified_map_dims_equal_elimination(name):
     for max_freq in range(3):
         for coeffs in fields:
             _assert_certified_equals_eliminated(
-                _RelativeModel(cmap, constant_field(cmap.source, coeffs), max_freq))
-        _assert_certified_equals_eliminated(_PrimedEtaModel(cmap, eta, max_freq))
+                _relative_model(cmap, constant_field(cmap.source, coeffs), max_freq))
+        _assert_certified_equals_eliminated(_primed_eta_model(cmap, eta, max_freq))
 
 
 @pytest.mark.parametrize("name", ["zero T2->T1", "project T2->T1", "embed T1->T2", "shear"])
@@ -1592,11 +1627,11 @@ def test_map_certificate_reaches_every_side_at_every_unit_mode(name):
     side's own unit modes: some d.d point set runs over every unit mode of
     each side, each side's homotopy is certified on its own unit modes, and
     the first point set starts with the zero block."""
-    from pairform.cohomology import _PrimedEtaModel, _RelativeModel, _unit_modes
+    from pairform.cohomology import _primed_eta_model, _relative_model, _unit_modes
 
     cmap = _torus_map(name)
-    models = (_RelativeModel(cmap, constant_field(cmap.source, (1, 2)[:cmap.source.dim]), 1),
-              _PrimedEtaModel(cmap, coframe(cmap.target, 0), 1))
+    models = (_relative_model(cmap, constant_field(cmap.source, (1, 2)[:cmap.source.dim]), 1),
+              _primed_eta_model(cmap, coframe(cmap.target, 0), 1))
     for model in models:
         checked, pieces = model.certificate()
         zero = {side: [(0,) * chart.nvars] for side, chart in model.charts.items()}
@@ -1608,45 +1643,53 @@ def test_map_certificate_reaches_every_side_at_every_unit_mode(name):
             assert own == {side: units}
 
 def _layout_cases():
-    """(model, modes dicts, [(point set, op, step)]) for every layout the
-    library numbers: pair (resonant on the k_1 axis), de Rham, twisted de
-    Rham (w = i dx^1, resonant on |k| = 1) and pair-eta on T2; relative and
-    primed over the zero T2->T1 map, the GL(3,Z) map and the T1->T2
-    embedding; Dolbeault on TC2 at p = 0, 1 and 2.  The dicts are the whole
-    band (None), the zero block, each point of every `certificate()` point
-    set and each `_resonant` block of a kernel; the ops are those the library
-    writes on each point set, and the kernels' on the unit points."""
+    """(model, its degrees, modes dicts, [(point set, op, step)]) for every
+    layout the library numbers: pair (resonant on the k_1 axis), de Rham,
+    twisted de Rham (w = i dx^1, resonant on |k| = 1) and pair-eta on T2;
+    relative and primed over the zero T2->T1 map, the GL(3,Z) map, the
+    T1->T2 embedding and a T2->T3 map; Dolbeault on TC2 at p = 0, 1, 2 and
+    3 > n.  The degrees are each complex's own rule: 0..n+1 for de Rham,
+    0..n+2 for the pair complexes on T^n or TC^n and 0..max(n_src, n_tgt)+2
+    over a map, n the slot count (the complex dimension for Dolbeault).
+    The dicts are the whole band (None), the zero block, each point of every
+    `certificate()` point set and each `_resonant` block of a kernel; the
+    ops are those the library writes on each point set, and the kernels' on
+    the unit points."""
     from pairform.cohomology import (
-        _DeRhamModel,
-        _DolbeaultModel,
         _PAIR_CODIFF,
         _PAIR_CODIFF_SKEW,
-        _PairEtaModel,
-        _PairModel,
-        _PrimedEtaModel,
-        _RelativeModel,
         _TWISTED_CODIFF,
         _TWISTED_D,
+        _de_rham_model,
+        _dolbeault_model,
+        _pair_eta_model,
+        _pair_model,
+        _primed_eta_model,
+        _relative_model,
         _resonant,
         _units,
     )
 
     tc2 = torus_complex(2)
     holo = holomorphic_field(tc2, (const(tc2, 1), const(tc2, gq(0, 2))))
-    pair = _PairModel(T2, constant_field(T2, (1, 0)), 2)
-    twisted = _DeRhamModel(T2, 2, coframe(T2, 0) * gq(0, 1))
-    models = [pair, _DeRhamModel(T2, 2), twisted, _PairEtaModel(T2, coframe(T2, 0), 2)]
-    for name in ("zero T2->T1", "GL(3,Z)", "embed T1->T2"):
-        cmap = _torus_map(name)
+    pair = _pair_model(T2, constant_field(T2, (1, 0)), 2)
+    twisted = _de_rham_model(T2, 2, coframe(T2, 0) * gq(0, 1))
+    n = T2.nslots
+    models = [(pair, range(n + 3)), (_de_rham_model(T2, 2), range(n + 2)),
+              (twisted, range(n + 2)), (_pair_eta_model(T2, coframe(T2, 0), 2), range(n + 3))]
+    maps = [_torus_map(name) for name in ("zero T2->T1", "GL(3,Z)", "embed T1->T2")]
+    for cmap in maps + [ChartMap(T2, T3, matrix=((1, 0), (0, 1), (1, -1)))]:
         x = constant_field(cmap.source, (1, 2, 0)[:cmap.source.dim])
         eta = coframe(cmap.target, 0)
-        models += [_RelativeModel(cmap, x, 1), _PrimedEtaModel(cmap, eta, 1)]
-    models += [_DolbeaultModel(tc2, holo, p, 1) for p in range(3)]
+        top = max(cmap.source.nslots, cmap.target.nslots)
+        models += [(_relative_model(cmap, x, 1), range(top + 3)),
+                   (_primed_eta_model(cmap, eta, 1), range(top + 3))]
+    models += [(_dolbeault_model(tc2, holo, p, 1), range(tc2.dim + 3)) for p in range(4)]
     # (d_op, cod_op, lam_sign, resonant modes per degree) of each kernel
     kernels = {pair: [(pair.op, _PAIR_CODIFF, 1, 5), (pair.op, _PAIR_CODIFF_SKEW, -1, 1)],
                twisted: [(_TWISTED_D, _TWISTED_CODIFF, None, 4)]}
     out = []
-    for model in models:
+    for model, degrees in models:
         checked, pieces = model.certificate()
         dicts = [None, _point_blocks(checked[0])[0]]
         dicts += [block for modes in checked + [modes for modes, _, _ in pieces]
@@ -1661,20 +1704,21 @@ def _layout_cases():
                       for block in _resonant(model, d, d_op, cod_op, "kernel", sign)]
             assert len(blocks) == count * len(model.degrees), (model.label, cod_op)
             dicts += blocks
-        out.append((model, dicts, ops))
+        out.append((model, tuple(degrees), dicts, ops))
     return out
 
 
 def test_every_count_follows_the_layout_rule():
     """`basis(d, modes)` lists the tags, sides in model order, then modes,
     then index sets, and `starts` counts them, for every modes dict the
-    library uses (`_layout_cases`).  The per-mode bases, joined in `modes`
-    order, are the whole band's basis, and `_parts` on a point set has
-    `size(s, zero)` columns and rows below `size(t, zero)`, zero its block
-    at k = 0."""
+    library uses (`_layout_cases`), in the degrees of its complex's rule.
+    The per-mode bases, joined in `modes` order, are the whole band's
+    basis, and `_parts` on a point set has `size(s, zero)` columns and rows
+    below `size(t, zero)`, zero its block at k = 0."""
     from pairform.cohomology import _parts
 
-    for model, dicts, ops in _layout_cases():
+    for model, degrees, dicts, ops in _layout_cases():
+        assert model.degrees == degrees, model.label
         order = list(model.charts)
         for d in model.degrees:
             per_mode = [tag for side in order for k in model.modes[side]
@@ -1705,25 +1749,25 @@ def _sized_models(max_freq):
     relative and primed over the zero T2->T1 map, the projection, the
     embedding, the doubling and the GL(3,Z) map."""
     from pairform.cohomology import (
-        _DeRhamModel,
-        _DolbeaultModel,
-        _PairEtaModel,
-        _PairModel,
-        _PrimedEtaModel,
-        _RelativeModel,
+        _de_rham_model,
+        _dolbeault_model,
+        _pair_eta_model,
+        _pair_model,
+        _primed_eta_model,
+        _relative_model,
     )
 
     tc2 = torus_complex(2)
     holo = holomorphic_field(tc2, (const(tc2, 1), const(tc2, gq(0, 2))))
-    models = [_PairModel(T2, constant_field(T2, (1, 2)), max_freq), _DeRhamModel(T2, max_freq),
-              _DeRhamModel(T2, max_freq, coframe(T2, 0) * gq(0, 1)),
-              _PairEtaModel(T2, coframe(T2, 0) * 3, max_freq)]
-    models += [_DolbeaultModel(tc2, holo, p, max_freq) for p in range(3)]
+    models = [_pair_model(T2, constant_field(T2, (1, 2)), max_freq), _de_rham_model(T2, max_freq),
+              _de_rham_model(T2, max_freq, coframe(T2, 0) * gq(0, 1)),
+              _pair_eta_model(T2, coframe(T2, 0) * 3, max_freq)]
+    models += [_dolbeault_model(tc2, holo, p, max_freq) for p in range(3)]
     for name in ("zero T2->T1", "project T2->T1", "embed T1->T2", "doubling", "GL(3,Z)"):
         cmap = _torus_map(name)
         x = constant_field(cmap.source, (1, 2, 0)[:cmap.source.dim])
-        models += [_RelativeModel(cmap, x, max_freq),
-                   _PrimedEtaModel(cmap, coframe(cmap.target, 0), max_freq)]
+        models += [_relative_model(cmap, x, max_freq),
+                   _primed_eta_model(cmap, coframe(cmap.target, 0), max_freq)]
     return models
 
 
@@ -1734,7 +1778,7 @@ def test_closed_form_sizes_equal_the_listed_counts(max_freq):
     len() of the assembled `BandComplex.basis`.  A map's source side counts
     its cube and every A^T k of the target cube, each once; off the model's
     degrees no side has an index set."""
-    from pairform.cohomology import _RelativeModel, _sets, _SHIFT
+    from pairform.cohomology import _REL_D, _sets, _SHIFT
 
     cube = partial(itertools.product, range(-max_freq, max_freq + 1))
     for model in _sized_models(max_freq):
@@ -1745,7 +1789,7 @@ def test_closed_form_sizes_equal_the_listed_counts(max_freq):
         for d in range(-2, model.degrees[-1] + 3):
             assert model.widths(d) == {side: len(_sets(chart, model.p, d - _SHIFT[side]))
                                        for side, chart in model.charts.items()}
-        if isinstance(model, _RelativeModel):
+        if model.op == _REL_D:
             target, source = model.charts["F"].nvars, model.charts["S"].nvars
             union = set(cube(repeat=source)) | {model.pull(k) for k in cube(repeat=target)}
             assert model.counts == {"F": (2 * max_freq + 1) ** target, "S": len(union)}
@@ -1758,9 +1802,9 @@ def test_closed_form_sizes_equal_the_listed_counts(max_freq):
 def test_the_basis_sequence_is_the_listed_tuple():
     """`BandComplex.basis[d]` compares, indexes, iterates, hashes and prints
     as `tuple(model.basis(d))`, and its len() lists nothing."""
-    from pairform.cohomology import _RelativeModel
+    from pairform.cohomology import _relative_model
 
-    model = _RelativeModel(_torus_map("shear"), constant_field(T2, (1, 2)), 1)
+    model = _relative_model(_torus_map("shear"), constant_field(T2, (1, 2)), 1)
     out = model.assemble()
     for d in model.degrees:
         tags = tuple(model.basis(d))
@@ -1910,7 +1954,7 @@ def test_witness_render_equals_the_two_slot_render():
     """`_render_vector` writes the tag's one nonzero slot next to a zero form;
     it prints as the sum of the tag's form into two zero slots did, for
     every tag of T2 and T3 at N = 1 in every degree."""
-    from pairform.cohomology import _PairModel, _render_vector
+    from pairform.cohomology import _pair_model, _render_vector
     from pairform.exterior import Form
     from pairform.pair import PairForm
     from pairform.rationals import ONE
@@ -1924,7 +1968,7 @@ def test_witness_render_equals_the_two_slot_render():
 
     tags = 0
     for chart in (T2, T3):
-        model = _PairModel(chart, constant_field(chart, (1, 2, 0)[:chart.dim]), 1)
+        model = _pair_model(chart, constant_field(chart, (1, 2, 0)[:chart.dim]), 1)
         for degree in model.degrees:
             for tag in model.basis(degree):
                 assert _render_vector(model, tag) == two_slots(chart, degree, tag), tag
@@ -1942,23 +1986,23 @@ _LICHNEROWICZ_COEFFS = {"real": (1, -2, 0), "imaginary": (gq(0, 1), gq(0, 2), gq
 @pytest.mark.parametrize("coeffs", sorted(_LICHNEROWICZ_COEFFS))
 @pytest.mark.parametrize("n, max_freq", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
 def test_certified_lichnerowicz_kernel_equals_the_all_blocks_path(n, max_freq, coeffs):
-    from pairform.cohomology import _DeRhamModel, _TWISTED_CODIFF, _TWISTED_D
+    from pairform.cohomology import _TWISTED_CODIFF, _TWISTED_D, _de_rham_model
 
     chart = torus(n)
     w = coframe(chart, 0) * 0
     for j, c in enumerate(_LICHNEROWICZ_COEFFS[coeffs][:n]):
         w = w + coframe(chart, j) * c
-    model = _DeRhamModel(chart, max_freq, w)
+    model = _de_rham_model(chart, max_freq, w)
     for degree in range(n + 2):
         assert lichnerowicz_kernel_dim(chart, w, degree, max_freq) == \
             all_blocks_kernel_dim(model, degree, _TWISTED_D, _TWISTED_CODIFF)
 
 
 def test_kernels_are_taken_on_the_resonant_modes_only():
-    from pairform.cohomology import _PAIR_CODIFF, _PAIR_CODIFF_SKEW, _PairModel, _resonant
+    from pairform.cohomology import _PAIR_CODIFF, _PAIR_CODIFF_SKEW, _pair_model, _resonant
 
     def resonant(coeffs, cod, sign):
-        model = _PairModel(T2, constant_field(T2, coeffs), 2)
+        model = _pair_model(T2, constant_field(T2, coeffs), 2)
         return _resonant(model, 1, model.op, cod, "closed form", sign)
 
     axis = [{"F": [k], "S": [k]} for k in ((-2, 0), (-1, 0), (0, 0), (1, 0), (2, 0))]
@@ -2114,9 +2158,9 @@ def test_relative_differential_with_the_pullback_negated_is_still_certified(monk
 def test_a_differential_that_does_not_vanish_at_mode_0_is_refused():
     """d + w^ with w = dx^1 squares to zero (w is parallel and w^w = 0), but
     its w^ part is nonzero at mode 0, so the zero block would not split off."""
-    from pairform.cohomology import _DeRhamModel, _TWISTED_D
+    from pairform.cohomology import _TWISTED_D, _de_rham_model
 
-    model = _DeRhamModel(T2, 1, coframe(T2, 0))
+    model = _de_rham_model(T2, 1, coframe(T2, 0))
     model.op = _TWISTED_D
     with pytest.raises(AssertionError) as info:
         model.assemble()
@@ -2131,9 +2175,9 @@ def test_a_band_size_that_breaks_the_fill_is_refused(degree, change, failed):
     """One column short in degree 1 would fill the ranks 8, 15, 9, -1 and
     report dims [1, 4, 3, 1, 1]; one extra column in the empty last degree
     would leave a rank out of it."""
-    from pairform.cohomology import _PairModel
+    from pairform.cohomology import _pair_model
 
-    model = _PairModel(T2, constant_field(T2, (1, 2)), 1)
+    model = _pair_model(T2, constant_field(T2, (1, 2)), 1)
     assert model.certified_ranks() == {0: 8, 1: 16, 2: 8, 3: 0, 4: 0}
     size = model.size
     # only the whole band's size changes, not the zero block's
@@ -2397,20 +2441,20 @@ def test_a_wrong_formal_closed_form_fails_at_every_degree(n):
     Lichnerowicz certificate holds against |k|^2 + sum W_j^2 and fails at
     every such degree once any one W_j^2 is dropped."""
     from pairform.cohomology import (
-        _DeRhamModel,
         _PAIR_CODIFF,
         _PAIR_D,
-        _PairModel,
         _TWISTED_CODIFF,
         _TWISTED_D,
         _certify,
         _closed,
+        _de_rham_model,
+        _pair_model,
         _units,
     )
 
     chart = torus(n)
-    pair = _PairModel(chart, constant_field(chart, (1,) * n), 1)
-    twisted = _DeRhamModel(chart, 1, _one_form(chart, (1,) * n))
+    pair = _pair_model(chart, constant_field(chart, (1,) * n), 1)
+    twisted = _de_rham_model(chart, 1, _one_form(chart, (1,) * n))
     pair, twisted = (pair, _units(pair)), (twisted, _units(twisted))   # (model, point set)
     squares = [(1, {n + 2 + j: (1, 0)}) for j in range(n)]
     for d in range(n + 2):
@@ -2535,13 +2579,13 @@ def test_the_certificate_splits_each_matrix_once_and_skips_zero_parts(monkeypatc
     no zero coefficient of a linear form; exactly one product is taken per
     d.d degree and per certified degree."""
     from pairform import cohomology
-    from pairform.cohomology import _PairModel
+    from pairform.cohomology import _pair_model
 
     built = _counting_parts(monkeypatch)
     product, products = cohomology._product, []
     monkeypatch.setattr(cohomology, "_product",
                         lambda left, right: products.append(1) or product(left, right))
-    model = _PairModel(T3, constant_field(T3, (1, 2, 0)), 1)
+    model = _pair_model(T3, constant_field(T3, (1, 2, 0)), 1)
     model.certified_ranks()
     cache = cohomology._PARTS          # emptied before the test: this model's matrices
     assert len(built) == len(set(built)) == len(cache) == 2 * (len(model.degrees) - 1) + 2
@@ -2556,10 +2600,10 @@ def test_map_certificate_splits_each_point_set_apart(monkeypatch):
     their layouts, so each matrix of each set is built once and read back on
     its own set."""
     from pairform import cohomology
-    from pairform.cohomology import _RelativeModel
+    from pairform.cohomology import _relative_model
 
     built = _counting_parts(monkeypatch)
-    model = _RelativeModel(_torus_map("T3->T2"), constant_field(T3, (1, 2, 0)), 1)
+    model = _relative_model(_torus_map("T3->T2"), constant_field(T3, (1, 2, 0)), 1)
     model.certified_ranks()
     cache = cohomology._PARTS
     assert len(built) == len(set(built)) == len(cache)

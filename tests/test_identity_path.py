@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from pairform.charts import ChartKind, affine_complex, torus, torus_complex
+from pairform.charts import ChartKind, affine, affine_complex, torus, torus_complex
 from pairform.exterior import VectorField, coframe, ext_d, lie, pullback, pushforward
 from pairform.pair import PairForm, pair_d
 from pairform.randgen import (
@@ -224,3 +224,57 @@ def test_inverse_is_worked_out_once_and_still_refuses():
         with pytest.raises(ValueError, match="pushforward requires an invertible chart map"):
             pushforward(doubling, random_field(random.Random(0), t1))
 
+
+
+def _matrices_of_det(rng):
+    """(n, integer matrix, det) for n <= 4 and det in {0, +-1, +-2, 3}: diag(det,
+    1, ..., 1) between two GL(n, Z) factors, so the determinant is +-det."""
+    out = []
+    for n in range(1, 5):
+        for det in (0, 1, -1, 2, -2, 3):
+            diag = [[det if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)]
+            left, right = random_gl_matrix(rng, n), random_gl_matrix(rng, n)
+            m = [[sum(left[i][s] * diag[s][t] * right[t][j] for s in range(n) for t in range(n))
+                  for j in range(n)] for i in range(n)]
+            out.append((n, tuple(map(tuple, m)), det))
+    return out
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_a_torus_map_is_invertible_exactly_when_its_determinant_is_a_unit():
+    """One elimination decides it: an integer inverse exists exactly when
+    |det A| = 1, and then A A^-1 = A^-1 A = I."""
+    from pairform.linalg import det_dense
+
+    for n, rows, det in _matrices_of_det(random.Random("inverse/torus")):
+        cmap = ChartMap(torus(n), torus(n), matrix=rows)
+        unit = det_dense([[gq(v) for v in row] for row in rows]) in (gq(1), gq(-1))
+        assert unit == (abs(det) == 1) and cmap.is_invertible == unit, (rows, det)
+        if unit:
+            identity = [[int(i == j) for j in range(n)] for i in range(n)]
+            inverse = cmap.inverse().matrix
+            assert _product(rows, inverse) == _product(inverse, rows) == identity, rows
+
+
+def test_an_affine_map_is_invertible_exactly_when_its_linear_part_is():
+    """x -> A x + b is invertible exactly when det A != 0, and then its
+    inverse undoes it on every coordinate, composed either way."""
+    from pairform.linalg import det_dense
+
+    rng = random.Random("inverse/affine")
+    for n, rows, det in _matrices_of_det(rng):
+        chart = affine(n)
+        comps = tuple(sum((coordinate(chart, s) * v for s, v in enumerate(row)),
+                          const(chart, rng.randint(-3, 3))) for row in rows)
+        cmap = ChartMap(chart, chart, components=comps)
+        regular = det_dense([[gq(v) for v in row] for row in rows]) != gq(0)
+        assert regular == (det != 0) and cmap.is_invertible == regular, (rows, det)
+        if regular:
+            inverse = cmap.inverse()
+            for j in range(n):
+                x = coordinate(chart, j)
+                assert x.compose(cmap).compose(inverse) == x, (rows, j)
+                assert x.compose(inverse).compose(cmap) == x, (rows, j)
