@@ -91,7 +91,8 @@ def run(scenario: dict, clock=time.perf_counter) -> Report:
     if kind in ("symplectic", "all"):
         checks += symplectic_suite(scenario["seed"])
     if kind in ("cohomology", "all"):
-        if scenario.get("field"):
+        # under 'all', --field belongs to --map's relative scenario
+        if kind == "cohomology" and scenario.get("field"):
             c, t = _custom_cohomology(scenario.get("dim") or 2, scenario["field"],
                                       scenario["bands"])
         else:
@@ -183,7 +184,8 @@ def _check_args(args):
                         ("--dim", args.dim)):
         if value is not None and value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
-    for flag, value in (("--field", args.field), ("--map", args.map), ("--eta", args.eta)):
+    for flag, value in (("--field", args.field), ("--map", args.map), ("--eta", args.eta),
+                        ("--out", args.out)):
         if value is not None and not value.strip():
             raise ValueError(f"{flag} must not be empty")
     if args.field is not None and args.eta is not None:

@@ -66,14 +66,6 @@ def split_d(a: Form) -> tuple:
     return _split(a, _holo(bidegree(a)))
 
 
-def del_op(a: Form) -> Form:
-    return split_d(a)[0]
-
-
-def dbar_op(a: Form) -> Form:
-    return split_d(a)[1]
-
-
 def holomorphic_field(chart: Chart, z_components) -> VectorField:
     """Build the (1,0)-part field from z-components; checked for holomorphy."""
     comps = tuple(z_components) + tuple(scalar_zero(chart) for _ in range(chart.dim))

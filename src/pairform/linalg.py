@@ -1,6 +1,6 @@
 """Exact linear algebra over Q(i).
 
-Ranks, kernels, determinants and inverses all come from one elimination
+Ranks, kernels and inverses all come from one elimination
 routine, `_bareiss`: fraction-free Bareiss elimination over the Gaussian
 integers Z[i], on sparse rows whose entries are int pairs (real part,
 imaginary part).
@@ -152,15 +152,7 @@ def _bareiss(rows: list) -> list:
 
 def zi_rank(columns: list) -> int:
     """Rank of a Z[i] column matrix."""
-    if len(columns) == 1:
-        return 1 if columns[0] else 0
-    rank = 0
-    for cols, rows in _groups(columns):
-        if len(cols) == 1 or len(rows) == 1:
-            rank += 1 if rows else 0
-        else:
-            rank += len(_bareiss(rows))
-    return rank
+    return sum(len(_bareiss(rows)) for _, rows in _groups(columns))
 
 
 def zi_kernel(columns: list) -> list:
@@ -274,22 +266,3 @@ def invert_dense(rows: "list[list[GaussianRational]]"):
     if any(max(vec) < n for vec in vectors):
         raise ValueError("matrix is singular")
     return [[vec.get(i, ZERO) for vec in vectors] for i in range(n)]
-
-
-def det_dense(rows: "list[list[GaussianRational]]") -> GaussianRational:
-    """Exact determinant: the last Bareiss pivot of the rows cleared of
-    denominators, signed by the order in which the rows became pivots."""
-    n = len(rows)
-    if n == 0:
-        return ONE
-    denom, columns = RationalMatrix.from_rows(rows)._cleared()
-    int_rows = [{c: col[r] for c, col in enumerate(columns) if r in col} for r in range(n)]
-    pivots = _bareiss(int_rows)
-    if len(pivots) < n:
-        return ZERO
-    order = [r for r, _ in pivots]
-    inversions = sum(1 for i in range(n) for j in range(i + 1, n) if order[i] > order[j])
-    row, col = pivots[-1]
-    a, b = int_rows[row][col]
-    sign = -1 if inversions % 2 else 1
-    return from_parts(sign * a, sign * b, denom ** n)

@@ -28,7 +28,6 @@ from .exterior import (
     lie,
     pullback,
     wedge,
-    zero_form,
 )
 from .rationals import GaussianRational
 from .scalar import ChartMap
@@ -97,14 +96,6 @@ class PairForm(PairContainer):
     @property
     def degree(self) -> int:
         return self.first.degree
-
-
-def pair(first: Form, second: Form) -> PairForm:
-    return PairForm(first, second)
-
-
-def from_form(phi: Form) -> PairForm:
-    return PairForm(phi, zero_form(phi.chart, phi.degree - 1))
 
 
 # -- graded algebra ---------------------------------------------------------
@@ -223,8 +214,7 @@ def _pair_laplacian(u: VectorField, a: PairForm, cod, sign: int, message: str) -
         lap, lie_sq = laplacian(f), lie(u, lie(u, f))
         return lap + lie_sq if sign > 0 else lap - lie_sq
 
-    expected = PairForm(closed(a.first), closed(a.second))
-    if out.first != expected.first or out.second != expected.second:
+    if out != PairForm(closed(a.first), closed(a.second)):
         raise AssertionError(message)
     return out
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .charts import ChartMismatchError
-from .exterior import Form, VectorField, ext_d, interior, lie, pullback, wedge, zero_form
+from .exterior import Form, VectorField, ext_d, interior, lie, pullback, wedge
 from .pair import PairContainer
 from .scalar import ChartMap
 
@@ -89,8 +89,7 @@ def closed_pair(x: VectorField, cmap: ChartMap, phi: Form,
         second = interior(x, pullback(cmap, primitive))
         if zeta is not None:
             second = second + ext_d(zeta)
-        image = rel_d(x, RelPairForm(cmap, primitive, second))
-        if image.first != out.first or image.second != out.second:
+        if rel_d(x, RelPairForm(cmap, primitive, second)) != out:
             raise AssertionError("exactness witness failed for closed_pair")
     return out
 
@@ -111,25 +110,3 @@ def rel_d_lichnerowicz(eta: Form, a: RelPairForm) -> RelPairForm:
         primed=True,
     )
 
-
-# -- structural maps ----------------------------------------------------------
-
-
-def include_second(cmap: ChartMap, psi: Form) -> RelPairForm:
-    """psi on the source -> (0, psi); a cochain map against -d."""
-    return RelPairForm(cmap, zero_form(cmap.target, psi.degree + 1), psi)
-
-
-def project_first(a: RelPairForm) -> Form:
-    """(phi, psi) -> phi; a cochain map to the target de Rham complex."""
-    return a.first
-
-
-def include_first(cmap: ChartMap, phi: Form) -> RelPairForm:
-    """phi on the source -> (phi, 0) in the primed complex."""
-    return RelPairForm(cmap, phi, zero_form(cmap.target, phi.degree - 1), primed=True)
-
-
-def project_second(a: RelPairForm) -> Form:
-    """(phi, psi) -> psi from the primed complex."""
-    return a.second

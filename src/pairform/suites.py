@@ -99,10 +99,6 @@ REAL_CHARTS = ("t2", "t3", "r2")
 COMPLEX_CHARTS = ("c2", "tc1")
 
 
-def _pairs_match(a, b) -> bool:
-    return a.first == b.first and a.second == b.second
-
-
 def _search(trial, count, charts):
     """Run `trial(chart)` up to `count` times per chart and stop that chart at
     its first witness; the charts after a failing one still run, and the last
@@ -143,7 +139,7 @@ def _law_antiderivation(op, rng, chart):
     sign = -1 if p % 2 else 1
     lhs = op(x, pair_wedge(a, b))
     rhs = pair_wedge(op(x, a), b) + pair_wedge(a, op(x, b)) * sign
-    return None if _pairs_match(lhs, rhs) else f"X={x}, a={a}, b={b}"
+    return None if lhs == rhs else f"X={x}, a={a}, b={b}"
 
 
 def _law_pair_lie_derivation(rng, chart):
@@ -152,7 +148,7 @@ def _law_pair_lie_derivation(rng, chart):
     b = random_pair(rng, chart, rng.randint(0, 2))
     lhs = pair_lie(x, pair_wedge(a, b))
     rhs = pair_wedge(pair_lie(x, a), b) + pair_wedge(a, pair_lie(x, b))
-    return None if _pairs_match(lhs, rhs) else f"X={x}, a={a}, b={b}"
+    return None if lhs == rhs else f"X={x}, a={a}, b={b}"
 
 
 def _law_lie_bracket(op, rng, chart):
@@ -161,7 +157,7 @@ def _law_lie_bracket(op, rng, chart):
     a = random_pair(rng, chart, rng.randint(0, 2))
     lhs = pair_lie(x, op(y, a)) - op(y, pair_lie(x, a))
     rhs = op(bracket(x, y), a)
-    return None if _pairs_match(lhs, rhs) else f"X={x}, Y={y}, a={a}"
+    return None if lhs == rhs else f"X={x}, Y={y}, a={a}"
 
 
 def _law_cartan_homotopy_self(rng, chart):
@@ -169,7 +165,7 @@ def _law_cartan_homotopy_self(rng, chart):
     a = random_pair(rng, chart, rng.randint(0, 2))
     da, lie_a = pair_d(x, a), pair_lie(x, a)
     homotopy = pair_d(x, pair_interior(x, a)) + pair_interior(x, da)
-    if not _pairs_match(homotopy, lie_a):
+    if homotopy != lie_a:
         return f"X={x}, a={a}"
     comm = pair_lie(x, da) - pair_d(x, lie_a)
     return None if comm.is_zero else f"commutator: X={x}, a={a}"
@@ -180,7 +176,7 @@ def _law_cartan_homotopy_commuting(rng, chart):
     a = random_pair(rng, chart, rng.randint(0, 2))
     da, lie_a = pair_d(x, a), pair_lie(y, a)
     homotopy = pair_d(x, pair_interior(y, a)) + pair_interior(y, da)
-    if not _pairs_match(homotopy, lie_a):
+    if homotopy != lie_a:
         return f"X={x}, Y={y}, a={a}"
     comm = pair_lie(y, da) - pair_d(x, lie_a)
     return None if comm.is_zero else f"commutator: X={x}, Y={y}, a={a}"
@@ -192,12 +188,11 @@ def _law_pair_pullback_naturality(rng, chart):
     fx = pushforward(cmap, x)
     a = random_pair(rng, chart, rng.randint(0, 2))
     pulled = pair_pullback(cmap, a)
-    if not _pairs_match(pair_d(x, pulled), pair_pullback(cmap, pair_d(fx, a))):
+    if pair_d(x, pulled) != pair_pullback(cmap, pair_d(fx, a)):
         return f"d-naturality: map={cmap.matrix or '[affine]'}, a={a}"
-    if not _pairs_match(pair_pullback(cmap, pair_interior(fx, a)),
-                        pair_interior(x, pulled)):
+    if pair_pullback(cmap, pair_interior(fx, a)) != pair_interior(x, pulled):
         return f"contraction-naturality: a={a}"
-    if not _pairs_match(pair_pullback(cmap, pair_lie(fx, a)), pair_lie(x, pulled)):
+    if pair_pullback(cmap, pair_lie(fx, a)) != pair_lie(x, pulled):
         return f"lie-naturality: a={a}"
     return None
 
@@ -352,7 +347,7 @@ def symplectic_suite(seed: int):
             primitive = PairForm(theta + ext_d(scalar_form(f)),
                                  scalar_form(xi.apply(f)))
             image = pair_d(xi, primitive)
-            if not _pairs_match(image, liouville_pair):
+            if image != liouville_pair:
                 witnesses.append(f"f={f}: image {image}")
         checks.append(_check(
             f"symplectic/liouville-class-vanishing/{tag}", "liouville-class-vanishing",
@@ -377,7 +372,7 @@ def symplectic_suite(seed: int):
         rhs = pair_interior(ham, PairForm(omega, ext_d(scalar_form(h_prime))))
         checks.append(Check(
             f"symplectic/hamilton-type-equation/{tag}", "hamilton-type-equation",
-            passed(ok and _pairs_match(lhs, rhs)),
+            passed(ok and lhs == rhs),
             None if ok else f"X h' = {ham.apply(h_prime)}"))
 
         solve_witness = None
@@ -414,7 +409,7 @@ def harmonic_suite(seed: int, trials: int, max_freq: int = 2):
         composite = pair_codiff(u, pair_d(u, a)) + pair_d(u, pair_codiff(u, a))
         expected = PairForm(laplacian(a.first) + lie(u, lie(u, a.first)),
                             laplacian(a.second) + lie(u, lie(u, a.second)))
-        return None if _pairs_match(composite, expected) else f"U={u}, a={a}"
+        return None if composite == expected else f"U={u}, a={a}"
     checks.append(_check("harmonic/pair-laplacian-closed-form", "pair-laplacian-closed-form",
                          _search(closed_form, trials // 2 + 1, (t2, t3))))
 

@@ -2,10 +2,11 @@
 
 from fractions import Fraction
 
-from pairform.exterior import VectorField, zero_form
+from pairform.exterior import Form, VectorField, zero_form
 from pairform.pair import PairForm
 from pairform.rationals import gq
-from pairform.scalar import ScalarExpr, const, wave
+from pairform.relative import RelPairForm
+from pairform.scalar import ChartMap, ScalarExpr, const, wave
 from pairform.scalar import zero as scalar_zero
 
 
@@ -34,6 +35,21 @@ def norm2(z) -> Fraction:
 
 def zero_pair(chart, degree: int) -> PairForm:
     return PairForm(zero_form(chart, degree), zero_form(chart, degree - 1))
+
+
+def from_form(phi: Form) -> PairForm:
+    """phi -> (phi, 0)."""
+    return PairForm(phi, zero_form(phi.chart, phi.degree - 1))
+
+
+def include_second(cmap: ChartMap, psi: Form) -> RelPairForm:
+    """psi on the source -> (0, psi); a cochain map against -d."""
+    return RelPairForm(cmap, zero_form(cmap.target, psi.degree + 1), psi)
+
+
+def include_first(cmap: ChartMap, phi: Form) -> RelPairForm:
+    """phi on the source -> (phi, 0) in the primed complex."""
+    return RelPairForm(cmap, phi, zero_form(cmap.target, phi.degree - 1), primed=True)
 
 
 def cohomology_memos() -> tuple:

@@ -140,6 +140,17 @@ def perm_sign(seq) -> int:
     return -1 if inversions % 2 else 1
 
 
+def leibniz_det(rows) -> GaussianRational:
+    """Determinant of a square Q(i) matrix as the signed sum over permutations."""
+    total = ZERO
+    for perm in itertools.permutations(range(len(rows))):
+        term = gq(perm_sign(perm))
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
 def canonical_scalar_faults(s) -> list:
     """Every way `s` breaks canonical form, checked entry by entry without the
     library's own predicate: terms strictly increasing in (alpha, k), so

@@ -141,6 +141,31 @@ def test_custom_field_and_map(capsys):
     assert "custom[ 1 , -1 ;0, 1 ]/N=1: dims=[1, 3, 3, 1, 0]" in capsys.readouterr().out
 
 
+def _json_report(argv, capsys):
+    code = main(argv + ["--trials", "1", "--max-freq", "1", "--json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def _cohomology_part(report):
+    return ([c for c in report["checks"] if c["id"].startswith("cohomology/")],
+            [t for t in report["tables"] if t["name"].startswith("pair/")])
+
+
+def test_all_reads_field_as_the_custom_maps_field(capsys):
+    """Under `all`, --field goes with --map to the relative scenario; the
+    cohomology suite still runs over T1..T3 with its own fields."""
+    code, report = _json_report(["all", "--map", "1,0,0;0,1,0;0,0,1", "--field", "1;2;0"],
+                                capsys)
+    assert code == 1  # the harmonic suite's documented discrepancies
+    ids = {c["id"] for c in report["checks"]}
+    assert {f"cohomology/dims-match/T{n}" for n in (1, 2, 3)} <= ids
+    assert "relative/custom[1,0,0;0,1,0;0,0,1]/N=1" in [t["name"] for t in report["tables"]]
+    _, with_field = _json_report(["all", "--map", "1,1;0,1", "--field", "1;2"], capsys)
+    _, without = _json_report(["all", "--map", "1,1;0,1"], capsys)
+    assert _cohomology_part(with_field) == _cohomology_part(without)
+    assert _cohomology_part(with_field)[1]
+
+
 def test_out_writes_report(tmp_path, capsys):
     path = tmp_path / "report.json"
     code = main(["symplectic", "--out", str(path)])
@@ -211,6 +236,7 @@ def test_nonconstant_custom_field_reported_unsupported(capsys):
     (["cohomology", "--dim", "2", "--field", "2 i;0"], "space inside a token in '2 i': '2 i'"),
     (["cohomology", "--dim", "2", "--eta", "3*d x[1]"], "space inside a token in '3*d x[1]'"),
     (["cohomology", "--dim", "2", "--eta", "dx[1]^dx [2]"], "space inside a token in"),
+    (["symplectic", "--out", ""], "--out must not be empty"),
 ])
 def test_rejected_input_is_usage_error(argv, message, capsys):
     assert main(argv) == 2

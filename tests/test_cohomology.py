@@ -45,6 +45,7 @@ from oracles import (
     eliminated_ranks,
     homotopy_value,
     laplace_eigenvalue,
+    leibniz_det,
     mode_block,
     ModeBlock,
     operator_matrix,
@@ -765,9 +766,8 @@ _MINOR_MAPS = [m for n in range(1, 5) for m in _gl_maps(n, 4)] + [
 @pytest.mark.parametrize("cmap", _MINOR_MAPS, ids=lambda m: str(m.matrix))
 def test_relative_minors_are_the_determinants_of_square_submatrices(cmap):
     """A relative model's `minors`, read off the pulled-back coframes, against
-    `det_dense` of every square submatrix A[I, J], in every degree."""
+    the Leibniz determinant of every square submatrix A[I, J], in every degree."""
     from pairform.cohomology import _relative_model
-    from pairform.linalg import det_dense
 
     src, tgt = cmap.source, cmap.target
     model = _relative_model(cmap, constant_field(src, [1] * src.nslots), 0)
@@ -778,7 +778,8 @@ def test_relative_minors_are_the_determinants_of_square_submatrices(cmap):
         targets = list(itertools.combinations(range(tgt.nslots), q))
         assert len(rows) == len(targets)
         for target_set, row in zip(targets, rows):
-            dets = [det_dense([[gq(cmap.matrix[t][s]) for s in source_set] for t in target_set])
+            dets = [leibniz_det([[gq(cmap.matrix[t][s]) for s in source_set]
+                                 for t in target_set])
                     for source_set in sources]
             assert [(pos, gq(m), j) for pos, m, j in row] == \
                 [(pos, d, 0) for pos, d in enumerate(dets) if d]

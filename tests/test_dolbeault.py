@@ -5,10 +5,8 @@ import pytest
 from pairform.charts import ChartMismatchError, affine, affine_complex, torus_complex
 from pairform.dolbeault import (
     bidegree,
-    dbar_op,
     dbar_pair,
     dbar_pair_rel,
-    del_op,
     holomorphic_field,
     lie_exactness_witness,
     split_d,
@@ -64,8 +62,6 @@ def test_a_mixed_bidegree_is_rejected_at_every_operator():
     calls = [
         lambda: bidegree(mixed),
         lambda: split_d(mixed),
-        lambda: del_op(mixed),
-        lambda: dbar_op(mixed),
         lambda: dbar_pair(x, PairForm(mixed, zero0)),
         lambda: dbar_pair(x, PairForm(wedge(dz(C1, 0), dzb(C1, 0)), mixed)),
         lambda: dbar_pair_rel(x, RelPairForm(ident, mixed, zero0)),
@@ -138,9 +134,9 @@ def test_split_d_square_zero_and_anticommute():
             p, q = rng.randint(0, n), rng.randint(0, n)
             a = random_bigraded(rng, chart, p, q)
             dd, db = split_d(a)
-            assert del_op(dd).is_zero
-            assert dbar_op(db).is_zero
-            mixed = del_op(db) + dbar_op(dd)
+            assert split_d(dd)[0].is_zero
+            assert split_d(db)[1].is_zero
+            mixed = split_d(db)[0] + split_d(dd)[1]
             assert mixed.is_zero
             # del + dbar recovers d
             assert dd + db == ext_d(a)
@@ -198,7 +194,7 @@ def test_lie_commutes_with_dbar():
         for _ in range(100):
             x = random_holomorphic_field(rng, chart)
             a = random_bigraded(rng, chart, rng.randint(0, n), rng.randint(0, n))
-            assert lie(x, dbar_op(a)) == dbar_op(lie(x, a))
+            assert lie(x, split_d(a)[1]) == split_d(lie(x, a))[1]
 
 
 def test_dbar_pair_antiderivation_over_pair_wedge():
@@ -306,8 +302,8 @@ def test_lie_exactness_witness_frozen_example():
     phi = wedge(dz(C1, 0), dzb(C1, 0))
     witness = lie_exactness_witness(x, phi)
     assert witness == wedge(scalar_form(coordinate(C1, 0)), dzb(C1, 0))
-    assert del_op(witness) == lie(x, phi)
-    assert dbar_op(witness).is_zero
+    assert split_d(witness)[0] == lie(x, phi)
+    assert split_d(witness)[1].is_zero
 
 
 def test_lie_exactness_witness_trivial_cases():
@@ -318,7 +314,7 @@ def test_lie_exactness_witness_trivial_cases():
     psi = dz(C1, 0)
     w = lie_exactness_witness(x, psi)
     assert w == scalar_form(const(C1, 2))
-    assert dbar_op(w).is_zero
+    assert split_d(w)[1].is_zero
 
 
 def test_lie_exactness_witness_on_complex_torus_modes():
@@ -327,7 +323,7 @@ def test_lie_exactness_witness_on_complex_torus_modes():
         x = random_holomorphic_field(rng, TC1)
         phi = wedge(dz(TC1, 0), dzb(TC1, 0))
         witness = lie_exactness_witness(x, phi)
-        assert del_op(witness) == lie(x, phi)
+        assert split_d(witness)[0] == lie(x, phi)
 
 
 def test_lie_exactness_witness_requires_closed():

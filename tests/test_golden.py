@@ -7,9 +7,11 @@ from pathlib import Path
 from pairform.charts import affine, affine_complex, torus
 from pairform.cli import run
 from pairform.exterior import coframe, scalar_form, wedge
-from pairform.pair import PairForm, from_form
+from pairform.pair import PairForm
 from pairform.rationals import gq
 from pairform.scalar import coordinate, sin_wave, wave
+
+from helpers import from_form
 
 GOLDEN = Path(__file__).parent / "golden"
 

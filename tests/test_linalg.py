@@ -1,11 +1,9 @@
-import itertools
 import random
 from fractions import Fraction
 
 from pairform.linalg import (
     RationalMatrix,
     _bareiss,
-    det_dense,
     invert_dense,
     zi_kernel,
     zi_matmul,
@@ -13,7 +11,7 @@ from pairform.linalg import (
 )
 from pairform.rationals import ZERO, gq
 
-from oracles import gauss_rank, kernel_oracle, perm_sign
+from oracles import gauss_rank, kernel_oracle, leibniz_det, perm_sign
 
 
 def _matrix(rows):
@@ -76,12 +74,6 @@ def test_invert_dense_round_trip():
     assert prod == [[gq(1), gq(0)], [gq(0), gq(1)]]
 
 
-def test_det_dense():
-    assert det_dense([[gq(2), gq(1)], [gq(1), gq(1)]]) == gq(1)
-    assert det_dense([[gq(1), gq(2)], [gq(2), gq(4)]]) == gq(0)
-    assert det_dense([[gq(0, 1)]]) == gq(0, 1)
-
-
 def _random_entry(rng):
     if rng.random() < 0.45:
         return ZERO
@@ -128,16 +120,6 @@ def test_rank_and_kernel_match_oracle_on_random_block_matrices():
         assert gauss_rank(vectors) == len(basis)
 
 
-def _leibniz_det(rows):
-    total = ZERO
-    for perm in itertools.permutations(range(len(rows))):
-        term = gq(perm_sign(perm))
-        for i, j in enumerate(perm):
-            term = term * rows[i][j]
-        total = total + term
-    return total
-
-
 def test_bareiss_last_pivot_is_the_determinant():
     # Gaussian-integer matrices, so most Bareiss divisions are by a non-real
     # pivot and must still be exact
@@ -146,16 +128,16 @@ def test_bareiss_last_pivot_is_the_determinant():
         n = rng.randint(1, 5)
         rows = [[gq(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(n)]
                 for _ in range(n)]
-        det = _leibniz_det(rows)
-        assert det_dense(rows) == det
+        det = leibniz_det(rows)
         int_rows = [{c: (v.a, v.b) for c, v in enumerate(row) if v} for row in rows]
         pivots = _bareiss(int_rows)
         if not det:
             assert len(pivots) < n
             continue
         assert [c for _, c in pivots] == list(range(n))
+        # signed by the order in which the rows became pivots
         row, col = pivots[-1]
-        assert gq(*int_rows[row][col]) in (det, -det)
+        assert gq(*int_rows[row][col]) * perm_sign([r for r, _ in pivots]) == det
 
 
 def _random_zi_columns(rng):

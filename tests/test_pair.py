@@ -21,8 +21,6 @@ from pairform.pair import (
     class_embed,
     class_project,
     class_split,
-    from_form,
-    pair,
     pair_codiff,
     pair_codiff_skew,
     pair_d,
@@ -46,7 +44,7 @@ from pairform.randgen import (
 from pairform.rationals import gq
 from pairform.scalar import ChartMap, const, coordinate, sin_wave, wave
 
-from helpers import cos_wave, frame_field, zero_pair
+from helpers import cos_wave, frame_field, from_form, zero_pair
 from oracles import coordinate_lie
 
 R1, R2 = affine(1), affine(2)
@@ -76,13 +74,13 @@ def test_pair_wedge_scalar_action():
     for chart in CHARTS:
         f = random_scalar(rng, chart)
         a = random_pair(rng, chart, 2)
-        out = pair_wedge(pair(scalar_form(f), zero_form(chart, -1)), a)
+        out = pair_wedge(PairForm(scalar_form(f), zero_form(chart, -1)), a)
         assert out.first == scalar_form(f).component(()) * a.first
         assert out.second == f * a.second
 
 
 def test_pair_wedge_frozen_example():
-    a = pair(dx(R2, 0), scalar_form(const(R2, 1)))
+    a = PairForm(dx(R2, 0), scalar_form(const(R2, 1)))
     b = from_form(dx(R2, 1))
     out = pair_wedge(a, b)
     assert out.first == wedge(dx(R2, 0), dx(R2, 1))
@@ -129,13 +127,13 @@ def test_pair_d_on_functions():
     for chart in CHARTS:
         x = random_field(rng, chart)
         f = random_scalar(rng, chart)
-        out = pair_d(x, pair(scalar_form(f), zero_form(chart, -1)))
+        out = pair_d(x, PairForm(scalar_form(f), zero_form(chart, -1)))
         assert out.first == ext_d(scalar_form(f))
         assert out.second == scalar_form(x.apply(f))
 
 
 def test_pair_d_frozen_example():
-    a = pair(wedge(scalar_form(sin_wave(T2, (1, 0))), dx(T2, 1)), zero_form(T2, 0))
+    a = PairForm(wedge(scalar_form(sin_wave(T2, (1, 0))), dx(T2, 1)), zero_form(T2, 0))
     out = pair_d(frame_field(T2, 0), a)
     cosx = cos_wave(T2, (1, 0))
     assert out.first == form(T2, 2, {(0, 1): cosx})
@@ -172,14 +170,14 @@ def test_pair_d_antiderivation():
 
 
 def test_pair_interior_frozen_example():
-    a = pair(wedge(dx(T2, 0), dx(T2, 1)), dx(T2, 0))
+    a = PairForm(wedge(dx(T2, 0), dx(T2, 1)), dx(T2, 0))
     out = pair_interior(frame_field(T2, 0), a)
     assert out.first == dx(T2, 1)
     assert out.second == scalar_form(const(T2, -1))
 
 
 def test_pair_interior_on_functions_vanishes():
-    a = pair(scalar_form(const(T2, 3)), zero_form(T2, -1))
+    a = PairForm(scalar_form(const(T2, 3)), zero_form(T2, -1))
     assert pair_interior(frame_field(T2, 0), a).is_zero
     assert pair_interior(frame_field(T2, 1), from_form(dx(T2, 0))).is_zero
 
@@ -203,7 +201,7 @@ def test_pair_interior_squared_and_antiderivation():
 def test_pair_lie_componentwise_and_derivation():
     rng = random.Random(251)
     euler = VectorField(R1, (coordinate(R1, 0),))
-    out = pair_lie(euler, pair(dx(R1, 0), scalar_form(const(R1, 1))))
+    out = pair_lie(euler, PairForm(dx(R1, 0), scalar_form(const(R1, 1))))
     assert out.first == dx(R1, 0) and out.second.is_zero
     for chart in CHARTS:
         for _ in range(100):
@@ -263,7 +261,7 @@ def test_cartan_homotopy_self_case():
 
 def test_pair_d_lichnerowicz_frozen_example():
     eta = wedge(scalar_form(coordinate(R2, 0)), dx(R2, 1))  # x dy
-    a = pair(zero_form(R2, 1), scalar_form(const(R2, 1)))
+    a = PairForm(zero_form(R2, 1), scalar_form(const(R2, 1)))
     out = pair_d_lichnerowicz(eta, a)
     assert out.first == wedge(dx(R2, 0), dx(R2, 1)) * -1
     assert out.second.is_zero
@@ -292,7 +290,7 @@ def test_pair_d_functions_kill_eta_term():
     rng = random.Random(281)
     eta = random_form(rng, R2, 1)
     f = random_scalar(rng, R2)
-    out = pair_d_lichnerowicz(eta, pair(scalar_form(f), zero_form(R2, -1)))
+    out = pair_d_lichnerowicz(eta, PairForm(scalar_form(f), zero_form(R2, -1)))
     assert out.first == ext_d(scalar_form(f)) and out.second.is_zero
 
 
@@ -306,7 +304,7 @@ def test_pair_pullback_identity_and_examples():
     ident = pair_pullback(identity_map(T2), a)
     assert ident.first == a.first and ident.second == a.second
     doubling = ChartMap(R1, R1, components=(coord(R1, 0) * 2,))
-    b = pair(dx(R1, 0), scalar_form(const(R1, 1)))
+    b = PairForm(dx(R1, 0), scalar_form(const(R1, 1)))
     out = pair_pullback(doubling, b)
     assert out.first == dx(R1, 0) * 2
     assert out.second == scalar_form(const(R1, 1))
@@ -320,7 +318,7 @@ def test_pair_naturality_across_covering_map():
     doubling = ChartMap(T1, T1, matrix=((2,),))
     y_field = constant_field(T1, (2,))   # image of d/dx under the doubling
     x_field = frame_field(T1, 0)
-    a = pair(wedge(scalar_form(sin_wave(T1, (1,))), dx(T1, 0)), zero_form(T1, 0))
+    a = PairForm(wedge(scalar_form(sin_wave(T1, (1,))), dx(T1, 0)), zero_form(T1, 0))
     lhs = pair_pullback(doubling, pair_d(y_field, a))
     rhs = pair_d(x_field, pair_pullback(doubling, a))
     expected_second = wedge(scalar_form(cos_wave(T1, (2,)) * 4), dx(T1, 0))
@@ -375,8 +373,8 @@ def test_class_maps_round_trip_on_random_closed_input():
 def test_class_project_requires_closed_pair():
     with pytest.raises(ValueError):
         class_project(frame_field(T2, 0),
-                      pair(wedge(scalar_form(sin_wave(T2, (1, 0))), dx(T2, 1)),
-                           zero_form(T2, 0)))
+                      PairForm(wedge(scalar_form(sin_wave(T2, (1, 0))), dx(T2, 1)),
+                               zero_form(T2, 0)))
     with pytest.raises(ValueError):
         class_embed(frame_field(T2, 0), wedge(scalar_form(sin_wave(T2, (1, 0))), dx(T2, 1)))
 
@@ -433,13 +431,13 @@ def test_transfer_round_trip_and_closedness():
 
 def test_pair_codiff_frozen_examples():
     u = frame_field(T2, 0)
-    assert pair_codiff(u, pair(scalar_form(wave(T2, (1, 1))), zero_form(T2, -1))).is_zero
-    a = pair(wedge(scalar_form(sin_wave(T2, (1, 0))), dx(T2, 0)),
-             scalar_form(cos_wave(T2, (1, 0))))
+    assert pair_codiff(u, PairForm(scalar_form(wave(T2, (1, 1))), zero_form(T2, -1))).is_zero
+    a = PairForm(wedge(scalar_form(sin_wave(T2, (1, 0))), dx(T2, 0)),
+                 scalar_form(cos_wave(T2, (1, 0))))
     out = pair_codiff(u, a)
     assert out.first == scalar_form(-cos_wave(T2, (1, 0)) - sin_wave(T2, (1, 0)))
     assert out.second.is_zero
-    const_pair = pair(wedge(dx(T2, 0), dx(T2, 1)) * 2, dx(T2, 1) * 3)
+    const_pair = PairForm(wedge(dx(T2, 0), dx(T2, 1)) * 2, dx(T2, 1) * 3)
     from pairform.exterior import codiff as delta
     out2 = pair_codiff(u, const_pair)
     assert out2.first == delta(const_pair.first)  # L_U kills constants
@@ -479,17 +477,17 @@ def test_pair_laplacian_composite_equals_closed_form():
 
 def test_pair_laplacian_frozen_examples():
     sinx = scalar_form(sin_wave(T2, (1, 0)))
-    a = pair(sinx, zero_form(T2, -1))
+    a = PairForm(sinx, zero_form(T2, -1))
     assert pair_laplacian(frame_field(T2, 1), a).first == sinx
     assert pair_laplacian(frame_field(T2, 0), a).is_zero
-    const_pair = pair(wedge(dx(T2, 0), dx(T2, 1)), dx(T2, 0) * 5)
+    const_pair = PairForm(wedge(dx(T2, 0), dx(T2, 1)), dx(T2, 0) * 5)
     assert pair_laplacian(constant_field(T2, (2, 3)), const_pair).is_zero
 
 
 def test_pair_inner_orthonormal_basis():
     a = from_form(dx(T2, 0))
     assert pair_inner(a, a) == gq(1)
-    b = pair(zero_form(T2, 1), scalar_form(const(T2, 1)))
+    b = PairForm(zero_form(T2, 1), scalar_form(const(T2, 1)))
     assert pair_inner(b, b) == gq(1)
     assert pair_inner(a, from_form(dx(T2, 1))) == gq(0)
 
@@ -562,8 +560,8 @@ def test_corrected_laplacian_closed_form_and_hodge_kernel():
 
 def test_adjointness_targeted_witness():
     u = frame_field(T2, 0)
-    a = pair(scalar_form(wave(T2, (1, 0))), zero_form(T2, -1))
-    b = pair(zero_form(T2, 1), scalar_form(wave(T2, (1, 0))))
+    a = PairForm(scalar_form(wave(T2, (1, 0))), zero_form(T2, -1))
+    b = PairForm(zero_form(T2, 1), scalar_form(wave(T2, (1, 0))))
     lhs = pair_inner(pair_d(u, a), b)
     assert lhs == pair_inner(a, pair_codiff_skew(u, b))
     assert lhs != pair_inner(a, pair_codiff(u, b))
@@ -583,14 +581,14 @@ def test_killing_harmonic_constant_pairs():
 
 
 def test_klein_gordon_eigenvalue_cancellation():
-    sinx = pair(scalar_form(sin_wave(T2, (1, 0))), zero_form(T2, -1))
+    sinx = PairForm(scalar_form(sin_wave(T2, (1, 0))), zero_form(T2, -1))
     assert pair_laplacian(frame_field(T2, 0), sinx).is_zero
     out = pair_laplacian(frame_field(T2, 1), sinx)
     assert out.first == sinx.first and out.second.is_zero
     # (e^{imx}, 0) with U = m' d/dx is harmonic iff m^2 = m'^2 m^2
     for m in range(3):
         for mp in range(3):
-            a = pair(scalar_form(wave(T1, (m,))), zero_form(T1, -1))
+            a = PairForm(scalar_form(wave(T1, (m,))), zero_form(T1, -1))
             u = constant_field(T1, (mp,))
             harmonic = pair_laplacian(u, a).is_zero
             assert harmonic == (m * m == mp * mp * m * m)
