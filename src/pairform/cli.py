@@ -115,10 +115,8 @@ def run(scenario: dict, clock=time.perf_counter) -> Report:
         checks += c
         tables += t
     if kind in ("harmonic", "all"):
-        c, t = harmonic_suite(scenario["seed"], scenario["trials"],
-                              max(scenario.get("bands", (1, 2))))
-        checks += c
-        tables += t
+        checks += harmonic_suite(scenario["seed"], scenario["trials"],
+                                 max(scenario.get("bands", (1, 2))))
     elapsed_ms = int((clock() - start) * 1000)
     return Report(__version__, scenario, checks, tables, elapsed_ms)
 

@@ -24,12 +24,13 @@ counts it in closed form, from each side's mode count and each degree's
 index-set widths, and `harmonic_kernel` places a mode's columns by its rank
 in the band's cube; nothing lists the band to count or place it.  Only
 `_Model.basis` lists tags, for a block or, when a `BandComplex.basis`
-sequence is read, for a whole degree.  A point set is a dict {side: its
-modes at k = 0, e_1, ..., e_n}, and `_parts` writes an operator's block on
-it once for every mode and field, a Z[i] column matrix (see `linalg`) of
-linear forms (`_forms`) in 1, k_1, ..., k_n, Lambda for lambda and W_j for
-w_j; at Lambda = lambda(k) scale and W_j = w_j scale it is the band matrix
-times the model's one denominator `scale` (`_at`).
+sequence is read, for a whole degree.  A point set, each of its sides'
+modes at k = 0, e_1, ..., e_n, is named by the tuple of its sides and made
+by `_Model.points`, and `_parts` writes an operator's block on it once for
+every mode and field, a Z[i] column matrix (see `linalg`) of linear forms
+(`_forms`) in 1, k_1, ..., k_n, Lambda for lambda and W_j for w_j; at
+Lambda = lambda(k) scale and W_j = w_j scale it is the band matrix times
+the model's one denominator `scale` (`_at`).
 
 `_certify` checks D H + H D = q I with one product of such matrices per
 degree, [D ; H] read as its two row blocks (`_row_blocks`) and never
@@ -51,15 +52,15 @@ kernels are read off those modes, where only the joint kernel of the linear
 global matrix is built.
 
 No verdict depends on a field value.  Each is kept once it holds, in a
-bounded process-wide memo (`_Memo`, `_CERTIFIED`) keyed by its point sets'
-`_layout`, operators, closed form and degrees; so are the formal matrices
-(`_PARTS`), keyed by layout and operator, which hold no field value
-either, and each model counts its whole band per degree once
-(`_Model.size`).  A warm call, on a chart, map and degree already
-certified, writes no matrix and takes no product of linear forms: it
-checks its inputs, a builder fills its ranks with their exactness checks,
-and `harmonic_kernel` evaluates [pair_d ; pair_codiff]'s row blocks and
-takes one `zi_kernel` per resonant line and renders its witness.
+bounded process-wide memo (`_Memo`, `_CERTIFIED`), and so are the formal
+matrices (`_PARTS`); every key starts with `_Model.key`, all that point sets
+and symbol blocks depend on and never a field value or the band, and each
+model counts its band per degree once (`_Model.size`).  A warm call, on a
+chart, map and degree already certified, makes no point set, writes no
+matrix and takes no product of linear forms: it checks its inputs, a
+builder fills its ranks with their exactness checks, and `harmonic_kernel`
+evaluates [pair_d ; pair_codiff]'s row blocks and takes one `zi_kernel` per
+resonant line and renders its witness.
 
 Operators that mix frequencies (a pair differential twisted by a non-closed
 1-form) escape every finite band; such scenarios are rejected rather than
@@ -337,18 +338,6 @@ def _unit_modes(nvars: int) -> tuple:
     return tuple(tuple(int(i == j) for j in range(nvars)) for i in range(-1, nvars))
 
 
-def _layout(model: "_Model", modes: dict) -> tuple:
-    """The `layout` of a point set `modes`, {side: its modes at k = 0,
-    e_1, ..., e_n}: p and each side's chart and modes."""
-    charts = model.charts
-    return model.p, tuple([(side, charts[side], ks) for side, ks in modes.items()])
-
-
-def _units(model: "_Model") -> dict:
-    """`_unit_modes` on every side, of a model whose operators keep modes."""
-    return dict.fromkeys(model.charts, _unit_modes(model.charts["F"].nvars))
-
-
 def _value(coefficients: dict, k) -> tuple:
     """q(k), as an int pair, for the quadratic q with `coefficients`."""
     k, re, im = (1,) + tuple(k), 0, 0
@@ -391,24 +380,26 @@ class _Memo(dict):
         super().__setitem__(key, value)
 
 
-# (layout, op, src, dst) -> `_parts`; no key or entry of any memo holds a field value
+# (model.key, sides, op, src, dst) -> `_parts`; no key or entry of any memo
+# holds a field value
 _PARTS = _Memo()
 # the keys of the certificates that hold (`certified_ranks`, `_resonant`)
 _CERTIFIED = _Memo()
 
 
-def _parts(model: "_Model", modes: dict, op, src: int, dst: int) -> list:
+def _parts(model: "_Model", sides: tuple, op, src: int, dst: int) -> list:
     """The matrix of `op` from degree `src` to `dst` for every mode and field
-    on the point set `modes`: formal linear forms, each symbol block's
-    `_forms` at the rows of its `stencil`, two blocks' entries added; once
-    per `_layout` and (op, src, dst) while `_PARTS` holds it."""
-    key = _layout(model, modes), op, src, dst
+    on the point set of `sides`: formal linear forms, each symbol block's
+    `_forms` at the rows of its `stencil`, two blocks' entries added.  Built,
+    with its point set (`_Model.points`), once per `model.key`, sides and
+    (op, src, dst) while `_PARTS` holds it."""
+    key = model.key, sides, op, src, dst
     cols = _PARTS.get(key)
     if cols is None:
-        cols = []
+        modes, cols = model.points(sides), []
         # the first row of each side in the block at k = 0
         starts = model.starts(dst, {side: ks[:1] for side, ks in modes.items()})
-        for side in modes:
+        for side in sides:
             q = src - _SHIFT[side]
             # per symbol block: its first row, sign, `_forms` and stencil
             blocks = [(starts.get(dst_side), sign, *_forms(model, modes, side, dst_side, kind),
@@ -434,13 +425,14 @@ def _parts(model: "_Model", modes: dict, op, src: int, dst: int) -> list:
     return cols
 
 
-def _row_blocks(model: "_Model", modes: dict, degree: int, d_op, cod_op) -> tuple:
-    """[D_p ; Cod_p] on `modes` as its row blocks (`_parts`, first row):
-    D_p's from row 0 and Cod_p's from D_p's row count, each side's
-    `widths` in degree p + 1; the two are never stacked into one matrix."""
-    return ((_parts(model, modes, d_op, degree, degree + 1), 0),
-            (_parts(model, modes, cod_op, degree, degree - 1),
-             sum(map(model.widths(degree + 1).get, modes))))
+def _row_blocks(model: "_Model", sides: tuple, degree: int, d_op, cod_op) -> tuple:
+    """[D_p ; Cod_p] on the point set of `sides` as its row blocks
+    (`_parts`, first row): D_p's from row 0 and Cod_p's from D_p's row
+    count, the `widths` in degree p + 1 of those sides; the two are never
+    stacked into one matrix."""
+    return ((_parts(model, sides, d_op, degree, degree + 1), 0),
+            (_parts(model, sides, cod_op, degree, degree - 1),
+             sum(map(model.widths(degree + 1).get, sides))))
 
 
 def _at(point, *blocks) -> list:
@@ -461,11 +453,10 @@ def _at(point, *blocks) -> list:
     return out
 
 
-def _homogeneous(parts: list, modes: dict) -> bool:
-    """Whether the forms of `parts` on the point set `modes` are in k and
+def _homogeneous(parts: list, nvars: int) -> bool:
+    """Whether the forms of `parts`, k having `nvars` entries, are in k and
     Lambda only: M(t k) = t M(k)."""
-    points = len(next(iter(modes.values())))
-    return all(0 < i <= points for col in parts for form in col.values() for i in form)
+    return all(0 < i <= nvars + 1 for col in parts for form in col.values() for i in form)
 
 
 def _product(left: list, right) -> list:
@@ -515,16 +506,16 @@ def _parts_hold(left: list, right, coefficients: dict) -> bool:
     return True
 
 
-def _certify(model: "_Model", modes: dict, d_op, h_op, coefficients: dict, degrees):
+def _certify(model: "_Model", sides: tuple, d_op, h_op, coefficients: dict, degrees):
     """The lowest of `degrees` where D H + H D = [H | D] . [D ; H] is not
     q I (`_parts_hold`), D and H with symbol blocks `d_op` and `h_op`, q
-    with formal `coefficients` (`_closed`), on the point set `modes`; None
-    if none.  One product of linear forms is taken per degree, [D ; H]
+    with formal `coefficients` (`_closed`), on the point set of `sides`;
+    None if none.  One product of linear forms is taken per degree, [D ; H]
     read as its `_row_blocks`."""
-    parts = partial(_parts, model, modes)
+    parts = partial(_parts, model, sides)
     return next((d for d in degrees if not _parts_hold(
         parts(h_op, d + 1, d) + parts(d_op, d - 1, d),
-        _row_blocks(model, modes, d, d_op, h_op), coefficients)), None)
+        _row_blocks(model, sides, d, d_op, h_op), coefficients)), None)
 
 
 class _Model:
@@ -551,6 +542,8 @@ class _Model:
     0..top+s, s the number of sides and top the largest slot count (the
     complex dimension under p), over a map its `pull`, and with a pullback
     block the source side's `outside` modes and the pullback's `minors`.
+    Its `key`, p, the charts by side, the map's matrix and `target_side`,
+    fixes every point set and symbol block, and starts every memo key.
     `certified_ranks` reads the ranks off the formal `_parts` of
     `certificate`'s point sets."""
 
@@ -562,6 +555,7 @@ class _Model:
         self.label, self.charts, self.max_freq = label, charts, max_freq
         self.op, self.homotopy, self.coeffs, self.p = op, homotopy, coeffs, p
         self.target_side = target_side
+        self.key = p, tuple(charts.items()), cmap.matrix if cmap else None, target_side
         self.counts, top = {}, 0
         for side, chart in charts.items():
             self.counts[side] = (2 * max_freq + 1) ** chart.nvars
@@ -678,12 +672,22 @@ class _Model:
                 out[i] = re + a * s - b * t, im + a * t + b * s
         return {i: c for i, c in sorted(out.items()) if c != (0, 0)}
 
+    def points(self, sides: tuple) -> dict:
+        """The point set named by `sides`: {side: its modes at k = 0, e_1,
+        ..., e_n}, `_unit_modes` on each side, but over a map with both
+        sides the target's with their source modes A^T k."""
+        target = self.target_side
+        if target is None or len(sides) == 1:
+            return {side: _unit_modes(self.charts[side].nvars) for side in sides}
+        units = _unit_modes(self.charts[target].nvars)
+        return {side: units if side == target else tuple(map(self.pull, units))
+                for side in sides}
+
     def certificate(self) -> tuple:
-        """The point sets of `certified_ranks`, each {side: its modes at 0,
-        e_1, ..., e_n}: those D.D = 0 is checked on, the first led by the
-        zero block, and (modes, D, side) per piece with D H + H D = t(k) I,
-        t the side's (`_closed`); without a map `_unit_modes` on every side
-        serve both.
+        """The point sets of `certified_ranks`, each named by its sides
+        (`points`): those D.D = 0 is checked on, the first led by the zero
+        block, and (sides, D, side) per piece with D H + H D = t(k) I, t the
+        side's (`_closed`); without a map every side's unit modes serve both.
 
         Over an integer-linear torus map A, its target on `target_side`, `op`
         is diag(d, -d) plus at most a cross block from the target side to the
@@ -700,17 +704,12 @@ class _Model:
         (affine in k; the first is Z) and on the source side's own blocks, and
         each side's diagonal part of `op` with its part of `homotopy` on the
         side's own blocks."""
-        target = self.target_side
+        sides, target = tuple(self.charts), self.target_side
         if target is None:
-            units = _units(self)
-            return [units], [(units, self.op, "F")]
-        units = _unit_modes(self.charts[target].nvars)
-        coupled = {side: units if side == target else tuple(map(self.pull, units))
-                   for side in self.charts}
-        own = {side: {side: _unit_modes(chart.nvars)} for side, chart in self.charts.items()}
+            return [sides], [(sides, self.op, "F")]
         diagonal = tuple(block for block in self.op if block[0] == block[1])
-        (source,) = set(self.charts) - {target}
-        return [coupled, own[source]], [(own[side], diagonal, side) for side in self.charts]
+        (source,) = set(sides) - {target}
+        return [sides, (source,)], [((side,), diagonal, side) for side in sides]
 
     def certified_ranks(self) -> dict:
         """The ranks of the model for every band and field: D.D = 0
@@ -719,27 +718,28 @@ class _Model:
         Lambda (a W_j is constant), so it is zero on the zero block Z, every
         side at mode 0; Z splits off with rank 0, and every other column lies
         in an acyclic summand, where r_q = c_q - r_(q-1), c_q the columns
-        outside Z.  The checks run on a key's first use (`_CERTIFIED`); the
-        fill, on every call, must be exact: no r_q < 0, none past the top."""
-        checked, pieces = self.certificate()
-        key = (tuple(_layout(self, m) for m in checked),
-               tuple((_layout(self, m), d_op) for m, d_op, _ in pieces),
-               self.op, self.homotopy, self.degrees)
+        outside Z.  The checks run on the first use of (`key`, op, homotopy)
+        (`_CERTIFIED`); the fill, on every call, must be exact: no r_q < 0,
+        none past the top."""
+        key = self.key, self.op, self.homotopy
         if key not in _CERTIFIED:
+            checked, pieces = self.certificate()
             failed = []
-            for modes in checked:
-                parts = [_parts(self, modes, self.op, d, d + 1) for d in self.degrees[:-1]]
+            for sides in checked:
+                parts = [_parts(self, sides, self.op, d, d + 1) for d in self.degrees[:-1]]
                 failed += [d for d, low, high in zip(self.degrees, parts, parts[1:])
                            if not _parts_hold(high, ((low, 0),), {})]
             if failed:
                 raise AssertionError(
                     f"differentials fail to compose to zero at degree {min(failed)}")
-            if not all(_homogeneous(_parts(self, checked[0], self.op, d, d + 1), checked[0])
+            # the first point set's modes k are the target's over a map
+            nvars = self.charts[self.target_side or "F"].nvars
+            if not all(_homogeneous(_parts(self, checked[0], self.op, d, d + 1), nvars)
                        for d in self.degrees[:-1]):
                 raise AssertionError("differential does not vanish at mode 0")
-            broken = [_certify(self, modes, d_op, self.homotopy,
+            broken = [_certify(self, sides, d_op, self.homotopy,
                                _closed(self.charts[side].nvars), self.degrees[:-1])
-                      for modes, d_op, side in pieces]
+                      for sides, d_op, side in pieces]
             broken = min((d for d in broken if d is not None), default=None)
             if broken is not None:
                 raise AssertionError(
@@ -911,35 +911,34 @@ def _zeros(nvars: int, max_freq: int, unit: int, squares: tuple) -> tuple:
 
 
 def _resonant(model: _Model, degree: int, d_op, cod_op, message: str, lam_sign=None,
-              joint=False) -> list:
-    """The blocks {side: [k]} of the band modes k of `model` where q(k) = 0
-    (`_zeros`, the field's numbers put in), once `_certify` has found
-    Cod D + D Cod = q I at `degree` on its `_units`, q formal:
-    |k|^2 + lam_sign Lambda^2 or, if lam_sign is None, |k|^2 + sum W_j^2
+              joint=False) -> tuple:
+    """The band modes k of `model` where q(k) = 0 (`_zeros`, the field's
+    numbers put in), once `_certify` has found Cod D + D Cod = q I at
+    `degree` on every side's unit modes, q formal: |k|^2 + lam_sign
+    Lambda^2 or, if lam_sign is None, |k|^2 + sum W_j^2
     (AssertionError(message) if not), and for a `joint` kernel both row
     blocks of [D ; Cod] `_homogeneous`.  That Laplacian is zero there and
-    invertible elsewhere, where both kernels are empty.  The verdict is
-    keyed by the `_layout` of `_units`, and the checks run on its first
-    use only."""
+    invertible elsewhere, where both kernels are empty.  The checks run on
+    the first use of the verdict's key, `model.key` with the operators,
+    closed form and degree."""
     n = model.charts["F"].nvars
     # (sign, formal f, f of the field's numbers) per square s f^2 of q
     if lam_sign is None:
         squares = [(1, {n + 2 + j: (1, 0)}, {0: w}) for j, w in enumerate(model.scaled_coeffs)]
     else:
         squares = [(lam_sign, {n + 1: (1, 0)}, model.lam_form)]
-    units = _units(model)
-    key = _layout(model, units), d_op, cod_op, lam_sign, joint, degree
+    key = model.key, d_op, cod_op, lam_sign, joint, degree
     if key not in _CERTIFIED:
+        sides = tuple(model.charts)
         formal = _closed(n, 1, [(s, f) for s, f, _ in squares])
-        if _certify(model, units, d_op, cod_op, formal, (degree,)) is not None:
+        if _certify(model, sides, d_op, cod_op, formal, (degree,)) is not None:
             raise AssertionError(message)
-        if joint and not all(_homogeneous(parts, units) for parts, _ in
-                             _row_blocks(model, units, degree, d_op, cod_op)):
+        if joint and not all(_homogeneous(parts, n) for parts, _ in
+                             _row_blocks(model, sides, degree, d_op, cod_op)):
             raise AssertionError("[pair_d ; pair_codiff] is not homogeneous in the mode")
         _CERTIFIED[key] = True
-    modes = _zeros(n, model.max_freq, model.unit,
-                   tuple((s, tuple(g.items())) for s, _, g in squares))
-    return [{side: [k] for side in model.charts} for k in modes]
+    return _zeros(n, model.max_freq, model.unit,
+                  tuple((s, tuple(g.items())) for s, _, g in squares))
 
 
 def _ray(k) -> tuple:
@@ -973,22 +972,21 @@ def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) ->
     """
     _require_natural("degree", degree)
     model = _pair_model(chart, u, max_freq)
-    blocks = _resonant(model, degree, _PAIR_D, _PAIR_CODIFF,
-                       "pair Laplacian composite disagrees with its closed form", 1, True)
+    modes = _resonant(model, degree, _PAIR_D, _PAIR_CODIFF,
+                      "pair Laplacian composite disagrees with its closed form", 1, True)
     start, widths = model.starts(degree), model.widths(degree)
     lap, joint, live, rays = [], [], set(), {}
-    for block in blocks:
-        k = block["F"][0]
+    for k in modes:
         # each side's columns of mode k follow its columns of the modes before k
         rank = _rank(k, max_freq)
         glob = [start[side] + rank * width + j
                 for side, width in widths.items() for j in range(width)]
-        lap += [(g, block, c) for c, g in enumerate(glob)]
+        lap += [(g, k, c) for c, g in enumerate(glob)]
         if any(k):
             rays.setdefault(_ray(k), []).append(glob)
         else:
             joint += [(g, {g: ONE}) for g in glob]   # M(0) = 0
-    rows = _row_blocks(model, _units(model), degree, _PAIR_D, _PAIR_CODIFF) if rays else ()
+    rows = _row_blocks(model, tuple(model.charts), degree, _PAIR_D, _PAIR_CODIFF) if rays else ()
     for ray, globs in rays.items():
         # at unit ray and Lambda = lambda(ray) scale, the forms are scale M(ray)
         lam = tuple(sum(c[t] * ray[i - 1] for i, c in model.lam_form.items()) for t in (0, 1))
@@ -1000,8 +998,8 @@ def harmonic_kernel(chart: Chart, u: VectorField, degree: int, max_freq: int) ->
             live.update(g for g, col in zip(glob, m) if col)
     lap.sort(key=lambda entry: entry[0])
     joint.sort(key=lambda entry: entry[0])
-    witness = next((_render_vector(model, model.basis(degree, block)[c])
-                    for g, block, c in lap if g in live), None)
+    witness = next((_render_vector(model, model.basis(degree, dict.fromkeys(model.charts, [k]))[c])
+                    for g, k, c in lap if g in live), None)
     return HarmonicKernel(degree, max_freq, len(lap), len(joint), [{g: ONE} for g, *_ in lap],
                           [vec for _, vec in joint], witness)
 
@@ -1022,9 +1020,9 @@ def corrected_laplacian_kernel_dim(chart: Chart, u: VectorField, degree: int,
     like `harmonic_kernel`, and read off the `_resonant` modes."""
     _require_natural("degree", degree)
     model = _pair_model(chart, u, max_freq)
-    return sum(model.size(degree, block) for block in _resonant(
-        model, degree, _PAIR_D, _PAIR_CODIFF_SKEW,
-        "corrected pair Laplacian disagrees with its closed form", -1))
+    return len(_resonant(model, degree, _PAIR_D, _PAIR_CODIFF_SKEW,
+                         "corrected pair Laplacian disagrees with its closed form", -1)) \
+        * sum(model.widths(degree).values())
 
 
 def lichnerowicz_kernel_dim(chart: Chart, w: Form, degree: int, max_freq: int) -> int:
@@ -1035,6 +1033,6 @@ def lichnerowicz_kernel_dim(chart: Chart, w: Form, degree: int, max_freq: int) -
     modes: empty for a real w != 0, and for w = i v those on |k| = |v|."""
     _require_natural("degree", degree)
     model = _de_rham_model(chart, max_freq, w)
-    return sum(model.size(degree, block) for block in _resonant(
-        model, degree, _TWISTED_D, _TWISTED_CODIFF,
-        "Lichnerowicz Laplacian disagrees with its closed form"))
+    return len(_resonant(model, degree, _TWISTED_D, _TWISTED_CODIFF,
+                         "Lichnerowicz Laplacian disagrees with its closed form")) \
+        * sum(model.widths(degree).values())

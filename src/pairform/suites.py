@@ -23,7 +23,6 @@ from fractions import Fraction
 from .charts import affine, affine_complex, torus, torus_complex
 from .cohomology import (
     UnsupportedScenarioError,
-    _binom,
     corrected_laplacian_kernel_dim,
     dolbeault_complex,
     dolbeault_predicted_dims,
@@ -353,7 +352,7 @@ def symplectic_suite(seed: int):
             f"symplectic/liouville-class-vanishing/{tag}", "liouville-class-vanishing",
             "; ".join(witnesses) or None))
 
-        def closed_pair(chart):
+        def hamiltonian_pair_closed(chart):
             poly = random_scalar(rng, chart, max_terms=2, max_degree=2)
             ham = hamiltonian_field(omega, scalar_form(poly))
             closed_theta = ext_d(scalar_form(random_scalar(rng, chart))) + \
@@ -362,7 +361,7 @@ def symplectic_suite(seed: int):
             return None if out.is_zero else f"f={poly}: {out}"
         checks.append(_check(
             f"symplectic/symplectic-pair-closed/{tag}", "symplectic-pair-closed",
-            _search(closed_pair, 20, (chart,))))
+            _search(hamiltonian_pair_closed, 20, (chart,))))
 
         f_form = scalar_form(x1)
         ham = hamiltonian_field(omega, f_form)
@@ -399,7 +398,6 @@ def _int_field(rng, chart) -> VectorField:
 
 def harmonic_suite(seed: int, trials: int, max_freq: int = 2):
     checks = []
-    tables = []
     rng = random.Random(seed)
     t2, t3 = CHART_KEYS["t2"], CHART_KEYS["t3"]
 
@@ -535,7 +533,7 @@ def harmonic_suite(seed: int, trials: int, max_freq: int = 2):
         n = chart.dim
         for degree in range(n + 2):
             got = corrected_laplacian_kernel_dim(chart, u, degree, 1)
-            want = _binom(n, degree) + _binom(n, degree - 1)
+            want = pair_predicted_dims(n)[degree]
             if got != want:
                 hodge_witness = f"U={coeffs}, p={degree}: dim {got} vs {want}"
                 break
@@ -551,15 +549,15 @@ def harmonic_suite(seed: int, trials: int, max_freq: int = 2):
         (t2, (2, 0), (0, 1, 2)),
         (t3, (1, 0, 0), (0, 2)),
     ]
+    bands = sorted({1, max_freq})
     for chart, coeffs, degrees in scenarios:
         u = constant_field(chart, coeffs)
+        resonant = {n_band: _resonant_count(chart.dim, coeffs, n_band) for n_band in bands}
         for degree in degrees:
-            for n_band in sorted({1, max_freq}):
+            for n_band in bands:
                 result = harmonic_kernel(chart, u, degree, n_band)
                 label = f"T{chart.dim}-U={coeffs}-p={degree}-N={n_band}"
-                resonant = _resonant_count(chart.dim, coeffs, n_band)
-                predicted = resonant * (_binom(chart.dim, degree)
-                                        + _binom(chart.dim, degree - 1))
+                predicted = resonant[n_band] * pair_predicted_dims(chart.dim)[degree]
                 checks.append(Check(
                     f"harmonic/kernel-oracle/{label}", "harmonic-kernel-oracle",
                     passed(result.dim_laplacian == predicted
@@ -574,7 +572,7 @@ def harmonic_suite(seed: int, trials: int, max_freq: int = 2):
                     f"harmonic/kernel-equality/{label}", "harmonic-kernel-equality",
                     passed(result.kernels_equal),
                     None if result.kernels_equal else info))
-    return checks, tables
+    return checks
 
 
 def _resonant_count(n, coeffs, max_freq):
@@ -618,23 +616,21 @@ def cohomology_suite(dims=(1, 2, 3), bands=(1, 2), eta=None):
         if n >= 2:
             fields.append([1, 2] + [0] * (n - 2))
         predicted = pair_predicted_dims(n)
-        seen = []
+        dims_seen = []
         for coeffs in fields:
             x = constant_field(chart, coeffs)
             for max_freq in bands:
                 out = pair_complex(chart, x, max_freq)
                 name = f"pair/T{n}/X={tuple(coeffs)}/N={max_freq}"
                 tables.append(_table_from(out, name, predicted))
-                seen.append((tuple(coeffs), max_freq, out.dim_vector()))
-        dims_seen = [v for (_, _, v) in seen]
+                dims_seen.append(out.dim_vector())
+        # one dim vector over every field and band: field-independent and band-stable
+        same = len({tuple(v) for v in dims_seen}) == 1
         checks.append(Check(f"cohomology/dims-match/T{n}", "pair-cohomology-dimensions",
                             passed(all(v == predicted for v in dims_seen))))
         checks.append(Check(
-            f"cohomology/field-independent/T{n}", "transfer-invariance",
-            passed(len({tuple(v) for v in dims_seen}) == 1)))
-        band_stable = len({tuple(v) for (_, f, v) in seen}) == 1
-        checks.append(Check(f"cohomology/band-stable/T{n}", "plumbing",
-                            passed(band_stable)))
+            f"cohomology/field-independent/T{n}", "transfer-invariance", passed(same)))
+        checks.append(Check(f"cohomology/band-stable/T{n}", "plumbing", passed(same)))
         sym = all(predicted[p] == predicted[n + 1 - p] for p in range(n + 2))
         got_sym = all(dims_seen[0][p] == dims_seen[0][n + 1 - p] for p in range(n + 2))
         checks.append(Check(f"cohomology/poincare-symmetry/T{n}", "poincare-duality",

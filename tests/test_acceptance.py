@@ -40,7 +40,7 @@ def _report(number, name, ok):
 
 @pytest.fixture(scope="module")
 def harmonic_records():
-    checks, _tables = harmonic_suite(SEED, TRIALS)
+    checks = harmonic_suite(SEED, TRIALS)
     return {c.id: c for c in checks}
 
 

@@ -328,7 +328,7 @@ def test_harmonic_suite_receives_max_freq(monkeypatch):
 
     received = []
     monkeypatch.setattr(cli, "harmonic_suite",
-                        lambda seed, trials, max_freq: received.append(max_freq) or ([], []))
+                        lambda seed, trials, max_freq: received.append(max_freq) or [])
     assert main(["harmonic", "--max-freq", "3"]) == 0
     assert received == [3]
 

@@ -1053,10 +1053,10 @@ def test_every_symbol_kind_is_affine_in_the_mode():
 
 
 def _linear_part_cases():
-    """(name, points, op) for every point set and operator that the library
-    reads as linear forms in the mode: the differential and the homotopy of
-    each model on the point sets of its `certificate`, and the kernels'
-    operators on the blocks of 0 and e_i."""
+    """(name, model, sides, op) for every point set, named by its sides,
+    and operator that the library reads as linear forms in the mode: the
+    differential and the homotopy of each model on the point sets of its
+    `certificate`, and the kernels' operators on the blocks of 0 and e_i."""
     from pairform.cohomology import (
         _PAIR_CODIFF,
         _PAIR_CODIFF_SKEW,
@@ -1068,7 +1068,6 @@ def _linear_part_cases():
         _pair_model,
         _primed_eta_model,
         _relative_model,
-        _units,
     )
 
     t3, tc2 = torus(3), torus_complex(2)
@@ -1086,13 +1085,13 @@ def _linear_part_cases():
     cases = []
     for name, model in models.items():
         checked, pieces = model.certificate()
-        cases += [(name, model, modes, model.op) for modes in checked]
-        cases += [(name, model, modes, op) for modes, d_op, _ in pieces
+        cases += [(name, model, sides, model.op) for sides in checked]
+        cases += [(name, model, sides, op) for sides, d_op, _ in pieces
                   for op in (d_op, model.homotopy)]
     twisted = _de_rham_model(t3, 1, coframe(t3, 0) * gq(2, -1) + coframe(t3, 2) * gq("2/3"))
     for model, ops in ((pair, (_PAIR_CODIFF, _PAIR_CODIFF_SKEW)),
                        (twisted, (_TWISTED_D, _TWISTED_CODIFF))):
-        cases += [(f"kernel {model.label}", model, _units(model), op) for op in ops]
+        cases += [(f"kernel {model.label}", model, tuple(model.charts), op) for op in ops]
     return cases
 
 
@@ -1160,15 +1159,15 @@ def test_linear_parts_equal_the_per_mode_blocks_off_the_unit_modes():
     rng = random.Random(18)
     cases = _linear_part_cases()
     assert len({name for name, *_ in cases}) == 14
-    for name, model, modes, op in cases:
-        step, entries = _STEP[op[0][3]], 0
+    for name, model, sides, op in cases:
+        modes, step, entries = model.points(sides), _STEP[op[0][3]], 0
         for _ in range(20):
             k = tuple(rng.randint(-3, 3) for _ in range(_nvars(modes)))
             block = ModeBlock(model, {side: [_mode_at(modes, side, k)] for side in modes})
             for d in model.degrees:
                 mat = block.matrix(op, d, d + step)
                 assert _at(_formal_point(model, modes, k),
-                           (_parts(model, modes, op, d, d + step), 0)) == mat, (name, op, d, k)
+                           (_parts(model, sides, op, d, d + step), 0)) == mat, (name, op, d, k)
                 entries += sum(map(len, mat))
         assert entries, (name, op)   # the case is not vacuous
 
@@ -1195,35 +1194,35 @@ def test_row_blocks_equal_the_stacked_matrix():
         _product,
         _relative_model,
         _row_blocks,
-        _units,
     )
 
     tc2, cmap = torus_complex(2), _torus_map("GL(3,Z)")
     holo = holomorphic_field(tc2, (const(tc2, gq(1, 1)), const(tc2, gq("1/3"))))
     pair = _pair_model(T3, constant_field(T3, (1, gq("1/2"), 0)), 1)
     twisted = _de_rham_model(T3, 1, coframe(T3, 0) * gq(2, -1) + coframe(T3, 2) * gq("2/3"))
-    cases = [(pair, _units(pair), pair.op, cod) for cod in (_PAIR_CODIFF, _PAIR_CODIFF_SKEW)]
-    cases.append((twisted, _units(twisted), _TWISTED_D, _TWISTED_CODIFF))
+    cases = [(pair, ("F", "S"), pair.op, cod) for cod in (_PAIR_CODIFF, _PAIR_CODIFF_SKEW)]
+    cases.append((twisted, ("F",), _TWISTED_D, _TWISTED_CODIFF))
     for model in (_dolbeault_model(tc2, holo, 1, 1),
                   _relative_model(cmap, constant_field(cmap.source, (1, 2, 0)), 1)):
         checked, pieces = model.certificate()
-        cases += [(model, modes, model.op, model.homotopy) for modes in checked]
-        cases += [(model, modes, d_op, model.homotopy) for modes, d_op, _ in pieces]
+        cases += [(model, sides, model.op, model.homotopy) for sides in checked]
+        cases += [(model, sides, d_op, model.homotopy) for sides, d_op, _ in pieces]
     rng, both = random.Random(27), set()
-    for model, modes, d_op, cod_op in cases:
+    for model, sides, d_op, cod_op in cases:
+        modes = model.points(sides)
         zero = _point_blocks(modes)[0]
         nvars = _nvars(modes) + 2 + max(chart.nslots for chart in model.charts.values())
         for d in model.degrees[:-1]:
-            top, low = _parts(model, modes, d_op, d, d + 1), _parts(model, modes, cod_op, d, d - 1)
+            top, low = _parts(model, sides, d_op, d, d + 1), _parts(model, sides, cod_op, d, d - 1)
             shift = model.size(d + 1, zero)
             assert all(r < shift for col in top for r in col)
-            assert _row_blocks(model, modes, d, d_op, cod_op) == ((top, 0), (low, shift))
+            assert _row_blocks(model, sides, d, d_op, cod_op) == ((top, 0), (low, shift))
             stack = [{**up, **{r + shift: v for r, v in down.items()}}
                      for up, down in zip(top, low)]
             point = [(1, 0)] + [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(nvars)]
             assert _at(point, (top, 0), (low, shift)) == _at(point, (stack, 0)), (model.label, d)
-            left = (_parts(model, modes, cod_op, d + 1, d)
-                    + _parts(model, modes, d_op, d - 1, d))
+            left = (_parts(model, sides, cod_op, d + 1, d)
+                    + _parts(model, sides, d_op, d - 1, d))
             assert _product(left, ((top, 0), (low, shift))) == _product(left, ((stack, 0),)), \
                 (model.label, d)
             if any(top) and any(low):
@@ -1292,7 +1291,8 @@ def test_symbol_forms_are_the_sampled_forms():
     kinds, composed, units = set(), 0, set()
     for model, ops, rows in _forms_models():
         checked, pieces = model.certificate()
-        for modes in checked + [modes for modes, _, _ in pieces]:
+        for sides in checked + [sides for sides, _, _ in pieces]:
+            modes = model.points(sides)
             for side, dst_side, _, kind in set(ops):
                 if side not in modes:
                     continue
@@ -1436,12 +1436,12 @@ def test_coefficient_certificate_agrees_with_the_point_set_certificate(chart):
     1 + 2n + C(n, 2) modes 0, +-e_i and e_i + e_j gives, and
     `certified_ranks` fails as that check does, for the certified
     identities and for broken operators."""
-    from pairform.cohomology import _certify, _units
+    from pairform.cohomology import _certify
 
     verdicts = set()
     for model, d_op, h_op, value, formal, degrees, homotopy in _certificate_cases(chart):
         broken = point_set_certify(model, d_op, h_op, value, degrees)
-        assert _certify(model, _units(model), d_op, h_op, formal, degrees) == broken
+        assert _certify(model, tuple(model.charts), d_op, h_op, formal, degrees) == broken
         verdicts.add(broken is None)
         if not homotopy:
             continue          # `_resonant` raises on the verdict
@@ -1636,24 +1636,24 @@ def test_map_certificate_reaches_every_side_at_every_unit_mode(name):
     for model in models:
         checked, pieces = model.certificate()
         zero = {side: [(0,) * chart.nvars] for side, chart in model.charts.items()}
-        assert _point_blocks(checked[0])[0] == zero
+        assert _point_blocks(model.points(checked[0]))[0] == zero
         for side, chart in model.charts.items():
             units = _unit_modes(chart.nvars)
-            assert any(modes.get(side) == units for modes in checked)
-            (own,) = [modes for modes, _, s in pieces if s == side]
-            assert own == {side: units}
+            assert any(model.points(sides).get(side) == units for sides in checked)
+            (own,) = [sides for sides, _, s in pieces if s == side]
+            assert model.points(own) == {side: units}
 
 def _layout_cases():
-    """(model, its degrees, modes dicts, [(point set, op, step)]) for every
-    layout the library numbers: pair (resonant on the k_1 axis), de Rham,
-    twisted de Rham (w = i dx^1, resonant on |k| = 1) and pair-eta on T2;
+    """(model, its degrees, modes dicts, [(point set's sides, op, step)])
+    for every layout the library numbers: pair (resonant on the k_1 axis),
+    de Rham, twisted de Rham (w = i dx^1, resonant on |k| = 1) and pair-eta on T2;
     relative and primed over the zero T2->T1 map, the GL(3,Z) map, the
     T1->T2 embedding and a T2->T3 map; Dolbeault on TC2 at p = 0, 1, 2 and
     3 > n.  The degrees are each complex's own rule: 0..n+1 for de Rham,
     0..n+2 for the pair complexes on T^n or TC^n and 0..max(n_src, n_tgt)+2
     over a map, n the slot count (the complex dimension for Dolbeault).
     The dicts are the whole band (None), the zero block, each point of every
-    `certificate()` point set and each `_resonant` block of a kernel; the
+    `certificate()` point set and the block of each `_resonant` mode; the
     ops are those the library writes on each point set, and the kernels' on
     the unit points."""
     from pairform.cohomology import (
@@ -1668,7 +1668,6 @@ def _layout_cases():
         _primed_eta_model,
         _relative_model,
         _resonant,
-        _units,
     )
 
     tc2 = torus_complex(2)
@@ -1692,17 +1691,17 @@ def _layout_cases():
     out = []
     for model, degrees in models:
         checked, pieces = model.certificate()
-        dicts = [None, _point_blocks(checked[0])[0]]
-        dicts += [block for modes in checked + [modes for modes, _, _ in pieces]
-                  for block in _point_blocks(modes)]
-        ops = [(modes, model.op, 1) for modes in checked]
-        ops += [(modes, op, step) for modes, d_op, _ in pieces
+        dicts = [None, _point_blocks(model.points(checked[0]))[0]]
+        dicts += [block for sides in checked + [sides for sides, _, _ in pieces]
+                  for block in _point_blocks(model.points(sides))]
+        ops = [(sides, model.op, 1) for sides in checked]
+        ops += [(sides, op, step) for sides, d_op, _ in pieces
                 for op, step in ((d_op, 1), (model.homotopy, -1))]
         for d_op, cod_op, sign, count in kernels.get(model, ()):
-            units = _units(model)
+            units = tuple(model.charts)
             ops += [(units, d_op, 1), (units, cod_op, -1)]
-            blocks = [block for d in model.degrees
-                      for block in _resonant(model, d, d_op, cod_op, "kernel", sign)]
+            blocks = [dict.fromkeys(model.charts, [k]) for d in model.degrees
+                      for k in _resonant(model, d, d_op, cod_op, "kernel", sign)]
             assert len(blocks) == count * len(model.degrees), (model.label, cod_op)
             dicts += blocks
         out.append((model, tuple(degrees), dicts, ops))
@@ -1735,10 +1734,10 @@ def test_every_count_follows_the_layout_rule():
                     before = sum(order.index(s) < order.index(side) for s in sides)
                     assert starts[side] == before, (model.label, d, modes, side)
                     assert side not in sides or sides[before] == side
-        for modes, op, step in ops:
-            zero = _point_blocks(modes)[0]
+        for sides, op, step in ops:
+            zero = _point_blocks(model.points(sides))[0]
             for s in model.degrees:
-                cols = _parts(model, modes, op, s, s + step)
+                cols = _parts(model, sides, op, s, s + step)
                 assert len(cols) == model.size(s, zero), (model.label, op, s)
                 assert all(r < model.size(s + step, zero) for col in cols for r in col), \
                     (model.label, op, s)
@@ -2006,15 +2005,15 @@ def test_kernels_are_taken_on_the_resonant_modes_only():
         model = _pair_model(T2, constant_field(T2, coeffs), 2)
         return _resonant(model, 1, model.op, cod, "closed form", sign)
 
-    axis = [{"F": [k], "S": [k]} for k in ((-2, 0), (-1, 0), (0, 0), (1, 0), (2, 0))]
-    zero = [{"F": [(0, 0)], "S": [(0, 0)]}]
+    axis = ((-2, 0), (-1, 0), (0, 0), (1, 0), (2, 0))
+    zero = ((0, 0),)
     # |k|^2 = <k, U>^2 on the k_1 axis for U = (1, 0), only at 0 for U = (2, 2)
     assert resonant((1, 0), _PAIR_CODIFF, 1) == axis
     assert resonant((2, 2), _PAIR_CODIFF, 1) == zero
     assert resonant((1, 0), _PAIR_CODIFF_SKEW, -1) == zero
     # U = (0, i): lambda(k) = -k_2, so |k|^2 - lambda(k)^2 = k_1^2
-    assert resonant((0, gq(0, 1)), _PAIR_CODIFF_SKEW, -1) == [
-        {"F": [k], "S": [k]} for k in ((0, -2), (0, -1), (0, 0), (0, 1), (0, 2))]
+    assert resonant((0, gq(0, 1)), _PAIR_CODIFF_SKEW, -1) == (
+        (0, -2), (0, -1), (0, 0), (0, 1), (0, 2))
     # the verdict for |k|^2 + Lambda^2 does not cover |k|^2 - Lambda^2
     with pytest.raises(AssertionError, match="^closed form$"):
         resonant((1, 0), _PAIR_CODIFF, -1)
@@ -2034,7 +2033,7 @@ def test_certified_builders_eliminate_the_zero_mode_only(monkeypatch):
     certified_ranks = cohomology._Model.certified_ranks
 
     def recording(model):
-        seen.append(_point_blocks(model.certificate()[0][0])[0])
+        seen.append(_point_blocks(model.points(model.certificate()[0][0]))[0])
         return certified_ranks(model)
 
     monkeypatch.setattr(linalg, "zi_rank", refuse)
@@ -2450,13 +2449,12 @@ def test_a_wrong_formal_closed_form_fails_at_every_degree(n):
         _closed,
         _de_rham_model,
         _pair_model,
-        _units,
     )
 
     chart = torus(n)
     pair = _pair_model(chart, constant_field(chart, (1,) * n), 1)
     twisted = _de_rham_model(chart, 1, _one_form(chart, (1,) * n))
-    pair, twisted = (pair, _units(pair)), (twisted, _units(twisted))   # (model, point set)
+    pair, twisted = (pair, ("F", "S")), (twisted, ("F",))   # (model, point set's sides)
     squares = [(1, {n + 2 + j: (1, 0)}) for j in range(n)]
     for d in range(n + 2):
         for sign in (1, -1):
@@ -2559,25 +2557,20 @@ def _counting_parts(monkeypatch) -> list:
 
     parts, built = cohomology._parts, []
 
-    def counting(model, modes, op, src, dst):
-        key = cohomology._layout(model, modes), op, src, dst
+    def counting(model, sides, op, src, dst):
+        key = model.key, sides, op, src, dst
         if key not in cohomology._PARTS:
             built.append(key)
-        return parts(model, modes, op, src, dst)
+        return parts(model, sides, op, src, dst)
 
     monkeypatch.setattr(cohomology, "_parts", counting)
     return built
 
 
-def _sides(layout) -> tuple:
-    """The sides of a point set's layout, in order."""
-    return tuple(side for side, _, _ in layout[1])
-
-
 def test_the_certificate_splits_each_matrix_once_and_skips_zero_parts(monkeypatch):
-    """`_parts` builds each (op, src, dst) once per layout, shared between
-    the d.d check and the homotopy certificate, and keeps no zero entry and
-    no zero coefficient of a linear form; exactly one product is taken per
+    """`_parts` builds each (op, src, dst) once per model key and point
+    set, shared between the d.d check and the homotopy certificate, and
+    keeps no zero entry and no zero coefficient of a linear form; exactly one product is taken per
     d.d degree and per certified degree."""
     from pairform import cohomology
     from pairform.cohomology import _pair_model
@@ -2598,7 +2591,7 @@ def test_the_certificate_splits_each_matrix_once_and_skips_zero_parts(monkeypatc
 def test_map_certificate_splits_each_point_set_apart(monkeypatch):
     """A map model certifies on three point sets: target modes with their
     source modes, and each side's own modes.  `_parts` keys them apart by
-    their layouts, so each matrix of each set is built once and read back on
+    their sides, so each matrix of each set is built once and read back on
     its own set."""
     from pairform import cohomology
     from pairform.cohomology import _relative_model
@@ -2608,9 +2601,9 @@ def test_map_certificate_splits_each_point_set_apart(monkeypatch):
     model.certified_ranks()
     cache = cohomology._PARTS
     assert len(built) == len(set(built)) == len(cache)
-    assert {_sides(key[0]) for key in cache} == {("F", "S"), ("F",), ("S",)}
+    assert {key[1] for key in cache} == {("F", "S"), ("F",), ("S",)}
     # d.d = 0 is checked on the coupled blocks and on the source side's own
-    assert {_sides(key[0]) for key in cache if key[1] == model.op} == {("F", "S"), ("S",)}
+    assert {key[1] for key in cache if key[2] == model.op} == {("F", "S"), ("S",)}
 
 
 # -- warm calls ------------------------------------------------------------------
@@ -2664,9 +2657,13 @@ def test_warm_calls_equal_cold_calls():
 
 def test_a_warm_repeat_builds_no_point_set(monkeypatch):
     """Once every call of `_warm_calls` has run, the same calls write down no
-    symbol block's forms (`_forms`): verdicts and formal matrices are read
-    back by keys that no point set's forms are needed to form."""
+    symbol block's forms (`_forms`), make no point set (`_Model.points`) and
+    list none (`_Model.certificate`): verdicts and formal matrices are read
+    back by keys that start with `model.key`, which pair models on one chart
+    share over two fields and two bands, and which holds no field value."""
     from pairform import cohomology
+    from pairform.cohomology import _Model, _pair_model
+    from pairform.rationals import GaussianRational
 
     calls = _warm_calls()
     for call in calls:
@@ -2674,9 +2671,17 @@ def test_a_warm_repeat_builds_no_point_set(monkeypatch):
     forms, built = cohomology._forms, []
     monkeypatch.setattr(cohomology, "_forms",
                         lambda model, *args: built.append(model.label) or forms(model, *args))
+    for name in ("points", "certificate"):
+        method = getattr(_Model, name)
+        monkeypatch.setattr(_Model, name, lambda model, *args, name=name, method=method:
+                            built.append(name) or method(model, *args))
     for call in calls:
         call()
     assert built == []
+    keys = {_pair_model(T2, constant_field(T2, coeffs), max_freq).key
+            for coeffs in ((1, 2), (gq("1/2"), gq(0, 1))) for max_freq in (1, 2)}
+    assert len(keys) == 1
+    assert not any(isinstance(leaf, GaussianRational) for leaf in _leaves(keys))
 
 
 def test_stacked_matrices_stay_few_over_many_maps_and_fields():
